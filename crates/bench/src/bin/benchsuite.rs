@@ -6,8 +6,8 @@
 //!
 //! ```text
 //! benchsuite                          # full suite, table to stdout
-//! benchsuite --out BENCH_0005.json    # full suite, record written to disk
-//! benchsuite --quick --baseline BENCH_0005.json --threshold 25
+//! benchsuite --out BENCH_0009.json    # full suite, regenerates the baseline
+//! benchsuite --quick --baseline BENCH_0009.json --threshold 25
 //!                                     # the CI perf gate: quick grid only,
 //!                                     # diffed against the committed record
 //! ```

@@ -1,5 +1,5 @@
-//! Demand-driven caching of remote octree cells in a per-thread local tree
-//! (§5.3.1, Listing 1 of the paper).
+//! Demand-driven caching of octree cells in a per-thread local tree
+//! (§5.3, Listings 1 and 2 of the paper): one cache, two load disciplines.
 //!
 //! Every rank starts the force phase by copying the global root into a
 //! private arena of `LocalNode`s.  Whenever the walk needs to open a cell
@@ -9,9 +9,21 @@
 //! later visit (for this or any other body) costs only local pointer
 //! dereferences.  This is the optimization responsible for the 99 % force
 //! time reduction between Table 4 and Table 5.
+//!
+//! The §5.3.1 separate local tree and the §5.3.2 merged tree with shadow
+//! pointers differ in one decision, made in `CacheTree::load` and nowhere
+//! else: §5.3.1 copies *every* child through its pointer-to-shared, §5.3.2
+//! pointer-casts the children whose affinity is the calling rank and reads
+//! them in place.  The paper reports that the second "showed little
+//! performance improvement over Table 5: the improved algorithm saves some
+//! local copying but does not affect global communication"; the
+//! `cache_variants` bench confirms it — remote traffic is identical, only
+//! the local copying cost differs.
 
 use crate::cellnode::{CellNode, NodeKind};
-use crate::shared::BhShared;
+use crate::config::SimConfig;
+use crate::lifecycle;
+use crate::shared::{BhShared, RankState};
 use nbody::direct::pairwise_acceleration;
 use nbody::{SoaBodies, Vec3};
 use octree::walk::cell_is_far;
@@ -20,8 +32,7 @@ use pgas::{Ctx, GlobalPtr};
 /// Sentinel for "no local child".
 const NO_LOCAL: i32 = -1;
 
-/// Arena of coalesced children shared by the cached walk variants (§5.3.1
-/// separate tree and §5.3.2 shadow tree): the body-leaf children of every
+/// Arena of coalesced children: the body-leaf children of every
 /// localized cell gathered once into one structure-of-arrays batch
 /// ([`SoaBodies`] — contiguous positions and masses), plus the indices of
 /// the cell-kind children, both in octant order per cell.  The batched
@@ -166,6 +177,16 @@ pub struct CacheTree {
     /// Current refresh epoch: nodes whose [`LocalNode::epoch`] lags are
     /// stale and re-read on first touch.
     epoch: u32,
+    /// The load discipline: `false` copies every cell (§5.3.1), `true`
+    /// pointer-casts the cells local to this rank (§5.3.2).  See
+    /// [`CacheTree::load`].
+    cast_local: bool,
+    /// Cells read through their pointer-to-shared (every load under the
+    /// copy discipline; exactly the remote ones under the cast discipline).
+    pub remote_copies: u64,
+    /// Local cells read in place by pointer cast instead of copied (cast
+    /// discipline only).
+    pub local_reuses: u64,
     /// Coalesced children of every localized cell.
     arena: LeafArena,
 }
@@ -182,22 +203,66 @@ pub struct CachedWalkResult {
 }
 
 impl CacheTree {
-    /// Creates the cache by copying the global root cell.
+    /// Creates a copy-discipline (§5.3.1) cache by copying the global root
+    /// cell.
     pub fn new(ctx: &Ctx, shared: &BhShared) -> Self {
-        CacheTree::new_for(ctx, shared, 0)
+        CacheTree::new_for(ctx, shared, false, 0)
     }
 
-    /// Like [`CacheTree::new`], tagged with the tree generation it was
-    /// built against.
-    pub fn new_for(ctx: &Ctx, shared: &BhShared, generation: u64) -> Self {
+    /// Creates the cache from the global root cell under the given load
+    /// discipline (`cast_local`: [`SimConfig::shadow_cache`]), tagged with
+    /// the tree generation it was built against.
+    pub fn new_for(ctx: &Ctx, shared: &BhShared, cast_local: bool, generation: u64) -> Self {
         let root_ptr = shared.root.read(ctx);
         assert!(!root_ptr.is_null(), "force phase requires a built tree");
-        let root = shared.cells.read(ctx, root_ptr);
-        CacheTree {
-            nodes: vec![LocalNode::new(root, root_ptr, 0)],
+        let mut cache = CacheTree {
+            nodes: Vec::new(),
             generation,
             epoch: 0,
+            cast_local,
+            remote_copies: 0,
+            local_reuses: 0,
             arena: LeafArena::default(),
+        };
+        let root = cache.load(ctx, shared, root_ptr);
+        cache.nodes.push(LocalNode::new(root, root_ptr, 0));
+        cache
+    }
+
+    /// The force cache for this step: the one carried in
+    /// [`RankState::cache_slot`] when a persistent tree policy kept the tree
+    /// generation it was built against ([`CacheTree::refresh`]ed in place),
+    /// a fresh one otherwise.  Returns the cache and whether it was carried;
+    /// the caller puts it back in the slot after the walk when the tree
+    /// persists.
+    pub(crate) fn for_step(
+        ctx: &Ctx,
+        shared: &BhShared,
+        st: &mut RankState,
+        cfg: &SimConfig,
+    ) -> (CacheTree, bool) {
+        let generation = st.lifecycle.generation;
+        match st.cache_slot.take() {
+            Some(mut c) if lifecycle::persistent_tree(cfg) && c.generation == generation => {
+                c.refresh();
+                (c, true)
+            }
+            _ => (CacheTree::new_for(ctx, shared, cfg.shadow_cache, generation), false),
+        }
+    }
+
+    /// Reads a cell into the cache — the only place the two disciplines
+    /// differ: under the cast discipline a cell local to this rank is
+    /// pointer-cast and read in place (legal because cells are read-only
+    /// during the force phase, §7 of the paper); everything else is copied
+    /// through its pointer-to-shared.
+    fn load(&mut self, ctx: &Ctx, shared: &BhShared, ptr: GlobalPtr) -> CellNode {
+        if self.cast_local && ptr.is_local_to(ctx.rank()) {
+            self.local_reuses += 1;
+            shared.cells.read_local(ctx, ptr)
+        } else {
+            self.remote_copies += 1;
+            shared.cells.read(ctx, ptr)
         }
     }
 
@@ -206,22 +271,33 @@ impl CacheTree {
     /// empties the leaf arena, all without touching the network.  Payloads
     /// are then re-read lazily, on first touch by the walk — so a step's
     /// remote traffic matches what a fresh cache would have paid for the
-    /// cells it actually visits, while the node allocations, the localized
-    /// structure and the arena capacity all survive.  Localizations whose
-    /// child-pointer set changed underneath (incremental re-inserts
-    /// subdivide slots) are dropped at re-read time.
-    pub fn refresh(&mut self, _ctx: &Ctx, _shared: &BhShared) {
+    /// cells it actually visits (under the cache's own load discipline),
+    /// while the node allocations, the localized structure and the arena
+    /// capacity all survive.  Localizations whose child-pointer set changed
+    /// underneath (incremental re-inserts subdivide slots) are dropped at
+    /// re-read time.
+    pub fn refresh(&mut self) {
         self.epoch = self.epoch.wrapping_add(1);
         self.arena.clear();
     }
 
-    /// Ensures node `idx`'s payload was read in the current epoch,
-    /// re-reading it through its pointer-to-shared if not.
+    /// Ensures node `idx`'s payload was read in the current epoch.  This
+    /// check runs once per visited node in every walk, so it must stay small
+    /// enough to inline; the re-read is out of line for that reason (with it
+    /// folded in here the blocking cached rungs measured ~5 % slower on the
+    /// host clock).
+    #[inline]
     fn ensure_fresh(&mut self, ctx: &Ctx, shared: &BhShared, idx: usize) {
-        if self.nodes[idx].epoch == self.epoch {
-            return;
+        if self.nodes[idx].epoch != self.epoch {
+            self.reload(ctx, shared, idx);
         }
-        let fresh = shared.cells.read(ctx, self.nodes[idx].gptr);
+    }
+
+    /// Re-reads stale node `idx` under the cache's load discipline, dropping
+    /// its localization when the child-pointer set changed underneath.
+    #[inline(never)]
+    fn reload(&mut self, ctx: &Ctx, shared: &BhShared, idx: usize) {
+        let fresh = self.load(ctx, shared, self.nodes[idx].gptr);
         let stale_children =
             self.nodes[idx].localized && fresh.children != self.nodes[idx].node.children;
         self.nodes[idx].node = fresh;
@@ -283,8 +359,8 @@ impl CacheTree {
         self.nodes[parent].ranges_epoch = self.epoch;
     }
 
-    /// Localizes the children of `parent` with blocking pointer-to-shared
-    /// reads (Listing 1, lines 10–18).
+    /// Localizes the children of `parent` with blocking loads (Listing 1,
+    /// lines 10–18; Listing 2, lines 10–23 under the cast discipline).
     pub fn localize_children(&mut self, ctx: &Ctx, shared: &BhShared, parent: usize) {
         if self.nodes[parent].localized {
             return;
@@ -295,7 +371,7 @@ impl CacheTree {
             if child_ptr.is_null() {
                 continue;
             }
-            let child = shared.cells.read(ctx, child_ptr);
+            let child = self.load(ctx, shared, child_ptr);
             self.install_child(parent, octant, child);
         }
         self.coalesce_children(parent);
@@ -337,8 +413,46 @@ impl CacheTree {
             .collect()
     }
 
+    /// Ensures node `idx`'s payload was read in the current epoch and
+    /// returns it.
+    pub(crate) fn payload(&mut self, ctx: &Ctx, shared: &BhShared, idx: usize) -> CellNode {
+        self.ensure_fresh(ctx, shared, idx);
+        self.nodes[idx].node
+    }
+
+    /// Localizes node `idx`'s children (blocking loads) or, when already
+    /// localized, brings them into the current epoch and re-coalesces the
+    /// leaf batch.
+    pub(crate) fn open(&mut self, ctx: &Ctx, shared: &BhShared, idx: usize) {
+        if !self.nodes[idx].localized {
+            self.localize_children(ctx, shared, idx);
+        } else {
+            self.ensure_children_current(ctx, shared, idx);
+        }
+    }
+
+    /// Cell-kind children of an opened node, in octant order.
+    pub(crate) fn kids(&self, idx: usize) -> &[u32] {
+        self.arena.kids(self.nodes[idx].ranges)
+    }
+
+    /// Accumulates the opened node's coalesced leaf batch onto `(acc, phi)`
+    /// (skipping `self_id`), returning the interactions evaluated.
+    pub(crate) fn accumulate(
+        &self,
+        idx: usize,
+        pos: Vec3,
+        self_id: u32,
+        eps: f64,
+        acc: &mut Vec3,
+        phi: &mut f64,
+    ) -> u32 {
+        self.arena.accumulate(self.nodes[idx].ranges, pos, self_id, eps, acc, phi)
+    }
+
     /// Force walk for one body position using the cache, localizing cells on
-    /// demand with blocking reads (the §5.3.1 algorithm).
+    /// demand with blocking loads (the §5.3 algorithm, under either load
+    /// discipline).
     ///
     /// Opened cells evaluate their coalesced body leaves through the SoA
     /// batch gathered at localization time (contiguous positions and masses,
@@ -385,11 +499,7 @@ impl CacheTree {
                         result.phi += p;
                         result.interactions += 1;
                     } else {
-                        if !self.nodes[idx].localized {
-                            self.localize_children(ctx, shared, idx);
-                        } else {
-                            self.ensure_children_current(ctx, shared, idx);
-                        }
+                        self.open(ctx, shared, idx);
                         let ranges = self.nodes[idx].ranges;
                         result.interactions += self.arena.accumulate(
                             ranges,
@@ -462,11 +572,7 @@ impl CacheTree {
                         result.phi += p;
                         result.interactions += 1;
                     } else {
-                        if !self.nodes[idx].localized {
-                            self.localize_children(ctx, shared, idx);
-                        } else {
-                            self.ensure_children_current(ctx, shared, idx);
-                        }
+                        self.open(ctx, shared, idx);
                         let children = self.nodes[idx].children_local;
                         for c in children {
                             if c == NO_LOCAL {
@@ -497,50 +603,10 @@ impl CacheTree {
     }
 }
 
-impl crate::groupwalk::WalkCache for CacheTree {
-    fn payload(&mut self, ctx: &Ctx, shared: &BhShared, idx: usize) -> CellNode {
-        self.ensure_fresh(ctx, shared, idx);
-        self.nodes[idx].node
-    }
-
-    fn node(&self, idx: usize) -> CellNode {
-        self.nodes[idx].node
-    }
-
-    fn is_localized(&self, idx: usize) -> bool {
-        self.nodes[idx].localized
-    }
-
-    fn open(&mut self, ctx: &Ctx, shared: &BhShared, idx: usize) {
-        if !self.nodes[idx].localized {
-            self.localize_children(ctx, shared, idx);
-        } else {
-            self.ensure_children_current(ctx, shared, idx);
-        }
-    }
-
-    fn kids(&self, idx: usize) -> &[u32] {
-        self.arena.kids(self.nodes[idx].ranges)
-    }
-
-    fn accumulate(
-        &self,
-        idx: usize,
-        pos: Vec3,
-        self_id: u32,
-        eps: f64,
-        acc: &mut Vec3,
-        phi: &mut f64,
-    ) -> u32 {
-        self.arena.accumulate(self.nodes[idx].ranges, pos, self_id, eps, acc, phi)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{OptLevel, SimConfig};
-    use crate::shared::RankState;
+    use crate::config::OptLevel;
     use crate::treebuild::{
         allocate_root, bounding_box_phase, center_of_mass_phase, insert_owned_bodies,
     };
@@ -573,6 +639,20 @@ mod tests {
         (shared, results)
     }
 
+    /// Walks every body this rank owns through `cache` once.
+    fn walk_owned(
+        ctx: &Ctx,
+        shared: &BhShared,
+        st: &RankState,
+        cfg: &SimConfig,
+        cache: &mut CacheTree,
+    ) {
+        for &id in &st.my_ids {
+            let b = shared.bodytab.read_raw(id as usize);
+            cache.walk(ctx, shared, b.pos, id, cfg.theta, cfg.eps);
+        }
+    }
+
     #[test]
     fn cached_walk_matches_direct_summation_closely() {
         let cfg = SimConfig::test(150, 2, OptLevel::CacheLocalTree);
@@ -600,29 +680,25 @@ mod tests {
     #[test]
     fn cache_fetches_each_remote_cell_at_most_once() {
         let cfg = SimConfig::test(300, 4, OptLevel::CacheLocalTree);
-        let (_, results) = with_built_tree(&cfg, |ctx, shared, st| {
-            let before = ctx.stats_snapshot();
-            let mut cache = CacheTree::new(ctx, shared);
-            for &id in &st.my_ids {
-                let b = shared.bodytab.read_raw(id as usize);
-                cache.walk(ctx, shared, b.pos, id, cfg.theta, cfg.eps);
+        for cast_local in [false, true] {
+            let (_, results) = with_built_tree(&cfg, |ctx, shared, st| {
+                let before = ctx.stats_snapshot();
+                let mut cache = CacheTree::new_for(ctx, shared, cast_local, 0);
+                walk_owned(ctx, shared, st, &cfg, &mut cache);
+                let first_pass = ctx.stats_snapshot().delta(&before).remote_gets;
+                // A second pass over the same bodies must not fetch anything new.
+                let before2 = ctx.stats_snapshot();
+                walk_owned(ctx, shared, st, &cfg, &mut cache);
+                let second_pass = ctx.stats_snapshot().delta(&before2).remote_gets;
+                (first_pass, second_pass, cache.len())
+            });
+            for (first, second, cached) in results {
+                assert_eq!(second, 0, "second pass must be fully cached");
+                assert!(cached > 1);
+                // The first pass fetches at most every cell once; it cannot
+                // exceed the cache size.
+                assert!(first <= cached as u64);
             }
-            let first_pass = ctx.stats_snapshot().delta(&before).remote_gets;
-            // A second pass over the same bodies must not fetch anything new.
-            let before2 = ctx.stats_snapshot();
-            for &id in &st.my_ids {
-                let b = shared.bodytab.read_raw(id as usize);
-                cache.walk(ctx, shared, b.pos, id, cfg.theta, cfg.eps);
-            }
-            let second_pass = ctx.stats_snapshot().delta(&before2).remote_gets;
-            (first_pass, second_pass, cache.len())
-        });
-        for (first, second, cached) in results {
-            assert_eq!(second, 0, "second pass must be fully cached");
-            assert!(cached > 1);
-            // The first pass fetches at most every cell once; it cannot
-            // exceed the cache size.
-            assert!(first <= cached as u64);
         }
     }
 
@@ -631,55 +707,54 @@ mod tests {
         // Walk once, mutate the tree's payloads (as a reuse step's in-place
         // refresh + re-fold would), refresh the cache and walk again: the
         // refreshed walk must agree bit-for-bit with a cache built from
-        // scratch, while re-using the node/arena allocations.
+        // scratch, while re-using the node/arena allocations — under either
+        // load discipline.
         let cfg = SimConfig::test(200, 2, OptLevel::CacheLocalTree);
-        let (_, results) = with_built_tree(&cfg, |ctx, shared, st| {
-            let mut cache = CacheTree::new(ctx, shared);
-            for &id in &st.my_ids {
-                let b = shared.bodytab.read_raw(id as usize);
-                cache.walk(ctx, shared, b.pos, id, cfg.theta, cfg.eps);
-            }
-            let nodes_before = cache.len();
+        for cast_local in [false, true] {
+            with_built_tree(&cfg, |ctx, shared, st| {
+                let mut cache = CacheTree::new_for(ctx, shared, cast_local, 0);
+                walk_owned(ctx, shared, st, &cfg, &mut cache);
+                let nodes_before = cache.len();
 
-            // Nudge every leaf payload (same structure, new positions), as
-            // the incremental update would.
-            ctx.barrier();
-            if ctx.rank() == 0 {
-                for rank in 0..ctx.ranks() {
-                    for i in 0..shared.cells.len_of(rank) {
-                        let ptr = pgas::GlobalPtr::new(rank, i);
-                        let mut node = shared.cells.read_raw(ptr);
-                        if node.is_body() {
-                            node.cofm.x += 1e-6;
-                            shared.cells.write(ctx, ptr, node);
+                // Nudge every leaf payload (same structure, new positions), as
+                // the incremental update would.
+                ctx.barrier();
+                if ctx.rank() == 0 {
+                    for rank in 0..ctx.ranks() {
+                        for i in 0..shared.cells.len_of(rank) {
+                            let ptr = pgas::GlobalPtr::new(rank, i);
+                            let mut node = shared.cells.read_raw(ptr);
+                            if node.is_body() {
+                                node.cofm.x += 1e-6;
+                                shared.cells.write(ctx, ptr, node);
+                            }
                         }
                     }
                 }
-            }
-            ctx.barrier();
+                ctx.barrier();
 
-            // The refresh itself must not touch the network; payload
-            // re-reads happen lazily, on first touch.
-            let before = ctx.stats_snapshot();
-            cache.refresh(ctx, shared);
-            assert_eq!(ctx.stats_snapshot().delta(&before).remote_gets, 0);
+                // The refresh itself must not touch the network; payload
+                // re-reads happen lazily, on first touch.
+                let before = ctx.stats_snapshot();
+                cache.refresh();
+                assert_eq!(ctx.stats_snapshot().delta(&before).remote_gets, 0);
 
-            let mut fresh = CacheTree::new(ctx, shared);
-            for &id in &st.my_ids {
-                let b = shared.bodytab.read_raw(id as usize);
-                let a = cache.walk(ctx, shared, b.pos, id, cfg.theta, cfg.eps);
-                let f = fresh.walk(ctx, shared, b.pos, id, cfg.theta, cfg.eps);
-                assert_eq!(a.acc.x.to_bits(), f.acc.x.to_bits());
-                assert_eq!(a.acc.y.to_bits(), f.acc.y.to_bits());
-                assert_eq!(a.acc.z.to_bits(), f.acc.z.to_bits());
-                assert_eq!(a.phi.to_bits(), f.phi.to_bits());
-                assert_eq!(a.interactions, f.interactions);
-            }
-            // Same structure: no node was re-allocated by the refresh.
-            assert_eq!(cache.len(), nodes_before);
-            ctx.barrier();
-        });
-        drop(results);
+                let mut fresh = CacheTree::new_for(ctx, shared, cast_local, 0);
+                for &id in &st.my_ids {
+                    let b = shared.bodytab.read_raw(id as usize);
+                    let a = cache.walk(ctx, shared, b.pos, id, cfg.theta, cfg.eps);
+                    let f = fresh.walk(ctx, shared, b.pos, id, cfg.theta, cfg.eps);
+                    assert_eq!(a.acc.x.to_bits(), f.acc.x.to_bits());
+                    assert_eq!(a.acc.y.to_bits(), f.acc.y.to_bits());
+                    assert_eq!(a.acc.z.to_bits(), f.acc.z.to_bits());
+                    assert_eq!(a.phi.to_bits(), f.phi.to_bits());
+                    assert_eq!(a.interactions, f.interactions);
+                }
+                // Same structure: no node was re-allocated by the refresh.
+                assert_eq!(cache.len(), nodes_before);
+                ctx.barrier();
+            });
+        }
     }
 
     #[test]
@@ -704,5 +779,102 @@ mod tests {
             a.nodes[0].localized && b.nodes[0].localized
         });
         assert!(results.into_iter().all(|ok| ok));
+    }
+
+    #[test]
+    fn shadow_walk_matches_separate_local_tree_exactly() {
+        let cfg = SimConfig::test(250, 3, OptLevel::CacheLocalTree);
+        let (_, results) = with_built_tree(&cfg, |ctx, shared, st| {
+            let mut shadow = CacheTree::new_for(ctx, shared, true, 0);
+            let mut separate = CacheTree::new(ctx, shared);
+            st.my_ids
+                .iter()
+                .map(|&id| {
+                    let b = shared.bodytab.read_raw(id as usize);
+                    let a = shadow.walk(ctx, shared, b.pos, id, cfg.theta, cfg.eps);
+                    let c = separate.walk(ctx, shared, b.pos, id, cfg.theta, cfg.eps);
+                    (
+                        (a.acc - c.acc).norm(),
+                        (a.phi - c.phi).abs(),
+                        a.interactions == c.interactions,
+                    )
+                })
+                .collect::<Vec<_>>()
+        });
+        for per_rank in results {
+            for (dacc, dphi, same_count) in per_rank {
+                assert_eq!(dacc, 0.0, "shadow and separate-tree walks must be bit-identical");
+                assert_eq!(dphi, 0.0);
+                assert!(same_count);
+            }
+        }
+    }
+
+    #[test]
+    fn shadow_cache_does_not_copy_local_cells() {
+        let cfg = SimConfig::test(400, 4, OptLevel::CacheLocalTree);
+        let (_, results) = with_built_tree(&cfg, |ctx, shared, st| {
+            let mut cache = CacheTree::new_for(ctx, shared, true, 0);
+            walk_owned(ctx, shared, st, &cfg, &mut cache);
+            (cache.remote_copies, cache.local_reuses)
+        });
+        for (copies, reuses) in results {
+            assert!(reuses > 0, "every rank opens at least some of its own cells");
+            assert!(copies > 0, "with several ranks, some cells are remote");
+        }
+    }
+
+    #[test]
+    fn remote_traffic_is_identical_to_separate_local_tree() {
+        // The paper's point: §5.3.2 does not change global communication.
+        // Both disciplines are exercised over the *same* built tree (the
+        // global insertion order, and hence the tree shape, differs from run
+        // to run).
+        let cfg = SimConfig::test(300, 4, OptLevel::CacheLocalTree);
+        let (_, results) = with_built_tree(&cfg, |ctx, shared, st| {
+            let before_shadow = ctx.stats_snapshot();
+            let mut shadow = CacheTree::new_for(ctx, shared, true, 0);
+            walk_owned(ctx, shared, st, &cfg, &mut shadow);
+            let shadow_remote = ctx.stats_snapshot().delta(&before_shadow).remote_gets;
+
+            let before_separate = ctx.stats_snapshot();
+            let mut separate = CacheTree::new(ctx, shared);
+            walk_owned(ctx, shared, st, &cfg, &mut separate);
+            let separate_remote = ctx.stats_snapshot().delta(&before_separate).remote_gets;
+            (shadow_remote, separate_remote)
+        });
+        for (shadow_remote, separate_remote) in results {
+            assert_eq!(shadow_remote, separate_remote);
+        }
+    }
+
+    #[test]
+    fn second_pass_is_fully_cached() {
+        let cfg = SimConfig::test(200, 2, OptLevel::CacheLocalTree);
+        let (_, results) = with_built_tree(&cfg, |ctx, shared, st| {
+            let mut cache = CacheTree::new_for(ctx, shared, true, 0);
+            walk_owned(ctx, shared, st, &cfg, &mut cache);
+            let before = ctx.stats_snapshot();
+            walk_owned(ctx, shared, st, &cfg, &mut cache);
+            ctx.stats_snapshot().delta(&before).remote_gets
+        });
+        assert!(results.into_iter().all(|extra| extra == 0));
+    }
+
+    #[test]
+    fn single_rank_never_copies() {
+        // With one rank everything is local: the cast discipline is pure
+        // pointer casting, which is exactly the §5.3 single-thread
+        // improvement.
+        let cfg = SimConfig::test(150, 1, OptLevel::CacheLocalTree);
+        let (_, results) = with_built_tree(&cfg, |ctx, shared, st| {
+            let mut cache = CacheTree::new_for(ctx, shared, true, 0);
+            walk_owned(ctx, shared, st, &cfg, &mut cache);
+            (cache.remote_copies, cache.local_reuses)
+        });
+        for (copies, reuses) in results {
+            assert_eq!(copies, 0);
+            assert!(reuses > 0);
+        }
     }
 }

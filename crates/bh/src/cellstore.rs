@@ -56,13 +56,19 @@ struct Meta {
     done: bool,
 }
 
+/// Number of ranks a compact handle can address: the rank occupies the top
+/// 8 bits and the all-ones pattern is reserved for the null handle, so ranks
+/// `0..COMPACT_MAX_RANKS`.  [`crate::sim::check_tree_build`] rejects larger
+/// machines up front; `pack` asserts the same bound.
+pub const COMPACT_MAX_RANKS: usize = 0xFF;
+
 /// Packs a child pointer into a 32-bit handle.
 fn pack(ptr: GlobalPtr) -> u32 {
     if ptr.is_null() {
         return NIL;
     }
     let (thread, index) = (ptr.threadof(), ptr.indexof());
-    assert!(thread < 0xFF, "compact handle: rank {thread} out of the 8-bit range");
+    assert!(thread < COMPACT_MAX_RANKS, "compact handle: rank {thread} out of the 8-bit range");
     assert!(index < 0x00FF_FFFF, "compact handle: index {index} out of the 24-bit range");
     ((thread as u32) << 24) | index as u32
 }

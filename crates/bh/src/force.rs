@@ -5,7 +5,7 @@
 //! * [`force_phase_uncached`] — the literal translation: the walk
 //!   dereferences pointers-to-shared for every cell it touches and re-reads
 //!   `tol`/`eps` according to the level's scalar discipline (Tables 2–4).
-//! * [`force_phase_cached`] — the §5.3.1 demand-driven cache
+//! * [`force_phase_cached`] — the §5.3 demand-driven cache
 //!   ([`crate::cache::CacheTree`]) with blocking misses (Tables 5–6).
 //! * the §5.5 non-blocking aggregated engine lives in [`crate::frontier`]
 //!   (Table 7 onwards).
@@ -169,20 +169,20 @@ fn walk_shared(
 /// The §5.3 cached force phase: one cache tree per rank, blocking
 /// localization on miss.
 ///
-/// [`SimConfig::shadow_cache`] selects between the §5.3.1 separate local tree
-/// ([`CacheTree`]) and the §5.3.2 merged local tree with shadow pointers
-/// ([`crate::shadow::ShadowCacheTree`]); both produce identical forces and
-/// identical remote traffic.
+/// [`SimConfig::shadow_cache`] selects the cache's load discipline — §5.3.1
+/// copies every cell it opens, §5.3.2 pointer-casts the ones local to the
+/// rank (see [`crate::cache`]); both produce identical forces and identical
+/// remote traffic.
 ///
 /// Under per-step rebuild the cache lives for exactly one step, as the paper
 /// describes.  Under a persistent [`crate::config::TreePolicy`] the cache is
-/// carried in [`RankState`] across steps: while the tree generation is
-/// unchanged it is refreshed in place (payload re-reads, arenas
-/// re-coalesced, allocations kept); a full rebuild bumps the generation and
-/// invalidates it.
+/// carried in [`RankState`] across steps (`CacheTree::for_step`): while
+/// the tree generation is unchanged it is refreshed in place (payload
+/// re-reads, arenas re-coalesced, allocations kept); a full rebuild bumps
+/// the generation and invalidates it.
 ///
 /// Under [`crate::config::WalkMode::Group`] the per-group engine
-/// ([`crate::groupwalk::force_phase_group`]) replaces the per-body loops
+/// ([`crate::groupwalk::force_phase_group`]) replaces the per-body loop
 /// below: one traversal per body group, the resulting interaction list
 /// applied to every member with the same SoA leaf-coalesced kernel.  The
 /// per-body path here stays bit-for-bit what it was before the walk-mode
@@ -198,41 +198,15 @@ pub fn force_phase_cached(
     }
     let theta = read_theta(ctx, shared, st, cfg.opt);
     let eps = read_eps(ctx, shared, st, cfg.opt);
-    let persistent = crate::lifecycle::persistent_tree(cfg);
-    let generation = st.lifecycle.generation;
+    let (mut cache, _) = CacheTree::for_step(ctx, shared, st, cfg);
     let mut out = Vec::with_capacity(st.my_ids.len());
-    if cfg.shadow_cache {
-        let mut cache = match st.shadow_slot.take() {
-            Some(mut c) if persistent && c.generation == generation => {
-                c.refresh(ctx, shared);
-                c
-            }
-            _ => crate::shadow::ShadowCacheTree::new_for(ctx, shared, generation),
-        };
-        for &id in &st.my_ids {
-            let body = read_body(ctx, shared, st, cfg, id);
-            let r = cache.walk(ctx, shared, body.pos, id, theta, eps);
-            out.push(BodyForce { id, acc: r.acc, phi: r.phi, cost: r.interactions });
-        }
-        if persistent {
-            st.shadow_slot = Some(cache);
-        }
-    } else {
-        let mut cache = match st.cache_slot.take() {
-            Some(mut c) if persistent && c.generation == generation => {
-                c.refresh(ctx, shared);
-                c
-            }
-            _ => CacheTree::new_for(ctx, shared, generation),
-        };
-        for &id in &st.my_ids {
-            let body = read_body(ctx, shared, st, cfg, id);
-            let r = cache.walk(ctx, shared, body.pos, id, theta, eps);
-            out.push(BodyForce { id, acc: r.acc, phi: r.phi, cost: r.interactions });
-        }
-        if persistent {
-            st.cache_slot = Some(cache);
-        }
+    for &id in &st.my_ids {
+        let body = read_body(ctx, shared, st, cfg, id);
+        let r = cache.walk(ctx, shared, body.pos, id, theta, eps);
+        out.push(BodyForce { id, acc: r.acc, phi: r.phi, cost: r.interactions });
+    }
+    if crate::lifecycle::persistent_tree(cfg) {
+        st.cache_slot = Some(cache);
     }
     out
 }

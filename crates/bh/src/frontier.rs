@@ -1,21 +1,28 @@
 //! The §5.5 force engine: non-blocking communication and message
 //! aggregation (Listing 3 of the paper).
 //!
-//! Each rank processes `n1` *working bodies* concurrently.  Every working
-//! body keeps a *frontier* of cache-tree nodes still to be examined.  When a
-//! node must be opened but its children are not cached yet, the node is
-//! parked on the body's *stalled* list and added (once) to a request list.
-//! Once at least `n3` cells are requested and fewer than `n2` gathers are in
-//! flight, all requested cells' children are fetched with a single
-//! non-blocking aggregated gather (the emulated `bupc_memget_vlist_async`).
-//! While gathers are in flight the rank keeps computing on other working
-//! bodies, which is what hides the miss latency; it only blocks
-//! (`wait_sync`) when no body can make progress.
+//! Each rank processes `n1` *working units* concurrently — bodies under the
+//! paper's per-body walk, body groups under
+//! [`crate::config::WalkMode::Group`].  Every working unit keeps a
+//! *frontier* of cache-tree nodes still to be examined.  When a node must be
+//! opened but its children are not cached yet, the node is parked on the
+//! unit's *stalled* list and added (once) to a request list.  Once at least
+//! `n3` cells are requested and fewer than `n2` gathers are in flight, all
+//! requested cells' children are fetched with a single non-blocking
+//! aggregated gather (the emulated `bupc_memget_vlist_async`).  While
+//! gathers are in flight the rank keeps computing on other working units,
+//! which is what hides the miss latency; it only blocks (`wait_sync`) when
+//! no unit can make progress.
+//!
+//! That schedule is written once (`schedule`); the two unit kinds
+//! (`PerBody`, `PerGroup`) supply only what differs — what visiting a
+//! node means, and how a finished unit becomes forces (`UnitKind`).
 
 use crate::cache::CacheTree;
 use crate::cellnode::{CellNode, NodeKind};
 use crate::config::SimConfig;
 use crate::force::BodyForce;
+use crate::groupwalk::{apply_list, build_list, group_descends, partition_groups, Group};
 use crate::shared::{read_body, read_eps, read_theta, BhShared, RankState};
 use nbody::direct::pairwise_acceleration;
 use nbody::Vec3;
@@ -30,31 +37,20 @@ struct InFlight {
     parents: Vec<(usize, usize)>,
 }
 
-/// A working body (an entry of the paper's list of `n1` concurrently
-/// processed bodies).
-struct Work {
-    id: u32,
-    pos: Vec3,
-    acc: Vec3,
-    phi: f64,
-    interactions: u32,
+/// A working unit (an entry of the paper's list of `n1` concurrently
+/// processed bodies): the unit kind's own state plus the traversal
+/// bookkeeping every kind shares.
+struct Unit<S> {
+    state: S,
     /// Cache-node indices still to be examined.
     frontier: Vec<usize>,
     /// Cache-node indices waiting for their children to arrive.
     stalled: Vec<usize>,
 }
 
-impl Work {
-    fn new(id: u32, pos: Vec3) -> Self {
-        Work {
-            id,
-            pos,
-            acc: Vec3::ZERO,
-            phi: 0.0,
-            interactions: 0,
-            frontier: vec![0],
-            stalled: Vec::new(),
-        }
+impl<S> Unit<S> {
+    fn new(state: S) -> Self {
+        Unit { state, frontier: vec![0], stalled: Vec::new() }
     }
 
     fn finished(&self) -> bool {
@@ -62,40 +58,66 @@ impl Work {
     }
 }
 
-/// The §5.5 force phase.  Functionally identical to
-/// [`crate::force::force_phase_cached`]; only the communication schedule
-/// differs.  The cache tree lives for one step: this engine only runs at
+/// The two decisions that separate the per-body and the per-group engine;
+/// everything else is [`schedule`].
+trait UnitKind {
+    /// Per-unit state.
+    type State;
+
+    /// Examines one frontier node on behalf of `unit`, evaluating whatever
+    /// can be evaluated from the node alone.  Returns `true` when the unit
+    /// must descend into the node: the scheduler then pushes its cached
+    /// children, or parks it until they arrive.
+    fn visit(&mut self, unit: &mut Self::State, node: &CellNode) -> bool;
+
+    /// Ends a round — called once after every working unit has advanced as
+    /// far as it can, with the units that finished in it: bills the round's
+    /// work and appends the finished units' forces.
+    fn retire(
+        &mut self,
+        ctx: &Ctx,
+        shared: &BhShared,
+        cache: &mut CacheTree,
+        finished: impl Iterator<Item = Self::State>,
+        out: &mut Vec<BodyForce>,
+    );
+}
+
+/// The §5.5 schedule over `pending` working units of one kind.  The cache
+/// tree lives for one step: this engine only runs at
 /// [`crate::config::OptLevel::AsyncAggregation`] and above, where the tree
 /// itself is rebuilt every step regardless of policy
 /// ([`crate::lifecycle::persistent_tree`]), so there is never a surviving
 /// generation to refresh against.
-pub fn force_phase_async(
+///
+/// `pending` is pulled lazily, one unit per free working slot, so a unit
+/// kind that reads its inputs while building a unit pays for them at fill
+/// time — which is also why "is there new work" asks its `len()` instead of
+/// peeking: a peek would charge the next unit's reads a round early.
+fn schedule<K: UnitKind>(
     ctx: &Ctx,
     shared: &BhShared,
-    st: &RankState,
     cfg: &SimConfig,
+    mut cache: CacheTree,
+    mut kind: K,
+    mut pending: impl ExactSizeIterator<Item = K::State>,
+    nbodies: usize,
 ) -> Vec<BodyForce> {
-    let theta = read_theta(ctx, shared, st, cfg.opt);
-    let eps = read_eps(ctx, shared, st, cfg.opt);
     let n1 = cfg.n1.max(1);
     let n2 = cfg.n2.max(1);
     let n3 = cfg.n3.max(1);
 
-    let mut cache = CacheTree::new(ctx, shared);
-    let mut out = Vec::with_capacity(st.my_ids.len());
-    let mut pending: VecDeque<u32> = st.my_ids.iter().copied().collect();
-    let mut working: Vec<Work> = Vec::with_capacity(n1);
+    let mut out = Vec::with_capacity(nbodies);
+    let mut working: Vec<Unit<K::State>> = Vec::with_capacity(n1);
+    let mut finished: Vec<K::State> = Vec::new();
     let mut request_list: Vec<usize> = Vec::new();
     let mut outstanding: VecDeque<InFlight> = VecDeque::new();
 
     loop {
-        // Fill up the list of working bodies.
+        // Fill up the list of working units.
         while working.len() < n1 {
-            match pending.pop_front() {
-                Some(id) => {
-                    let body = read_body(ctx, shared, st, cfg, id);
-                    working.push(Work::new(id, body.pos));
-                }
+            match pending.next() {
+                Some(state) => working.push(Unit::new(state)),
                 None => break,
             }
         }
@@ -105,71 +127,41 @@ pub fn force_phase_async(
             break;
         }
 
-        // Compute for every working body until it can't make progress.
-        let mut round_interactions = 0u64;
-        let mut round_macs = 0u64;
+        // Advance every working unit until it can't make progress.
         for w in working.iter_mut() {
             while let Some(idx) = w.frontier.pop() {
-                let node = cache.nodes[idx].node;
-                match node.kind {
-                    NodeKind::Body => {
-                        if node.body_id == w.id {
-                            continue;
+                if !kind.visit(&mut w.state, &cache.nodes[idx].node) {
+                    continue;
+                }
+                let node = &mut cache.nodes[idx];
+                if node.localized {
+                    for o in 0..8 {
+                        let c = node.children_local[o];
+                        if c >= 0 {
+                            w.frontier.push(c as usize);
                         }
-                        let (a, p) = pairwise_acceleration(w.pos, node.cofm, node.mass, eps);
-                        w.acc += a;
-                        w.phi += p;
-                        w.interactions += 1;
-                        round_interactions += 1;
                     }
-                    NodeKind::Cell => {
-                        if node.nbodies == 0 {
-                            continue;
-                        }
-                        round_macs += 1;
-                        let dist_sq = w.pos.dist_sq(node.cofm);
-                        if cell_is_far(node.side(), dist_sq, theta) {
-                            let (a, p) = pairwise_acceleration(w.pos, node.cofm, node.mass, eps);
-                            w.acc += a;
-                            w.phi += p;
-                            w.interactions += 1;
-                            round_interactions += 1;
-                        } else if cache.nodes[idx].localized {
-                            for o in 0..8 {
-                                let c = cache.nodes[idx].children_local[o];
-                                if c >= 0 {
-                                    w.frontier.push(c as usize);
-                                }
-                            }
-                        } else {
-                            // Park the node and request its children (once).
-                            w.stalled.push(idx);
-                            if !cache.nodes[idx].requested {
-                                cache.nodes[idx].requested = true;
-                                request_list.push(idx);
-                            }
-                        }
+                } else {
+                    // Park the node and request its children (once).
+                    w.stalled.push(idx);
+                    if !node.requested {
+                        node.requested = true;
+                        request_list.push(idx);
                     }
                 }
             }
         }
-        if round_macs > 0 {
-            ctx.charge_macs(round_macs);
-        }
-        if round_interactions > 0 {
-            ctx.charge_interactions(round_interactions);
-        }
 
-        // Retire finished bodies.
+        // Retire finished units.
         let mut i = 0;
         while i < working.len() {
             if working[i].finished() {
-                let w = working.swap_remove(i);
-                out.push(BodyForce { id: w.id, acc: w.acc, phi: w.phi, cost: w.interactions });
+                finished.push(working.swap_remove(i).state);
             } else {
                 i += 1;
             }
         }
+        kind.retire(ctx, shared, &mut cache, finished.drain(..), &mut out);
 
         // Issue aggregated gathers when enough cells have been requested.
         while request_list.len() >= n3 && outstanding.len() < n2 {
@@ -178,7 +170,7 @@ pub fn force_phase_async(
 
         // If nothing can progress, complete (or force-issue) communication.
         let all_stalled = working.iter().all(|w| w.frontier.is_empty());
-        let no_new_work = pending.is_empty() || working.len() >= n1;
+        let no_new_work = pending.len() == 0 || working.len() >= n1;
         if all_stalled && no_new_work && !working.is_empty() {
             if let Some(flight) = outstanding.pop_front() {
                 complete_request(ctx, &mut cache, flight);
@@ -187,9 +179,9 @@ pub fn force_phase_async(
                 // Not enough requests to reach n3, but nobody can progress:
                 // flush what we have.
                 issue_request(ctx, shared, &cache, &mut request_list, &mut outstanding, n3);
-            } else if !working.is_empty() {
+            } else {
                 // No outstanding communication and nothing to issue, yet a
-                // body is stalled: fall back to a blocking localization (this
+                // unit is stalled: fall back to a blocking localization (this
                 // only happens when n2 is saturated by requests that are not
                 // ours, which cannot occur in this single-threaded engine,
                 // but the guard keeps the loop total).
@@ -209,65 +201,174 @@ pub fn force_phase_async(
     out
 }
 
-/// A working *group* (the [`crate::config::WalkMode::Group`] counterpart of
-/// [`Work`]): the §5.5 machinery is unchanged — frontier, stalled list,
-/// aggregated gathers — but the traversal runs once per body group under
-/// the conservative box criterion.  The frontier pass is pure *discovery*:
-/// it drives the non-blocking localization of every cell the group's
-/// interaction list will need; once the group can make no more misses, the
-/// list is built (and billed) in one local pass and applied to every
-/// member.
-struct GroupWork {
-    ids: Vec<u32>,
-    positions: Vec<Vec3>,
-    lo: Vec3,
-    hi: Vec3,
-    frontier: Vec<usize>,
-    stalled: Vec<usize>,
+/// A working body: its walk accumulates as the frontier advances.
+struct Work {
+    id: u32,
+    pos: Vec3,
+    acc: Vec3,
+    phi: f64,
+    interactions: u32,
 }
 
-impl GroupWork {
-    fn new(g: crate::groupwalk::Group) -> Self {
-        GroupWork {
-            ids: g.ids,
-            positions: g.positions,
-            lo: g.lo,
-            hi: g.hi,
-            frontier: vec![0],
-            stalled: Vec::new(),
+impl Work {
+    fn interact(&mut self, node: &CellNode, eps: f64) {
+        let (a, p) = pairwise_acceleration(self.pos, node.cofm, node.mass, eps);
+        self.acc += a;
+        self.phi += p;
+        self.interactions += 1;
+    }
+}
+
+/// The paper's unit kind: one body per working unit, the MAC and the
+/// interactions evaluated node by node as the frontier advances and billed
+/// once per round.
+struct PerBody {
+    theta: f64,
+    eps: f64,
+    round_macs: u64,
+    round_interactions: u64,
+}
+
+impl UnitKind for PerBody {
+    type State = Work;
+
+    fn visit(&mut self, w: &mut Work, node: &CellNode) -> bool {
+        match node.kind {
+            NodeKind::Body => {
+                if node.body_id != w.id {
+                    w.interact(node, self.eps);
+                    self.round_interactions += 1;
+                }
+                false
+            }
+            NodeKind::Cell => {
+                if node.nbodies == 0 {
+                    return false;
+                }
+                self.round_macs += 1;
+                let dist_sq = w.pos.dist_sq(node.cofm);
+                if cell_is_far(node.side(), dist_sq, self.theta) {
+                    w.interact(node, self.eps);
+                    self.round_interactions += 1;
+                    false
+                } else {
+                    true
+                }
+            }
         }
     }
 
-    fn finished(&self) -> bool {
-        self.frontier.is_empty() && self.stalled.is_empty()
+    fn retire(
+        &mut self,
+        ctx: &Ctx,
+        _shared: &BhShared,
+        _cache: &mut CacheTree,
+        finished: impl Iterator<Item = Work>,
+        out: &mut Vec<BodyForce>,
+    ) {
+        let (macs, interactions) =
+            (std::mem::take(&mut self.round_macs), std::mem::take(&mut self.round_interactions));
+        if macs > 0 {
+            ctx.charge_macs(macs);
+        }
+        if interactions > 0 {
+            ctx.charge_interactions(interactions);
+        }
+        out.extend(finished.map(|w| BodyForce {
+            id: w.id,
+            acc: w.acc,
+            phi: w.phi,
+            cost: w.interactions,
+        }));
     }
 }
 
-/// The §5.5 engine under [`crate::config::WalkMode::Group`]: working units
-/// are body groups instead of bodies, so one traversal (and one set of
-/// cache misses) serves every member of a group.  `n1` bounds the number of
-/// concurrently processed *groups*; `n2`/`n3` keep their meaning.
+/// The §5.5 force phase.  Functionally identical to
+/// [`crate::force::force_phase_cached`]; only the communication schedule
+/// differs.  Each body is read when it enters the working list.
+pub fn force_phase_async(
+    ctx: &Ctx,
+    shared: &BhShared,
+    st: &RankState,
+    cfg: &SimConfig,
+) -> Vec<BodyForce> {
+    let kind = PerBody {
+        theta: read_theta(ctx, shared, st, cfg.opt),
+        eps: read_eps(ctx, shared, st, cfg.opt),
+        round_macs: 0,
+        round_interactions: 0,
+    };
+    let cache = CacheTree::new(ctx, shared);
+    let pending = st.my_ids.iter().map(|&id| {
+        let pos = read_body(ctx, shared, st, cfg, id).pos;
+        Work { id, pos, acc: Vec3::ZERO, phi: 0.0, interactions: 0 }
+    });
+    schedule(ctx, shared, cfg, cache, kind, pending, st.my_ids.len())
+}
+
+/// The [`crate::config::WalkMode::Group`] unit kind: working units are body
+/// groups instead of bodies, so one traversal (and one set of cache misses)
+/// serves every member of a group.  `n1` bounds the number of concurrently
+/// processed *groups*; `n2`/`n3` keep their meaning.
 ///
-/// The discovery pass repeats the group acceptance decisions the final
-/// [`crate::groupwalk::build_list`] makes, but only the latter is billed —
-/// the group's MAC work happens once per group, which is the point of the
-/// mode; the frontier pass exists to overlap the cache misses with other
-/// groups' work, exactly like the per-body §5.5 engine.
+/// The frontier pass is pure *discovery*: it repeats the group acceptance
+/// decisions the final [`build_list`] makes, driving the non-blocking
+/// localization of every cell the group's interaction list will need, but
+/// only the latter is billed — the group's MAC work happens once per group,
+/// which is the point of the mode; the frontier pass exists to overlap the
+/// cache misses with other groups' work, exactly like the per-body kind.
+struct PerGroup {
+    theta: f64,
+    eps: f64,
+}
+
+impl UnitKind for PerGroup {
+    type State = Group;
+
+    fn visit(&mut self, g: &mut Group, node: &CellNode) -> bool {
+        node.kind == NodeKind::Cell
+            && node.nbodies != 0
+            && group_descends(node.side(), g.lo, g.hi, node.cofm, &g.positions, self.theta)
+    }
+
+    /// Every cell a finished group's list opens is localized now, so the
+    /// list build is one local (billed) pass, and applying it to the
+    /// members is pure compute.
+    fn retire(
+        &mut self,
+        ctx: &Ctx,
+        shared: &BhShared,
+        cache: &mut CacheTree,
+        finished: impl Iterator<Item = Group>,
+        out: &mut Vec<BodyForce>,
+    ) {
+        for g in finished {
+            let list = build_list(ctx, shared, cache, g.lo, g.hi, &g.positions, self.theta);
+            let mut interactions = 0u64;
+            for (k, &id) in g.ids.iter().enumerate() {
+                let (acc, phi, n) = apply_list(cache, &list, k, g.positions[k], id, self.eps);
+                interactions += n as u64;
+                out.push(BodyForce { id, acc, phi, cost: n });
+            }
+            ctx.charge_interactions(interactions);
+        }
+    }
+}
+
+/// The §5.5 engine under [`crate::config::WalkMode::Group`] (see
+/// `PerGroup`).  All members are read up front: the Morton partition
+/// needs every position before the first group exists.
 pub fn force_phase_async_group(
     ctx: &Ctx,
     shared: &BhShared,
     st: &RankState,
     cfg: &SimConfig,
 ) -> Vec<BodyForce> {
-    use crate::groupwalk::{apply_list, build_list, group_descends, partition_groups, WalkCache};
-
-    let theta = read_theta(ctx, shared, st, cfg.opt);
-    let eps = read_eps(ctx, shared, st, cfg.opt);
-    let n1 = cfg.n1.max(1);
-    let n2 = cfg.n2.max(1);
-    let n3 = cfg.n3.max(1);
-
-    let mut cache = CacheTree::new(ctx, shared);
+    let kind = PerGroup {
+        theta: read_theta(ctx, shared, st, cfg.opt),
+        eps: read_eps(ctx, shared, st, cfg.opt),
+    };
+    let cache = CacheTree::new(ctx, shared);
     let mut members: Vec<(u32, Vec3)> = Vec::with_capacity(st.my_ids.len());
     for &id in &st.my_ids {
         let body = read_body(ctx, shared, st, cfg, id);
@@ -276,126 +377,8 @@ pub fn force_phase_async_group(
     let center = (st.bbox_lo + st.bbox_hi) * 0.5;
     let extent = st.bbox_hi - st.bbox_lo;
     let rsize = extent.x.max(extent.y).max(extent.z);
-    let mut pending: VecDeque<crate::groupwalk::Group> =
-        partition_groups(&members, center, rsize).into_iter().collect();
-
-    let mut out = Vec::with_capacity(st.my_ids.len());
-    let mut working: Vec<GroupWork> = Vec::with_capacity(n1);
-    let mut request_list: Vec<usize> = Vec::new();
-    let mut outstanding: VecDeque<InFlight> = VecDeque::new();
-
-    loop {
-        while working.len() < n1 {
-            match pending.pop_front() {
-                Some(g) => working.push(GroupWork::new(g)),
-                None => break,
-            }
-        }
-        if working.is_empty() {
-            break;
-        }
-
-        // Discovery: traverse for every working group until it can't make
-        // progress, parking unlocalized cells the group must open.
-        for w in working.iter_mut() {
-            while let Some(idx) = w.frontier.pop() {
-                let node = cache.nodes[idx].node;
-                match node.kind {
-                    NodeKind::Body => {}
-                    NodeKind::Cell => {
-                        if node.nbodies == 0
-                            || !group_descends(
-                                node.side(),
-                                w.lo,
-                                w.hi,
-                                node.cofm,
-                                &w.positions,
-                                theta,
-                            )
-                        {
-                            continue;
-                        }
-                        if cache.nodes[idx].localized {
-                            for &k in cache.kids(idx) {
-                                w.frontier.push(k as usize);
-                            }
-                        } else {
-                            // Park the node and request its children (once).
-                            w.stalled.push(idx);
-                            if !cache.nodes[idx].requested {
-                                cache.nodes[idx].requested = true;
-                                request_list.push(idx);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        // Retire finished groups: every cell their list opens is localized
-        // now, so the list build is one local (billed) pass, and applying
-        // it to the members is pure compute.
-        let mut i = 0;
-        while i < working.len() {
-            if working[i].finished() {
-                let w = working.swap_remove(i);
-                let list = build_list(ctx, shared, &mut cache, w.lo, w.hi, &w.positions, theta);
-                let mut interactions = 0u64;
-                for (k, &id) in w.ids.iter().enumerate() {
-                    let pos = w.positions[k];
-                    let (acc, phi, n) = apply_list(&cache, &list, k, pos, id, eps);
-                    interactions += n as u64;
-                    out.push(BodyForce { id, acc, phi, cost: n });
-                }
-                ctx.charge_interactions(interactions);
-            } else {
-                i += 1;
-            }
-        }
-
-        // Issue aggregated gathers when enough cells have been requested.
-        while request_list.len() >= n3 && outstanding.len() < n2 {
-            issue_request(ctx, shared, &cache, &mut request_list, &mut outstanding, n3);
-        }
-
-        // If nothing can progress, complete (or force-issue) communication.
-        let all_stalled = working.iter().all(|w| w.frontier.is_empty());
-        let no_new_work = pending.is_empty() || working.len() >= n1;
-        if all_stalled && no_new_work && !working.is_empty() {
-            if let Some(flight) = outstanding.pop_front() {
-                complete_request(ctx, &mut cache, flight);
-                revive_groups(&mut working, &cache);
-            } else if !request_list.is_empty() && outstanding.len() < n2 {
-                issue_request(ctx, shared, &cache, &mut request_list, &mut outstanding, n3);
-            } else if !working.is_empty() {
-                let idx = working
-                    .iter()
-                    .flat_map(|w| w.stalled.iter().copied())
-                    .next()
-                    .expect("stalled node");
-                cache.localize_children(ctx, shared, idx);
-                revive_groups(&mut working, &cache);
-            }
-        }
-    }
-
-    out
-}
-
-/// Moves stalled nodes whose parents are now localized back onto the
-/// frontier of their working groups (the [`GroupWork`] twin of [`revive`]).
-fn revive_groups(working: &mut [GroupWork], cache: &CacheTree) {
-    for w in working.iter_mut() {
-        let mut still_stalled = Vec::new();
-        for idx in w.stalled.drain(..) {
-            if cache.nodes[idx].localized {
-                w.frontier.push(idx);
-            } else {
-                still_stalled.push(idx);
-            }
-        }
-        w.stalled = still_stalled;
-    }
+    let pending = partition_groups(&members, center, rsize).into_iter();
+    schedule(ctx, shared, cfg, cache, kind, pending, st.my_ids.len())
 }
 
 /// Issues one aggregated gather for the oldest requested cells.
@@ -441,8 +424,8 @@ fn complete_request(ctx: &Ctx, cache: &mut CacheTree, flight: InFlight) {
 }
 
 /// Moves stalled nodes whose parents are now localized back onto the
-/// frontier of their working bodies.
-fn revive(working: &mut [Work], cache: &CacheTree) {
+/// frontier of their working units.
+fn revive<S>(working: &mut [Unit<S>], cache: &CacheTree) {
     for w in working.iter_mut() {
         let mut still_stalled = Vec::new();
         for idx in w.stalled.drain(..) {

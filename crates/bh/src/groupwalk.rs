@@ -53,11 +53,10 @@
 //! walk sees exactly the tree a rebuild would have produced.
 
 use crate::cache::CacheTree;
-use crate::cellnode::{CellNode, NodeKind};
+use crate::cellnode::NodeKind;
 use crate::config::{SimConfig, TreePolicy};
 use crate::force::BodyForce;
 use crate::lifecycle;
-use crate::shadow::ShadowCacheTree;
 use crate::shared::{read_body, read_eps, read_theta, BhShared, RankState};
 use nbody::direct::pairwise_acceleration;
 use nbody::{morton, Vec3};
@@ -88,37 +87,6 @@ pub const LIST_PAD_STEPS: f64 = 1.0;
 /// the worst case), while longer freezes degrade accuracy for diminishing
 /// traversal savings (most lists die to leaf relocations first anyway).
 pub const MAX_LIST_AGE: u32 = 1;
-
-/// The cache-side interface the group walk needs; implemented by
-/// [`CacheTree`] and [`ShadowCacheTree`] (in their own modules, where the
-/// private localization machinery is visible).
-pub(crate) trait WalkCache {
-    /// Ensures node `idx`'s payload was read in the current epoch and
-    /// returns it.
-    fn payload(&mut self, ctx: &Ctx, shared: &BhShared, idx: usize) -> CellNode;
-    /// Node `idx`'s payload without a freshness check (the caller has
-    /// already ensured it this epoch).
-    fn node(&self, idx: usize) -> CellNode;
-    /// `true` once node `idx`'s children are localized.
-    fn is_localized(&self, idx: usize) -> bool;
-    /// Localizes node `idx`'s children (blocking reads) or, when already
-    /// localized, brings them into the current epoch and re-coalesces the
-    /// leaf batch.
-    fn open(&mut self, ctx: &Ctx, shared: &BhShared, idx: usize);
-    /// Cell-kind children of an opened node, in octant order.
-    fn kids(&self, idx: usize) -> &[u32];
-    /// Accumulates the opened node's coalesced leaf batch onto `(acc, phi)`
-    /// (skipping `self_id`), returning the interactions evaluated.
-    fn accumulate(
-        &self,
-        idx: usize,
-        pos: Vec3,
-        self_id: u32,
-        eps: f64,
-        acc: &mut Vec3,
-        phi: &mut f64,
-    ) -> u32;
-}
 
 /// How the group criterion classified a list entry's cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -294,10 +262,10 @@ pub(crate) fn partition_groups(members: &[(u32, Vec3)], center: Vec3, rsize: f64
 /// octant order — the order the per-body stack walks evaluate in — so a
 /// member filtering the list by the recorded masks reproduces its per-body
 /// walk bit for bit.
-pub(crate) fn build_list<C: WalkCache>(
+pub(crate) fn build_list(
     ctx: &Ctx,
     shared: &BhShared,
-    cache: &mut C,
+    cache: &mut CacheTree,
     lo: Vec3,
     hi: Vec3,
     members: &[Vec3],
@@ -314,10 +282,10 @@ pub(crate) fn build_list<C: WalkCache>(
 /// Recursive helper of [`build_list`]: classifies one cache node and, when
 /// opened, its subtree, backpatching the subtree extent.
 #[allow(clippy::too_many_arguments)]
-fn build_node<C: WalkCache>(
+fn build_node(
     ctx: &Ctx,
     shared: &BhShared,
-    cache: &mut C,
+    cache: &mut CacheTree,
     idx: u32,
     lo: Vec3,
     hi: Vec3,
@@ -386,16 +354,11 @@ fn build_node<C: WalkCache>(
 /// for the opened cells.  Returns `false` when an opened cell lost its
 /// localization (a slot was subdivided underneath) — the list no longer
 /// covers the tree below it and must be rebuilt.
-fn refresh_list<C: WalkCache>(
-    ctx: &Ctx,
-    shared: &BhShared,
-    cache: &mut C,
-    list: &[ListEntry],
-) -> bool {
+fn refresh_list(ctx: &Ctx, shared: &BhShared, cache: &mut CacheTree, list: &[ListEntry]) -> bool {
     for e in list {
         cache.payload(ctx, shared, e.idx as usize);
         if e.kind != EntryKind::Accepted {
-            if !cache.is_localized(e.idx as usize) {
+            if !cache.nodes[e.idx as usize].localized {
                 return false;
             }
             cache.open(ctx, shared, e.idx as usize);
@@ -412,8 +375,8 @@ fn refresh_list<C: WalkCache>(
 /// bit at mixed entries (point mass + subtree skip when set), with the
 /// member's own leaf excluded by id throughout.  Returns
 /// `(acc, phi, interactions)`.
-pub(crate) fn apply_list<C: WalkCache>(
-    cache: &C,
+pub(crate) fn apply_list(
+    cache: &CacheTree,
     list: &[ListEntry],
     member: usize,
     pos: Vec3,
@@ -427,7 +390,7 @@ pub(crate) fn apply_list<C: WalkCache>(
     while i < list.len() {
         let e = list[i];
         i += 1;
-        let node = cache.node(e.idx as usize);
+        let node = cache.nodes[e.idx as usize].node;
         match e.kind {
             EntryKind::Accepted => {
                 if node.is_body() && node.body_id == self_id {
@@ -468,9 +431,8 @@ pub(crate) fn apply_list<C: WalkCache>(
 
 /// The group-walk force phase ([`crate::config::WalkMode::Group`] at the
 /// caching levels): the counterpart of
-/// [`crate::force::force_phase_cached`], dispatching on
-/// [`SimConfig::shadow_cache`] like it does and carrying both the force
-/// cache and the group lists across steps under a persistent tree policy.
+/// [`crate::force::force_phase_cached`], carrying both the force cache and
+/// the group lists across steps under a persistent tree policy.
 pub fn force_phase_group(
     ctx: &Ctx,
     shared: &BhShared,
@@ -488,62 +450,33 @@ pub fn force_phase_group(
     let strict = matches!(cfg.tree_policy, TreePolicy::Reuse { drift_threshold, .. } if drift_threshold == 0.0);
     let reuse_lists = persistent && !strict;
 
-    if cfg.shadow_cache {
-        let (mut cache, carried) = match st.shadow_slot.take() {
-            Some(mut c) if persistent && c.generation == generation => {
-                c.refresh(ctx, shared);
-                (c, true)
-            }
-            _ => (ShadowCacheTree::new_for(ctx, shared, generation), false),
-        };
-        let prior = match st.group_slot.take() {
-            Some(l) if reuse_lists && carried && l.generation == generation => Some(l),
-            _ => None,
-        };
-        let (out, lists) =
-            group_forces(ctx, shared, st, cfg, &mut cache, prior, reuse_lists, theta, eps);
-        if persistent {
-            st.shadow_slot = Some(cache);
-            if reuse_lists {
-                st.group_slot = Some(lists);
-            }
+    let (mut cache, carried) = CacheTree::for_step(ctx, shared, st, cfg);
+    let prior = match st.group_slot.take() {
+        Some(l) if reuse_lists && carried && l.generation == generation => Some(l),
+        _ => None,
+    };
+    let (out, lists) =
+        group_forces(ctx, shared, st, cfg, &mut cache, prior, reuse_lists, theta, eps);
+    if persistent {
+        st.cache_slot = Some(cache);
+        if reuse_lists {
+            st.group_slot = Some(lists);
         }
-        out
-    } else {
-        let (mut cache, carried) = match st.cache_slot.take() {
-            Some(mut c) if persistent && c.generation == generation => {
-                c.refresh(ctx, shared);
-                (c, true)
-            }
-            _ => (CacheTree::new_for(ctx, shared, generation), false),
-        };
-        let prior = match st.group_slot.take() {
-            Some(l) if reuse_lists && carried && l.generation == generation => Some(l),
-            _ => None,
-        };
-        let (out, lists) =
-            group_forces(ctx, shared, st, cfg, &mut cache, prior, reuse_lists, theta, eps);
-        if persistent {
-            st.cache_slot = Some(cache);
-            if reuse_lists {
-                st.group_slot = Some(lists);
-            }
-        }
-        out
     }
+    out
 }
 
-/// The generic group force phase over either cache flavour: keep the prior
+/// The group force phase over the step's cache: keep the prior
 /// step's groups whose members this rank still owns, regroup the leftovers,
 /// re-validate or rebuild each group's list, and evaluate every member
 /// against its group's list.
 #[allow(clippy::too_many_arguments)]
-fn group_forces<C: WalkCache>(
+fn group_forces(
     ctx: &Ctx,
     shared: &BhShared,
     st: &RankState,
     cfg: &SimConfig,
-    cache: &mut C,
+    cache: &mut CacheTree,
     prior: Option<GroupLists>,
     reuse_lists: bool,
     theta: f64,

@@ -16,6 +16,12 @@
 //! | `AsyncAggregation`        | §5.5          | non-blocking aggregated cell gathers |
 //! | `Subspace`                | §6            | cost-threshold subspace tree build, vector reductions |
 //!
+//! The cached levels share one force cache ([`cache::CacheTree`]) whose load
+//! discipline — §5.3.1 copy every cell, or §5.3.2 pointer-cast the local
+//! ones ([`SimConfig::shadow_cache`]) — is decided in one place, and from
+//! §5.5 on one non-blocking scheduler ([`frontier`]) drives it for both
+//! walk modes (per-body and per-group working units).
+//!
 //! The main entry point is [`run_simulation`], which runs the paper's
 //! experiment protocol (four time steps, last two measured) and returns the
 //! per-phase timing breakdown its tables report, together with the final
@@ -47,7 +53,6 @@ pub mod lifecycle;
 pub mod mergetree;
 pub mod partition;
 pub mod report;
-pub mod shadow;
 pub mod shared;
 pub mod sim;
 pub mod sortbuild;

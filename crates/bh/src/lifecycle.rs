@@ -28,11 +28,10 @@
 //!   done-flag protocol as the centre-of-mass phase, but through cast-local
 //!   pointers (the cells were allocated by this rank, §5.2 discipline);
 //! * a *tree generation* counter increments on every full build.  The force
-//!   caches ([`crate::cache::CacheTree`], [`crate::shadow::ShadowCacheTree`])
-//!   carry the generation they were built against: while it is unchanged
-//!   they are refreshed in place (payload re-reads, leaf arenas re-coalesced,
-//!   localizations kept unless a slot was subdivided) instead of being
-//!   reallocated from scratch.
+//!   cache ([`crate::cache::CacheTree`]) carries the generation it was built
+//!   against: while it is unchanged it is refreshed in place (payload
+//!   re-reads, leaf arenas re-coalesced, localizations kept unless a slot
+//!   was subdivided) instead of being reallocated from scratch.
 //!
 //! The persistent tree targets the global-insertion family (§4–§5.3),
 //! where per-step rebuild means every body descending the shared tree

@@ -7,7 +7,6 @@ use crate::cellstore::CellStore;
 use crate::config::{OptLevel, SimConfig};
 use crate::groupwalk::GroupLists;
 use crate::lifecycle::{LeafSite, TreeLifecycle};
-use crate::shadow::ShadowCacheTree;
 use nbody::plummer::{generate, PlummerConfig};
 use nbody::{Body, Vec3};
 use pgas::shared::SharedScalar;
@@ -151,8 +150,6 @@ pub struct RankState {
     /// The force-phase cache carried across steps while the tree generation
     /// is unchanged (reuse policies only; `None` under per-step rebuild).
     pub cache_slot: Option<CacheTree>,
-    /// Shadow-variant counterpart of [`RankState::cache_slot`].
-    pub shadow_slot: Option<ShadowCacheTree>,
     /// Group-walk interaction lists carried across steps alongside the
     /// force cache (see [`crate::groupwalk`]; `None` under per-step rebuild,
     /// per-body walks, or the strict `drift_threshold: 0` reuse mode).
@@ -193,7 +190,6 @@ impl RankState {
             bbox_kept_cube: false,
             lifecycle: TreeLifecycle::default(),
             cache_slot: None,
-            shadow_slot: None,
             group_slot: None,
         }
     }

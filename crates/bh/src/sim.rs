@@ -9,6 +9,7 @@
 //! persistent global tree, incrementally updated, with drift-triggered
 //! rebuilds.
 
+use crate::cellstore::COMPACT_MAX_RANKS;
 use crate::config::{SimConfig, TreeBuild, WalkMode};
 use crate::force::{advance_phase, force_phase_cached, force_phase_uncached, write_back};
 use crate::frontier::{force_phase_async, force_phase_async_group};
@@ -211,19 +212,30 @@ pub fn check_walk_mode(cfg: &SimConfig) -> Result<(), String> {
 /// routes each body (with its leaf payload) to its Morton-bucket owner, an
 /// owner-computes protocol that needs redistributed bodies (§5.2 and above),
 /// and it replaces the classic build phase, which the §6 subspace algorithm
-/// does not have.  Shared by [`run_simulation_with`] and
+/// does not have.  Its compact cell arena addresses ranks through 8-bit
+/// handle fields, so it also caps the machine size
+/// ([`COMPACT_MAX_RANKS`]).  Shared by [`run_simulation_with`] and
 /// [`crate::backend::UpcBackend::supports`] so library callers and the
 /// registry fail identically (like [`check_walk_mode`]).
 pub fn check_tree_build(cfg: &SimConfig) -> Result<(), String> {
-    if cfg.build == TreeBuild::Sorted
-        && (!cfg.opt.redistributes_bodies() || cfg.opt.subspace_tree_build())
-    {
+    if cfg.build != TreeBuild::Sorted {
+        return Ok(());
+    }
+    if !cfg.opt.redistributes_bodies() || cfg.opt.subspace_tree_build() {
         return Err(format!(
             "tree build {} requires an owner-computes optimization level (redistribute \
              through async-aggregation): the sorted build routes bodies to Morton-bucket \
              owners over the redistribution machinery, which --opt {} does not support",
             cfg.build.name(),
             cfg.opt.name()
+        ));
+    }
+    if cfg.ranks() > COMPACT_MAX_RANKS {
+        return Err(format!(
+            "--build {} supports at most {COMPACT_MAX_RANKS} ranks (its compact cell handles \
+             carry the rank in 8 bits); this machine has {}",
+            cfg.build.name(),
+            cfg.ranks()
         ));
     }
     Ok(())
@@ -426,6 +438,20 @@ mod tests {
             );
             assert!(result.phases.total() > 0.0, "{}", scenario.name());
         }
+    }
+
+    #[test]
+    fn sorted_build_is_rejected_beyond_the_compact_handle_rank_limit() {
+        let mut cfg = SimConfig::test(64, COMPACT_MAX_RANKS, OptLevel::CacheLocalTree);
+        cfg.build = TreeBuild::Sorted;
+        assert_eq!(cfg.ranks(), 255);
+        assert_eq!(check_tree_build(&cfg), Ok(()));
+        cfg.machine = pgas::Machine::test_cluster(COMPACT_MAX_RANKS + 1);
+        let err = check_tree_build(&cfg).expect_err("256 ranks overflow the handle");
+        assert!(err.contains("--build sorted") && err.contains("at most 255 ranks"), "{err}");
+        // The insertion build's fat pointers have no such limit.
+        cfg.build = TreeBuild::Insertion;
+        assert_eq!(check_tree_build(&cfg), Ok(()));
     }
 
     #[test]

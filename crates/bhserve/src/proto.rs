@@ -235,11 +235,7 @@ pub fn decode_job(
             let mut policy = TreePolicy::from_name(&name).ok_or_else(|| {
                 Reject::new(
                     E_PROTO,
-                    engine::suggest::unknown_key(
-                        "tree policy",
-                        &name,
-                        &["rebuild", "reuse", "adaptive"],
-                    ),
+                    engine::suggest::unknown_key("tree policy", &name, &TreePolicy::NAMES),
                 )
             })?;
             if let TreePolicy::Reuse { mut rebuild_every, mut drift_threshold } = policy {

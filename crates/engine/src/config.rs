@@ -180,6 +180,29 @@ impl TreePolicy {
         }
     }
 
+    /// Every policy [`TreePolicy::name`], in `bhsim --list` order (the
+    /// counterpart of `OptLevel::ALL` for an enum whose variants carry
+    /// parameters).
+    pub const NAMES: [&'static str; 3] = ["rebuild", "reuse", "adaptive"];
+
+    /// One-line description of the policy called `name`, for `bhsim --list`.
+    pub fn description(name: &str) -> Option<String> {
+        Some(match TreePolicy::from_name(name)? {
+            TreePolicy::Rebuild => {
+                "rebuild the octree from scratch every step (the paper's protocol)".to_string()
+            }
+            TreePolicy::Reuse { rebuild_every, drift_threshold } => format!(
+                "persistent tree; full rebuild every --rebuild-every steps (default \
+                 {rebuild_every}) or at --drift-threshold drift (default {drift_threshold})"
+            ),
+            TreePolicy::Adaptive => format!(
+                "persistent tree, solver-chosen cadence (drift {}, every {} steps at most)",
+                TreePolicy::ADAPTIVE_DRIFT,
+                TreePolicy::ADAPTIVE_REBUILD_EVERY
+            ),
+        })
+    }
+
     /// Parses a policy from its [`TreePolicy::name`]; `reuse` carries the
     /// default cadence and drift threshold.
     pub fn from_name(name: &str) -> Option<TreePolicy> {
@@ -450,6 +473,11 @@ pub struct SimConfig {
     /// only) instead of the §5.3.1 separate local tree during the cached
     /// force phase.  The paper found "little performance improvement" from
     /// this variant; the `cache_variants` bench quantifies the difference.
+    ///
+    /// Covers the blocking cached force phase only (`cache-local-tree` and
+    /// `merged-tree-build`, both walk modes).  From `async-aggregation` up
+    /// the §5.5 engine always copies, so the flag is a no-op there (pinned
+    /// by `tests/variants_equivalence.rs`).
     pub shadow_cache: bool,
     /// Deterministic fault-injection plan (the faultline plane; see
     /// [`crate::fault`]).  Default: empty, guaranteed inert.  Excluded from
@@ -606,10 +634,12 @@ mod tests {
 
     #[test]
     fn tree_policy_names_roundtrip() {
-        for name in ["rebuild", "reuse", "adaptive"] {
+        for name in TreePolicy::NAMES {
             let policy = TreePolicy::from_name(name).unwrap();
             assert_eq!(policy.name(), name);
+            assert!(TreePolicy::description(name).is_some());
         }
+        assert_eq!(TreePolicy::description("nope"), None);
         assert_eq!(TreePolicy::from_name("nope"), None);
         assert!(!TreePolicy::Rebuild.reuses_tree());
         assert!(TreePolicy::Adaptive.reuses_tree());

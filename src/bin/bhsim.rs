@@ -224,10 +224,9 @@ fn parse_args() -> Options {
             "--tree-policy" => {
                 let name = value(args.next(), "--tree-policy");
                 opts.tree_policy = TreePolicy::from_name(&name).unwrap_or_else(|| {
-                    let known = ["rebuild", "reuse", "adaptive"];
                     eprintln!(
                         "bhsim: {}",
-                        engine::suggest::unknown_key("tree policy", &name, &known)
+                        engine::suggest::unknown_key("tree policy", &name, &TreePolicy::NAMES)
                     );
                     usage()
                 });
@@ -502,18 +501,9 @@ fn list_registries() {
     }
     println!();
     println!("tree-stepping policies (--tree-policy):");
-    println!("  rebuild    rebuild the octree from scratch every step (the paper's protocol)");
-    println!(
-        "  reuse      persistent tree; full rebuild every --rebuild-every steps (default {}) \
-         or at --drift-threshold drift (default {})",
-        TreePolicy::DEFAULT_REBUILD_EVERY,
-        TreePolicy::DEFAULT_DRIFT_THRESHOLD
-    );
-    println!(
-        "  adaptive   persistent tree, solver-chosen cadence (drift {}, every {} steps at most)",
-        TreePolicy::ADAPTIVE_DRIFT,
-        TreePolicy::ADAPTIVE_REBUILD_EVERY
-    );
+    for name in TreePolicy::NAMES {
+        println!("  {:<10} {}", name, TreePolicy::description(name).expect("listed name"));
+    }
     println!();
     println!("force-walk modes (--walk):");
     for walk in WalkMode::ALL {

@@ -11,7 +11,6 @@
 
 use barnes_hut_upc::prelude::*;
 use bh::cache::CacheTree;
-use bh::shadow::ShadowCacheTree;
 use bh::shared::{BhShared, RankState};
 use bh::treebuild::{allocate_root, bounding_box_phase, center_of_mass_phase, insert_owned_bodies};
 use proptest::prelude::*;
@@ -39,7 +38,7 @@ fn walk_both(
         ctx.barrier();
         let mut batched = CacheTree::new(ctx, shared_ref);
         let mut per_body = CacheTree::new(ctx, shared_ref);
-        let mut shadow = ShadowCacheTree::new(ctx, shared_ref);
+        let mut shadow = CacheTree::new_for(ctx, shared_ref, true, 0);
         st.my_ids
             .iter()
             .map(|&id| {

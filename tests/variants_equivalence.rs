@@ -42,7 +42,7 @@ fn shadow_cache_matches_separate_cache_and_changes_little() {
     // small factor (the two runs race their tree builds independently, and
     // which rank allocates a cell decides its affinity, so per-run remote
     // counts wobble ~10%; exact equality over one shared tree is asserted
-    // in the `bh::shadow` unit tests).  The cached/uncached gap this is
+    // in the `bh::cache` unit tests).  The cached/uncached gap this is
     // contrasted with is ~27x.
     let (sh, sep) = (shadow.total_stats(), separate.total_stats());
     let gets_ratio = sh.remote_gets as f64 / sep.remote_gets.max(1) as f64;
@@ -166,12 +166,28 @@ fn mpi_comparator_matches_upc_physics() {
 
 #[test]
 fn shadow_cache_composes_with_higher_ladder_levels() {
-    // The shadow cache is selectable at any cached level; make sure it also
-    // runs under the merged tree build without disturbing the results.
+    // The shadow cache is selectable at the blocking cached levels
+    // (cache-local-tree, merged-tree-build); make sure it also runs under
+    // the merged tree build without disturbing the results.
     let plain = bh::run_simulation(&cfg_with(OptLevel::MergedTreeBuild, |_| {}));
     let shadow =
         bh::run_simulation(&cfg_with(OptLevel::MergedTreeBuild, |c| c.shadow_cache = true));
     let diff = mean_position_difference(&plain.bodies, &shadow.bodies);
     assert!(diff < 1e-3);
     assert!(shadow.phases.force > 0.0);
+
+    // From async-aggregation up the §5.5 engine builds a copy-discipline
+    // cache whatever the flag says, so the flag is a no-op there: same
+    // bodies, same counters.  (Sorted build: lock-free, so two runs of one
+    // configuration repeat exactly and any difference would be the flag's.)
+    let async_cfg = |shadow| {
+        cfg_with(OptLevel::AsyncAggregation, |c| {
+            c.build = TreeBuild::Sorted;
+            c.shadow_cache = shadow;
+        })
+    };
+    let off = bh::run_simulation(&async_cfg(false));
+    let on = bh::run_simulation(&async_cfg(true));
+    assert!(engine::snap::bodies_bits_equal(&off.bodies, &on.bodies));
+    assert_eq!(off.total_stats(), on.total_stats());
 }
