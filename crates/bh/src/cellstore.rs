@@ -249,12 +249,23 @@ impl CellStore {
     /// Dereferences a pointer-to-shared (billed like
     /// [`SharedArena::read`]; the compact layout moves its smaller record).
     pub fn read(&self, ctx: &Ctx, ptr: GlobalPtr) -> CellNode {
+        self.read_fields(ctx, ptr, 1)
+    }
+
+    /// Reads a node field by field through its pointer-to-shared, as the
+    /// literal translation does (mass, centre of mass, child pointers):
+    /// `fields` reads are billed, the record is copied out once (see
+    /// [`SharedArena::read_fields`]).
+    pub fn read_fields(&self, ctx: &Ctx, ptr: GlobalPtr, fields: u32) -> CellNode {
         match &self.repr {
-            Repr::Fat(arena) => arena.read(ctx, ptr),
+            Repr::Fat(arena) => arena.read_fields(ctx, ptr, fields),
             Repr::Compact(regions) => {
                 assert!(!ptr.is_null(), "dereference of a null pointer-to-shared");
+                assert!(fields > 0, "a read of zero fields has no value to return");
                 let owner = ptr.threadof();
-                ctx.charge_shared_read(owner, COMPACT_NODE_BYTES);
+                for _ in 0..fields {
+                    ctx.charge_shared_read(owner, COMPACT_NODE_BYTES);
+                }
                 regions[owner].read().unwrap().get(ptr.indexof())
             }
         }
@@ -275,12 +286,21 @@ impl CellStore {
 
     /// Writes through a pointer-to-shared.
     pub fn write(&self, ctx: &Ctx, ptr: GlobalPtr, value: CellNode) {
+        self.write_fields(ctx, ptr, value, 1);
+    }
+
+    /// Write counterpart of [`CellStore::read_fields`]: `fields` writes are
+    /// billed, the record is stored once.
+    pub fn write_fields(&self, ctx: &Ctx, ptr: GlobalPtr, value: CellNode, fields: u32) {
         match &self.repr {
-            Repr::Fat(arena) => arena.write(ctx, ptr, value),
+            Repr::Fat(arena) => arena.write_fields(ctx, ptr, value, fields),
             Repr::Compact(regions) => {
                 assert!(!ptr.is_null(), "write through a null pointer-to-shared");
+                assert!(fields > 0, "a write of zero fields would store without being billed");
                 let owner = ptr.threadof();
-                ctx.charge_shared_write(owner, COMPACT_NODE_BYTES);
+                for _ in 0..fields {
+                    ctx.charge_shared_write(owner, COMPACT_NODE_BYTES);
+                }
                 regions[owner].write().unwrap().set(ptr.indexof(), value);
             }
         }
@@ -517,6 +537,62 @@ mod tests {
         assert_eq!(stats.vlist_requests, 1);
         assert_eq!(stats.remote_gets, 3);
         assert_eq!(stats.bytes_in, 3 * COMPACT_NODE_BYTES as u64);
+    }
+
+    /// What one rank's clock and counters show after `access` ran against
+    /// its own node and then against the other rank's, in layout `build`.
+    fn local_then_remote(
+        build: TreeBuild,
+        access: impl Fn(&Ctx, &CellStore, GlobalPtr) + Sync,
+    ) -> Vec<(u64, pgas::RankStats, f64)> {
+        let store = CellStore::new(2, build);
+        let rt = Runtime::new(Machine::test_cluster(2));
+        let report = rt.run(|ctx| {
+            let all = ctx.allgather(store.alloc(ctx, sample_cell()));
+            ctx.barrier();
+            access(ctx, &store, all[ctx.rank()]);
+            ctx.barrier();
+            let other = all[1 - ctx.rank()];
+            access(ctx, &store, other);
+            ctx.barrier();
+            (ctx.now().to_bits(), ctx.stats_snapshot(), store.read_raw(other).mass)
+        });
+        report.ranks.into_iter().map(|r| r.result).collect()
+    }
+
+    #[test]
+    fn read_fields_and_write_fields_bill_what_successive_accesses_bill_in_both_layouts() {
+        for build in TreeBuild::ALL {
+            for fields in [1, 3, 5] {
+                let reads = local_then_remote(build, |ctx, store, ptr| {
+                    for _ in 0..fields {
+                        store.read(ctx, ptr);
+                    }
+                });
+                let read_at_once = local_then_remote(build, |ctx, store, ptr| {
+                    store.read_fields(ctx, ptr, fields);
+                });
+                assert_eq!(reads, read_at_once, "{build:?}, {fields} field(s) read");
+                assert_eq!(read_at_once[0].1.remote_gets, fields as u64);
+
+                let heavier = |rank: usize| {
+                    let mut cell = sample_cell();
+                    cell.mass = 10.0 + rank as f64;
+                    cell
+                };
+                let writes = local_then_remote(build, |ctx, store, ptr| {
+                    for _ in 0..fields {
+                        store.write(ctx, ptr, heavier(ctx.rank()));
+                    }
+                });
+                let written_at_once = local_then_remote(build, |ctx, store, ptr| {
+                    store.write_fields(ctx, ptr, heavier(ctx.rank()), fields);
+                });
+                assert_eq!(writes, written_at_once, "{build:?}, {fields} field(s) written");
+                assert_eq!(written_at_once[0].1.remote_puts, fields as u64);
+                assert_eq!(written_at_once[0].2, 10.0, "rank 0 wrote the other rank's node");
+            }
+        }
     }
 
     #[test]

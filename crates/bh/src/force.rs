@@ -94,21 +94,25 @@ pub fn force_phase_uncached(
 ) -> Vec<BodyForce> {
     let root = shared.root.read(ctx);
     let mut out = Vec::with_capacity(st.my_ids.len());
+    // One traversal stack for the rank: every walk drains it.
+    let mut stack = Vec::new();
     for &id in &st.my_ids {
         let body = read_body(ctx, shared, st, cfg, id);
-        let force = walk_shared(ctx, shared, st, cfg, root, id, &body);
+        stack.push(root);
+        let force = walk_shared(ctx, shared, st, cfg, &mut stack, id, &body);
         out.push(force);
     }
     out
 }
 
-/// Walks the shared tree for one body without caching.
+/// Walks the shared tree for one body without caching, from the cells on
+/// `stack` (the root) until it is empty again.
 fn walk_shared(
     ctx: &Ctx,
     shared: &BhShared,
     st: &RankState,
     cfg: &SimConfig,
-    root: GlobalPtr,
+    stack: &mut Vec<GlobalPtr>,
     id: u32,
     body: &Body,
 ) -> BodyForce {
@@ -118,15 +122,11 @@ fn walk_shared(
     let mut macs = 0u64;
     let fields = cfg.fine_grained_fields.max(1);
 
-    let mut stack = vec![root];
     while let Some(ptr) = stack.pop() {
         // The literal translation reads the cell's fields one by one through
         // the pointer-to-shared (mass, centre of mass, child pointers), so
         // each visit is several fine-grained accesses.
-        let mut node = shared.cells.read(ctx, ptr);
-        for _ in 1..fields {
-            node = shared.cells.read(ctx, ptr);
-        }
+        let node = shared.cells.read_fields(ctx, ptr, fields);
         match node.kind {
             NodeKind::Body => {
                 if node.body_id == id {

@@ -279,11 +279,7 @@ pub fn read_body(ctx: &Ctx, shared: &BhShared, st: &RankState, cfg: &SimConfig, 
             shared.bodytab.read(ctx, idx)
         }
     } else {
-        let mut body = shared.bodytab.read(ctx, idx);
-        for _ in 1..cfg.fine_grained_fields.max(1) {
-            body = shared.bodytab.read(ctx, idx);
-        }
-        body
+        shared.bodytab.read_fields(ctx, idx, cfg.fine_grained_fields.max(1))
     }
 }
 
@@ -302,9 +298,7 @@ pub fn write_body(
         ctx.charge_local_accesses(1);
         shared.bodytab.write_raw(idx, body);
     } else {
-        for _ in 0..cfg.fine_grained_fields.max(1) {
-            shared.bodytab.write(ctx, idx, body);
-        }
+        shared.bodytab.write_fields(ctx, idx, body, cfg.fine_grained_fields.max(1));
     }
 }
 

@@ -150,9 +150,9 @@ fn run_simulation_observed(
                 ctx.barrier();
             }
         }
-        let phases = phase_times(&st);
         RankOutcome {
-            phases,
+            phases: PhaseTimes::from_timer(&st.timer),
+            phases_host_ms: PhaseTimes::host_ms_from_timer(&st.timer),
             tree_local: st.tree_local_time,
             tree_merge: st.tree_merge_time,
             owned_bodies: st.my_ids.len() as u64,
@@ -239,11 +239,6 @@ pub fn check_tree_build(cfg: &SimConfig) -> Result<(), String> {
         ));
     }
     Ok(())
-}
-
-/// Converts a rank's phase timer into the table row structure.
-fn phase_times(st: &RankState) -> PhaseTimes {
-    PhaseTimes::from_timer(&st.timer)
 }
 
 /// Runs one time step with the phase structure of the configured

@@ -121,6 +121,7 @@ pub fn run_simulation_on(cfg: &SimConfig, all_bodies: Vec<Body>) -> SimResult {
 
         let outcome = RankOutcome {
             phases: PhaseTimes::from_timer(&st.timer),
+            phases_host_ms: PhaseTimes::host_ms_from_timer(&st.timer),
             tree_local: st.tree_local_time,
             tree_merge: st.let_exchange_time,
             owned_bodies: st.owned.len() as u64,

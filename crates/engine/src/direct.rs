@@ -77,6 +77,7 @@ pub fn run_simulation_on(cfg: &SimConfig, bodies: Vec<Body>) -> SimResult {
 
         let outcome = RankOutcome {
             phases: PhaseTimes::from_timer(&timer),
+            phases_host_ms: PhaseTimes::host_ms_from_timer(&timer),
             tree_local: 0.0,
             tree_merge: 0.0,
             owned_bodies: owned.len() as u64,

@@ -103,13 +103,23 @@ impl PhaseTimes {
         }
     }
 
-    /// Collects the phase rows out of a rank's [`pgas::PhaseTimer`].
-    pub fn from_timer(timer: &pgas::PhaseTimer) -> PhaseTimes {
+    /// One value per phase, in table order.
+    fn from_rows(row: impl Fn(Phase) -> f64) -> PhaseTimes {
         let mut t = PhaseTimes::default();
         for phase in Phase::ALL {
-            t.set(phase, timer.get(phase.key()));
+            t.set(phase, row(phase));
         }
         t
+    }
+
+    /// Collects the phase rows out of a rank's [`pgas::PhaseTimer`].
+    pub fn from_timer(timer: &pgas::PhaseTimer) -> PhaseTimes {
+        Self::from_rows(|phase| timer.get(phase.key()))
+    }
+
+    /// The host-clock rows of a rank's [`pgas::PhaseTimer`], in milliseconds.
+    pub fn host_ms_from_timer(timer: &pgas::PhaseTimer) -> PhaseTimes {
+        Self::from_rows(|phase| timer.host(phase.key()).as_secs_f64() * 1e3)
     }
 
     /// Total over all phases.
@@ -152,6 +162,11 @@ impl PhaseTimes {
 pub struct RankOutcome {
     /// Phase times accumulated over the measured steps on this rank.
     pub phases: PhaseTimes,
+    /// Host milliseconds this rank's thread spent in each phase over the
+    /// measured steps, barrier waits included: what the emulation cost, not
+    /// what the model says.  Zero for results recorded before the field.
+    #[serde(default)]
+    pub phases_host_ms: PhaseTimes,
     /// Tree-building sub-phase split (local build, merge/hook) accumulated
     /// over the measured steps — the Figure 8 data.
     pub tree_local: f64,
@@ -172,6 +187,11 @@ pub struct SimResult {
     /// the per-rank time accumulated over the measured steps (this is what
     /// the paper's tables report).
     pub phases: PhaseTimes,
+    /// Per-phase host milliseconds, the maximum over ranks like `phases`
+    /// (see [`RankOutcome::phases_host_ms`]).  Host-dependent: never gated,
+    /// never compared across machines.
+    #[serde(default)]
+    pub phases_host_ms: PhaseTimes,
     /// The simulated makespan of the measured steps
     /// (max over ranks of their total measured time).
     pub total: f64,
@@ -202,9 +222,11 @@ impl SimResult {
         bodies: Vec<nbody::Body>,
     ) -> SimResult {
         let mut phases = PhaseTimes::default();
+        let mut phases_host_ms = PhaseTimes::default();
         let mut migrated = 0u64;
         for r in &ranks {
             phases = phases.max(&r.phases);
+            phases_host_ms = phases_host_ms.max(&r.phases_host_ms);
             migrated += r.migrated_bodies;
         }
         // Every body is owned by exactly one rank each step, so the ownership
@@ -212,6 +234,7 @@ impl SimResult {
         let ownership_slots = (cfg.nbodies.max(1) * cfg.measured_steps.max(1)) as u64;
         SimResult {
             phases,
+            phases_host_ms,
             total: phases.total(),
             ranks,
             migration_fraction: migrated as f64 / ownership_slots as f64,
@@ -285,11 +308,13 @@ mod tests {
         let cfg = SimConfig::test(100, 2, OptLevel::Subspace);
         let a = RankOutcome {
             phases: PhaseTimes { force: 2.0, tree: 1.0, ..Default::default() },
+            phases_host_ms: PhaseTimes { force: 7.0, ..Default::default() },
             migrated_bodies: 3,
             ..Default::default()
         };
         let b = RankOutcome {
             phases: PhaseTimes { force: 1.0, tree: 4.0, ..Default::default() },
+            phases_host_ms: PhaseTimes { force: 3.0, tree: 9.0, ..Default::default() },
             migrated_bodies: 2,
             ..Default::default()
         };
@@ -297,6 +322,8 @@ mod tests {
         assert_eq!(result.phases.force, 2.0);
         assert_eq!(result.phases.tree, 4.0);
         assert_eq!(result.total, 6.0);
+        assert_eq!(result.phases_host_ms.force, 7.0);
+        assert_eq!(result.phases_host_ms.tree, 9.0);
         // 5 migrations over 100 bodies × 1 measured step.
         assert!((result.migration_fraction - 0.05).abs() < 1e-12);
     }

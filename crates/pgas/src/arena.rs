@@ -7,48 +7,97 @@
 //! returns a [`GlobalPtr`]; any rank may then read or write through the
 //! pointer, paying local or remote cost according to affinity.
 //!
+//! A region is an append-only table of doubling chunks, so dereferencing a
+//! pointer costs one length check, one bit scan and the element's own slot
+//! lock — no lock on the region, whoever else is allocating into it.  The
+//! literal translation's field-by-field accesses go through
+//! [`SharedArena::read_fields`] / [`SharedArena::write_fields`], which bill
+//! every field and move the element once.
+//!
 //! The arena also carries the non-blocking aggregated gather
 //! (`bupc_memget_vlist_async`, §5.5) because the paper uses it to fetch cells.
 
 use crate::ctx::{Ctx, Handle};
 use crate::gptr::GlobalPtr;
 use crate::sync_cell::SyncSlot;
-use parking_lot::RwLock;
+use parking_lot::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
-/// One rank's region of the arena.
+/// Slots in a region's first chunk; chunk `c` holds `FIRST_CHUNK << c`.
+const FIRST_CHUNK: usize = 64;
+/// Enough doubling chunks that every `usize` index has one.
+const CHUNKS: usize = (usize::BITS - FIRST_CHUNK.ilog2()) as usize;
+
+/// Chunk number and offset within it of element `index`: chunk `c` covers
+/// `FIRST_CHUNK * (2^c - 1) ..  FIRST_CHUNK * (2^(c+1) - 1)`, so the chunk is
+/// the position of the top bit of `index + FIRST_CHUNK` — no division.
+#[inline]
+fn locate(index: usize) -> (usize, usize) {
+    let biased = index + FIRST_CHUNK;
+    let chunk = (biased.ilog2() - FIRST_CHUNK.ilog2()) as usize;
+    (chunk, biased - (FIRST_CHUNK << chunk))
+}
+
+/// One rank's region of the arena: an append-only table of doubling chunks.
+///
+/// A chunk, once allocated, never moves and is never freed, so an element
+/// access takes no lock on the table: it checks the index against the
+/// published length, finds the chunk with a bit scan and locks only the
+/// element's own slot.  Growth and [`Region::clear`] serialize on `grow`;
+/// `clear` resets the length and keeps the chunks, so the next step's tree
+/// overwrites the same slots.
 struct Region<T> {
-    slots: RwLock<Vec<SyncSlot<T>>>,
+    chunks: [OnceLock<Box<[SyncSlot<T>]>>; CHUNKS],
+    /// Published length: stored with `Release` after the new element's slot
+    /// is written, loaded with `Acquire` by every access, so an index below
+    /// it always names an allocated chunk and an initialized slot.
+    len: AtomicUsize,
+    grow: Mutex<()>,
 }
 
 impl<T: Copy> Region<T> {
     fn new() -> Self {
-        Region { slots: RwLock::new(Vec::new()) }
+        Region {
+            chunks: std::array::from_fn(|_| OnceLock::new()),
+            len: AtomicUsize::new(0),
+            grow: Mutex::new(()),
+        }
     }
 
     fn push(&self, value: T) -> usize {
-        let mut slots = self.slots.write();
-        slots.push(SyncSlot::new(value));
-        slots.len() - 1
+        let _growing = self.grow.lock();
+        let index = self.len.load(Ordering::Relaxed);
+        let (chunk, offset) = locate(index);
+        // A fresh chunk is filled with copies of the element that opened it
+        // (`T` has no default); every later push overwrites its own slot.
+        let slots = self.chunks[chunk]
+            .get_or_init(|| (0..FIRST_CHUNK << chunk).map(|_| SyncSlot::new(value)).collect());
+        slots[offset].set(value);
+        self.len.store(index + 1, Ordering::Release);
+        index
     }
 
-    fn get(&self, index: usize) -> T {
-        self.slots.read()[index].get()
-    }
-
-    fn set(&self, index: usize, value: T) {
-        self.slots.read()[index].set(value);
-    }
-
-    fn update<R>(&self, index: usize, f: impl FnOnce(&mut T) -> R) -> R {
-        self.slots.read()[index].update(f)
+    /// The slot of element `index`.
+    ///
+    /// # Panics
+    /// Panics if `index` is at or beyond the published length (a pointer
+    /// into a region that was cleared since, or never allocated).
+    #[inline]
+    fn slot(&self, index: usize) -> &SyncSlot<T> {
+        let len = self.len.load(Ordering::Acquire);
+        assert!(index < len, "pointer-to-shared index {index} out of a region of {len} elements");
+        let (chunk, offset) = locate(index);
+        &self.chunks[chunk].get().expect("a chunk below the published length is allocated")[offset]
     }
 
     fn len(&self) -> usize {
-        self.slots.read().len()
+        self.len.load(Ordering::Acquire)
     }
 
     fn clear(&self) {
-        self.slots.write().clear();
+        let _growing = self.grow.lock();
+        self.len.store(0, Ordering::Release);
     }
 }
 
@@ -91,17 +140,26 @@ impl<T: Copy + Send + Sync> SharedArena<T> {
     /// target is remote, otherwise the shared-pointer overhead of a local
     /// dereference).
     pub fn read(&self, ctx: &Ctx, ptr: GlobalPtr) -> T {
+        self.read_fields(ctx, ptr, 1)
+    }
+
+    /// Reads an element the way the literal translation does, one field at
+    /// a time through the pointer-to-shared: bills exactly what `fields`
+    /// successive [`SharedArena::read`]s bill, in the same order, and copies
+    /// the element out once.
+    ///
+    /// # Panics
+    /// Panics if `fields` is zero or the pointer is null.
+    pub fn read_fields(&self, ctx: &Ctx, ptr: GlobalPtr, fields: u32) -> T {
         assert!(!ptr.is_null(), "dereference of a null pointer-to-shared");
+        assert!(fields > 0, "a read of zero fields has no value to return");
         let owner = ptr.threadof();
-        if owner == ctx.rank() {
-            // Local, but still through a pointer-to-shared: pay the
-            // dereference surcharge the paper's casting optimization removes.
-            ctx.advance(ctx.machine().global_ptr_overhead);
-            ctx.charge_local_accesses(1);
-        } else {
-            ctx.bill_get(owner, std::mem::size_of::<T>());
+        for _ in 0..fields {
+            // A local target still goes through the pointer-to-shared and
+            // pays the dereference surcharge the paper's casting removes.
+            ctx.charge_shared_read(owner, std::mem::size_of::<T>());
         }
-        self.regions[owner].get(ptr.indexof())
+        self.regions[owner].slot(ptr.indexof()).get()
     }
 
     /// Reads through a pointer the caller has proven local and cast to a
@@ -113,27 +171,31 @@ impl<T: Copy + Send + Sync> SharedArena<T> {
     pub fn read_local(&self, ctx: &Ctx, ptr: GlobalPtr) -> T {
         debug_assert!(ptr.is_local_to(ctx.rank()), "read_local through a remote pointer");
         ctx.charge_local_accesses(1);
-        self.regions[ptr.threadof()].get(ptr.indexof())
+        self.regions[ptr.threadof()].slot(ptr.indexof()).get()
     }
 
     /// Writes through a pointer-to-shared.
     pub fn write(&self, ctx: &Ctx, ptr: GlobalPtr, value: T) {
+        self.write_fields(ctx, ptr, value, 1);
+    }
+
+    /// Write counterpart of [`SharedArena::read_fields`]: bills `fields`
+    /// successive [`SharedArena::write`]s and stores the element once.
+    pub fn write_fields(&self, ctx: &Ctx, ptr: GlobalPtr, value: T, fields: u32) {
         assert!(!ptr.is_null(), "write through a null pointer-to-shared");
+        assert!(fields > 0, "a write of zero fields would store without being billed");
         let owner = ptr.threadof();
-        if owner == ctx.rank() {
-            ctx.advance(ctx.machine().global_ptr_overhead);
-            ctx.charge_local_accesses(1);
-        } else {
-            ctx.bill_put(owner, std::mem::size_of::<T>());
+        for _ in 0..fields {
+            ctx.charge_shared_write(owner, std::mem::size_of::<T>());
         }
-        self.regions[owner].set(ptr.indexof(), value);
+        self.regions[owner].slot(ptr.indexof()).set(value);
     }
 
     /// Local-pointer write counterpart of [`SharedArena::read_local`].
     pub fn write_local(&self, ctx: &Ctx, ptr: GlobalPtr, value: T) {
         debug_assert!(ptr.is_local_to(ctx.rank()), "write_local through a remote pointer");
         ctx.charge_local_accesses(1);
-        self.regions[ptr.threadof()].set(ptr.indexof(), value);
+        self.regions[ptr.threadof()].slot(ptr.indexof()).set(value);
     }
 
     /// Atomic read-modify-write through a pointer-to-shared (used for the
@@ -143,9 +205,8 @@ impl<T: Copy + Send + Sync> SharedArena<T> {
         assert!(!ptr.is_null(), "update through a null pointer-to-shared");
         let owner = ptr.threadof();
         // A remote atomic update costs a round trip (get + put).
-        ctx.bill_get(owner, std::mem::size_of::<T>());
-        ctx.bill_put(owner, std::mem::size_of::<T>());
-        self.regions[owner].update(ptr.indexof(), f)
+        ctx.charge_rmw(owner, std::mem::size_of::<T>());
+        self.regions[owner].slot(ptr.indexof()).update(f)
     }
 
     /// Blocking aggregated gather of the listed elements
@@ -194,7 +255,7 @@ impl<T: Copy + Send + Sync> SharedArena<T> {
         }
         let complete_at = ctx.now() + ctx.gather_cost(&sources);
 
-        let data = ptrs.iter().map(|p| self.regions[p.threadof()].get(p.indexof())).collect();
+        let data = ptrs.iter().map(|p| self.read_raw(*p)).collect();
         Handle { data, complete_at }
     }
 
@@ -210,7 +271,7 @@ impl<T: Copy + Send + Sync> SharedArena<T> {
 
     /// Unbilled read for drivers and tests.
     pub fn read_raw(&self, ptr: GlobalPtr) -> T {
-        self.regions[ptr.threadof()].get(ptr.indexof())
+        self.regions[ptr.threadof()].slot(ptr.indexof()).get()
     }
 
     /// Unbilled allocation into an explicit rank's region, for test setup and
@@ -364,6 +425,165 @@ mod tests {
             assert_eq!(arena.len_of(ctx.rank()), 0);
         });
         assert_eq!(arena.total_len(), 0);
+    }
+
+    #[test]
+    fn chunks_double_and_tile_the_index_space() {
+        let mut next = 0;
+        for chunk in 0..12 {
+            assert_eq!(locate(next), (chunk, 0));
+            next += FIRST_CHUNK << chunk;
+            assert_eq!(locate(next - 1), (chunk, (FIRST_CHUNK << chunk) - 1));
+        }
+        assert_eq!(locate(usize::MAX - FIRST_CHUNK).0, CHUNKS - 1);
+    }
+
+    /// What one rank's clock and counters show after `access` ran against
+    /// its own element and then against its neighbour's.
+    fn local_then_remote(
+        access: impl Fn(&Ctx, &SharedArena<[u64; 5]>, GlobalPtr) + Sync,
+    ) -> Vec<(u64, crate::RankStats, [u64; 5])> {
+        let rt = Runtime::new(Machine::power5(2, 2, true));
+        let arena: SharedArena<[u64; 5]> = SharedArena::new(4);
+        let report = rt.run(|ctx| {
+            let all = ctx.allgather(arena.alloc(ctx, [ctx.rank() as u64; 5]));
+            ctx.barrier();
+            access(ctx, &arena, all[ctx.rank()]);
+            ctx.barrier();
+            let neighbour = all[(ctx.rank() + 1) % 4];
+            access(ctx, &arena, neighbour);
+            ctx.barrier();
+            (ctx.now().to_bits(), ctx.stats_snapshot(), arena.read_raw(neighbour))
+        });
+        report.ranks.into_iter().map(|r| r.result).collect()
+    }
+
+    #[test]
+    fn read_fields_bills_what_successive_reads_bill() {
+        for fields in [1, 3, 5] {
+            let one_by_one = local_then_remote(|ctx, arena, ptr| {
+                for _ in 0..fields {
+                    arena.read(ctx, ptr);
+                }
+            });
+            let at_once = local_then_remote(|ctx, arena, ptr| {
+                arena.read_fields(ctx, ptr, fields);
+            });
+            assert_eq!(one_by_one, at_once, "{fields} field(s)");
+            assert_eq!(at_once[0].1.remote_gets, fields as u64);
+        }
+    }
+
+    #[test]
+    fn write_fields_bills_what_successive_writes_bill() {
+        for fields in [1, 3, 5] {
+            let one_by_one = local_then_remote(|ctx, arena, ptr| {
+                for _ in 0..fields {
+                    arena.write(ctx, ptr, [7 + ctx.rank() as u64; 5]);
+                }
+            });
+            let at_once = local_then_remote(|ctx, arena, ptr| {
+                arena.write_fields(ctx, ptr, [7 + ctx.rank() as u64; 5], fields);
+            });
+            assert_eq!(one_by_one, at_once, "{fields} field(s)");
+            assert_eq!(at_once[0].1.remote_puts, fields as u64);
+            assert_eq!(at_once[0].2, [7; 5], "the neighbour's element holds rank 0's write");
+        }
+    }
+
+    #[test]
+    fn regions_grow_across_chunks_under_concurrent_reads_and_survive_clear() {
+        const RANKS: usize = 4;
+        const BATCH: u64 = 500;
+        const BATCHES: u64 = 11;
+        let value = |rank: usize, seq: u64| ((rank as u64) << 32) | seq;
+        let rt = Runtime::new(Machine::test_cluster(RANKS));
+        let arena: SharedArena<u64> = SharedArena::new(RANKS);
+        rt.run(|ctx| {
+            let me = ctx.rank();
+            // Every batch is allocated while the previous batch of every
+            // other rank — published through the allgather — is read back.
+            let mut published: Vec<Vec<GlobalPtr>> = vec![Vec::new(); RANKS];
+            for batch in 0..BATCHES {
+                let mut mine = Vec::with_capacity(BATCH as usize);
+                for i in 0..BATCH {
+                    let seq = batch * BATCH + i;
+                    mine.push(arena.alloc(ctx, value(me, seq)));
+                    for (owner, ptrs) in published.iter().enumerate() {
+                        if let Some(&ptr) = ptrs.get(i as usize) {
+                            assert_eq!(arena.read(ctx, ptr), value(owner, seq - BATCH));
+                        }
+                    }
+                }
+                published = ctx.allgather(mine);
+            }
+            assert_eq!(arena.len_of(me), (BATCH * BATCHES) as usize);
+            assert!(locate(arena.len_of(me) - 1).0 >= 6, "the test must cross several chunks");
+
+            ctx.barrier();
+            if me == 0 {
+                arena.clear(ctx);
+            }
+            ctx.barrier();
+            assert_eq!(arena.len_of(me), 0);
+
+            // The cleared region hands out the same indices over the same
+            // chunks, and they hold the new values.
+            let mine: Vec<GlobalPtr> =
+                (0..100).map(|i| arena.alloc(ctx, value(me, 9000 + i))).collect();
+            assert_eq!(mine[0], GlobalPtr::new(me, 0));
+            for (owner, ptrs) in ctx.allgather(mine).iter().enumerate() {
+                for (i, &ptr) in ptrs.iter().enumerate() {
+                    assert_eq!(arena.read(ctx, ptr), value(owner, 9000 + i as u64));
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn alloc_raw_into_a_foreign_region_races_its_owner_safely() {
+        const EACH: u64 = 2000;
+        let rt = Runtime::new(Machine::test_cluster(2));
+        let arena: SharedArena<u64> = SharedArena::new(2);
+        let report = rt.run(|ctx| {
+            ctx.barrier();
+            // Both ranks append to rank 0's region at once.
+            let base = ctx.rank() as u64 * EACH;
+            (0..EACH)
+                .map(|i| {
+                    if ctx.rank() == 0 {
+                        arena.alloc(ctx, base + i)
+                    } else {
+                        arena.alloc_raw(0, base + i)
+                    }
+                })
+                .collect::<Vec<GlobalPtr>>()
+        });
+        assert_eq!(arena.len_of(0), 2 * EACH as usize);
+        assert_eq!(arena.len_of(1), 0);
+        let mut seen = vec![false; 2 * EACH as usize];
+        for r in &report.ranks {
+            for (i, &ptr) in r.result.iter().enumerate() {
+                assert_eq!(ptr.threadof(), 0);
+                assert_eq!(arena.read_raw(ptr), r.rank as u64 * EACH + i as u64);
+                assert!(
+                    !std::mem::replace(&mut seen[ptr.indexof()], true),
+                    "index handed out twice"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of a region of 0 elements")]
+    fn a_pointer_that_outlived_clear_panics() {
+        let rt = Runtime::new(Machine::test_cluster(1));
+        let arena: SharedArena<u8> = SharedArena::new(1);
+        rt.run(|ctx| {
+            let stale = arena.alloc(ctx, 1);
+            arena.clear(ctx);
+            let _ = arena.read(ctx, stale);
+        });
     }
 
     #[test]

@@ -48,6 +48,10 @@ impl<T> Handle<T> {
 pub struct Ctx<'w> {
     rank: usize,
     world: &'w World,
+    /// `(latency, byte_cost)` of a one-sided operation from this rank to
+    /// each rank, looked up once here so that billing an access is a table
+    /// index instead of two `Machine::node_of` divisions.
+    links: Vec<(f64, f64)>,
     clock: Cell<f64>,
     stats: RefCell<RankStats>,
     coll_seq: Cell<u64>,
@@ -56,9 +60,13 @@ pub struct Ctx<'w> {
 
 impl<'w> Ctx<'w> {
     pub(crate) fn new(rank: usize, world: &'w World) -> Self {
+        let machine = &world.machine;
         Ctx {
             rank,
             world,
+            links: (0..world.ranks)
+                .map(|to| (machine.latency(rank, to), machine.byte_cost(rank, to)))
+                .collect(),
             clock: Cell::new(0.0),
             stats: RefCell::new(RankStats::default()),
             coll_seq: Cell::new(0),
@@ -198,10 +206,17 @@ impl<'w> Ctx<'w> {
     // Communication charging (used by the shared containers)
     // ----------------------------------------------------------------------
 
+    /// [`Machine::transfer_cost`] from this rank to `owner`, from the link
+    /// table: the same expression on the same operands, so bit-identical.
+    #[inline]
+    fn transfer_cost(&self, owner: usize, bytes: usize) -> f64 {
+        let (latency, byte_cost) = self.links[owner];
+        latency + byte_cost * bytes as f64
+    }
+
     /// Charges a fine-grained read of `bytes` bytes owned by `owner`.
     pub(crate) fn bill_get(&self, owner: usize, bytes: usize) {
-        let m = self.machine();
-        let cost = m.transfer_cost(self.rank, owner, bytes);
+        let cost = self.transfer_cost(owner, bytes);
         self.advance(cost);
         self.with_stats(|s| {
             s.comm_seconds += cost;
@@ -217,8 +232,7 @@ impl<'w> Ctx<'w> {
 
     /// Charges a fine-grained write of `bytes` bytes owned by `owner`.
     pub(crate) fn bill_put(&self, owner: usize, bytes: usize) {
-        let m = self.machine();
-        let cost = m.transfer_cost(self.rank, owner, bytes);
+        let cost = self.transfer_cost(owner, bytes);
         self.advance(cost);
         self.with_stats(|s| {
             s.comm_seconds += cost;
@@ -235,8 +249,7 @@ impl<'w> Ctx<'w> {
     /// Charges a bulk get of `bytes` bytes from `owner` in a single message
     /// and returns its cost.
     pub(crate) fn bill_bulk_get(&self, owner: usize, bytes: usize, elements: u64) -> f64 {
-        let m = self.machine();
-        let cost = m.transfer_cost(self.rank, owner, bytes);
+        let cost = self.transfer_cost(owner, bytes);
         self.advance(cost);
         self.with_stats(|s| {
             s.comm_seconds += cost;
@@ -253,8 +266,7 @@ impl<'w> Ctx<'w> {
 
     /// Charges a bulk put of `bytes` bytes to `owner` in a single message.
     pub(crate) fn bill_bulk_put(&self, owner: usize, bytes: usize, elements: u64) {
-        let m = self.machine();
-        let cost = m.transfer_cost(self.rank, owner, bytes);
+        let cost = self.transfer_cost(owner, bytes);
         self.advance(cost);
         self.with_stats(|s| {
             s.comm_seconds += cost;
@@ -272,11 +284,7 @@ impl<'w> Ctx<'w> {
     /// `bytes_per_source` from the given sources, assuming the messages
     /// overlap on the network.  Used by the non-blocking gather.
     pub(crate) fn gather_cost(&self, sources: &[(usize, usize)]) -> f64 {
-        let m = self.machine();
-        sources
-            .iter()
-            .map(|&(owner, bytes)| m.transfer_cost(self.rank, owner, bytes))
-            .fold(0.0, f64::max)
+        sources.iter().map(|&(owner, bytes)| self.transfer_cost(owner, bytes)).fold(0.0, f64::max)
     }
 
     /// Records the bookkeeping for an aggregated (vlist) request.
@@ -301,10 +309,9 @@ impl<'w> Ctx<'w> {
 
     /// Charges a global lock acquisition on a lock owned by `owner`.
     pub(crate) fn bill_lock(&self, owner: usize) {
-        let m = self.machine();
         // Acquire + release round trips to the lock's home plus the runtime
         // overhead of the lock implementation.
-        let cost = 2.0 * m.latency(self.rank, owner) + m.lock_overhead;
+        let cost = 2.0 * self.links[owner].0 + self.machine().lock_overhead;
         self.advance(cost);
         self.with_stats(|s| {
             s.comm_seconds += cost;
@@ -503,6 +510,38 @@ mod tests {
             let data = ctx.try_sync(handle).expect("should be complete now");
             assert_eq!(data, vec![7]);
         });
+    }
+
+    #[test]
+    fn link_table_reproduces_the_machine_cost_model_bit_for_bit() {
+        for pthreads in [true, false] {
+            let machine = Machine::power5(2, 4, pthreads);
+            let rt = Runtime::new(machine.clone());
+            rt.run(|ctx| {
+                let from = ctx.rank();
+                for to in 0..ctx.ranks() {
+                    for bytes in [0, 8, 120, 152, 65_536] {
+                        assert_eq!(
+                            ctx.transfer_cost(to, bytes).to_bits(),
+                            machine.transfer_cost(from, to, bytes).to_bits(),
+                            "transfer {from} -> {to}, {bytes} B, pthreads {pthreads}"
+                        );
+                        assert_eq!(
+                            ctx.gather_cost(&[(to, bytes)]).to_bits(),
+                            machine.transfer_cost(from, to, bytes).to_bits()
+                        );
+                    }
+                    let before = ctx.now();
+                    ctx.bill_lock(to);
+                    let lock_cost = 2.0 * machine.latency(from, to) + machine.lock_overhead;
+                    assert_eq!(
+                        ctx.now().to_bits(),
+                        (before + lock_cost).to_bits(),
+                        "lock {from} -> {to}, pthreads {pthreads}"
+                    );
+                }
+            });
+        }
     }
 
     #[test]

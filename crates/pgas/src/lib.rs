@@ -24,6 +24,7 @@
 //! | shared arrays (block-distributed)       | [`SharedVec`] |
 //! | `upc_alloc` (per-thread shared heap)    | [`SharedArena`] |
 //! | pointer-to-shared                       | [`GlobalPtr`] |
+//! | `p->f1; p->f2; …` (a struct read field by field through a pointer-to-shared) | [`SharedArena::read_fields`], [`SharedVec::read_fields`] (and `write_fields`) |
 //! | `upc_memget` / `upc_memput`             | [`SharedVec::get_block`] / [`SharedVec::put_block`] |
 //! | `upc_memget_ilist`                      | [`SharedVec::get_ilist`] |
 //! | `bupc_memget_vlist_async` + `waitsync`  | [`SharedArena::get_vlist_async`], [`Handle`] |
@@ -36,15 +37,27 @@
 //! ## Safety model
 //!
 //! Like UPC's relaxed shared accesses, [`SharedVec`] and [`SharedArena`] give
-//! every rank read/write access to every element with no per-element locking.
-//! The emulator forbids torn reads at the type level by only exposing
-//! whole-value copies (`T: Copy`), but it is the application's responsibility
-//! to avoid logically conflicting writes — which the Barnes-Hut phases do by
-//! construction (owner-computes, phase-wise read-only structures), exactly as
-//! argued in §7 of the paper.  Conflicting concurrent writes are a bug in the
-//! application, not undefined behaviour visible to safe callers: all racy
-//! access is funnelled through lock-protected primitives internally (see
-//! `sync_cell`).
+//! every rank read/write access to every element with no application-visible
+//! locking.  The emulator forbids torn reads at the type level by only
+//! exposing whole-value copies (`T: Copy`), but it is the application's
+//! responsibility to avoid logically conflicting writes — which the
+//! Barnes-Hut phases do by construction (owner-computes, phase-wise read-only
+//! structures), exactly as argued in §7 of the paper.  Conflicting concurrent
+//! writes are a bug in the application, not undefined behaviour visible to
+//! safe callers: the crate contains no `unsafe`, and every element sits
+//! behind its own reader-writer lock (`sync_cell`).
+//!
+//! That slot lock is the only lock on the fine-grained access path.  A
+//! [`SharedVec`] is a fixed array of slots; a [`SharedArena`] region is an
+//! append-only table of power-of-two chunks (`OnceLock` each, never moved or
+//! freed) whose length is published with `Release` after a new element is
+//! written and read with `Acquire` before any dereference, so readers and
+//! the allocating rank never meet on a lock; growth and `clear` serialize on
+//! a small mutex, and `clear` resets the length and keeps the chunks.  A
+//! pointer at or beyond the published length — one that outlived a `clear`
+//! — panics.  The cost of a billed access is a lookup in a per-rank
+//! `(latency, byte cost)` table built once in `Ctx::new`, evaluating the
+//! same expression as [`Machine::transfer_cost`].
 
 pub mod arena;
 pub mod collectives;

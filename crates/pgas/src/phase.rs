@@ -5,15 +5,29 @@
 //! force computation, body advancement).  [`PhaseTimer`] records simulated
 //! elapsed time per named phase on one rank; the `bh` crate aggregates the
 //! per-rank timers into the per-phase maxima that the tables report.
+//!
+//! Beside the simulated clock the timer reads the host's: what emulating a
+//! phase cost this rank's thread in real time (two `Instant::now()` per
+//! phase, nanosecond resolution).  The host column never feeds back into the simulated clock
+//! or any counter.
 
 use crate::ctx::Ctx;
 use std::collections::BTreeMap;
+use std::time::{Duration, Instant};
 
-/// Accumulates simulated time per named phase for a single rank.
+/// Simulated seconds and host time accumulated by one phase.
+#[derive(Debug, Default, Clone, Copy)]
+struct Elapsed {
+    sim: f64,
+    host: Duration,
+}
+
+/// Accumulates simulated time, and host time beside it, per named phase for
+/// a single rank.
 #[derive(Debug, Default, Clone)]
 pub struct PhaseTimer {
-    phases: BTreeMap<String, f64>,
-    open: Option<(String, f64)>,
+    phases: BTreeMap<String, Elapsed>,
+    open: Option<(String, f64, Instant)>,
 }
 
 impl PhaseTimer {
@@ -30,19 +44,22 @@ impl PhaseTimer {
         assert!(
             self.open.is_none(),
             "phase {:?} still open",
-            self.open.as_ref().map(|(n, _)| n.clone())
+            self.open.as_ref().map(|(n, ..)| n.clone())
         );
-        self.open = Some((phase.to_string(), ctx.now()));
+        self.open = Some((phase.to_string(), ctx.now(), Instant::now()));
     }
 
-    /// Ends the currently open phase, accumulating the simulated time spent.
+    /// Ends the currently open phase, accumulating the simulated and the
+    /// host time spent.
     ///
     /// # Panics
     /// Panics if no phase is open or a different phase name is given.
     pub fn end(&mut self, ctx: &Ctx, phase: &str) {
-        let (name, start) = self.open.take().expect("no phase open");
+        let (name, start, host_start) = self.open.take().expect("no phase open");
         assert_eq!(name, phase, "mismatched phase end");
-        *self.phases.entry(name).or_insert(0.0) += ctx.now() - start;
+        let elapsed = self.phases.entry(name).or_default();
+        elapsed.sim += ctx.now() - start;
+        elapsed.host += host_start.elapsed();
     }
 
     /// Runs `f` inside the named phase and returns its result.
@@ -53,19 +70,26 @@ impl PhaseTimer {
         r
     }
 
-    /// Accumulated time of `phase` (0 when never recorded).
+    /// Accumulated simulated time of `phase` (0 when never recorded).
     pub fn get(&self, phase: &str) -> f64 {
-        self.phases.get(phase).copied().unwrap_or(0.0)
+        self.phases.get(phase).map_or(0.0, |e| e.sim)
     }
 
-    /// All recorded phases and their accumulated times, in name order.
+    /// Host time this rank's thread spent inside `phase`, waits at its
+    /// barriers included (zero when never recorded).
+    pub fn host(&self, phase: &str) -> Duration {
+        self.phases.get(phase).map_or(Duration::ZERO, |e| e.host)
+    }
+
+    /// All recorded phases and their accumulated simulated times, in name
+    /// order.
     pub fn phases(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.phases.iter().map(|(k, &v)| (k.as_str(), v))
+        self.phases.iter().map(|(k, e)| (k.as_str(), e.sim))
     }
 
-    /// Sum over all phases.
+    /// Sum of simulated time over all phases.
     pub fn total(&self) -> f64 {
-        self.phases.values().sum()
+        self.phases.values().map(|e| e.sim).sum()
     }
 
     /// Resets every accumulator (used when discarding warm-up steps, as the
@@ -103,6 +127,24 @@ mod tests {
         assert!((tree - 1.0).abs() < 1e-12);
         assert_eq!(absent, 0.0);
         assert!((total - 3.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn host_time_accumulates_beside_simulated_time_and_resets_with_it() {
+        let rt = Runtime::new(Machine::test_cluster(1));
+        rt.run(|ctx| {
+            let mut t = PhaseTimer::new();
+            assert_eq!(t.host("force"), Duration::ZERO);
+            let nap = Duration::from_millis(2);
+            t.scope(ctx, "force", |_| std::thread::sleep(nap));
+            let once = t.host("force");
+            assert!(once >= nap, "a 2 ms sleep must show on the host clock, got {once:?}");
+            assert_eq!(t.get("force"), 0.0, "host time never reaches the simulated clock");
+            t.scope(ctx, "force", |_| ());
+            assert!(t.host("force") >= once);
+            t.reset();
+            assert_eq!(t.host("force"), Duration::ZERO);
+        });
     }
 
     #[test]

@@ -72,13 +72,37 @@ impl<T: Copy + Send + Sync> SharedVec<T> {
     /// Fine-grained read of element `i` (billed local or remote according to
     /// affinity).
     pub fn read(&self, ctx: &Ctx, i: usize) -> T {
-        ctx.bill_get(self.owner_of(i), std::mem::size_of::<T>());
+        self.read_fields(ctx, i, 1)
+    }
+
+    /// Reads element `i` the way the literal translation does, one field at
+    /// a time: bills exactly what `fields` successive [`SharedVec::read`]s
+    /// bill, in the same order, and copies the element out once.
+    ///
+    /// # Panics
+    /// Panics if `fields` is zero.
+    pub fn read_fields(&self, ctx: &Ctx, i: usize, fields: u32) -> T {
+        assert!(fields > 0, "a read of zero fields has no value to return");
+        let owner = self.owner_of(i);
+        for _ in 0..fields {
+            ctx.bill_get(owner, std::mem::size_of::<T>());
+        }
         self.slots[i].get()
     }
 
     /// Fine-grained write of element `i`.
     pub fn write(&self, ctx: &Ctx, i: usize, value: T) {
-        ctx.bill_put(self.owner_of(i), std::mem::size_of::<T>());
+        self.write_fields(ctx, i, value, 1);
+    }
+
+    /// Write counterpart of [`SharedVec::read_fields`]: bills `fields`
+    /// successive [`SharedVec::write`]s and stores the element once.
+    pub fn write_fields(&self, ctx: &Ctx, i: usize, value: T, fields: u32) {
+        assert!(fields > 0, "a write of zero fields would store without being billed");
+        let owner = self.owner_of(i);
+        for _ in 0..fields {
+            ctx.bill_put(owner, std::mem::size_of::<T>());
+        }
         self.slots[i].set(value);
     }
 
@@ -265,6 +289,52 @@ mod tests {
         assert_eq!(report.ranks[0].result.0, 422);
         assert_eq!(report.ranks[0].result.1, 4);
         assert_eq!(report.ranks[1].result.1, 4);
+    }
+
+    /// What one rank's clock and counters show after `access` ran against
+    /// an element of its own block and then one of its neighbour's.
+    fn local_then_remote(
+        access: impl Fn(&Ctx, &SharedVec<[u64; 3]>, usize) + Sync,
+    ) -> Vec<(u64, crate::RankStats, [u64; 3])> {
+        let rt = Runtime::new(Machine::power5(2, 2, false));
+        let v: SharedVec<[u64; 3]> = SharedVec::from_fn(4, 8, |i| [i as u64; 3]);
+        let report = rt.run(|ctx| {
+            access(ctx, &v, v.local_range(ctx.rank()).start);
+            ctx.barrier();
+            let neighbour = v.local_range((ctx.rank() + 1) % 4).start;
+            access(ctx, &v, neighbour);
+            ctx.barrier();
+            (ctx.now().to_bits(), ctx.stats_snapshot(), v.read_raw(neighbour))
+        });
+        report.ranks.into_iter().map(|r| r.result).collect()
+    }
+
+    #[test]
+    fn read_fields_and_write_fields_bill_what_successive_accesses_bill() {
+        for fields in [1, 3, 5] {
+            let reads = local_then_remote(|ctx, v, i| {
+                for _ in 0..fields {
+                    v.read(ctx, i);
+                }
+            });
+            let read_at_once = local_then_remote(|ctx, v, i| {
+                v.read_fields(ctx, i, fields);
+            });
+            assert_eq!(reads, read_at_once, "{fields} field(s) read");
+            assert_eq!(read_at_once[1].1.remote_gets, fields as u64);
+
+            let writes = local_then_remote(|ctx, v, i| {
+                for _ in 0..fields {
+                    v.write(ctx, i, [40 + ctx.rank() as u64; 3]);
+                }
+            });
+            let written_at_once = local_then_remote(|ctx, v, i| {
+                v.write_fields(ctx, i, [40 + ctx.rank() as u64; 3], fields);
+            });
+            assert_eq!(writes, written_at_once, "{fields} field(s) written");
+            assert_eq!(written_at_once[1].1.remote_puts, fields as u64);
+            assert_eq!(written_at_once[1].2, [41; 3], "rank 1 wrote its neighbour's element");
+        }
     }
 
     #[test]

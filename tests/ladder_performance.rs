@@ -58,20 +58,32 @@ fn baseline_slows_down_with_more_ranks() {
 fn replicating_scalars_cuts_baseline_force_time() {
     let baseline = run(OptLevel::Baseline, 8, NBODIES);
     let replicated = run(OptLevel::ReplicateScalars, 8, NBODIES);
+    let (base, repl) = (baseline.total_stats(), replicated.total_stats());
+    // Both levels build the tree by global insertion under locks, and the
+    // simulated time of that phase depends on the real thread interleaving
+    // (a descheduled lock holder turns into billed retries on its peers:
+    // the ratio of two runs ranged 0.60–1.27), so "replication must not
+    // inflate tree building" is asserted on what the phase costs in the
+    // model — its lock traffic, which one run repeats to about a percent.
+    assert!(
+        (repl.lock_acquires as f64) < 1.25 * base.lock_acquires as f64,
+        "replicating scalars should not inflate tree building ({} -> {} lock acquisitions)",
+        base.lock_acquires,
+        repl.lock_acquires
+    );
     if deterministic_counters_mode() {
         // Table 3's mechanism in counters: replication removes the remote
         // tol/eps reads the force walk performs per interaction (observed
         // ~450k -> ~310k remote gets on this workload), and changes no
         // physics (identical interaction counts).
-        let base_gets = baseline.total_stats().remote_gets;
-        let repl_gets = replicated.total_stats().remote_gets;
         assert!(
-            base_gets as f64 > 1.2 * repl_gets as f64,
-            "replicating scalars must remove remote scalar reads ({base_gets} vs {repl_gets})"
+            base.remote_gets as f64 > 1.2 * repl.remote_gets as f64,
+            "replicating scalars must remove remote scalar reads ({} vs {})",
+            base.remote_gets,
+            repl.remote_gets
         );
         assert_eq!(
-            baseline.total_stats().interactions,
-            replicated.total_stats().interactions,
+            base.interactions, repl.interactions,
             "replication must not change what is evaluated"
         );
         return;
@@ -82,30 +94,31 @@ fn replicating_scalars_cuts_baseline_force_time() {
         baseline.phases.force,
         replicated.phases.force
     );
-    // Both levels build the tree by global insertion under locks, whose
-    // simulated cost depends on the real thread interleaving (lock retries),
-    // so the tree-phase comparison carries scheduling noise in both
-    // directions.  Replication must not make tree building *much* worse;
-    // the deterministic headline claim of Table 3 is the force-phase cut
-    // asserted above.
-    assert!(
-        replicated.phases.tree < 1.25 * baseline.phases.tree,
-        "replicating scalars should not inflate tree building ({:.4}s -> {:.4}s)",
-        baseline.phases.tree,
-        replicated.phases.tree
-    );
 }
 
 #[test]
 fn redistribution_eliminates_cofm_and_advance_costs() {
     let replicated = run(OptLevel::ReplicateScalars, 8, NBODIES);
     let redistributed = run(OptLevel::Redistribute, 8, NBODIES);
+    // The centre-of-mass phase runs the SPLASH-2 done-flag protocol: a cell
+    // whose children are not summarized yet is retried, every retry bills its
+    // reads, and how many there are is up to the host scheduler (the phase
+    // ranged 0.15–4.5 ms on one configuration).  So its claim is asserted on
+    // the mechanism: before redistribution a body lives wherever the block
+    // distribution put it, and the c-of-m, write-back and advance phases
+    // reach it with `fine_grained_fields` remote gets per read and puts per
+    // write; after it every one of those is local.  The puts show it (the
+    // gets carry the retries' reads): what is left of them is the c-of-m
+    // phase's remote cell summaries, one per cell however often it was
+    // retried (observed ~4560 -> ~370 puts on this workload).
+    let (repl, redis) = (replicated.total_stats(), redistributed.total_stats());
     assert!(
-        redistributed.phases.cofm < 0.5 * replicated.phases.cofm,
-        "redistribution should nearly eliminate the centre-of-mass phase ({:.4}s -> {:.4}s)",
-        replicated.phases.cofm,
-        redistributed.phases.cofm
+        5 * redis.remote_puts < repl.remote_puts,
+        "redistribution should make every body write local ({} -> {} remote puts)",
+        repl.remote_puts,
+        redis.remote_puts
     );
+    // Body advancement has no retries and no locks: its time repeats.
     assert!(
         redistributed.phases.advance < 0.5 * replicated.phases.advance,
         "redistribution should nearly eliminate body advancement ({:.4}s -> {:.4}s)",

@@ -30,31 +30,30 @@ fn mean_position_difference(a: &[Body], b: &[Body]) -> f64 {
 
 #[test]
 fn shadow_cache_matches_separate_cache_and_changes_little() {
-    let separate = bh::run_simulation(&cfg_with(OptLevel::CacheLocalTree, |_| {}));
-    let shadow = bh::run_simulation(&cfg_with(OptLevel::CacheLocalTree, |c| c.shadow_cache = true));
+    // Sorted build: no locks and a deterministic cell affinity, so the two
+    // runs walk the same tree and differ only in the cache's load discipline.
+    // (Two independently raced insertion builds place cells on different
+    // ranks and their remote counts differ by multiples, whatever the flag.)
+    let run = |shadow| {
+        bh::run_simulation(&cfg_with(OptLevel::CacheLocalTree, |c| {
+            c.build = TreeBuild::Sorted;
+            c.shadow_cache = shadow;
+        }))
+    };
+    let (separate, shadow) = (run(false), run(true));
 
     // Same physics.
     let diff = mean_position_difference(&separate.bodies, &shadow.bodies);
     assert!(diff < 1e-3, "shadow-pointer cache changed the physics: {diff}");
 
     // §5.3.2: "little performance improvement" — the variant does not
-    // change global communication.  In counters: remote traffic within a
-    // small factor (the two runs race their tree builds independently, and
-    // which rank allocates a cell decides its affinity, so per-run remote
-    // counts wobble ~10%; exact equality over one shared tree is asserted
-    // in the `bh::cache` unit tests).  The cached/uncached gap this is
-    // contrasted with is ~27x.
-    let (sh, sep) = (shadow.total_stats(), separate.total_stats());
-    let gets_ratio = sh.remote_gets as f64 / sep.remote_gets.max(1) as f64;
-    assert!(
-        (0.7..=1.4).contains(&gets_ratio),
-        "shadow cache must not change remote traffic ({} vs {})",
-        sh.remote_gets,
-        sep.remote_gets
+    // change global communication: local cells are pointer-cast instead of
+    // copied, remote cells are fetched exactly as before.
+    assert_eq!(
+        shadow.total_stats().remote_gets,
+        separate.total_stats().remote_gets,
+        "shadow cache must not change remote traffic"
     );
-    if deterministic_counters_mode() {
-        return;
-    }
     // The timing form of the same claim: the two cached variants land within
     // a small factor of each other, far closer than the orders of magnitude
     // separating cached from uncached levels.
@@ -113,24 +112,33 @@ fn software_scalar_cache_does_not_recover_the_manual_ladder() {
 
 #[test]
 fn software_scalar_cache_recovers_part_of_the_replication_gain() {
-    let plain = bh::run_simulation(&cfg_with(OptLevel::Baseline, |_| {}));
+    let plain = || bh::run_simulation(&cfg_with(OptLevel::Baseline, |_| {}));
     let swcached =
-        bh::run_simulation(&cfg_with(OptLevel::Baseline, |c| c.software_scalar_cache = true));
-    let replicated = bh::run_simulation(&cfg_with(OptLevel::ReplicateScalars, |_| {}));
+        || bh::run_simulation(&cfg_with(OptLevel::Baseline, |c| c.software_scalar_cache = true));
+    let replicated = || bh::run_simulation(&cfg_with(OptLevel::ReplicateScalars, |_| {}));
 
     // Ordering claim: baseline ≥ software cache ≥ manual replication (the
     // manual version also avoids the first read per epoch and the cache
     // bookkeeping).  The counter form is deterministic; the timing form
-    // carries a few percent of thread-scheduling noise (lock/allocation
-    // order changes the per-rank maximum) and is skipped in CI.
-    let (p, s, r) = (plain.total_stats(), swcached.total_stats(), replicated.total_stats());
+    // carries a few percent of thread-scheduling noise (which rank wins an
+    // insertion race decides a cell's affinity, and with it which of a few
+    // discrete force-phase maxima the run lands on), so it compares medians
+    // of three runs, and is skipped in CI.
+    let (p, s, r) = (plain().total_stats(), swcached().total_stats(), replicated().total_stats());
     assert!(s.remote_gets as f64 <= p.remote_gets as f64 * 1.02);
     assert!(r.remote_gets as f64 <= s.remote_gets as f64 * 1.02);
     if deterministic_counters_mode() {
         return;
     }
-    assert!(swcached.phases.force <= plain.phases.force * 1.10);
-    assert!(replicated.phases.force <= swcached.phases.force * 1.10);
+    let median_force = |run: &dyn Fn() -> SimResult| {
+        let mut forces = [run(), run(), run()].map(|result| result.phases.force);
+        forces.sort_by(f64::total_cmp);
+        forces[1]
+    };
+    let (plain, swcached, replicated) =
+        (median_force(&plain), median_force(&swcached), median_force(&replicated));
+    assert!(swcached <= plain * 1.10);
+    assert!(replicated <= swcached * 1.10);
 }
 
 #[test]
