@@ -97,19 +97,12 @@ pub fn ok_response(fields: Vec<(String, Value)>) -> Value {
     Value::Object(all)
 }
 
-/// The 16-hex-digit big-endian IEEE-754 bit pattern of an `f64` — the
-/// bit-exact wire encoding of body state.
-pub fn hex_f64(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
-}
-
-/// Decodes a [`hex_f64`] rendering back into the identical `f64`.
-pub fn unhex_f64(s: &str) -> Option<f64> {
-    if s.len() != 16 {
-        return None;
-    }
-    u64::from_str_radix(s, 16).ok().map(f64::from_bits)
-}
+/// The bit-exact wire encoding of an `f64` — the 16-hex-digit big-endian
+/// rendering of its IEEE-754 bits — and its decoder, which takes exactly 16
+/// hex digits (either case) and nothing else.  The one codec the snapshot
+/// store's chunks use (`engine::snap`), so a value reads the same on the
+/// wire and on disk.
+pub use snapstore::{hex_f64, unhex_f64};
 
 /// One fully-decoded job: a scenario, a backend and the complete
 /// [`SimConfig`] the engine will run.
@@ -349,6 +342,7 @@ mod tests {
         }
         assert_eq!(unhex_f64("zz"), None);
         assert_eq!(unhex_f64("0123"), None, "length must be exactly 16");
+        assert_eq!(unhex_f64("+fffffffffffffff"), None, "16 characters, but a sign is no digit");
     }
 
     #[test]

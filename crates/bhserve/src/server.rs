@@ -147,6 +147,10 @@ struct Shared {
     session_ids: Arc<AtomicU64>,
     connections: AtomicUsize,
     inflight: AtomicUsize,
+    /// The `--snap-dir` store, opened once: its chunk index lives as long
+    /// as the daemon, so a `suspend`/`resume` does not re-read every pack
+    /// header.  `None` without `--snap-dir`.
+    snaps: Option<snapstore::Store>,
 }
 
 /// A running `bhserve` instance.
@@ -170,7 +174,16 @@ impl Server {
         let listener = TcpListener::bind(&opts.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
+        let snaps = match &opts.snap_dir {
+            Some(dir) => Some(
+                snapstore::Store::open(dir)
+                    .map_err(|e| io::Error::other(format!("--snap-dir {dir}: {e}")))?
+                    .with_faults(opts.faults.clone()),
+            ),
+            None => None,
+        };
         let shared = Arc::new(Shared {
+            snaps,
             quotas: QuotaBook::new(opts.default_quota, opts.tenant_quotas.clone()),
             batch: BatchRunner::new(),
             gate: RunGate::new(opts.max_concurrent_runs),
@@ -567,16 +580,13 @@ fn op_snapshot(sessions: &mut SessionTable, request: &Value) -> Result<Value, Re
 }
 
 /// The server's snapshot store, or the standard "not offered" rejection.
-fn snap_store(shared: &Shared) -> Result<snapstore::Store, Reject> {
-    let dir = shared.opts.snap_dir.as_deref().ok_or_else(|| {
+fn snap_store(shared: &Shared) -> Result<&snapstore::Store, Reject> {
+    shared.snaps.as_ref().ok_or_else(|| {
         Reject::new(
             proto::E_SNAP_UNAVAILABLE,
             "this server was started without --snap-dir; suspend/resume are not offered",
         )
-    })?;
-    snapstore::Store::open(dir)
-        .map(|store| store.with_faults(shared.opts.faults.clone()))
-        .map_err(|e| Reject::new(proto::E_SNAP_UNAVAILABLE, format!("snapshot store: {e}")))
+    })
 }
 
 /// `suspend`: persist a live session to the snapshot store and close it.

@@ -286,6 +286,30 @@ fn suspended_sessions_survive_daemon_restarts() {
     let _ = std::fs::remove_dir_all(&snap_dir);
 }
 
+/// Two daemons alive on one `--snap-dir`, each holding its store open since
+/// it started: a session suspended on one resumes on the other, which finds
+/// the new pack without reopening anything — and the token is the same one
+/// a second suspend of the same state gives.
+#[test]
+fn daemons_sharing_a_snap_dir_see_each_others_snapshots() {
+    let snap_dir = std::env::temp_dir().join(format!("bhserve-shared-test-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&snap_dir);
+    let with_store = || ServerOptions {
+        snap_dir: Some(snap_dir.to_string_lossy().into_owned()),
+        ..ServerOptions::default()
+    };
+    let (a, b) = (start(with_store()), start(with_store()));
+    let (token, digest) = load::suspend_one(&a.addr()).unwrap();
+    assert_eq!(load::resume_token(&b.addr(), &token).unwrap(), digest);
+    // The same state suspended on the other daemon: same token, and its
+    // chunks are already there.
+    let (token_b, digest_b) = load::suspend_one(&b.addr()).unwrap();
+    assert_eq!((token_b, digest_b), (token.clone(), digest.clone()));
+    assert_eq!(std::fs::read_dir(snap_dir.join("packs")).unwrap().count(), 1);
+    assert_eq!(load::resume_token(&a.addr(), &token).unwrap(), digest);
+    let _ = std::fs::remove_dir_all(&snap_dir);
+}
+
 /// The chaos fleet against a live server with injected frame faults and a
 /// snapshot store: measured requests recover through retries, abort and
 /// suspend→resume probes run, and the record lands under the `chaos`
@@ -366,23 +390,16 @@ fn corrupt_chunks_reject_resume_with_e_snap_corrupt() {
     });
     let (token, _digest) = load::suspend_one(&server.addr()).unwrap();
 
-    // Flip one byte in every stored chunk object.
-    let objects = snap_dir.join("objects");
+    // Flip one payload byte (a pack's last byte is a chunk's) in every pack.
     let mut corrupted = 0;
-    for shard in std::fs::read_dir(&objects).unwrap() {
-        let shard = shard.unwrap().path();
-        if !shard.is_dir() {
-            continue;
+    for pack in std::fs::read_dir(snap_dir.join("packs")).unwrap() {
+        let path = pack.unwrap().path();
+        let mut bytes = std::fs::read(&path).unwrap();
+        if let Some(b) = bytes.last_mut() {
+            *b ^= 0x01;
         }
-        for object in std::fs::read_dir(&shard).unwrap() {
-            let path = object.unwrap().path();
-            let mut bytes = std::fs::read(&path).unwrap();
-            if let Some(b) = bytes.first_mut() {
-                *b ^= 0x01;
-            }
-            std::fs::write(&path, bytes).unwrap();
-            corrupted += 1;
-        }
+        std::fs::write(&path, bytes).unwrap();
+        corrupted += 1;
     }
     assert!(corrupted >= 1, "the suspend must have written chunk objects");
 

@@ -134,11 +134,7 @@ pub fn digest(data: &[u8]) -> [u8; 32] {
 /// One-shot digest of `data` as a lowercase 64-character hex string — the
 /// store's chunk-address format.
 pub fn hex_digest(data: &[u8]) -> String {
-    let mut out = String::with_capacity(64);
-    for byte in digest(data) {
-        out.push_str(&format!("{byte:02x}"));
-    }
-    out
+    engine::snap::hex_string(&digest(data))
 }
 
 #[cfg(test)]

@@ -16,9 +16,16 @@
 //! the interrupted trajectory bit for bit — and verifies that claim against
 //! the checkpoint's stored current bodies before continuing.
 
-use engine::snap::{bodies_bits_equal, StepRecord};
+use std::time::{Duration, Instant};
+
+use engine::snap::{
+    bodies_bits_equal, hex_string, parse_hex_u32, parse_hex_u64, push_hex_u32, push_hex_u64,
+    StepRecord,
+};
 use engine::{Backend, SimConfig, SimResult};
 use nbody::Body;
+
+use crate::store::CHUNK_BODIES;
 
 /// Everything a resume needs, in one serializable value.
 ///
@@ -214,29 +221,45 @@ pub fn resume(
 
 /// Bit-exact hex encoding of one `f64` (16 lowercase hex digits of its IEEE
 /// bits) — the same encoding the `bhserve` wire protocol uses for bodies.
+/// One value, one `String`; bulk encoders call [`engine::snap::push_hex_u64`]
+/// on a buffer of their own.
 pub fn hex_f64(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
+    hex_string(&v.to_bits().to_be_bytes())
 }
 
-/// Decodes [`hex_f64`].
+/// Decodes [`hex_f64`]: exactly 16 hex digits (either case), nothing else —
+/// no sign, which `u64::from_str_radix` would take.
 pub fn unhex_f64(text: &str) -> Option<f64> {
-    if text.len() != 16 {
-        return None;
-    }
-    u64::from_str_radix(text, 16).ok().map(f64::from_bits)
+    parse_hex_u64(text.as_bytes()).map(f64::from_bits)
 }
 
 /// Bit-exact hex encoding of one `u32` (8 lowercase hex digits).
 pub fn hex_u32(v: u32) -> String {
-    format!("{v:08x}")
+    hex_string(&v.to_be_bytes())
 }
 
-/// Decodes [`hex_u32`].
+/// Decodes [`hex_u32`]: exactly 8 hex digits (either case), nothing else.
 pub fn unhex_u32(text: &str) -> Option<u32> {
-    if text.len() != 8 {
-        return None;
+    parse_hex_u32(text.as_bytes())
+}
+
+/// Host time a [`crate::Store::save`] spent turning values into hex text
+/// and hashing that text — measured around the calls, one clock read per
+/// [`crate::CHUNK_BODIES`] bodies.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct CpuTime {
+    pub encode: Duration,
+    pub hash: Duration,
+}
+
+impl CpuTime {
+    /// SHA-256 of `data` as 64 hex digits, on the hash clock.
+    pub fn hex_digest(&mut self, data: &[u8]) -> String {
+        let begin = Instant::now();
+        let hash = crate::sha256::hex_digest(data);
+        self.hash += begin.elapsed();
+        hash
     }
-    u32::from_str_radix(text, 16).ok()
 }
 
 /// Canonical digest of a body set: SHA-256 over the bit-exact hex encoding
@@ -245,31 +268,36 @@ pub fn unhex_u32(text: &str) -> Option<u32> {
 /// across process boundaries (the CI checkpoint smoke compares the resumed
 /// run's digest against the uninterrupted run's).
 pub fn digest_bodies(bodies: &[Body]) -> String {
-    let mut h = crate::sha256::Sha256::new();
-    for b in bodies {
-        let line = format!(
-            "{} {} {} {} {} {} {} {} {} {} {} {} {}\n",
-            hex_u32(b.id),
-            hex_u32(b.cost),
-            hex_f64(b.mass),
-            hex_f64(b.phi),
-            hex_f64(b.pos.x),
-            hex_f64(b.pos.y),
-            hex_f64(b.pos.z),
-            hex_f64(b.vel.x),
-            hex_f64(b.vel.y),
-            hex_f64(b.vel.z),
-            hex_f64(b.acc.x),
-            hex_f64(b.acc.y),
-            hex_f64(b.acc.z),
-        );
-        h.update(line.as_bytes());
+    digest_bodies_timed(bodies, &mut CpuTime::default())
+}
+
+/// [`digest_bodies`] with its encode and hash time added to `cpu`.
+pub(crate) fn digest_bodies_timed(bodies: &[Body], cpu: &mut CpuTime) -> String {
+    let mut hasher = crate::sha256::Sha256::new();
+    // One line per body: 13 fields, space-separated.  The buffer holds one
+    // run of lines and is reused for the next.
+    let mut lines = Vec::with_capacity(CHUNK_BODIES * 200);
+    for run in bodies.chunks(CHUNK_BODIES) {
+        let begin = Instant::now();
+        lines.clear();
+        for b in run {
+            push_hex_u32(&mut lines, b.id);
+            lines.push(b' ');
+            push_hex_u32(&mut lines, b.cost);
+            let (pos, vel, acc) = (b.pos, b.vel, b.acc);
+            for v in [b.mass, b.phi, pos.x, pos.y, pos.z, vel.x, vel.y, vel.z, acc.x, acc.y, acc.z]
+            {
+                lines.push(b' ');
+                push_hex_u64(&mut lines, v.to_bits());
+            }
+            lines.push(b'\n');
+        }
+        let encoded = Instant::now();
+        hasher.update(&lines);
+        cpu.encode += encoded - begin;
+        cpu.hash += encoded.elapsed();
     }
-    let mut out = String::with_capacity(64);
-    for byte in h.finalize() {
-        out.push_str(&format!("{byte:02x}"));
-    }
-    out
+    hex_string(&hasher.finalize())
 }
 
 #[cfg(test)]
@@ -290,6 +318,44 @@ mod tests {
         assert_eq!(unhex_u32(&hex_u32(u32::MAX)), Some(u32::MAX));
         assert_eq!(unhex_f64("abc"), None);
         assert_eq!(unhex_u32("zzzzzzzz"), None);
+    }
+
+    #[test]
+    fn decoders_refuse_what_from_str_radix_let_through() {
+        assert_eq!(unhex_f64("+fffffffffffffff"), None, "a sign is not a hex digit");
+        assert_eq!(unhex_f64("-fffffffffffffff"), None);
+        assert_eq!(unhex_u32("+fffffff"), None);
+        assert_eq!(unhex_f64("3FF8000000000000"), Some(1.5), "either case decodes");
+    }
+
+    #[test]
+    fn digest_is_the_sha256_of_the_documented_lines() {
+        // The encoding as the `format!`-per-field version wrote it.
+        let reference = |bodies: &[Body]| {
+            let mut text = String::new();
+            for b in bodies {
+                text.push_str(&format!("{:08x} {:08x}", b.id, b.cost));
+                for v in [b.mass, b.phi] {
+                    text.push_str(&format!(" {:016x}", v.to_bits()));
+                }
+                for v in [b.pos, b.vel, b.acc] {
+                    let (x, y, z) = (v.x.to_bits(), v.y.to_bits(), v.z.to_bits());
+                    text.push_str(&format!(" {x:016x} {y:016x} {z:016x}"));
+                }
+                text.push('\n');
+            }
+            crate::sha256::hex_digest(text.as_bytes())
+        };
+        let mut bodies = vec![body(7, 1.0), body(9, -2.5)];
+        bodies[0].cost = 3;
+        bodies[1].vel = Vec3::new(0.5, -0.0, f64::MIN_POSITIVE);
+        bodies[1].acc = Vec3::new(1e300, 2.0, -3.0);
+        bodies[1].phi = -0.125;
+        assert_eq!(digest_bodies(&bodies), reference(&bodies));
+        // More bodies than one encode run holds: runs only batch the lines.
+        let many: Vec<Body> = (0..CHUNK_BODIES as u32 + 3).map(|i| body(i, i as f64)).collect();
+        assert_eq!(digest_bodies(&many), reference(&many));
+        assert_eq!(digest_bodies(&[]), crate::sha256::hex_digest(b""));
     }
 
     #[test]

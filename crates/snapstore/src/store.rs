@@ -4,8 +4,10 @@
 //!
 //! ```text
 //! <root>/
-//!   objects/<2-hex>/<62-hex>   chunk payloads, named by their SHA-256
+//!   packs/<64-hex>.pack        the chunks one `save` added, in one file
 //!   <name>.json                manifests ("bhsnap/v1")
+//!   objects/<2-hex>/<62-hex>   loose chunks: read, never written (stores
+//!                              from before packs existed)
 //! ```
 //!
 //! A snapshot is chunked **per column**: each body field (id, cost, mass,
@@ -20,25 +22,67 @@
 //! (scenario, backend, every [`SimConfig`] field with floats as bit-exact
 //! hex) — everything [`crate::state::resume`] needs.
 //!
+//! # Packs
+//!
+//! One [`Store::save`] stages the chunks the store does not hold yet in
+//! memory and commits them as one pack:
+//!
+//! ```text
+//! bhpack/v1 <count, 8 hex digits>\n
+//! <chunk SHA-256, 64 hex digits> <payload length, 8 hex digits>\n    × count
+//! <payloads, back to back, in header order>
+//! ```
+//!
+//! The file is named by the SHA-256 of its header, so the name vouches for
+//! the header and the header's hashes vouch for the payloads.  A store
+//! handle keeps a `hash -> (pack, offset, length)` index built from pack
+//! headers alone; a chunk the index does not know is looked for as a loose
+//! object, then `packs/` is listed again for packs another handle or
+//! process added since, and only then is it [`SnapError::MissingChunk`].
+//!
+//! # Durability
+//!
+//! Every byte a manifest names is on disk before the manifest can be seen.
+//! In order, per save:
+//!
+//! 1. the pack is written to a temp file in `packs/` and `fsync`ed;
+//! 2. it is renamed to its name and `packs/` is `fsync`ed (the `packs`
+//!    entry itself was `fsync`ed when [`Store::open`] created it);
+//! 3. only then is the manifest written to a temp file in `<root>` and
+//!    `fsync`ed;
+//! 4. it is renamed to `<name>.json` and `<root>` is `fsync`ed, and `save`
+//!    returns.
+//!
+//! Four flushes per checkpoint that adds chunks, two for one that adds none
+//! ([`Saved::fsyncs`] counts them).  A crash leaves either no manifest or a
+//! manifest whose every chunk is durable; a failed save removes its temp
+//! file, and a pack whose manifest never landed is an unreferenced file that
+//! the next save of the same chunks overwrites with the same bytes.
+//!
 //! Integrity is checked on every read: a chunk whose content no longer
-//! matches its name fails with [`SnapError::Corrupt`], a chunk the manifest
-//! references but the store lacks fails with [`SnapError::MissingChunk`] —
-//! structured errors, never a panic, so drivers can report which file to
-//! restore from backup.
+//! matches its name fails with [`SnapError::Corrupt`] (so does a pack whose
+//! header is malformed, does not hash to its name, or promises more bytes
+//! than the file holds), a chunk the manifest references but the store
+//! lacks fails with [`SnapError::MissingChunk`] — structured errors, never
+//! a panic, so drivers can report which file to restore from backup.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::fs;
-use std::io::Write as _;
+use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
+use engine::snap::{bodies_bits_equal, parse_hex_u32, push_hex_u32, push_hex_u64};
 use engine::{FaultPlan, OptLevel, SimConfig, TreeBuild, TreePolicy, WalkMode};
 use nbody::{Body, Vec3};
 use pgas::Machine;
 use serde::Value;
 
 use crate::sha256;
-use crate::state::{digest_bodies, hex_f64, hex_u32, unhex_f64, unhex_u32, SimState};
+use crate::state::{digest_bodies_timed, hex_f64, unhex_f64, unhex_u32, CpuTime, SimState};
 
 /// Manifest format tag; bumped on any incompatible schema change.
 pub const FORMAT: &str = "bhsnap/v1";
@@ -150,8 +194,10 @@ impl Manifest {
     }
 }
 
-/// Outcome of a [`Store::save`]: where the manifest landed and how much of
-/// the snapshot was already present (the dedup visible to callers).
+/// Outcome of a [`Store::save`]: where the manifest landed, how much of
+/// the snapshot was already present (the dedup visible to callers), and
+/// what the save did to the disk and the CPU — counted where it happened,
+/// not derived from the chunk counts.
 #[derive(Debug, Clone)]
 pub struct Saved {
     pub manifest_path: PathBuf,
@@ -162,24 +208,247 @@ pub struct Saved {
     pub chunks_total: usize,
     /// Chunks that were not already in the store.
     pub chunks_new: usize,
+    /// Files created: the manifest, and a pack when `chunks_new > 0`.
+    pub files_written: usize,
+    /// Bytes in those files.
+    pub bytes_written: u64,
+    /// `fsync` calls, files and directories alike.
+    pub fsyncs: usize,
+    /// Host time rendering values as hex text (columns, digest lines) and
+    /// the manifest as JSON.
+    pub encode_ms: f64,
+    /// Host time in SHA-256 (chunks, body digests, manifest hash).
+    pub hash_ms: f64,
+    /// Host time creating, writing and renaming the files.
+    pub write_ms: f64,
+    /// Host time waiting on `fsync`.
+    pub sync_ms: f64,
+}
+
+/// What a save's file writes cost, counted at the calls.
+#[derive(Debug, Default)]
+struct IoCount {
+    files: usize,
+    bytes: u64,
+    fsyncs: usize,
+    write: Duration,
+    sync: Duration,
+}
+
+const PACK_MAGIC: &[u8] = b"bhpack/v1 ";
+/// The header's first line: magic, 8-digit chunk count, newline.
+const PACK_HEAD_LEN: usize = PACK_MAGIC.len() + 8 + 1;
+/// One header entry: 64-digit hash, space, 8-digit length, newline.
+const PACK_ENTRY_LEN: usize = 64 + 1 + 8 + 1;
+
+/// Where one chunk's payload sits.
+#[derive(Debug, Clone)]
+struct ChunkLoc {
+    /// The pack's file name under `packs/`.
+    pack: Arc<str>,
+    offset: u64,
+    len: u32,
+}
+
+/// The chunks of every pack read so far, by hash.
+#[derive(Debug, Default)]
+struct PackIndex {
+    packs: HashSet<Arc<str>>,
+    chunks: HashMap<String, ChunkLoc>,
+}
+
+impl PackIndex {
+    /// Enters a pack's chunks, given its header's `(hash, length)` entries.
+    fn add_pack(&mut self, pack: &str, entries: Vec<(String, u32)>) {
+        let pack: Arc<str> = Arc::from(pack);
+        let mut offset = (PACK_HEAD_LEN + PACK_ENTRY_LEN * entries.len()) as u64;
+        for (hash, len) in entries {
+            self.chunks.insert(hash, ChunkLoc { pack: pack.clone(), offset, len });
+            offset += len as u64;
+        }
+        self.packs.insert(pack);
+    }
+
+    /// Reads the header of every `*.pack` in `dir` that is not indexed yet.
+    fn scan(&mut self, dir: &Path) -> Result<(), SnapError> {
+        let listing = match fs::read_dir(dir) {
+            Ok(listing) => listing,
+            // A store without packs: written before they existed, or empty.
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
+            Err(e) => return Err(SnapError::Io { path: dir.to_path_buf(), source: e }),
+        };
+        for entry in listing {
+            let entry = entry.map_err(|e| SnapError::Io { path: dir.to_path_buf(), source: e })?;
+            let name = entry.file_name();
+            let Some(name) = name.to_str().filter(|n| n.ends_with(".pack")) else {
+                continue; // another save's temp file, or not ours
+            };
+            if !self.packs.contains(name) {
+                let entries = read_pack_header(&entry.path(), name)?;
+                self.add_pack(name, entries);
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Reads and checks one pack's header — the header only, whatever the
+/// file's size: it must hash to the pack's name, and the payload lengths it
+/// lists must add up to the rest of the file.
+fn read_pack_header(path: &Path, name: &str) -> Result<Vec<(String, u32)>, SnapError> {
+    let io = |e| SnapError::Io { path: path.to_path_buf(), source: e };
+    let stem = name.strip_suffix(".pack").unwrap_or(name);
+    let corrupt = |detail: String| SnapError::Corrupt {
+        hash: stem.to_string(),
+        detail: format!("pack {}: {detail}", path.display()),
+    };
+    let mut file = fs::File::open(path).map_err(io)?;
+    let file_len = file.metadata().map_err(io)?.len();
+
+    let mut header = vec![0u8; PACK_HEAD_LEN];
+    if file_len < PACK_HEAD_LEN as u64 {
+        return Err(corrupt(format!("{file_len} bytes cannot hold a header")));
+    }
+    file.read_exact(&mut header).map_err(io)?;
+    let count = header
+        .strip_prefix(PACK_MAGIC)
+        .and_then(|rest| rest.strip_suffix(b"\n"))
+        .and_then(parse_hex_u32)
+        .ok_or_else(|| corrupt("the first line is not \"bhpack/v1 <count>\"".to_string()))?;
+    // The count is input: bound it by the file before allocating for it.
+    let header_len = PACK_HEAD_LEN as u64 + PACK_ENTRY_LEN as u64 * count as u64;
+    if header_len > file_len {
+        return Err(corrupt(format!(
+            "the header lists {count} chunks ({header_len} bytes) in a file of {file_len}"
+        )));
+    }
+    header.resize(header_len as usize, 0);
+    file.read_exact(&mut header[PACK_HEAD_LEN..]).map_err(io)?;
+    let actual = sha256::hex_digest(&header);
+    if stem != actual {
+        return Err(corrupt(format!("the header hashes to {actual}")));
+    }
+
+    let mut entries = Vec::with_capacity(count as usize);
+    let mut payload_len = 0u64;
+    for line in header[PACK_HEAD_LEN..].chunks_exact(PACK_ENTRY_LEN) {
+        let hash = std::str::from_utf8(&line[..64])
+            .ok()
+            .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()));
+        let len = parse_hex_u32(&line[65..73]);
+        match (hash, len, line[64], line[73]) {
+            (Some(hash), Some(len), b' ', b'\n') => {
+                payload_len += len as u64;
+                entries.push((hash.to_string(), len));
+            }
+            _ => return Err(corrupt(format!("malformed header entry {}", entries.len()))),
+        }
+    }
+    if header_len + payload_len != file_len {
+        return Err(corrupt(format!(
+            "the header promises {} bytes, the file holds {file_len}",
+            header_len + payload_len
+        )));
+    }
+    Ok(entries)
+}
+
+/// The chunks one save found missing from the store, held in memory until
+/// [`Store::commit_pack`] writes them as one file.  Local to that save.
+#[derive(Default)]
+struct Staged {
+    /// `(hash, payload length)` in staging order — the pack's header.
+    entries: Vec<(String, u32)>,
+    hashes: HashSet<String>,
+    /// The payloads, back to back.
+    payloads: Vec<u8>,
+}
+
+/// Makes temp-file names unique among this process's saves (the process id
+/// keeps them apart from another process's).
+static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// Writes `parts` as the file `dir/name` so that it is either absent or
+/// complete and durable: temp file, `fsync`, rename, `fsync` of `dir`.  A
+/// rename without the directory sync can vanish on power loss — for a pack,
+/// that would leave a durable manifest naming chunks that are gone.  On
+/// failure the temp file is removed.
+fn write_durably(
+    dir: &Path,
+    name: &str,
+    parts: &[&[u8]],
+    io: &mut IoCount,
+) -> Result<(), SnapError> {
+    let path = dir.join(name);
+    let seq = TEMP_SEQ.fetch_add(1, Ordering::Relaxed);
+    let tmp = dir.join(format!(".tmp-{}-{seq}", std::process::id()));
+    let mut write = || -> std::io::Result<()> {
+        let begin = Instant::now();
+        let mut file = fs::File::create(&tmp)?;
+        for part in parts {
+            file.write_all(part)?;
+        }
+        let written = Instant::now();
+        file.sync_all()?;
+        io.fsyncs += 1;
+        let synced = Instant::now();
+        fs::rename(&tmp, &path)?;
+        let renamed = Instant::now();
+        sync_dir(dir)?;
+        io.fsyncs += 1;
+        io.write += (written - begin) + (renamed - synced);
+        io.sync += (synced - written) + renamed.elapsed();
+        Ok(())
+    };
+    if let Err(e) = write() {
+        let _ = fs::remove_file(&tmp);
+        return Err(SnapError::Io { path, source: e });
+    }
+    io.files += 1;
+    io.bytes += parts.iter().map(|part| part.len() as u64).sum::<u64>();
+    Ok(())
 }
 
 /// A content-addressed snapshot store rooted at one directory.
+///
+/// One handle can be shared by threads (`bhserve` holds one per daemon);
+/// several handles, in one process or several, can work on one directory.
 pub struct Store {
     root: PathBuf,
     /// Faultline plan consulted at every I/O injection point (sites
     /// `snap.chunk.io`, `snap.chunk.torn`, `snap.chunk.bitflip`,
     /// `snap.manifest.torn`).  Empty — inert — by default.
     faults: FaultPlan,
+    index: Mutex<PackIndex>,
 }
 
 impl Store {
-    /// Opens (creating if needed) a store rooted at `root`.
+    /// Opens (creating if needed) a store rooted at `root` and indexes the
+    /// packs it holds.
     pub fn open(root: impl AsRef<Path>) -> Result<Store, SnapError> {
-        let root = root.as_ref().to_path_buf();
-        let objects = root.join("objects");
-        fs::create_dir_all(&objects).map_err(|e| SnapError::Io { path: objects, source: e })?;
-        Ok(Store { root, faults: FaultPlan::default() })
+        let root = root.as_ref();
+        let packs = root.join("packs");
+        if !packs.is_dir() {
+            fs::create_dir_all(&packs)
+                .map_err(|e| SnapError::Io { path: packs.clone(), source: e })?;
+            // A pack's own directory entry is synced at every save; the
+            // `packs` entry above it, here, once.
+            sync_dir(root).map_err(|e| SnapError::Io { path: root.to_path_buf(), source: e })?;
+        }
+        Store::attach(root)
+    }
+
+    /// A handle on whatever `root` holds, creating nothing — all a reader
+    /// needs, and the only thing to do to a directory that is not ours to
+    /// write in (`bhsim --resume` on a read-only checkout).
+    fn attach(root: &Path) -> Result<Store, SnapError> {
+        let mut index = PackIndex::default();
+        index.scan(&root.join("packs"))?;
+        Ok(Store {
+            root: root.to_path_buf(),
+            faults: FaultPlan::default(),
+            index: Mutex::new(index),
+        })
     }
 
     /// Arms the store's faultline injection points with `faults` (builder
@@ -199,121 +468,196 @@ impl Store {
         self.root.join(format!("{name}.json"))
     }
 
+    fn packs_dir(&self) -> PathBuf {
+        self.root.join("packs")
+    }
+
+    /// Where an earlier version's store keeps the chunk `hash`.
     fn object_path(&self, hash: &str) -> PathBuf {
         self.root.join("objects").join(&hash[..2]).join(&hash[2..])
     }
 
-    /// Stores one chunk payload, returning its hash; counts it in
-    /// `chunks_new` only when the object was absent.  Writes go through a
-    /// temp file + `fsync` + rename + parent-directory `fsync`, so a crash
-    /// at any point leaves either no object or a complete, durable one —
-    /// never a truncated payload under a valid content address (renames
-    /// without the directory sync can vanish on power loss, resurrecting
-    /// exactly the torn-object state the `snap.chunk.torn` injection
-    /// exercises).
-    fn put_chunk(&self, payload: &str, chunks_new: &mut usize) -> Result<String, SnapError> {
-        let hash = sha256::hex_digest(payload.as_bytes());
-        let path = self.object_path(&hash);
-        if path.exists() {
+    fn index(&self) -> std::sync::MutexGuard<'_, PackIndex> {
+        self.index.lock().expect("no code path panics while holding the pack index")
+    }
+
+    /// Hashes one chunk payload and, when neither the store nor this save
+    /// holds it yet, stages it for the save's pack.
+    fn stage_chunk(
+        &self,
+        payload: &[u8],
+        staged: &mut Staged,
+        cpu: &mut CpuTime,
+    ) -> Result<String, SnapError> {
+        let hash = cpu.hex_digest(payload);
+        let held = staged.hashes.contains(&hash)
+            || self.index().chunks.contains_key(&hash)
+            || self.object_path(&hash).exists();
+        if held {
             return Ok(hash);
         }
-        let dir = path.parent().expect("object path has a parent").to_path_buf();
-        fs::create_dir_all(&dir).map_err(|e| SnapError::Io { path: dir.clone(), source: e })?;
         if self.faults.fires("snap.chunk.io") {
             return Err(SnapError::Io {
-                path: path.clone(),
+                path: self.packs_dir(),
                 source: std::io::Error::new(
                     std::io::ErrorKind::StorageFull,
                     "injected ENOSPC (faultline site snap.chunk.io)",
                 ),
             });
         }
-        if self.faults.fires("snap.chunk.torn") {
+        let stored = if self.faults.fires("snap.chunk.torn") {
             // The failure mode the durable write path exists to rule out: a
-            // truncated payload landing under a valid content address (a
-            // crash between a non-synced rename and the data reaching disk).
-            // The injection plants that end state directly, so readers must
-            // surface it as a structured integrity error.
-            let torn = &payload[..payload.len() / 2];
-            fs::write(&path, torn).map_err(|e| SnapError::Io { path: path.clone(), source: e })?;
-            *chunks_new += 1;
-            return Ok(hash);
-        }
-        let tmp = dir.join(format!(".tmp-{hash}"));
-        let write = || -> std::io::Result<()> {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(payload.as_bytes())?;
-            f.sync_all()?;
-            fs::rename(&tmp, &path)?;
-            sync_dir(&dir)
+            // truncated payload under a valid content address.  The
+            // injection plants that end state directly — half the payload
+            // under the full payload's hash — so readers must surface it as
+            // a structured integrity error.
+            &payload[..payload.len() / 2]
+        } else {
+            payload
         };
-        write().map_err(|e| SnapError::Io { path: tmp.clone(), source: e })?;
-        *chunks_new += 1;
+        let len = u32::try_from(stored.len()).expect("a chunk is CHUNK_BODIES short lines");
+        staged.entries.push((hash.clone(), len));
+        staged.hashes.insert(hash.clone());
+        staged.payloads.extend_from_slice(stored);
         Ok(hash)
+    }
+
+    /// Durably writes the staged chunks as one pack (see the module doc)
+    /// and enters them in the index.  Nothing staged, nothing written.
+    fn commit_pack(
+        &self,
+        staged: Staged,
+        cpu: &mut CpuTime,
+        io: &mut IoCount,
+    ) -> Result<(), SnapError> {
+        if staged.entries.is_empty() {
+            return Ok(());
+        }
+        let begin = Instant::now();
+        let mut header = Vec::with_capacity(PACK_HEAD_LEN + PACK_ENTRY_LEN * staged.entries.len());
+        header.extend_from_slice(PACK_MAGIC);
+        push_hex_u32(&mut header, staged.entries.len() as u32);
+        header.push(b'\n');
+        for (hash, len) in &staged.entries {
+            header.extend_from_slice(hash.as_bytes());
+            header.push(b' ');
+            push_hex_u32(&mut header, *len);
+            header.push(b'\n');
+        }
+        cpu.encode += begin.elapsed();
+        let name = format!("{}.pack", cpu.hex_digest(&header));
+        write_durably(&self.packs_dir(), &name, &[&header, &staged.payloads], io)?;
+        self.index().add_pack(&name, staged.entries);
+        Ok(())
+    }
+
+    /// Finds one chunk's bytes: in the pack the index names, else as a
+    /// loose object, else in a pack another handle on this directory added
+    /// since this one last listed `packs/`.
+    fn read_chunk(&self, hash: &str) -> Result<Vec<u8>, SnapError> {
+        let known = self.index().chunks.get(hash).cloned();
+        if let Some(loc) = known {
+            return self.read_packed(hash, &loc);
+        }
+        let loose = self.object_path(hash);
+        match fs::read(&loose) {
+            Ok(payload) => return Ok(payload),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+            Err(e) => return Err(SnapError::Io { path: loose, source: e }),
+        }
+        let found = {
+            let mut index = self.index();
+            index.scan(&self.packs_dir())?;
+            index.chunks.get(hash).cloned()
+        };
+        match found {
+            Some(loc) => self.read_packed(hash, &loc),
+            None => Err(SnapError::MissingChunk { hash: hash.to_string() }),
+        }
+    }
+
+    /// Reads the bytes `loc` names.  A pack that is gone is a missing
+    /// chunk; one that ends early is corrupt.
+    fn read_packed(&self, hash: &str, loc: &ChunkLoc) -> Result<Vec<u8>, SnapError> {
+        let path = self.packs_dir().join(&*loc.pack);
+        let mut payload = vec![0u8; loc.len as usize];
+        let mut read = || -> std::io::Result<()> {
+            let mut file = fs::File::open(&path)?;
+            file.seek(SeekFrom::Start(loc.offset))?;
+            file.read_exact(&mut payload)
+        };
+        match read() {
+            Ok(()) => Ok(payload),
+            Err(e) => Err(match e.kind() {
+                std::io::ErrorKind::NotFound => SnapError::MissingChunk { hash: hash.to_string() },
+                std::io::ErrorKind::UnexpectedEof => SnapError::Corrupt {
+                    hash: hash.to_string(),
+                    detail: format!("pack {} ends inside the chunk", path.display()),
+                },
+                _ => SnapError::Io { path, source: e },
+            }),
+        }
     }
 
     /// Reads one chunk and verifies its content address.
     fn get_chunk(&self, hash: &str) -> Result<String, SnapError> {
-        let path = self.object_path(hash);
-        let mut payload = match fs::read_to_string(&path) {
-            Ok(p) => p,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Err(SnapError::MissingChunk { hash: hash.to_string() })
-            }
-            Err(e) => return Err(SnapError::Io { path, source: e }),
-        };
+        let mut payload = self.read_chunk(hash)?;
         if !payload.is_empty() && self.faults.fires("snap.chunk.bitflip") {
             // Silent media corruption: flip one bit of the payload on its
             // way in; the content-address check below must catch it.
-            let mut bytes = payload.into_bytes();
-            bytes[0] ^= 0x01;
-            payload =
-                String::from_utf8(bytes).expect("hex payloads stay ASCII under a low-bit flip");
+            payload[0] ^= 0x01;
         }
-        let actual = sha256::hex_digest(payload.as_bytes());
+        let actual = sha256::hex_digest(&payload);
         if actual != hash {
             return Err(SnapError::Corrupt {
                 hash: hash.to_string(),
                 detail: format!("stored content hashes to {actual}"),
             });
         }
-        Ok(payload)
+        String::from_utf8(payload).map_err(|_| SnapError::Corrupt {
+            hash: hash.to_string(),
+            detail: "the payload is not text".to_string(),
+        })
     }
 
-    fn put_column<F>(
+    /// Encodes one column of `bodies`, chunk by chunk, into one reused
+    /// buffer; returns the chunk hashes.
+    fn stage_column(
         &self,
         bodies: &[Body],
-        encode: F,
-        chunks_new: &mut usize,
-    ) -> Result<Vec<String>, SnapError>
-    where
-        F: Fn(&Body) -> String,
-    {
+        encode: impl Fn(&mut Vec<u8>, &Body),
+        staged: &mut Staged,
+        cpu: &mut CpuTime,
+    ) -> Result<Vec<String>, SnapError> {
         let mut hashes = Vec::with_capacity(bodies.len().div_ceil(CHUNK_BODIES));
+        let mut payload = Vec::new();
         for run in bodies.chunks(CHUNK_BODIES) {
-            let mut payload = String::new();
+            let begin = Instant::now();
+            payload.clear();
             for b in run {
-                payload.push_str(&encode(b));
-                payload.push('\n');
+                encode(&mut payload, b);
+                payload.push(b'\n');
             }
-            hashes.push(self.put_chunk(&payload, chunks_new)?);
+            cpu.encode += begin.elapsed();
+            hashes.push(self.stage_chunk(&payload, staged, cpu)?);
         }
         Ok(hashes)
     }
 
-    fn put_bodies(
+    fn stage_bodies(
         &self,
         bodies: &[Body],
-        chunks_new: &mut usize,
+        staged: &mut Staged,
+        cpu: &mut CpuTime,
     ) -> Result<ColumnHashes, SnapError> {
         Ok(ColumnHashes {
-            id: self.put_column(bodies, |b| hex_u32(b.id), chunks_new)?,
-            cost: self.put_column(bodies, |b| hex_u32(b.cost), chunks_new)?,
-            mass: self.put_column(bodies, |b| hex_f64(b.mass), chunks_new)?,
-            phi: self.put_column(bodies, |b| hex_f64(b.phi), chunks_new)?,
-            pos: self.put_column(bodies, |b| hex_vec3(b.pos), chunks_new)?,
-            vel: self.put_column(bodies, |b| hex_vec3(b.vel), chunks_new)?,
-            acc: self.put_column(bodies, |b| hex_vec3(b.acc), chunks_new)?,
+            id: self.stage_column(bodies, |out, b| push_hex_u32(out, b.id), staged, cpu)?,
+            cost: self.stage_column(bodies, |out, b| push_hex_u32(out, b.cost), staged, cpu)?,
+            mass: self.stage_column(bodies, |out, b| push_f64(out, b.mass), staged, cpu)?,
+            phi: self.stage_column(bodies, |out, b| push_f64(out, b.phi), staged, cpu)?,
+            pos: self.stage_column(bodies, |out, b| push_vec3(out, b.pos), staged, cpu)?,
+            vel: self.stage_column(bodies, |out, b| push_vec3(out, b.vel), staged, cpu)?,
+            acc: self.stage_column(bodies, |out, b| push_vec3(out, b.acc), staged, cpu)?,
         })
     }
 
@@ -364,52 +708,32 @@ impl Store {
     /// Saves `state` as `<name>.json`, deduplicating chunks against
     /// everything already in the store.
     pub fn save(&self, state: &SimState, name: &str) -> Result<Saved, SnapError> {
-        let (text, manifest_hash, chunks_total, chunks_new) = self.encode_state(state)?;
-        let path = self.manifest_path(name);
-        self.write_manifest(&path, &text)?;
-        Ok(Saved { manifest_path: path, manifest_hash, chunks_total, chunks_new })
+        self.save_as(state, Some(name))
     }
 
     /// Saves `state` named by its own manifest hash and returns that hash as
     /// the token — the handle `bhserve` gives clients for a suspended
     /// session.  Saving the same state twice yields the same token and
-    /// writes nothing new.
+    /// writes no chunk again.
     pub fn save_token(&self, state: &SimState) -> Result<Saved, SnapError> {
-        let (text, manifest_hash, chunks_total, chunks_new) = self.encode_state(state)?;
-        let path = self.manifest_path(&manifest_hash);
-        self.write_manifest(&path, &text)?;
-        Ok(Saved { manifest_path: path, manifest_hash, chunks_total, chunks_new })
+        self.save_as(state, None)
     }
 
-    /// Durably writes a manifest: temp file + `fsync` + rename + directory
-    /// `fsync`, like [`Store::put_chunk`] — a manifest *names* the snapshot,
-    /// so a torn manifest loses the whole checkpoint even when every chunk
-    /// survived.  The `snap.manifest.torn` faultline site plants exactly
-    /// that end state (a truncated manifest), which readers surface as a
-    /// structured [`SnapError::Schema`].
-    fn write_manifest(&self, path: &Path, text: &str) -> Result<(), SnapError> {
-        if self.faults.fires("snap.manifest.torn") {
-            let torn = &text[..text.len() / 2];
-            return fs::write(path, torn)
-                .map_err(|e| SnapError::Io { path: path.to_path_buf(), source: e });
-        }
-        let dir = path.parent().filter(|p| !p.as_os_str().is_empty()).unwrap_or(Path::new("."));
-        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("manifest");
-        let tmp = dir.join(format!(".tmp-{name}"));
-        let write = || -> std::io::Result<()> {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(text.as_bytes())?;
-            f.sync_all()?;
-            fs::rename(&tmp, path)?;
-            sync_dir(dir)
+    /// One checkpoint: every value encoded once, the new chunks committed
+    /// as one pack, then — and only then — the manifest.
+    fn save_as(&self, state: &SimState, name: Option<&str>) -> Result<Saved, SnapError> {
+        let mut staged = Staged::default();
+        let mut cpu = CpuTime::default();
+        let bodies = self.stage_bodies(&state.bodies, &mut staged, &mut cpu)?;
+        let bodies_digest = digest_bodies_timed(&state.bodies, &mut cpu);
+        // A configuration without cross-step tree state anchors at the
+        // current bodies: the same bytes, so the same hashes.
+        let (anchor, anchor_digest) = if bodies_bits_equal(&state.anchor, &state.bodies) {
+            (bodies.clone(), bodies_digest.clone())
+        } else {
+            let anchor = self.stage_bodies(&state.anchor, &mut staged, &mut cpu)?;
+            (anchor, digest_bodies_timed(&state.anchor, &mut cpu))
         };
-        write().map_err(|e| SnapError::Io { path: tmp.clone(), source: e })
-    }
-
-    fn encode_state(&self, state: &SimState) -> Result<(String, String, usize, usize), SnapError> {
-        let mut chunks_new = 0;
-        let bodies = self.put_bodies(&state.bodies, &mut chunks_new)?;
-        let anchor = self.put_bodies(&state.anchor, &mut chunks_new)?;
         let manifest = Manifest {
             scenario: state.scenario.clone(),
             backend: state.backend.clone(),
@@ -417,16 +741,51 @@ impl Store {
             step: state.step,
             anchor_step: state.anchor_step,
             tree_generation: state.tree_generation,
-            bodies_digest: digest_bodies(&state.bodies),
-            anchor_digest: digest_bodies(&state.anchor),
+            bodies_digest,
+            anchor_digest,
             bodies,
             anchor,
         };
-        let chunks_total = manifest.chunk_set().len();
+        let begin = Instant::now();
         let text = serde_json::to_string_pretty(&encode_manifest(&manifest))
             .expect("manifest Value always serializes");
-        let manifest_hash = sha256::hex_digest(text.as_bytes());
-        Ok((text, manifest_hash, chunks_total, chunks_new))
+        cpu.encode += begin.elapsed();
+        let manifest_hash = cpu.hex_digest(text.as_bytes());
+
+        let mut io = IoCount::default();
+        let chunks_new = staged.entries.len();
+        self.commit_pack(staged, &mut cpu, &mut io)?;
+        let manifest_path = self.manifest_path(name.unwrap_or(&manifest_hash));
+        self.write_manifest(&manifest_path, &text, &mut io)?;
+        let ms = |d: Duration| d.as_secs_f64() * 1e3;
+        Ok(Saved {
+            manifest_path,
+            manifest_hash,
+            chunks_total: manifest.chunk_set().len(),
+            chunks_new,
+            files_written: io.files,
+            bytes_written: io.bytes,
+            fsyncs: io.fsyncs,
+            encode_ms: ms(cpu.encode),
+            hash_ms: ms(cpu.hash),
+            write_ms: ms(io.write),
+            sync_ms: ms(io.sync),
+        })
+    }
+
+    /// Durably writes a manifest ([`write_durably`]) — a manifest *names*
+    /// the snapshot, so a torn manifest loses the whole checkpoint even
+    /// when every chunk survived.  The `snap.manifest.torn` faultline site
+    /// plants exactly that end state (a truncated manifest), which readers
+    /// surface as a structured [`SnapError::Schema`].
+    fn write_manifest(&self, path: &Path, text: &str, io: &mut IoCount) -> Result<(), SnapError> {
+        if self.faults.fires("snap.manifest.torn") {
+            let torn = &text[..text.len() / 2];
+            return fs::write(path, torn)
+                .map_err(|e| SnapError::Io { path: path.to_path_buf(), source: e });
+        }
+        let name = path.file_name().and_then(|n| n.to_str()).expect("manifest_path names a file");
+        write_durably(&self.root, name, &[text.as_bytes()], io)
     }
 
     /// Loads the state saved under `name` (a [`Store::save`] name or a
@@ -465,8 +824,7 @@ fn sync_dir(dir: &Path) -> std::io::Result<()> {
 pub fn load_state(manifest_path: &Path) -> Result<SimState, SnapError> {
     let root =
         manifest_path.parent().filter(|p| !p.as_os_str().is_empty()).unwrap_or(Path::new("."));
-    let store = Store::open(root)?;
-    store.load_from(manifest_path)
+    Store::attach(root)?.load_from(manifest_path)
 }
 
 /// Loads and decodes a manifest (no chunk reads) — what `snapdiff` uses.
@@ -478,8 +836,16 @@ pub fn load_manifest(path: &Path) -> Result<Manifest, SnapError> {
     decode_manifest(&value, path)
 }
 
-fn hex_vec3(v: Vec3) -> String {
-    format!("{} {} {}", hex_f64(v.x), hex_f64(v.y), hex_f64(v.z))
+fn push_f64(out: &mut Vec<u8>, v: f64) {
+    push_hex_u64(out, v.to_bits());
+}
+
+fn push_vec3(out: &mut Vec<u8>, v: Vec3) {
+    push_f64(out, v.x);
+    out.push(b' ');
+    push_f64(out, v.y);
+    out.push(b' ');
+    push_f64(out, v.z);
 }
 
 fn parse_u32(text: &str, what: &str) -> Result<u32, SnapError> {
@@ -744,6 +1110,34 @@ mod tests {
         dir
     }
 
+    /// Every regular file under `dir`, relative, sorted.
+    fn files_under(dir: &Path) -> Vec<String> {
+        fn walk(dir: &Path, root: &Path, out: &mut Vec<String>) {
+            for entry in fs::read_dir(dir).expect("read_dir") {
+                let path = entry.expect("dir entry").path();
+                if path.is_dir() {
+                    walk(&path, root, out);
+                } else {
+                    out.push(path.strip_prefix(root).expect("under root").display().to_string());
+                }
+            }
+        }
+        let mut out = Vec::new();
+        walk(dir, dir, &mut out);
+        out.sort();
+        out
+    }
+
+    fn packs_in(dir: &Path) -> Vec<PathBuf> {
+        files_under(dir).iter().filter(|f| f.ends_with(".pack")).map(|f| dir.join(f)).collect()
+    }
+
+    fn only_pack(dir: &Path) -> PathBuf {
+        let packs = packs_in(dir);
+        assert_eq!(packs.len(), 1, "{packs:?}");
+        packs[0].clone()
+    }
+
     fn sample_bodies(n: usize, salt: f64) -> Vec<Body> {
         (0..n)
             .map(|i| {
@@ -774,6 +1168,19 @@ mod tests {
             bodies: sample_bodies(n, 3.5),
             anchor: sample_bodies(n, 1.25),
         }
+    }
+
+    /// One step on, mid-cadence: the anchor and id/cost/mass stay, the
+    /// moving columns (pos/vel/acc/phi) change.
+    fn stepped(mut state: SimState) -> SimState {
+        state.step += 1;
+        for b in &mut state.bodies {
+            b.pos.x += 1e-6;
+            b.vel.y += 1e-6;
+            b.acc.z += 1e-6;
+            b.phi += 1e-6;
+        }
+        state
     }
 
     #[test]
@@ -813,14 +1220,7 @@ mod tests {
         let s1 = sample_state(300);
         // One step later, mid-cadence: anchor identical, current bodies
         // moved (pos/vel/acc/phi change; id/cost/mass do not).
-        let mut s2 = s1.clone();
-        s2.step += 1;
-        for b in &mut s2.bodies {
-            b.pos.x += 1e-6;
-            b.vel.y += 1e-6;
-            b.acc.z += 1e-6;
-            b.phi += 1e-6;
-        }
+        let s2 = stepped(s1.clone());
         let first = store.save(&s1, "step-0006").expect("save 1");
         let second = store.save(&s2, "step-0007").expect("save 2");
         assert!(
@@ -855,16 +1255,11 @@ mod tests {
         let state = sample_state(64);
         store.save(&state, "snap").expect("save");
 
-        // Flip bytes in one object file.
-        let objects = dir.join("objects");
-        let some_object = fs::read_dir(&objects)
-            .expect("objects dir")
-            .flat_map(|d| fs::read_dir(d.expect("fan-out dir").path()).expect("inner dir"))
-            .next()
-            .expect("at least one chunk")
-            .expect("dir entry")
-            .path();
-        fs::write(&some_object, "0000000000000000\n").expect("corrupt");
+        // Flip one payload byte inside the pack (its last byte is a chunk's).
+        let some_pack = only_pack(&dir);
+        let mut bytes = fs::read(&some_pack).expect("read pack");
+        *bytes.last_mut().expect("a pack is not empty") ^= 0x01;
+        fs::write(&some_pack, bytes).expect("corrupt");
 
         match store.load("snap") {
             Err(SnapError::Corrupt { hash, .. }) => assert_eq!(hash.len(), 64),
@@ -872,7 +1267,7 @@ mod tests {
         }
 
         // Delete it instead: missing chunk, also structured.
-        fs::remove_file(&some_object).expect("remove");
+        fs::remove_file(&some_pack).expect("remove");
         match store.load("snap") {
             Err(SnapError::MissingChunk { hash }) => assert_eq!(hash.len(), 64),
             other => panic!("expected SnapError::MissingChunk, got {other:?}"),
@@ -909,6 +1304,270 @@ mod tests {
         }
         let _ = fs::remove_dir_all(&dir);
     }
+    fn assert_no_temp_files(dir: &Path) {
+        let files = files_under(dir);
+        assert!(!files.iter().any(|f| f.contains(".tmp-")), "temp file left behind: {files:?}");
+    }
+
+    #[test]
+    fn a_checkpoint_is_one_pack_and_four_flushes() {
+        let dir = temp_dir("flushes");
+        let store = Store::open(&dir).expect("open");
+        let state = sample_state(300);
+
+        let first = store.save(&state, "step-0006").expect("save");
+        assert_eq!(
+            (first.files_written, first.fsyncs),
+            (2, 4),
+            "pack + manifest, each synced twice"
+        );
+        let on_disk: u64 = files_under(&dir)
+            .iter()
+            .map(|f| fs::metadata(dir.join(f)).expect("metadata").len())
+            .sum();
+        assert_eq!(first.bytes_written, on_disk, "counted bytes are the bytes in the store");
+        assert_eq!(files_under(&dir).len(), 2);
+        assert!(first.encode_ms > 0.0 && first.hash_ms > 0.0);
+        assert!(first.write_ms > 0.0 && first.sync_ms > 0.0);
+
+        // Everything dedups: no pack, just the manifest and its directory.
+        let again = store.save(&state, "step-0006-again").expect("save");
+        assert_eq!((again.chunks_new, again.files_written, again.fsyncs), (0, 1, 2));
+        let token = store.save_token(&state).expect("first token");
+        let token_again = store.save_token(&state).expect("second token");
+        assert_eq!((token_again.chunks_new, token_again.fsyncs), (0, 2));
+        assert_eq!(token.manifest_hash, token_again.manifest_hash);
+        assert_eq!(packs_in(&dir).len(), 1, "only the first save had chunks to pack");
+
+        // The next step adds the moved columns only: again one pack.
+        let next = store.save(&stepped(state), "step-0007").expect("save");
+        assert!(next.chunks_new > 0 && next.chunks_new < next.chunks_total);
+        assert_eq!((next.files_written, next.fsyncs), (2, 4));
+        assert_eq!(packs_in(&dir).len(), 2);
+        assert_no_temp_files(&dir);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn manifest_hashes_are_the_ones_earlier_versions_gave() {
+        // Recorded from the loose-object store (commit 028177a): the token
+        // `bhserve` hands out for a state must not move with the layout.
+        let dir = temp_dir("pins");
+        let store = Store::open(&dir).expect("open");
+        let token = store.save_token(&sample_state(64)).expect("save");
+        assert_eq!(
+            token.manifest_hash,
+            "151788d30bd851d731828cd8aefe59e9be36b0e12fd2a7eb18cf662058ac785f"
+        );
+        let named = store.save(&sample_state(300), "x").expect("save");
+        assert_eq!(
+            named.manifest_hash,
+            "941940897304831b79056030bff6344f1d70b0381d0ab85d3df8dc9622b7a756"
+        );
+        // Anchor bit-equal to the bodies: hashed once, listed twice.
+        let mut stateless = sample_state(300);
+        stateless.anchor = stateless.bodies.clone();
+        stateless.anchor_step = stateless.step;
+        let shared = store.save_token(&stateless).expect("save");
+        assert_eq!(
+            shared.manifest_hash,
+            "9b3d94557d25ef7bfd3da899122c895e80979cf97c84587d15b442cb66f9eea0"
+        );
+        let manifest = load_manifest(&shared.manifest_path).expect("manifest");
+        assert_eq!(manifest.bodies, manifest.anchor);
+        assert_eq!(manifest.bodies_digest, manifest.anchor_digest);
+        let loaded = store.load(&shared.manifest_hash).expect("load");
+        assert!(bodies_bits_equal(&loaded.anchor, &stateless.anchor));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_save_leaves_nothing_behind() {
+        let (s0, s1) = (sample_state(300), stepped(sample_state(300)));
+        // What a store that never fails gives.
+        let reference_dir = temp_dir("fail-reference");
+        let reference = Store::open(&reference_dir).expect("open");
+        reference.save(&s0, "step-0006").expect("save");
+        let clean = reference.save(&s1, "step-0007").expect("save");
+        assert!(clean.chunks_new >= 3);
+
+        for k in [1, clean.chunks_new / 2, clean.chunks_new] {
+            let dir = temp_dir(&format!("fail-{k}"));
+            Store::open(&dir).expect("open").save(&s0, "step-0006").expect("save");
+            let before = files_under(&dir);
+
+            let spec = format!("snap.chunk.io@n{k}");
+            let store = Store::open(&dir)
+                .expect("open")
+                .with_faults(FaultPlan::parse(&spec).expect("spec"));
+            assert!(matches!(store.save(&s1, "step-0007"), Err(SnapError::Io { .. })), "{spec}");
+            assert_eq!(files_under(&dir), before, "{spec}: no pack, no manifest, no temp file");
+            let earlier = store.load("step-0006").expect("the earlier checkpoint loads");
+            assert!(bodies_bits_equal(&earlier.bodies, &s0.bodies));
+            assert!(bodies_bits_equal(&earlier.anchor, &s0.anchor));
+
+            let retried = store.save(&s1, "step-0007").expect("the fault was one-shot");
+            assert_eq!(retried.manifest_hash, clean.manifest_hash, "{spec}");
+            assert_eq!(retried.chunks_new, clean.chunks_new, "{spec}");
+            let loaded = store.load("step-0007").expect("load");
+            assert!(bodies_bits_equal(&loaded.bodies, &s1.bodies));
+            let _ = fs::remove_dir_all(&dir);
+        }
+        let _ = fs::remove_dir_all(&reference_dir);
+    }
+
+    #[test]
+    fn a_pack_without_its_manifest_is_a_harmless_orphan() {
+        let dir = temp_dir("orphan");
+        let store = Store::open(&dir).expect("open");
+        let (s0, s1) = (sample_state(300), stepped(sample_state(300)));
+        store.save(&s0, "step-0006").expect("save");
+        // The manifest's rename fails after the pack has landed: its name is
+        // taken by a directory.
+        fs::create_dir(store.manifest_path("step-0007")).expect("mkdir");
+        match store.save(&s1, "step-0007") {
+            Err(SnapError::Io { path, .. }) => assert!(path.ends_with("step-0007.json")),
+            other => panic!("expected SnapError::Io, got {other:?}"),
+        }
+        assert_eq!(packs_in(&dir).len(), 2, "the pack was committed before the manifest");
+        assert_no_temp_files(&dir);
+        fs::remove_dir(store.manifest_path("step-0007")).expect("rmdir");
+
+        // A fresh handle indexes the orphan without complaint, the earlier
+        // checkpoint loads, and the retried save finds its chunks in place.
+        let fresh = Store::open(&dir).expect("reopen");
+        let earlier = fresh.load("step-0006").expect("load");
+        assert!(bodies_bits_equal(&earlier.bodies, &s0.bodies));
+        let retried = fresh.save(&s1, "step-0007").expect("save");
+        assert_eq!((retried.chunks_new, retried.fsyncs), (0, 2));
+        let loaded = fresh.load("step-0007").expect("load");
+        assert!(bodies_bits_equal(&loaded.bodies, &s1.bodies));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn two_handles_on_one_directory_see_each_other() {
+        let dir = temp_dir("handles");
+        let a = Store::open(&dir).expect("open a");
+        let b = Store::open(&dir).expect("open b"); // indexed while the store was empty
+        let (s0, s1) = (sample_state(300), stepped(sample_state(300)));
+        a.save(&s0, "from-a").expect("save");
+        let loaded = b.load("from-a").expect("b lists packs/ again on the miss");
+        assert!(bodies_bits_equal(&loaded.bodies, &s0.bodies));
+        // And back: b adds only what a's pack does not hold; a finds it.
+        let saved = b.save(&s1, "from-b").expect("save");
+        assert!(saved.chunks_new < saved.chunks_total);
+        let loaded = a.load("from-b").expect("load");
+        assert!(bodies_bits_equal(&loaded.bodies, &s1.bodies));
+        // A hash nobody holds is still a structured miss.
+        let gone = "0".repeat(64);
+        assert!(matches!(a.get_chunk(&gone), Err(SnapError::MissingChunk { .. })));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Writes `header` + `payloads` as a pack named by the header's hash.
+    fn plant_pack(dir: &Path, header: &[u8], payloads: &[u8]) -> PathBuf {
+        let path = dir.join("packs").join(format!("{}.pack", sha256::hex_digest(header)));
+        fs::write(&path, [header, payloads].concat()).expect("plant pack");
+        path
+    }
+
+    #[test]
+    fn damaged_packs_are_structured_errors() {
+        let expect_corrupt = |dir: &Path, what: &str, needle: &str| match Store::open(dir) {
+            Err(SnapError::Corrupt { hash, detail }) => {
+                assert_eq!(hash.len(), 64, "{what}");
+                assert!(detail.contains(needle), "{what}: {detail}");
+            }
+            other => panic!("{what}: expected SnapError::Corrupt, got {:?}", other.map(|_| ())),
+        };
+        let fresh = |tag: &str| {
+            let dir = temp_dir(tag);
+            let saved = Store::open(&dir).expect("open").save(&sample_state(64), "snap");
+            (dir, saved.expect("save").manifest_path)
+        };
+
+        // Truncated inside the payloads, and inside the header.
+        let (dir, manifest) = fresh("pack-truncated");
+        let pack = only_pack(&dir);
+        let bytes = fs::read(&pack).expect("read");
+        fs::write(&pack, &bytes[..bytes.len() - 10]).expect("truncate");
+        expect_corrupt(&dir, "short payloads", "the file holds");
+        assert!(matches!(load_state(&manifest), Err(SnapError::Corrupt { .. })));
+        fs::write(&pack, &bytes[..PACK_HEAD_LEN + 30]).expect("truncate");
+        expect_corrupt(&dir, "short header", "in a file of");
+        fs::write(&pack, b"bhpack").expect("truncate");
+        expect_corrupt(&dir, "no header", "cannot hold a header");
+        let _ = fs::remove_dir_all(&dir);
+
+        // A header that does not hash to the file's name.
+        let (dir, _) = fresh("pack-renamed");
+        let pack = only_pack(&dir);
+        let mut bytes = fs::read(&pack).expect("read");
+        bytes[PACK_HEAD_LEN] ^= 0x01; // first digit of the first chunk hash
+        fs::write(&pack, bytes).expect("write");
+        expect_corrupt(&dir, "edited header", "the header hashes to");
+        let _ = fs::remove_dir_all(&dir);
+
+        // Well-named packs with malformed headers.
+        let (dir, _) = fresh("pack-malformed");
+        let planted = plant_pack(&dir, b"bhpack/v2 00000000\n", b"");
+        expect_corrupt(&dir, "magic", "first line");
+        fs::remove_file(planted).expect("remove");
+        let planted = plant_pack(&dir, b"bhpack/v1 +0000000\n", b"");
+        expect_corrupt(&dir, "signed count", "first line");
+        fs::remove_file(planted).expect("remove");
+        // A count the file cannot hold must not be allocated for.
+        let planted = plant_pack(&dir, b"bhpack/v1 ffffffff\n", b"");
+        expect_corrupt(&dir, "huge count", "in a file of");
+        fs::remove_file(planted).expect("remove");
+        let entry = format!("bhpack/v1 00000001\n{} 0000000g\n", "a".repeat(64));
+        let planted = plant_pack(&dir, entry.as_bytes(), b"");
+        expect_corrupt(&dir, "bad length", "malformed header entry 0");
+        fs::remove_file(planted).expect("remove");
+        let entry = format!("bhpack/v1 00000001\n{}z 00000000\n", "a".repeat(63));
+        let planted = plant_pack(&dir, entry.as_bytes(), b"");
+        expect_corrupt(&dir, "bad hash", "malformed header entry 0");
+        fs::remove_file(planted).expect("remove");
+        // An empty, well-formed pack and a stray file are both fine.
+        plant_pack(&dir, b"bhpack/v1 00000000\n", b"");
+        fs::write(dir.join("packs").join(".tmp-1-1"), b"half a pack").expect("stray");
+        Store::open(&dir).expect("open").load("snap").expect("load");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_pack_that_shrinks_under_a_live_handle_is_corrupt_not_a_panic() {
+        let dir = temp_dir("pack-shrinks");
+        let store = Store::open(&dir).expect("open");
+        store.save(&sample_state(64), "snap").expect("save");
+        let pack = only_pack(&dir);
+        let bytes = fs::read(&pack).expect("read");
+        fs::write(&pack, &bytes[..bytes.len() - 10]).expect("truncate");
+        match store.load("snap") {
+            Err(SnapError::Corrupt { detail, .. }) => {
+                assert!(detail.contains("ends inside the chunk"), "{detail}")
+            }
+            other => panic!("expected SnapError::Corrupt, got {other:?}"),
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reading_creates_nothing() {
+        let dir = temp_dir("readonly");
+        let saved = Store::open(&dir).expect("open").save(&sample_state(16), "snap").expect("save");
+        fs::create_dir(dir.join("elsewhere")).expect("mkdir");
+        let moved = dir.join("elsewhere").join("snap.json");
+        fs::copy(&saved.manifest_path, &moved).expect("copy");
+        // The manifest alone in a directory: its chunks are missing, and
+        // looking for them made no `packs/` there.
+        assert!(matches!(load_state(&moved), Err(SnapError::MissingChunk { .. })));
+        assert_eq!(files_under(&dir.join("elsewhere")), ["snap.json"]);
+        assert!(!dir.join("elsewhere").join("packs").exists());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn injected_io_faults_surface_as_structured_errors() {
         let dir = temp_dir("fault-io");

@@ -30,7 +30,7 @@ use std::path::Path;
 use barnes_hut_upc::engine;
 use barnes_hut_upc::prelude::*;
 use engine::bench::RunSpec;
-use snapstore::{SimState, Store};
+use snapstore::{Saved, SimState, Store};
 
 struct Options {
     scenario: String,
@@ -378,38 +378,92 @@ fn backoff_ms(seed: u64, attempt: usize) -> u64 {
     base + (mixed >> 56) % (base / 2 + 1)
 }
 
-/// Opens the snapshot store when checkpointing was requested, armed with
-/// the run's fault plan (the `snap.*` injection sites live in the store).
-fn checkpoint_store(opts: &Options) -> Option<(Store, usize)> {
-    let (dir, every) = (opts.checkpoint_dir.as_ref()?, opts.checkpoint_every?);
-    let store = Store::open(dir)
-        .unwrap_or_else(|e| {
-            eprintln!("bhsim: {e}");
-            std::process::exit(1)
-        })
-        .with_faults(opts.faults.clone());
-    Some((store, every))
+/// The run's checkpointing: the store, the cadence, the first save error,
+/// and what each save reported.
+struct Checkpointer {
+    store: Store,
+    every: usize,
+    error: Option<String>,
+    saved: Vec<Saved>,
 }
 
-/// The periodic-save policy shared by cold and resumed runs: every N
-/// completed steps, plus the run's final state.
-fn save_checkpoint(store: &Store, every: usize, state: &SimState, errors: &mut Option<String>) {
-    if !state.step.is_multiple_of(every) && state.step != state.cfg.steps {
-        return;
+impl Checkpointer {
+    /// Opens the snapshot store when checkpointing was requested, armed
+    /// with the run's fault plan (the `snap.*` injection sites live in the
+    /// store).
+    fn open(opts: &Options) -> Option<Checkpointer> {
+        let (dir, every) = (opts.checkpoint_dir.as_ref()?, opts.checkpoint_every?);
+        let store = Store::open(dir)
+            .unwrap_or_else(|e| {
+                eprintln!("bhsim: {e}");
+                std::process::exit(1)
+            })
+            .with_faults(opts.faults.clone());
+        Some(Checkpointer { store, every, error: None, saved: Vec::new() })
     }
-    if errors.is_some() {
-        return;
+
+    /// The periodic-save policy shared by cold and resumed runs: every N
+    /// completed steps, plus the run's final state.
+    fn save(&mut self, state: &SimState) {
+        if !state.step.is_multiple_of(self.every) && state.step != state.cfg.steps {
+            return;
+        }
+        if self.error.is_some() {
+            return;
+        }
+        let name = format!("step-{:04}", state.step);
+        match self.store.save(state, &name) {
+            Ok(saved) => {
+                eprintln!(
+                    "bhsim: checkpoint {} (step {}, {} chunk(s), {} new)",
+                    saved.manifest_path.display(),
+                    state.step,
+                    saved.chunks_total,
+                    saved.chunks_new
+                );
+                self.saved.push(saved);
+            }
+            Err(e) => self.error = Some(e.to_string()),
+        }
     }
-    let name = format!("step-{:04}", state.step);
-    match store.save(state, &name) {
-        Ok(saved) => eprintln!(
-            "bhsim: checkpoint {} (step {}, {} chunk(s), {} new)",
-            saved.manifest_path.display(),
-            state.step,
-            saved.chunks_total,
-            saved.chunks_new
-        ),
-        Err(e) => *errors = Some(e.to_string()),
+
+    /// What the run's saves did, summed: the `checkpoints` object of
+    /// `--json`, and the stderr line [`Checkpointer::finish`] prints.
+    fn totals(&self) -> Vec<(String, serde::Value)> {
+        let count =
+            |field: fn(&Saved) -> u64| serde::Value::UInt(self.saved.iter().map(field).sum());
+        let ms = |field: fn(&Saved) -> f64| serde::Value::Float(self.saved.iter().map(field).sum());
+        let totals = [
+            ("saved", serde::Value::UInt(self.saved.len() as u64)),
+            ("chunks_total", count(|s| s.chunks_total as u64)),
+            ("chunks_new", count(|s| s.chunks_new as u64)),
+            ("files_written", count(|s| s.files_written as u64)),
+            ("bytes_written", count(|s| s.bytes_written)),
+            ("fsyncs", count(|s| s.fsyncs as u64)),
+            ("encode_ms", ms(|s| s.encode_ms)),
+            ("hash_ms", ms(|s| s.hash_ms)),
+            ("write_ms", ms(|s| s.write_ms)),
+            ("sync_ms", ms(|s| s.sync_ms)),
+        ];
+        totals.into_iter().map(|(name, value)| (name.to_string(), value)).collect()
+    }
+
+    /// Ends the run's checkpointing: exits on a failed save, else says on
+    /// stderr where the checkpoints' host time went.
+    fn finish(&self) {
+        if let Some(e) = &self.error {
+            eprintln!("bhsim: checkpoint save failed: {e}");
+            std::process::exit(1)
+        }
+        let line: Vec<String> = self
+            .totals()
+            .iter()
+            .map(|(name, value)| match value {
+                serde::Value::Float(ms) => format!("{name} {ms:.1}"),
+                other => format!("{name} {}", other.as_u64().unwrap_or(0)),
+            })
+            .collect();
+        eprintln!("bhsim: checkpoints: {}", line.join(" | "));
     }
 }
 
@@ -444,21 +498,19 @@ fn run_resume(opts: &Options, manifest: &str) {
         state.step - state.anchor_step,
     );
 
-    let store = checkpoint_store(opts);
-    let mut save_error: Option<String> = None;
+    let mut checkpoints = Checkpointer::open(opts);
     let start = std::time::Instant::now();
     let result = snapstore::resume(&state, backend, |continued| {
-        if let Some((store, every)) = &store {
-            save_checkpoint(store, *every, &continued, &mut save_error);
+        if let Some(checkpoints) = &mut checkpoints {
+            checkpoints.save(&continued);
         }
     })
     .unwrap_or_else(|e| {
         eprintln!("bhsim: {e}");
         std::process::exit(1)
     });
-    if let Some(e) = save_error {
-        eprintln!("bhsim: checkpoint save failed: {e}");
-        std::process::exit(1)
+    if let Some(checkpoints) = &checkpoints {
+        checkpoints.finish();
     }
 
     let run = BackendRun {
@@ -468,7 +520,8 @@ fn run_resume(opts: &Options, manifest: &str) {
     };
     let diag = scenario.diagnostics(&state.bodies);
     if opts.json {
-        print_json(&state.scenario, &state.cfg, &diag, std::slice::from_ref(&run), false);
+        let runs = std::slice::from_ref(&run);
+        print_json(&state.scenario, &state.cfg, &diag, runs, false, checkpoints.as_ref());
     } else {
         print_report(&state.cfg, &run.result);
     }
@@ -609,7 +662,8 @@ fn main() {
     // instead, feeding a snapstore Recorder that persists resumable
     // snapshots on the requested cadence.
     let backends = backend_registry();
-    let runs = if let Some((store, every)) = checkpoint_store(&opts) {
+    let mut checkpoints = Checkpointer::open(&opts);
+    let runs = if let Some(checkpoints) = &mut checkpoints {
         let backend = backends.lookup(&opts.backend).unwrap_or_else(|e| {
             eprintln!("bhsim: {e}");
             std::process::exit(2)
@@ -627,7 +681,6 @@ fn main() {
         // state_digest equals the fault-free one.
         const MAX_STEP_RETRIES: usize = 4;
         let dir = opts.checkpoint_dir.as_deref().expect("checkpointing implies a dir");
-        let mut save_error: Option<String> = None;
         let start = std::time::Instant::now();
         let mut attempt = 0usize;
         let result = loop {
@@ -644,9 +697,7 @@ fn main() {
                         state.step,
                         state.cfg.steps
                     );
-                    snapstore::resume(&state, backend, |continued| {
-                        save_checkpoint(&store, every, &continued, &mut save_error);
-                    })
+                    snapstore::resume(&state, backend, |continued| checkpoints.save(&continued))
                 }
                 None => {
                     let mut recorder = snapstore::Recorder::new(
@@ -657,8 +708,7 @@ fn main() {
                         0,
                     );
                     backend.run_tracked(&cfg, bodies.clone(), &mut |record| {
-                        let state = recorder.observe(&record);
-                        save_checkpoint(&store, every, &state, &mut save_error);
+                        checkpoints.save(&recorder.observe(&record));
                     })
                 }
             };
@@ -676,10 +726,7 @@ fn main() {
                 }
             }
         };
-        if let Some(e) = save_error {
-            eprintln!("bhsim: checkpoint save failed: {e}");
-            std::process::exit(1)
-        }
+        checkpoints.finish();
         vec![BackendRun {
             name: opts.backend.clone(),
             result,
@@ -697,7 +744,7 @@ fn main() {
     // stable shape regardless of how many backends they request.
     let comparing = opts.compare.is_some();
     if opts.json {
-        print_json(scenario.name(), &cfg, &diag, &runs, comparing);
+        print_json(scenario.name(), &cfg, &diag, &runs, comparing, checkpoints.as_ref());
     } else if comparing {
         print_comparison(&cfg, &runs);
     } else {
@@ -820,6 +867,7 @@ fn print_json(
     diag: &Diagnostics,
     runs: &[BackendRun],
     comparing: bool,
+    checkpoints: Option<&Checkpointer>,
 ) {
     // `--compare` always emits an array (even with one backend); a plain
     // `--backend` run emits a single object.
@@ -828,7 +876,13 @@ fn print_json(
             runs.iter().map(|run| summary_value(scenario, cfg, diag, run)).collect(),
         )
     } else {
-        summary_value(scenario, cfg, diag, &runs[0])
+        let mut summary = summary_value(scenario, cfg, diag, &runs[0]);
+        // What the run's checkpoints cost (checkpointing runs are never
+        // comparisons, so only the single-object shape carries it).
+        if let (serde::Value::Object(fields), Some(checkpoints)) = (&mut summary, checkpoints) {
+            fields.push(("checkpoints".to_string(), serde::Value::Object(checkpoints.totals())));
+        }
+        summary
     };
     struct Raw(serde::Value);
     impl serde::Serialize for Raw {

@@ -223,4 +223,26 @@ proptest! {
             }
         }
     }
+
+    #[test]
+    fn the_hex_codec_is_the_format_macro_and_round_trips(v in any::<u64>(), at in 0usize..16) {
+        use engine::snap::{parse_hex_u32, parse_hex_u64, push_hex_u32, push_hex_u64};
+        let mut out = Vec::new();
+        push_hex_u64(&mut out, v);
+        prop_assert_eq!(out.clone(), format!("{v:016x}").into_bytes());
+        prop_assert_eq!(parse_hex_u64(&out), Some(v));
+        prop_assert_eq!(parse_hex_u64(format!("{v:016X}").as_bytes()), Some(v));
+        // One byte that is no hex digit, anywhere, and the text is refused.
+        for bad in [b'+', b'-', b' ', b'g', b'G', b'/', b':', b'@', b'`', 0x00, 0xff] {
+            let mut text = out.clone();
+            text[at] = bad;
+            prop_assert_eq!(parse_hex_u64(&text), None);
+        }
+        let low = v as u32;
+        out.clear();
+        push_hex_u32(&mut out, low);
+        prop_assert_eq!(out.clone(), format!("{low:08x}").into_bytes());
+        prop_assert_eq!(parse_hex_u32(&out), Some(low));
+        prop_assert_eq!(parse_hex_u32(&out[1..]), None);
+    }
 }

@@ -232,3 +232,29 @@ fn dropping_the_reuse_cadence_phase_changes_the_trajectory() {
          guard is vacuous (did the tail stop reusing the tree?)"
     );
 }
+
+/// Format pin: a store the loose-object version of `snapstore` wrote
+/// (`tests/fixtures/store-v1/`, see its `EXPECTED.json`) still loads, and
+/// resuming its mid-cadence checkpoint lands on the digest that version's
+/// uninterrupted run reported.  Reading it creates nothing in the fixture.
+#[test]
+fn stores_written_before_packs_still_load_and_resume() {
+    let fixture = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/store-v1");
+    let expected = std::fs::read_to_string(fixture.join("EXPECTED.json")).expect("EXPECTED.json");
+    let expected: serde::Value = serde_json::from_str(&expected).expect("EXPECTED.json parses");
+    let expected = expected.get("state_digest").and_then(|v| v.as_str()).expect("state_digest");
+
+    let mid = snapstore::load_state(&fixture.join("step-0002.json")).expect("step 2 loads");
+    assert_eq!((mid.step, mid.anchor_step), (2, 0), "a mid-cadence checkpoint");
+    assert!(!engine::snap::bodies_bits_equal(&mid.anchor, &mid.bodies));
+    let end = snapstore::load_state(&fixture.join("step-0004.json")).expect("step 4 loads");
+    assert_eq!((end.step, end.anchor_step), (4, 3));
+    assert_eq!(snapstore::digest_bodies(&end.bodies), expected);
+
+    let backends = backend_registry();
+    let backend = backends.get(&mid.backend).expect("backend registered");
+    let resumed = snapstore::resume(&mid, backend, |_| {}).expect("resume");
+    assert_eq!(snapstore::digest_bodies(&resumed.bodies), expected);
+    assert!(engine::snap::bodies_bits_equal(&resumed.bodies, &end.bodies));
+    assert!(!fixture.join("packs").exists(), "reading must not write into the fixture");
+}
