@@ -150,7 +150,7 @@ fn run_simulation_observed(
                 ctx.barrier();
             }
         }
-        RankOutcome {
+        let outcome = RankOutcome {
             phases: PhaseTimes::from_timer(&st.timer),
             phases_host_ms: PhaseTimes::host_ms_from_timer(&st.timer),
             tree_local: st.tree_local_time,
@@ -158,7 +158,10 @@ fn run_simulation_observed(
             owned_bodies: st.my_ids.len() as u64,
             migrated_bodies: st.migrated,
             stats: Default::default(),
-        }
+        };
+        // Every rank takes the same lifecycle decisions, so any rank's
+        // generation is the run's.
+        (outcome, st.lifecycle.generation)
     });
 
     if step_faults {
@@ -180,12 +183,14 @@ fn run_simulation_observed(
 
     let mut ranks: Vec<RankOutcome> = Vec::with_capacity(report.ranks.len());
     for r in &report.ranks {
-        let mut outcome = r.result.clone();
+        let mut outcome = r.result.0.clone();
         outcome.stats = r.stats.clone();
         ranks.push(outcome);
     }
     let mut result = SimResult::aggregate(cfg, ranks, shared.bodytab.snapshot());
     result.tree_bytes = shared.cells.peak_bytes();
+    result.tree_rebuilds =
+        if lifecycle::persistent_tree(cfg) { report.ranks[0].result.1 } else { cfg.steps as u64 };
     Ok(result)
 }
 

@@ -205,6 +205,16 @@ pub struct SimResult {
     /// the backend has no shared node arena (direct summation, MPI
     /// comparator).
     pub tree_bytes: u64,
+    /// Full builds of the shared tree performed by this invocation: the
+    /// final tree generation under a persistent policy (`reuse`,
+    /// `adaptive`), the step count when the tree is rebuilt every step.  A
+    /// resumed run starts from a fresh build and counts its own steps only,
+    /// not those before the checkpoint.  A `reuse` run whose count equals
+    /// its step count reused nothing.  `0` when the backend keeps no shared
+    /// tree (direct summation, MPI comparator) and for results recorded
+    /// before the field.
+    #[serde(default)]
+    pub tree_rebuilds: u64,
     /// Final body states (indexed by body id), for correctness checks.
     pub bodies: Vec<nbody::Body>,
 }
@@ -239,6 +249,7 @@ impl SimResult {
             ranks,
             migration_fraction: migrated as f64 / ownership_slots as f64,
             tree_bytes: 0,
+            tree_rebuilds: 0,
             bodies,
         }
     }

@@ -14,6 +14,9 @@ pub fn kinetic_energy(bodies: &[Body]) -> f64 {
 }
 
 /// Total (softened) potential energy `−Σ_{i<j} G m_i m_j / sqrt(r² + ε²)`.
+///
+/// The exact O(n²) pair sum: the reference that tests compare estimates
+/// against (`scenarios::estimate_potential` is the O(n log n) one).
 pub fn potential_energy(bodies: &[Body], eps: f64) -> f64 {
     let mut w = 0.0;
     for i in 0..bodies.len() {
@@ -28,33 +31,6 @@ pub fn potential_energy(bodies: &[Body], eps: f64) -> f64 {
 /// Total energy (kinetic + potential).
 pub fn total_energy(bodies: &[Body], eps: f64) -> f64 {
     kinetic_energy(bodies) + potential_energy(bodies, eps)
-}
-
-/// Estimate of [`potential_energy`] that stays tractable at any size.
-///
-/// Up to `max_bodies` bodies the sum is exact.  Beyond that the O(n²) pair
-/// sum would dominate everything around it (an hour of CPU at n = 10⁶,
-/// where the tree solver itself needs minutes), so the estimate computes
-/// the exact pair sum over a deterministic strided subsample and scales it
-/// by the pair-count ratio `n(n−1) / k(k−1)` — unbiased when the sample is
-/// representative, which a stride over generator output is (generators
-/// emit bodies in sampling order, not sorted by position).
-pub fn potential_energy_sampled(bodies: &[Body], eps: f64, max_bodies: usize) -> f64 {
-    let n = bodies.len();
-    if n <= max_bodies || max_bodies < 2 {
-        return potential_energy(bodies, eps);
-    }
-    let stride = n.div_ceil(max_bodies);
-    let sample: Vec<&Body> = bodies.iter().step_by(stride).collect();
-    let k = sample.len();
-    let mut w = 0.0;
-    for i in 0..k {
-        for j in (i + 1)..k {
-            let d2 = sample[i].pos.dist_sq(sample[j].pos) + eps * eps;
-            w -= G * sample[i].mass * sample[j].mass / d2.sqrt();
-        }
-    }
-    w * (n * (n - 1)) as f64 / (k * (k - 1)) as f64
 }
 
 /// Virial ratio `2T / |W|`; ~1 for a system in virial equilibrium.
@@ -106,32 +82,6 @@ mod tests {
         assert!((potential_energy(&bodies, 0.0) + 1.5).abs() < 1e-12);
         // Softening reduces |W|.
         assert!(potential_energy(&bodies, 1.0) > potential_energy(&bodies, 0.0));
-    }
-
-    #[test]
-    fn sampled_potential_is_exact_below_the_limit_and_close_above() {
-        // A deterministic pseudo-random cloud (splitmix-style), masses 1/n.
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut rnd = move || {
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            (z ^ (z >> 31)) as f64 / u64::MAX as f64 - 0.5
-        };
-        let n = 4000;
-        let bodies: Vec<Body> = (0..n)
-            .map(|i| Body::at_rest(i as u32, Vec3::new(rnd(), rnd(), rnd()), 1.0 / n as f64))
-            .collect();
-        let exact = potential_energy(&bodies, 0.05);
-        // At or above the body count the "sample" is the whole set.
-        assert_eq!(potential_energy_sampled(&bodies, 0.05, n), exact);
-        // An eighth of the bodies still estimates the smooth pair sum well.
-        let est = potential_energy_sampled(&bodies, 0.05, n / 8);
-        assert!(
-            (est - exact).abs() < 0.10 * exact.abs(),
-            "sampled potential {est} too far from exact {exact}"
-        );
     }
 
     #[test]

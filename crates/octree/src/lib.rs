@@ -40,4 +40,4 @@ pub use costzones::{partition_by_cost, Partition};
 pub use hashed::{HashedCell, HashedOctree};
 pub use orb::partition_orb;
 pub use tree::{Node, Octree, TreeParams};
-pub use walk::{accel_on, compute_forces, WalkResult};
+pub use walk::{accel_on, accel_on_body, compute_forces, WalkResult};

@@ -44,12 +44,35 @@ pub fn accel_on(
     theta: f64,
     eps: f64,
 ) -> WalkResult {
+    walk_from_root(tree, bodies, target, &|_, b: &Body| Some(b.id) == exclude_id, theta, eps)
+}
+
+/// [`accel_on`] for the body at `bodies[index]`, left out of its own walk
+/// by that index: ids need not be distinct, or set at all.
+pub fn accel_on_body(
+    tree: &Octree,
+    bodies: &[Body],
+    index: usize,
+    theta: f64,
+    eps: f64,
+) -> WalkResult {
+    walk_from_root(tree, bodies, bodies[index].pos, &|bi, _: &Body| bi == index, theta, eps)
+}
+
+fn walk_from_root(
+    tree: &Octree,
+    bodies: &[Body],
+    target: Vec3,
+    skip: &impl Fn(usize, &Body) -> bool,
+    theta: f64,
+    eps: f64,
+) -> WalkResult {
     let mut result =
         WalkResult { acc: Vec3::ZERO, phi: 0.0, interactions: 0, nodes_visited: 0, macs: 0 };
     if tree.is_empty() {
         return result;
     }
-    walk_node(tree, bodies, 0, target, exclude_id, theta, eps, &mut result);
+    walk_node(tree, bodies, 0, target, skip, theta, eps, &mut result);
     result
 }
 
@@ -59,7 +82,7 @@ fn walk_node(
     bodies: &[Body],
     node: usize,
     target: Vec3,
-    exclude_id: Option<u32>,
+    skip: &impl Fn(usize, &Body) -> bool,
     theta: f64,
     eps: f64,
     result: &mut WalkResult,
@@ -76,7 +99,7 @@ fn walk_node(
         // hold a single body; buckets are handled the same way).
         for &bi in &n.bodies {
             let b = &bodies[bi];
-            if Some(b.id) == exclude_id {
+            if skip(bi, b) {
                 continue;
             }
             let (a, p) = pairwise_acceleration(target, b.pos, b.mass, eps);
@@ -101,7 +124,7 @@ fn walk_node(
     for octant in 0..8 {
         let child = n.children[octant];
         if child != NO_CHILD {
-            walk_node(tree, bodies, child as usize, target, exclude_id, theta, eps, result);
+            walk_node(tree, bodies, child as usize, target, skip, theta, eps, result);
         }
     }
 }

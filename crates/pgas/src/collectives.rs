@@ -10,8 +10,40 @@
 //! All collectives must be called by **every rank** and in the **same
 //! program order** on every rank (exactly like UPC collectives); the
 //! sequence number kept by each [`Ctx`] pairs up the matching calls.
+//!
+//! # One host barrier per collective
+//!
+//! On the host, an [`Ctx::allgather`] (and so every collective here) and a
+//! [`Ctx::barrier`] each cross the rank threads' `std::sync::Barrier`
+//! exactly once — *deposit, barrier, read*:
+//!
+//! * a rank deposits its value **and its simulated clock** in the board
+//!   entry of this call's sequence number, waits at the host barrier, then
+//!   reads every deposit and takes the maximum clock from the same entry;
+//! * nothing is read before the barrier and nothing of this call is written
+//!   after it, so no second barrier has to separate readers from writers;
+//! * the storage of call *k* is never the storage of call *k + 1*: board
+//!   entries are keyed by sequence number, and `Ctx::barrier`'s clock slots
+//!   are double-buffered by call parity.  A rank can only reach call
+//!   *k + 2*, whose storage may coincide with call *k*'s, by passing call
+//!   *k + 1*'s host barrier, which every rank reaches only after it has
+//!   finished reading call *k*;
+//! * the last rank to read a board entry removes it, so the board is empty
+//!   whenever every rank has returned from its collectives.
+//!
+//! The simulated clock cannot tell the difference: a rank's clock does not
+//! move between its deposit and its read, so the maximum is the number the
+//! separate clock exchange used to produce.
 
 use crate::ctx::Ctx;
+
+/// One allgather's entry on the collective board.
+struct Gather<T> {
+    /// Every rank's deposit with the simulated clock it was made at.
+    slots: Vec<Option<(T, f64)>>,
+    /// Ranks that have not read the entry yet; the last one removes it.
+    unread: usize,
+}
 
 impl<'w> Ctx<'w> {
     /// Deposits `value` on the collective board and returns the vector of
@@ -25,34 +57,43 @@ impl<'w> Ctx<'w> {
         let world = self.world();
         let ranks = self.ranks();
 
-        // Deposit.
+        // Deposit the value with this rank's clock (an allgather is a
+        // synchronizing operation: the clocks align on the way).
         {
             let mut board = world.board.lock();
             let entry = board.entry(seq).or_insert_with(|| {
-                Box::new(vec![None::<T>; ranks]) as Box<dyn std::any::Any + Send>
+                Box::new(Gather::<T> { slots: vec![None; ranks], unread: ranks })
+                    as Box<dyn std::any::Any + Send>
             });
-            let slots = entry.downcast_mut::<Vec<Option<T>>>().expect("collective type mismatch");
-            slots[self.rank()] = Some(value);
+            let gather = entry.downcast_mut::<Gather<T>>().expect("collective type mismatch");
+            gather.slots[self.rank()] = Some((value, self.now()));
         }
         world.host_barrier();
 
-        // Collect.
-        let gathered: Vec<T> = {
-            let board = world.board.lock();
-            let entry = board.get(&seq).expect("collective board entry missing");
-            let slots = entry.downcast_ref::<Vec<Option<T>>>().expect("collective type mismatch");
-            slots.iter().map(|s| s.clone().expect("rank missed collective")).collect()
+        // Read; the last reader takes the entry off the board.
+        let (gathered, max) = {
+            let mut board = world.board.lock();
+            let entry = board.get_mut(&seq).expect("collective board entry missing");
+            let gather = entry.downcast_mut::<Gather<T>>().expect("collective type mismatch");
+            let mut max = f64::MIN;
+            let gathered: Vec<T> = gather
+                .slots
+                .iter()
+                .map(|slot| {
+                    let (value, clock) = slot.as_ref().expect("rank missed collective");
+                    max = max.max(*clock);
+                    value.clone()
+                })
+                .collect();
+            gather.unread -= 1;
+            if gather.unread == 0 {
+                board.remove(&seq);
+            }
+            (gathered, max)
         };
-        world.host_barrier();
 
-        // Cleanup (rank 0 removes the entry once everyone has read it).
-        if self.rank() == 0 {
-            world.board.lock().remove(&seq);
-        }
-
-        // Simulated cost: align clocks (it is a synchronizing operation) and
-        // charge a tree-based gather of the payload.
-        let max = world.align_clocks(self.rank(), self.now());
+        // Simulated cost: the wait for the latest arrival, then a
+        // tree-based gather of the payload.
         let waited = self.advance_to(max);
         let bytes = std::mem::size_of::<T>();
         let cost = self.machine().collective_cost(bytes * ranks);
@@ -271,6 +312,62 @@ mod tests {
         for r in &report.ranks {
             assert_eq!(r.result.bytes_out, 8000);
             assert_eq!(r.result.bytes_in, 8000);
+        }
+    }
+
+    /// The one-barrier protocol's slot-reuse argument, pinned: back-to-back
+    /// collectives of every kind, one rank arriving late at a different
+    /// call each round, so that the other ranks are as far ahead as the
+    /// protocol lets them get.
+    #[test]
+    fn back_to_back_collectives_with_a_straggler_stay_paired() {
+        const ROUNDS: usize = 60; // five collective calls each
+        for ranks in [3usize, 5] {
+            let rt = Runtime::new(Machine::test_cluster(ranks));
+            let report = rt.run(|ctx| {
+                let (me, n) = (ctx.rank(), ctx.ranks());
+                // Uneven simulated clocks for the next collective to align.
+                let skew = |round: usize| ctx.charge_compute(1e-6 * ((me + round) % n) as f64);
+                for round in 0..ROUNDS {
+                    // The straggler, and which of the round's calls it is
+                    // late for, both rotate.
+                    let late = |call: usize| {
+                        if me == round % n && call == (round / n) % 4 {
+                            std::thread::sleep(std::time::Duration::from_micros(300));
+                        }
+                    };
+
+                    skew(round);
+                    late(0);
+                    let gathered = ctx.allgather((round, me));
+                    let expected: Vec<_> = (0..n).map(|r| (round, r)).collect();
+                    assert_eq!(gathered, expected, "allgather, round {round}");
+
+                    // Two barriers in a row: the second one's clock writes
+                    // must not reach a rank still reading the first one's.
+                    late(1);
+                    ctx.barrier();
+                    let after_first = ctx.now().to_bits();
+                    skew(round + 1);
+                    late(2);
+                    ctx.barrier();
+                    let clocks = ctx.allgather((after_first, ctx.now().to_bits()));
+                    assert!(clocks.iter().all(|&c| c == clocks[0]), "clocks, round {round}");
+
+                    skew(round + 2);
+                    late(3);
+                    let outgoing = (0..n).map(|dest| vec![(round, me, dest)]).collect();
+                    let received = ctx.exchange(outgoing);
+                    let expected: Vec<_> = (0..n).map(|src| vec![(round, src, me)]).collect();
+                    assert_eq!(received, expected, "exchange, round {round}");
+                }
+                // Past this barrier every rank has read every entry.
+                ctx.barrier();
+                assert!(ctx.world().board.lock().is_empty(), "collective board not drained");
+                ctx.now().to_bits()
+            });
+            let clock = report.ranks[0].result;
+            assert!(report.ranks.iter().all(|r| r.result == clock), "{ranks} ranks end aligned");
         }
     }
 }

@@ -406,11 +406,13 @@ impl<'w> Ctx<'w> {
     /// ([`Ctx::epoch`]), which the software-caching layer
     /// ([`crate::swcache`]) uses as its invalidation point.
     pub fn barrier(&self) {
-        let max = self.world.align_clocks(self.rank, self.clock.get());
+        // The epoch counts this rank's barriers: it is the call number.
+        let epoch = self.epoch.get();
+        let max = self.world.align_clocks(self.rank, self.clock.get(), epoch);
         let waited = self.advance_to(max);
         let cost = self.machine().barrier_cost();
         self.advance(cost);
-        self.epoch.set(self.epoch.get() + 1);
+        self.epoch.set(epoch + 1);
         self.with_stats(|s| s.sync_seconds += waited + cost);
     }
 

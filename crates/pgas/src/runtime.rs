@@ -22,10 +22,13 @@ pub(crate) struct World {
     pub(crate) machine: Machine,
     pub(crate) ranks: usize,
     barrier: Barrier,
-    clock_slots: Vec<SyncSlot<f64>>,
+    /// Two clocks per rank: [`World::align_clocks`] call `k` uses the set
+    /// `k % 2`, so call `k + 1`'s writes never meet call `k`'s reads.
+    clock_slots: [Vec<SyncSlot<f64>>; 2],
     /// Board used to move values between ranks during collectives.  Keyed by
     /// the collective sequence number (all ranks execute collectives in the
-    /// same order, so the sequence number identifies the operation).
+    /// same order, so the sequence number identifies the operation); the
+    /// last rank to read an entry removes it.
     pub(crate) board: Mutex<HashMap<u64, Box<dyn Any + Send>>>,
     /// Mailboxes for the two-sided message-passing extension
     /// ([`crate::msg`]).
@@ -39,7 +42,7 @@ impl World {
             machine,
             ranks,
             barrier: Barrier::new(ranks),
-            clock_slots: (0..ranks).map(|_| SyncSlot::new(0.0)).collect(),
+            clock_slots: [0, 1].map(|_| (0..ranks).map(|_| SyncSlot::new(0.0)).collect()),
             board: Mutex::new(HashMap::new()),
             msgs: MsgBoard::new(),
         }
@@ -52,14 +55,18 @@ impl World {
         self.barrier.wait();
     }
 
-    /// Simulated barrier: aligns every rank's clock to the maximum clock and
-    /// returns that maximum.  The caller charges the barrier latency.
-    pub(crate) fn align_clocks(&self, rank: usize, clock: f64) -> f64 {
-        self.clock_slots[rank].set(clock);
+    /// Simulated barrier: returns the maximum of every rank's clock.  The
+    /// caller advances to it and charges the barrier latency.
+    ///
+    /// `call` is the number of earlier `align_clocks` calls of this rank
+    /// (the same on every rank: barriers are collective).  One host barrier
+    /// suffices because consecutive calls use different slot sets; the
+    /// argument is in [`crate::collectives`].
+    pub(crate) fn align_clocks(&self, rank: usize, clock: f64, call: u64) -> f64 {
+        let slots = &self.clock_slots[(call % 2) as usize];
+        slots[rank].set(clock);
         self.host_barrier();
-        let max = (0..self.ranks).map(|r| self.clock_slots[r].get()).fold(f64::MIN, f64::max);
-        self.host_barrier();
-        max
+        slots.iter().map(SyncSlot::get).fold(f64::MIN, f64::max)
     }
 }
 

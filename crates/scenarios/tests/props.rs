@@ -69,8 +69,8 @@ proptest! {
 
     #[test]
     fn virial_ratio_matches_each_family(seed in 0u64..10_000) {
-        // Moderate n keeps the O(n²) potential sum fast while staying well
-        // inside each band's sampling noise.
+        // Moderate n keeps generation fast while staying well inside each
+        // band's sampling noise.
         let n = 512;
         for scenario in builtin().iter() {
             let bodies = scenario.generate(n, seed);

@@ -470,7 +470,10 @@ impl Checkpointer {
 /// `--resume`: load the manifest, replay from the anchor, continue to the
 /// configured steps, and report like a normal single-backend run.
 fn run_resume(opts: &Options, manifest: &str) {
-    let state = snapstore::load_state(Path::new(manifest)).unwrap_or_else(|e| {
+    // A resumed run's workload comes from the store, not a generator: the
+    // load is its `tail_ms.generate`.
+    let (state, load_ms) = timed(|| snapstore::load_state(Path::new(manifest)));
+    let state = state.unwrap_or_else(|e| {
         eprintln!("bhsim: {e}");
         std::process::exit(1)
     });
@@ -518,10 +521,11 @@ fn run_resume(opts: &Options, manifest: &str) {
         result,
         wall_ms: start.elapsed().as_secs_f64() * 1e3,
     };
-    let diag = scenario.diagnostics(&state.bodies);
+    let (diag, diagnostics_ms) = timed(|| scenario.diagnostics(&state.bodies));
     if opts.json {
         let runs = std::slice::from_ref(&run);
-        print_json(&state.scenario, &state.cfg, &diag, runs, false, checkpoints.as_ref());
+        let tail = Tail { generate_ms: load_ms, diagnostics_ms };
+        print_json(&state.scenario, &state.cfg, &diag, &tail, runs, false, checkpoints.as_ref());
     } else {
         print_report(&state.cfg, &run.result);
     }
@@ -644,8 +648,9 @@ fn main() {
         opts.build.name(),
     );
 
-    let bodies = scenario.generate(opts.nbodies, opts.seed);
-    let diag = scenario.diagnostics(&bodies);
+    let (bodies, generate_ms) = timed(|| scenario.generate(opts.nbodies, opts.seed));
+    let (diag, diagnostics_ms) = timed(|| scenario.diagnostics(&bodies));
+    let tail = Tail { generate_ms, diagnostics_ms };
     eprintln!(
         "workload: mass {:.3} | r10/r50/r90 {:.3}/{:.3}/{:.3} | sigma {:.3} | virial {:.3} | |L| {:.3}",
         diag.total_mass,
@@ -744,7 +749,7 @@ fn main() {
     // stable shape regardless of how many backends they request.
     let comparing = opts.compare.is_some();
     if opts.json {
-        print_json(scenario.name(), &cfg, &diag, &runs, comparing, checkpoints.as_ref());
+        print_json(scenario.name(), &cfg, &diag, &tail, &runs, comparing, checkpoints.as_ref());
     } else if comparing {
         print_comparison(&cfg, &runs);
     } else {
@@ -791,6 +796,9 @@ fn print_report(cfg: &SimConfig, result: &SimResult) {
         println!("  vlist single-source     : {:>11.1}%", 100.0 * fraction);
     }
     println!("  migration / step        : {:>11.2}%", 100.0 * result.migration_fraction);
+    if result.tree_rebuilds > 0 {
+        println!("  tree rebuilds / steps   : {:>12} / {}", result.tree_rebuilds, cfg.steps);
+    }
 
     // Load balance over ranks: the paper's imbalance discussions in one line.
     let times: Vec<f64> = result.ranks.iter().map(|r| r.phases.total()).collect();
@@ -822,10 +830,26 @@ fn print_comparison(cfg: &SimConfig, runs: &[BackendRun]) {
     }
 }
 
+/// Host milliseconds of the serial work around the backend run, the part of
+/// a `bhsim` process `wall_ms` does not cover.  The third part, the
+/// `state_digest`, is timed where [`summary_value`] computes it.
+struct Tail {
+    generate_ms: f64,
+    diagnostics_ms: f64,
+}
+
+/// Runs `f`, returning its result and the host milliseconds it took.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let start = std::time::Instant::now();
+    let value = f();
+    (value, start.elapsed().as_secs_f64() * 1e3)
+}
+
 fn summary_value(
     scenario: &str,
     cfg: &SimConfig,
     diag: &Diagnostics,
+    tail: &Tail,
     run: &BackendRun,
 ) -> serde::Value {
     // A compact machine-readable summary (the full SimResult with all body
@@ -834,6 +858,7 @@ fn summary_value(
     // into BENCH_*.json records — so sweep scripts read one schema
     // everywhere: `wall_ms`, `phases`, `total_sim`, `migration_fraction`,
     // `stats`.
+    let (digest, digest_ms) = timed(|| snapstore::digest_bodies(&run.result.bodies));
     let mut entries = vec![
         ("scenario".to_string(), serde::Value::String(scenario.to_string())),
         ("backend".to_string(), serde::Value::String(run.name.clone())),
@@ -843,10 +868,7 @@ fn summary_value(
         // id) — two runs produced the same trajectory iff these match,
         // which is how the CI checkpoint smoke compares a resumed run
         // against an uninterrupted one.
-        (
-            "state_digest".to_string(),
-            serde::Value::String(snapstore::digest_bodies(&run.result.bodies)),
-        ),
+        ("state_digest".to_string(), serde::Value::String(digest)),
     ];
     let sample = engine::bench::Sample::from_run(run);
     if let serde::Value::Object(fields) = serde::Serialize::to_value(&sample) {
@@ -858,6 +880,21 @@ fn summary_value(
         "phases_host_ms".to_string(),
         serde::Serialize::to_value(&run.result.phases_host_ms),
     ));
+    // Where the process's time outside `wall_ms` went.
+    let tail_ms = [
+        ("generate", tail.generate_ms),
+        ("diagnostics", tail.diagnostics_ms),
+        ("digest", digest_ms),
+    ];
+    entries.push((
+        "tail_ms".to_string(),
+        serde::Value::Object(
+            tail_ms.iter().map(|&(name, ms)| (name.to_string(), serde::Value::Float(ms))).collect(),
+        ),
+    ));
+    // How often the shared tree was built from scratch: equal to the step
+    // count, a persistent policy reused nothing.
+    entries.push(("tree_rebuilds".to_string(), serde::Value::UInt(run.result.tree_rebuilds)));
     serde::Value::Object(entries)
 }
 
@@ -865,6 +902,7 @@ fn print_json(
     scenario: &str,
     cfg: &SimConfig,
     diag: &Diagnostics,
+    tail: &Tail,
     runs: &[BackendRun],
     comparing: bool,
     checkpoints: Option<&Checkpointer>,
@@ -873,10 +911,10 @@ fn print_json(
     // `--backend` run emits a single object.
     let value = if comparing {
         serde::Value::Array(
-            runs.iter().map(|run| summary_value(scenario, cfg, diag, run)).collect(),
+            runs.iter().map(|run| summary_value(scenario, cfg, diag, tail, run)).collect(),
         )
     } else {
-        let mut summary = summary_value(scenario, cfg, diag, &runs[0]);
+        let mut summary = summary_value(scenario, cfg, diag, tail, &runs[0]);
         // What the run's checkpoints cost (checkpointing runs are never
         // comparisons, so only the single-object shape carries it).
         if let (serde::Value::Object(fields), Some(checkpoints)) = (&mut summary, checkpoints) {

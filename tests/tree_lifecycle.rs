@@ -73,6 +73,7 @@ fn rebuild_every_step_is_bit_identical_to_rebuild_on_every_family() {
             TreePolicy::Reuse { rebuild_every: 1, drift_threshold: 0.25 },
         );
         assert_bit_identical(&rebuild, &reuse1, scenario.name());
+        assert_eq!((rebuild.tree_rebuilds, reuse1.tree_rebuilds), (3, 3), "{}", scenario.name());
     }
 }
 
@@ -191,6 +192,8 @@ fn reuse_beats_per_step_rebuild_on_long_trajectories() {
                 drift_threshold: TreePolicy::DEFAULT_DRIFT_THRESHOLD,
             },
         );
+        // The run says so itself: one build in eight steps, against eight.
+        assert_eq!((rebuild.tree_rebuilds, reuse.tree_rebuilds), (8, 1), "{scenario}");
         let locks = |r: &SimResult| r.total_stats().lock_acquires;
         assert!(
             locks(&reuse) < locks(&rebuild) / 2,
