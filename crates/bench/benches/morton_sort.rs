@@ -1,5 +1,6 @@
-//! Criterion micro-benchmark: Morton encoding and Morton-order sorting, the
-//! substrate of the costzones partitioner and of the §6 leaf ordering.
+//! Criterion micro-benchmark: Morton-order sorting, the substrate of the
+//! costzones partitioner and of the §6 leaf ordering.  (Key encoding alone
+//! is bhtrace's `probe.nbody.morton_ns`.)
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use nbody::body::root_cell;
@@ -17,16 +18,6 @@ fn bench_morton(c: &mut Criterion) {
         let bodies = generate(&PlummerConfig::new(n, 5));
         let positions: Vec<Vec3> = bodies.iter().map(|b| b.pos).collect();
         let (center, rsize) = root_cell(&bodies);
-
-        group.bench_with_input(BenchmarkId::new("encode", n), &positions, |b, positions| {
-            b.iter(|| {
-                let mut acc = 0u64;
-                for &p in positions {
-                    acc ^= morton::encode(black_box(p), center, rsize);
-                }
-                black_box(acc)
-            });
-        });
 
         group.bench_with_input(BenchmarkId::new("sort_indices", n), &positions, |b, positions| {
             b.iter(|| {

@@ -1,7 +1,8 @@
 //! Criterion micro-benchmark: host-side overhead of the PGAS emulator's
-//! primitives (fine-grained reads, bulk gets, indexed and aggregated
-//! gathers).  This measures the *emulation* cost, not simulated time — it is
-//! what bounds how large a workload the harness can run.
+//! bulk transfers (block gets, indexed and aggregated gathers).  This
+//! measures the *emulation* cost, not simulated time — it is what bounds how
+//! large a workload the harness can run.  (Fine-grained reads, barriers,
+//! collectives and locks are bhtrace's `probe.pgas.*`.)
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use pgas::{GlobalPtr, Machine, Runtime, SharedArena, SharedVec};
@@ -14,21 +15,6 @@ fn bench_pgas(c: &mut Criterion) {
     group.sample_size(10);
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.measurement_time(std::time::Duration::from_secs(2));
-
-    group.bench_function("fine_grained_reads", |b| {
-        let rt = Runtime::new(Machine::test_cluster(2));
-        let v: SharedVec<u64> = SharedVec::from_fn(2, ELEMENTS, |i| i as u64);
-        b.iter(|| {
-            let report = rt.run(|ctx| {
-                let mut sum = 0u64;
-                for i in 0..v.len() {
-                    sum += v.read(ctx, i);
-                }
-                sum
-            });
-            black_box(report.ranks[0].result)
-        });
-    });
 
     group.bench_function("bulk_get_block", |b| {
         let rt = Runtime::new(Machine::test_cluster(2));
@@ -62,21 +48,6 @@ fn bench_pgas(c: &mut Criterion) {
                 ctx.wait_sync(handle).into_iter().sum::<u64>()
             });
             black_box(report.ranks[0].result)
-        });
-    });
-
-    group.bench_function("barrier_and_allreduce", |b| {
-        let rt = Runtime::new(Machine::test_cluster(8));
-        b.iter(|| {
-            let report = rt.run(|ctx| {
-                let mut acc = 0.0;
-                for _ in 0..16 {
-                    ctx.barrier();
-                    acc = ctx.allreduce_sum(1.0);
-                }
-                acc
-            });
-            black_box(report.makespan())
         });
     });
 

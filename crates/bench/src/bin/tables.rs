@@ -7,13 +7,13 @@
 //! cargo run -p bh-bench --release --bin tables -- --json results/ --all
 //! ```
 //!
-//! All times are *simulated* seconds produced by the PGAS cost model; see
-//! EXPERIMENTS.md for the mapping to the paper's measured numbers.
+//! All times are *simulated* seconds produced by the PGAS cost model.
 
 use bh_bench::experiments::{
     fig5_from_sweep, fig6_from_sweep, ladder_sweep, run_experiment, Experiment, ExperimentOutput,
 };
 use bh_bench::Scale;
+use engine::cli::Args;
 use std::path::PathBuf;
 
 struct Options {
@@ -47,49 +47,83 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
-fn parse_args() -> Options {
+/// Every flag `tables` accepts (see [`engine::cli::Args`]); any other word
+/// names an experiment.
+const FLAGS: &[&str] = &[
+    "--help",
+    "-h",
+    "--all",
+    "--quiet",
+    "--paper-scale",
+    "--smoke",
+    "--bodies",
+    "--weak-bodies",
+    "--threads",
+    "--weak-threads",
+    "--steps",
+    "--measured",
+    "--seed",
+    "--json",
+];
+
+/// A per-field flag's effect on the [`Scale`], applied after the preset.
+type Override = Box<dyn FnOnce(&mut Scale)>;
+
+/// Presets (`--smoke`, `--paper-scale`) pick the whole [`Scale`]; the
+/// per-field flags override it wherever they stand on the command line.
+fn parse_args(mut args: Args) -> Options {
     let mut scale = Scale::default_scale();
+    let mut overrides: Vec<Override> = Vec::new();
     let mut json_dir = None;
     let mut experiments = Vec::new();
     let mut all = false;
     let mut quiet = false;
 
-    let mut args = std::env::args().skip(1).peekable();
-    let next_value =
-        |args: &mut std::iter::Peekable<std::iter::Skip<std::env::Args>>, flag: &str| -> String {
-            args.next().unwrap_or_else(|| {
-                eprintln!("missing value for {flag}");
-                usage()
-            })
-        };
+    fn list(args: &mut Args, flag: &str) -> Vec<usize> {
+        let text = args.value(flag);
+        text.split(',').map(|part| args.parse(flag, part.trim())).collect()
+    }
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--help" | "-h" => usage(),
             "--all" => all = true,
             "--quiet" => quiet = true,
-            "--paper-scale" => {
-                let keep_json = json_dir.is_some();
-                scale = Scale::paper();
-                let _ = keep_json;
-            }
+            "--paper-scale" => scale = Scale::paper(),
             "--smoke" => scale = Scale::smoke(),
-            "--bodies" => scale.bodies = parse_num(&next_value(&mut args, "--bodies")),
+            "--bodies" => {
+                let n = args.number("--bodies");
+                overrides.push(Box::new(move |s| s.bodies = n));
+            }
             "--weak-bodies" => {
-                scale.weak_bodies_per_thread = parse_num(&next_value(&mut args, "--weak-bodies"))
+                let n = args.number("--weak-bodies");
+                overrides.push(Box::new(move |s| s.weak_bodies_per_thread = n));
             }
-            "--steps" => scale.steps = parse_num(&next_value(&mut args, "--steps")),
-            "--measured" => scale.measured_steps = parse_num(&next_value(&mut args, "--measured")),
-            "--seed" => scale.seed = parse_num(&next_value(&mut args, "--seed")) as u64,
-            "--threads" => scale.strong_threads = parse_list(&next_value(&mut args, "--threads")),
+            "--steps" => {
+                let n = args.number("--steps");
+                overrides.push(Box::new(move |s| s.steps = n));
+            }
+            "--measured" => {
+                let n = args.number("--measured");
+                overrides.push(Box::new(move |s| s.measured_steps = n));
+            }
+            "--seed" => {
+                let seed = args.number("--seed");
+                overrides.push(Box::new(move |s| s.seed = seed));
+            }
+            "--threads" => {
+                let threads = list(&mut args, "--threads");
+                overrides.push(Box::new(move |s| s.strong_threads = threads));
+            }
             "--weak-threads" => {
-                scale.weak_threads = parse_list(&next_value(&mut args, "--weak-threads"))
+                let threads = list(&mut args, "--weak-threads");
+                overrides.push(Box::new(move |s| s.weak_threads = threads));
             }
-            "--json" => json_dir = Some(PathBuf::from(next_value(&mut args, "--json"))),
+            "--json" => json_dir = Some(PathBuf::from(args.value("--json"))),
             name => match Experiment::from_name(name) {
                 Some(e) => experiments.push(e),
                 None => {
-                    eprintln!("unknown experiment or option: {name}");
-                    usage()
+                    let known = Experiment::ALL.map(|e| e.name());
+                    args.reject(&engine::suggest::unknown_key("experiment", name, &known))
                 }
             },
         }
@@ -97,18 +131,10 @@ fn parse_args() -> Options {
     if !all && experiments.is_empty() {
         usage();
     }
+    for apply in overrides {
+        apply(&mut scale);
+    }
     Options { scale, json_dir, experiments, all, quiet }
-}
-
-fn parse_num(s: &str) -> usize {
-    s.parse().unwrap_or_else(|_| {
-        eprintln!("invalid number: {s}");
-        usage()
-    })
-}
-
-fn parse_list(s: &str) -> Vec<usize> {
-    s.split(',').map(|p| parse_num(p.trim())).collect()
 }
 
 fn emit(name: &str, output: &ExperimentOutput, json_dir: &Option<PathBuf>) {
@@ -124,7 +150,7 @@ fn emit(name: &str, output: &ExperimentOutput, json_dir: &Option<PathBuf>) {
 }
 
 fn main() {
-    let opts = parse_args();
+    let opts = parse_args(Args::from_env("tables", FLAGS, usage));
     let progress = !opts.quiet;
     eprintln!(
         "workload: {} bodies strong / {} bodies-per-thread weak; threads {:?}; {} steps ({} measured)",
@@ -180,5 +206,27 @@ fn main() {
         eprintln!("running {} ...", exp.name());
         let output = run_experiment(exp, &opts.scale, progress);
         emit(exp.name(), &output, &opts.json_dir);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn scale_of(line: &[&str]) -> Scale {
+        let words = line.iter().map(|w| w.to_string()).collect();
+        parse_args(Args::new("tables", FLAGS, usage, words)).scale
+    }
+
+    #[test]
+    fn overrides_apply_on_top_of_a_preset_in_either_order() {
+        let expected = Scale { bodies: 1024, ..Scale::smoke() };
+        assert_eq!(scale_of(&["--all", "--bodies", "1024", "--smoke"]), expected);
+        assert_eq!(scale_of(&["--all", "--smoke", "--bodies", "1024"]), expected);
+        let paper = Scale { strong_threads: vec![1, 4], seed: 9, ..Scale::paper() };
+        assert_eq!(
+            scale_of(&["--threads", "1, 4", "--seed", "9", "--paper-scale", "table8"]),
+            paper
+        );
     }
 }

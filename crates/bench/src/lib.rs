@@ -1,36 +1,25 @@
-//! # bh-bench — experiment harness and performance subsystem
+//! # bh-bench — the paper's tables and figures
 //!
-//! Two entry points:
-//!
-//! * `tables` (`cargo run -p bh-bench --release --bin tables -- --help`) —
-//!   regenerates every table and figure of the paper's evaluation from the
-//!   emulated implementation.
-//! * `benchsuite` (`cargo run -p bh-bench --release --bin benchsuite`) —
-//!   the performance subsystem: sweeps scenario × backend × opt-level ×
-//!   machine-shape through the backend registry, measures the
-//!   leaf-coalesced force kernel against the per-body walk, and emits the
-//!   schema-versioned `BENCH_*.json` record the CI perf gate diffs against
-//!   (see [`suite`] and `engine::bench`).
-//!
-//! This library holds the experiment and suite definitions so that they are
-//! also usable from tests and Criterion benches.
+//! One entry point: `tables`
+//! (`cargo run -p bh-bench --release --bin tables -- --help`) regenerates
+//! every table and figure of the paper's evaluation from the emulated
+//! implementation.  This library holds the experiment definitions so that
+//! they are also usable from tests and Criterion benches.  (Performance of
+//! the code itself is measured by `benchmark/`, not here.)
 //!
 //! The paper's runs use 2M bodies (strong scaling) and 250K bodies/thread
 //! (weak scaling) on up to 1024 threads of a Power5 cluster.  Those sizes are
 //! impractical for an emulator running on one host, so every experiment has
 //! a scaled-down default and accepts `--bodies` / `--weak-bodies` /
-//! `--threads` overrides; EXPERIMENTS.md records which scale was used for the
-//! committed results.  Because all reported times are *simulated*, scaling
-//! the workload changes magnitudes but preserves the qualitative shape
-//! (who wins, where the crossovers are), which is what the reproduction
-//! targets.
+//! `--threads` overrides.  Because all reported times are *simulated*,
+//! scaling the workload changes magnitudes but preserves the qualitative
+//! shape (who wins, where the crossovers are), which is what the
+//! reproduction targets.
 
 pub mod experiments;
 pub mod scale;
-pub mod suite;
 pub mod table;
 
 pub use experiments::{run_experiment, Experiment, ExperimentOutput};
 pub use scale::Scale;
-pub use suite::{full_grid, kernel_plan, quick_grid, run_kernel_pair, run_point, run_suite};
 pub use table::{PhaseTable, Series};

@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Workload scale used by the experiment harness.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Scale {
     /// Bodies for the strong-scaling experiments (paper: 2,097,152).
     pub bodies: usize,

@@ -164,8 +164,8 @@ impl LocalNode {
 /// cells are localized, so the batched [`CacheTree::walk`] streams each
 /// opened cell's leaves from contiguous arrays.  The per-body evaluation —
 /// one `LocalNode` record chased per leaf — survives as
-/// [`CacheTree::walk_per_body`], the reference the `benchsuite` kernel
-/// benchmark and the bit-for-bit equivalence tests run against.
+/// [`CacheTree::walk_per_body`], the reference the bit-for-bit equivalence
+/// tests run against.
 pub struct CacheTree {
     /// All localized nodes; index 0 is the local copy of the global root
     /// (`L_root` in the paper).
@@ -532,9 +532,8 @@ impl CacheTree {
     /// layout change alone and the two agree bit for bit.  (The replaced
     /// walk itself pushed body leaves through the traversal stack and thus
     /// accumulated in a different order; its per-leaf record reads are what
-    /// this reference preserves.)  The `benchsuite` kernel benchmark times
-    /// this walk against the batched one, and the equivalence tests assert
-    /// the bit-for-bit agreement.
+    /// this reference preserves.)  The equivalence tests assert the
+    /// bit-for-bit agreement.
     pub fn walk_per_body(
         &mut self,
         ctx: &Ctx,

@@ -1,12 +1,10 @@
 //! The `bhload` stress driver: point it at a live `bhserve`, drive the
-//! mix, report an `engine::bench` record, optionally merge it into a
-//! committed `BENCH_*.json` and gate against a baseline.
+//! mix, and report what the fleet saw as an `engine::bench` record.
 //!
-//! Exit codes follow `benchsuite`: 0 success, 1 perf regression (or a
-//! failed load run), 2 usage, 3 schema or I/O problems.
+//! Exit codes: 0 success, 1 a failed load run, 2 usage, 3 I/O problems.
 
 use bhserve::load::{self, LoadOptions, Mix};
-use engine::bench::{diff_against_baseline, Record};
+use engine::cli::Args;
 
 fn usage() -> ! {
     eprintln!(
@@ -33,123 +31,73 @@ OPTIONS:
                          exit; it must equal the one --suspend-one printed
     --json               print the serving record as JSON on stdout
     --out PATH           write the serving record to PATH
-    --merge PATH         replace the serving rows of an existing record at PATH
-    --baseline PATH      diff the serving record against a committed baseline
-    --threshold PCT      regression threshold percent for --baseline (default 25)
     --help               show this help"
     );
     std::process::exit(2)
 }
 
-fn fail_schema(msg: &str) -> ! {
-    eprintln!("bhload: {msg}");
-    std::process::exit(3)
-}
+/// Every flag `bhload` accepts (see [`engine::cli::Args`]).
+const FLAGS: &[&str] = &[
+    "--addr",
+    "--clients",
+    "--threads",
+    "--mix",
+    "--session-every",
+    "--abuse",
+    "--chaos",
+    "--suspend-one",
+    "--resume-token",
+    "--json",
+    "--out",
+    "--help",
+    "-h",
+];
 
 struct Options {
     load: LoadOptions,
     json: bool,
     out: Option<String>,
-    merge: Option<String>,
-    baseline: Option<String>,
-    threshold: f64,
     suspend_one: bool,
     resume_token: Option<String>,
 }
 
 fn parse_args() -> Options {
-    let mut load = LoadOptions::default();
-    let mut addr: Option<String> = None;
     let mut opts = Options {
-        load: load.clone(),
+        load: LoadOptions::default(),
         json: false,
         out: None,
-        merge: None,
-        baseline: None,
-        threshold: 25.0,
         suspend_one: false,
         resume_token: None,
     };
-    let mut args = std::env::args().skip(1);
-    let value = |args: &mut dyn Iterator<Item = String>, flag: &str| -> String {
-        args.next().unwrap_or_else(|| {
-            eprintln!("bhload: {flag} requires a value");
-            std::process::exit(2)
-        })
-    };
+    let mut addr: Option<String> = None;
+    let mut args = Args::from_env("bhload", FLAGS, usage);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--addr" => addr = Some(value(&mut args, "--addr")),
-            "--clients" => load.clients = parse_number(&value(&mut args, "--clients")),
-            "--threads" => load.threads = parse_number(&value(&mut args, "--threads")),
+            "--addr" => addr = Some(args.value("--addr")),
+            "--clients" => opts.load.clients = args.number("--clients"),
+            "--threads" => opts.load.threads = args.number("--threads"),
             "--mix" => {
-                load.mix = match value(&mut args, "--mix").as_str() {
+                opts.load.mix = match args.value("--mix").as_str() {
                     "quick" => Mix::Quick,
                     "full" => Mix::Full,
-                    other => {
-                        eprintln!("bhload: --mix must be quick or full, got {other:?}");
-                        std::process::exit(2)
-                    }
+                    other => args.reject(&format!("--mix must be quick or full, got {other:?}")),
                 }
             }
-            "--session-every" => {
-                load.session_every = parse_number(&value(&mut args, "--session-every"))
-            }
-            "--abuse" => load.abuse = true,
-            "--chaos" => load.chaos = true,
+            "--session-every" => opts.load.session_every = args.number("--session-every"),
+            "--abuse" => opts.load.abuse = true,
+            "--chaos" => opts.load.chaos = true,
             "--suspend-one" => opts.suspend_one = true,
-            "--resume-token" => opts.resume_token = Some(value(&mut args, "--resume-token")),
+            "--resume-token" => opts.resume_token = Some(args.value("--resume-token")),
             "--json" => opts.json = true,
-            "--out" => opts.out = Some(value(&mut args, "--out")),
-            "--merge" => opts.merge = Some(value(&mut args, "--merge")),
-            "--baseline" => opts.baseline = Some(value(&mut args, "--baseline")),
-            "--threshold" => opts.threshold = parse_number(&value(&mut args, "--threshold")),
+            "--out" => opts.out = Some(args.value("--out")),
             "--help" | "-h" => usage(),
-            other => {
-                const FLAGS: [&str; 15] = [
-                    "--addr",
-                    "--clients",
-                    "--threads",
-                    "--mix",
-                    "--session-every",
-                    "--abuse",
-                    "--chaos",
-                    "--suspend-one",
-                    "--resume-token",
-                    "--json",
-                    "--out",
-                    "--merge",
-                    "--baseline",
-                    "--threshold",
-                    "--help",
-                ];
-                match engine::suggest::suggest(other, FLAGS) {
-                    Some(near) => {
-                        eprintln!("bhload: unknown option: {other} (did you mean {near}?)")
-                    }
-                    None => eprintln!("bhload: unknown option: {other}"),
-                }
-                usage()
-            }
+            other => args.unknown(other),
         }
     }
-    let Some(addr) = addr else {
-        eprintln!("bhload: --addr is required");
-        usage()
-    };
-    load.addr = addr.parse().unwrap_or_else(|e| {
-        eprintln!("bhload: invalid --addr {addr:?}: {e}");
-        std::process::exit(2)
-    });
-    opts.load = load;
+    let Some(addr) = addr else { args.reject("--addr is required") };
+    opts.load.addr =
+        addr.parse().unwrap_or_else(|e| args.reject(&format!("invalid --addr {addr:?}: {e}")));
     opts
-}
-
-fn parse_number<T: std::str::FromStr>(text: &str) -> T {
-    text.parse().unwrap_or_else(|_| {
-        eprintln!("bhload: not a valid number: {text:?}");
-        std::process::exit(2)
-    })
 }
 
 fn main() {
@@ -221,63 +169,9 @@ fn main() {
     }
     if let Some(path) = &opts.out {
         if let Err(e) = std::fs::write(path, report.record.to_json() + "\n") {
-            fail_schema(&format!("writing {path}: {e}"));
+            eprintln!("bhload: writing {path}: {e}");
+            std::process::exit(3)
         }
         eprintln!("bhload: wrote serving record to {path}");
-    }
-    if let Some(path) = &opts.merge {
-        let existing = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| fail_schema(&format!("reading {path}: {e}")));
-        let merged = load::merge_into_record(&existing, &report.record)
-            .unwrap_or_else(|e| fail_schema(&format!("merging into {path}: {e}")));
-        if let Err(e) = std::fs::write(path, merged.to_json() + "\n") {
-            fail_schema(&format!("writing {path}: {e}"));
-        }
-        eprintln!("bhload: merged {} serving rows into {path}", report.record.runs.len());
-    }
-
-    if let Some(path) = &opts.baseline {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| fail_schema(&format!("reading {path}: {e}")));
-        let mut baseline = Record::from_json(&text)
-            .unwrap_or_else(|e| fail_schema(&format!("baseline {path}: {e}")));
-        // This gate owns the rows of the service it just produced (serving
-        // or chaos); standalone rows and kernels of a merged record belong
-        // to the benchsuite gate.
-        let service = if opts.load.chaos {
-            engine::bench::SERVICE_CHAOS
-        } else {
-            engine::bench::SERVICE_BHSERVE
-        };
-        baseline.runs.retain(|r| r.spec.service == service);
-        baseline.kernels.clear();
-        let diff = diff_against_baseline(&report.record, &baseline, opts.threshold / 100.0);
-        if !diff.protocol_mismatches.is_empty() {
-            for m in &diff.protocol_mismatches {
-                eprintln!("bhload: PROTOCOL MISMATCH {m}");
-            }
-            fail_schema("the serving mix changed without regenerating the baseline");
-        }
-        if diff.compared == 0 {
-            fail_schema(&format!("baseline {path} shares no serving sweep points with this run"));
-        }
-        for m in &diff.missing_allowed {
-            eprintln!("bhload: missing (allowed, new axes): {m}");
-        }
-        for m in &diff.missing {
-            eprintln!("bhload: MISSING {m} (present in baseline, absent from this run)");
-        }
-        for line in diff.describe_regressions() {
-            eprintln!("bhload: REGRESSION {line}");
-        }
-        eprintln!(
-            "bhload: baseline gate: {} point(s) compared, {} regression(s), {} missing",
-            diff.compared,
-            diff.regressions.len(),
-            diff.missing.len()
-        );
-        if !diff.regressions.is_empty() || !diff.missing.is_empty() {
-            std::process::exit(1);
-        }
     }
 }

@@ -5,6 +5,7 @@
 //! to learn the port when started with `--listen 127.0.0.1:0`).
 
 use bhserve::{Server, ServerOptions};
+use engine::cli::Args;
 
 fn usage() -> ! {
     eprintln!(
@@ -40,86 +41,62 @@ OPTIONS:
     std::process::exit(2)
 }
 
+/// Every flag `bhserve` accepts (see [`engine::cli::Args`]).
+const FLAGS: &[&str] = &[
+    "--listen",
+    "--max-concurrent-runs",
+    "--quota-interactions",
+    "--tenant-quota",
+    "--max-sessions",
+    "--batch-max-bodies",
+    "--snap-dir",
+    "--read-timeout-secs",
+    "--write-timeout-secs",
+    "--idle-session-secs",
+    "--max-inflight",
+    "--faults",
+    "--help",
+    "-h",
+];
+
 fn parse_args() -> ServerOptions {
     let mut opts = ServerOptions::default();
-    let mut args = std::env::args().skip(1);
-    let value = |args: &mut dyn Iterator<Item = String>, flag: &str| -> String {
-        args.next().unwrap_or_else(|| {
-            eprintln!("bhserve: {flag} requires a value");
-            std::process::exit(2)
-        })
-    };
+    let mut args = Args::from_env("bhserve", FLAGS, usage);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--listen" => opts.addr = value(&mut args, "--listen"),
+            "--listen" => opts.addr = args.value("--listen"),
             "--max-concurrent-runs" => {
-                opts.max_concurrent_runs = parse_number(&value(&mut args, "--max-concurrent-runs"))
+                opts.max_concurrent_runs = args.number("--max-concurrent-runs")
             }
             "--quota-interactions" => {
-                opts.default_quota = Some(parse_number(&value(&mut args, "--quota-interactions")))
+                opts.default_quota = Some(args.number("--quota-interactions"))
             }
             "--tenant-quota" => {
-                let spec = value(&mut args, "--tenant-quota");
+                let spec = args.value("--tenant-quota");
                 let Some((name, limit)) = spec.split_once('=') else {
-                    eprintln!("bhserve: --tenant-quota expects NAME=N, got {spec:?}");
-                    std::process::exit(2)
+                    args.reject(&format!("--tenant-quota expects NAME=N, got {spec:?}"))
                 };
-                opts.tenant_quotas.push((name.to_string(), parse_number(limit)));
+                opts.tenant_quotas.push((name.to_string(), args.parse("--tenant-quota", limit)));
             }
-            "--max-sessions" => {
-                opts.max_sessions_per_conn = parse_number(&value(&mut args, "--max-sessions"))
-            }
-            "--batch-max-bodies" => {
-                opts.batch_max_bodies = parse_number(&value(&mut args, "--batch-max-bodies"))
-            }
-            "--snap-dir" => opts.snap_dir = Some(value(&mut args, "--snap-dir")),
+            "--max-sessions" => opts.max_sessions_per_conn = args.number("--max-sessions"),
+            "--batch-max-bodies" => opts.batch_max_bodies = args.number("--batch-max-bodies"),
+            "--snap-dir" => opts.snap_dir = Some(args.value("--snap-dir")),
             "--read-timeout-secs" => {
-                opts.read_timeout =
-                    timeout_of(parse_number(&value(&mut args, "--read-timeout-secs")))
+                opts.read_timeout = timeout_of(args.number("--read-timeout-secs"))
             }
             "--write-timeout-secs" => {
-                opts.write_timeout =
-                    timeout_of(parse_number(&value(&mut args, "--write-timeout-secs")))
+                opts.write_timeout = timeout_of(args.number("--write-timeout-secs"))
             }
             "--idle-session-secs" => {
-                opts.idle_session_secs =
-                    Some(parse_number(&value(&mut args, "--idle-session-secs")))
+                opts.idle_session_secs = Some(args.number("--idle-session-secs"))
             }
-            "--max-inflight" => {
-                opts.max_inflight = Some(parse_number(&value(&mut args, "--max-inflight")))
-            }
+            "--max-inflight" => opts.max_inflight = Some(args.number("--max-inflight")),
             "--faults" => {
-                let spec = value(&mut args, "--faults");
-                opts.faults = engine::FaultPlan::parse(&spec).unwrap_or_else(|e| {
-                    eprintln!("bhserve: {e}");
-                    std::process::exit(2)
-                });
+                let spec = args.value("--faults");
+                opts.faults = engine::FaultPlan::parse(&spec).unwrap_or_else(|e| args.reject(&e));
             }
             "--help" | "-h" => usage(),
-            other => {
-                const FLAGS: [&str; 13] = [
-                    "--listen",
-                    "--max-concurrent-runs",
-                    "--quota-interactions",
-                    "--tenant-quota",
-                    "--max-sessions",
-                    "--batch-max-bodies",
-                    "--snap-dir",
-                    "--read-timeout-secs",
-                    "--write-timeout-secs",
-                    "--idle-session-secs",
-                    "--max-inflight",
-                    "--faults",
-                    "--help",
-                ];
-                match engine::suggest::suggest(other, FLAGS) {
-                    Some(near) => {
-                        eprintln!("bhserve: unknown option: {other} (did you mean {near}?)")
-                    }
-                    None => eprintln!("bhserve: unknown option: {other}"),
-                }
-                usage()
-            }
+            other => args.unknown(other),
         }
     }
     opts
@@ -128,13 +105,6 @@ fn parse_args() -> ServerOptions {
 /// `0` disables a deadline (blocking forever), anything else is seconds.
 fn timeout_of(secs: u64) -> Option<std::time::Duration> {
     (secs > 0).then(|| std::time::Duration::from_secs(secs))
-}
-
-fn parse_number<T: std::str::FromStr>(text: &str) -> T {
-    text.parse().unwrap_or_else(|_| {
-        eprintln!("bhserve: not a valid number: {text:?}");
-        std::process::exit(2)
-    })
 }
 
 fn main() {

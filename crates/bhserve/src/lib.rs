@@ -7,8 +7,8 @@
 //! across requests as *sessions*, and meters every tenant in the engine's
 //! deterministic cost counters.  The companion `bhload` binary is the
 //! stress harness: it drives thousands of concurrent clients against a
-//! live server and reports latency percentiles and throughput in the same
-//! [`engine::bench`] record format (and CI gate) as the solver benchmarks.
+//! live server and reports latency percentiles and throughput as an
+//! [`engine::bench`] record.
 //!
 //! The layers, bottom up:
 //!
@@ -30,7 +30,7 @@
 //! * [`server`] — the daemon: accept loop, thread-per-connection
 //!   dispatch, the engine run gate, and the minimal blocking [`server::Client`].
 //! * [`load`] — the `bhload` workload mixes, client scripts and the
-//!   bench-record emission behind the serving perf gate.
+//!   bench record they emit.
 
 pub mod batch;
 pub mod frame;

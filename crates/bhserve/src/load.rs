@@ -4,12 +4,9 @@
 //! The mix is a small grid of *cells* — (scenario, backend, size) shapes —
 //! and every simulated client is pinned to one cell round-robin.  All
 //! clients of a cell submit the *identical* job (same seed, same config),
-//! which makes the serving rows deterministic in the engine's counters
-//! (the baseline diff compares sweep points by full spec equality) and
+//! which makes the serving rows deterministic in the engine's counters and
 //! exercises the single-flight coalescing path the way a popular demo
-//! workload would.  Cell sizes are deliberately disjoint from the
-//! `benchsuite` grids, so serving rows and standalone rows never collide
-//! in a merged record and each gate sees exactly the rows it owns.
+//! workload would.
 //!
 //! Beyond the measured traffic the harness mixes in:
 //!
@@ -24,9 +21,9 @@
 //!
 //! Latency is measured at the client: request write to response read,
 //! framing and queueing included.  Wall-clock numbers (latency percentiles,
-//! throughput) are host-dependent and informational — the perf gate
-//! compares only the deterministic counters and simulated times, exactly
-//! as it does for standalone rows.
+//! throughput) are host-dependent: the record says what this fleet saw on
+//! this host, and nothing compares it with another run's (the serving
+//! path's performance is judged by `benchmark/`'s `serve-mix` workload).
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -56,15 +53,11 @@ pub struct Cell {
 pub enum Mix {
     /// The three small cells — seconds of runtime, used by the CI smoke job.
     Quick,
-    /// The quick cells plus the same shapes at larger sizes — the grid
-    /// committed in `BENCH_*.json`.
+    /// The quick cells plus the same shapes at larger sizes.
     Full,
 }
 
-/// The serving-mix shapes.  Sizes are disjoint from every `benchsuite`
-/// grid size (512/2048/4096 sweeps, 2048/4096/8192 kernels) so merged
-/// records keep serving and standalone rows separate under the baseline
-/// diff's size-scoped exemptions.
+/// The serving-mix shapes.
 pub fn cells(mix: Mix) -> Vec<Cell> {
     let quick = vec![
         Cell { scenario: "plummer", backend: "upc", nbodies: 48 },
@@ -117,8 +110,8 @@ impl Cell {
     }
 
     /// The bench-row identity under an explicit service axis value —
-    /// chaos rows use [`SERVICE_CHAOS`] so the fault-free serving rows and
-    /// the failure-path rows never collide under the baseline diff.
+    /// chaos rows use [`SERVICE_CHAOS`]: the same job measured under
+    /// injected failures is a different measurement protocol.
     pub fn spec_for(&self, scenarios: &scenarios::Registry, service: &str) -> RunSpec {
         let mut spec = RunSpec::new(self.scenario, self.backend, &self.config(scenarios));
         spec.service = service.to_string();
@@ -284,7 +277,7 @@ pub fn run(opts: &LoadOptions, scenarios: &scenarios::Registry) -> Result<LoadRe
     }
 
     let service = if opts.chaos { SERVICE_CHAOS } else { SERVICE_BHSERVE };
-    let mut record = Record::new(bh_bench::suite::commit_id(), opts.mix == Mix::Quick);
+    let mut record = Record::new(commit_id(), opts.mix == Mix::Quick);
     let mut measured_requests = 0;
     for (i, cell) in mix.iter().enumerate() {
         let samples = &samples_by_cell[i];
@@ -312,6 +305,30 @@ pub fn run(opts: &LoadOptions, scenarios: &scenarios::Registry) -> Result<LoadRe
         failures: 0,
         elapsed_seconds,
     })
+}
+
+/// The current git commit id (with a `-dirty` suffix when the working tree
+/// has uncommitted changes), or `"unknown"` outside a checkout.
+fn commit_id() -> String {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+    };
+    let Some(head) = git(&["rev-parse", "--short=12", "HEAD"]) else {
+        return "unknown".to_string();
+    };
+    let head = head.trim().to_string();
+    if head.is_empty() {
+        return "unknown".to_string();
+    }
+    match git(&["status", "--porcelain"]) {
+        Some(status) if status.trim().is_empty() => head,
+        _ => format!("{head}-dirty"),
+    }
 }
 
 /// The role a client index plays in the mix.
@@ -454,8 +471,7 @@ fn one_shot(client: &mut Client, cell: &Cell, tenant: &str) -> Result<Sample, St
 /// with [`E_OVERLOADED`], fall back to reconnect-per-attempt retries with
 /// deterministic backoff.  A recovered request records how long recovery
 /// took (`recovery_ms`, first send → final success) and `error_rate = 1.0`
-/// (its first attempt failed); a clean request records zeros, so fault-free
-/// chaos rows aggregate to the legacy values.
+/// (its first attempt failed); a clean request records zeros.
 fn one_shot_chaos(
     client: &mut Client,
     addr: &SocketAddr,
@@ -775,40 +791,9 @@ fn disconnect_flow(mut client: Client, cell: &Cell) -> Result<(), String> {
     Ok(())
 }
 
-/// Replaces rows of an existing committed record with `serving`'s rows,
-/// scoped by *service*: only rows whose service axis appears in the
-/// incoming record are replaced, so a `bhserve` merge keeps standalone and
-/// chaos rows untouched (and vice versa).  Idempotent per service.
-pub fn merge_into_record(existing_json: &str, serving: &Record) -> Result<Record, String> {
-    let mut merged = Record::from_json(existing_json)?;
-    let incoming: std::collections::HashSet<&str> =
-        serving.runs.iter().map(|r| r.spec.service.as_str()).collect();
-    merged.runs.retain(|r| !incoming.contains(r.spec.service.as_str()));
-    merged.runs.extend(serving.runs.iter().cloned());
-    merged.validate()?;
-    Ok(merged)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn mix_sizes_stay_disjoint_from_benchsuite_grids() {
-        // benchsuite sweeps 512/2048/4096 and kernels 2048/4096/8192; a
-        // collision would let a serving row shadow a standalone row under
-        // the size-scoped baseline exemptions.
-        let reserved = [512, 2048, 4096, 8192];
-        for cell in cells(Mix::Full) {
-            assert!(
-                !reserved.contains(&cell.nbodies),
-                "serving cell size {} collides with a benchsuite grid size",
-                cell.nbodies
-            );
-        }
-        assert_eq!(cells(Mix::Quick).len(), 3);
-        assert_eq!(cells(Mix::Full).len(), 6);
-    }
 
     #[test]
     fn specs_carry_the_serving_service_axis() {
@@ -839,60 +824,5 @@ mod tests {
         let no_abuse = LoadOptions::default();
         assert!(matches!(role_of(1, &no_abuse), Role::Measured));
         assert!(matches!(role_of(2, &no_abuse), Role::Measured));
-    }
-
-    #[test]
-    fn merge_replaces_only_serving_rows() {
-        let registry = scenarios::builtin();
-        let mk_serving = |latency: f64| {
-            let mut record = Record::new("test".to_string(), false);
-            for cell in cells(Mix::Quick) {
-                let sample = Sample {
-                    wall_ms: latency,
-                    latency_ms: latency,
-                    phases: PhaseTimes::default(),
-                    total_sim: 1.0,
-                    migration_fraction: 0.0,
-                    tree_bytes: 0,
-                    recovery_ms: 0.0,
-                    error_rate: 0.0,
-                    stats: RankStats { interactions: 10, ..Default::default() },
-                };
-                let mut run = RunRecord::from_samples(cell.spec(&registry), &[sample]);
-                run.throughput_rps = 5.0;
-                record.runs.push(run);
-            }
-            record
-        };
-        // An "existing" record with one standalone row plus stale serving rows.
-        let mut existing = mk_serving(9.0);
-        let cfg = SimConfig::new(512, Machine::power5(2, 1, false), OptLevel::Subspace);
-        let standalone = Sample {
-            wall_ms: 1.0,
-            latency_ms: 0.0,
-            phases: PhaseTimes::default(),
-            total_sim: 2.0,
-            migration_fraction: 0.0,
-            tree_bytes: 0,
-            recovery_ms: 0.0,
-            error_rate: 0.0,
-            stats: RankStats { interactions: 99, ..Default::default() },
-        };
-        existing
-            .runs
-            .push(RunRecord::from_samples(RunSpec::new("plummer", "upc", &cfg), &[standalone]));
-        let fresh = mk_serving(3.0);
-        let merged = merge_into_record(&existing.to_json(), &fresh).unwrap();
-        assert_eq!(merged.runs.len(), 4, "3 serving rows + 1 standalone");
-        let standalone_rows: Vec<_> =
-            merged.runs.iter().filter(|r| r.spec.service != SERVICE_BHSERVE).collect();
-        assert_eq!(standalone_rows.len(), 1);
-        assert_eq!(standalone_rows[0].interactions, 99);
-        for row in merged.runs.iter().filter(|r| r.spec.service == SERVICE_BHSERVE) {
-            assert_eq!(row.latency_ms.median, 3.0, "stale serving rows must be replaced");
-        }
-        // Merging the same serving record again is a no-op in shape.
-        let again = merge_into_record(&merged.to_json(), &fresh).unwrap();
-        assert_eq!(again.runs.len(), merged.runs.len());
     }
 }

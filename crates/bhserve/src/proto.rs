@@ -10,8 +10,7 @@
 //! quota failures.
 //!
 //! The vendored serde stack serializes but does not deserialize, so
-//! requests are decoded by hand over the [`Value`] tree — the same pattern
-//! `engine::bench` uses for committed records.
+//! requests are decoded by hand over the [`Value`] tree.
 //!
 //! Body state in `snapshot` responses is **bit-exact**: every `f64` is
 //! encoded as the 16-hex-digit big-endian rendering of its IEEE-754 bits

@@ -1,47 +1,29 @@
-//! The benchmark vocabulary: run specifications, repetition samples,
-//! schema-versioned records and baseline diffing.
+//! The run-record vocabulary: what `bhsim --json` and `bhload` write.
 //!
-//! The paper's core claim is *comparative performance* — per-phase timing
-//! and communication traffic of the optimization ladder across machine
-//! shapes — so the workspace needs a machine-readable trajectory of those
-//! numbers and a way for CI to catch a regression.  This module holds the
-//! types that the `benchsuite` binary (in `bh-bench`) and the `bhsim`
-//! `--compare` driver share:
+//! * [`RunSpec`] — the identity of one measured configuration (scenario ×
+//!   backend × opt level × walk × build × service × machine shape × size),
+//!   with a stable [`RunSpec::key`] used to label rows.
+//! * [`Sample`] — one run's measurements: host wall time plus the
+//!   emulator's outputs (simulated per-phase seconds, traffic counters).
+//!   `bhsim --json` prints one per backend.
+//! * [`RunRecord`] — medians/percentiles over the samples of one spec.
+//! * [`Record`] — the `bhbench/v1` document ([`SCHEMA`]) `bhload` writes:
+//!   one [`RunRecord`] per cell of its serving mix.
 //!
-//! * [`RunSpec`] — one point of the sweep (scenario × backend × opt level ×
-//!   machine shape × size), with a stable [`RunSpec::key`] used to match
-//!   runs against a committed baseline.
-//! * [`Sample`] — one repetition's measurements: real wall time plus the
-//!   deterministic outputs (simulated per-phase seconds, traffic counters).
-//! * [`RunRecord`] / [`KernelRecord`] — aggregated medians/p90s over the
-//!   repetitions of one sweep point / one force-kernel A-B pair.
-//! * [`Record`] — the schema-versioned document written to `BENCH_*.json`
-//!   ([`SCHEMA`]), parseable back via [`Record::from_json`].
-//! * [`diff_against_baseline`] / [`kernel_regressions`] — the regression
-//!   gate: deterministic metrics are compared against the committed
-//!   baseline under a configurable threshold, and the leaf-coalesced force
-//!   kernel must not lose to the per-body walk it replaced.
-//!
-//! Wall-clock times are recorded (median/p90 over repetitions) but **never
-//! gated against the baseline**: the committed record was produced on a
-//! different machine than the CI runner, so only the emulator's
-//! deterministic outputs — simulated phase times and traffic counters — are
-//! comparable across hosts.  The one wall-clock gate is *within* a record:
-//! the kernel A-B pair ran on the same host seconds apart, so their ratio
-//! is meaningful anywhere.
+//! Nothing in the workspace reads a record back: performance is judged by
+//! `benchmark/` (bhmark + bhtrace) on same-host parent/change pairs, never
+//! by comparing against numbers recorded on another host or in another run.
 
 use crate::compare::BackendRun;
 use crate::config::SimConfig;
 use crate::report::{Phase, PhaseTimes};
 use pgas::RankStats;
-use serde::{Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 /// Schema identifier written into (and required of) every record.
 pub const SCHEMA: &str = "bhbench/v1";
 
-/// [`RunSpec::service`] value for standalone simulation runs (`benchsuite`,
-/// `bhsim --compare`) — the only service that existed before the serving
-/// path, and the decode default for records that predate the axis.
+/// [`RunSpec::service`] value for standalone simulation runs (`bhsim`).
 pub const SERVICE_SIM: &str = "sim";
 /// [`RunSpec::service`] value for rows measured through the `bhserve`
 /// daemon by the `bhload` stress driver (request latency percentiles and
@@ -49,29 +31,15 @@ pub const SERVICE_SIM: &str = "sim";
 pub const SERVICE_BHSERVE: &str = "bhserve";
 /// [`RunSpec::service`] value for rows measured by `bhload --chaos` — the
 /// serving mix driven while faults are injected (daemon kills, client
-/// aborts, frame faults).  A separate service axis value so chaos rows never
-/// collide with the healthy serving rows under the baseline diff: the same
-/// job measured under injected failures is a different measurement protocol.
+/// aborts, frame faults).  The same job measured under injected failures is
+/// a different measurement protocol, so it gets its own service value.
 pub const SERVICE_CHAOS: &str = "chaos";
 
-/// [`RunSpec::warm`] value for runs integrated from `t = 0` (every run
-/// before the warm-start pathway, and the decode default for records that
-/// predate the axis).
+/// [`RunSpec::warm`] value for runs integrated from `t = 0` — every run the
+/// workspace measures today.
 pub const WARM_COLD: &str = "cold";
 
-/// [`RunSpec::warm`] value for a run resumed from a snapshot taken after a
-/// `prefix`-step equilibration prefix.
-pub fn warm_label(prefix: usize) -> String {
-    format!("warm[p{prefix}]")
-}
-
-/// Kernel-record engine name for the batched (SoA) cached walk.
-pub const KERNEL_COALESCED: &str = "leaf-coalesced";
-/// Kernel-record engine name for the per-body reference walk (one node
-/// record chased per leaf — the replaced walk's memory behavior).
-pub const KERNEL_PER_BODY: &str = "per-body-walk";
-
-/// One point of the benchmark sweep.
+/// The identity of one measured configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunSpec {
     /// Workload family (scenario registry key).
@@ -84,39 +52,22 @@ pub struct RunSpec {
     /// Tree-lifecycle policy label, parameters included
     /// ([`crate::TreePolicy::spec_label`], e.g. `reuse[e8,d0.25]`).  The
     /// cadence/drift parameters change the measurement protocol, so they
-    /// are part of the sweep point's identity: a parameter change retires
-    /// the old key (flagged by the baseline diff) instead of silently
-    /// comparing incomparable numbers under it.
+    /// are part of the identity.
     pub policy: String,
-    /// Force-walk mode name ([`crate::WalkMode::name`]).  Like `policy`,
-    /// part of the sweep point's identity: a group-walk row and a per-body
-    /// row of the same grid point are different measurement protocols.
-    /// Records predating the walk axis decode as `per-body` (the only walk
-    /// that existed), so their keys keep matching.
+    /// Force-walk mode name ([`crate::WalkMode::name`]): a group-walk row
+    /// and a per-body row of the same point are different protocols.
     pub walk: String,
-    /// Tree-construction algorithm name ([`crate::TreeBuild::name`]).  Like
-    /// `walk`, part of the sweep point's identity: the sorted build and
-    /// global insertion are different measurement protocols for the tree
-    /// phase.  Records predating the build axis decode as `insertion` (the
-    /// only build that existed), so their keys keep matching.
+    /// Tree-construction algorithm name ([`crate::TreeBuild::name`]): the
+    /// sorted build and global insertion are different protocols for the
+    /// tree phase.
     pub build: String,
     /// Measurement pathway: [`SERVICE_SIM`] for standalone runs,
-    /// [`SERVICE_BHSERVE`] for rows driven through the serving daemon by
-    /// `bhload`.  Part of the sweep-point identity — the same job measured
-    /// through the service carries framing, dispatch and queueing that a
-    /// standalone run does not — and a key axis ([`KEY_AXES`]), so serving
-    /// rows diff cleanly against pre-serving baselines through the
-    /// allow-new-axes pathway.  Records predating the axis decode as
-    /// [`SERVICE_SIM`].
+    /// [`SERVICE_BHSERVE`] / [`SERVICE_CHAOS`] for rows driven through the
+    /// serving daemon by `bhload` — the same job measured through the
+    /// service carries framing, dispatch and queueing that a standalone run
+    /// does not.
     pub service: String,
-    /// Warm-start pathway: [`WARM_COLD`] for runs integrated from `t = 0`;
-    /// `warm[p<K>]` for runs resumed from a shared snapstore snapshot taken
-    /// after a `K`-step equilibration prefix.  Part of the sweep-point
-    /// identity — a resumed run measures only the post-prefix tail, so its
-    /// numbers are incomparable with a cold run of the same grid point —
-    /// and a key axis ([`KEY_AXES`]), so warm rows diff cleanly against
-    /// pre-warm baselines through the allow-new-axes pathway.  Records
-    /// predating the axis decode as [`WARM_COLD`].
+    /// Warm-start pathway; always [`WARM_COLD`].
     pub warm: String,
     /// Number of bodies.
     pub nbodies: usize,
@@ -153,8 +104,7 @@ impl RunSpec {
         }
     }
 
-    /// Stable identity used to match runs between a current record and a
-    /// committed baseline.
+    /// Stable one-line identity, used to label a row in reports and errors.
     pub fn key(&self) -> String {
         format!(
             "{}/{}/{}/{}/{}/{}/{}/{}/n{}/m{}x{}",
@@ -173,7 +123,7 @@ impl RunSpec {
     }
 }
 
-/// One repetition's measurements for a sweep point.
+/// One run's measurements.
 #[derive(Debug, Clone, Serialize)]
 pub struct Sample {
     /// Real (host) wall time of the whole run, milliseconds.
@@ -195,8 +145,7 @@ pub struct Sample {
     pub tree_bytes: u64,
     /// Milliseconds this request spent in recovery — reconnects, backoff
     /// and retries — before it finally succeeded.  `0.0` for requests that
-    /// succeeded on the first attempt, for fault-free rows and for records
-    /// predating the field.  Host-dependent, never gated.
+    /// succeeded on the first attempt and for fault-free rows.
     pub recovery_ms: f64,
     /// `1.0` when the request's first attempt failed (it was recovered by a
     /// retry), `0.0` otherwise — aggregates to the cell's error rate.
@@ -222,18 +171,16 @@ impl Sample {
     }
 }
 
-/// Median (p50), 90th and 99th percentile of a set of repetitions
+/// Median (p50), 90th and 99th percentile of a set of samples
 /// (nearest-rank).  The p99 exists for the serving path, where tail latency
-/// over thousands of requests is the headline number; records written before
-/// the field decode it as `0.0` ("not recorded").
+/// over thousands of requests is the headline number.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Stat {
-    /// Median (nearest-rank) over the repetitions — the p50.
+    /// Median (nearest-rank) over the samples — the p50.
     pub median: f64,
-    /// 90th percentile (nearest-rank) over the repetitions.
+    /// 90th percentile (nearest-rank) over the samples.
     pub p90: f64,
-    /// 99th percentile (nearest-rank) over the repetitions; `0.0` in records
-    /// that predate the field.
+    /// 99th percentile (nearest-rank) over the samples.
     pub p99: f64,
 }
 
@@ -269,41 +216,36 @@ fn median_u64(values: impl Iterator<Item = u64>) -> u64 {
     v[(v.len() - 1) / 2]
 }
 
-/// Aggregated repetitions of one sweep point.
+/// Aggregated samples of one spec.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RunRecord {
-    /// The sweep point.
+    /// The measured configuration.
     pub spec: RunSpec,
-    /// Number of repetitions aggregated.
+    /// Number of samples aggregated.
     pub reps: usize,
-    /// Wall time of the whole run (informational; host-dependent).
+    /// Wall time of the whole run (host-dependent).
     pub wall_ms: Stat,
-    /// Client-observed request latency over the repetitions (p50/p90/p99,
-    /// milliseconds).  Populated for serving rows ([`SERVICE_BHSERVE`]);
-    /// all-zero for standalone runs and for records predating the field.
-    /// Host-dependent like `wall_ms`, so never gated against a baseline.
+    /// Client-observed request latency over the samples (p50/p90/p99,
+    /// milliseconds).  Populated for serving rows; all-zero for standalone
+    /// runs.  Host-dependent like `wall_ms`.
     pub latency_ms: Stat,
     /// Completed requests per second over the measurement window.  `0.0`
-    /// for standalone runs and legacy records; host-dependent, never gated.
+    /// for standalone runs; host-dependent.
     pub throughput_rps: f64,
-    /// Per-phase simulated medians over the repetitions.
+    /// Per-phase simulated medians over the samples.
     pub phases_median: PhaseTimes,
-    /// Per-phase simulated p90s over the repetitions.
+    /// Per-phase simulated p90s over the samples.
     pub phases_p90: PhaseTimes,
     /// Median simulated makespan.
     pub total_sim_median: f64,
     /// Median interaction count (deterministic up to tree-build races).
     pub interactions: u64,
     /// Median multipole-acceptance test count (the traversal-volume counter
-    /// the group walk amortizes).  Records predating the walk axis decode
-    /// as 0 ("not recorded") and the metric is then exempt from diffing.
+    /// the group walk amortizes).
     pub macs: u64,
-    /// Median elementary tree-operation count.  Like `macs`, 0 in records
-    /// that predate the counter.
+    /// Median elementary tree-operation count.
     pub tree_ops: u64,
     /// Median peak node-arena bytes (the compact-layout memory metric).
-    /// Like `macs`, 0 in records that predate the counter, and the metric
-    /// is then exempt from diffing.
     pub tree_bytes: u64,
     /// Median fine-grained remote gets.
     pub remote_gets: u64,
@@ -317,19 +259,17 @@ pub struct RunRecord {
     pub bytes_out: u64,
     /// Median global lock acquisitions.
     pub lock_acquires: u64,
-    /// Worst-case recovery time over the repetitions, milliseconds — the
+    /// Worst-case recovery time over the samples, milliseconds — the
     /// longest any request spent reconnecting/retrying before it succeeded.
-    /// `0.0` for fault-free rows and records predating the field.
-    /// Host-dependent like `wall_ms`/`latency_ms`, so never gated.
+    /// `0.0` for fault-free rows.  Host-dependent.
     pub recovery_ms: f64,
     /// Fraction of requests whose first attempt failed and were recovered
-    /// by a retry, in `[0, 1]`.  `0.0` for fault-free rows and legacy
-    /// records.  Informational, never gated.
+    /// by a retry, in `[0, 1]`.  `0.0` for fault-free rows.
     pub error_rate: f64,
 }
 
 impl RunRecord {
-    /// Aggregates the repetitions of one sweep point.
+    /// Aggregates the samples of one spec.
     pub fn from_samples(spec: RunSpec, samples: &[Sample]) -> RunRecord {
         assert!(!samples.is_empty(), "a run record needs at least one sample");
         let walls: Vec<f64> = samples.iter().map(|s| s.wall_ms).collect();
@@ -372,64 +312,23 @@ impl RunRecord {
     }
 }
 
-/// Aggregated repetitions of one force-kernel measurement (one engine of an
-/// A-B pair; records with both engines for the same scenario and size form
-/// the comparison the perf gate checks).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct KernelRecord {
-    /// Workload family.
-    pub scenario: String,
-    /// Number of bodies walked.
-    pub nbodies: usize,
-    /// Kernel engine: [`KERNEL_COALESCED`] or [`KERNEL_PER_BODY`].
-    pub engine: String,
-    /// Number of repetitions aggregated.
-    pub reps: usize,
-    /// Wall time of computing all forces once, milliseconds.
-    pub force_wall_ms: Stat,
-    /// Interactions evaluated per repetition (identical across engines).
-    pub interactions: u64,
-}
-
-/// The sweep axes every record produced by the current code encodes in its
-/// [`RunSpec::key`]s, beyond the original scenario/backend/opt/size/machine
-/// vocabulary.  Written into [`Record::axes`] so the baseline diff can tell
-/// an *axis addition* (the grid legitimately grew a dimension the baseline
-/// predates) from a point silently vanishing.
-pub const KEY_AXES: [&str; 5] = ["policy", "walk", "build", "service", "warm"];
-
-/// The schema-versioned document committed as `BENCH_*.json`.
+/// The schema-versioned document `bhload --out` / `--json` writes.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Record {
     /// Always [`SCHEMA`].
     pub schema: String,
     /// Commit the record was produced from (`unknown` outside a checkout).
     pub commit: String,
-    /// `true` when only the quick grid was run.
+    /// `true` when only the quick mix was run.
     pub quick: bool,
-    /// The optional key axes this record's grid encodes (see [`KEY_AXES`]).
-    /// Legacy records decode the axes they historically carried, so a
-    /// current run diffing against an older baseline can recognize the
-    /// axis addition and allow the grid restructuring it implies
-    /// ([`BaselineDiff::missing_allowed`]).
-    pub axes: Vec<String>,
-    /// Aggregated sweep points.
+    /// Aggregated rows, one per measured spec.
     pub runs: Vec<RunRecord>,
-    /// Aggregated force-kernel measurements.
-    pub kernels: Vec<KernelRecord>,
 }
 
 impl Record {
     /// An empty record for the given provenance.
     pub fn new(commit: String, quick: bool) -> Record {
-        Record {
-            schema: SCHEMA.to_string(),
-            commit,
-            quick,
-            axes: KEY_AXES.iter().map(|a| a.to_string()).collect(),
-            runs: Vec::new(),
-            kernels: Vec::new(),
-        }
+        Record { schema: SCHEMA.to_string(), commit, quick, runs: Vec::new() }
     }
 
     /// Checks the structural invariants every well-formed record satisfies.
@@ -445,16 +344,12 @@ impl Record {
             if run.reps == 0 {
                 return Err(format!("{key}: zero repetitions"));
             }
-            if run.wall_ms.median < 0.0 || run.wall_ms.p90 < run.wall_ms.median {
+            let wall = &run.wall_ms;
+            if wall.median < 0.0 || wall.p90 < wall.median || wall.p99 < wall.p90 {
                 return Err(format!("{key}: ill-formed wall_ms stat"));
             }
-            // The p99 may be 0 ("not recorded", legacy records); when
-            // recorded it must sit at or above the p90.
-            if run.wall_ms.p99 > 0.0 && run.wall_ms.p99 < run.wall_ms.p90 {
-                return Err(format!("{key}: ill-formed wall_ms stat (p99 < p90)"));
-            }
             let lat = &run.latency_ms;
-            if lat.median < 0.0 || lat.p90 < lat.median || (lat.p99 > 0.0 && lat.p99 < lat.p90) {
+            if lat.median < 0.0 || lat.p90 < lat.median || lat.p99 < lat.p90 {
                 return Err(format!("{key}: ill-formed latency_ms stat"));
             }
             if !run.throughput_rps.is_finite() || run.throughput_rps < 0.0 {
@@ -479,14 +374,6 @@ impl Record {
                 return Err(format!("{key}: error_rate must lie in [0, 1]"));
             }
         }
-        for k in &self.kernels {
-            if k.engine != KERNEL_COALESCED && k.engine != KERNEL_PER_BODY {
-                return Err(format!("unknown kernel engine {:?}", k.engine));
-            }
-            if k.reps == 0 || k.interactions == 0 || k.force_wall_ms.median <= 0.0 {
-                return Err(format!("ill-formed kernel record {}/{}", k.scenario, k.engine));
-            }
-        }
         Ok(())
     }
 
@@ -494,492 +381,6 @@ impl Record {
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("serialize bench record")
     }
-
-    /// Parses and validates a record from JSON text (a committed
-    /// `BENCH_*.json`).  Any structural problem is a schema violation and
-    /// reported as `Err`.
-    pub fn from_json(text: &str) -> Result<Record, String> {
-        let value = serde_json::from_str(text).map_err(|e| format!("invalid JSON: {e}"))?;
-        let record = decode_record(&value)?;
-        record.validate()?;
-        Ok(record)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// JSON decoding (the vendored serde derives serialization only).
-
-fn field<'a>(v: &'a Value, key: &str, ctx: &str) -> Result<&'a Value, String> {
-    v.get(key).ok_or_else(|| format!("{ctx}: missing field {key:?}"))
-}
-
-fn f64_field(v: &Value, key: &str, ctx: &str) -> Result<f64, String> {
-    field(v, key, ctx)?.as_f64().ok_or_else(|| format!("{ctx}: field {key:?} is not a number"))
-}
-
-fn u64_field(v: &Value, key: &str, ctx: &str) -> Result<u64, String> {
-    field(v, key, ctx)?
-        .as_u64()
-        .ok_or_else(|| format!("{ctx}: field {key:?} is not a non-negative integer"))
-}
-
-fn usize_field(v: &Value, key: &str, ctx: &str) -> Result<usize, String> {
-    Ok(u64_field(v, key, ctx)? as usize)
-}
-
-fn str_field(v: &Value, key: &str, ctx: &str) -> Result<String, String> {
-    Ok(field(v, key, ctx)?
-        .as_str()
-        .ok_or_else(|| format!("{ctx}: field {key:?} is not a string"))?
-        .to_string())
-}
-
-fn decode_stat(v: &Value, ctx: &str) -> Result<Stat, String> {
-    Ok(Stat {
-        median: f64_field(v, "median", ctx)?,
-        p90: f64_field(v, "p90", ctx)?,
-        // Records written before the p99 field decode as 0 ("not recorded").
-        p99: match v.get("p99") {
-            Some(_) => f64_field(v, "p99", ctx)?,
-            None => 0.0,
-        },
-    })
-}
-
-fn decode_phases(v: &Value, ctx: &str) -> Result<PhaseTimes, String> {
-    Ok(PhaseTimes {
-        tree: f64_field(v, "tree", ctx)?,
-        cofm: f64_field(v, "cofm", ctx)?,
-        partition: f64_field(v, "partition", ctx)?,
-        redistribute: f64_field(v, "redistribute", ctx)?,
-        force: f64_field(v, "force", ctx)?,
-        advance: f64_field(v, "advance", ctx)?,
-    })
-}
-
-fn decode_spec(v: &Value, ctx: &str) -> Result<RunSpec, String> {
-    Ok(RunSpec {
-        scenario: str_field(v, "scenario", ctx)?,
-        backend: str_field(v, "backend", ctx)?,
-        opt: str_field(v, "opt", ctx)?,
-        // Records predating the tree-lifecycle subsystem ran the paper's
-        // per-step rebuild.
-        policy: match v.get("policy") {
-            Some(_) => str_field(v, "policy", ctx)?,
-            None => "rebuild".to_string(),
-        },
-        // Records predating the walk axis ran the only walk that existed.
-        walk: match v.get("walk") {
-            Some(_) => str_field(v, "walk", ctx)?,
-            None => "per-body".to_string(),
-        },
-        // Records predating the build axis ran the only build that existed.
-        build: match v.get("build") {
-            Some(_) => str_field(v, "build", ctx)?,
-            None => "insertion".to_string(),
-        },
-        // Records predating the serving path are all standalone runs.
-        service: match v.get("service") {
-            Some(_) => str_field(v, "service", ctx)?,
-            None => SERVICE_SIM.to_string(),
-        },
-        // Records predating the warm-start pathway all integrated from t=0.
-        warm: match v.get("warm") {
-            Some(_) => str_field(v, "warm", ctx)?,
-            None => WARM_COLD.to_string(),
-        },
-        nbodies: usize_field(v, "nbodies", ctx)?,
-        nodes: usize_field(v, "nodes", ctx)?,
-        threads_per_node: usize_field(v, "threads_per_node", ctx)?,
-        seed: u64_field(v, "seed", ctx)?,
-        steps: usize_field(v, "steps", ctx)?,
-        measured_steps: usize_field(v, "measured_steps", ctx)?,
-    })
-}
-
-fn decode_run(v: &Value) -> Result<RunRecord, String> {
-    let spec = decode_spec(field(v, "spec", "run")?, "run.spec")?;
-    let ctx = spec.key();
-    Ok(RunRecord {
-        reps: usize_field(v, "reps", &ctx)?,
-        wall_ms: decode_stat(field(v, "wall_ms", &ctx)?, &ctx)?,
-        // Serving-path fields; standalone and legacy records carry zeros.
-        latency_ms: match v.get("latency_ms") {
-            Some(stat) => decode_stat(stat, &ctx)?,
-            None => Stat::zero(),
-        },
-        throughput_rps: match v.get("throughput_rps") {
-            Some(_) => f64_field(v, "throughput_rps", &ctx)?,
-            None => 0.0,
-        },
-        phases_median: decode_phases(field(v, "phases_median", &ctx)?, &ctx)?,
-        phases_p90: decode_phases(field(v, "phases_p90", &ctx)?, &ctx)?,
-        total_sim_median: f64_field(v, "total_sim_median", &ctx)?,
-        interactions: u64_field(v, "interactions", &ctx)?,
-        // Counters added after bhbench/v1 records were first committed
-        // decode as 0 ("not recorded"); the diff exempts them then.
-        macs: match v.get("macs") {
-            Some(_) => u64_field(v, "macs", &ctx)?,
-            None => 0,
-        },
-        tree_ops: match v.get("tree_ops") {
-            Some(_) => u64_field(v, "tree_ops", &ctx)?,
-            None => 0,
-        },
-        tree_bytes: match v.get("tree_bytes") {
-            Some(_) => u64_field(v, "tree_bytes", &ctx)?,
-            None => 0,
-        },
-        remote_gets: u64_field(v, "remote_gets", &ctx)?,
-        remote_puts: u64_field(v, "remote_puts", &ctx)?,
-        messages: u64_field(v, "messages", &ctx)?,
-        bytes_in: u64_field(v, "bytes_in", &ctx)?,
-        bytes_out: u64_field(v, "bytes_out", &ctx)?,
-        lock_acquires: u64_field(v, "lock_acquires", &ctx)?,
-        // Chaos-slice fields; fault-free and legacy records carry zeros.
-        recovery_ms: match v.get("recovery_ms") {
-            Some(_) => f64_field(v, "recovery_ms", &ctx)?,
-            None => 0.0,
-        },
-        error_rate: match v.get("error_rate") {
-            Some(_) => f64_field(v, "error_rate", &ctx)?,
-            None => 0.0,
-        },
-        spec,
-    })
-}
-
-fn decode_kernel(v: &Value) -> Result<KernelRecord, String> {
-    let ctx = "kernel";
-    Ok(KernelRecord {
-        scenario: str_field(v, "scenario", ctx)?,
-        nbodies: usize_field(v, "nbodies", ctx)?,
-        engine: str_field(v, "engine", ctx)?,
-        reps: usize_field(v, "reps", ctx)?,
-        force_wall_ms: decode_stat(field(v, "force_wall_ms", ctx)?, ctx)?,
-        interactions: u64_field(v, "interactions", ctx)?,
-    })
-}
-
-fn decode_record(v: &Value) -> Result<Record, String> {
-    let runs = field(v, "runs", "record")?
-        .as_array()
-        .ok_or("record: runs is not an array")?
-        .iter()
-        .map(decode_run)
-        .collect::<Result<Vec<_>, _>>()?;
-    let kernels = field(v, "kernels", "record")?
-        .as_array()
-        .ok_or("record: kernels is not an array")?
-        .iter()
-        .map(decode_kernel)
-        .collect::<Result<Vec<_>, _>>()?;
-    // Records written before the axes field infer the axes their key
-    // vocabulary historically carried: the policy axis shipped together
-    // with the `policy` spec field, the walk axis with the axes field
-    // itself.
-    let axes = match v.get("axes") {
-        // Present but malformed is a schema violation like any other field
-        // — a mis-shaped axes list must not silently activate the
-        // allow-new-keys leniency through the legacy-inference fallback.
-        Some(val) => val
-            .as_array()
-            .ok_or("record: axes is not an array")?
-            .iter()
-            .map(|a| a.as_str().map(str::to_string).ok_or("record: axes entry is not a string"))
-            .collect::<Result<Vec<_>, _>>()?,
-        None => {
-            let has_policy = field(v, "runs", "record")?
-                .as_array()
-                .and_then(|runs| runs.first())
-                .and_then(|r| r.get("spec"))
-                .map(|s| s.get("policy").is_some())
-                .unwrap_or(false);
-            if has_policy {
-                vec!["policy".to_string()]
-            } else {
-                Vec::new()
-            }
-        }
-    };
-    Ok(Record {
-        schema: str_field(v, "schema", "record")?,
-        commit: str_field(v, "commit", "record")?,
-        quick: field(v, "quick", "record")?.as_bool().ok_or("record: quick is not a bool")?,
-        axes,
-        runs,
-        kernels,
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Baseline diffing.
-
-/// One metric compared against the baseline.
-#[derive(Debug, Clone, Serialize)]
-pub struct MetricDiff {
-    /// The sweep point ([`RunSpec::key`]) or kernel pair the metric belongs
-    /// to.
-    pub key: String,
-    /// Metric name.
-    pub metric: String,
-    /// Baseline value.
-    pub baseline: f64,
-    /// Current value.
-    pub current: f64,
-    /// `current / baseline`.
-    pub ratio: f64,
-}
-
-impl MetricDiff {
-    fn describe(&self) -> String {
-        format!(
-            "{} {}: {:.4} -> {:.4} ({:+.1}%)",
-            self.key,
-            self.metric,
-            self.baseline,
-            self.current,
-            100.0 * (self.ratio - 1.0)
-        )
-    }
-}
-
-/// Outcome of diffing a record against a committed baseline.
-#[derive(Debug, Clone, Default)]
-pub struct BaselineDiff {
-    /// Number of sweep points found in both records.
-    pub compared: usize,
-    /// Deterministic metrics that regressed past the threshold.
-    pub regressions: Vec<MetricDiff>,
-    /// Current sweep points with no baseline counterpart (informational —
-    /// new points are how the grid grows).
-    pub unmatched: Vec<String>,
-    /// Baseline sweep points and kernel engines the current record should
-    /// have reproduced but did not.  A run or kernel silently *vanishing*
-    /// from the grid is a gate violation, not a pass: historically the diff
-    /// only iterated the current record's keys, so deleting a scenario from
-    /// the grid (or one engine of a kernel A-B pair) made its regressions
-    /// unobservable.  When a quick record is diffed against a full
-    /// baseline, the baseline's full-grid points (a measurement protocol no
-    /// current point uses) are exempt.
-    pub missing: Vec<String>,
-    /// Baseline points absent from the current record *while the current
-    /// record declares a key axis the baseline predates*
-    /// ([`BaselineDiff::new_axes`] non-empty).  An axis addition
-    /// legitimately restructures the grid — old points move under new keys
-    /// or retire — so these are reported but are **not** gate violations;
-    /// once the baseline is regenerated with the new schema the axes match
-    /// again and every absence goes back to [`BaselineDiff::missing`].
-    pub missing_allowed: Vec<String>,
-    /// Key axes the current record encodes that the baseline predates
-    /// (current [`Record::axes`] minus baseline axes).  Non-empty exactly
-    /// when the allow-new-keys pathway is active.
-    pub new_axes: Vec<String>,
-    /// Sweep points whose [`RunSpec::key`] matched but whose measurement
-    /// protocol (seed, steps, measured steps) differs — the baseline is
-    /// stale and the numbers are not comparable; callers must treat these
-    /// as an error, not a regression.
-    pub protocol_mismatches: Vec<String>,
-}
-
-impl BaselineDiff {
-    /// Human-readable summary lines of the regressions.
-    pub fn describe_regressions(&self) -> Vec<String> {
-        self.regressions.iter().map(MetricDiff::describe).collect()
-    }
-}
-
-/// Phases below this many simulated seconds are exempt from relative
-/// comparison: they are dominated by discrete cost-model quanta — a single
-/// extra barrier, lock retry or done-flag wait (whose count depends on real
-/// thread scheduling) flips the ratio wildly without meaning anything.  At
-/// the quick-grid sizes the centre-of-mass phase routinely swings 2x around
-/// half a millisecond per measured step from retry noise alone, so the
-/// floor sits above that band; makespans aggregate many quanta and stay
-/// gated by the tighter [`TOTAL_FLOOR_SIM_SECONDS`], and the deterministic
-/// traffic counters gate small-phase regressions regardless.
-const PHASE_FLOOR_SIM_SECONDS: f64 = 3e-3;
-
-/// Simulated makespans below this are exempt from relative comparison (see
-/// [`PHASE_FLOOR_SIM_SECONDS`]; totals are far less quantized, so the floor
-/// is only a guard against division nonsense).
-const TOTAL_FLOOR_SIM_SECONDS: f64 = 1e-4;
-
-/// Counters below this magnitude are exempt from relative comparison.
-const COUNTER_FLOOR: f64 = 64.0;
-
-/// Compares `current` against `baseline`: every sweep point present in both
-/// records has its **deterministic** metrics (simulated phase medians,
-/// simulated makespan, traffic counters) checked; a metric regresses when it
-/// exceeds the baseline by more than `threshold` (a fraction, e.g. `0.25`
-/// for the CI gate's 25 %).  Wall-clock times are never compared — they are
-/// host-dependent (see the module docs).
-///
-/// The diff is **symmetric**: baseline runs and kernel engines the current
-/// record should have reproduced but lacks are reported in
-/// [`BaselineDiff::missing`] and must be treated as gate violations (see
-/// the field docs for the quick-vs-full scoping).
-pub fn diff_against_baseline(current: &Record, baseline: &Record, threshold: f64) -> BaselineDiff {
-    let mut diff = BaselineDiff::default();
-    for run in &current.runs {
-        let key = run.spec.key();
-        let Some(base) = baseline.runs.iter().find(|b| b.spec.key() == key) else {
-            diff.unmatched.push(key);
-            continue;
-        };
-        // The key identifies the sweep point; the rest of the spec is the
-        // measurement protocol.  If it drifted (grid edited without
-        // regenerating the baseline), the numbers are incomparable — a
-        // relative check would report a spurious regression or mask a real
-        // one.
-        if base.spec != run.spec {
-            diff.protocol_mismatches.push(format!(
-                "{key}: seed/steps/measured_steps {}/{}/{} vs baseline {}/{}/{}",
-                run.spec.seed,
-                run.spec.steps,
-                run.spec.measured_steps,
-                base.spec.seed,
-                base.spec.steps,
-                base.spec.measured_steps
-            ));
-            continue;
-        }
-        diff.compared += 1;
-        let mut check = |metric: &str, baseline: f64, current: f64, floor: f64| {
-            if baseline < floor && current < floor {
-                return;
-            }
-            let ratio = current / baseline.max(f64::MIN_POSITIVE);
-            if ratio > 1.0 + threshold {
-                diff.regressions.push(MetricDiff {
-                    key: key.clone(),
-                    metric: metric.to_string(),
-                    baseline,
-                    current,
-                    ratio,
-                });
-            }
-        };
-        check("total_sim", base.total_sim_median, run.total_sim_median, TOTAL_FLOOR_SIM_SECONDS);
-        for phase in Phase::ALL {
-            check(
-                phase.key(),
-                base.phases_median.get(phase),
-                run.phases_median.get(phase),
-                PHASE_FLOOR_SIM_SECONDS,
-            );
-        }
-        check("interactions", base.interactions as f64, run.interactions as f64, COUNTER_FLOOR);
-        // Counters the baseline may predate (decoded as 0 = "not
-        // recorded") are only compared when the baseline recorded them.
-        if base.macs > 0 {
-            check("macs", base.macs as f64, run.macs as f64, COUNTER_FLOOR);
-        }
-        if base.tree_ops > 0 {
-            check("tree_ops", base.tree_ops as f64, run.tree_ops as f64, COUNTER_FLOOR);
-        }
-        if base.tree_bytes > 0 {
-            check("tree_bytes", base.tree_bytes as f64, run.tree_bytes as f64, COUNTER_FLOOR);
-        }
-        check(
-            "remote_ops",
-            (base.remote_gets + base.remote_puts) as f64,
-            (run.remote_gets + run.remote_puts) as f64,
-            COUNTER_FLOOR,
-        );
-        check("messages", base.messages as f64, run.messages as f64, COUNTER_FLOOR);
-        check("bytes_out", base.bytes_out as f64, run.bytes_out as f64, COUNTER_FLOOR);
-        check("lock_acquires", base.lock_acquires as f64, run.lock_acquires as f64, COUNTER_FLOOR);
-    }
-
-    // The allow-new-keys pathway: when the current record's schema declares
-    // a key axis the baseline predates, the grid has legitimately been
-    // restructured around the new dimension — baseline points may have
-    // moved under new keys or been retired, and demanding their literal
-    // keys back would force regenerating history just to add an axis.
-    // Absences are then reported (`missing_allowed`) but are not gate
-    // violations.  Axes the *baseline* has and the current record lacks are
-    // not an addition and get no leniency.
-    diff.new_axes = current.axes.iter().filter(|a| !baseline.axes.contains(a)).cloned().collect();
-    let axis_added = !diff.new_axes.is_empty();
-
-    // The symmetric direction: baseline points the current record failed to
-    // reproduce.  A quick record only re-runs the baseline's quick-sized
-    // points (the quick and full grids use disjoint problem sizes), so when
-    // a quick record is diffed against a full baseline the full-grid points
-    // — recognizable by a problem size no current point attempts — are
-    // exempt.
-    let quick_vs_full = current.quick && !baseline.quick;
-    let size_attempted = |n: usize| -> bool { current.runs.iter().any(|r| r.spec.nbodies == n) };
-    for base in &baseline.runs {
-        let key = base.spec.key();
-        if current.runs.iter().any(|r| r.spec.key() == key) {
-            continue;
-        }
-        if quick_vs_full && !size_attempted(base.spec.nbodies) {
-            continue;
-        }
-        if axis_added {
-            diff.missing_allowed.push(format!("run {key}"));
-        } else {
-            diff.missing.push(format!("run {key}"));
-        }
-    }
-    for base in &baseline.kernels {
-        let pair_in_current = current
-            .kernels
-            .iter()
-            .any(|k| k.scenario == base.scenario && k.nbodies == base.nbodies);
-        let engine_in_current = current.kernels.iter().any(|k| {
-            k.scenario == base.scenario && k.nbodies == base.nbodies && k.engine == base.engine
-        });
-        if engine_in_current {
-            continue;
-        }
-        // One engine of a measured pair vanishing is always a violation (the
-        // within-record kernel gate would silently stop comparing); a whole
-        // pair vanishing is a violation only when the two records ran the
-        // same kernel plan (quick-vs-full exempts the full-plan pairs).
-        if pair_in_current || !quick_vs_full {
-            let entry = format!("kernel {}/n{}/{}", base.scenario, base.nbodies, base.engine);
-            // Kernel pairs are keyed by scenario/size only — no axis ever
-            // restructures them — so a vanished *engine* of a pair still
-            // measured stays fatal even across an axis addition; only a
-            // wholly retired pair rides the allowance.
-            if axis_added && !pair_in_current {
-                diff.missing_allowed.push(entry);
-            } else {
-                diff.missing.push(entry);
-            }
-        }
-    }
-    diff
-}
-
-/// The within-record kernel gate: for every scenario/size measured with both
-/// engines, the leaf-coalesced kernel's median force time must not exceed
-/// the per-body walk's by more than `threshold` (both ran on the same host,
-/// so the ratio is host-independent).  Returns the offending pairs.
-pub fn kernel_regressions(record: &Record, threshold: f64) -> Vec<MetricDiff> {
-    let mut out = Vec::new();
-    for walk in record.kernels.iter().filter(|k| k.engine == KERNEL_PER_BODY) {
-        let pair = record.kernels.iter().find(|k| {
-            k.engine == KERNEL_COALESCED && k.scenario == walk.scenario && k.nbodies == walk.nbodies
-        });
-        if let Some(coalesced) = pair {
-            let ratio = coalesced.force_wall_ms.median / walk.force_wall_ms.median.max(1e-9);
-            if ratio > 1.0 + threshold {
-                out.push(MetricDiff {
-                    key: format!("kernel {}/n{}", walk.scenario, walk.nbodies),
-                    metric: "force_wall_ms (coalesced vs per-body)".to_string(),
-                    baseline: walk.force_wall_ms.median,
-                    current: coalesced.force_wall_ms.median,
-                    ratio,
-                });
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -1046,406 +447,42 @@ mod tests {
         assert_ne!(a.key(), b.key());
         let mut c = a.clone();
         c.policy = "reuse".to_string();
-        assert_ne!(a.key(), c.key(), "the tree policy is part of the sweep-point identity");
+        assert_ne!(a.key(), c.key(), "the tree policy is part of the identity");
         let mut d = a.clone();
         d.walk = "group".to_string();
-        assert_ne!(a.key(), d.key(), "the walk mode is part of the sweep-point identity");
+        assert_ne!(a.key(), d.key(), "the walk mode is part of the identity");
         let mut e = a.clone();
         e.service = SERVICE_BHSERVE.to_string();
-        assert_ne!(a.key(), e.key(), "the service pathway is part of the sweep-point identity");
+        assert_ne!(a.key(), e.key(), "the service pathway is part of the identity");
         let mut f = a.clone();
         f.build = "sorted".to_string();
-        assert_ne!(a.key(), f.key(), "the build algorithm is part of the sweep-point identity");
+        assert_ne!(a.key(), f.key(), "the build algorithm is part of the identity");
     }
 
     #[test]
-    fn specs_without_a_policy_field_decode_as_rebuild() {
-        // Records committed before the tree-lifecycle subsystem carry no
-        // policy; they ran the paper's per-step rebuild.
-        let record = record_with(2.0, 10_000);
-        let mut text = record.to_json();
-        text = text.replace("\"policy\": \"rebuild\",", "");
-        let parsed = Record::from_json(&text).expect("legacy record must parse");
-        assert_eq!(parsed.runs[0].spec.policy, "rebuild");
-        assert_eq!(parsed.runs[0].spec.key(), record.runs[0].spec.key());
+    fn a_well_formed_record_validates_and_serializes() {
+        let record = record_with(2.0, 50_000);
+        record.validate().expect("well-formed record");
+        let json = serde_json::from_str(&record.to_json()).expect("to_json emits valid JSON");
+        assert_eq!(json.get("schema").and_then(|v| v.as_str()), Some(SCHEMA));
+        let runs = json.get("runs").and_then(|v| v.as_array()).expect("runs array");
+        assert_eq!(runs.len(), 1);
+        assert_eq!(runs[0].get("interactions").and_then(|v| v.as_u64()), Some(50_000));
+        assert_eq!(runs[0].get("reps").and_then(|v| v.as_u64()), Some(3));
     }
 
     #[test]
-    fn specs_without_a_walk_field_decode_as_per_body() {
-        // Records committed before the walk axis ran the only walk that
-        // existed, and counters added later decode as "not recorded".
-        let record = record_with(2.0, 10_000);
-        let mut text = record.to_json();
-        text = text.replace("\"walk\": \"per-body\",", "");
-        text = text.replace("\"macs\": 0,", "");
-        text = text.replace("\"tree_ops\": 0,", "");
-        let parsed = Record::from_json(&text).expect("legacy record must parse");
-        assert_eq!(parsed.runs[0].spec.walk, "per-body");
-        assert_eq!(parsed.runs[0].spec.key(), record.runs[0].spec.key());
-        assert_eq!(parsed.runs[0].macs, 0);
-        assert_eq!(parsed.runs[0].tree_ops, 0);
-    }
-
-    #[test]
-    fn specs_without_a_build_field_decode_as_insertion() {
-        // Records committed before the build axis ran the only build that
-        // existed, and the tree_bytes metric decodes as "not recorded".
-        let record = record_with(2.0, 10_000);
-        let mut text = record.to_json();
-        text = text.replace("\"build\": \"insertion\",", "");
-        text = text.replace("\"tree_bytes\": 0,", "");
-        let parsed = Record::from_json(&text).expect("legacy record must parse");
-        assert_eq!(parsed.runs[0].spec.build, "insertion");
-        assert_eq!(parsed.runs[0].spec.key(), record.runs[0].spec.key());
-        assert_eq!(parsed.runs[0].tree_bytes, 0);
-    }
-
-    #[test]
-    fn specs_without_a_warm_field_decode_as_cold() {
-        // Records committed before the warm-start pathway all integrated
-        // from t = 0.
-        let record = record_with(2.0, 10_000);
-        let mut text = record.to_json();
-        text = text.replace("\"warm\": \"cold\",", "");
-        let parsed = Record::from_json(&text).expect("legacy record must parse");
-        assert_eq!(parsed.runs[0].spec.warm, WARM_COLD);
-        assert_eq!(parsed.runs[0].spec.key(), record.runs[0].spec.key());
-    }
-
-    #[test]
-    fn specs_without_serving_fields_decode_as_standalone() {
-        // Records committed before the serving path carry no service axis,
-        // no p99, no latency stat and no throughput; they decode as
-        // standalone runs with those metrics "not recorded".  Build the
-        // legacy text by stripping those fields from a current record,
-        // line-by-line with comma repair (pretty-printed JSON).
-        let record = record_with(2.0, 10_000);
-        let mut out: Vec<String> = Vec::new();
-        let mut in_latency = false;
-        for line in record.to_json().lines() {
-            let t = line.trim_start();
-            if in_latency {
-                if t.starts_with('}') {
-                    in_latency = false;
-                }
-                continue;
-            }
-            if t.starts_with("\"latency_ms\"") {
-                in_latency = true;
-                continue;
-            }
-            if t.starts_with("\"p99\"")
-                || t.starts_with("\"service\"")
-                || t.starts_with("\"throughput_rps\"")
-            {
-                // Removing an object's *last* field leaves the previous
-                // line with a dangling comma; drop it.
-                if !t.ends_with(',') {
-                    if let Some(prev) = out.last_mut() {
-                        if prev.ends_with(',') {
-                            prev.pop();
-                        }
-                    }
-                }
-                continue;
-            }
-            out.push(line.to_string());
-        }
-        let text = out.join("\n");
-        assert!(!text.contains("p99"), "the stripped record must predate the p99 field");
-        assert!(!text.contains("latency_ms"), "the stripped record must predate latency stats");
-        assert!(!text.contains("service"), "the stripped record must predate the service axis");
-        let parsed = Record::from_json(&text).expect("legacy record must parse");
-        assert_eq!(parsed.runs[0].spec.service, SERVICE_SIM);
-        assert_eq!(parsed.runs[0].spec.key(), record.runs[0].spec.key());
-        assert_eq!(parsed.runs[0].wall_ms.p99, 0.0, "missing p99 decodes as not-recorded");
-        assert_eq!(parsed.runs[0].latency_ms, Stat::zero());
-        assert_eq!(parsed.runs[0].throughput_rps, 0.0);
-    }
-
-    #[test]
-    fn legacy_records_infer_their_axes() {
-        // No axes field, specs carry a policy → the policy-axis era.
-        let record = record_with(2.0, 10_000);
-        let mut text = record.to_json();
-        text = text.replace("\"walk\": \"per-body\",", "");
-        // Renaming the key (robust against pretty-printing details) makes
-        // the decoder see a record with no axes field at all.
-        let no_axes = text.replacen("\"axes\"", "\"axes-ignored\"", 1);
-        assert_ne!(no_axes, text, "the axes field must have been present");
-        let parsed = Record::from_json(&no_axes).expect("legacy record must parse");
-        assert_eq!(parsed.axes, vec!["policy".to_string()]);
-        // Current records declare the full axis vocabulary.
-        assert_eq!(record.axes, KEY_AXES.map(str::to_string).to_vec());
-        // A *present but malformed* axes field is a schema violation, not a
-        // silent fall-through to legacy inference (which would quietly arm
-        // the allow-new-keys leniency).  Shadow the array under a key the
-        // decoder ignores and plant a non-array in its place.
-        let malformed = text.replacen("\"axes\": [", "\"axes\": 42, \"axes-shadow\": [", 1);
-        assert_ne!(malformed, text);
-        let err = Record::from_json(&malformed).expect_err("malformed axes must fail decode");
-        assert!(err.contains("axes"), "{err}");
-    }
-
-    #[test]
-    fn record_json_round_trips_and_validates() {
-        let mut record = record_with(2.0, 50_000);
-        record.kernels.push(KernelRecord {
-            scenario: "plummer".to_string(),
-            nbodies: 4096,
-            engine: KERNEL_COALESCED.to_string(),
-            reps: 5,
-            force_wall_ms: Stat { median: 3.0, p90: 3.5, p99: 3.6 },
-            interactions: 1_000_000,
-        });
-        let text = record.to_json();
-        let parsed = Record::from_json(&text).expect("round trip");
-        assert_eq!(parsed.runs.len(), 1);
-        assert_eq!(parsed.runs[0].spec.key(), record.runs[0].spec.key());
-        assert_eq!(parsed.runs[0].interactions, 50_000);
-        assert_eq!(parsed.kernels[0].nbodies, 4096);
-        assert_eq!(parsed.kernels[0].force_wall_ms.median, 3.0);
-    }
-
-    #[test]
-    fn schema_violations_are_rejected() {
-        assert!(Record::from_json("not json").is_err());
-        assert!(Record::from_json("{}").is_err());
-        let wrong_schema = r#"{"schema":"nope","commit":"x","quick":false,"runs":[],"kernels":[]}"#;
-        assert!(Record::from_json(wrong_schema).unwrap_err().contains("schema mismatch"));
-        let empty =
-            format!(r#"{{"schema":"{SCHEMA}","commit":"x","quick":false,"runs":[],"kernels":[]}}"#);
-        assert!(Record::from_json(&empty).unwrap_err().contains("no runs"));
-        // A record whose run is missing a field is a schema violation too.
-        let mut record = record_with(2.0, 10_000);
-        record.runs[0].reps = 0;
-        assert!(Record::from_json(&record.to_json()).is_err());
-    }
-
-    #[test]
-    fn diff_flags_regressions_past_the_threshold_only() {
-        let baseline = record_with(2.0, 100_000);
-        let same = record_with(2.2, 110_000); // +10% — under a 25% gate
-        let diff = diff_against_baseline(&same, &baseline, 0.25);
-        assert_eq!(diff.compared, 1);
-        assert!(diff.regressions.is_empty(), "{:?}", diff.regressions);
-
-        let worse = record_with(3.0, 140_000); // +50% force, +40% interactions
-        let diff = diff_against_baseline(&worse, &baseline, 0.25);
-        let metrics: Vec<&str> = diff.regressions.iter().map(|r| r.metric.as_str()).collect();
-        assert!(metrics.contains(&"force"), "{metrics:?}");
-        assert!(metrics.contains(&"interactions"), "{metrics:?}");
-        assert!(!diff.describe_regressions().is_empty());
-    }
-
-    #[test]
-    fn diff_rejects_protocol_drift_instead_of_comparing() {
-        // Same key, different measurement protocol: the numbers must not be
-        // compared (a 2x interaction "regression" here would just be the
-        // doubled measured window), and the mismatch must be surfaced.
-        let baseline = record_with(2.0, 100_000);
-        let mut current = record_with(2.0, 200_000);
-        current.runs[0].spec.measured_steps += 1;
-        let diff = diff_against_baseline(&current, &baseline, 0.25);
-        assert_eq!(diff.compared, 0);
-        assert!(diff.regressions.is_empty(), "incomparable points must not regress");
-        assert_eq!(diff.protocol_mismatches.len(), 1);
-        assert!(diff.protocol_mismatches[0].contains(&current.runs[0].spec.key()));
-    }
-
-    #[test]
-    fn diff_skips_unmatched_points_and_wall_times() {
-        let baseline = record_with(2.0, 100_000);
-        let mut current = record_with(2.0, 100_000);
-        current.runs[0].spec.nbodies = 999; // different key
-        current.runs[0].wall_ms = Stat { median: 1e9, p90: 1e9, p99: 1e9 }; // never gated
-        let diff = diff_against_baseline(&current, &baseline, 0.25);
-        assert_eq!(diff.compared, 0);
-        assert_eq!(diff.unmatched, vec![current.runs[0].spec.key()]);
-        assert!(diff.regressions.is_empty());
-    }
-
-    #[test]
-    fn macs_and_tree_ops_gate_only_when_the_baseline_recorded_them() {
-        let mut baseline = record_with(2.0, 100_000);
-        let mut current = record_with(2.0, 100_000);
-        // Baseline predates the counters (decoded 0): a large current value
-        // is growth of the vocabulary, not a regression.
-        current.runs[0].macs = 50_000;
-        current.runs[0].tree_ops = 9_000;
-        let diff = diff_against_baseline(&current, &baseline, 0.25);
-        assert!(diff.regressions.is_empty(), "{:?}", diff.describe_regressions());
-        // Once the baseline records them, they gate like any counter.
-        baseline.runs[0].macs = 10_000;
-        baseline.runs[0].tree_ops = 8_000;
-        let diff = diff_against_baseline(&current, &baseline, 0.25);
-        let metrics: Vec<&str> = diff.regressions.iter().map(|r| r.metric.as_str()).collect();
-        assert!(metrics.contains(&"macs"), "{metrics:?}");
-        assert!(!metrics.contains(&"tree_ops"), "+12.5% is under the gate: {metrics:?}");
-    }
-
-    #[test]
-    fn tree_bytes_gates_only_when_the_baseline_recorded_it() {
-        let mut baseline = record_with(2.0, 100_000);
-        let mut current = record_with(2.0, 100_000);
-        // Baseline predates the metric (decoded 0): any current value is
-        // vocabulary growth, not a memory regression.
-        current.runs[0].tree_bytes = 1_000_000;
-        let diff = diff_against_baseline(&current, &baseline, 0.25);
-        assert!(diff.regressions.is_empty(), "{:?}", diff.describe_regressions());
-        // Once recorded, arena growth past the threshold gates.
-        baseline.runs[0].tree_bytes = 500_000;
-        let diff = diff_against_baseline(&current, &baseline, 0.25);
-        let metrics: Vec<&str> = diff.regressions.iter().map(|r| r.metric.as_str()).collect();
-        assert!(metrics.contains(&"tree_bytes"), "{metrics:?}");
-    }
-
-    #[test]
-    fn axis_additions_allow_missing_baseline_points() {
-        // The baseline predates the walk axis; the current grid was
-        // restructured around it, retiring a baseline point.
-        let mut baseline = record_with(2.0, 100_000);
-        baseline.axes = vec!["policy".to_string()];
-        let mut retired = record_with(2.0, 100_000);
-        retired.runs[0].spec.scenario = "king".to_string();
-        baseline.runs.push(retired.runs[0].clone());
-        let current = record_with(2.0, 100_000);
-        let diff = diff_against_baseline(&current, &baseline, 0.25);
-        assert_eq!(
-            diff.new_axes,
-            vec![
-                "walk".to_string(),
-                "build".to_string(),
-                "service".to_string(),
-                "warm".to_string()
-            ]
-        );
-        assert!(diff.missing.is_empty(), "{:?}", diff.missing);
-        assert_eq!(diff.missing_allowed.len(), 1, "{:?}", diff.missing_allowed);
-        assert!(diff.missing_allowed[0].contains("king"));
-        // Matched points still gate normally across the axis addition.
-        assert_eq!(diff.compared, 1);
-
-        // Once the baseline is regenerated with the same axes, the strict
-        // symmetric gate is re-armed.
-        baseline.axes = current.axes.clone();
-        let diff = diff_against_baseline(&current, &baseline, 0.25);
-        assert!(diff.new_axes.is_empty());
-        assert_eq!(diff.missing.len(), 1, "{:?}", diff.missing);
-        assert!(diff.missing_allowed.is_empty());
-    }
-
-    #[test]
-    fn axis_additions_do_not_excuse_a_vanished_kernel_engine() {
-        let kernel = |engine: &str| KernelRecord {
-            scenario: "plummer".to_string(),
-            nbodies: 2048,
-            engine: engine.to_string(),
-            reps: 5,
-            force_wall_ms: Stat { median: 5.0, p90: 6.0, p99: 6.5 },
-            interactions: 1_000_000,
-        };
-        let mut baseline = record_with(2.0, 100_000);
-        baseline.axes = vec!["policy".to_string()];
-        baseline.kernels.push(kernel(KERNEL_PER_BODY));
-        baseline.kernels.push(kernel(KERNEL_COALESCED));
-        // The pair is still measured but one engine vanished: fatal even
-        // across an axis addition (no axis restructures kernel pairs).
-        let mut current = record_with(2.0, 100_000);
-        current.kernels.push(kernel(KERNEL_COALESCED));
-        let diff = diff_against_baseline(&current, &baseline, 0.25);
-        assert!(!diff.new_axes.is_empty());
-        assert_eq!(diff.missing.len(), 1, "{:?}", diff.missing);
-        assert!(diff.missing[0].contains(KERNEL_PER_BODY));
-        // A wholly retired pair rides the allowance.
-        let mut current = record_with(2.0, 100_000);
-        current.kernels.clear();
-        let diff = diff_against_baseline(&current, &baseline, 0.25);
-        assert_eq!(diff.missing_allowed.len(), 2, "{:?}", diff.missing_allowed);
-        assert!(diff.missing.is_empty(), "{:?}", diff.missing);
-    }
-
-    #[test]
-    fn runs_vanishing_from_the_current_record_are_violations() {
-        // Baseline has a point the current record lacks at a size the
-        // current record does attempt: that point silently disappeared from
-        // the grid and must be flagged, not skipped.
-        let mut baseline = record_with(2.0, 100_000);
-        let mut extra = record_with(2.0, 100_000);
-        extra.runs[0].spec.scenario = "king".to_string();
-        baseline.runs.push(extra.runs[0].clone());
-        let current = record_with(2.0, 100_000);
-        let diff = diff_against_baseline(&current, &baseline, 0.25);
-        assert_eq!(diff.compared, 1);
-        assert_eq!(diff.missing.len(), 1, "{:?}", diff.missing);
-        assert!(diff.missing[0].contains("king"), "{:?}", diff.missing);
-
-        // Same shape but the baseline point is a full-grid size and the
-        // current record is a quick run: exempt (the quick run never
-        // attempts that size).
-        let mut current_quick = record_with(2.0, 100_000);
-        current_quick.quick = true;
-        let mut full_baseline = record_with(2.0, 100_000);
-        let mut big = record_with(2.0, 100_000);
-        big.runs[0].spec.nbodies = 4096;
-        full_baseline.runs.push(big.runs[0].clone());
-        let diff = diff_against_baseline(&current_quick, &full_baseline, 0.25);
-        assert!(diff.missing.is_empty(), "{:?}", diff.missing);
-    }
-
-    #[test]
-    fn kernel_engines_vanishing_from_the_current_record_are_violations() {
-        let kernel = |engine: &str| KernelRecord {
-            scenario: "plummer".to_string(),
-            nbodies: 2048,
-            engine: engine.to_string(),
-            reps: 5,
-            force_wall_ms: Stat { median: 5.0, p90: 6.0, p99: 6.5 },
-            interactions: 1_000_000,
-        };
-        let mut baseline = record_with(2.0, 100_000);
-        baseline.kernels.push(kernel(KERNEL_PER_BODY));
-        baseline.kernels.push(kernel(KERNEL_COALESCED));
-
-        // The per-body reference engine vanished while the pair's scenario
-        // and size are still measured: the within-record gate would silently
-        // stop comparing, so the diff must flag it — even quick-vs-full.
-        let mut current = record_with(2.0, 100_000);
-        current.quick = true;
-        current.kernels.push(kernel(KERNEL_COALESCED));
-        let diff = diff_against_baseline(&current, &baseline, 0.25);
-        assert_eq!(diff.missing.len(), 1, "{:?}", diff.missing);
-        assert!(diff.missing[0].contains(KERNEL_PER_BODY), "{:?}", diff.missing);
-
-        // A full-plan pair absent from a quick record is exempt; the same
-        // absence between records of the same mode is a violation.
-        let mut full_only = record_with(2.0, 100_000);
-        full_only.kernels.push(KernelRecord { nbodies: 8192, ..kernel(KERNEL_PER_BODY) });
-        let mut current_quick = record_with(2.0, 100_000);
-        current_quick.quick = true;
-        assert!(diff_against_baseline(&current_quick, &full_only, 0.25).missing.is_empty());
-        let current_full = record_with(2.0, 100_000);
-        let diff = diff_against_baseline(&current_full, &full_only, 0.25);
-        assert_eq!(diff.missing.len(), 1, "{:?}", diff.missing);
-    }
-
-    #[test]
-    fn kernel_gate_compares_pairs_within_the_record() {
-        let mut record = record_with(2.0, 100_000);
-        let kernel = |engine: &str, median: f64| KernelRecord {
-            scenario: "plummer".to_string(),
-            nbodies: 4096,
-            engine: engine.to_string(),
-            reps: 5,
-            force_wall_ms: Stat { median, p90: median * 1.1, p99: median * 1.2 },
-            interactions: 1_000_000,
-        };
-        record.kernels.push(kernel(KERNEL_PER_BODY, 10.0));
-        record.kernels.push(kernel(KERNEL_COALESCED, 8.0));
-        assert!(kernel_regressions(&record, 0.10).is_empty());
-        record.kernels[1].force_wall_ms.median = 12.0; // coalesced lost
-        let bad = kernel_regressions(&record, 0.10);
-        assert_eq!(bad.len(), 1);
-        assert!(bad[0].key.contains("plummer/n4096"));
+    fn ill_formed_records_are_rejected() {
+        let mut wrong_schema = record_with(2.0, 10_000);
+        wrong_schema.schema = "nope".to_string();
+        assert!(wrong_schema.validate().unwrap_err().contains("schema mismatch"));
+        let empty = Record::new("x".to_string(), false);
+        assert!(empty.validate().unwrap_err().contains("no runs"));
+        let mut no_reps = record_with(2.0, 10_000);
+        no_reps.runs[0].reps = 0;
+        assert!(no_reps.validate().unwrap_err().contains("zero repetitions"));
+        let mut bad_rate = record_with(2.0, 10_000);
+        bad_rate.runs[0].error_rate = 1.5;
+        assert!(bad_rate.validate().unwrap_err().contains("error_rate"));
     }
 }

@@ -223,12 +223,9 @@ impl TreePolicy {
     }
 
     /// Full encoding of the policy *including its parameters*, used as the
-    /// `policy` component of a bench sweep point's identity
-    /// (`engine::bench::RunSpec`).  Changing a reuse cadence or drift
-    /// threshold changes the measurement protocol, so the label must change
-    /// with it — a regenerated grid then fails the baseline diff loudly
-    /// (missing/unmatched points) instead of comparing incomparable
-    /// numbers under the same key.
+    /// `policy` component of a run's identity (`engine::bench::RunSpec`).
+    /// Changing a reuse cadence or drift threshold changes the measurement
+    /// protocol, so the label must change with it.
     pub fn spec_label(self) -> String {
         match self {
             TreePolicy::Rebuild => "rebuild".to_string(),

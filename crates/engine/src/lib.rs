@@ -18,10 +18,13 @@
 //! * [`backend`] — the [`Backend`] trait (`name()`, `supports()`, `run()`)
 //!   and the string-keyed [`BackendRegistry`], mirroring the `scenarios`
 //!   registry: any scenario's bodies can be pushed through any backend.
-//! * [`bench`] — the benchmark vocabulary shared by the `benchsuite` binary
-//!   and `bhsim --compare`: [`bench::RunSpec`], [`bench::Sample`], the
-//!   schema-versioned [`bench::Record`] written to `BENCH_*.json`, and the
-//!   baseline diffing behind the CI perf gate.
+//! * [`bench`] — the run-record vocabulary: [`bench::RunSpec`] and
+//!   [`bench::Sample`] (what `bhsim --json` prints per backend) and the
+//!   `bhbench/v1` [`bench::Record`] that `bhload` writes.  Written, never
+//!   read back: performance is judged by `benchmark/`.
+//! * [`cli`] — the one command-line cursor every binary parses with:
+//!   value-of-flag, parsed number, and the unknown-flag did-you-mean from a
+//!   flag list each binary declares once.
 //! * [`direct`] — [`DirectBackend`], a distributed O(n²) direct-summation
 //!   solver wrapping `nbody::direct` as the ground-truth reference.
 //! * [`compare`] — the one shared comparison driver: run the same
@@ -34,7 +37,7 @@
 //!   crate).
 //! * [`suggest`] — did-you-mean suggestions for string-keyed lookups, shared
 //!   by every surface that resolves user-supplied registry keys (`bhsim`,
-//!   `bhserve`, `benchsuite`).
+//!   `bhserve`) and by [`cli`] for flags.
 //!
 //! The dependency arrows all point *into* this crate: `bh` and `bhmpi` each
 //! depend on `engine` (never on each other), and the umbrella crate
@@ -42,6 +45,7 @@
 
 pub mod backend;
 pub mod bench;
+pub mod cli;
 pub mod compare;
 pub mod config;
 pub mod direct;

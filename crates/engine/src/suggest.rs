@@ -2,8 +2,8 @@
 //!
 //! Every user-facing surface of the workspace selects things by string key —
 //! scenarios and backends in `bhsim`, job fields in `bhserve`, command-line
-//! flags in `benchsuite` — and a typo used to produce a bare "unknown X"
-//! error.  This module is the one shared helper behind those messages: it
+//! flags everywhere (`crate::cli`) — and a typo used to produce a bare
+//! "unknown X" error.  This module is the one shared helper behind those messages: it
 //! picks the closest registered key (bounded edit distance, with a prefix
 //! fast path for truncated input) and formats the standard error line.
 
@@ -68,9 +68,9 @@ pub fn suggest<'a>(input: &str, candidates: impl IntoIterator<Item = &'a str>) -
 }
 
 /// Formats the standard unknown-key error: kind, offending key, an optional
-/// did-you-mean, and the registered names.  Shared by `bhsim`, `bhserve`,
-/// `benchsuite` and the backend registry, so every lookup surface reports
-/// typos identically.
+/// did-you-mean, and the registered names.  Shared by `bhsim`, `bhserve`
+/// and the backend registry, so every lookup surface reports typos
+/// identically.
 pub fn unknown_key(kind: &str, input: &str, candidates: &[&str]) -> String {
     match suggest(input, candidates.iter().copied()) {
         Some(near) => format!(

@@ -17,27 +17,14 @@
 //! * [`costzones`] — the SPLASH-2-style cost-based space partitioning
 //!   (Morton-ordered, equal-cost segments) used to assign bodies to threads.
 //!
-//! Two comparison substrates from the paper's related-work section are also
-//! provided so the bench suite can quantify the design choices the paper
-//! takes for granted:
-//!
-//! * [`hashed`] — the Warren–Salmon hashed oct-tree (keys instead of
-//!   pointers), the alternative tree organisation discussed in §8;
-//! * [`orb`] — orthogonal recursive bisection, the classic alternative to
-//!   costzones for assigning bodies to ranks.
-//!
 //! The distributed variants in the `bh` crate re-express tree *construction*
 //! against the PGAS emulator; they reuse this crate's geometry helpers and
 //! its tree walk for correctness checks.
 
 pub mod costzones;
-pub mod hashed;
-pub mod orb;
 pub mod tree;
 pub mod walk;
 
 pub use costzones::{partition_by_cost, Partition};
-pub use hashed::{HashedCell, HashedOctree};
-pub use orb::partition_orb;
 pub use tree::{Node, Octree, TreeParams};
 pub use walk::{accel_on, accel_on_body, compute_forces, WalkResult};

@@ -23,8 +23,7 @@
 //!
 //! The default constants are calibrated so that the single-thread 2M-body
 //! run lands in the same order of magnitude as the paper's Table 2 and the
-//! relative shape of every experiment is preserved; EXPERIMENTS.md records
-//! the calibration.
+//! relative shape of every experiment is preserved.
 
 use serde::{Deserialize, Serialize};
 

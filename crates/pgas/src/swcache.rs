@@ -15,8 +15,9 @@
 //! the cache is invalidated — exactly the MuPC discipline of "write back at
 //! each synchronization point, to avoid coherence issues".  The `bh` crate
 //! exposes a configuration switch that routes the baseline solver's scalar
-//! reads through these caches, and the bench suite compares the result with
-//! both the un-cached baseline and the manual §5.1 replication.
+//! reads through these caches, and the `swcache` experiment of `tables`
+//! compares the result with both the un-cached baseline and the manual §5.1
+//! replication.
 
 use crate::ctx::Ctx;
 use crate::shared::SharedScalar;

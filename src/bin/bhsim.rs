@@ -30,6 +30,7 @@ use std::path::Path;
 use barnes_hut_upc::engine;
 use barnes_hut_upc::prelude::*;
 use engine::bench::RunSpec;
+use engine::cli::Args;
 use snapstore::{Saved, SimState, Store};
 
 struct Options {
@@ -162,156 +163,147 @@ fn usage() -> ! {
     std::process::exit(2)
 }
 
-/// Parses the value of `flag`, naming the flag and the offending value on
-/// failure instead of a bare exit.
-fn num<T: std::str::FromStr>(flag: &str, s: &str) -> T {
-    s.parse().unwrap_or_else(|_| {
-        eprintln!("bhsim: invalid value for {flag}: {s:?} is not a valid number");
-        usage()
-    })
-}
+/// Every flag `bhsim` accepts: what [`engine::cli::Args`] admits and what an
+/// unknown flag is matched against for its did-you-mean.
+const FLAGS: &[&str] = &[
+    "--help",
+    "-h",
+    "--list",
+    "--json",
+    "--pthreads",
+    "--scenario",
+    "--backend",
+    "--compare",
+    "--n",
+    "--seed",
+    "--nodes",
+    "--threads-per-node",
+    "--steps",
+    "--measured",
+    "--tree-policy",
+    "--walk",
+    "--build",
+    "--checkpoint-every",
+    "--checkpoint-dir",
+    "--resume",
+    "--faults",
+    "--rebuild-every",
+    "--drift-threshold",
+    "--theta",
+    "--eps",
+    "--dt",
+    "--opt",
+];
 
 /// Parses a physics parameter that must be finite and positive (a zero `dt`
 /// freezes the integrator, a negative θ or ε turns positions into NaNs).
-fn positive(flag: &str, s: &str) -> f64 {
-    let v: f64 = num(flag, s);
+fn positive(args: &mut Args, flag: &str) -> f64 {
+    let v: f64 = args.number(flag);
     if !v.is_finite() || v <= 0.0 {
-        eprintln!("bhsim: invalid value for {flag}: {s} (must be positive and finite)");
-        usage()
+        args.reject(&format!("invalid value for {flag}: {v} (must be positive and finite)"))
     }
     v
 }
 
+/// Parses the value of `flag` as a name on one of the engine's string-keyed
+/// axes, rejecting an unknown one with the registered names.
+fn named<T>(
+    args: &mut Args,
+    flag: &str,
+    kind: &str,
+    known: &[&str],
+    of: fn(&str) -> Option<T>,
+) -> T {
+    let name = args.value(flag);
+    of(&name).unwrap_or_else(|| args.reject(&engine::suggest::unknown_key(kind, &name, known)))
+}
+
 fn parse_args() -> Options {
     let mut opts = Options::default();
-    let mut args = std::env::args().skip(1);
-    let value = |arg: Option<String>, flag: &str| -> String {
-        arg.unwrap_or_else(|| {
-            eprintln!("missing value for {flag}");
-            usage()
-        })
-    };
+    let mut args = Args::from_env("bhsim", FLAGS, usage);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--help" | "-h" => usage(),
             "--list" => opts.list = true,
             "--json" => opts.json = true,
             "--pthreads" => opts.pthreads = true,
-            "--scenario" => opts.scenario = value(args.next(), "--scenario"),
-            "--backend" => opts.backend = value(args.next(), "--backend"),
+            "--scenario" => opts.scenario = args.value("--scenario"),
+            "--backend" => opts.backend = args.value("--backend"),
             "--compare" => {
-                let list = value(args.next(), "--compare");
+                let list = args.value("--compare");
                 let names: Vec<String> = list
                     .split(',')
                     .map(|s| s.trim().to_string())
                     .filter(|s| !s.is_empty())
                     .collect();
                 if names.is_empty() {
-                    eprintln!("--compare needs a comma-separated list of backends");
-                    usage()
+                    args.reject("--compare needs a comma-separated list of backends")
                 }
                 opts.compare = Some(names);
             }
-            "--n" => opts.nbodies = num("--n", &value(args.next(), "--n")),
-            "--seed" => opts.seed = num("--seed", &value(args.next(), "--seed")),
-            "--nodes" => opts.nodes = num("--nodes", &value(args.next(), "--nodes")),
-            "--threads-per-node" => {
-                opts.threads_per_node =
-                    num("--threads-per-node", &value(args.next(), "--threads-per-node"))
-            }
-            "--steps" => opts.steps = num("--steps", &value(args.next(), "--steps")),
-            "--measured" => opts.measured = num("--measured", &value(args.next(), "--measured")),
+            "--n" => opts.nbodies = args.number("--n"),
+            "--seed" => opts.seed = args.number("--seed"),
+            "--nodes" => opts.nodes = args.number("--nodes"),
+            "--threads-per-node" => opts.threads_per_node = args.number("--threads-per-node"),
+            "--steps" => opts.steps = args.number("--steps"),
+            "--measured" => opts.measured = args.number("--measured"),
             "--tree-policy" => {
-                let name = value(args.next(), "--tree-policy");
-                opts.tree_policy = TreePolicy::from_name(&name).unwrap_or_else(|| {
-                    eprintln!(
-                        "bhsim: {}",
-                        engine::suggest::unknown_key("tree policy", &name, &TreePolicy::NAMES)
-                    );
-                    usage()
-                });
+                opts.tree_policy = named(
+                    &mut args,
+                    "--tree-policy",
+                    "tree policy",
+                    &TreePolicy::NAMES,
+                    TreePolicy::from_name,
+                )
             }
             "--walk" => {
-                let name = value(args.next(), "--walk");
-                opts.walk = WalkMode::from_name(&name).unwrap_or_else(|| {
-                    let known = WalkMode::ALL.map(|m| m.name());
-                    eprintln!(
-                        "bhsim: {}",
-                        engine::suggest::unknown_key("walk mode", &name, &known)
-                    );
-                    usage()
-                });
+                let known = WalkMode::ALL.map(|m| m.name());
+                opts.walk = named(&mut args, "--walk", "walk mode", &known, WalkMode::from_name)
             }
             "--build" => {
-                let name = value(args.next(), "--build");
-                opts.build = TreeBuild::from_name(&name).unwrap_or_else(|| {
-                    let known = TreeBuild::ALL.map(|b| b.name());
-                    eprintln!(
-                        "bhsim: {}",
-                        engine::suggest::unknown_key("tree build", &name, &known)
-                    );
-                    usage()
-                });
+                let known = TreeBuild::ALL.map(|b| b.name());
+                opts.build = named(&mut args, "--build", "tree build", &known, TreeBuild::from_name)
             }
             "--checkpoint-every" => {
-                let v = value(args.next(), "--checkpoint-every");
-                let every: usize = num("--checkpoint-every", &v);
+                let every: usize = args.number("--checkpoint-every");
                 if every == 0 {
-                    eprintln!("bhsim: invalid value for --checkpoint-every: must be at least 1");
-                    usage()
+                    args.reject("invalid value for --checkpoint-every: must be at least 1")
                 }
                 opts.checkpoint_every = Some(every);
             }
-            "--checkpoint-dir" => {
-                opts.checkpoint_dir = Some(value(args.next(), "--checkpoint-dir"))
-            }
-            "--resume" => opts.resume = Some(value(args.next(), "--resume")),
+            "--checkpoint-dir" => opts.checkpoint_dir = Some(args.value("--checkpoint-dir")),
+            "--resume" => opts.resume = Some(args.value("--resume")),
             "--faults" => {
-                let spec = value(args.next(), "--faults");
-                opts.faults = engine::FaultPlan::parse(&spec).unwrap_or_else(|e| {
-                    eprintln!("bhsim: invalid --faults spec: {e}");
-                    usage()
-                });
+                let spec = args.value("--faults");
+                opts.faults = engine::FaultPlan::parse(&spec)
+                    .unwrap_or_else(|e| args.reject(&format!("invalid --faults spec: {e}")));
             }
             "--rebuild-every" => {
-                let v = value(args.next(), "--rebuild-every");
-                let every: usize = num("--rebuild-every", &v);
+                let every: usize = args.number("--rebuild-every");
                 if every == 0 {
-                    eprintln!("bhsim: invalid value for --rebuild-every: must be at least 1");
-                    usage()
+                    args.reject("invalid value for --rebuild-every: must be at least 1")
                 }
                 opts.rebuild_every = Some(every);
             }
             "--drift-threshold" => {
-                let v = value(args.next(), "--drift-threshold");
-                let drift: f64 = num("--drift-threshold", &v);
+                let drift: f64 = args.number("--drift-threshold");
                 if !drift.is_finite() || drift < 0.0 {
-                    eprintln!(
-                        "bhsim: invalid value for --drift-threshold: {v} (must be finite and \
+                    args.reject(&format!(
+                        "invalid value for --drift-threshold: {drift} (must be finite and \
                          non-negative)"
-                    );
-                    usage()
+                    ))
                 }
                 opts.drift_threshold = Some(drift);
             }
-            "--theta" => opts.theta = Some(positive("--theta", &value(args.next(), "--theta"))),
-            "--eps" => opts.eps = Some(positive("--eps", &value(args.next(), "--eps"))),
-            "--dt" => opts.dt = Some(positive("--dt", &value(args.next(), "--dt"))),
+            "--theta" => opts.theta = Some(positive(&mut args, "--theta")),
+            "--eps" => opts.eps = Some(positive(&mut args, "--eps")),
+            "--dt" => opts.dt = Some(positive(&mut args, "--dt")),
             "--opt" => {
-                let name = value(args.next(), "--opt");
-                opts.opt = OptLevel::from_name(&name).unwrap_or_else(|| {
-                    let known = OptLevel::ALL.map(|l| l.name());
-                    eprintln!(
-                        "bhsim: {}",
-                        engine::suggest::unknown_key("optimization level", &name, &known)
-                    );
-                    usage()
-                });
+                let known = OptLevel::ALL.map(|l| l.name());
+                opts.opt =
+                    named(&mut args, "--opt", "optimization level", &known, OptLevel::from_name)
             }
-            other => {
-                eprintln!("unknown option: {other}");
-                usage()
-            }
+            other => args.unknown(other),
         }
     }
     if opts.nodes == 0 || opts.threads_per_node == 0 {
@@ -854,10 +846,9 @@ fn summary_value(
 ) -> serde::Value {
     // A compact machine-readable summary (the full SimResult with all body
     // states would dominate the output).  The measurement half is the
-    // bench vocabulary's `Sample` — the same fields `benchsuite` aggregates
-    // into BENCH_*.json records — so sweep scripts read one schema
-    // everywhere: `wall_ms`, `phases`, `total_sim`, `migration_fraction`,
-    // `stats`.
+    // bench vocabulary's `Sample` — the same fields `bhload` aggregates
+    // into its record — so sweep scripts read one schema everywhere:
+    // `wall_ms`, `phases`, `total_sim`, `migration_fraction`, `stats`.
     let (digest, digest_ms) = timed(|| snapstore::digest_bodies(&run.result.bodies));
     let mut entries = vec![
         ("scenario".to_string(), serde::Value::String(scenario.to_string())),

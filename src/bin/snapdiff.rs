@@ -17,6 +17,7 @@
 
 use std::path::Path;
 
+use barnes_hut_upc::engine::cli::Args;
 use snapstore::{diff_bodies, diff_manifests, load_manifest, load_state, SnapDiff};
 
 struct Options {
@@ -45,24 +46,19 @@ fn parse_args() -> Options {
     let mut positional: Vec<String> = Vec::new();
     let mut bodies = false;
     let mut json = false;
-    for arg in std::env::args().skip(1) {
+    let mut args = Args::from_env("snapdiff", &["--help", "-h", "--bodies", "--json"], usage);
+    while let Some(arg) = args.next() {
         match arg.as_str() {
             "--help" | "-h" => usage(),
             "--bodies" => bodies = true,
             "--json" => json = true,
-            other if other.starts_with("--") => {
-                eprintln!("snapdiff: unknown option: {other}");
-                usage()
-            }
             _ => positional.push(arg),
         }
     }
-    if positional.len() != 2 {
-        eprintln!("snapdiff: expected exactly two manifest paths");
-        usage()
-    }
-    let mut it = positional.into_iter();
-    Options { a: it.next().unwrap(), b: it.next().unwrap(), bodies, json }
+    let Ok([a, b]) = <[String; 2]>::try_from(positional) else {
+        args.reject("expected exactly two manifest paths")
+    };
+    Options { a, b, bodies, json }
 }
 
 fn fail(e: impl std::fmt::Display) -> ! {

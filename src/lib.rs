@@ -10,8 +10,7 @@
 //! * [`nbody`] — the physics substrate (bodies, Plummer model, Morton codes,
 //!   direct summation, leapfrog, energy diagnostics).
 //! * [`octree`] — the sequential Barnes-Hut octree, tree walk and costzones
-//!   partitioning, plus the Warren–Salmon hashed oct-tree and ORB
-//!   partitioner comparison substrates.
+//!   partitioning.
 //! * [`engine`] — the solver-neutral engine layer: [`SimConfig`], the
 //!   per-phase [`SimResult`] vocabulary, the [`Backend`] trait with its
 //!   string-keyed registry, the direct-summation reference backend and the

@@ -1,35 +1,12 @@
 //! Workspace-level property-based tests spanning the `bh` crate's building
 //! blocks (partitioning splitters, cell summaries, phase bookkeeping) and the
-//! comparison substrates (hashed oct-tree, ORB partitioning, message-passing
-//! domain splitters).
+//! message-passing comparator's domain splitters.
 
 use bh::cellnode::CellNode;
 use bh::partition::{compute_splitters, PartitionPlan};
 use bh::report::{Phase, PhaseTimes};
-use nbody::{Body, Vec3};
-use octree::hashed::HashedOctree;
-use octree::orb::partition_orb;
-use octree::tree::TreeParams;
+use nbody::Vec3;
 use proptest::prelude::*;
-
-/// Strategy: a set of bodies with positions in a cube and varied masses and
-/// costs, suitable for tree and partitioning properties.
-fn arbitrary_bodies(max: usize) -> impl Strategy<Value = Vec<Body>> {
-    prop::collection::vec(
-        ((-8.0f64..8.0, -8.0f64..8.0, -8.0f64..8.0), 0.01f64..4.0, 1u32..40),
-        1..max,
-    )
-    .prop_map(|raw| {
-        raw.into_iter()
-            .enumerate()
-            .map(|(i, ((x, y, z), mass, cost))| {
-                let mut b = Body::at_rest(i as u32, Vec3::new(x, y, z), mass);
-                b.cost = cost;
-                b
-            })
-            .collect()
-    })
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -127,60 +104,6 @@ proptest! {
         if ta.total() > 0.0 {
             let percent_sum: f64 = Phase::ALL.iter().map(|&p| ta.percent(p)).sum();
             prop_assert!((percent_sum - 100.0).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn hashed_octree_agrees_with_pointer_octree(bodies in arbitrary_bodies(120)) {
-        let params = TreeParams::default();
-        let mut pointer = octree::Octree::build(&bodies, params);
-        pointer.compute_mass(&bodies);
-        let mut hashed = HashedOctree::build(&bodies, params);
-        hashed.compute_mass(&bodies);
-
-        hashed.check_invariants(&bodies).map_err(TestCaseError::fail)?;
-        prop_assert_eq!(hashed.len(), pointer.len());
-        prop_assert!((hashed.root().mass - pointer.nodes[0].mass).abs() < 1e-9);
-        prop_assert!((hashed.root().cofm - pointer.nodes[0].cofm).norm() < 1e-9);
-
-        // Identical forces for a handful of probe bodies.
-        for b in bodies.iter().take(8) {
-            let p = octree::walk::accel_on(&pointer, &bodies, b.pos, Some(b.id), 1.0, 0.05);
-            let h = hashed.accel_on(&bodies, b.pos, Some(b.id), 1.0, 0.05);
-            prop_assert!((p.acc - h.acc).norm() < 1e-9);
-            prop_assert_eq!(p.interactions, h.interactions);
-        }
-    }
-
-    #[test]
-    fn orb_partition_is_a_disjoint_cover_with_bounded_imbalance(
-        bodies in arbitrary_bodies(250),
-        parts in 1usize..12,
-    ) {
-        let p = partition_orb(&bodies, parts);
-        prop_assert_eq!(p.len(), parts);
-        prop_assert_eq!(p.total_bodies(), bodies.len());
-        let mut seen = vec![false; bodies.len()];
-        for zone in &p.zones {
-            for &i in zone {
-                prop_assert!(!seen[i], "body {} assigned twice", i);
-                seen[i] = true;
-            }
-        }
-        prop_assert!(seen.iter().all(|&s| s));
-        // With enough bodies per part, no part may dwarf the ideal cost by
-        // more than the heaviest body plus the bisection rounding.
-        if bodies.len() >= parts * 8 {
-            let costs = p.zone_costs(&bodies);
-            let total: u64 = costs.iter().sum();
-            let ideal = total as f64 / parts as f64;
-            let heaviest = bodies.iter().map(|b| b.cost.max(1) as u64).max().unwrap() as f64;
-            for &c in &costs {
-                prop_assert!(
-                    (c as f64) <= ideal + heaviest * (parts as f64).log2().ceil() + 1.0,
-                    "zone cost {} too far above ideal {}", c, ideal
-                );
-            }
         }
     }
 
