@@ -1,8 +1,9 @@
 //! The UPC-emulated solver as an [`engine`] backend.
 
-use crate::config::SimConfig;
+use crate::cellstore::COMPACT_MAX_RANKS;
+use crate::config::{OptLevel, SimConfig};
 use crate::sim::run_simulation_on;
-use engine::{Backend, SimResult};
+use engine::{Backend, Caps, Reasons, Rungs, SimResult};
 use nbody::Body;
 
 /// The UPC ladder solver (registry key `upc`).
@@ -10,13 +11,29 @@ use nbody::Body;
 /// Honours `cfg.opt`, so a single backend covers all seven ladder levels —
 /// `bhsim --backend upc --opt baseline` and `--opt subspace` run the §4
 /// literal translation and the §6 subspace algorithm through the same entry
-/// point.  [`Backend::supports`] additionally rejects the group walk below
-/// the caching levels ([`crate::sim::check_walk_mode`]): the per-group
-/// interaction lists are built over the §5.3 cell cache, and silently
-/// substituting the per-body walk would make walk-mode comparisons lie —
-/// and the sorted tree build outside its owner-computes levels
-/// ([`crate::sim::check_tree_build`]).
+/// point.  Which other axes run on which rung is its [`CAPS`] row.
 pub struct UpcBackend;
+
+/// The upc capability row.  The group walk builds its lists over the §5.3
+/// cell cache; the sorted build routes bodies over the §5.2 redistribution
+/// machinery, replaces a build phase the §6 subspace algorithm does not
+/// have, and its compact cell handles carry the rank in 8 bits
+/// ([`COMPACT_MAX_RANKS`]); every rung accepts the tree-reusing policies.
+pub const CAPS: Caps = Caps {
+    group_walk: Rungs::Span(OptLevel::CacheLocalTree, OptLevel::Subspace),
+    sorted_build: Rungs::Span(OptLevel::Redistribute, OptLevel::AsyncAggregation),
+    sorted_max_ranks: Some(COMPACT_MAX_RANKS),
+    tree_reuse: Rungs::ALL,
+    max_bodies: None,
+    tracked: true,
+    why: Reasons {
+        group_walk: "the per-group interaction lists are built over the §5.3 cell cache",
+        sorted_build: "the sorted build distributes bodies over the §5.2 redistribution, and \
+                       the §6 subspace algorithm is itself a replacement build",
+        sorted_max_ranks: "compact cell handles carry the owning rank in 8 bits",
+        ..Reasons::NONE
+    },
+};
 
 impl Backend for UpcBackend {
     fn name(&self) -> &'static str {
@@ -27,19 +44,8 @@ impl Backend for UpcBackend {
         "UPC-emulated ladder solver (one-sided PGAS; honours --opt, all seven levels)"
     }
 
-    fn supports(&self, cfg: &SimConfig) -> Result<(), String> {
-        cfg.validate().map_err(|e| e.to_string())?;
-        crate::sim::check_walk_mode(cfg)?;
-        crate::sim::check_tree_build(cfg)
-    }
-
-    fn supports_sessions(&self) -> bool {
-        // The advance phase is the stateless `vel += acc·dt; pos += vel·dt`
-        // update and every per-run table (ownership, caches, interaction
-        // lists) is derived from the current body positions, so chunked
-        // stepping is bit-identical to one long run under per-step rebuild —
-        // pinned by the session-equivalence integration test.
-        true
+    fn caps(&self) -> Caps {
+        CAPS
     }
 
     fn run(&self, cfg: &SimConfig, bodies: Vec<Body>) -> SimResult {
@@ -60,7 +66,6 @@ impl Backend for UpcBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::OptLevel;
     use nbody::plummer::{generate, PlummerConfig};
 
     #[test]

@@ -58,8 +58,9 @@ struct Meta {
 
 /// Number of ranks a compact handle can address: the rank occupies the top
 /// 8 bits and the all-ones pattern is reserved for the null handle, so ranks
-/// `0..COMPACT_MAX_RANKS`.  [`crate::sim::check_tree_build`] rejects larger
-/// machines up front; `pack` asserts the same bound.
+/// `0..COMPACT_MAX_RANKS`.  The upc capability row
+/// ([`crate::backend::CAPS`]) rejects larger machines up front; `pack`
+/// asserts the same bound.
 pub const COMPACT_MAX_RANKS: usize = 0xFF;
 
 /// Packs a child pointer into a 32-bit handle.

@@ -9,7 +9,6 @@
 //! persistent global tree, incrementally updated, with drift-triggered
 //! rebuilds.
 
-use crate::cellstore::COMPACT_MAX_RANKS;
 use crate::config::{SimConfig, TreeBuild, WalkMode};
 use crate::force::{advance_phase, force_phase_cached, force_phase_uncached, write_back};
 use crate::frontier::{force_phase_async, force_phase_async_group};
@@ -69,8 +68,8 @@ pub fn run_simulation_tracked(
 /// and benches that want to inspect or pre-seed the body table).
 ///
 /// # Panics
-/// Panics when [`SimConfig::validate`] rejects `cfg` (unrunnable
-/// measurement window, non-positive physics parameters, ...).
+/// Panics when the upc capability row ([`crate::backend::CAPS`]) rejects
+/// `cfg`.
 pub fn run_simulation_with(cfg: &SimConfig, shared: &BhShared) -> SimResult {
     match run_simulation_observed(cfg, shared, None) {
         Ok(result) => result,
@@ -87,13 +86,7 @@ fn run_simulation_observed(
     shared: &BhShared,
     observer: Option<&mut (dyn FnMut(engine::snap::StepRecord) + Send)>,
 ) -> Result<SimResult, String> {
-    if let Err(e) = cfg.validate() {
-        panic!("bh::run_simulation: invalid config: {e}");
-    }
-    if let Err(e) = check_walk_mode(cfg) {
-        panic!("bh::run_simulation: invalid config: {e}");
-    }
-    if let Err(e) = check_tree_build(cfg) {
+    if let Err(e) = crate::backend::CAPS.check(cfg) {
         panic!("bh::run_simulation: invalid config: {e}");
     }
     let step_faults = cfg.faults.targets("engine.step");
@@ -194,58 +187,6 @@ fn run_simulation_observed(
     Ok(result)
 }
 
-/// Checks that `cfg.walk` is runnable on this solver: the group walk builds
-/// its interaction lists over the §5.3 cell cache, so it requires a caching
-/// optimization level.  Shared by [`run_simulation_with`] and
-/// [`crate::backend::UpcBackend::supports`] so library callers and the
-/// registry fail identically, with a clear error instead of a silent
-/// per-body fallback that would make walk-mode comparisons lie.
-pub fn check_walk_mode(cfg: &SimConfig) -> Result<(), String> {
-    if cfg.walk == WalkMode::Group && !cfg.opt.caches_cells() {
-        return Err(format!(
-            "walk mode {} requires a caching optimization level (cache-local-tree and above): \
-             the group walk builds per-group interaction lists over the force cache, which \
-             --opt {} does not have",
-            cfg.walk.name(),
-            cfg.opt.name()
-        ));
-    }
-    Ok(())
-}
-
-/// Checks that `cfg.build` is runnable on this solver: the sorted build
-/// routes each body (with its leaf payload) to its Morton-bucket owner, an
-/// owner-computes protocol that needs redistributed bodies (§5.2 and above),
-/// and it replaces the classic build phase, which the §6 subspace algorithm
-/// does not have.  Its compact cell arena addresses ranks through 8-bit
-/// handle fields, so it also caps the machine size
-/// ([`COMPACT_MAX_RANKS`]).  Shared by [`run_simulation_with`] and
-/// [`crate::backend::UpcBackend::supports`] so library callers and the
-/// registry fail identically (like [`check_walk_mode`]).
-pub fn check_tree_build(cfg: &SimConfig) -> Result<(), String> {
-    if cfg.build != TreeBuild::Sorted {
-        return Ok(());
-    }
-    if !cfg.opt.redistributes_bodies() || cfg.opt.subspace_tree_build() {
-        return Err(format!(
-            "tree build {} requires an owner-computes optimization level (redistribute \
-             through async-aggregation): the sorted build routes bodies to Morton-bucket \
-             owners over the redistribution machinery, which --opt {} does not support",
-            cfg.build.name(),
-            cfg.opt.name()
-        ));
-    }
-    if cfg.ranks() > COMPACT_MAX_RANKS {
-        return Err(format!(
-            "--build {} supports at most {COMPACT_MAX_RANKS} ranks (its compact cell handles \
-             carry the rank in 8 bits); this machine has {}",
-            cfg.build.name(),
-            cfg.ranks()
-        ));
-    }
-    Ok(())
-}
-
 /// Runs one time step with the phase structure of the configured
 /// optimization level.
 fn run_step(ctx: &Ctx, shared: &BhShared, st: &mut RankState, cfg: &SimConfig, step: usize) {
@@ -258,7 +199,7 @@ fn run_step(ctx: &Ctx, shared: &BhShared, st: &mut RankState, cfg: &SimConfig, s
     // Force computation.  The walk mode selects between one traversal per
     // body (the paper's walk) and one per body group ([`crate::groupwalk`]);
     // the group walk requires a cell cache to build its lists over, which
-    // `run_simulation_with`/`UpcBackend::supports` enforce.
+    // the upc capability row enforces.
     st.timer.begin(ctx, Phase::Force.key());
     let forces = if cfg.opt.async_aggregation() {
         if cfg.walk == WalkMode::Group {
@@ -438,20 +379,6 @@ mod tests {
             );
             assert!(result.phases.total() > 0.0, "{}", scenario.name());
         }
-    }
-
-    #[test]
-    fn sorted_build_is_rejected_beyond_the_compact_handle_rank_limit() {
-        let mut cfg = SimConfig::test(64, COMPACT_MAX_RANKS, OptLevel::CacheLocalTree);
-        cfg.build = TreeBuild::Sorted;
-        assert_eq!(cfg.ranks(), 255);
-        assert_eq!(check_tree_build(&cfg), Ok(()));
-        cfg.machine = pgas::Machine::test_cluster(COMPACT_MAX_RANKS + 1);
-        let err = check_tree_build(&cfg).expect_err("256 ranks overflow the handle");
-        assert!(err.contains("--build sorted") && err.contains("at most 255 ranks"), "{err}");
-        // The insertion build's fat pointers have no such limit.
-        cfg.build = TreeBuild::Insertion;
-        assert_eq!(check_tree_build(&cfg), Ok(()));
     }
 
     #[test]

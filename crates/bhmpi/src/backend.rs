@@ -1,20 +1,34 @@
 //! The message-passing solver as an [`engine`] backend.
 
-use crate::sim::{check_config, run_simulation_on};
-use engine::{Backend, SimConfig, SimResult};
+use crate::sim::{run_simulation_on, PSEUDO_ID_BASE};
+use engine::{Backend, Caps, Reasons, Rungs, SimConfig, SimResult};
 use nbody::Body;
 
 /// The MPI-style solver (registry key `mpi`).
-///
-/// [`Backend::supports`] validates the configuration, enforces the
-/// pseudo-body id headroom ([`crate::sim::check_config`]) and rejects
-/// non-[`engine::TreePolicy::Rebuild`] tree policies — this solver rebuilds
-/// its local trees and locally-essential imports from scratch every step by
-/// construction, so the only *correct* behaviour it can offer a
-/// reuse/adaptive caller is the rebuild fallback, and silently substituting
-/// it would make policy comparisons lie.  Unsupported configurations fail
-/// with a clear error before any simulation work starts.
 pub struct MpiBackend;
+
+/// The mpi capability row.  The solver rebuilds its decomposition, local
+/// trees and LET imports every step and walks them per body, so it has no
+/// group walk, sorted build or tree reuse to offer.  Imported LET items are
+/// grafted as pseudo-bodies with ids [`PSEUDO_ID_BASE`]`..`, so real ids
+/// must stay below it (the per-step import count is asserted where the
+/// pseudo ids are minted).
+pub const CAPS: Caps = Caps {
+    group_walk: Rungs::Never,
+    sorted_build: Rungs::Never,
+    sorted_max_ranks: None,
+    tree_reuse: Rungs::Never,
+    max_bodies: Some(PSEUDO_ID_BASE as usize),
+    tracked: false,
+    why: Reasons {
+        group_walk: "the message-passing solver walks its locally essential tree per body",
+        sorted_build: "the message-passing solver already builds lock-free local trees over \
+                       its Morton decomposition",
+        sorted_max_ranks: "",
+        tree_reuse: "the message-passing solver rebuilds its local trees every step",
+        max_bodies: "ids from PSEUDO_ID_BASE up are the pseudo-body id space of imported LET items",
+    },
+};
 
 impl Backend for MpiBackend {
     fn name(&self) -> &'static str {
@@ -25,39 +39,8 @@ impl Backend for MpiBackend {
         "message-passing solver (Morton decomposition, all-to-all exchange, pushed LETs)"
     }
 
-    fn supports(&self, cfg: &SimConfig) -> Result<(), String> {
-        cfg.validate().map_err(|e| e.to_string())?;
-        check_config(cfg)?;
-        if cfg.tree_policy.reuses_tree() {
-            return Err(format!(
-                "tree policy {} is not supported: the message-passing solver rebuilds its \
-                 local trees every step (use the default TreePolicy::Rebuild, or the upc \
-                 backend for persistent-tree stepping)",
-                cfg.tree_policy.name()
-            ));
-        }
-        if cfg.walk == engine::WalkMode::Group {
-            return Err("walk mode group is not supported: the message-passing solver walks its \
-                 locally essential tree per body (use the default per-body walk, or the upc \
-                 backend for group walks)"
-                .to_string());
-        }
-        if cfg.build == engine::TreeBuild::Sorted {
-            return Err("tree build sorted is not supported: the message-passing solver already \
-                 builds lock-free local trees over its Morton decomposition (use the default \
-                 insertion build, or the upc backend for the sorted shared-tree build)"
-                .to_string());
-        }
-        Ok(())
-    }
-
-    fn supports_sessions(&self) -> bool {
-        // The solver rebuilds its Morton decomposition, local trees and
-        // locally-essential imports from the current positions every step
-        // and advances with the stateless update, so chunked stepping is
-        // bit-identical to one long run — pinned by the session-equivalence
-        // integration test.
-        true
+    fn caps(&self) -> Caps {
+        CAPS
     }
 
     fn run(&self, cfg: &SimConfig, bodies: Vec<Body>) -> SimResult {
@@ -68,7 +51,6 @@ impl Backend for MpiBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::PSEUDO_ID_BASE;
     use engine::OptLevel;
     use nbody::plummer::{generate, PlummerConfig};
 
@@ -79,24 +61,5 @@ mod tests {
         let result = MpiBackend.run(&cfg, generate(&PlummerConfig::new(cfg.nbodies, cfg.seed)));
         assert_eq!(result.bodies.len(), 128);
         assert!(result.phases.force > 0.0);
-    }
-
-    #[test]
-    fn oversized_configs_are_unsupported() {
-        let mut cfg = SimConfig::test(128, 2, OptLevel::Subspace);
-        cfg.nbodies = PSEUDO_ID_BASE as usize + 1;
-        assert!(MpiBackend.supports(&cfg).is_err());
-    }
-
-    #[test]
-    fn invalid_windows_and_reuse_policies_are_unsupported() {
-        let mut cfg = SimConfig::test(128, 2, OptLevel::Subspace);
-        cfg.measured_steps = cfg.steps + 1;
-        assert!(MpiBackend.supports(&cfg).unwrap_err().contains("measured_steps"));
-
-        let mut cfg = SimConfig::test(128, 2, OptLevel::Subspace);
-        cfg.tree_policy = engine::TreePolicy::Adaptive;
-        let err = MpiBackend.supports(&cfg).unwrap_err();
-        assert!(err.contains("not supported"), "{err}");
     }
 }

@@ -44,4 +44,4 @@ pub mod sim;
 pub use backend::MpiBackend;
 pub use domain::{decompose, Decomposition, GlobalBox};
 pub use letree::{DomainBox, LetItem};
-pub use sim::{check_config, run_simulation, run_simulation_on, PSEUDO_ID_BASE};
+pub use sim::{run_simulation, run_simulation_on, PSEUDO_ID_BASE};

@@ -26,32 +26,8 @@ use octree::walk::accel_on;
 use pgas::{Ctx, PhaseTimer, Runtime};
 
 /// Base id given to imported pseudo-bodies so they never collide with real
-/// body ids (see [`check_config`] for the enforced headroom).
+/// body ids (the body cap of [`crate::backend::CAPS`] keeps the headroom).
 pub const PSEUDO_ID_BASE: u32 = u32::MAX - (1 << 24);
-
-/// Checks that `cfg` is runnable by this solver.
-///
-/// Imported locally-essential-tree items are grafted into the local tree as
-/// pseudo-bodies with ids `PSEUDO_ID_BASE..`; a run whose real body ids
-/// reach that range would silently alias pseudo-bodies with real ones (the
-/// force walk excludes interaction partners by id).  Such configurations are
-/// rejected with a clear error instead.  The bound is `nbodies <
-/// PSEUDO_ID_BASE` — `nbodies == PSEUDO_ID_BASE` (whose highest real id
-/// would sit flush against the reserved range) is rejected too, keeping the
-/// boundary id unused on both sides.  The other half of the invariant — the
-/// per-step LET import count fitting the `1 << 24`-id pseudo window — is
-/// only known mid-run and is asserted where the pseudo ids are minted
-/// (`graft_imports`).
-pub fn check_config(cfg: &SimConfig) -> Result<(), String> {
-    if cfg.nbodies as u64 >= PSEUDO_ID_BASE as u64 {
-        return Err(format!(
-            "nbodies = {} reaches the pseudo-body id space: runs require nbodies < \
-             PSEUDO_ID_BASE = {} (ids from there up are reserved for imported LET point masses)",
-            cfg.nbodies, PSEUDO_ID_BASE
-        ));
-    }
-    Ok(())
-}
 
 /// Per-rank state of the message-passing solver.
 struct MpiRankState {
@@ -81,16 +57,11 @@ pub fn run_simulation(cfg: &SimConfig) -> SimResult {
 /// comparable to the UPC solver's.
 ///
 /// # Panics
-/// Panics when [`SimConfig::validate`] or [`check_config`] rejects `cfg`
-/// (unrunnable measurement window, non-positive physics parameters, body
-/// ids that would alias the pseudo-body id space) or when the bodies do not
-/// match `cfg.nbodies`.
+/// Panics when the mpi capability row ([`crate::backend::CAPS`]) rejects
+/// `cfg` or when the bodies do not match `cfg.nbodies`.
 pub fn run_simulation_on(cfg: &SimConfig, all_bodies: Vec<Body>) -> SimResult {
-    if let Err(e) = cfg.validate() {
+    if let Err(e) = crate::backend::CAPS.check(cfg) {
         panic!("bh_mpi::run_simulation_on: invalid config: {e}");
-    }
-    if let Err(e) = check_config(cfg) {
-        panic!("bh_mpi::run_simulation_on: {e}");
     }
     engine::validate_bodies(cfg, &all_bodies);
     let runtime = Runtime::new(cfg.machine.clone());
@@ -228,9 +199,9 @@ fn run_step(ctx: &Ctx, st: &mut MpiRankState, cfg: &SimConfig) {
 fn graft_imports(ctx: &Ctx, tree: &mut Octree, owned: &[Body], imported: &[LetItem]) -> Vec<Body> {
     // The pseudo-id window holds `1 << 24` ids; past it the u32 addition
     // below would wrap around into real body ids — the silent aliasing
-    // [`check_config`] exists to prevent.  `check_config` bounds the real
-    // ids; the per-step import count can only be bounded here, where it is
-    // known.
+    // the body cap of [`crate::backend::CAPS`] exists to prevent.  The cap
+    // bounds the real ids; the per-step import count can only be bounded
+    // here, where it is known.
     assert!(
         imported.len() < (1usize << 24),
         "LET import count {} exceeds the pseudo-body id window ({} ids starting at {})",
@@ -322,15 +293,17 @@ mod tests {
 
     #[test]
     fn pseudo_id_collisions_are_rejected() {
+        let caps = crate::backend::CAPS;
         let mut cfg = test_cfg(64, 2);
-        assert!(check_config(&cfg).is_ok());
+        assert!(caps.check(&cfg).is_ok());
         cfg.nbodies = PSEUDO_ID_BASE as usize;
-        let err = check_config(&cfg).unwrap_err();
-        assert!(err.contains("pseudo-body id space"), "{err}");
+        let err = caps.check(&cfg).unwrap_err();
+        assert_eq!(err.code, engine::ConfigError::E_UNSUPPORTED, "{err}");
+        assert!(err.message.contains("pseudo-body id space"), "{err}");
         cfg.nbodies = PSEUDO_ID_BASE as usize + 7;
-        assert!(check_config(&cfg).is_err());
+        assert!(caps.check(&cfg).is_err());
         cfg.nbodies = PSEUDO_ID_BASE as usize - 1;
-        assert!(check_config(&cfg).is_ok());
+        assert!(caps.check(&cfg).is_ok());
     }
 
     #[test]

@@ -24,7 +24,8 @@
 //!   contract that makes coalescing fair.
 //! * [`session`] — persistent simulations stepped across requests,
 //!   guaranteed bit-for-bit identical to one standalone run (the
-//!   [`engine::Backend::supports_sessions`] contract).
+//!   [`engine::Backend`] chunked-stepping convention, admitted by
+//!   [`engine::Caps::check_session`]).
 //! * [`batch`] — single-flight coalescing: identical small jobs from
 //!   different clients share one engine run.
 //! * [`server`] — the daemon: accept loop, thread-per-connection

@@ -30,7 +30,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::Instant;
 
-use crate::proto::{E_OVERLOADED, E_QUOTA_EXCEEDED, E_SESSION_UNSUPPORTED, E_SNAP_UNAVAILABLE};
+use crate::proto::{E_OVERLOADED, E_QUOTA_EXCEEDED, E_SNAP_UNAVAILABLE};
 use crate::server::{call_with_retry, request, Client};
 use engine::bench::{Record, RunRecord, RunSpec, Sample, SERVICE_BHSERVE, SERVICE_CHAOS};
 use engine::{OptLevel, Phase, PhaseTimes, SimConfig};
@@ -572,12 +572,7 @@ fn session_flow(client: &mut Client, cell: &Cell, tenant: &str) -> Result<(), St
         Err(e) => return Err(format!("open: transport: {e}")),
     };
     if opened.get("ok").and_then(|v| v.as_bool()) != Some(true) {
-        // A backend may legitimately refuse sessions; that is not a load
-        // failure, just a flow that ends early.
         let code = opened.get("code").and_then(|v| v.as_str()).unwrap_or("?");
-        if code == E_SESSION_UNSUPPORTED {
-            return Ok(());
-        }
         let error = opened.get("error").and_then(|v| v.as_str()).unwrap_or("?");
         return Err(format!("open rejected [{code}]: {error}"));
     }
@@ -642,8 +637,8 @@ fn snapshot_digest_of(reply: &Value) -> Result<String, String> {
 /// The chaos-mode suspend→resume bit-identity probe: open a session, step
 /// it, snapshot, suspend it to the store, resume the token and verify the
 /// resumed snapshot is byte-for-byte the suspended one.  Returns `Ok(None)`
-/// when the server offers no sessions or no snapshot store (nothing to
-/// probe); a digest mismatch is a hard failure.
+/// when the server offers no snapshot store (nothing to probe); a digest
+/// mismatch is a hard failure.
 fn resume_flow(client: &mut Client, cell: &Cell, tenant: &str) -> Result<Option<()>, String> {
     let mut fields = vec![("tenant".to_string(), Value::String(tenant.to_string()))];
     fields.extend(cell.job_fields());
@@ -651,9 +646,6 @@ fn resume_flow(client: &mut Client, cell: &Cell, tenant: &str) -> Result<Option<
         client.call(&request("open", fields)).map_err(|e| format!("open: transport: {e}"))?;
     if opened.get("ok").and_then(|v| v.as_bool()) != Some(true) {
         let code = opened.get("code").and_then(|v| v.as_str()).unwrap_or("?");
-        if code == E_SESSION_UNSUPPORTED {
-            return Ok(None);
-        }
         let error = opened.get("error").and_then(|v| v.as_str()).unwrap_or("?");
         return Err(format!("open rejected [{code}]: {error}"));
     }

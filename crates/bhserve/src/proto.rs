@@ -3,9 +3,10 @@
 //! Every frame payload is one JSON object.  Requests carry an `op` field;
 //! responses carry `ok` — `true` with op-specific fields, or `false` with a
 //! stable machine-readable `code` and a human-readable `error`.  The
-//! configuration codes (`E_NBODIES`, `E_DT`, ...) are relayed verbatim from
+//! configuration codes (`E_NBODIES`, `E_DT`, ..., and the capability
+//! table's `E_UNSUPPORTED`/`E_SESSION_POLICY`) are relayed verbatim from
 //! [`engine::ConfigError`], so a remote client sees exactly the vocabulary
-//! a local `SimConfig::validate()` caller does; the service adds its own
+//! a local [`engine::Caps::check`] caller does; the service adds its own
 //! codes (see the `E_*` consts here) for protocol, dispatch, session and
 //! quota failures.
 //!
@@ -17,7 +18,7 @@
 //! ([`hex_f64`]), never as a JSON float, so a snapshot round-trips with no
 //! precision loss and session-equivalence can be pinned bit-for-bit.
 
-use engine::{BackendRegistry, SimConfig, TreePolicy, WalkMode};
+use engine::{BackendRegistry, ConfigError, SimConfig, TreePolicy, WalkMode};
 use pgas::Machine;
 use scenarios::Registry as ScenarioRegistry;
 use serde::Value;
@@ -30,18 +31,12 @@ pub const E_UNKNOWN_OP: &str = "E_UNKNOWN_OP";
 pub const E_UNKNOWN_SCENARIO: &str = "E_UNKNOWN_SCENARIO";
 /// The `backend` field names no registered backend.
 pub const E_UNKNOWN_BACKEND: &str = "E_UNKNOWN_BACKEND";
-/// The backend rejected the configuration ([`engine::Backend::supports`])
-/// for a reason that is not a [`engine::ConfigError`] (those relay their
-/// own code).
-pub const E_UNSUPPORTED: &str = "E_UNSUPPORTED";
+/// The backend's capability row rejects the configuration ([`engine::caps`]).
+pub const E_UNSUPPORTED: &str = ConfigError::E_UNSUPPORTED;
 /// The `session` field names no live session on this connection.
 pub const E_NO_SESSION: &str = "E_NO_SESSION";
-/// The backend does not support sessions
-/// ([`engine::Backend::supports_sessions`]).
-pub const E_SESSION_UNSUPPORTED: &str = "E_SESSION_UNSUPPORTED";
-/// Sessions require the per-step rebuild tree policy (the policy under
-/// which chunked stepping is bit-identical to one long run).
-pub const E_SESSION_POLICY: &str = "E_SESSION_POLICY";
+/// Sessions require the per-step rebuild tree policy ([`engine::caps`]).
+pub const E_SESSION_POLICY: &str = ConfigError::E_SESSION_POLICY;
 /// The connection reached its live-session cap.
 pub const E_SESSION_LIMIT: &str = "E_SESSION_LIMIT";
 /// The server was started without a snapshot store (`--snap-dir`), so
@@ -69,6 +64,13 @@ pub struct Reject {
     pub error: String,
     /// Extra response fields appended after `code`/`error`.
     pub extra: Vec<(String, Value)>,
+}
+
+/// A configuration the capability table rejects answers with its code.
+impl From<ConfigError> for Reject {
+    fn from(e: ConfigError) -> Reject {
+        Reject::new(e.code, e.to_string())
+    }
 }
 
 impl Reject {
@@ -111,8 +113,8 @@ pub struct Job {
     pub scenario: String,
     /// Backend registry key.
     pub backend: String,
-    /// The full solver configuration (validated by the caller via
-    /// [`engine::Backend::supports`]).
+    /// The full solver configuration (checked by the caller against the
+    /// backend's [`engine::Caps`] row).
     pub cfg: SimConfig,
 }
 

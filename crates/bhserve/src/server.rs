@@ -29,10 +29,10 @@ use crate::batch::{BatchRunner, RunOutput};
 use crate::frame::{read_frame, write_frame, FaultyStream};
 use crate::proto::{
     self, decode_job, ok_response, run_fields, snapshot_bodies, tenant_of, Job, Reject,
-    E_OVERLOADED, E_PROTO, E_UNKNOWN_OP, E_UNSUPPORTED,
+    E_OVERLOADED, E_PROTO, E_UNKNOWN_OP,
 };
 use crate::quota::QuotaBook;
-use crate::session::{check_session_preconditions, Session, SessionTable};
+use crate::session::{Session, SessionTable};
 use engine::{BackendRegistry, FaultPlan};
 use scenarios::Registry as ScenarioRegistry;
 use serde::Value;
@@ -342,17 +342,6 @@ fn execute(shared: &Shared, job: &Job) -> (Arc<RunOutput>, bool) {
     }
 }
 
-/// Relays a backend `supports` rejection: a stringified
-/// [`engine::ConfigError`] keeps its machine code in the rendered message,
-/// so validation is re-run to recover the structured code; anything else is
-/// a backend-specific [`E_UNSUPPORTED`].
-fn check_supported(backend: &dyn engine::Backend, job: &Job) -> Result<(), Reject> {
-    if let Err(e) = job.cfg.validate() {
-        return Err(Reject::new(e.code, e.to_string()));
-    }
-    backend.supports(&job.cfg).map_err(|msg| Reject::new(E_UNSUPPORTED, msg))
-}
-
 /// The `retry_after_ms` hint attached to every [`E_OVERLOADED`] shed — a
 /// constant so the chaos harness stays deterministic.
 pub const RETRY_AFTER_MS: u64 = 25;
@@ -474,7 +463,7 @@ fn op_list(shared: &Shared) -> Value {
                 Value::Object(vec![
                     ("name".to_string(), Value::String(b.name().to_string())),
                     ("description".to_string(), Value::String(b.description().to_string())),
-                    ("sessions".to_string(), Value::Bool(b.supports_sessions())),
+                    ("sessions".to_string(), Value::Bool(b.caps().sessions())),
                 ])
             })
             .collect(),
@@ -503,7 +492,7 @@ fn op_run(shared: &Shared, request: &Value) -> Result<Value, Reject> {
     shared.quotas.admit(&tenant)?;
     let job = decode_job(request, &shared.scenarios, &shared.backends)?;
     let backend = shared.backends.get(&job.backend).expect("validated at decode");
-    check_supported(backend, &job)?;
+    backend.caps().check(&job.cfg)?;
     let (output, batched) = execute(shared, &job);
     // Followers are charged the full deterministic cost of the job they
     // requested; see the billing contract in `crate::quota`.
@@ -518,8 +507,7 @@ fn op_open(shared: &Shared, sessions: &mut SessionTable, request: &Value) -> Res
     shared.quotas.admit(&tenant)?;
     let job = decode_job(request, &shared.scenarios, &shared.backends)?;
     let backend = shared.backends.get(&job.backend).expect("validated at decode");
-    check_session_preconditions(backend, &job)?;
-    check_supported(backend, &job)?;
+    backend.caps().check_session(&job.cfg)?;
     let scenario = shared.scenarios.get(&job.scenario).expect("validated at decode");
     let bodies = scenario.generate(job.cfg.nbodies, job.cfg.seed);
     let id = sessions.open(Session::new(tenant, job, bodies, 0))?;
@@ -668,8 +656,7 @@ fn op_resume(
     })?;
     let job =
         Job { scenario: state.scenario.clone(), backend: state.backend.clone(), cfg: state.cfg };
-    check_session_preconditions(backend, &job)?;
-    check_supported(backend, &job)?;
+    backend.caps().check_session(&job.cfg)?;
     let steps_done = state.step;
     let id = sessions.open(Session::new(tenant, job, state.bodies, steps_done))?;
     Ok(ok_response(vec![
@@ -914,6 +901,19 @@ mod tests {
         // The machine-readable code travels as its own field, exactly as
         // SimConfig::validate reports it locally.
         assert_eq!(reply.get("code").unwrap().as_str(), Some("E_MEASURED_WINDOW"));
+        // Capability-table rejections keep their wire codes.  (The wire has
+        // no `build` field; the capability matrix test pins sorted builds.)
+        for (op, field, value, code) in [
+            ("run", "backend", "mpi", proto::E_UNSUPPORTED),
+            ("run", "opt", "baseline", proto::E_UNSUPPORTED),
+            ("open", "policy", "reuse", proto::E_SESSION_POLICY),
+        ] {
+            let text = format!(
+                r#"{{"op":"{op}","tenant":"t","n":32,"walk":"group","{field}":"{value}"}}"#
+            );
+            let reply = client.call(&serde_json::from_str(&text).unwrap()).unwrap();
+            assert_eq!(reply.get("code").unwrap().as_str(), Some(code), "{text}: {reply:?}");
+        }
         let unknown = client
             .call(&request(
                 "run",

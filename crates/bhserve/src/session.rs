@@ -4,14 +4,13 @@
 //! A `run` job is fire-and-forget; a *session* keeps the simulation alive
 //! on the server so a client can `step` it incrementally, `query` its
 //! progress and `snapshot` the exact body state at any point.  The
-//! contract that makes this safe to offer is
-//! [`engine::Backend::supports_sessions`]: chunked stepping must be
-//! **bit-for-bit** identical to one long run, which holds for the built-in
-//! solvers under the per-step rebuild tree policy (the advance update is
+//! contract that makes this safe to offer is the [`engine::Backend`]
+//! convention that chunked stepping is **bit-for-bit** identical to one
+//! long run under the per-step rebuild tree policy (the advance update is
 //! stateless and tree construction is a pure function of body positions).
-//! Both preconditions are enforced at `open`; the session-equivalence
-//! integration test pins the bit-for-bit claim for every backend that makes
-//! it.
+//! `open` and `resume` enforce the policy through
+//! [`engine::Caps::check_session`]; the session-equivalence integration
+//! test pins the bit-for-bit claim for every backend.
 //!
 //! Sessions are owned by their connection — a disconnect (clean or
 //! mid-message) tears down every session the connection holds, while the
@@ -24,7 +23,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::proto::{Job, Reject, E_NO_SESSION, E_SESSION_LIMIT};
-use engine::{SimConfig, TreePolicy};
+use engine::SimConfig;
 use nbody::Body;
 
 /// One live simulation: the job it was opened with and the evolving state.
@@ -146,34 +145,6 @@ impl SessionTable {
     }
 }
 
-/// The `open`-time preconditions for sessions, shared by the server and the
-/// tests: the backend must claim chunked-stepping fidelity and the job must
-/// use the per-step rebuild tree policy (any tree state carried across
-/// steps would make chunk boundaries observable).
-pub fn check_session_preconditions(backend: &dyn engine::Backend, job: &Job) -> Result<(), Reject> {
-    if !backend.supports_sessions() {
-        return Err(Reject::new(
-            crate::proto::E_SESSION_UNSUPPORTED,
-            format!(
-                "backend {:?} does not support sessions (chunked stepping is not \
-                 guaranteed bit-for-bit identical to one run)",
-                backend.name()
-            ),
-        ));
-    }
-    if !matches!(job.cfg.tree_policy, TreePolicy::Rebuild) {
-        return Err(Reject::new(
-            crate::proto::E_SESSION_POLICY,
-            format!(
-                "sessions require the per-step rebuild tree policy; policy {:?} carries \
-                 tree state across steps, which would make chunk boundaries observable",
-                job.cfg.tree_policy.spec_label()
-            ),
-        ));
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,19 +177,6 @@ mod tests {
         assert!(c > b);
         assert_eq!(table.get_mut(a).map(|_| ()).unwrap_err().code, E_NO_SESSION);
         assert_eq!(table.close(a).map(|_| ()).unwrap_err().code, E_NO_SESSION);
-    }
-
-    #[test]
-    fn preconditions_gate_backend_and_policy() {
-        let registry = backends();
-        let j = job(r#"{"n": 16}"#);
-        for backend in registry.iter() {
-            // Every built-in backend opts into sessions.
-            assert!(check_session_preconditions(backend, &j).is_ok(), "{}", backend.name());
-        }
-        let reuse = job(r#"{"n": 16, "policy": "reuse"}"#);
-        let err = check_session_preconditions(registry.get("upc").unwrap(), &reuse).unwrap_err();
-        assert_eq!(err.code, crate::proto::E_SESSION_POLICY);
     }
 
     #[test]

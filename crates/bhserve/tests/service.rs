@@ -39,20 +39,16 @@ fn job_fields(backend: &str, n: u64) -> Vec<(String, Value)> {
 }
 
 /// N `step` requests against a live session must produce the body state of
-/// one standalone N-step run **bit for bit** — the
-/// [`engine::Backend::supports_sessions`] contract, checked for every
-/// backend that makes the claim, through the real socket path (framing,
-/// JSON, hex encoding included).
+/// one standalone N-step run **bit for bit** — the [`engine::Backend`]
+/// chunked-stepping convention, checked for every backend through the real
+/// socket path (framing, JSON, hex encoding included).
 #[test]
 fn chunked_session_stepping_is_bit_identical_to_one_run() {
     let registry = backends();
     let scenarios = builtin();
     let server = start(ServerOptions::default());
-    let session_capable: Vec<&str> =
-        registry.iter().filter(|b| b.supports_sessions()).map(|b| b.name()).collect();
-    assert!(!session_capable.is_empty(), "at least one backend must support sessions");
-
-    for backend_name in session_capable {
+    for backend_name in registry.names() {
+        assert!(registry.get(backend_name).unwrap().caps().sessions(), "{backend_name}");
         // The standalone reference: decode the *same* request fields the
         // server will decode, so the configs are identical by construction.
         let req = request("open", job_fields(backend_name, 48));

@@ -9,7 +9,8 @@
 //! drivers, benches and tests can select solvers by name (`upc`, `mpi`,
 //! `direct`) exactly as they select workloads.
 
-use crate::config::SimConfig;
+use crate::caps::Caps;
+use crate::config::{ConfigError, SimConfig};
 use crate::report::SimResult;
 use nbody::Body;
 
@@ -18,7 +19,11 @@ use nbody::Body;
 /// Implementations must honour the shared conventions: the bodies number
 /// `cfg.nbodies` with ids `0..n` in order, the run executes `cfg.steps`
 /// steps with the trailing `cfg.measured_steps` timed, and the returned
-/// [`SimResult::bodies`] are sorted by id.
+/// [`SimResult::bodies`] are sorted by id.  Chunked stepping is exact:
+/// running `k` steps, then `n − k` more from the returned bodies, gives the
+/// bodies of one `n`-step run bit for bit under
+/// [`crate::TreePolicy::Rebuild`] — `bhserve` sessions rely on it for every
+/// backend, and the session-equivalence integration test pins it.
 pub trait Backend: Send + Sync {
     /// Registry key (stable, kebab-case).
     fn name(&self) -> &'static str;
@@ -26,36 +31,15 @@ pub trait Backend: Send + Sync {
     /// One-line human description for `bhsim --list`.
     fn description(&self) -> &'static str;
 
-    /// Checks whether this backend can run `cfg`, returning a clear error
-    /// when it cannot (e.g. a body count that would collide with the MPI
-    /// solver's pseudo-body id space).
-    ///
-    /// The default checks [`SimConfig::validate`], so every backend rejects
-    /// unrunnable configurations (`measured_steps > steps`, non-positive
-    /// `dt`, ...) before any simulation work starts; overrides should chain
-    /// `cfg.validate().map_err(|e| e.to_string())?` before their own checks
-    /// (the stringified [`crate::ConfigError`] keeps its machine-readable
-    /// code in the rendered message).
-    fn supports(&self, cfg: &SimConfig) -> Result<(), String> {
-        cfg.validate().map_err(|e| e.to_string())
-    }
+    /// This backend's row of the capability table: which combinations of
+    /// axes it runs ([`crate::caps`]).
+    fn caps(&self) -> Caps;
 
-    /// `true` when the backend can be *stepped in chunks* with bit-for-bit
-    /// fidelity: running `k` steps, then `n − k` more steps from the
-    /// returned body snapshot, produces exactly the bodies of one `n`-step
-    /// run (under [`crate::TreePolicy::Rebuild`], where the tree carries no
-    /// cross-step state).  The `bhserve` session layer relies on this to
-    /// offer incremental `step` requests that are indistinguishable from a
-    /// single standalone run; the session-equivalence integration test pins
-    /// the property for every backend that claims it.
-    ///
-    /// The built-in solvers all qualify — their advance phase is the
-    /// stateless `vel += acc·dt; pos += vel·dt` update with no half-step
-    /// bootstrap carried between steps, and partitioning/tree construction
-    /// are pure functions of the current body positions — but the default is
-    /// conservative for external backends.
-    fn supports_sessions(&self) -> bool {
-        false
+    /// Checks whether this backend can run `cfg`: [`Caps::check`] on
+    /// [`Backend::caps`], so every rejection carries a stable
+    /// [`ConfigError`] code and no backend writes its own rules.
+    fn supports(&self, cfg: &SimConfig) -> Result<(), ConfigError> {
+        self.caps().check(cfg)
     }
 
     /// Runs the simulation over the given initial conditions.
@@ -72,7 +56,8 @@ pub trait Backend: Send + Sync {
     ///
     /// The default refuses — observation points require solver cooperation
     /// (a safe barrier between steps and access to the tree-lifecycle
-    /// phase), so backends opt in explicitly.  Checkpoint-driving surfaces
+    /// phase), so backends opt in explicitly ([`Caps::tracked`]).
+    /// Checkpoint-driving surfaces
     /// (`bhsim --checkpoint-every`, the snapstore resume path) report the
     /// error to the user instead of silently running untracked.
     fn run_tracked(
@@ -162,6 +147,9 @@ mod tests {
         fn description(&self) -> &'static str {
             "dummy"
         }
+        fn caps(&self) -> Caps {
+            crate::direct::CAPS
+        }
         fn run(&self, cfg: &SimConfig, bodies: Vec<Body>) -> SimResult {
             SimResult::aggregate(cfg, Vec::new(), bodies)
         }
@@ -193,11 +181,6 @@ mod tests {
     }
 
     #[test]
-    fn sessions_are_opt_in() {
-        assert!(!Dummy("x").supports_sessions(), "the default must stay conservative");
-    }
-
-    #[test]
     fn tracked_runs_are_opt_in() {
         // A backend that has not wired up safe observation points must
         // refuse loudly rather than run untracked.
@@ -211,10 +194,11 @@ mod tests {
         let cfg = SimConfig::test(16, 1, OptLevel::Baseline);
         assert!(Dummy("x").supports(&cfg).is_ok());
         // An unrunnable measurement window is rejected by every backend
-        // through the default `supports`, not silently mis-measured.
+        // through the provided `supports`, not silently mis-measured.
         let mut bad = cfg;
         bad.measured_steps = bad.steps + 1;
         let err = Dummy("x").supports(&bad).unwrap_err();
-        assert!(err.contains("measured_steps"), "{err}");
+        assert_eq!(err.code, ConfigError::E_MEASURED_WINDOW, "{err}");
+        assert!(err.message.contains("measured_steps"), "{err}");
     }
 }

@@ -121,11 +121,8 @@ impl OptLevel {
 /// ([`OptLevel::Baseline`] through [`OptLevel::CacheLocalTree`]), where a
 /// per-step rebuild descends the shared tree under locks for every body;
 /// the merged (§5.4/§5.5) and subspace (§6) builds rebuild cheaply from
-/// local trees every step and keep doing so regardless of policy.
-/// Backends without an incremental path (the MPI comparator rebuilds its
-/// local trees by construction) reject non-[`TreePolicy::Rebuild`] configs
-/// through [`crate::Backend::supports`]; the direct-summation reference has
-/// no tree and ignores the policy.
+/// local trees every step and keep doing so regardless of policy.  Which
+/// backends accept which policy is their [`crate::caps`] row.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum TreePolicy {
     /// Rebuild the global tree from scratch every step (the paper's
@@ -257,13 +254,12 @@ impl TreePolicy {
 /// accuracy is never worse; the traversal volume (the `macs` counter) drops
 /// by the mean group occupancy.
 ///
-/// The group walk applies to the caching levels ([`OptLevel::CacheLocalTree`]
-/// and above — the list is built over the force cache); the `upc` backend
-/// rejects it below §5.3, and the `mpi` comparator has no group walk at all.
-/// Under a reuse-capable [`TreePolicy`], interaction lists are carried
-/// across steps while the tree generation is unchanged and re-validated per
-/// group (payloads epoch-refreshed; a relocated member leaf or a subdivided
-/// list cell rebuilds that group's list).
+/// The group walk builds its lists over the §5.3 force cache; where it runs
+/// is each backend's [`crate::caps`] row.  Under a reuse-capable
+/// [`TreePolicy`], interaction lists are carried across steps while the
+/// tree generation is unchanged and re-validated per group (payloads
+/// epoch-refreshed; a relocated member leaf or a subdivided list cell
+/// rebuilds that group's list).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum WalkMode {
     /// One tree traversal per body (the paper's walk, bit-for-bit the
@@ -317,13 +313,10 @@ impl WalkMode {
 /// bit-for-bit identical to the insertion build under
 /// [`TreePolicy::Rebuild`].
 ///
-/// The sorted build applies to the redistributed global-insertion levels
-/// ([`OptLevel::Redistribute`] through [`OptLevel::AsyncAggregation`]):
-/// below §5.2 body ownership is not aligned with the partition the sort
+/// Below §5.2 body ownership is not aligned with the partition the sort
 /// distributes against, and the §6 subspace algorithm is itself a
-/// replacement build.  The `upc` backend rejects unsupported combinations;
-/// the `mpi` comparator builds local trees with no shared insertion phase,
-/// so the axis does not apply there.
+/// replacement build; where the sorted build runs is each backend's
+/// [`crate::caps`] row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum TreeBuild {
     /// Global insertion under per-cell locks (the paper's build).
@@ -398,8 +391,14 @@ impl ConfigError {
     pub const E_REUSE_EVERY: &'static str = "E_REUSE_EVERY";
     /// Reuse policy: `drift_threshold` is negative or non-finite.
     pub const E_REUSE_DRIFT: &'static str = "E_REUSE_DRIFT";
+    /// The backend's capability row ([`crate::caps::Caps`]) rejects this
+    /// combination of axes.
+    pub const E_UNSUPPORTED: &'static str = "E_UNSUPPORTED";
+    /// Sessions require the per-step rebuild tree policy (the policy under
+    /// which chunked stepping is bit-identical to one long run).
+    pub const E_SESSION_POLICY: &'static str = "E_SESSION_POLICY";
 
-    fn new(code: &'static str, message: impl Into<String>) -> ConfigError {
+    pub(crate) fn new(code: &'static str, message: impl Into<String>) -> ConfigError {
         ConfigError { code, message: message.into() }
     }
 }
@@ -413,6 +412,13 @@ impl std::fmt::Display for ConfigError {
 }
 
 impl std::error::Error for ConfigError {}
+
+/// `?` into a `Result<_, String>` keeps the rendered `message [code]`.
+impl From<ConfigError> for String {
+    fn from(e: ConfigError) -> String {
+        e.to_string()
+    }
+}
 
 /// Full configuration of one simulation run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -537,9 +543,9 @@ impl SimConfig {
     /// Checks that the configuration describes a runnable, measurable
     /// simulation.
     ///
-    /// Every solver entry point (`run_simulation*` in each backend crate)
-    /// and the default [`crate::Backend::supports`] call this, so invalid
-    /// configurations fail with a clear error instead of producing garbage:
+    /// [`crate::caps::Caps::check`] (every solver entry point, every
+    /// `supports()`) runs this first, so invalid configurations fail with a
+    /// clear error instead of producing garbage:
     /// `measured_steps > steps` makes [`crate::report::measurement_begins`]
     /// never fire (the phase tables silently report the warm-up window that
     /// was never reset), a non-positive or non-finite `dt`/`theta`/`eps`
@@ -746,6 +752,8 @@ mod tests {
         assert_eq!(ConfigError::E_EPS, "E_EPS");
         assert_eq!(ConfigError::E_REUSE_EVERY, "E_REUSE_EVERY");
         assert_eq!(ConfigError::E_REUSE_DRIFT, "E_REUSE_DRIFT");
+        assert_eq!(ConfigError::E_UNSUPPORTED, "E_UNSUPPORTED");
+        assert_eq!(ConfigError::E_SESSION_POLICY, "E_SESSION_POLICY");
         let mut cfg = SimConfig::test(64, 1, OptLevel::Baseline);
         cfg.nbodies = 0;
         assert_eq!(cfg.validate().unwrap_err().code, ConfigError::E_NBODIES);

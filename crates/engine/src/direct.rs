@@ -13,6 +13,7 @@
 //! centre-of-mass and partitioning do not exist here and report zero.
 
 use crate::backend::Backend;
+use crate::caps::{Caps, Reasons, Rungs};
 use crate::config::SimConfig;
 use crate::report::{measurement_begins, PhaseTimes, RankOutcome, SimResult};
 use crate::Phase;
@@ -21,6 +22,18 @@ use pgas::{Ctx, PhaseTimer, Runtime};
 
 /// The exact O(n²) solver as an engine backend (registry key `direct`).
 pub struct DirectBackend;
+
+/// The direct solver's capability row: it has no tree, so the walk, build
+/// and tree-policy axes are accepted and ignored.
+pub const CAPS: Caps = Caps {
+    group_walk: Rungs::Ignored,
+    sorted_build: Rungs::Ignored,
+    sorted_max_ranks: None,
+    tree_reuse: Rungs::Ignored,
+    max_bodies: None,
+    tracked: false,
+    why: Reasons::NONE,
+};
 
 impl Backend for DirectBackend {
     fn name(&self) -> &'static str {
@@ -31,11 +44,8 @@ impl Backend for DirectBackend {
         "exact O(n^2) direct summation (replicated data), the ground-truth reference"
     }
 
-    fn supports_sessions(&self) -> bool {
-        // No cross-step state at all: each step replicates, sums exactly and
-        // advances with the stateless update, so chunked stepping is
-        // trivially bit-identical to one long run.
-        true
+    fn caps(&self) -> Caps {
+        CAPS
     }
 
     fn run(&self, cfg: &SimConfig, bodies: Vec<Body>) -> SimResult {
@@ -52,10 +62,10 @@ impl Backend for DirectBackend {
 /// backends'.
 ///
 /// # Panics
-/// Panics when [`SimConfig::validate`] rejects `cfg` or when the bodies do
-/// not match `cfg.nbodies`.
+/// Panics when [`CAPS`] rejects `cfg` or when the bodies do not match
+/// `cfg.nbodies`.
 pub fn run_simulation_on(cfg: &SimConfig, bodies: Vec<Body>) -> SimResult {
-    if let Err(e) = cfg.validate() {
+    if let Err(e) = CAPS.check(cfg) {
         panic!("engine::direct::run_simulation_on: invalid config: {e}");
     }
     crate::backend::validate_bodies(cfg, &bodies);

@@ -15,9 +15,11 @@
 //!   per-rank outcomes, the rank-report aggregation
 //!   ([`SimResult::aggregate`]) and the measured-window bookkeeping
 //!   ([`report::measurement_begins`]) every driver shares.
-//! * [`backend`] — the [`Backend`] trait (`name()`, `supports()`, `run()`)
+//! * [`backend`] — the [`Backend`] trait (`name()`, `caps()`, `run()`)
 //!   and the string-keyed [`BackendRegistry`], mirroring the `scenarios`
 //!   registry: any scenario's bodies can be pushed through any backend.
+//! * [`caps`] — the capability table: one [`Caps`] row per backend and the
+//!   one evaluator of "which configurations are valid" every surface reads.
 //! * [`bench`] — the run-record vocabulary: [`bench::RunSpec`] and
 //!   [`bench::Sample`] (what `bhsim --json` prints per backend) and the
 //!   `bhbench/v1` [`bench::Record`] that `bhload` writes.  Written, never
@@ -45,6 +47,7 @@
 
 pub mod backend;
 pub mod bench;
+pub mod caps;
 pub mod cli;
 pub mod compare;
 pub mod config;
@@ -55,6 +58,7 @@ pub mod snap;
 pub mod suggest;
 
 pub use backend::{validate_bodies, Backend, BackendRegistry};
+pub use caps::{Caps, Reasons, Rungs};
 pub use compare::{comparison_table, run_backends, BackendRun};
 pub use config::{ConfigError, OptLevel, SimConfig, TreeBuild, TreePolicy, WalkMode, DEFAULT_SEED};
 pub use direct::DirectBackend;

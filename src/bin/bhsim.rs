@@ -116,12 +116,10 @@ fn usage() -> ! {
            --drift-threshold F  reuse policy: drifted-leaf fraction forcing a\n\
                                 rebuild                   (default {})\n\
            --walk MODE          force-walk traversal mode (default per-body)\n\
-                                modes: per-body, group (group needs a caching\n\
-                                --opt level: cache-local-tree and above)\n\
+                                modes: per-body, group (where each runs: --list)\n\
            --build ALGO         tree-construction algorithm (default insertion)\n\
-                                algorithms: insertion, sorted (sorted needs an\n\
-                                owner-computes --opt level: redistribute\n\
-                                through async-aggregation)\n\
+                                algorithms: insertion, sorted (where each runs:\n\
+                                --list)\n\
            --theta T            opening criterion         (default: scenario's)\n\
            --eps E              softening                 (default: scenario's)\n\
            --dt DT              time step                 (default: scenario's)\n\
@@ -154,7 +152,8 @@ fn usage() -> ! {
                                 run (compare state_digest)\n\
          \n\
          output:\n\
-           --list               list the registered scenarios and backends, then exit\n\
+           --list               list scenarios, backends, every axis and the valid\n\
+                                combinations, then exit\n\
            --json               print the report as JSON instead of a table\n",
         OptLevel::ALL.map(|l| l.name()).join(", "),
         TreePolicy::DEFAULT_REBUILD_EVERY,
@@ -474,6 +473,10 @@ fn run_resume(opts: &Options, manifest: &str) {
         eprintln!("bhsim: {e}");
         std::process::exit(2)
     });
+    if let Err(e) = backend.caps().check_tracked(&state.cfg) {
+        eprintln!("bhsim: backend {} cannot resume this checkpoint: {e}", state.backend);
+        std::process::exit(2)
+    }
     let registry = scenario_registry();
     let scenario = registry.get(&state.scenario).unwrap_or_else(|| {
         eprintln!(
@@ -563,6 +566,8 @@ fn list_registries() {
     for build in TreeBuild::ALL {
         println!("  {:<10} {}", build.name(), build.description());
     }
+    println!();
+    print!("{}", engine::caps::render(&backend_registry()));
 }
 
 fn main() {
@@ -606,9 +611,21 @@ fn main() {
     cfg.eps = opts.eps.unwrap_or(tuning.eps);
     cfg.dt = opts.dt.unwrap_or(tuning.dt);
     cfg.faults = opts.faults.clone();
-    if let Err(e) = cfg.validate() {
-        eprintln!("bhsim: invalid configuration: {e}");
-        std::process::exit(2)
+
+    // Every backend's capability row judges the run before any work: no
+    // bodies generated, no checkpoint directory created.
+    let backends = backend_registry();
+    let backend_names = opts.compare.clone().unwrap_or_else(|| vec![opts.backend.clone()]);
+    for name in &backend_names {
+        let caps = backends.lookup(name).map(|b| b.caps()).unwrap_or_else(|e| {
+            eprintln!("bhsim: {e}");
+            std::process::exit(2)
+        });
+        let tracked = opts.checkpoint_every.is_some();
+        if let Err(e) = if tracked { caps.check_tracked(&cfg) } else { caps.check(&cfg) } {
+            eprintln!("bhsim: backend {name} cannot run this config: {e}");
+            std::process::exit(2)
+        }
     }
     if cfg.tree_policy.reuses_tree()
         && (cfg.opt.merged_tree_build() || cfg.opt.subspace_tree_build())
@@ -621,8 +638,6 @@ fn main() {
             cfg.opt.name(),
         );
     }
-
-    let backend_names = opts.compare.clone().unwrap_or_else(|| vec![opts.backend.clone()]);
 
     eprintln!(
         "bhsim: scenario {} | n {} | backend(s) {} | opt {} | {} node(s) x {} thread(s){} | {} step(s), {} measured | tree {} | walk {} | build {}",
@@ -658,17 +673,9 @@ fn main() {
     // Under --checkpoint-every the run goes through the step-tracked entry
     // instead, feeding a snapstore Recorder that persists resumable
     // snapshots on the requested cadence.
-    let backends = backend_registry();
     let mut checkpoints = Checkpointer::open(&opts);
     let runs = if let Some(checkpoints) = &mut checkpoints {
-        let backend = backends.lookup(&opts.backend).unwrap_or_else(|e| {
-            eprintln!("bhsim: {e}");
-            std::process::exit(2)
-        });
-        if let Err(e) = backend.supports(&cfg) {
-            eprintln!("bhsim: backend {} cannot run this config: {e}", opts.backend);
-            std::process::exit(2)
-        }
+        let backend = backends.get(&opts.backend).expect("checked above");
         // The step-fault supervisor: a tracked run that aborts with a
         // retryable STEP_FAULT is restored from the newest checkpoint (or
         // restarted from the identical initial conditions when the fault

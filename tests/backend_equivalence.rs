@@ -108,7 +108,8 @@ fn mpi_backend_rejects_pseudo_id_collisions_through_the_registry() {
     assert!(mpi.supports(&cfg).is_ok());
     cfg.nbodies = bh_mpi::PSEUDO_ID_BASE as usize + 1;
     let err = mpi.supports(&cfg).unwrap_err();
-    assert!(err.contains("pseudo-body"), "{err}");
+    assert_eq!(err.code, engine::ConfigError::E_UNSUPPORTED, "{err}");
+    assert!(err.message.contains("pseudo-body"), "{err}");
     // The other backends have no such limit.
     assert!(backends.get("upc").unwrap().supports(&cfg).is_ok());
     assert!(backends.get("direct").unwrap().supports(&cfg).is_ok());

@@ -339,12 +339,14 @@ fn group_walk_support_is_checked_per_backend() {
     let mut cfg = SimConfig::test(64, 2, OptLevel::Redistribute);
     cfg.walk = WalkMode::Group;
     let err = backends.get("upc").unwrap().supports(&cfg).unwrap_err();
-    assert!(err.contains("cache"), "{err}");
+    assert_eq!(err.code, barnes_hut_upc::engine::ConfigError::E_UNSUPPORTED, "{err}");
+    assert!(err.message.contains("cache"), "{err}");
 
     let mut cfg = SimConfig::test(64, 2, OptLevel::Subspace);
     cfg.walk = WalkMode::Group;
     let err = backends.get("mpi").unwrap().supports(&cfg).unwrap_err();
-    assert!(err.contains("not supported"), "{err}");
+    assert_eq!(err.code, barnes_hut_upc::engine::ConfigError::E_UNSUPPORTED, "{err}");
+    assert!(err.message.contains("not supported"), "{err}");
     assert!(backends.get("upc").unwrap().supports(&cfg).is_ok());
     assert!(
         backends.get("direct").unwrap().supports(&cfg).is_ok(),

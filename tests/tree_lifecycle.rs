@@ -244,15 +244,20 @@ fn mpi_backend_guards_validation_and_tree_policy() {
 
     let mut bad_window = SimConfig::test(64, 2, OptLevel::Subspace);
     bad_window.measured_steps = bad_window.steps + 1;
-    assert!(mpi.supports(&bad_window).unwrap_err().contains("measured_steps"));
+    let err = mpi.supports(&bad_window).unwrap_err();
+    assert_eq!(err.code, barnes_hut_upc::engine::ConfigError::E_MEASURED_WINDOW, "{err}");
+    assert!(err.message.contains("measured_steps"), "{err}");
 
     let mut reuse = SimConfig::test(64, 2, OptLevel::Subspace);
     reuse.tree_policy = TreePolicy::Adaptive;
-    assert!(mpi.supports(&reuse).unwrap_err().contains("not supported"));
+    let err = mpi.supports(&reuse).unwrap_err();
+    assert_eq!(err.code, barnes_hut_upc::engine::ConfigError::E_UNSUPPORTED, "{err}");
+    assert!(err.message.contains("not supported"), "{err}");
     // The comparison driver surfaces the same error before running anything.
     let bodies = generate(&PlummerConfig::new(reuse.nbodies, reuse.seed));
     let err = engine::run_backends(&backends, &["mpi".to_string()], &reuse, &bodies).unwrap_err();
     assert!(err.contains("cannot run this config"), "{err}");
+    assert!(err.contains("E_UNSUPPORTED"), "{err}");
 
     // The upc and direct backends accept the same configuration.
     assert!(backends.get("upc").unwrap().supports(&reuse).is_ok());
