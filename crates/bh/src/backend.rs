@@ -1,6 +1,6 @@
 //! The UPC-emulated solver as an [`engine`] backend.
 
-use crate::cellstore::COMPACT_MAX_RANKS;
+use crate::cellnode::COMPACT_MAX_RANKS;
 use crate::config::{OptLevel, SimConfig};
 use crate::sim::run_simulation_on;
 use engine::{Backend, Caps, Reasons, Rungs, SimResult};
@@ -17,8 +17,9 @@ pub struct UpcBackend;
 /// The upc capability row.  The group walk builds its lists over the §5.3
 /// cell cache; the sorted build routes bodies over the §5.2 redistribution
 /// machinery, replaces a build phase the §6 subspace algorithm does not
-/// have, and its compact cell handles carry the rank in 8 bits
-/// ([`COMPACT_MAX_RANKS`]); every rung accepts the tree-reusing policies.
+/// have, and the compact record it bills addresses children through 32-bit
+/// handles that carry the rank in 8 bits ([`COMPACT_MAX_RANKS`]); every
+/// rung accepts the tree-reusing policies.
 pub const CAPS: Caps = Caps {
     group_walk: Rungs::Span(OptLevel::CacheLocalTree, OptLevel::Subspace),
     sorted_build: Rungs::Span(OptLevel::Redistribute, OptLevel::AsyncAggregation),
@@ -30,7 +31,8 @@ pub const CAPS: Caps = Caps {
         group_walk: "the per-group interaction lists are built over the §5.3 cell cache",
         sorted_build: "the sorted build distributes bodies over the §5.2 redistribution, and \
                        the §6 subspace algorithm is itself a replacement build",
-        sorted_max_ranks: "compact cell handles carry the owning rank in 8 bits",
+        sorted_max_ranks: "the compact cell record's 32-bit child handles carry the owning \
+                           rank in 8 bits",
         ..Reasons::NONE
     },
 };

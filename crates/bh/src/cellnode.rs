@@ -6,10 +6,33 @@
 //! two are folded into one `Copy` struct so that a single
 //! [`pgas::SharedArena`] can hold the whole distributed tree; the `kind`
 //! field distinguishes them.
+//!
+//! Every tree build stores its nodes in that one arena; what differs is the
+//! record a node access bills.  The insertion build bills the host struct,
+//! `size_of::<CellNode>()` = 152 bytes.  The sorted build bills the compact
+//! record it models, [`COMPACT_NODE_BYTES`] = 120, whose child links are
+//! 32-bit handles instead of fat pointers-to-shared.
 
 use nbody::Vec3;
 use pgas::GlobalPtr;
 use serde::{Deserialize, Serialize};
+
+/// Bytes one node bills under the sorted build: the compact record of eight
+/// 32-bit child handles (`rank << 24 | index`), the centre of mass, the mass,
+/// the cube centre and half side, and the cost, body count, body id, kind
+/// and done flag padded to 8-byte alignment.
+pub const COMPACT_NODE_BYTES: usize = 8 * 4 // child handles
+    + 24 + 8 // centre of mass, mass
+    + 24 + 8 // cube centre, half side
+    + 8 + 4 + 4 + 1 + 1 + 6; // cost, nbodies, body_id, kind, done, padding
+
+const _: () = assert!(COMPACT_NODE_BYTES < std::mem::size_of::<CellNode>());
+
+/// Number of ranks a compact child handle can address: the rank takes its
+/// top 8 bits and the all-ones handle is null, so ranks `0..255`.  The upc
+/// capability row ([`crate::backend::CAPS`]) rejects a sorted build on a
+/// larger machine.
+pub const COMPACT_MAX_RANKS: usize = 0xFF;
 
 /// Kind of a shared tree node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]

@@ -44,7 +44,6 @@
 pub mod backend;
 pub mod cache;
 pub mod cellnode;
-pub mod cellstore;
 pub mod config;
 pub mod force;
 pub mod frontier;

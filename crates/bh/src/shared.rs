@@ -3,15 +3,15 @@
 //! each optimization level's access/billing discipline.
 
 use crate::cache::CacheTree;
-use crate::cellstore::CellStore;
-use crate::config::{OptLevel, SimConfig};
+use crate::cellnode::{CellNode, COMPACT_NODE_BYTES};
+use crate::config::{OptLevel, SimConfig, TreeBuild};
 use crate::groupwalk::GroupLists;
 use crate::lifecycle::{LeafSite, TreeLifecycle};
 use nbody::plummer::{generate, PlummerConfig};
 use nbody::{Body, Vec3};
 use pgas::shared::SharedScalar;
 use pgas::swcache::CachedScalar;
-use pgas::{Ctx, GlobalPtr, PhaseTimer, SharedVec};
+use pgas::{Ctx, GlobalPtr, PhaseTimer, SharedArena, SharedVec};
 
 /// Number of locks in the global lock table protecting cell modifications
 /// (SPLASH-2 hashes cells onto a fixed pool of locks).
@@ -24,10 +24,10 @@ pub struct BhShared {
     /// over ranks, allocated by thread 0 with `upc_global_alloc`.
     pub bodytab: SharedVec<Body>,
     /// The cell heap: cells are allocated by the inserting thread with
-    /// `upc_alloc` and linked through pointers-to-shared.  Fat arena or
-    /// compact SoA layout according to the configured tree build (see
-    /// [`crate::cellstore`]).
-    pub cells: CellStore,
+    /// `upc_alloc` and linked through pointers-to-shared.  One arena for
+    /// every tree build; the sorted build bills each node as the compact
+    /// [`COMPACT_NODE_BYTES`] record, its peak footprint is `tree_bytes`.
+    pub cells: SharedArena<CellNode>,
     /// Pointer to the root cell of the current step's tree (a shared scalar
     /// on thread 0).
     pub root: SharedScalar<GlobalPtr>,
@@ -67,10 +67,14 @@ impl BhShared {
         engine::validate_bodies(cfg, &bodies);
         let ranks = cfg.ranks();
         let nbodies = bodies.len();
+        let node_bytes = match cfg.build {
+            TreeBuild::Insertion => std::mem::size_of::<CellNode>(),
+            TreeBuild::Sorted => COMPACT_NODE_BYTES,
+        };
         BhShared {
             bodytab: SharedVec::from_vec(ranks, bodies),
             sites: SharedVec::new(ranks, nbodies, LeafSite::INVALID),
-            cells: CellStore::new(ranks, cfg.build),
+            cells: SharedArena::with_record_bytes(ranks, node_bytes),
             root: SharedScalar::new(GlobalPtr::NULL),
             rsize: SharedScalar::new(0.0),
             center: SharedScalar::new(Vec3::ZERO),

@@ -16,6 +16,14 @@
 //!
 //! The arena also carries the non-blocking aggregated gather
 //! (`bupc_memget_vlist_async`, §5.5) because the paper uses it to fetch cells.
+//!
+//! Every billed access moves one *record* of a size fixed when the arena is
+//! built: `size_of::<T>()` by default ([`SharedArena::new`]), or an explicit
+//! size ([`SharedArena::with_record_bytes`]) when the element stands for a
+//! record the model lays out differently from its host type.  The same size
+//! prices [`SharedArena::peak_bytes`], the most elements the arena held at
+//! once — sampled at each [`SharedArena::clear`], since regions only grow
+//! between clears, so allocation itself touches no shared counter.
 
 use crate::ctx::{Ctx, Handle};
 use crate::gptr::GlobalPtr;
@@ -104,18 +112,41 @@ impl<T: Copy> Region<T> {
 /// A partitioned shared heap: one growable region per rank.
 pub struct SharedArena<T> {
     regions: Vec<Region<T>>,
+    /// Bytes one element bills per access and counts in the footprint.
+    record_bytes: usize,
+    /// Largest [`SharedArena::total_len`] any [`SharedArena::clear`] saw.
+    peak_len: AtomicUsize,
 }
 
 impl<T: Copy + Send + Sync> SharedArena<T> {
-    /// Creates an arena with one empty region per rank.
+    /// Creates an arena with one empty region per rank, billing
+    /// `size_of::<T>()` per element.
     pub fn new(ranks: usize) -> Self {
+        Self::with_record_bytes(ranks, std::mem::size_of::<T>())
+    }
+
+    /// Creates an arena whose elements bill `record_bytes` each: the size of
+    /// the record the element models, whatever its host layout.
+    pub fn with_record_bytes(ranks: usize, record_bytes: usize) -> Self {
         assert!(ranks > 0, "SharedArena requires at least one rank");
-        SharedArena { regions: (0..ranks).map(|_| Region::new()).collect() }
+        SharedArena {
+            regions: (0..ranks).map(|_| Region::new()).collect(),
+            record_bytes,
+            peak_len: AtomicUsize::new(0),
+        }
     }
 
     /// Number of ranks.
     pub fn ranks(&self) -> usize {
         self.regions.len()
+    }
+
+    /// Peak footprint since creation: the most elements held at once, times
+    /// the record size.  A pure count, so it is deterministic wherever the
+    /// allocations are.
+    pub fn peak_bytes(&self) -> u64 {
+        let peak = self.peak_len.load(Ordering::Relaxed).max(self.total_len());
+        (peak * self.record_bytes) as u64
     }
 
     /// Number of elements currently allocated in `rank`'s region.
@@ -157,7 +188,7 @@ impl<T: Copy + Send + Sync> SharedArena<T> {
         for _ in 0..fields {
             // A local target still goes through the pointer-to-shared and
             // pays the dereference surcharge the paper's casting removes.
-            ctx.charge_shared_read(owner, std::mem::size_of::<T>());
+            ctx.charge_shared_read(owner, self.record_bytes);
         }
         self.regions[owner].slot(ptr.indexof()).get()
     }
@@ -186,7 +217,7 @@ impl<T: Copy + Send + Sync> SharedArena<T> {
         assert!(fields > 0, "a write of zero fields would store without being billed");
         let owner = ptr.threadof();
         for _ in 0..fields {
-            ctx.charge_shared_write(owner, std::mem::size_of::<T>());
+            ctx.charge_shared_write(owner, self.record_bytes);
         }
         self.regions[owner].slot(ptr.indexof()).set(value);
     }
@@ -205,7 +236,7 @@ impl<T: Copy + Send + Sync> SharedArena<T> {
         assert!(!ptr.is_null(), "update through a null pointer-to-shared");
         let owner = ptr.threadof();
         // A remote atomic update costs a round trip (get + put).
-        ctx.charge_rmw(owner, std::mem::size_of::<T>());
+        ctx.charge_rmw(owner, self.record_bytes);
         self.regions[owner].slot(ptr.indexof()).update(f)
     }
 
@@ -224,7 +255,7 @@ impl<T: Copy + Send + Sync> SharedArena<T> {
     /// reaches the transfer completion time ([`Ctx::wait_sync`] /
     /// [`Ctx::try_sync`]).
     pub fn get_vlist_async(&self, ctx: &Ctx, ptrs: &[GlobalPtr]) -> Handle<T> {
-        let elem = std::mem::size_of::<T>();
+        let elem = self.record_bytes;
         let me = ctx.rank();
 
         // Group by source rank to count messages and bytes.
@@ -264,6 +295,7 @@ impl<T: Copy + Send + Sync> SharedArena<T> {
     /// resets its cell arrays each step.
     pub fn clear(&self, ctx: &Ctx) {
         ctx.charge_local_accesses(1);
+        self.peak_len.fetch_max(self.total_len(), Ordering::Relaxed);
         for region in &self.regions {
             region.clear();
         }
@@ -438,13 +470,19 @@ mod tests {
         assert_eq!(locate(usize::MAX - FIRST_CHUNK).0, CHUNKS - 1);
     }
 
+    /// A record size unlike the host element's 40 bytes, so a test can tell
+    /// which of the two an access billed.
+    const RECORD: usize = 24;
+
     /// What one rank's clock and counters show after `access` ran against
-    /// its own element and then against its neighbour's.
+    /// its own element and then against its neighbour's, in an arena billing
+    /// `record_bytes` per element.
     fn local_then_remote(
+        record_bytes: usize,
         access: impl Fn(&Ctx, &SharedArena<[u64; 5]>, GlobalPtr) + Sync,
     ) -> Vec<(u64, crate::RankStats, [u64; 5])> {
         let rt = Runtime::new(Machine::power5(2, 2, true));
-        let arena: SharedArena<[u64; 5]> = SharedArena::new(4);
+        let arena: SharedArena<[u64; 5]> = SharedArena::with_record_bytes(4, record_bytes);
         let report = rt.run(|ctx| {
             let all = ctx.allgather(arena.alloc(ctx, [ctx.rank() as u64; 5]));
             ctx.barrier();
@@ -460,35 +498,135 @@ mod tests {
 
     #[test]
     fn read_fields_bills_what_successive_reads_bill() {
-        for fields in [1, 3, 5] {
-            let one_by_one = local_then_remote(|ctx, arena, ptr| {
-                for _ in 0..fields {
-                    arena.read(ctx, ptr);
-                }
-            });
-            let at_once = local_then_remote(|ctx, arena, ptr| {
-                arena.read_fields(ctx, ptr, fields);
-            });
-            assert_eq!(one_by_one, at_once, "{fields} field(s)");
-            assert_eq!(at_once[0].1.remote_gets, fields as u64);
+        for record in [std::mem::size_of::<[u64; 5]>(), RECORD] {
+            for fields in [1, 3, 5] {
+                let one_by_one = local_then_remote(record, |ctx, arena, ptr| {
+                    for _ in 0..fields {
+                        arena.read(ctx, ptr);
+                    }
+                });
+                let at_once = local_then_remote(record, |ctx, arena, ptr| {
+                    arena.read_fields(ctx, ptr, fields);
+                });
+                assert_eq!(one_by_one, at_once, "{record} B record, {fields} field(s)");
+                assert_eq!(at_once[0].1.remote_gets, fields as u64);
+                assert_eq!(at_once[0].1.bytes_in, (fields as usize * record) as u64);
+            }
         }
     }
 
     #[test]
     fn write_fields_bills_what_successive_writes_bill() {
-        for fields in [1, 3, 5] {
-            let one_by_one = local_then_remote(|ctx, arena, ptr| {
-                for _ in 0..fields {
-                    arena.write(ctx, ptr, [7 + ctx.rank() as u64; 5]);
-                }
-            });
-            let at_once = local_then_remote(|ctx, arena, ptr| {
-                arena.write_fields(ctx, ptr, [7 + ctx.rank() as u64; 5], fields);
-            });
-            assert_eq!(one_by_one, at_once, "{fields} field(s)");
-            assert_eq!(at_once[0].1.remote_puts, fields as u64);
-            assert_eq!(at_once[0].2, [7; 5], "the neighbour's element holds rank 0's write");
+        for record in [std::mem::size_of::<[u64; 5]>(), RECORD] {
+            for fields in [1, 3, 5] {
+                let one_by_one = local_then_remote(record, |ctx, arena, ptr| {
+                    for _ in 0..fields {
+                        arena.write(ctx, ptr, [7 + ctx.rank() as u64; 5]);
+                    }
+                });
+                let at_once = local_then_remote(record, |ctx, arena, ptr| {
+                    arena.write_fields(ctx, ptr, [7 + ctx.rank() as u64; 5], fields);
+                });
+                assert_eq!(one_by_one, at_once, "{record} B record, {fields} field(s)");
+                assert_eq!(at_once[0].1.remote_puts, fields as u64);
+                assert_eq!(at_once[0].1.bytes_out, (fields as usize * record) as u64);
+                assert_eq!(at_once[0].2, [7; 5], "the neighbour's element holds rank 0's write");
+            }
         }
+    }
+
+    #[test]
+    fn vlist_bills_the_record_size() {
+        let arena: SharedArena<[u64; 5]> = SharedArena::with_record_bytes(2, RECORD);
+        let rt = Runtime::new(Machine::test_cluster(2));
+        let report = rt.run(|ctx| {
+            let mine: Vec<GlobalPtr> =
+                (0..4).map(|i| arena.alloc(ctx, [10 * ctx.rank() as u64 + i; 5])).collect();
+            ctx.barrier();
+            if ctx.rank() == 0 {
+                // Two local, three remote elements in one aggregated gather.
+                let ptrs = [
+                    mine[0],
+                    GlobalPtr::new(1, 0),
+                    GlobalPtr::new(1, 1),
+                    mine[1],
+                    GlobalPtr::new(1, 2),
+                ];
+                let firsts: Vec<u64> = arena.get_vlist(ctx, &ptrs).iter().map(|v| v[0]).collect();
+                assert_eq!(firsts, [0, 10, 11, 1, 12]);
+            }
+            ctx.stats_snapshot()
+        });
+        let stats = &report.ranks[0].result;
+        assert_eq!(stats.vlist_requests, 1);
+        assert_eq!(stats.remote_gets, 3);
+        assert_eq!(stats.bytes_in, 3 * RECORD as u64);
+    }
+
+    #[test]
+    fn update_is_a_round_trip_of_one_record() {
+        let arena: SharedArena<[u64; 5]> = SharedArena::with_record_bytes(2, RECORD);
+        let rt = Runtime::new(Machine::test_cluster(2));
+        let report = rt.run(|ctx| {
+            let p = ctx.broadcast(
+                0,
+                if ctx.rank() == 0 { arena.alloc(ctx, [3; 5]) } else { GlobalPtr::NULL },
+            );
+            ctx.barrier();
+            let before = ctx.stats_snapshot();
+            let old = if ctx.rank() == 1 {
+                arena.update(ctx, p, |v| std::mem::replace(&mut v[0], 4))
+            } else {
+                0
+            };
+            let after = ctx.stats_snapshot();
+            (
+                old,
+                after.remote_gets - before.remote_gets,
+                after.remote_puts - before.remote_puts,
+                after.bytes_in - before.bytes_in,
+                after.bytes_out - before.bytes_out,
+            )
+        });
+        let record = RECORD as u64;
+        assert_eq!(report.ranks[1].result, (3, 1, 1, record, record));
+        assert_eq!(arena.read_raw(GlobalPtr::new(0, 0))[0], 4);
+    }
+
+    #[test]
+    fn the_peak_survives_clear_and_never_shrinks() {
+        let arena: SharedArena<[u64; 5]> = SharedArena::with_record_bytes(2, RECORD);
+        assert_eq!(arena.peak_bytes(), 0);
+        let rt = Runtime::new(Machine::test_cluster(2));
+        rt.run(|ctx| {
+            let record = RECORD as u64;
+            for _ in 0..5 {
+                arena.alloc(ctx, [0; 5]);
+            }
+            ctx.barrier();
+            assert_eq!(arena.peak_bytes(), 10 * record, "live elements count before any clear");
+            ctx.barrier();
+            if ctx.rank() == 0 {
+                arena.clear(ctx);
+            }
+            ctx.barrier();
+            assert_eq!(arena.len_of(ctx.rank()), 0);
+            // A smaller second generation leaves the peak where it was.
+            arena.alloc(ctx, [0; 5]);
+            ctx.barrier();
+            assert_eq!(arena.peak_bytes(), 10 * record);
+            ctx.barrier();
+            if ctx.rank() == 0 {
+                arena.clear(ctx);
+            }
+            ctx.barrier();
+            // A larger one raises it, without a clear to sample it.
+            for _ in 0..7 {
+                arena.alloc(ctx, [0; 5]);
+            }
+            ctx.barrier();
+            assert_eq!(arena.peak_bytes(), 14 * record);
+        });
     }
 
     #[test]

@@ -322,21 +322,11 @@ impl<'w> Ctx<'w> {
         });
     }
 
-    // ----------------------------------------------------------------------
-    // External-container billing surface
-    //
-    // Shared containers built *outside* this crate (layouts the generic
-    // arena cannot express, e.g. an SoA node store) need to bill their
-    // traffic with exactly the semantics of the in-crate containers.  These
-    // methods expose the arena's billing decisions — and only those — as a
-    // public API; the raw `bill_*` primitives stay crate-private.
-    // ----------------------------------------------------------------------
-
-    /// Bills one shared-object read of `bytes` bytes owned by `owner`,
-    /// exactly as a [`crate::SharedArena::read`] of an element that size:
-    /// a local target pays the pointer-to-shared dereference surcharge plus
-    /// one local access, a remote target pays a fine-grained get.
-    pub fn charge_shared_read(&self, owner: usize, bytes: usize) {
+    /// Bills one shared-object read of `bytes` bytes owned by `owner`, as a
+    /// [`crate::SharedArena::read`] of a record that size: a local target
+    /// pays the pointer-to-shared dereference surcharge plus one local
+    /// access, a remote target pays a fine-grained get.
+    pub(crate) fn charge_shared_read(&self, owner: usize, bytes: usize) {
         if owner == self.rank {
             self.advance(self.machine().global_ptr_overhead);
             self.charge_local_accesses(1);
@@ -347,7 +337,7 @@ impl<'w> Ctx<'w> {
 
     /// Write counterpart of [`Ctx::charge_shared_read`] (the billing of a
     /// [`crate::SharedArena::write`]).
-    pub fn charge_shared_write(&self, owner: usize, bytes: usize) {
+    pub(crate) fn charge_shared_write(&self, owner: usize, bytes: usize) {
         if owner == self.rank {
             self.advance(self.machine().global_ptr_overhead);
             self.charge_local_accesses(1);
@@ -357,42 +347,11 @@ impl<'w> Ctx<'w> {
     }
 
     /// Bills an atomic read-modify-write of a `bytes`-byte shared object
-    /// owned by `owner` — a round trip (get + put), local or not, exactly
-    /// as [`crate::SharedArena::update`].
-    pub fn charge_rmw(&self, owner: usize, bytes: usize) {
+    /// owned by `owner` — a round trip (get + put), local or not, as
+    /// [`crate::SharedArena::update`].
+    pub(crate) fn charge_rmw(&self, owner: usize, bytes: usize) {
         self.bill_get(owner, bytes);
         self.bill_put(owner, bytes);
-    }
-
-    /// Issues a non-blocking aggregated gather whose payload the caller has
-    /// already materialized, billing it exactly as
-    /// [`crate::SharedArena::get_vlist_async`] bills its own: `sources`
-    /// lists each distinct source rank with the total bytes and element
-    /// count pulled from it (first-touch order), the CPU pays one issue
-    /// overhead per source, the vlist statistics count the remote sources,
-    /// and the returned handle completes once the slowest (overlapped)
-    /// transfer would.  The bytes are explicit rather than derived from
-    /// `size_of::<T>()` so a container with a compact wire representation
-    /// bills what it actually moves.
-    pub fn issue_vlist<T>(&self, data: Vec<T>, sources: &[(usize, usize, u64)]) -> Handle<T> {
-        let me = self.rank;
-        self.charge_issue_overhead(sources.len().max(1));
-        let mut remote_sources = 0usize;
-        let mut remote_elements = 0u64;
-        let mut remote_bytes = 0u64;
-        for &(owner, bytes, elements) in sources {
-            if owner != me {
-                remote_sources += 1;
-                remote_elements += elements;
-                remote_bytes += bytes as u64;
-            }
-        }
-        if remote_sources > 0 {
-            self.record_vlist(remote_sources, remote_elements, remote_bytes);
-        }
-        let pairs: Vec<(usize, usize)> = sources.iter().map(|&(o, b, _)| (o, b)).collect();
-        let complete_at = self.now() + self.gather_cost(&pairs);
-        Handle { data, complete_at }
     }
 
     // ----------------------------------------------------------------------

@@ -22,7 +22,7 @@
 //! |-----------------------------------------|------|
 //! | `THREADS`, `MYTHREAD`                   | [`Ctx::ranks`], [`Ctx::rank`] |
 //! | shared arrays (block-distributed)       | [`SharedVec`] |
-//! | `upc_alloc` (per-thread shared heap)    | [`SharedArena`] |
+//! | `upc_alloc` (per-thread shared heap)    | [`SharedArena`] (billing one record size per element: `size_of::<T>()`, or [`SharedArena::with_record_bytes`]) |
 //! | pointer-to-shared                       | [`GlobalPtr`] |
 //! | `p->f1; p->f2; …` (a struct read field by field through a pointer-to-shared) | [`SharedArena::read_fields`], [`SharedVec::read_fields`] (and `write_fields`) |
 //! | `upc_memget` / `upc_memput`             | [`SharedVec::get_block`] / [`SharedVec::put_block`] |

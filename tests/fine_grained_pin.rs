@@ -6,6 +6,7 @@
 //! run repeats exactly, so these tests fail if a change bills a field read
 //! it no longer performs, or performs one it no longer bills.
 
+use barnes_hut_upc::bh::cellnode::COMPACT_NODE_BYTES;
 use barnes_hut_upc::prelude::*;
 
 fn run(fine_grained_fields: u32) -> SimResult {
@@ -52,5 +53,15 @@ fn field_count_scales_the_billed_reads_and_nothing_else() {
         per_two_fields,
         "remote gets must be linear in fields ({gets:?})"
     );
+    // Each extra get moves one compact record: the sorted build's billed
+    // node size.
+    let bytes = [&one, &three, &five].map(|r| r.total_stats().bytes_in);
+    for (i, j) in [(0, 1), (1, 2)] {
+        assert_eq!(
+            bytes[j] - bytes[i],
+            (gets[j] - gets[i]) * COMPACT_NODE_BYTES as u64,
+            "bytes in per extra remote get ({gets:?}, {bytes:?})"
+        );
+    }
     assert!(one.total < three.total && three.total < five.total);
 }
