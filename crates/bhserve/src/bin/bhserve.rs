@@ -20,7 +20,6 @@ OPTIONS:
     --quota-interactions N    default per-tenant quota, in interactions (default: unmetered)
     --tenant-quota NAME=N     per-tenant quota override (repeatable)
     --max-sessions N          live sessions allowed per connection (default 16)
-    --batch-max-bodies N      jobs up to N bodies may be coalesced (default 4096)
     --snap-dir DIR            snapshot store for suspend/resume (default: disabled);
                               suspended sessions survive daemon restarts pointed
                               at the same directory
@@ -48,7 +47,6 @@ const FLAGS: &[&str] = &[
     "--quota-interactions",
     "--tenant-quota",
     "--max-sessions",
-    "--batch-max-bodies",
     "--snap-dir",
     "--read-timeout-secs",
     "--write-timeout-secs",
@@ -79,7 +77,6 @@ fn parse_args() -> ServerOptions {
                 opts.tenant_quotas.push((name.to_string(), args.parse("--tenant-quota", limit)));
             }
             "--max-sessions" => opts.max_sessions_per_conn = args.number("--max-sessions"),
-            "--batch-max-bodies" => opts.batch_max_bodies = args.number("--batch-max-bodies"),
             "--snap-dir" => opts.snap_dir = Some(args.value("--snap-dir")),
             "--read-timeout-secs" => {
                 opts.read_timeout = timeout_of(args.number("--read-timeout-secs"))

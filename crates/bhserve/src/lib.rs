@@ -20,20 +20,16 @@
 //!   [`engine::ConfigError`] codes), and the bit-exact hex encoding of
 //!   body state.
 //! * [`quota`] — per-tenant ledgers denominated in deterministic counters
-//!   (interactions, tree operations), post-paid admission, and the billing
-//!   contract that makes coalescing fair.
+//!   (interactions, tree operations) and post-paid admission.
 //! * [`session`] — persistent simulations stepped across requests,
 //!   guaranteed bit-for-bit identical to one standalone run (the
 //!   [`engine::Backend`] chunked-stepping convention, admitted by
 //!   [`engine::Caps::check_session`]).
-//! * [`batch`] — single-flight coalescing: identical small jobs from
-//!   different clients share one engine run.
 //! * [`server`] — the daemon: accept loop, thread-per-connection
 //!   dispatch, the engine run gate, and the minimal blocking [`server::Client`].
 //! * [`load`] — the `bhload` workload mixes, client scripts and the
 //!   bench record they emit.
 
-pub mod batch;
 pub mod frame;
 pub mod load;
 pub mod proto;

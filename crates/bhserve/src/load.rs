@@ -4,9 +4,7 @@
 //! The mix is a small grid of *cells* — (scenario, backend, size) shapes —
 //! and every simulated client is pinned to one cell round-robin.  All
 //! clients of a cell submit the *identical* job (same seed, same config),
-//! which makes the serving rows deterministic in the engine's counters and
-//! exercises the single-flight coalescing path the way a popular demo
-//! workload would.
+//! which makes the serving rows deterministic in the engine's counters.
 //!
 //! Beyond the measured traffic the harness mixes in:
 //!

@@ -118,34 +118,6 @@ pub struct Job {
     pub cfg: SimConfig,
 }
 
-impl Job {
-    /// Canonical identity of the job: every axis that affects the engine's
-    /// output or cost.  Two requests with equal identities are the *same
-    /// computation* and may be coalesced into one engine run
-    /// ([`crate::batch`]); physics parameters are keyed by their exact bit
-    /// patterns, not their decimal renderings.
-    pub fn identity(&self) -> String {
-        let c = &self.cfg;
-        format!(
-            "{}/{}/{}/{}/{}/n{}/s{}/t{}+{}/m{}x{}/θ{}/ε{}/δ{}",
-            self.scenario,
-            self.backend,
-            c.opt.name(),
-            c.tree_policy.spec_label(),
-            c.walk.name(),
-            c.nbodies,
-            c.seed,
-            c.steps,
-            c.measured_steps,
-            c.machine.nodes,
-            c.machine.threads_per_node,
-            hex_f64(c.theta),
-            hex_f64(c.eps),
-            hex_f64(c.dt),
-        )
-    }
-}
-
 pub(crate) fn str_of(v: &Value, key: &str) -> Result<Option<String>, Reject> {
     match v.get(key) {
         None | Some(Value::Null) => Ok(None),
@@ -388,27 +360,6 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.code, E_UNKNOWN_BACKEND);
         assert!(err.error.contains("did you mean \"direct\"?"), "{}", err.error);
-    }
-
-    #[test]
-    fn job_identity_keys_every_axis() {
-        let scenarios = builtin();
-        let registry = backends();
-        let base = decode_job(&parse(r#"{"n": 64}"#), &scenarios, &registry).unwrap();
-        for variant in [
-            r#"{"n": 65}"#,
-            r#"{"n": 64, "seed": 2}"#,
-            r#"{"n": 64, "backend": "direct"}"#,
-            r#"{"n": 64, "steps": 5}"#,
-            r#"{"n": 64, "theta": 0.9}"#,
-            r#"{"n": 64, "nodes": 3}"#,
-            r#"{"n": 64, "walk": "group"}"#,
-        ] {
-            let job = decode_job(&parse(variant), &scenarios, &registry).unwrap();
-            assert_ne!(job.identity(), base.identity(), "{variant}");
-        }
-        let same = decode_job(&parse(r#"{"n": 64}"#), &scenarios, &registry).unwrap();
-        assert_eq!(same.identity(), base.identity());
     }
 
     #[test]

@@ -4,15 +4,9 @@
 //! the same job costs different milliseconds on a loaded box — so tenants
 //! are charged in the engine's *deterministic* counters instead:
 //! interactions (the dominant cost driver, what the paper's own cost model
-//! charges bodies by) and tree operations.  Two properties follow:
-//!
-//! * **Reproducibility** — the ledger total for a set of jobs equals the
-//!   sum of the same jobs run standalone, bit for bit.  The integration
-//!   suite pins this.
-//! * **Fair coalescing** — when the batch layer coalesces identical jobs
-//!   into one engine run, every requester is charged the full deterministic
-//!   cost of the job it asked for.  Sharing the computation is the
-//!   *server's* win, not a billing loophole.
+//! charges bodies by) and tree operations.  The ledger total for a set of
+//! jobs therefore equals the sum of the same jobs run standalone, bit for
+//! bit — concurrent requests included; the integration suite pins this.
 //!
 //! Quotas are **post-paid**: a request is admitted while the tenant's spent
 //! interactions are below the limit and charged its actual cost afterwards,

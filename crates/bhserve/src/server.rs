@@ -25,7 +25,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use crate::batch::{BatchRunner, RunOutput};
 use crate::frame::{read_frame, write_frame, FaultyStream};
 use crate::proto::{
     self, decode_job, ok_response, run_fields, snapshot_bodies, tenant_of, Job, Reject,
@@ -33,7 +32,8 @@ use crate::proto::{
 };
 use crate::quota::QuotaBook;
 use crate::session::{Session, SessionTable};
-use engine::{BackendRegistry, FaultPlan};
+use engine::{Backend, BackendRegistry, FaultPlan, SimConfig, SimResult};
+use nbody::Body;
 use scenarios::Registry as ScenarioRegistry;
 use serde::Value;
 
@@ -52,9 +52,6 @@ pub struct ServerOptions {
     pub tenant_quotas: Vec<(String, u64)>,
     /// Live-session cap per connection.
     pub max_sessions_per_conn: usize,
-    /// Jobs up to this many bodies are eligible for single-flight
-    /// coalescing ([`crate::batch`]); bigger jobs always run alone.
-    pub batch_max_bodies: usize,
     /// Snapshot store directory for `suspend`/`resume` (`None` disables
     /// both ops).  The store is plain files, so suspended sessions survive
     /// daemon restarts pointed at the same directory.
@@ -90,7 +87,6 @@ impl Default for ServerOptions {
             default_quota: None,
             tenant_quotas: Vec::new(),
             max_sessions_per_conn: 16,
-            batch_max_bodies: 4096,
             snap_dir: None,
             read_timeout: Some(Duration::from_secs(600)),
             write_timeout: Some(Duration::from_secs(60)),
@@ -102,9 +98,8 @@ impl Default for ServerOptions {
 }
 
 /// Counting semaphore over the engine: at most `max_concurrent_runs`
-/// simulations execute at once; everyone else parks here (without holding
-/// any other lock — see [`crate::batch`] for why followers never deadlock
-/// the gate).
+/// simulations execute at once; everyone else parks here, holding no other
+/// lock.
 struct RunGate {
     free: Mutex<usize>,
     cv: Condvar,
@@ -122,6 +117,16 @@ impl RunGate {
         }
         *free -= 1;
         RunPermit { gate: self }
+    }
+
+    /// Runs `cfg` on `backend` holding one permit for exactly the engine
+    /// call; returns the result and that call's wall milliseconds.  The
+    /// one path from `run` and `step` into the engine.
+    fn run(&self, backend: &dyn Backend, cfg: &SimConfig, bodies: Vec<Body>) -> (SimResult, f64) {
+        let _permit = self.acquire();
+        let start = Instant::now();
+        let result = backend.run(cfg, bodies);
+        (result, start.elapsed().as_secs_f64() * 1e3)
     }
 }
 
@@ -142,7 +147,6 @@ struct Shared {
     scenarios: ScenarioRegistry,
     backends: BackendRegistry,
     quotas: QuotaBook,
-    batch: BatchRunner,
     gate: RunGate,
     session_ids: Arc<AtomicU64>,
     connections: AtomicUsize,
@@ -185,7 +189,6 @@ impl Server {
         let shared = Arc::new(Shared {
             snaps,
             quotas: QuotaBook::new(opts.default_quota, opts.tenant_quotas.clone()),
-            batch: BatchRunner::new(),
             gate: RunGate::new(opts.max_concurrent_runs),
             session_ids: Arc::new(AtomicU64::new(1)),
             connections: AtomicUsize::new(0),
@@ -319,27 +322,6 @@ fn parse_request(payload: &[u8]) -> Result<Value, Reject> {
         return Err(Reject::new(E_PROTO, "request must be a JSON object"));
     }
     Ok(value)
-}
-
-/// Runs `job` through the engine, coalescing with identical in-flight jobs
-/// when it is small enough to be eligible.
-fn execute(shared: &Shared, job: &Job) -> (Arc<RunOutput>, bool) {
-    let compute = || {
-        // The permit is held only while computing — never while waiting on
-        // another flight — so the gate cannot be deadlocked by coalescing.
-        let _permit = shared.gate.acquire();
-        let scenario = shared.scenarios.get(&job.scenario).expect("validated at decode");
-        let backend = shared.backends.get(&job.backend).expect("validated at decode");
-        let bodies = scenario.generate(job.cfg.nbodies, job.cfg.seed);
-        let start = Instant::now();
-        let result = backend.run(&job.cfg, bodies);
-        RunOutput { result, wall_ms: start.elapsed().as_secs_f64() * 1e3 }
-    };
-    if job.cfg.nbodies <= shared.opts.batch_max_bodies {
-        shared.batch.run(job.identity(), compute)
-    } else {
-        (Arc::new(compute()), false)
-    }
 }
 
 /// The `retry_after_ms` hint attached to every [`E_OVERLOADED`] shed — a
@@ -493,13 +475,11 @@ fn op_run(shared: &Shared, request: &Value) -> Result<Value, Reject> {
     let job = decode_job(request, &shared.scenarios, &shared.backends)?;
     let backend = shared.backends.get(&job.backend).expect("validated at decode");
     backend.caps().check(&job.cfg)?;
-    let (output, batched) = execute(shared, &job);
-    // Followers are charged the full deterministic cost of the job they
-    // requested; see the billing contract in `crate::quota`.
-    shared.quotas.charge(&tenant, &output.result.total_stats());
-    let mut fields = run_fields(&output.result, output.wall_ms);
-    fields.push(("batched".to_string(), Value::Bool(batched)));
-    Ok(ok_response(fields))
+    let scenario = shared.scenarios.get(&job.scenario).expect("validated at decode");
+    let bodies = scenario.generate(job.cfg.nbodies, job.cfg.seed);
+    let (result, wall_ms) = shared.gate.run(backend, &job.cfg, bodies);
+    shared.quotas.charge(&tenant, &result.total_stats());
+    Ok(ok_response(run_fields(&result, wall_ms)))
 }
 
 fn op_open(shared: &Shared, sessions: &mut SessionTable, request: &Value) -> Result<Value, Reject> {
@@ -527,12 +507,7 @@ fn op_step(shared: &Shared, sessions: &mut SessionTable, request: &Value) -> Res
     let session = sessions.get_mut(id)?;
     let cfg = session.chunk_config(k);
     let backend = shared.backends.get(&session.job.backend).expect("validated at open");
-    let (result, wall_ms) = {
-        let _permit = shared.gate.acquire();
-        let start = Instant::now();
-        let result = backend.run(&cfg, session.bodies.clone());
-        (result, start.elapsed().as_secs_f64() * 1e3)
-    };
+    let (result, wall_ms) = shared.gate.run(backend, &cfg, session.bodies.clone());
     session.advance(k, &result);
     let steps_done = session.steps_done;
     shared.quotas.charge(&tenant, &result.total_stats());

@@ -9,6 +9,7 @@ use bhserve::server::request;
 use bhserve::{Client, Server, ServerOptions};
 use scenarios::builtin;
 use serde::Value;
+use std::sync::{Arc, Barrier};
 
 fn start(opts: ServerOptions) -> Server {
     Server::start(opts, builtin(), backends()).unwrap()
@@ -105,6 +106,8 @@ fn chunked_session_stepping_is_bit_identical_to_one_run() {
 /// The quota ledger is denominated in deterministic counters, so the total
 /// charged to a tenant for a set of served jobs must equal the sum of the
 /// same jobs' counters measured standalone — exactly, not approximately.
+/// The repeated job arrives from two connections at once: each requester
+/// gets the job's exact result and pays its full cost.
 #[test]
 fn tenant_ledger_equals_sum_of_standalone_runs() {
     let registry = backends();
@@ -112,21 +115,53 @@ fn tenant_ledger_equals_sum_of_standalone_runs() {
     let server = start(ServerOptions::default());
     let jobs = [("upc", 32u64), ("direct", 48), ("mpi", 64), ("upc", 32)]; // a repeat: charged twice
 
+    let standalone = |backend_name: &str, n: u64| {
+        let req = request("run", job_fields(backend_name, n));
+        let job = decode_job(&req, &scenarios, &registry).unwrap();
+        let initial = scenarios.get("plummer").unwrap().generate(n as usize, job.cfg.seed);
+        registry.get(backend_name).unwrap().run(&job.cfg, initial)
+    };
     let mut expected_interactions = 0u64;
     let mut expected_tree_ops = 0u64;
     for (backend_name, n) in &jobs {
-        let req = request("run", job_fields(backend_name, *n));
-        let job = decode_job(&req, &scenarios, &registry).unwrap();
-        let initial = scenarios.get("plummer").unwrap().generate(*n as usize, job.cfg.seed);
-        let stats = registry.get(backend_name).unwrap().run(&job.cfg, initial).total_stats();
+        let stats = standalone(backend_name, *n).total_stats();
         expected_interactions += stats.interactions;
         expected_tree_ops += stats.tree_ops;
     }
 
+    // The two distinct jobs in turn on one connection, then both copies of
+    // the repeated one from two more connections, released together.
     let mut client = Client::connect(&server.addr()).unwrap();
-    for (backend_name, n) in &jobs {
+    for (backend_name, n) in &jobs[1..3] {
         let reply = client.call(&request("run", job_fields(backend_name, *n))).unwrap();
         assert_eq!(reply.get("ok").and_then(|v| v.as_bool()), Some(true), "{reply:?}");
+    }
+    let start_line = Arc::new(Barrier::new(2));
+    let concurrent: Vec<_> = (0..2)
+        .map(|_| {
+            let (addr, start_line) = (server.addr(), Arc::clone(&start_line));
+            std::thread::spawn(move || {
+                let mut client = Client::connect(&addr).unwrap();
+                start_line.wait();
+                client.call(&request("run", job_fields("upc", 32))).unwrap()
+            })
+        })
+        .collect();
+    let reference = standalone("upc", 32);
+    let stats = reference.total_stats();
+    for handle in concurrent {
+        let reply = handle.join().unwrap();
+        assert_eq!(reply.get("ok").and_then(|v| v.as_bool()), Some(true), "{reply:?}");
+        let total = reply.get("total_sim").and_then(|v| v.as_f64()).unwrap();
+        assert_eq!(total.to_bits(), reference.total.to_bits(), "total_sim");
+        assert_eq!(u64_field(&reply, "interactions"), stats.interactions);
+        assert_eq!(u64_field(&reply, "tree_ops"), stats.tree_ops);
+        let phases = reply.get("phases").unwrap();
+        for phase in engine::Phase::ALL {
+            let got = phases.get(phase.key()).and_then(|v| v.as_f64()).unwrap();
+            assert_eq!(got.to_bits(), reference.phases.get(phase).to_bits(), "{}", phase.key());
+        }
+        assert!(reply.get("batched").is_none(), "{reply:?}");
     }
 
     let ledger = server.quotas().usage("equiv");

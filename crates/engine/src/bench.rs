@@ -1,8 +1,8 @@
 //! The run-record vocabulary: what `bhsim --json` and `bhload` write.
 //!
 //! * [`RunSpec`] — the identity of one measured configuration (scenario ×
-//!   backend × opt level × walk × build × service × machine shape × size),
-//!   with a stable [`RunSpec::key`] used to label rows.
+//!   backend × opt level × tree policy × walk × build × service × machine
+//!   shape × size), with a stable [`RunSpec::key`] used to label rows.
 //! * [`Sample`] — one run's measurements: host wall time plus the
 //!   emulator's outputs (simulated per-phase seconds, traffic counters).
 //!   `bhsim --json` prints one per backend.
@@ -35,10 +35,6 @@ pub const SERVICE_BHSERVE: &str = "bhserve";
 /// a different measurement protocol, so it gets its own service value.
 pub const SERVICE_CHAOS: &str = "chaos";
 
-/// [`RunSpec::warm`] value for runs integrated from `t = 0` — every run the
-/// workspace measures today.
-pub const WARM_COLD: &str = "cold";
-
 /// The identity of one measured configuration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct RunSpec {
@@ -67,8 +63,6 @@ pub struct RunSpec {
     /// service carries framing, dispatch and queueing that a standalone run
     /// does not.
     pub service: String,
-    /// Warm-start pathway; always [`WARM_COLD`].
-    pub warm: String,
     /// Number of bodies.
     pub nbodies: usize,
     /// Emulated nodes.
@@ -94,7 +88,6 @@ impl RunSpec {
             walk: cfg.walk.name().to_string(),
             build: cfg.build.name().to_string(),
             service: SERVICE_SIM.to_string(),
-            warm: WARM_COLD.to_string(),
             nbodies: cfg.nbodies,
             nodes: cfg.machine.nodes,
             threads_per_node: cfg.machine.threads_per_node,
@@ -107,7 +100,7 @@ impl RunSpec {
     /// Stable one-line identity, used to label a row in reports and errors.
     pub fn key(&self) -> String {
         format!(
-            "{}/{}/{}/{}/{}/{}/{}/{}/n{}/m{}x{}",
+            "{}/{}/{}/{}/{}/{}/{}/n{}/m{}x{}",
             self.scenario,
             self.backend,
             self.opt,
@@ -115,7 +108,6 @@ impl RunSpec {
             self.walk,
             self.build,
             self.service,
-            self.warm,
             self.nbodies,
             self.nodes,
             self.threads_per_node
@@ -441,7 +433,7 @@ mod tests {
     #[test]
     fn spec_key_is_stable_and_discriminating() {
         let a = spec();
-        assert_eq!(a.key(), "plummer/upc/subspace/rebuild/per-body/insertion/sim/cold/n256/m2x1");
+        assert_eq!(a.key(), "plummer/upc/subspace/rebuild/per-body/insertion/sim/n256/m2x1");
         let mut b = a.clone();
         b.nbodies = 512;
         assert_ne!(a.key(), b.key());

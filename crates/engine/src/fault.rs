@@ -331,8 +331,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 // The vendored serde derives serialization only (`to_value`); deserialization
 // is hand-walked wherever a plan crosses a boundary, and a plan is *excluded*
-// from every persisted identity (snapshot manifests, bench RunSpecs, batch
-// keys) by construction — faults describe how a run is exercised, not what it
+// from every persisted identity (snapshot manifests, bench RunSpecs) by
+// construction — faults describe how a run is exercised, not what it
 // computes.
 impl Serialize for FaultPlan {
     fn to_value(&self) -> Value {

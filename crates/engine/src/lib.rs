@@ -20,7 +20,8 @@
 //!   registry: any scenario's bodies can be pushed through any backend.
 //! * [`caps`] — the capability table: one [`Caps`] row per backend and the
 //!   one evaluator of "which configurations are valid" every surface reads.
-//! * [`bench`] — the run-record vocabulary: [`bench::RunSpec`] and
+//! * [`bench`] — the run-record vocabulary: [`bench::RunSpec`] (every axis
+//!   that changes what a run measures, and nothing that never varies) and
 //!   [`bench::Sample`] (what `bhsim --json` prints per backend) and the
 //!   `bhbench/v1` [`bench::Record`] that `bhload` writes.  Written, never
 //!   read back: performance is judged by `benchmark/`.
