@@ -2,7 +2,8 @@
 
 use crate::cellnode::COMPACT_MAX_RANKS;
 use crate::config::{OptLevel, SimConfig};
-use crate::sim::run_simulation_on;
+use crate::sim::Upc;
+use engine::drive::{self, Observer};
 use engine::{Backend, Caps, Reasons, Rungs, SimResult};
 use nbody::Body;
 
@@ -26,7 +27,6 @@ pub const CAPS: Caps = Caps {
     sorted_max_ranks: Some(COMPACT_MAX_RANKS),
     tree_reuse: Rungs::ALL,
     max_bodies: None,
-    tracked: true,
     why: Reasons {
         group_walk: "the per-group interaction lists are built over the §5.3 cell cache",
         sorted_build: "the sorted build distributes bodies over the §5.2 redistribution, and \
@@ -50,18 +50,13 @@ impl Backend for UpcBackend {
         CAPS
     }
 
-    fn run(&self, cfg: &SimConfig, bodies: Vec<Body>) -> SimResult {
-        run_simulation_on(cfg, bodies)
-    }
-
-    fn run_tracked(
+    fn drive(
         &self,
         cfg: &SimConfig,
         bodies: Vec<Body>,
-        observer: &mut (dyn FnMut(engine::snap::StepRecord) + Send),
+        observer: Option<Observer>,
     ) -> Result<SimResult, String> {
-        self.supports(cfg)?;
-        crate::sim::run_simulation_tracked(cfg, bodies, observer)
+        drive::drive::<Upc>(CAPS, cfg, bodies, observer)
     }
 }
 

@@ -63,4 +63,4 @@ pub use cellnode::{CellNode, NodeKind};
 pub use config::{OptLevel, SimConfig, TreeBuild, TreePolicy, WalkMode};
 pub use report::{Phase, PhaseTimes, RankOutcome, SimResult};
 pub use shared::{BhShared, RankState};
-pub use sim::{run_simulation, run_simulation_on, run_simulation_tracked, run_simulation_with};
+pub use sim::{run_simulation, run_simulation_on};

@@ -8,4 +8,4 @@
 //! competitor's crate.  This module keeps the historical `bh::report::*`
 //! paths working.
 
-pub use engine::report::{measurement_begins, Phase, PhaseTimes, RankOutcome, SimResult};
+pub use engine::report::{Phase, PhaseTimes, RankOutcome, SimResult};

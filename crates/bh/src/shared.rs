@@ -63,8 +63,8 @@ impl BhShared {
     /// The bodies must number `cfg.nbodies` and carry ids `0..nbodies` in
     /// order: the solvers use the id as the index into the global body
     /// table when redistributing and when assembling the final snapshot.
+    /// The step driver ([`engine::drive`]) checks that before building.
     pub fn with_bodies(cfg: &SimConfig, bodies: Vec<Body>) -> Self {
-        engine::validate_bodies(cfg, &bodies);
         let ranks = cfg.ranks();
         let nbodies = bodies.len();
         let node_bytes = match cfg.build {
@@ -133,9 +133,6 @@ pub struct RankState {
     pub tree_merge_time: f64,
     /// Bodies that migrated to this rank during measured steps.
     pub migrated: u64,
-    /// Sum over measured steps of the number of owned bodies (for the
-    /// migration-fraction statistic).
-    pub owned_accum: u64,
     /// Transparent software caches for the shared scalars, present only when
     /// [`SimConfig::software_scalar_cache`] is enabled.
     pub scalar_caches: Option<ScalarCaches>,
@@ -183,7 +180,6 @@ impl RankState {
             tree_local_time: 0.0,
             tree_merge_time: 0.0,
             migrated: 0,
-            owned_accum: 0,
             scalar_caches: if cfg.software_scalar_cache {
                 Some(ScalarCaches::default())
             } else {

@@ -1,13 +1,16 @@
-//! The simulation driver: runs the configured number of time steps with the
-//! phase structure of the paper and collects the per-phase times its tables
-//! report.
+//! The upc solver's time step — the paper's phase structure, per
+//! optimization level — as the [`engine::drive::Solver`] the shared step
+//! driver runs for every backend.
 //!
 //! Each step's tree-building phase is governed by the configured
 //! [`crate::config::TreePolicy`]: the default per-step rebuild reproduces
 //! the paper's protocol exactly, while the reuse/adaptive policies route
 //! through the tree-lifecycle subsystem ([`crate::lifecycle`]) — a
 //! persistent global tree, incrementally updated, with drift-triggered
-//! rebuilds.
+//! rebuilds.  A resume replays such a tree from its last rebuild, the step
+//! the solver's record anchor names.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::config::{SimConfig, TreeBuild, WalkMode};
 use crate::force::{advance_phase, force_phase_cached, force_phase_uncached, write_back};
@@ -15,7 +18,7 @@ use crate::frontier::{force_phase_async, force_phase_async_group};
 use crate::lifecycle;
 use crate::mergetree::{allocate_merge_root, build_local_tree, merge_into_global};
 use crate::partition::{partition_phase, redistribute_phase};
-use crate::report::{measurement_begins, Phase, PhaseTimes, RankOutcome, SimResult};
+use crate::report::{Phase, RankOutcome, SimResult};
 use crate::shared::{BhShared, RankState};
 use crate::sortbuild::sorted_build;
 use crate::subspace::{subspace_partition, subspace_redistribute, subspace_treebuild};
@@ -23,168 +26,97 @@ use crate::treebuild::{
     allocate_root, bounding_box_phase, center_of_mass_phase, derive_root_cube, insert_owned_bodies,
     publish_root_cube,
 };
-use pgas::{Ctx, GlobalPtr, Runtime};
+use crate::UpcBackend;
+use engine::drive::Solver;
+use engine::Backend;
+use nbody::plummer::{generate, PlummerConfig};
+use nbody::Body;
+use pgas::{Ctx, GlobalPtr};
 
-/// Runs a full simulation according to `cfg` and returns the per-phase
-/// timing breakdown, per-rank outcomes and the final body states.
+/// Runs a full simulation according to `cfg` over the paper's Plummer
+/// initial conditions and returns the per-phase timing breakdown, per-rank
+/// outcomes and the final body states.
 pub fn run_simulation(cfg: &SimConfig) -> SimResult {
-    let shared = BhShared::new(cfg);
-    run_simulation_with(cfg, &shared)
+    run_simulation_on(cfg, generate(&PlummerConfig::new(cfg.nbodies, cfg.seed)))
 }
 
 /// Like [`run_simulation`] but over caller-provided initial conditions
 /// (any workload — see the `scenarios` crate — not just the built-in
-/// Plummer sphere).  The bodies must number `cfg.nbodies` with ids `0..n`.
-pub fn run_simulation_on(cfg: &SimConfig, bodies: Vec<nbody::Body>) -> SimResult {
-    let shared = BhShared::with_bodies(cfg, bodies);
-    run_simulation_with(cfg, &shared)
+/// Plummer sphere).  The bodies must number `cfg.nbodies` with ids `0..n`;
+/// panics where [`Backend::run`] does.
+pub fn run_simulation_on(cfg: &SimConfig, bodies: Vec<Body>) -> SimResult {
+    UpcBackend.run(cfg, bodies)
 }
 
-/// Like [`run_simulation_on`] but emits an [`engine::snap::StepRecord`]
-/// after every completed time step, so callers (the checkpoint layer) can
-/// capture resumable state mid-run.
-///
-/// Observation is physics-neutral: the record is taken at a point where
-/// every rank has passed the advance-phase barrier — the body table is the
-/// exact between-steps state — and the only addition to the schedule is one
-/// extra barrier per step, outside every phase timer, so tracked runs
-/// produce bit-for-bit the bodies of untracked runs.
-///
-/// Tracked runs are the supervised (retryable) surface, so this entry is
-/// fallible: a pending `engine.step` fault in `cfg.faults` aborts the run
-/// with an error carrying the [`engine::fault::STEP_FAULT`] marker, after
-/// every record for the steps completed *before* the fault has been
-/// delivered — a supervisor restores the last checkpoint and retries.
-pub fn run_simulation_tracked(
-    cfg: &SimConfig,
-    bodies: Vec<nbody::Body>,
-    observer: &mut (dyn FnMut(engine::snap::StepRecord) + Send),
-) -> Result<SimResult, String> {
-    let shared = BhShared::with_bodies(cfg, bodies);
-    run_simulation_observed(cfg, &shared, Some(observer))
+/// One run of the upc solver: the PGAS-resident state every rank shares.
+pub(crate) struct Upc {
+    shared: BhShared,
+    /// The persistent tree's final generation, left by the ranks' outcomes.
+    generation: AtomicU64,
 }
 
-/// Like [`run_simulation`] but over an existing shared state (used by tests
-/// and benches that want to inspect or pre-seed the body table).
-///
-/// # Panics
-/// Panics when the upc capability row ([`crate::backend::CAPS`]) rejects
-/// `cfg`.
-pub fn run_simulation_with(cfg: &SimConfig, shared: &BhShared) -> SimResult {
-    match run_simulation_observed(cfg, shared, None) {
-        Ok(result) => result,
-        // Unsupervised entry points have no recovery layer to hand the
-        // fault to; aborting loudly keeps the injection observable.
-        Err(e) => panic!("bh::run_simulation: {e}"),
+impl Solver for Upc {
+    type Rank = RankState;
+
+    fn new(cfg: &SimConfig, bodies: Vec<Body>) -> Self {
+        Upc { shared: BhShared::with_bodies(cfg, bodies), generation: AtomicU64::new(0) }
     }
-}
 
-/// The shared driver behind [`run_simulation_with`] (no observer) and
-/// [`run_simulation_tracked`] (per-step observer).
-fn run_simulation_observed(
-    cfg: &SimConfig,
-    shared: &BhShared,
-    observer: Option<&mut (dyn FnMut(engine::snap::StepRecord) + Send)>,
-) -> Result<SimResult, String> {
-    if let Err(e) = crate::backend::CAPS.check(cfg) {
-        panic!("bh::run_simulation: invalid config: {e}");
+    fn start(&self, ctx: &Ctx, cfg: &SimConfig) -> RankState {
+        RankState::new(ctx, &self.shared, cfg)
     }
-    let step_faults = cfg.faults.targets("engine.step");
-    let observer = observer.map(std::sync::Mutex::new);
-    let runtime = Runtime::new(cfg.machine.clone());
-    let report = runtime.run(|ctx| {
-        let mut st = RankState::new(ctx, shared, cfg);
-        for step in 0..cfg.steps {
-            if step_faults && cfg.faults.step_fault_pending("engine.step", step) {
-                // A **pure** read: every rank evaluates the same predicate
-                // and abandons the run at the same step — no mutation here,
-                // so no rank desynchronizes and no barrier is left hanging.
-                // The driver below classifies the abort and consumes the
-                // trigger once, after all ranks have returned.
-                break;
-            }
-            if measurement_begins(cfg, step) {
-                // Start of the measured window (the paper measures the last
-                // two of four steps): reset all accumulators.
-                st.timer.reset();
-                st.tree_local_time = 0.0;
-                st.tree_merge_time = 0.0;
-                st.migrated = 0;
-                st.owned_accum = 0;
-            }
-            run_step(ctx, shared, &mut st, cfg, step);
-            if let Some(obs) = &observer {
-                // Every rank has passed the advance-phase barrier inside
-                // `run_step`, so the body table holds the exact
-                // between-steps state and nothing writes it until the next
-                // step begins.  Rank 0 copies it out, then one barrier
-                // releases the other ranks into the next step.  The barrier
-                // sits outside every phase timer, so tracked runs report
-                // the same phase times and identical physics.
-                if ctx.rank() == 0 {
-                    let anchor_step = if lifecycle::persistent_tree(cfg) && st.lifecycle.valid {
-                        // The reused tree's structure depends on the body
-                        // history since the last full rebuild: resume must
-                        // replay from there.
-                        st.lifecycle.last_rebuild_step
-                    } else {
-                        // Stateless per-step construction: resume continues
-                        // directly from the current bodies.
-                        step + 1
-                    };
-                    let record = engine::snap::StepRecord {
-                        step,
-                        anchor_step,
-                        tree_generation: st.lifecycle.generation,
-                        bodies: shared.bodytab.snapshot(),
-                    };
-                    (obs.lock().expect("snapshot observer poisoned"))(record);
-                }
-                ctx.barrier();
-            }
-        }
-        let outcome = RankOutcome {
-            phases: PhaseTimes::from_timer(&st.timer),
-            phases_host_ms: PhaseTimes::host_ms_from_timer(&st.timer),
+
+    fn step(&self, ctx: &Ctx, cfg: &SimConfig, st: &mut RankState, step: usize) {
+        run_step(ctx, &self.shared, st, cfg, step);
+    }
+
+    fn reset_window(&self, st: &mut RankState) {
+        st.timer.reset();
+        st.tree_local_time = 0.0;
+        st.tree_merge_time = 0.0;
+        st.migrated = 0;
+    }
+
+    fn outcome(&self, st: &RankState) -> RankOutcome {
+        // Every rank takes the same lifecycle decisions, so any rank's
+        // generation is the run's.
+        self.generation.store(st.lifecycle.generation, Ordering::Relaxed);
+        RankOutcome {
             tree_local: st.tree_local_time,
             tree_merge: st.tree_merge_time,
             owned_bodies: st.my_ids.len() as u64,
             migrated_bodies: st.migrated,
-            stats: Default::default(),
-        };
-        // Every rank takes the same lifecycle decisions, so any rank's
-        // generation is the run's.
-        (outcome, st.lifecycle.generation)
-    });
-
-    if step_faults {
-        // The pending predicate is pure, so re-finding the first pending
-        // step here names exactly the step every rank broke at.  Consuming
-        // the trigger marks it spent in the plan's *shared* state, so the
-        // supervisor's checkpoint-restore replay passes the step cleanly.
-        if let Some(step) =
-            (0..cfg.steps).find(|&s| cfg.faults.step_fault_pending("engine.step", s))
-        {
-            cfg.faults.consume_step("engine.step", step);
-            return Err(format!(
-                "{}: injected fault at step {step} (site engine.step); the run aborted \
-                 before the step executed and is retryable from the last checkpoint",
-                engine::fault::STEP_FAULT
-            ));
+            ..RankOutcome::timed(&st.timer)
         }
     }
 
-    let mut ranks: Vec<RankOutcome> = Vec::with_capacity(report.ranks.len());
-    for r in &report.ranks {
-        let mut outcome = r.result.0.clone();
-        outcome.stats = r.stats.clone();
-        ranks.push(outcome);
+    fn bodies(&self, ctx: &Ctx, _: &RankState) -> Vec<Body> {
+        // The body table is shared: rank 0 hands over all of it.
+        if ctx.rank() == 0 {
+            self.shared.bodytab.snapshot()
+        } else {
+            Vec::new()
+        }
     }
-    let mut result = SimResult::aggregate(cfg, ranks, shared.bodytab.snapshot());
-    result.tree_bytes = shared.cells.peak_bytes();
-    result.tree_rebuilds =
-        if lifecycle::persistent_tree(cfg) { report.ranks[0].result.1 } else { cfg.steps as u64 };
-    Ok(result)
+
+    fn anchor(&self, st: &RankState, step: usize) -> (usize, u64) {
+        // A tree kept valid across steps (persistent policies only) depends
+        // on the body history since its last full rebuild, so a resume
+        // replays from there; a tree built fresh every step lets it continue
+        // from the current bodies.
+        let valid = st.lifecycle.valid;
+        let anchor_step = if valid { st.lifecycle.last_rebuild_step } else { step + 1 };
+        (anchor_step, st.lifecycle.generation)
+    }
+
+    fn finish(&self, cfg: &SimConfig, result: &mut SimResult) {
+        result.tree_bytes = self.shared.cells.peak_bytes();
+        result.tree_rebuilds = if lifecycle::persistent_tree(cfg) {
+            self.generation.load(Ordering::Relaxed)
+        } else {
+            cfg.steps as u64
+        };
+    }
 }
 
 /// Runs one time step with the phase structure of the configured
@@ -324,7 +256,6 @@ fn run_step_classic(
     st.timer.begin(ctx, Phase::Redistribute.key());
     let outcome = redistribute_phase(ctx, shared, st, cfg, &plan, keyed);
     st.migrated += outcome.migrated_in;
-    st.owned_accum += outcome.owned;
     ctx.barrier();
     st.timer.end(ctx, Phase::Redistribute.key());
 }
@@ -340,7 +271,6 @@ fn run_step_subspace(ctx: &Ctx, shared: &BhShared, st: &mut RankState, cfg: &Sim
     st.timer.begin(ctx, Phase::Redistribute.key());
     let (assignment, migrated) = subspace_redistribute(ctx, shared, st, cfg, &plan, pre);
     st.migrated += migrated;
-    st.owned_accum += st.my_ids.len() as u64;
     ctx.barrier();
     st.timer.end(ctx, Phase::Redistribute.key());
 
@@ -382,82 +312,13 @@ mod tests {
     }
 
     #[test]
-    fn tracked_run_is_physics_neutral_and_emits_every_step() {
-        use crate::config::TreePolicy;
-        let mut cfg = SimConfig::test(96, 2, OptLevel::CacheLocalTree);
-        cfg.steps = 4;
-        cfg.measured_steps = 2;
-        cfg.tree_policy = TreePolicy::Reuse { rebuild_every: 2, drift_threshold: 0.5 };
-        let bodies =
-            nbody::plummer::generate(&nbody::plummer::PlummerConfig::new(cfg.nbodies, cfg.seed));
-        let plain = run_simulation_on(&cfg, bodies.clone());
-        let mut records: Vec<engine::snap::StepRecord> = Vec::new();
-        let tracked = run_simulation_tracked(&cfg, bodies, &mut |r| records.push(r))
-            .expect("a fault-free tracked run succeeds");
-        assert_eq!(records.len(), cfg.steps, "one record per completed step");
-        for (i, r) in records.iter().enumerate() {
-            assert_eq!(r.step, i);
-            assert!(r.anchor_step <= i + 1, "anchor may never lie in the future");
-            assert_eq!(r.bodies.len(), cfg.nbodies);
-            assert!(r.bodies.iter().enumerate().all(|(j, b)| b.id as usize == j), "sorted by id");
-        }
-        // A rebuild happened at step 0 (no valid tree) and at step 2 (the
-        // e2 cadence), so the final record's anchor is step 2.
-        assert_eq!(records.last().expect("records").anchor_step, 2);
-        assert!(
-            engine::snap::bodies_bits_equal(&tracked.bodies, &plain.bodies),
-            "observation must not perturb the physics"
-        );
-        assert!(
-            engine::snap::bodies_bits_equal(
-                &records.last().expect("records").bodies,
-                &plain.bodies
-            ),
-            "the last record is the final state"
-        );
-    }
-
-    #[test]
-    fn injected_step_faults_abort_once_then_replay_clean() {
-        let mut cfg = SimConfig::test(64, 2, OptLevel::CacheLocalTree);
-        cfg.steps = 4;
-        cfg.measured_steps = 2;
-        cfg.faults = engine::fault::FaultPlan::parse("engine.step@n2").unwrap();
-        let bodies =
-            nbody::plummer::generate(&nbody::plummer::PlummerConfig::new(cfg.nbodies, cfg.seed));
-
-        let mut records: Vec<engine::snap::StepRecord> = Vec::new();
-        let err = run_simulation_tracked(&cfg, bodies.clone(), &mut |r| records.push(r))
-            .expect_err("the armed step fault must abort the run");
-        assert!(err.contains(engine::fault::STEP_FAULT), "{err}");
-        assert!(err.contains("step 2"), "{err}");
-        // Steps before the fault completed and were observed.
-        assert_eq!(records.len(), 2, "steps 0 and 1 ran before the fault");
-
-        // The abort consumed the trigger (shared across clones), so the
-        // supervisor's retry with the same plan runs clean and matches a
-        // fault-free run bit-for-bit.
-        let retry = run_simulation_tracked(&cfg, bodies.clone(), &mut |_| {})
-            .expect("the consumed fault must not re-fire");
-        let mut clean_cfg = cfg.clone();
-        clean_cfg.faults = engine::fault::FaultPlan::default();
-        let clean = run_simulation_on(&clean_cfg, bodies);
-        assert!(
-            engine::snap::bodies_bits_equal(&retry.bodies, &clean.bodies),
-            "the retried run must be bit-identical to a fault-free run"
-        );
-    }
-
-    #[test]
     fn plummer_path_is_unchanged() {
         // `run_simulation` (implicit Plummer) and `run_simulation_on` with
         // the same Plummer bodies must agree body-for-body.
         let cfg = SimConfig::test(128, 2, OptLevel::CacheLocalTree);
         let implicit = run_simulation(&cfg);
-        let explicit = run_simulation_on(
-            &cfg,
-            nbody::plummer::generate(&nbody::plummer::PlummerConfig::new(cfg.nbodies, cfg.seed)),
-        );
+        let explicit =
+            run_simulation_on(&cfg, generate(&PlummerConfig::new(cfg.nbodies, cfg.seed)));
         for (a, b) in implicit.bodies.iter().zip(&explicit.bodies) {
             assert!((a.pos - b.pos).norm() < 1e-9);
         }

@@ -1,6 +1,7 @@
 //! The message-passing solver as an [`engine`] backend.
 
-use crate::sim::{run_simulation_on, PSEUDO_ID_BASE};
+use crate::sim::{Mpi, PSEUDO_ID_BASE};
+use engine::drive::{self, Observer};
 use engine::{Backend, Caps, Reasons, Rungs, SimConfig, SimResult};
 use nbody::Body;
 
@@ -19,7 +20,6 @@ pub const CAPS: Caps = Caps {
     sorted_max_ranks: None,
     tree_reuse: Rungs::Never,
     max_bodies: Some(PSEUDO_ID_BASE as usize),
-    tracked: false,
     why: Reasons {
         group_walk: "the message-passing solver walks its locally essential tree per body",
         sorted_build: "the message-passing solver already builds lock-free local trees over \
@@ -43,8 +43,13 @@ impl Backend for MpiBackend {
         CAPS
     }
 
-    fn run(&self, cfg: &SimConfig, bodies: Vec<Body>) -> SimResult {
-        run_simulation_on(cfg, bodies)
+    fn drive(
+        &self,
+        cfg: &SimConfig,
+        bodies: Vec<Body>,
+        observer: Option<Observer>,
+    ) -> Result<SimResult, String> {
+        drive::drive::<Mpi>(CAPS, cfg, bodies, observer)
     }
 }
 

@@ -17,9 +17,10 @@
 //! * [`letree`] — locally essential tree exchange: every rank *pushes* the
 //!   part of its tree that each peer will need (Salmon's LET), instead of
 //!   peers pulling cells on demand as the UPC cache does (§5.3/§5.5);
-//! * [`sim`] — the step driver: [`run_simulation_on`] accepts any workload's
-//!   initial conditions (every `scenarios` family runs under message
-//!   passing) and produces the solver-neutral [`engine::SimResult`];
+//! * [`sim`] — the per-rank step the shared driver ([`engine::drive`])
+//!   runs: any workload's initial conditions (every `scenarios` family runs
+//!   under message passing) in, the solver-neutral [`engine::SimResult`]
+//!   out;
 //! * [`backend`] — [`MpiBackend`], the [`engine::Backend`] registration
 //!   (key `mpi`) that makes this solver selectable next to `upc` and
 //!   `direct` in `bhsim --backend`/`--compare`.
@@ -44,4 +45,4 @@ pub mod sim;
 pub use backend::MpiBackend;
 pub use domain::{decompose, Decomposition, GlobalBox};
 pub use letree::{DomainBox, LetItem};
-pub use sim::{run_simulation, run_simulation_on, PSEUDO_ID_BASE};
+pub use sim::{run_simulation, PSEUDO_ID_BASE};

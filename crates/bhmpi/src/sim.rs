@@ -1,15 +1,15 @@
-//! The message-passing simulation driver.
+//! The message-passing time step.
 //!
-//! Mirrors the protocol of the UPC solver — the same number of time steps
-//! with the last `measured_steps` timed, the same per-phase breakdown — but
-//! every phase is expressed with explicit message passing: an all-to-all
-//! body exchange instead of one-sided redistribution, a pushed
-//! locally-essential-tree exchange instead of demand-driven caching, and a
-//! purely local force walk.
+//! Runs under the same step driver as the UPC solver ([`engine::drive`]) —
+//! the same number of time steps with the last `measured_steps` timed, the
+//! same per-phase breakdown — but every phase is expressed with explicit
+//! message passing: an all-to-all body exchange instead of one-sided
+//! redistribution, a pushed locally-essential-tree exchange instead of
+//! demand-driven caching, and a purely local force walk.
 //!
-//! [`run_simulation_on`] accepts caller-provided initial conditions, so any
-//! `scenarios` workload runs under message passing; [`run_simulation`] keeps
-//! the historical Plummer entry point.  The output is the solver-neutral
+//! [`MpiBackend`] runs any `scenarios` workload under message passing;
+//! [`run_simulation`] keeps the historical Plummer entry point.  The output
+//! is the solver-neutral
 //! [`engine::SimResult`], so the bench harness and the integration tests can
 //! compare programming models on identical workloads (§9 of the paper: "We
 //! plan, in future work, to directly compare the performance of this code to
@@ -17,20 +17,42 @@
 
 use crate::domain::{exchange_bodies, plan};
 use crate::letree::{exchange_let, DomainBox, LetItem};
-use engine::report::{measurement_begins, Phase, PhaseTimes, RankOutcome, SimResult};
-use engine::SimConfig;
+use crate::MpiBackend;
+use engine::drive::{self, Solver};
+use engine::report::{Phase, RankOutcome, SimResult};
+use engine::{Backend, SimConfig};
 use nbody::plummer::{generate, PlummerConfig};
 use nbody::Body;
 use octree::tree::{Octree, TreeParams};
 use octree::walk::accel_on;
-use pgas::{Ctx, PhaseTimer, Runtime};
+use pgas::{Ctx, PhaseTimer};
 
 /// Base id given to imported pseudo-bodies so they never collide with real
 /// body ids (the body cap of [`crate::backend::CAPS`] keeps the headroom).
 pub const PSEUDO_ID_BASE: u32 = u32::MAX - (1 << 24);
 
+/// Runs the message-passing Barnes-Hut simulation described by `cfg` over
+/// the paper's Plummer initial conditions ([`MpiBackend`] runs any
+/// workload's).
+///
+/// `cfg.opt`, `cfg.n1`–`n3`, `cfg.alpha` and `cfg.vector_reduction` are
+/// ignored: they parameterise the UPC optimization ladder, which has no
+/// counterpart here.  Everything else (bodies, seed, θ, ε, dt, step counts,
+/// machine) is honoured, so a run with the same `SimConfig` is directly
+/// comparable to the UPC solver's.  Panics where [`Backend::run`] does.
+pub fn run_simulation(cfg: &SimConfig) -> SimResult {
+    MpiBackend.run(cfg, generate(&PlummerConfig::new(cfg.nbodies, cfg.seed)))
+}
+
+/// One run of the message-passing solver: the initial bodies each rank
+/// takes its block of (the same block-by-id split the UPC body table uses,
+/// so both solvers start from identical ownership).
+pub(crate) struct Mpi {
+    bodies: Vec<Body>,
+}
+
 /// Per-rank state of the message-passing solver.
-struct MpiRankState {
+pub(crate) struct MpiRankState {
     /// Bodies currently owned by this rank.
     owned: Vec<Body>,
     timer: PhaseTimer,
@@ -39,86 +61,47 @@ struct MpiRankState {
     migrated: u64,
 }
 
-/// Runs the message-passing Barnes-Hut simulation described by `cfg` over
-/// the paper's Plummer initial conditions (see [`run_simulation_on`] for
-/// arbitrary workloads).
-pub fn run_simulation(cfg: &SimConfig) -> SimResult {
-    run_simulation_on(cfg, generate(&PlummerConfig::new(cfg.nbodies, cfg.seed)))
-}
+impl Solver for Mpi {
+    type Rank = MpiRankState;
 
-/// Runs the message-passing Barnes-Hut simulation described by `cfg` over
-/// caller-provided initial conditions (any workload — see the `scenarios`
-/// crate).  The bodies must number `cfg.nbodies` with ids `0..n` in order.
-///
-/// `cfg.opt`, `cfg.n1`–`n3`, `cfg.alpha` and `cfg.vector_reduction` are
-/// ignored: they parameterise the UPC optimization ladder, which has no
-/// counterpart here.  Everything else (bodies, seed, θ, ε, dt, step counts,
-/// machine) is honoured, so a run with the same `SimConfig` is directly
-/// comparable to the UPC solver's.
-///
-/// # Panics
-/// Panics when the mpi capability row ([`crate::backend::CAPS`]) rejects
-/// `cfg` or when the bodies do not match `cfg.nbodies`.
-pub fn run_simulation_on(cfg: &SimConfig, all_bodies: Vec<Body>) -> SimResult {
-    if let Err(e) = crate::backend::CAPS.check(cfg) {
-        panic!("bh_mpi::run_simulation_on: invalid config: {e}");
+    fn new(_: &SimConfig, bodies: Vec<Body>) -> Self {
+        Mpi { bodies }
     }
-    engine::validate_bodies(cfg, &all_bodies);
-    let runtime = Runtime::new(cfg.machine.clone());
-    let ranks = runtime.ranks();
 
-    let report = runtime.run(|ctx| {
-        // Initial distribution: the same block-by-id split the UPC body table
-        // uses, so both solvers start from identical ownership.
-        let per = cfg.nbodies.div_ceil(ranks.max(1)).max(1);
-        let owned: Vec<Body> =
-            all_bodies.iter().skip(ctx.rank() * per).take(per).copied().collect();
-        let mut st = MpiRankState {
-            owned,
+    fn start(&self, ctx: &Ctx, _: &SimConfig) -> MpiRankState {
+        MpiRankState {
+            owned: drive::initial_block(ctx, &self.bodies).to_vec(),
             timer: PhaseTimer::new(),
             tree_local_time: 0.0,
             let_exchange_time: 0.0,
             migrated: 0,
-        };
-        for step in 0..cfg.steps {
-            if measurement_begins(cfg, step) {
-                st.timer.reset();
-                st.tree_local_time = 0.0;
-                st.let_exchange_time = 0.0;
-                st.migrated = 0;
-            }
-            run_step(ctx, &mut st, cfg);
         }
+    }
 
-        let outcome = RankOutcome {
-            phases: PhaseTimes::from_timer(&st.timer),
-            phases_host_ms: PhaseTimes::host_ms_from_timer(&st.timer),
+    fn step(&self, ctx: &Ctx, cfg: &SimConfig, st: &mut MpiRankState, _: usize) {
+        run_step(ctx, st, cfg);
+    }
+
+    fn reset_window(&self, st: &mut MpiRankState) {
+        st.timer.reset();
+        st.tree_local_time = 0.0;
+        st.let_exchange_time = 0.0;
+        st.migrated = 0;
+    }
+
+    fn outcome(&self, st: &MpiRankState) -> RankOutcome {
+        RankOutcome {
             tree_local: st.tree_local_time,
             tree_merge: st.let_exchange_time,
             owned_bodies: st.owned.len() as u64,
             migrated_bodies: st.migrated,
-            stats: Default::default(),
-        };
-
-        // Gather the final body states so the result carries the full,
-        // id-ordered system (outside the measured window).
-        let gathered = ctx.allgather(st.owned.clone());
-        let mut final_bodies: Vec<Body> = gathered.into_iter().flatten().collect();
-        final_bodies.sort_unstable_by_key(|b| b.id);
-        (outcome, final_bodies)
-    });
-
-    let mut ranks_out = Vec::with_capacity(report.ranks.len());
-    let mut bodies = Vec::new();
-    for r in &report.ranks {
-        let (mut outcome, final_bodies) = r.result.clone();
-        outcome.stats = r.stats.clone();
-        if r.rank == 0 {
-            bodies = final_bodies;
+            ..RankOutcome::timed(&st.timer)
         }
-        ranks_out.push(outcome);
     }
-    SimResult::aggregate(cfg, ranks_out, bodies)
+
+    fn bodies(&self, _: &Ctx, st: &MpiRankState) -> Vec<Body> {
+        st.owned.clone()
+    }
 }
 
 /// One message-passing time step.
@@ -270,7 +253,7 @@ mod tests {
     }
 
     #[test]
-    fn any_workload_runs_through_run_simulation_on() {
+    fn any_workload_runs_through_the_backend() {
         // Caller-provided bodies (here: a deliberately non-Plummer cold
         // lattice) must flow through the full message-passing pipeline.
         let cfg = test_cfg(216, 3);
@@ -284,7 +267,7 @@ mod tests {
                 )
             })
             .collect();
-        let result = run_simulation_on(&cfg, bodies);
+        let result = MpiBackend.run(&cfg, bodies);
         assert_eq!(result.bodies.len(), 216);
         assert!(result.bodies.iter().enumerate().all(|(i, b)| b.id as usize == i));
         assert!(result.bodies.iter().all(|b| b.pos.is_finite() && b.vel.is_finite()));

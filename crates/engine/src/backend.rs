@@ -11,6 +11,7 @@
 
 use crate::caps::Caps;
 use crate::config::{ConfigError, SimConfig};
+use crate::drive::Observer;
 use crate::report::SimResult;
 use nbody::Body;
 
@@ -42,46 +43,41 @@ pub trait Backend: Send + Sync {
         self.caps().check(cfg)
     }
 
+    /// Runs `cfg` over `bodies` through [`crate::drive::drive`] with this
+    /// backend's solver, calling `observer` after every completed step when
+    /// one is given.  [`Backend::run`] and [`Backend::run_tracked`] are this
+    /// method without and with an observer.
+    fn drive(
+        &self,
+        cfg: &SimConfig,
+        bodies: Vec<Body>,
+        observer: Option<Observer>,
+    ) -> Result<SimResult, String>;
+
     /// Runs the simulation over the given initial conditions.
     ///
-    /// Callers should check [`Backend::supports`] first; implementations may
-    /// panic on configurations they reported as unsupported.
-    fn run(&self, cfg: &SimConfig, bodies: Vec<Body>) -> SimResult;
+    /// # Panics
+    /// Panics where [`Backend::run_tracked`] would fail: on a configuration
+    /// [`Backend::supports`] rejects, on bodies that break the conventions
+    /// above and on an injected `engine.step` fault.  Callers check
+    /// [`Backend::supports`] first.
+    fn run(&self, cfg: &SimConfig, bodies: Vec<Body>) -> SimResult {
+        self.drive(cfg, bodies, None).unwrap_or_else(|e| panic!("{} backend: {e}", self.name()))
+    }
 
     /// Like [`Backend::run`], but emits a [`crate::snap::StepRecord`] after
     /// every completed time step (all ranks quiesced, bodies sorted by id)
-    /// so callers can checkpoint mid-run.  Tracking must not perturb the
-    /// physics: the tracked run's bodies are bit-for-bit those of
-    /// [`Backend::run`] under the same configuration.
-    ///
-    /// The default refuses — observation points require solver cooperation
-    /// (a safe barrier between steps and access to the tree-lifecycle
-    /// phase), so backends opt in explicitly ([`Caps::tracked`]).
-    /// Checkpoint-driving surfaces
-    /// (`bhsim --checkpoint-every`, the snapstore resume path) report the
-    /// error to the user instead of silently running untracked.
+    /// so callers can checkpoint mid-run, and fails instead of panicking.
+    /// Tracking does not perturb the run: its bodies, simulated times and
+    /// counters are bit-for-bit those of [`Backend::run`].
     fn run_tracked(
         &self,
         cfg: &SimConfig,
         bodies: Vec<Body>,
         observer: &mut (dyn FnMut(crate::snap::StepRecord) + Send),
     ) -> Result<SimResult, String> {
-        let _ = (cfg, bodies, observer);
-        Err(format!("backend {} does not support step-tracked (checkpointed) runs", self.name()))
+        self.drive(cfg, bodies, Some(observer))
     }
-}
-
-/// Asserts the shared body conventions every backend relies on: the bodies
-/// number `cfg.nbodies` and carry ids `0..n` in order (the solvers index
-/// tables and assemble snapshots by id, so a violation would produce
-/// silently wrong physics rather than an error; the O(n) check is
-/// negligible next to a simulation step).
-pub fn validate_bodies(cfg: &SimConfig, bodies: &[Body]) {
-    assert_eq!(bodies.len(), cfg.nbodies, "initial conditions must match cfg.nbodies");
-    assert!(
-        bodies.iter().enumerate().all(|(i, b)| b.id as usize == i),
-        "initial conditions must carry ids 0..nbodies in order"
-    );
 }
 
 /// A string-keyed collection of backends.
@@ -150,8 +146,13 @@ mod tests {
         fn caps(&self) -> Caps {
             crate::direct::CAPS
         }
-        fn run(&self, cfg: &SimConfig, bodies: Vec<Body>) -> SimResult {
-            SimResult::aggregate(cfg, Vec::new(), bodies)
+        fn drive(
+            &self,
+            cfg: &SimConfig,
+            bodies: Vec<Body>,
+            _: Option<Observer>,
+        ) -> Result<SimResult, String> {
+            Ok(SimResult::aggregate(cfg, Vec::new(), bodies))
         }
     }
 
@@ -178,15 +179,6 @@ mod tests {
         assert!(err.contains("unknown backend: dierct"), "{err}");
         assert!(err.contains("did you mean \"direct\"?"), "{err}");
         assert!(err.contains("registered: direct, upc"), "{err}");
-    }
-
-    #[test]
-    fn tracked_runs_are_opt_in() {
-        // A backend that has not wired up safe observation points must
-        // refuse loudly rather than run untracked.
-        let cfg = SimConfig::test(8, 1, OptLevel::Baseline);
-        let err = Dummy("x").run_tracked(&cfg, Vec::new(), &mut |_| {}).unwrap_err();
-        assert!(err.contains("step-tracked"), "{err}");
     }
 
     #[test]

@@ -61,9 +61,6 @@ pub struct Caps {
     pub tree_reuse: Rungs,
     /// Runs need fewer bodies than this (`None`: no cap).
     pub max_bodies: Option<usize>,
-    /// Whether step-tracked (checkpointed) runs exist
-    /// ([`crate::Backend::run_tracked`]).
-    pub tracked: bool,
     /// Why the rules above refuse what they refuse.
     pub why: Reasons,
 }
@@ -147,16 +144,6 @@ impl Caps {
         self.check(cfg)
     }
 
-    /// [`Caps::check`] for a step-tracked run (`bhsim --checkpoint-every`,
-    /// `--resume`).
-    pub fn check_tracked(&self, cfg: &SimConfig) -> Result<(), ConfigError> {
-        self.check(cfg)?;
-        if !self.tracked {
-            return Err(unsupported("step-tracked runs are not supported by this backend", ""));
-        }
-        Ok(())
-    }
-
     /// Whether `bhserve` opens sessions on this backend: the session rule
     /// admits the default configuration.  True for every row, because the
     /// session rule reads only the tree policy (the rendered table's
@@ -182,7 +169,6 @@ pub fn render(registry: &BackendRegistry) -> String {
             ("--build sorted", sorted),
             ("--tree-policy reuse|adaptive", caps.tree_reuse.render()),
             ("--n", caps.max_bodies.map_or("any".to_string(), |max| format!("below {max}"))),
-            ("--checkpoint-every, --resume", if caps.tracked { "yes" } else { "no" }.to_string()),
             ("bhserve sessions", "--tree-policy rebuild".to_string()),
         ];
         out += &format!("  {}\n", backend.name());

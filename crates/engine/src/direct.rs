@@ -15,12 +15,15 @@
 use crate::backend::Backend;
 use crate::caps::{Caps, Reasons, Rungs};
 use crate::config::SimConfig;
-use crate::report::{measurement_begins, PhaseTimes, RankOutcome, SimResult};
+use crate::drive::{self, Observer, Solver};
+use crate::report::{RankOutcome, SimResult};
 use crate::Phase;
 use nbody::{Body, SoaBodies};
-use pgas::{Ctx, PhaseTimer, Runtime};
+use pgas::{Ctx, PhaseTimer};
 
-/// The exact O(n²) solver as an engine backend (registry key `direct`).
+/// The exact O(n²) solver as an engine backend (registry key `direct`).  It
+/// honours ε, dt, the step counts and the machine; θ, `cfg.opt` and the
+/// ladder tunables mean nothing without a tree.
 pub struct DirectBackend;
 
 /// The direct solver's capability row: it has no tree, so the walk, build
@@ -31,7 +34,6 @@ pub const CAPS: Caps = Caps {
     sorted_max_ranks: None,
     tree_reuse: Rungs::Ignored,
     max_bodies: None,
-    tracked: false,
     why: Reasons::NONE,
 };
 
@@ -48,79 +50,57 @@ impl Backend for DirectBackend {
         CAPS
     }
 
-    fn run(&self, cfg: &SimConfig, bodies: Vec<Body>) -> SimResult {
-        run_simulation_on(cfg, bodies)
+    fn drive(
+        &self,
+        cfg: &SimConfig,
+        bodies: Vec<Body>,
+        observer: Option<Observer>,
+    ) -> Result<SimResult, String> {
+        drive::drive::<Direct>(CAPS, cfg, bodies, observer)
     }
 }
 
-/// Runs the distributed direct-summation simulation described by `cfg` over
-/// caller-provided initial conditions.
-///
-/// `cfg.opt`, `cfg.tree_policy` and the ladder tunables are ignored (there
-/// is no tree); θ is likewise meaningless here.  ε, dt, the step counts and
-/// the machine are honoured, so runs are directly comparable to the tree
-/// backends'.
-///
-/// # Panics
-/// Panics when [`CAPS`] rejects `cfg` or when the bodies do not match
-/// `cfg.nbodies`.
-pub fn run_simulation_on(cfg: &SimConfig, bodies: Vec<Body>) -> SimResult {
-    if let Err(e) = CAPS.check(cfg) {
-        panic!("engine::direct::run_simulation_on: invalid config: {e}");
+/// One run of the direct solver: the initial bodies each rank takes its
+/// block of.
+struct Direct {
+    bodies: Vec<Body>,
+}
+
+/// One rank's block and phase timer.
+struct DirectRank {
+    owned: Vec<Body>,
+    timer: PhaseTimer,
+}
+
+impl Solver for Direct {
+    type Rank = DirectRank;
+
+    fn new(_: &SimConfig, bodies: Vec<Body>) -> Self {
+        Direct { bodies }
     }
-    crate::backend::validate_bodies(cfg, &bodies);
-    let runtime = Runtime::new(cfg.machine.clone());
-    let ranks = runtime.ranks();
 
-    let report = runtime.run(|ctx| {
-        // The same block-by-id split the tree solvers start from.
-        let per = cfg.nbodies.div_ceil(ranks.max(1)).max(1);
-        let mut owned: Vec<Body> =
-            bodies.iter().skip(ctx.rank() * per).take(per).copied().collect();
-        let mut timer = PhaseTimer::new();
-        for step in 0..cfg.steps {
-            if measurement_begins(cfg, step) {
-                timer.reset();
-            }
-            run_step(ctx, &mut owned, &mut timer, cfg);
+    fn start(&self, ctx: &Ctx, _: &SimConfig) -> DirectRank {
+        DirectRank {
+            owned: drive::initial_block(ctx, &self.bodies).to_vec(),
+            timer: PhaseTimer::new(),
         }
-
-        let outcome = RankOutcome {
-            phases: PhaseTimes::from_timer(&timer),
-            phases_host_ms: PhaseTimes::host_ms_from_timer(&timer),
-            tree_local: 0.0,
-            tree_merge: 0.0,
-            owned_bodies: owned.len() as u64,
-            migrated_bodies: 0,
-            stats: Default::default(),
-        };
-
-        // Gather the final body states so the result carries the full,
-        // id-ordered system (outside the measured window).  The collective
-        // must run on every rank, but only rank 0's copy survives into the
-        // result, so the others skip assembling theirs.
-        let gathered = ctx.allgather(owned.clone());
-        let final_bodies: Vec<Body> = if ctx.rank() == 0 {
-            let mut all: Vec<Body> = gathered.into_iter().flatten().collect();
-            all.sort_unstable_by_key(|b| b.id);
-            all
-        } else {
-            Vec::new()
-        };
-        (outcome, final_bodies)
-    });
-
-    let mut ranks_out = Vec::with_capacity(report.ranks.len());
-    let mut final_bodies = Vec::new();
-    for r in &report.ranks {
-        let (mut outcome, gathered) = r.result.clone();
-        outcome.stats = r.stats.clone();
-        if r.rank == 0 {
-            final_bodies = gathered;
-        }
-        ranks_out.push(outcome);
     }
-    SimResult::aggregate(cfg, ranks_out, final_bodies)
+
+    fn step(&self, ctx: &Ctx, cfg: &SimConfig, rank: &mut DirectRank, _: usize) {
+        run_step(ctx, &mut rank.owned, &mut rank.timer, cfg);
+    }
+
+    fn reset_window(&self, rank: &mut DirectRank) {
+        rank.timer.reset();
+    }
+
+    fn outcome(&self, rank: &DirectRank) -> RankOutcome {
+        RankOutcome { owned_bodies: rank.owned.len() as u64, ..RankOutcome::timed(&rank.timer) }
+    }
+
+    fn bodies(&self, _: &Ctx, rank: &DirectRank) -> Vec<Body> {
+        rank.owned.clone()
+    }
 }
 
 /// One replicated-data direct-summation time step.
@@ -201,8 +181,8 @@ mod tests {
         let mut cfg4 = SimConfig::test(80, 4, OptLevel::Baseline);
         cfg1.steps = 2;
         cfg4.steps = 2;
-        let a = run_simulation_on(&cfg1, bodies.clone());
-        let b = run_simulation_on(&cfg4, bodies);
+        let a = DirectBackend.run(&cfg1, bodies.clone());
+        let b = DirectBackend.run(&cfg4, bodies);
         for (x, y) in a.bodies.iter().zip(&b.bodies) {
             assert!((x.pos - y.pos).norm() < 1e-12);
         }

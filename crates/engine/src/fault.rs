@@ -36,7 +36,7 @@
 //!
 //! | site                    | layer     | effect at the injection point    |
 //! |-------------------------|-----------|----------------------------------|
-//! | `engine.step`           | bh solver | step aborts with a retryable [`STEP_FAULT`] error |
+//! | `engine.step`           | engine    | step aborts with a retryable [`STEP_FAULT`] error (every backend) |
 //! | `snap.chunk.torn`       | snapstore | chunk written truncated (torn write) |
 //! | `snap.chunk.io`         | snapstore | chunk write fails with injected `ENOSPC`/`EIO` |
 //! | `snap.chunk.bitflip`    | snapstore | chunk payload bit-flipped on read |
@@ -50,11 +50,12 @@
 //! I/O and framing sites are *call-keyed*: each [`FaultPlan::fires`] call
 //! advances the site's occurrence counter (shared across clones of the
 //! plan, so a retry does not restart the schedule).  The engine step site
-//! is *step-keyed*: the solver asks [`FaultPlan::step_fault_pending`] —
-//! a **pure** read, safe to evaluate on every emulated rank without
-//! desynchronizing them — and the *driver* marks the fault consumed with
-//! [`FaultPlan::consume_step`] after the aborted run returns, so the
-//! checkpoint-restore replay does not re-fire it.
+//! is *step-keyed*: on every rank the step driver ([`crate::drive`]) asks
+//! [`FaultPlan::step_fault_pending`] — a **pure** read, safe to evaluate on
+//! every emulated rank without desynchronizing them — and, after the
+//! aborted run returns, marks the fault consumed with
+//! [`FaultPlan::consume_step`], so the checkpoint-restore replay does not
+//! re-fire it.
 //!
 //! An empty (default) plan is guaranteed inert: every check short-circuits
 //! before touching the shared state, so fault-free runs are bit-for-bit
@@ -233,7 +234,7 @@ impl FaultPlan {
     /// Step-keyed check, **pure**: reports whether a fault at `site` is due
     /// at `step` without advancing any counter.  Safe to evaluate on every
     /// emulated rank — all ranks see the same answer — which is why the
-    /// solver uses this instead of [`FaultPlan::fires`].  Pair with
+    /// step driver uses this instead of [`FaultPlan::fires`].  Pair with
     /// [`FaultPlan::consume_step`] once the fault has been acted on.
     pub fn step_fault_pending(&self, site: &str, step: usize) -> bool {
         if self.is_empty() {

@@ -14,10 +14,13 @@
 //!   [`SimResult`]: the per-phase timing rows of the paper's tables, the
 //!   per-rank outcomes, the rank-report aggregation
 //!   ([`SimResult::aggregate`]) and the measured-window bookkeeping
-//!   ([`report::measurement_begins`]) every driver shares.
-//! * [`backend`] — the [`Backend`] trait (`name()`, `caps()`, `run()`)
-//!   and the string-keyed [`BackendRegistry`], mirroring the `scenarios`
-//!   registry: any scenario's bodies can be pushed through any backend.
+//!   ([`report::measurement_begins`]).
+//! * [`drive`] — the one step driver every backend's [`drive::Solver`]
+//!   runs under: checks, step loop, measured window, fault site, observer.
+//! * [`backend`] — the [`Backend`] trait (`name()`, `caps()`, `drive()`,
+//!   and `run()`/`run_tracked()` over it) and the string-keyed
+//!   [`BackendRegistry`], mirroring the `scenarios` registry: any
+//!   scenario's bodies can be pushed through any backend.
 //! * [`caps`] — the capability table: one [`Caps`] row per backend and the
 //!   one evaluator of "which configurations are valid" every surface reads.
 //! * [`bench`] — the run-record vocabulary: [`bench::RunSpec`] (every axis
@@ -53,12 +56,13 @@ pub mod cli;
 pub mod compare;
 pub mod config;
 pub mod direct;
+pub mod drive;
 pub mod fault;
 pub mod report;
 pub mod snap;
 pub mod suggest;
 
-pub use backend::{validate_bodies, Backend, BackendRegistry};
+pub use backend::{Backend, BackendRegistry};
 pub use caps::{Caps, Reasons, Rungs};
 pub use compare::{comparison_table, run_backends, BackendRun};
 pub use config::{ConfigError, OptLevel, SimConfig, TreeBuild, TreePolicy, WalkMode, DEFAULT_SEED};

@@ -1,6 +1,6 @@
 //! Per-phase timing reports, mirroring the rows of the paper's tables, plus
-//! the rank-report aggregation and measured-window bookkeeping every solver
-//! driver shares.
+//! the rank-report aggregation and measured-window bookkeeping the step
+//! driver ([`crate::drive`]) runs on.
 
 use crate::config::SimConfig;
 use pgas::RankStats;
@@ -112,16 +112,6 @@ impl PhaseTimes {
         t
     }
 
-    /// Collects the phase rows out of a rank's [`pgas::PhaseTimer`].
-    pub fn from_timer(timer: &pgas::PhaseTimer) -> PhaseTimes {
-        Self::from_rows(|phase| timer.get(phase.key()))
-    }
-
-    /// The host-clock rows of a rank's [`pgas::PhaseTimer`], in milliseconds.
-    pub fn host_ms_from_timer(timer: &pgas::PhaseTimer) -> PhaseTimes {
-        Self::from_rows(|phase| timer.host(phase.key()).as_secs_f64() * 1e3)
-    }
-
     /// Total over all phases.
     pub fn total(&self) -> f64 {
         Phase::ALL.iter().map(|&p| self.get(p)).sum()
@@ -180,6 +170,18 @@ pub struct RankOutcome {
     pub stats: RankStats,
 }
 
+impl RankOutcome {
+    /// The phase rows of a rank's [`pgas::PhaseTimer`] on both clocks (host
+    /// in milliseconds), every other field zero.
+    pub fn timed(timer: &pgas::PhaseTimer) -> RankOutcome {
+        RankOutcome {
+            phases: PhaseTimes::from_rows(|phase| timer.get(phase.key())),
+            phases_host_ms: PhaseTimes::from_rows(|p| timer.host(p.key()).as_secs_f64() * 1e3),
+            ..RankOutcome::default()
+        }
+    }
+}
+
 /// Result of a full simulation run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct SimResult {
@@ -224,8 +226,8 @@ impl SimResult {
     /// maximum over ranks, makespan, and the migration-fraction statistic
     /// normalized by the ownership population of the measured window.
     ///
-    /// Every backend driver ends with this call; the outcomes must already
-    /// carry their rank's [`RankStats`].
+    /// [`crate::drive::drive`] ends with this call; the outcomes must
+    /// already carry their rank's [`RankStats`].
     pub fn aggregate(
         cfg: &SimConfig,
         ranks: Vec<RankOutcome>,
@@ -271,8 +273,8 @@ impl SimResult {
 }
 
 /// `true` when `step` is the first step of the measured window (the paper
-/// measures the last `measured_steps` of `steps`): the moment every driver
-/// resets its timers and accumulators.
+/// measures the last `measured_steps` of `steps`): the moment
+/// [`crate::drive::drive`] resets every rank's timers and accumulators.
 pub fn measurement_begins(cfg: &SimConfig, step: usize) -> bool {
     step + cfg.measured_steps == cfg.steps
 }

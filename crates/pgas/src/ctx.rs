@@ -375,6 +375,13 @@ impl<'w> Ctx<'w> {
         self.with_stats(|s| s.sync_seconds += waited + cost);
     }
 
+    /// Host-only rendezvous: blocks until every rank arrives and charges
+    /// nothing — no clock, counter or epoch moves.  For drivers that observe
+    /// a run between steps without the model seeing it.
+    pub fn host_barrier(&self) {
+        self.world.host_barrier();
+    }
+
     /// The rank's synchronization epoch: the number of barriers this rank has
     /// passed.  Software caches of shared data are only coherent within one
     /// epoch (MuPC-style caching, §8 of the paper, writes back and

@@ -161,10 +161,11 @@ impl Recorder {
 /// run's would (the window depends only on work done, which replays
 /// identically), and its bodies are the final state of the whole run.
 ///
-/// Fails when the backend cannot run tracked, when the run is already
-/// complete, or — the load-bearing check — when the replayed trajectory
-/// diverges from the checkpoint's stored bodies, which means the store and
-/// the solver disagree and continuing would corrupt the run.
+/// Fails when the backend refuses the configuration or the bodies, when
+/// the run is already complete, or — the load-bearing check — when the
+/// replayed trajectory diverges from the checkpoint's stored bodies, which
+/// means the store and the solver disagree and continuing would corrupt
+/// the run.
 pub fn resume(
     state: &SimState,
     backend: &dyn Backend,
@@ -174,14 +175,6 @@ pub fn resume(
         return Err(format!(
             "checkpoint is already complete ({} of {} steps executed)",
             state.step, state.cfg.steps
-        ));
-    }
-    if state.bodies.len() != state.cfg.nbodies || state.anchor.len() != state.cfg.nbodies {
-        return Err(format!(
-            "checkpoint body count ({} current / {} anchor) does not match cfg.nbodies ({})",
-            state.bodies.len(),
-            state.anchor.len(),
-            state.cfg.nbodies
         ));
     }
     let mut cfg_tail = state.cfg.clone();

@@ -18,7 +18,7 @@
 //! bhsim --resume ckpt/step-0004.json --json
 //! ```
 //!
-//! Checkpointing runs the solver step-tracked and saves a resumable
+//! Checkpointing runs any backend step-tracked and saves a resumable
 //! snapshot (`snapstore`, content-addressed) every N steps; `--resume`
 //! replays from the snapshot's rebuild anchor, verifies the replay
 //! bit-for-bit against the stored bodies, and continues to the run's
@@ -473,7 +473,7 @@ fn run_resume(opts: &Options, manifest: &str) {
         eprintln!("bhsim: {e}");
         std::process::exit(2)
     });
-    if let Err(e) = backend.caps().check_tracked(&state.cfg) {
+    if let Err(e) = backend.caps().check(&state.cfg) {
         eprintln!("bhsim: backend {} cannot resume this checkpoint: {e}", state.backend);
         std::process::exit(2)
     }
@@ -485,15 +485,15 @@ fn run_resume(opts: &Options, manifest: &str) {
         );
         std::process::exit(2)
     });
+    // A persistent tree's checkpoint anchors before its step: resume
+    // replays from the anchor to restore the rebuild cadence.
+    let replay = match state.steps_since_rebuild() {
+        0 => String::new(),
+        n => format!(" (replaying {n} step(s) to restore the rebuild cadence)"),
+    };
     eprintln!(
-        "bhsim: resuming {} | backend {} | step {}/{} | anchor {} (replaying {} step(s) to \
-         restore the rebuild cadence)",
-        state.scenario,
-        state.backend,
-        state.step,
-        state.cfg.steps,
-        state.anchor_step,
-        state.step - state.anchor_step,
+        "bhsim: resuming {} | backend {} | step {}/{} | anchor {}{replay}",
+        state.scenario, state.backend, state.step, state.cfg.steps, state.anchor_step,
     );
 
     let mut checkpoints = Checkpointer::open(opts);
@@ -621,8 +621,7 @@ fn main() {
             eprintln!("bhsim: {e}");
             std::process::exit(2)
         });
-        let tracked = opts.checkpoint_every.is_some();
-        if let Err(e) = if tracked { caps.check_tracked(&cfg) } else { caps.check(&cfg) } {
+        if let Err(e) = caps.check(&cfg) {
             eprintln!("bhsim: backend {name} cannot run this config: {e}");
             std::process::exit(2)
         }

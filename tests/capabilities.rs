@@ -2,15 +2,16 @@
 //! bodies, measurement window, mode) point gets exactly the verdict the
 //! rules below spell out — written here independently of `engine::caps` —
 //! and every accepted point small enough for a test machine runs to
-//! completion; `run_tracked` succeeds exactly on the rows that say
-//! `tracked`.  README's "Valid configurations" block is pinned to the
-//! `bhsim --list` section rendered from the same rows.
+//! completion.  Every backend runs tracked, through the one step driver,
+//! with the same result as untracked, and refuses bad bodies with an error.
+//! README's "Valid configurations" block is pinned to the `bhsim --list`
+//! section rendered from the same rows.
 
 use barnes_hut_upc::bh_mpi::PSEUDO_ID_BASE;
 use barnes_hut_upc::engine::{self, ConfigError, SimConfig, TreeBuild, TreePolicy, WalkMode};
 use barnes_hut_upc::prelude::*;
 
-const MODES: [&str; 3] = ["run", "session", "tracked"];
+const MODES: [&str; 2] = ["run", "session"];
 
 /// The expected code of one point (`None`: accepted).
 fn expected(backend: &str, cfg: &SimConfig, mode: &str) -> Option<&'static str> {
@@ -32,8 +33,7 @@ fn expected(backend: &str, cfg: &SimConfig, mode: &str) -> Option<&'static str> 
         "mpi" => cfg.nbodies >= PSEUDO_ID_BASE as usize || reuses || group || sorted,
         _ => false,
     };
-    let untracked = mode == "tracked" && backend != "upc";
-    (rejected || untracked).then_some(ConfigError::E_UNSUPPORTED)
+    rejected.then_some(ConfigError::E_UNSUPPORTED)
 }
 
 type Point = (&'static str, SimConfig);
@@ -85,8 +85,7 @@ fn every_point_gets_its_verdict_and_every_accepted_point_runs() {
         for mode in MODES {
             let verdict = match mode {
                 "run" => backend.supports(cfg),
-                "session" => backend.caps().check_session(cfg),
-                _ => backend.caps().check_tracked(cfg),
+                _ => backend.caps().check_session(cfg),
             };
             let got = verdict.as_ref().err().map(|e| e.code);
             assert_eq!(got, expected(name, cfg, mode), "{label} {mode}: {verdict:?}");
@@ -113,18 +112,126 @@ fn every_point_gets_its_verdict_and_every_accepted_point_runs() {
     assert_eq!(runs, (18 * 3 + 7 + 7 * 2 * 2 * 3) * 2);
 }
 
+/// The integer counters of a run's [`RankStats`], summed over ranks.
+fn counters(result: &SimResult) -> [u64; 12] {
+    let s = result.total_stats();
+    [
+        s.remote_gets,
+        s.remote_puts,
+        s.local_accesses,
+        s.messages,
+        s.bytes_in,
+        s.bytes_out,
+        s.lock_acquires,
+        s.vlist_requests,
+        s.vlist_single_source,
+        s.interactions,
+        s.tree_ops,
+        s.macs,
+    ]
+}
+
 #[test]
-fn run_tracked_succeeds_exactly_where_the_row_says_tracked() {
-    let cfg = SimConfig::test(48, 2, OptLevel::Baseline);
+fn every_backend_runs_tracked_exactly_as_untracked() {
+    // `subspace` is lock-free, so every counter of the upc run repeats.
+    let cfg = SimConfig::test(48, 2, OptLevel::Subspace);
     let bodies = generate(&PlummerConfig::new(48, cfg.seed));
     for backend in backend_registry().iter() {
-        let mut steps = 0;
-        let ran = backend.run_tracked(&cfg, bodies.clone(), &mut |_| steps += 1);
         let name = backend.name();
-        assert_eq!(ran.is_ok(), backend.caps().tracked, "{name}: {:?}", ran.err());
-        if ran.is_ok() {
-            assert_eq!(steps, cfg.steps, "{name}");
+        let mut steps = Vec::new();
+        let tracked = backend
+            .run_tracked(&cfg, bodies.clone(), &mut |record| {
+                assert!(record.bodies.iter().enumerate().all(|(i, b)| b.id as usize == i));
+                steps.push(record.step);
+            })
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(steps, (0..cfg.steps).collect::<Vec<_>>(), "{name}: one record per step");
+        let plain = backend.run(&cfg, bodies.clone());
+        assert!(engine::snap::bodies_bits_equal(&tracked.bodies, &plain.bodies), "{name}");
+        assert_eq!(tracked.total.to_bits(), plain.total.to_bits(), "{name}: total_sim");
+        assert_eq!(counters(&tracked), counters(&plain), "{name}: counters");
+    }
+
+    // A persistent tree is the one case whose records anchor behind the
+    // step: a resume replays from the last rebuild (steps 0 and 2 here).
+    let mut cfg = SimConfig::test(96, 2, OptLevel::CacheLocalTree);
+    cfg.steps = 4;
+    cfg.measured_steps = 2;
+    cfg.tree_policy = TreePolicy::Reuse { rebuild_every: 2, drift_threshold: 0.5 };
+    let bodies = generate(&PlummerConfig::new(96, cfg.seed));
+    let registry = backend_registry();
+    let upc = registry.get("upc").expect("upc is registered");
+    let mut anchors = Vec::new();
+    let tracked = upc
+        .run_tracked(&cfg, bodies.clone(), &mut |record| anchors.push(record.anchor_step))
+        .unwrap();
+    assert_eq!(anchors, [0, 0, 2, 2]);
+    // The incremental tree update races for cell locks, so its simulated
+    // time follows the host interleaving; the physics does not.
+    let plain = upc.run(&cfg, bodies);
+    assert!(engine::snap::bodies_bits_equal(&tracked.bodies, &plain.bodies));
+}
+
+#[test]
+fn run_tracked_refuses_bad_bodies_with_an_error() {
+    let cfg = SimConfig::test(48, 2, OptLevel::Subspace);
+    let bodies = generate(&PlummerConfig::new(48, cfg.seed));
+    let mut misnumbered = bodies.clone();
+    misnumbered[5].id = 7;
+    let cases = [
+        (bodies[..47].to_vec(), "got 47 bodies for nbodies = 48"),
+        (misnumbered, "body 5 has id 7"),
+    ];
+    for backend in backend_registry().iter() {
+        for (bodies, expected) in &cases {
+            let err = backend.run_tracked(&cfg, bodies.clone(), &mut |_| {}).unwrap_err();
+            assert!(err.contains(expected), "{}: {err}", backend.name());
         }
+    }
+}
+
+#[test]
+fn step_faults_abort_once_then_replay_clean() {
+    let mut cfg = SimConfig::test(48, 2, OptLevel::Subspace);
+    cfg.steps = 4;
+    let bodies = generate(&PlummerConfig::new(48, cfg.seed));
+    for backend in backend_registry().iter() {
+        let name = backend.name();
+        cfg.faults = engine::fault::FaultPlan::parse("engine.step@n2").unwrap();
+        let mut records = Vec::new();
+        let err = backend
+            .run_tracked(&cfg, bodies.clone(), &mut |r| records.push(r.step))
+            .expect_err("the armed step fault must abort the run");
+        assert!(err.contains(engine::fault::STEP_FAULT) && err.contains("step 2"), "{name}: {err}");
+        assert_eq!(records, [0, 1], "{name}: the steps before the fault ran and were observed");
+
+        // The abort consumed the trigger (shared across clones), so the
+        // retry with the same plan runs clean and matches a fault-free run.
+        let retry = backend.run_tracked(&cfg, bodies.clone(), &mut |_| {}).unwrap();
+        let clean =
+            backend.run(&SimConfig { faults: Default::default(), ..cfg.clone() }, bodies.clone());
+        assert!(engine::snap::bodies_bits_equal(&retry.bodies, &clean.bodies), "{name}");
+    }
+}
+
+#[test]
+fn observer_time_is_billed_to_no_phase() {
+    // The window is step 1 alone; the observer stalls rank 0 after step 0.
+    // A rank let into step 1 early would wait out the stall inside step 1's
+    // first phase.
+    let cfg = SimConfig::test(48, 2, OptLevel::Subspace);
+    let bodies = generate(&PlummerConfig::new(48, cfg.seed));
+    let stall = std::time::Duration::from_millis(300);
+    for backend in backend_registry().iter() {
+        let result = backend
+            .run_tracked(&cfg, bodies.clone(), &mut |r| {
+                if r.step == 0 {
+                    std::thread::sleep(stall);
+                }
+            })
+            .unwrap();
+        let host_ms = result.phases_host_ms.total();
+        assert!(host_ms < stall.as_secs_f64() * 1e3, "{}: {host_ms} ms in step 1", backend.name());
     }
 }
 

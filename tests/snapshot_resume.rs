@@ -1,10 +1,10 @@
 //! Checkpoint/restore round-trips through `snapstore`: a run interrupted at
 //! an arbitrary step and resumed from its serialized checkpoint must land on
 //! the same trajectory — positions and velocities bit-for-bit — as the run
-//! that was never interrupted, across every scenario family, both tree
-//! builds, both lifecycle policies, and both walk modes.  The suite also
-//! pins the one piece of state that is easy to drop on the floor: the
-//! mid-cadence rebuild phase of a persistent tree.
+//! that was never interrupted, across every backend, every scenario family,
+//! both tree builds, both lifecycle policies, and both walk modes.  The
+//! suite also pins the one piece of state that is easy to drop on the
+//! floor: the mid-cadence rebuild phase of a persistent tree.
 
 use barnes_hut_upc::prelude::*;
 use proptest::prelude::*;
@@ -43,13 +43,23 @@ fn run_and_checkpoint(
     cfg: &SimConfig,
     checkpoint_step: usize,
 ) -> (Vec<Body>, SimState) {
+    run_and_checkpoint_on("upc", scenario_name, cfg, checkpoint_step)
+}
+
+/// [`run_and_checkpoint`] on the named backend.
+fn run_and_checkpoint_on(
+    backend_name: &str,
+    scenario_name: &str,
+    cfg: &SimConfig,
+    checkpoint_step: usize,
+) -> (Vec<Body>, SimState) {
     let registry = scenario_registry();
     let family = registry.get(scenario_name).expect("scenario registered");
     let bodies = family.generate(cfg.nbodies, cfg.seed);
     let backends = backend_registry();
-    let backend = backends.get("upc").expect("upc backend registered");
+    let backend = backends.get(backend_name).expect("backend registered");
 
-    let mut recorder = Recorder::new(scenario_name, "upc", cfg, bodies.clone(), 0);
+    let mut recorder = Recorder::new(scenario_name, backend_name, cfg, bodies.clone(), 0);
     let mut checkpoint: Option<SimState> = None;
     let full = backend
         .run_tracked(cfg, bodies, &mut |record| {
@@ -75,7 +85,7 @@ fn store_roundtrip_and_resume(state: &SimState) -> Vec<Body> {
         std::thread::current().id()
     ));
     let backends = backend_registry();
-    let backend = backends.get("upc").expect("upc backend registered");
+    let backend = backends.get(&state.backend).expect("backend registered");
     let resumed = (|| {
         let store = Store::open(&dir).map_err(|e| e.to_string())?;
         let saved = store.save_token(state).map_err(|e| e.to_string())?;
@@ -183,6 +193,29 @@ fn every_family_build_policy_walk_cell_resumes_bit_exact() {
                     );
                 }
             }
+        }
+    }
+}
+
+/// The backends without a tree to carry across steps checkpoint and resume
+/// through the same driver: every family, resumed from a store round-trip,
+/// lands on the uninterrupted trajectory bit for bit.
+#[test]
+fn mpi_and_direct_resume_bit_exact_on_every_family() {
+    let registry = scenario_registry();
+    for backend in ["mpi", "direct"] {
+        for scenario_name in scenarios::BUILTIN_NAMES {
+            let family = registry.get(scenario_name).expect("scenario registered");
+            let policy = TreePolicy::Rebuild;
+            let cfg = case_config(family, 5, 11, policy, WalkMode::PerBody, TreeBuild::Insertion);
+            let (uninterrupted, state) = run_and_checkpoint_on(backend, scenario_name, &cfg, 2);
+            assert_eq!(state.anchor_step, state.step, "{backend} keeps no cross-step state");
+            let resumed = store_roundtrip_and_resume(&state);
+            assert_bodies_bit_equal(
+                &uninterrupted,
+                &resumed,
+                &format!("{backend}/{scenario_name}"),
+            );
         }
     }
 }

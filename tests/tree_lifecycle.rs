@@ -232,7 +232,7 @@ fn direct_solver_rejects_a_never_starting_measurement_window() {
     let mut cfg = SimConfig::test(64, 2, OptLevel::Subspace);
     cfg.measured_steps = cfg.steps + 1;
     let bodies = generate(&PlummerConfig::new(cfg.nbodies, cfg.seed));
-    let _ = engine::direct::run_simulation_on(&cfg, bodies);
+    let _ = engine::DirectBackend.run(&cfg, bodies);
 }
 
 /// Same guard on the message-passing comparator, which additionally rejects
