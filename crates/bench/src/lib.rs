@@ -4,8 +4,8 @@
 //! (`cargo run -p bh-bench --release --bin tables -- --help`) regenerates
 //! every table and figure of the paper's evaluation from the emulated
 //! implementation.  This library holds the experiment definitions so that
-//! they are also usable from tests and Criterion benches.  (Performance of
-//! the code itself is measured by `benchmark/`, not here.)
+//! they are also usable from tests.  (Performance of the code itself is
+//! measured by `benchmark/`, not here.)
 //!
 //! The paper's runs use 2M bodies (strong scaling) and 250K bodies/thread
 //! (weak scaling) on up to 1024 threads of a Power5 cluster.  Those sizes are

@@ -1,7 +1,8 @@
 //! The `bhload` stress driver: point it at a live `bhserve`, drive the
-//! mix, and report what the fleet saw as an `engine::bench` record.
+//! mix, and print what the fleet saw on stderr: the client tallies and one
+//! line per cell (requests, p50, p99, req/s).
 //!
-//! Exit codes: 0 success, 1 a failed load run, 2 usage, 3 I/O problems.
+//! Exit codes: 0 success, 1 a failed load run, 2 usage.
 
 use bhserve::load::{self, LoadOptions, Mix};
 use engine::cli::Args;
@@ -20,17 +21,14 @@ OPTIONS:
     --mix quick|full     cell grid to drive (default quick)
     --session-every N    every Nth client runs a session flow (default 16; 0 disables)
     --abuse              mix in an over-quota tenant and a mid-session disconnect
-    --chaos              chaos mode: rows land under the chaos service axis,
-                         measured requests recover from faults/restarts via
-                         retries (reported as recovery_ms/error_rate), and the
-                         mix adds mid-frame aborters and suspend/resume
-                         bit-identity probes
+    --chaos              chaos mode: measured requests recover from
+                         faults/restarts via retries (counted on the chaos
+                         line), and the mix adds mid-frame aborters and
+                         suspend/resume bit-identity probes
     --suspend-one        open one probe session, suspend it, print its token
                          and digest as one JSON line and exit (chaos CI)
     --resume-token TOK   resume TOK, print the digest as one JSON line and
                          exit; it must equal the one --suspend-one printed
-    --json               print the serving record as JSON on stdout
-    --out PATH           write the serving record to PATH
     --help               show this help"
     );
     std::process::exit(2)
@@ -47,28 +45,18 @@ const FLAGS: &[&str] = &[
     "--chaos",
     "--suspend-one",
     "--resume-token",
-    "--json",
-    "--out",
     "--help",
     "-h",
 ];
 
 struct Options {
     load: LoadOptions,
-    json: bool,
-    out: Option<String>,
     suspend_one: bool,
     resume_token: Option<String>,
 }
 
 fn parse_args() -> Options {
-    let mut opts = Options {
-        load: LoadOptions::default(),
-        json: false,
-        out: None,
-        suspend_one: false,
-        resume_token: None,
-    };
+    let mut opts = Options { load: LoadOptions::default(), suspend_one: false, resume_token: None };
     let mut addr: Option<String> = None;
     let mut args = Args::from_env("bhload", FLAGS, usage);
     while let Some(arg) = args.next() {
@@ -88,8 +76,6 @@ fn parse_args() -> Options {
             "--chaos" => opts.load.chaos = true,
             "--suspend-one" => opts.suspend_one = true,
             "--resume-token" => opts.resume_token = Some(args.value("--resume-token")),
-            "--json" => opts.json = true,
-            "--out" => opts.out = Some(args.value("--out")),
             "--help" | "-h" => usage(),
             other => args.unknown(other),
         }
@@ -130,8 +116,7 @@ fn main() {
         }
     }
 
-    let registry = scenarios::builtin();
-    let report = match load::run(&opts.load, &registry) {
+    let report = match load::run(&opts.load) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("bhload: load run failed: {e}");
@@ -153,25 +138,10 @@ fn main() {
             report.retried, report.aborts, report.resume_checks
         );
     }
-    for run in &report.record.runs {
+    for cell in &report.cells {
         eprintln!(
-            "bhload: {:<42} reqs {:>4}  p50 {:>8.2}ms  p99 {:>8.2}ms  {:>7.1} req/s",
-            run.spec.key(),
-            run.reps,
-            run.latency_ms.median,
-            run.latency_ms.p99,
-            run.throughput_rps
+            "bhload: {:<20} reqs {:>4}  p50 {:>8.2}ms  p99 {:>8.2}ms  {:>7.1} req/s",
+            cell.label, cell.requests, cell.p50_ms, cell.p99_ms, cell.req_per_s
         );
-    }
-
-    if opts.json {
-        println!("{}", report.record.to_json());
-    }
-    if let Some(path) = &opts.out {
-        if let Err(e) = std::fs::write(path, report.record.to_json() + "\n") {
-            eprintln!("bhload: writing {path}: {e}");
-            std::process::exit(3)
-        }
-        eprintln!("bhload: wrote serving record to {path}");
     }
 }

@@ -7,8 +7,7 @@
 //! across requests as *sessions*, and meters every tenant in the engine's
 //! deterministic cost counters.  The companion `bhload` binary is the
 //! stress harness: it drives thousands of concurrent clients against a
-//! live server and reports latency percentiles and throughput as an
-//! [`engine::bench`] record.
+//! live server and reports latency percentiles and throughput per cell.
 //!
 //! The layers, bottom up:
 //!
@@ -28,7 +27,7 @@
 //! * [`server`] — the daemon: accept loop, thread-per-connection
 //!   dispatch, the engine run gate, and the minimal blocking [`server::Client`].
 //! * [`load`] — the `bhload` workload mixes, client scripts and the
-//!   bench record they emit.
+//!   per-cell latency summaries they produce.
 
 pub mod frame;
 pub mod load;

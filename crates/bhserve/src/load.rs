@@ -1,5 +1,6 @@
 //! The `bhload` stress harness: thousands of concurrent clients against a
-//! live server, reported as an [`engine::bench`] record.
+//! live server, summarised per cell as request count, p50/p99 latency and
+//! throughput.
 //!
 //! The mix is a small grid of *cells* — (scenario, backend, size) shapes —
 //! and every simulated client is pinned to one cell round-robin.  All
@@ -10,16 +11,20 @@
 //!
 //! * **session clients** — every [`LoadOptions::session_every`]-th client
 //!   runs an open/step/step/snapshot/close flow instead of a one-shot job
-//!   (excluded from the bench rows: a session chunk is a different
+//!   (excluded from the cell summaries: a session chunk is a different
 //!   measurement protocol);
 //! * **abuse clients** (opt-in) — a `freeloader` tenant that keeps
 //!   submitting until it is refused over quota, and a client that drops
 //!   its connection mid-session; both pin the failure paths the CI smoke
 //!   job watches for.
 //!
+//! Every measured `run` reply must be `ok` and carry the simulated makespan,
+//! the migration fraction, every phase and the traffic counters, with a
+//! non-zero interaction count; anything less fails the run.
+//!
 //! Latency is measured at the client: request write to response read,
 //! framing and queueing included.  Wall-clock numbers (latency percentiles,
-//! throughput) are host-dependent: the record says what this fleet saw on
+//! throughput) are host-dependent: a summary says what this fleet saw on
 //! this host, and nothing compares it with another run's (the serving
 //! path's performance is judged by `benchmark/`'s `serve-mix` workload).
 
@@ -30,9 +35,7 @@ use std::time::Instant;
 
 use crate::proto::{E_OVERLOADED, E_QUOTA_EXCEEDED, E_SNAP_UNAVAILABLE};
 use crate::server::{call_with_retry, request, Client};
-use engine::bench::{Record, RunRecord, RunSpec, Sample, SERVICE_BHSERVE, SERVICE_CHAOS};
-use engine::{OptLevel, Phase, PhaseTimes, SimConfig};
-use pgas::{Machine, RankStats};
+use engine::Phase;
 use serde::Value;
 
 /// One (scenario, backend, size) shape of the workload mix.
@@ -85,37 +88,6 @@ const JOB_MEASURED: usize = 1;
 const JOB_NODES: usize = 2;
 
 impl Cell {
-    /// The exact configuration the server will decode for this cell's job
-    /// — used to build the [`RunSpec`] identifying the cell's bench row.
-    pub fn config(&self, scenarios: &scenarios::Registry) -> SimConfig {
-        let tuning = scenarios
-            .get(self.scenario)
-            .unwrap_or_else(|| panic!("unknown mix scenario {:?}", self.scenario))
-            .recommended_config();
-        let mut cfg =
-            SimConfig::new(self.nbodies, Machine::power5(JOB_NODES, 1, false), OptLevel::Subspace);
-        cfg.steps = JOB_STEPS;
-        cfg.measured_steps = JOB_MEASURED;
-        cfg.theta = tuning.theta;
-        cfg.eps = tuning.eps;
-        cfg.dt = tuning.dt;
-        cfg
-    }
-
-    /// The bench-row identity of this cell's serving measurements.
-    pub fn spec(&self, scenarios: &scenarios::Registry) -> RunSpec {
-        self.spec_for(scenarios, SERVICE_BHSERVE)
-    }
-
-    /// The bench-row identity under an explicit service axis value —
-    /// chaos rows use [`SERVICE_CHAOS`]: the same job measured under
-    /// injected failures is a different measurement protocol.
-    pub fn spec_for(&self, scenarios: &scenarios::Registry, service: &str) -> RunSpec {
-        let mut spec = RunSpec::new(self.scenario, self.backend, &self.config(scenarios));
-        spec.service = service.to_string();
-        spec
-    }
-
     /// The request fields of this cell's job (shared by every client of the
     /// cell; the `op` and `tenant` are added per request).
     fn job_fields(&self) -> Vec<(String, Value)> {
@@ -148,10 +120,9 @@ pub struct LoadOptions {
     /// disconnect).  Requires the server to cap tenant `freeloader` —
     /// the run fails if no quota rejection is observed.
     pub abuse: bool,
-    /// Chaos mode: measured rows land under the [`SERVICE_CHAOS`] service
-    /// axis, measured requests recover from transport faults and
-    /// [`E_OVERLOADED`] sheds via reconnect-with-backoff retries (recording
-    /// `recovery_ms`/`error_rate`), and the mix adds mid-frame aborters and
+    /// Chaos mode: measured requests recover from transport faults and
+    /// [`E_OVERLOADED`] sheds via reconnect-with-backoff retries (counted in
+    /// [`LoadReport::retried`]), and the mix adds mid-frame aborters and
     /// suspend→resume bit-identity probes.  Session-flow casualties of a
     /// daemon restart are tolerated (counted as disconnects) — only
     /// measured requests whose retries are exhausted fail the run.
@@ -172,13 +143,45 @@ impl Default for LoadOptions {
     }
 }
 
+/// What the fleet saw on one cell of the mix.
+#[derive(Debug, Clone)]
+pub struct CellSummary {
+    /// `scenario/backend/nN`.
+    pub label: String,
+    /// Measured requests answered.
+    pub requests: usize,
+    /// Median client-observed latency, milliseconds (nearest rank).
+    pub p50_ms: f64,
+    /// 99th-percentile client-observed latency, milliseconds (nearest rank).
+    pub p99_ms: f64,
+    /// Answered requests per second of the whole request phase.
+    pub req_per_s: f64,
+}
+
+impl CellSummary {
+    fn of(cell: &Cell, mut latencies_ms: Vec<f64>, elapsed_seconds: f64) -> CellSummary {
+        latencies_ms.sort_by(f64::total_cmp);
+        let at = |q: f64| {
+            let rank = (q * latencies_ms.len() as f64).ceil() as usize;
+            latencies_ms[rank.clamp(1, latencies_ms.len()) - 1]
+        };
+        CellSummary {
+            label: format!("{}/{}/n{}", cell.scenario, cell.backend, cell.nbodies),
+            requests: latencies_ms.len(),
+            p50_ms: at(0.50),
+            p99_ms: at(0.99),
+            req_per_s: latencies_ms.len() as f64 / elapsed_seconds.max(1e-9),
+        }
+    }
+}
+
 /// The outcome of a load run.
 pub struct LoadReport {
-    /// The serving-only bench record (one row per cell).
-    pub record: Record,
-    /// One-shot job requests measured into the record.
+    /// One summary per cell of the mix, in mix order.
+    pub cells: Vec<CellSummary>,
+    /// One-shot job requests measured into the cell summaries.
     pub measured_requests: usize,
-    /// Session flows completed (not in the record).
+    /// Session flows completed (not in the cell summaries).
     pub sessions: usize,
     /// Over-quota rejections observed (abuse tenant).
     pub quota_rejections: usize,
@@ -200,7 +203,8 @@ pub struct LoadReport {
 }
 
 struct WorkerOutcome {
-    samples: Vec<(usize, Sample)>,
+    /// `(cell index, latency ms)` of every measured request.
+    latencies: Vec<(usize, f64)>,
     sessions: usize,
     quota_rejections: usize,
     disconnects: usize,
@@ -215,7 +219,7 @@ struct WorkerOutcome {
 /// Every client's connection is opened before any request is sent, so the
 /// server really holds `clients` concurrent connections during the
 /// measurement phase — the point of the exercise.
-pub fn run(opts: &LoadOptions, scenarios: &scenarios::Registry) -> Result<LoadReport, String> {
+pub fn run(opts: &LoadOptions) -> Result<LoadReport, String> {
     let mix = cells(opts.mix);
     let threads = opts.threads.clamp(1, opts.clients.max(1));
     let connected = Arc::new(Barrier::new(threads));
@@ -245,7 +249,7 @@ pub fn run(opts: &LoadOptions, scenarios: &scenarios::Registry) -> Result<LoadRe
     }
     let elapsed_seconds = started.elapsed().as_secs_f64();
 
-    let mut samples_by_cell: Vec<Vec<Sample>> = vec![Vec::new(); mix.len()];
+    let mut latencies_by_cell: Vec<Vec<f64>> = vec![Vec::new(); mix.len()];
     let mut sessions = 0;
     let mut quota_rejections = 0;
     let mut disconnects = 0;
@@ -254,8 +258,8 @@ pub fn run(opts: &LoadOptions, scenarios: &scenarios::Registry) -> Result<LoadRe
     let mut resume_checks = 0;
     let mut failures = Vec::new();
     for outcome in Arc::try_unwrap(outcomes).ok().expect("workers joined").into_inner().unwrap() {
-        for (cell, sample) in outcome.samples {
-            samples_by_cell[cell].push(sample);
+        for (cell, latency_ms) in outcome.latencies {
+            latencies_by_cell[cell].push(latency_ms);
         }
         sessions += outcome.sessions;
         quota_rejections += outcome.quota_rejections;
@@ -274,26 +278,19 @@ pub fn run(opts: &LoadOptions, scenarios: &scenarios::Registry) -> Result<LoadRe
             .to_string());
     }
 
-    let service = if opts.chaos { SERVICE_CHAOS } else { SERVICE_BHSERVE };
-    let mut record = Record::new(commit_id(), opts.mix == Mix::Quick);
-    let mut measured_requests = 0;
-    for (i, cell) in mix.iter().enumerate() {
-        let samples = &samples_by_cell[i];
-        if samples.is_empty() {
+    let mut cells = Vec::with_capacity(mix.len());
+    for (cell, latencies) in mix.iter().zip(latencies_by_cell) {
+        if latencies.is_empty() {
             return Err(format!(
                 "cell {}/{}/n{} received no measured requests; raise --clients",
                 cell.scenario, cell.backend, cell.nbodies
             ));
         }
-        measured_requests += samples.len();
-        let mut run = RunRecord::from_samples(cell.spec_for(scenarios, service), samples);
-        run.throughput_rps = samples.len() as f64 / elapsed_seconds.max(1e-9);
-        record.runs.push(run);
+        cells.push(CellSummary::of(cell, latencies, elapsed_seconds));
     }
-    record.validate()?;
     Ok(LoadReport {
-        record,
-        measured_requests,
+        measured_requests: cells.iter().map(|c| c.requests).sum(),
+        cells,
         sessions,
         quota_rejections,
         disconnects,
@@ -303,30 +300,6 @@ pub fn run(opts: &LoadOptions, scenarios: &scenarios::Registry) -> Result<LoadRe
         failures: 0,
         elapsed_seconds,
     })
-}
-
-/// The current git commit id (with a `-dirty` suffix when the working tree
-/// has uncommitted changes), or `"unknown"` outside a checkout.
-fn commit_id() -> String {
-    let git = |args: &[&str]| {
-        std::process::Command::new("git")
-            .args(args)
-            .output()
-            .ok()
-            .filter(|o| o.status.success())
-            .and_then(|o| String::from_utf8(o.stdout).ok())
-    };
-    let Some(head) = git(&["rev-parse", "--short=12", "HEAD"]) else {
-        return "unknown".to_string();
-    };
-    let head = head.trim().to_string();
-    if head.is_empty() {
-        return "unknown".to_string();
-    }
-    match git(&["status", "--porcelain"]) {
-        Some(status) if status.trim().is_empty() => head,
-        _ => format!("{head}-dirty"),
-    }
 }
 
 /// The role a client index plays in the mix.
@@ -374,7 +347,7 @@ fn worker(
     connected: &Barrier,
 ) -> WorkerOutcome {
     let mut outcome = WorkerOutcome {
-        samples: Vec::new(),
+        latencies: Vec::new(),
         sessions: 0,
         quota_rejections: 0,
         disconnects: 0,
@@ -399,15 +372,15 @@ fn worker(
         match role_of(index, opts) {
             Role::Measured if opts.chaos => {
                 match one_shot_chaos(&mut client, &opts.addr, cell, &tenant, index as u64) {
-                    Ok((sample, was_retried)) => {
+                    Ok((latency_ms, was_retried)) => {
                         outcome.retried += was_retried as usize;
-                        outcome.samples.push((index % mix.len(), sample));
+                        outcome.latencies.push((index % mix.len(), latency_ms));
                     }
                     Err(e) => outcome.failures.push(format!("client {index}: {e}")),
                 }
             }
             Role::Measured => match one_shot(&mut client, cell, &tenant) {
-                Ok(sample) => outcome.samples.push((index % mix.len(), sample)),
+                Ok(latency_ms) => outcome.latencies.push((index % mix.len(), latency_ms)),
                 Err(e) => outcome.failures.push(format!("client {index}: {e}")),
             },
             Role::Session => match session_flow(&mut client, cell, &tenant) {
@@ -454,29 +427,32 @@ fn call_checked(client: &mut Client, req: &Value, what: &str) -> Result<Value, S
     Err(format!("{what}: rejected [{code}]: {error}"))
 }
 
-fn one_shot(client: &mut Client, cell: &Cell, tenant: &str) -> Result<Sample, String> {
+/// One measured request on the held connection; returns its latency in
+/// milliseconds.
+fn one_shot(client: &mut Client, cell: &Cell, tenant: &str) -> Result<f64, String> {
     let mut fields = vec![("tenant".to_string(), Value::String(tenant.to_string()))];
     fields.extend(cell.job_fields());
     let req = request("run", fields);
     let sent = Instant::now();
     let reply = call_checked(client, &req, "run")?;
     let latency_ms = sent.elapsed().as_secs_f64() * 1e3;
-    sample_of(&reply, latency_ms)
+    check_run_reply(&reply)?;
+    Ok(latency_ms)
 }
 
 /// Chaos-mode measured request: first try the held connection; if that
 /// attempt is lost to a fault (injected disconnect, daemon restart) or shed
 /// with [`E_OVERLOADED`], fall back to reconnect-per-attempt retries with
-/// deterministic backoff.  A recovered request records how long recovery
-/// took (`recovery_ms`, first send → final success) and `error_rate = 1.0`
-/// (its first attempt failed); a clean request records zeros.
+/// deterministic backoff.  Returns the latency in milliseconds (first send
+/// → final success, recovery included) and whether the request needed the
+/// retry path.
 fn one_shot_chaos(
     client: &mut Client,
     addr: &SocketAddr,
     cell: &Cell,
     tenant: &str,
     seed: u64,
-) -> Result<(Sample, bool), String> {
+) -> Result<(f64, bool), String> {
     let mut fields = vec![("tenant".to_string(), Value::String(tenant.to_string()))];
     fields.extend(cell.job_fields());
     let req = request("run", fields);
@@ -484,7 +460,8 @@ fn one_shot_chaos(
     match client.call(&req) {
         Ok(reply) if reply.get("ok").and_then(|v| v.as_bool()) == Some(true) => {
             let latency_ms = sent.elapsed().as_secs_f64() * 1e3;
-            return Ok((sample_of(&reply, latency_ms)?, false));
+            check_run_reply(&reply)?;
+            return Ok((latency_ms, false));
         }
         Ok(reply) => {
             let code = reply.get("code").and_then(|v| v.as_str()).unwrap_or("?");
@@ -503,63 +480,51 @@ fn one_shot_chaos(
         let error = reply.get("error").and_then(|v| v.as_str()).unwrap_or("?");
         return Err(format!("run: rejected after retries [{code}]: {error}"));
     }
-    let total_ms = sent.elapsed().as_secs_f64() * 1e3;
-    let mut sample = sample_of(&reply, total_ms)?;
-    sample.recovery_ms = total_ms;
-    sample.error_rate = 1.0;
-    Ok((sample, true))
+    let latency_ms = sent.elapsed().as_secs_f64() * 1e3;
+    check_run_reply(&reply)?;
+    Ok((latency_ms, true))
 }
 
-/// Decodes a `run`/`step` response into a bench [`Sample`].  Both wall and
-/// latency carry the client-observed request latency: for a serving row,
-/// the service *is* the thing under measurement.
-fn sample_of(reply: &Value, latency_ms: f64) -> Result<Sample, String> {
-    let f = |key: &str| {
+/// The counters every `run` reply carries (`RankStats` summed over ranks).
+const RUN_COUNTERS: [&str; 9] = [
+    "interactions",
+    "macs",
+    "tree_ops",
+    "remote_gets",
+    "remote_puts",
+    "messages",
+    "bytes_in",
+    "bytes_out",
+    "lock_acquires",
+];
+
+/// Checks that an `ok` `run` reply carries a whole report: the simulated
+/// makespan, the migration fraction, every phase and every counter in
+/// [`RUN_COUNTERS`], with at least one interaction.
+fn check_run_reply(reply: &Value) -> Result<(), String> {
+    for key in ["total_sim", "migration_fraction"] {
         reply
             .get(key)
             .and_then(|v| v.as_f64())
-            .ok_or_else(|| format!("response missing numeric field {key:?}"))
-    };
-    let u = |key: &str| {
-        reply
-            .get(key)
-            .and_then(|v| v.as_u64())
-            .ok_or_else(|| format!("response missing counter field {key:?}"))
-    };
-    let phases_obj =
-        reply.get("phases").ok_or_else(|| "response missing \"phases\"".to_string())?;
-    let mut phases = PhaseTimes::default();
+            .ok_or_else(|| format!("response missing numeric field {key:?}"))?;
+    }
+    let phases = reply.get("phases").ok_or_else(|| "response missing \"phases\"".to_string())?;
     for phase in Phase::ALL {
-        let v = phases_obj
+        phases
             .get(phase.key())
             .and_then(|v| v.as_f64())
             .ok_or_else(|| format!("response phases missing {:?}", phase.key()))?;
-        phases.set(phase, v);
     }
-    let stats = RankStats {
-        interactions: u("interactions")?,
-        macs: u("macs")?,
-        tree_ops: u("tree_ops")?,
-        remote_gets: u("remote_gets")?,
-        remote_puts: u("remote_puts")?,
-        messages: u("messages")?,
-        bytes_in: u("bytes_in")?,
-        bytes_out: u("bytes_out")?,
-        lock_acquires: u("lock_acquires")?,
-        ..Default::default()
-    };
-    Ok(Sample {
-        wall_ms: latency_ms,
-        latency_ms,
-        phases,
-        total_sim: f("total_sim")?,
-        migration_fraction: f("migration_fraction")?,
-        // Absent on replies from servers predating the node-arena metric.
-        tree_bytes: reply.get("tree_bytes").and_then(|v| v.as_u64()).unwrap_or(0),
-        recovery_ms: 0.0,
-        error_rate: 0.0,
-        stats,
-    })
+    for key in RUN_COUNTERS {
+        let count = reply
+            .get(key)
+            .and_then(|v| v.as_u64())
+            .ok_or_else(|| format!("response missing counter field {key:?}"))?;
+        if key == "interactions" && count == 0 {
+            return Err("response reports zero interactions".to_string());
+        }
+    }
+    Ok(())
 }
 
 fn session_flow(client: &mut Client, cell: &Cell, tenant: &str) -> Result<(), String> {
@@ -785,22 +750,33 @@ fn disconnect_flow(mut client: Client, cell: &Cell) -> Result<(), String> {
 mod tests {
     use super::*;
 
+    /// A `run` reply with every field the harness checks, `drop` left out.
+    fn run_reply(interactions: u64, drop: &str) -> Value {
+        let phases = Phase::ALL.iter().map(|p| (p.key().to_string(), Value::Float(0.5))).collect();
+        let mut fields = vec![
+            ("ok".to_string(), Value::Bool(true)),
+            ("phases".to_string(), Value::Object(phases)),
+            ("total_sim".to_string(), Value::Float(1.0)),
+            ("migration_fraction".to_string(), Value::Float(0.0)),
+        ];
+        fields.extend(RUN_COUNTERS.map(|key| {
+            let count = if key == "interactions" { interactions } else { 1 };
+            (key.to_string(), Value::UInt(count))
+        }));
+        fields.retain(|(key, _)| key != drop);
+        Value::Object(fields)
+    }
+
     #[test]
-    fn specs_carry_the_serving_service_axis() {
-        let registry = scenarios::builtin();
-        for cell in cells(Mix::Full) {
-            let spec = cell.spec(&registry);
-            assert_eq!(spec.service, SERVICE_BHSERVE);
-            assert_eq!(spec.nbodies, cell.nbodies);
-            assert_eq!(spec.steps, JOB_STEPS);
-            assert!(spec.key().contains("/bhserve/"), "{}", spec.key());
+    fn run_replies_must_carry_a_whole_report() {
+        assert_eq!(check_run_reply(&run_reply(7, "")), Ok(()));
+        let required = ["phases", "total_sim", "migration_fraction"];
+        for key in required.into_iter().chain(RUN_COUNTERS) {
+            let err = check_run_reply(&run_reply(7, key)).unwrap_err();
+            assert!(err.contains(key), "{key}: {err}");
         }
-        // Distinct cells have distinct keys.
-        let keys: Vec<String> = cells(Mix::Full).iter().map(|c| c.spec(&registry).key()).collect();
-        let mut dedup = keys.clone();
-        dedup.sort();
-        dedup.dedup();
-        assert_eq!(dedup.len(), keys.len());
+        let err = check_run_reply(&run_reply(0, "")).unwrap_err();
+        assert!(err.contains("zero interactions"), "{err}");
     }
 
     #[test]

@@ -703,7 +703,7 @@ impl Client {
 }
 
 /// What one [`call_with_retry`] resolution cost: the response itself plus
-/// the recovery accounting the chaos bench records.
+/// its recovery accounting.
 #[derive(Debug)]
 pub struct RetryOutcome {
     /// The final (non-retried) response.
@@ -711,8 +711,7 @@ pub struct RetryOutcome {
     /// Attempts consumed, `1` when the first try succeeded.
     pub attempts: usize,
     /// Wall milliseconds spent on failed attempts and backoff sleeps —
-    /// `0.0` when the first try succeeded.  This is the per-request
-    /// `recovery_ms` the bench Record aggregates.
+    /// `0.0` when the first try succeeded.
     pub retry_ms: f64,
 }
 

@@ -22,8 +22,8 @@ pub struct BackendRun {
     pub result: SimResult,
     /// Real (host) wall time of the run, milliseconds.  The simulated times
     /// in [`BackendRun::result`] are the paper's numbers; this is what the
-    /// run actually cost the host, recorded for the bench vocabulary
-    /// (`engine::bench::Sample`).
+    /// run actually cost the host, reported as `wall_ms` in the
+    /// `engine::bench::Sample` row.
     pub wall_ms: f64,
 }
 

@@ -23,11 +23,10 @@
 //!   scenario's bodies can be pushed through any backend.
 //! * [`caps`] — the capability table: one [`Caps`] row per backend and the
 //!   one evaluator of "which configurations are valid" every surface reads.
-//! * [`bench`] — the run-record vocabulary: [`bench::RunSpec`] (every axis
+//! * [`bench`] — the run-report vocabulary: [`bench::RunSpec`] (every axis
 //!   that changes what a run measures, and nothing that never varies) and
-//!   [`bench::Sample`] (what `bhsim --json` prints per backend) and the
-//!   `bhbench/v1` [`bench::Record`] that `bhload` writes.  Written, never
-//!   read back: performance is judged by `benchmark/`.
+//!   [`bench::Sample`] (what `bhsim --json` prints per backend).  Written,
+//!   never read back: performance is judged by `benchmark/`.
 //! * [`cli`] — the one command-line cursor every binary parses with:
 //!   value-of-flag, parsed number, and the unknown-flag did-you-mean from a
 //!   flag list each binary declares once.

@@ -851,10 +851,10 @@ fn summary_value(
     run: &BackendRun,
 ) -> serde::Value {
     // A compact machine-readable summary (the full SimResult with all body
-    // states would dominate the output).  The measurement half is the
-    // bench vocabulary's `Sample` — the same fields `bhload` aggregates
-    // into its record — so sweep scripts read one schema everywhere:
-    // `wall_ms`, `phases`, `total_sim`, `migration_fraction`, `stats`.
+    // states would dominate the output).  The measurement half is
+    // `engine::bench::Sample`, so every backend's row has one schema:
+    // `wall_ms`, `phases`, `total_sim`, `migration_fraction`, `tree_bytes`,
+    // `stats` (`tests/cli.rs` pins the key set).
     let (digest, digest_ms) = timed(|| snapstore::digest_bodies(&run.result.bodies));
     let mut entries = vec![
         ("scenario".to_string(), serde::Value::String(scenario.to_string())),
@@ -872,7 +872,7 @@ fn summary_value(
         entries.extend(fields);
     }
     // The host clock beside `phases` (max over ranks, measured window):
-    // what emulating each phase cost.  Not part of the bench `Sample`.
+    // what emulating each phase cost.  Not part of `Sample`.
     entries.push((
         "phases_host_ms".to_string(),
         serde::Serialize::to_value(&run.result.phases_host_ms),

@@ -65,3 +65,61 @@ fn the_supervisor_recovers_every_backend_bit_for_bit() {
         assert_eq!(recovered, clean, "{backend}: the recovered run left the fault-free trajectory");
     }
 }
+
+/// Runs `bhsim` with `args` and returns its parsed `--json` report.
+fn bhsim_json(args: &[&str]) -> serde::Value {
+    let out = Command::new(env!("CARGO_BIN_EXE_bhsim")).args(args).output().expect("spawn bhsim");
+    assert_eq!(out.status.code(), Some(0), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+    serde_json::from_str(&String::from_utf8_lossy(&out.stdout)).expect("--json parses")
+}
+
+/// The keys of a JSON object, in order.
+fn keys(value: &serde::Value) -> Vec<&str> {
+    let serde::Value::Object(entries) = value else { panic!("expected an object: {value:?}") };
+    entries.iter().map(|(key, _)| key.as_str()).collect()
+}
+
+/// The `--json` row scripts read, pinned key for key so that adding or
+/// dropping a field is a deliberate change to this list.
+#[test]
+fn bhsim_json_rows_carry_exactly_the_pinned_keys() {
+    const ROW: [&str; 14] = [
+        "scenario",
+        "backend",
+        "spec",
+        "workload",
+        "state_digest",
+        "wall_ms",
+        "phases",
+        "total_sim",
+        "migration_fraction",
+        "tree_bytes",
+        "stats",
+        "phases_host_ms",
+        "tail_ms",
+        "tree_rebuilds",
+    ];
+    const SPEC: [&str; 12] = [
+        "scenario",
+        "backend",
+        "opt",
+        "policy",
+        "walk",
+        "build",
+        "nbodies",
+        "nodes",
+        "threads_per_node",
+        "seed",
+        "steps",
+        "measured_steps",
+    ];
+    let small = ["--n", "64", "--nodes", "2", "--steps", "2", "--measured", "1", "--json"];
+    let single = bhsim_json(&[&["--backend", "upc"], &small[..]].concat());
+    let compared = bhsim_json(&[&["--compare", "upc,mpi,direct"], &small[..]].concat());
+    let rows = compared.as_array().expect("--compare prints an array");
+    assert_eq!(rows.len(), 3);
+    for row in [&single, &rows[0]] {
+        assert_eq!(keys(row), ROW);
+        assert_eq!(keys(row.get("spec").expect("spec")), SPEC);
+    }
+}

@@ -9,7 +9,7 @@
 //!   the relevant phases (Tables 3–5),
 //! * the merged tree build cuts tree-building time (Table 6),
 //! * non-blocking aggregation cuts the force phase further at scale
-//!   (Table 7),
+//!   (Table 7), and its aggregation degree n1 = n2 = n3 saturates by 4 (§5.5),
 //! * the fully optimized code *speeds up* with ranks instead of slowing down
 //!   (Figure 13), and the cumulative improvement over the baseline is large
 //!   (Figure 5).
@@ -200,6 +200,37 @@ fn async_aggregation_cuts_force_time_at_scale() {
         blocking.phases.force,
         asynchronous.phases.force
     );
+}
+
+/// §5.5: the results "are not very sensitive to [n1, n2, n3] … good even
+/// with n1 = n2 = n3 = 1".  On the sorted build (lock-free, so every row
+/// repeats bit for bit) the force phase saturates by n1 = n2 = n3 = 4:
+/// 4 is within 2 % of 16 at 4 ranks (0.038326 vs 0.037674 s) and at 16
+/// ranks (0.009972 vs 0.009776 s).  What does not reproduce is the n = 1
+/// half of the claim: it costs +12 % at 4 ranks (0.042236 s) and +32 % at
+/// 16 ranks (0.012904 s), and the raced insertion build shows the same shape
+/// (+22 % at 16 ranks).  That is recorded here, not asserted, and no
+/// constant was tuned to move it.  The lock-free rows need no
+/// `deterministic_counters_mode()` branch.
+#[test]
+fn aggregation_degree_saturates_by_four() {
+    let force = |ranks: usize, degree: usize| {
+        let mut cfg =
+            SimConfig::new(4096, Machine::process_per_node(ranks), OptLevel::AsyncAggregation);
+        cfg.build = TreeBuild::Sorted;
+        cfg.steps = 2;
+        cfg.measured_steps = 1;
+        (cfg.n1, cfg.n2, cfg.n3) = (degree, degree, degree);
+        bh::run_simulation(&cfg).phases.force
+    };
+    for ranks in [4, 16] {
+        let [one, four, sixteen] = [1, 4, 16].map(|degree| force(ranks, degree));
+        assert!(
+            four <= 1.05 * sixteen,
+            "{ranks} ranks: n1 = n2 = n3 = 4 should be within 5 % of 16 (force {one:.6} / \
+             {four:.6} / {sixteen:.6} s at 1 / 4 / 16)"
+        );
+    }
 }
 
 #[test]
