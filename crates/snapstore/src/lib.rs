@@ -15,10 +15,12 @@
 //!   verifies the replay against the checkpoint bit-for-bit, and continues
 //!   the run.
 //! - [`Store`] persists states chunked per column and content-addressed by
-//!   a vendored SHA-256 ([`sha256`]), so consecutive-step snapshots and
-//!   sweep points sharing an equilibration prefix share unchanged chunks in
-//!   one on-disk store; manifests (`bhsnap/v1`) record chunk hashes plus
-//!   the full run identity with floats as bit-exact hex.
+//!   a vendored SHA-256 ([`sha256`]: the SHA extensions when the CPU has
+//!   them, the scalar reference otherwise, the same digests either way),
+//!   so consecutive-step snapshots and sweep points sharing an
+//!   equilibration prefix share unchanged chunks in one on-disk store;
+//!   manifests (`bhsnap/v1`) record chunk hashes plus the full run identity
+//!   with floats as bit-exact hex.
 //! - [`diff_manifests`] / [`diff_bodies`] report which chunks and which
 //!   bodies moved between two snapshots (the `snapdiff` tool).
 //!

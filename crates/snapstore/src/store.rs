@@ -1364,6 +1364,10 @@ mod tests {
             named.manifest_hash,
             "941940897304831b79056030bff6344f1d70b0381d0ab85d3df8dc9622b7a756"
         );
+        // The token of that state is the same hash: manifest bytes, chunk
+        // addresses and the hasher together, whichever block path it took.
+        let token300 = store.save_token(&sample_state(300)).expect("save");
+        assert_eq!(token300.manifest_hash, named.manifest_hash);
         // Anchor bit-equal to the bodies: hashed once, listed twice.
         let mut stateless = sample_state(300);
         stateless.anchor = stateless.bodies.clone();
