@@ -19,13 +19,14 @@ pub struct UpcBackend;
 /// cell cache; the sorted build routes bodies over the §5.2 redistribution
 /// machinery, replaces a build phase the §6 subspace algorithm does not
 /// have, and the compact record it bills addresses children through 32-bit
-/// handles that carry the rank in 8 bits ([`COMPACT_MAX_RANKS`]); every
-/// rung accepts the tree-reusing policies.
+/// handles that carry the rank in 8 bits ([`COMPACT_MAX_RANKS`]); the
+/// persistent tree ([`crate::lifecycle`]) runs on the global-insertion
+/// rungs.
 pub const CAPS: Caps = Caps {
     group_walk: Rungs::Span(OptLevel::CacheLocalTree, OptLevel::Subspace),
     sorted_build: Rungs::Span(OptLevel::Redistribute, OptLevel::AsyncAggregation),
     sorted_max_ranks: Some(COMPACT_MAX_RANKS),
-    tree_reuse: Rungs::ALL,
+    tree_reuse: Rungs::Span(OptLevel::Baseline, OptLevel::CacheLocalTree),
     max_bodies: None,
     why: Reasons {
         group_walk: "the per-group interaction lists are built over the §5.3 cell cache",
@@ -33,6 +34,10 @@ pub const CAPS: Caps = Caps {
                        the §6 subspace algorithm is itself a replacement build",
         sorted_max_ranks: "the compact cell record's 32-bit child handles carry the owning \
                            rank in 8 bits",
+        tree_reuse: "the §5.4/§5.5 merged build constructs local trees lock-free and pays \
+                     only for the merge, and the §6 subspace build re-plans the tree's shape \
+                     from the cost distribution every step; an incremental update of the \
+                     shared tree costs more than either",
         ..Reasons::NONE
     },
 };

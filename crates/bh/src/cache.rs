@@ -17,12 +17,11 @@
 //! them in place.  The paper reports that the second "showed little
 //! performance improvement over Table 5: the improved algorithm saves some
 //! local copying but does not affect global communication"; the
-//! `cache_variants` bench confirms it — remote traffic is identical, only
-//! the local copying cost differs.
+//! `tables cache_variants` experiment confirms it — remote traffic is
+//! identical, only the local copying cost differs.
 
 use crate::cellnode::{CellNode, NodeKind};
 use crate::config::SimConfig;
-use crate::lifecycle;
 use crate::shared::{BhShared, RankState};
 use nbody::direct::pairwise_acceleration;
 use nbody::{SoaBodies, Vec3};
@@ -243,7 +242,7 @@ impl CacheTree {
     ) -> (CacheTree, bool) {
         let generation = st.lifecycle.generation;
         match st.cache_slot.take() {
-            Some(mut c) if lifecycle::persistent_tree(cfg) && c.generation == generation => {
+            Some(mut c) if cfg.tree_policy.reuses_tree() && c.generation == generation => {
                 c.refresh();
                 (c, true)
             }

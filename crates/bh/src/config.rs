@@ -7,4 +7,6 @@
 //! This module keeps the historical `bh::config::*` and `bh::SimConfig`
 //! paths working.
 
-pub use engine::config::{OptLevel, SimConfig, TreeBuild, TreePolicy, WalkMode};
+pub use engine::config::{
+    OptLevel, SimConfig, TreeBuild, TreePolicy, WalkMode, LEAF_CAPACITY, MAX_DEPTH, SUBSPACE_ALPHA,
+};

@@ -205,7 +205,7 @@ pub fn force_phase_cached(
         let r = cache.walk(ctx, shared, body.pos, id, theta, eps);
         out.push(BodyForce { id, acc: r.acc, phi: r.phi, cost: r.interactions });
     }
-    if crate::lifecycle::persistent_tree(cfg) {
+    if cfg.tree_policy.reuses_tree() {
         st.cache_slot = Some(cache);
     }
     out

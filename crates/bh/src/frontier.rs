@@ -85,10 +85,10 @@ trait UnitKind {
 
 /// The §5.5 schedule over `pending` working units of one kind.  The cache
 /// tree lives for one step: this engine only runs at
-/// [`crate::config::OptLevel::AsyncAggregation`] and above, where the tree
-/// itself is rebuilt every step regardless of policy
-/// ([`crate::lifecycle::persistent_tree`]), so there is never a surviving
-/// generation to refresh against.
+/// [`crate::config::OptLevel::AsyncAggregation`] and above, where the upc
+/// capability row admits only the per-step rebuild policy
+/// ([`crate::backend::CAPS`]), so there is never a surviving generation to
+/// refresh against.
 ///
 /// `pending` is pulled lazily, one unit per free working slot, so a unit
 /// kind that reads its inputs while building a unit pays for them at fill

@@ -441,7 +441,7 @@ pub fn force_phase_group(
 ) -> Vec<BodyForce> {
     let theta = read_theta(ctx, shared, st, cfg.opt);
     let eps = read_eps(ctx, shared, st, cfg.opt);
-    let persistent = lifecycle::persistent_tree(cfg);
+    let persistent = cfg.tree_policy.reuses_tree();
     let generation = st.lifecycle.generation;
     // Strict reuse (`drift_threshold: 0`) promises bit-for-bit equivalence
     // with per-step rebuild, so lists are rebuilt from the (bit-identical)

@@ -4,9 +4,8 @@
 //! down after every step and rebuilds it from nothing, which is what its
 //! 4-step measurement window does — but over a long trajectory the bodies
 //! barely move between steps, so almost all of that work recreates the tree
-//! that was just discarded.  Under [`TreePolicy::Reuse`] /
-//! [`TreePolicy::Adaptive`] this module keeps the shared tree alive across
-//! steps:
+//! that was just discarded.  Under [`TreePolicy::Reuse`] this module keeps
+//! the shared tree alive across steps:
 //!
 //! * every full build records, per body, a [`LeafSite`] — the leaf node's
 //!   pointer, its parent cell and octant slot, and the bounds of the
@@ -35,16 +34,15 @@
 //!
 //! The persistent tree targets the global-insertion family (§4–§5.3),
 //! where per-step rebuild means every body descending the shared tree
-//! under locks.  The upper rungs keep per-step rebuild regardless of
-//! policy ([`persistent_tree`]): the §5.4/§5.5 merged build already
-//! rebuilds cheaply from lock-free local trees, and the §6 subspace build
-//! re-plans the tree's shape from the cost distribution every step.
+//! under locks; the upc capability row ([`crate::backend::CAPS`]) refuses
+//! a reusing policy on the upper rungs, whose merged and subspace builds
+//! already rebuild cheaply every step.
 //! [`TreePolicy::Rebuild`] short-circuits out of every function here,
 //! keeping the paper's protocol bit-for-bit identical to the pre-lifecycle
 //! solver.
 
 use crate::cellnode::{CellNode, NodeKind};
-use crate::config::{SimConfig, TreePolicy};
+use crate::config::{SimConfig, TreePolicy, MAX_DEPTH};
 use crate::mergetree::swap_child_slot;
 use crate::shared::{read_body, BhShared, RankState};
 use nbody::{Body, Vec3};
@@ -178,24 +176,9 @@ pub enum StepBuild {
     Reuse(Vec<Probe>),
 }
 
-/// `true` when `cfg` carries the tree across steps: a reuse-capable policy
-/// on a global-insertion level (§4–§5.3).
-///
-/// The upper rungs keep per-step rebuild regardless of policy, because for
-/// them it is already cheap: the §5.4/§5.5 merged build constructs local
-/// trees lock-free and pays only for the merge, and the §6 subspace build
-/// re-plans the tree's shape from the cost distribution every step — an
-/// incremental update of the *shared* tree (locked descents for every
-/// drifted body, shared-pointer re-folds) costs more than either.  Below
-/// §5.4, per-step rebuild means every body descending the shared tree
-/// under locks, which is exactly what the persistent tree eliminates.
-pub fn persistent_tree(cfg: &SimConfig) -> bool {
-    cfg.tree_policy.reuses_tree() && !cfg.opt.merged_tree_build() && !cfg.opt.subspace_tree_build()
-}
-
 /// Decides whether this step reuses the persistent tree or rebuilds.
 ///
-/// Under [`TreePolicy::Rebuild`] (or subspace levels) this returns
+/// Under [`TreePolicy::Rebuild`] this returns
 /// immediately with no communication and no charges — the paper's protocol
 /// is untouched.  Otherwise every rank probes its owned bodies against
 /// their recorded sites and one allgather combines the drift counts and
@@ -207,7 +190,7 @@ pub fn decide(
     cfg: &SimConfig,
     step: usize,
 ) -> StepBuild {
-    if !persistent_tree(cfg) {
+    if !cfg.tree_policy.reuses_tree() {
         return StepBuild::Rebuild;
     }
 
@@ -220,7 +203,6 @@ pub fn decide(
         || match cfg.tree_policy {
             TreePolicy::Rebuild => true,
             TreePolicy::Reuse { rebuild_every, .. } => since >= rebuild_every,
-            TreePolicy::Adaptive => since >= TreePolicy::ADAPTIVE_REBUILD_EVERY,
         };
     // The arena only grows during reuse (nothing is reclaimed
     // mid-generation); once it has doubled since the last build, the
@@ -282,7 +264,6 @@ pub fn decide(
         || match cfg.tree_policy {
             TreePolicy::Rebuild => true,
             TreePolicy::Reuse { drift_threshold, .. } => drift > drift_threshold,
-            TreePolicy::Adaptive => drift > TreePolicy::ADAPTIVE_DRIFT,
         };
     if std::env::var("BH_LIFECYCLE_TRACE").is_ok() && ctx.rank() == 0 {
         eprintln!("[lifecycle] step {step}: drift {:.3} since {since} rebuild={rebuild}", drift);
@@ -345,7 +326,7 @@ fn capture_sites(ctx: &Ctx, shared: &BhShared, st: &mut RankState, cfg: &SimConf
     for i in 0..st.my_ids.len() {
         let id = st.my_ids[i];
         let body = read_body(ctx, shared, st, cfg, id);
-        let site = locate_leaf(ctx, shared, cfg, &mut memo, root_ptr, id, body.pos);
+        let site = locate_leaf(ctx, shared, &mut memo, root_ptr, id, body.pos);
         if !site.valid {
             st.lifecycle.degraded = true;
         }
@@ -358,14 +339,13 @@ fn capture_sites(ctx: &Ctx, shared: &BhShared, st: &mut RankState, cfg: &SimConf
 fn locate_leaf(
     ctx: &Ctx,
     shared: &BhShared,
-    cfg: &SimConfig,
     memo: &mut HashMap<GlobalPtr, CellNode>,
     root: GlobalPtr,
     id: u32,
     pos: Vec3,
 ) -> LeafSite {
     let mut cur = root;
-    for _ in 0..cfg.max_depth + 32 {
+    for _ in 0..MAX_DEPTH + 32 {
         let node = read_cell_memo(ctx, shared, memo, cur);
         if node.kind != NodeKind::Cell {
             return LeafSite::INVALID;
@@ -455,7 +435,7 @@ pub fn incremental_update(
         if p.clean {
             shared.cells.write(ctx, p.site.leaf, fresh);
             ctx.charge_tree_ops(1);
-        } else if detach_leaf(ctx, shared, cfg, &p.site) {
+        } else if detach_leaf(ctx, shared, &p.site) {
             dirty.push(p);
         } else {
             // The leaf could not be located (a lost relocation race):
@@ -500,7 +480,7 @@ pub fn incremental_update(
 /// Unhooks a leaf from the tree: first through its site hint, then (if a
 /// relocation made the hint stale) by descending along the leaf's recorded
 /// position.  Returns `false` when the leaf cannot be found.
-fn detach_leaf(ctx: &Ctx, shared: &BhShared, cfg: &SimConfig, site: &LeafSite) -> bool {
+fn detach_leaf(ctx: &Ctx, shared: &BhShared, site: &LeafSite) -> bool {
     if !site.parent.is_null()
         && swap_child_slot(
             ctx,
@@ -517,7 +497,7 @@ fn detach_leaf(ctx: &Ctx, shared: &BhShared, cfg: &SimConfig, site: &LeafSite) -
     // leaves are not refreshed before detaching), so a descent finds it.
     let placed_at = shared.cells.read(ctx, site.leaf).cofm;
     let mut cur = shared.root.read(ctx);
-    for _ in 0..cfg.max_depth + 32 {
+    for _ in 0..MAX_DEPTH + 32 {
         if cur.is_null() {
             return false;
         }
@@ -560,7 +540,7 @@ fn reinsert_leaf(
     let mut depth = 0usize;
     loop {
         depth += 1;
-        if depth > cfg.max_depth + 16 {
+        if depth > MAX_DEPTH + 16 {
             // Pathologically coincident bodies: leave the body out of the
             // tree for this step (its mass is missing from the summaries
             // until the forced rebuild, exactly like the builders' give-up).
@@ -765,26 +745,6 @@ mod tests {
         assert!(site.contains(Vec3::new(1.2, 0.9, 1.5)));
         assert!(!site.contains(Vec3::new(1.6, 1.0, 1.0)));
         assert!(!std::hint::black_box(LeafSite::INVALID).valid);
-    }
-
-    #[test]
-    fn persistent_tree_requires_reuse_policy_and_a_global_insertion_level() {
-        let mut cfg = SimConfig::test(64, 2, OptLevel::CacheLocalTree);
-        assert!(!persistent_tree(&cfg));
-        cfg.tree_policy = TreePolicy::Adaptive;
-        assert!(persistent_tree(&cfg));
-        for opt in [OptLevel::Baseline, OptLevel::ReplicateScalars, OptLevel::Redistribute] {
-            cfg.opt = opt;
-            assert!(persistent_tree(&cfg), "{}", opt.name());
-        }
-        for opt in [OptLevel::MergedTreeBuild, OptLevel::AsyncAggregation, OptLevel::Subspace] {
-            cfg.opt = opt;
-            assert!(
-                !persistent_tree(&cfg),
-                "{}: the merged/subspace builds rebuild cheaply every step",
-                opt.name()
-            );
-        }
     }
 
     #[test]

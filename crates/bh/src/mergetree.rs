@@ -14,7 +14,7 @@
 //! motivation for the §6 subspace algorithm.
 
 use crate::cellnode::{CellNode, NodeKind};
-use crate::config::SimConfig;
+use crate::config::{SimConfig, LEAF_CAPACITY, MAX_DEPTH};
 use crate::shared::{read_body, BhShared, RankState};
 use nbody::{Body, Vec3};
 use octree::tree::{Octree, TreeParams, NO_CHILD};
@@ -38,7 +38,7 @@ pub fn build_local_tree(
     // Gather owned bodies (local accesses after redistribution).
     let bodies: Vec<Body> =
         st.my_ids.iter().map(|&id| read_body(ctx, shared, st, cfg, id)).collect();
-    let params = TreeParams { leaf_capacity: cfg.leaf_capacity, max_depth: cfg.max_depth };
+    let params = TreeParams { leaf_capacity: LEAF_CAPACITY, max_depth: MAX_DEPTH };
     let mut tree = Octree::build_in(&bodies, st.center, st.rsize, params);
     let mass_visits = tree.compute_mass(&bodies);
     ctx.charge_tree_ops(tree.build_ops + mass_visits);
@@ -152,9 +152,7 @@ pub fn merge_into_global(
         NodeKind::Cell => merge_cells(ctx, shared, st, cfg, local_root, global_root),
         // A rank that owns a single body has a bare leaf as its local tree:
         // insert it like any other displaced body.
-        NodeKind::Body => {
-            insert_leaf_into_global(ctx, shared, st, cfg, local_root, &lnode, global_root)
-        }
+        NodeKind::Body => insert_leaf_into_global(ctx, shared, st, local_root, &lnode, global_root),
     }
 }
 
@@ -241,7 +239,7 @@ fn merge_child(
                 return;
             }
             (NodeKind::Cell, NodeKind::Body) => {
-                insert_leaf_into_global(ctx, shared, st, cfg, lchild, &lnode, gchild);
+                insert_leaf_into_global(ctx, shared, st, lchild, &lnode, gchild);
                 return;
             }
             (NodeKind::Body, NodeKind::Cell) => {
@@ -250,7 +248,7 @@ fn merge_child(
                 if !swap_child_slot(ctx, shared, g, octant, gchild, lchild) {
                     continue;
                 }
-                insert_leaf_into_global(ctx, shared, st, cfg, gchild, &gchild_node, lchild);
+                insert_leaf_into_global(ctx, shared, st, gchild, &gchild_node, lchild);
                 return;
             }
             (NodeKind::Body, NodeKind::Body) => {
@@ -269,7 +267,7 @@ fn merge_child(
                 if !swap_child_slot(ctx, shared, g, octant, gchild, new_ptr) {
                     continue;
                 }
-                insert_leaf_into_global(ctx, shared, st, cfg, lchild, &lnode, new_ptr);
+                insert_leaf_into_global(ctx, shared, st, lchild, &lnode, new_ptr);
                 return;
             }
         }
@@ -283,7 +281,6 @@ fn insert_leaf_into_global(
     ctx: &Ctx,
     shared: &BhShared,
     st: &mut RankState,
-    cfg: &SimConfig,
     leaf_ptr: GlobalPtr,
     leaf: &CellNode,
     cell_ptr: GlobalPtr,
@@ -301,7 +298,7 @@ fn insert_leaf_into_global(
             cell.merge_summary(leaf.mass, leaf.cofm, leaf.cost, 1);
         });
         ctx.charge_tree_ops(1);
-        if depth > cfg.max_depth + 16 {
+        if depth > MAX_DEPTH + 16 {
             // Coincident bodies: fold into the cell summary only (the body is
             // then represented by the aggregate, an approximation that never
             // triggers with Plummer inputs).

@@ -4,11 +4,11 @@
 //!
 //! Each step's tree-building phase is governed by the configured
 //! [`crate::config::TreePolicy`]: the default per-step rebuild reproduces
-//! the paper's protocol exactly, while the reuse/adaptive policies route
-//! through the tree-lifecycle subsystem ([`crate::lifecycle`]) — a
-//! persistent global tree, incrementally updated, with drift-triggered
-//! rebuilds.  A resume replays such a tree from its last rebuild, the step
-//! the solver's record anchor names.
+//! the paper's protocol exactly, while the reuse policy routes through the
+//! tree-lifecycle subsystem ([`crate::lifecycle`]) — a persistent global
+//! tree, incrementally updated, with drift-triggered rebuilds.  A resume
+//! replays such a tree from its last rebuild, the step the solver's record
+//! anchor names.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -111,7 +111,7 @@ impl Solver for Upc {
 
     fn finish(&self, cfg: &SimConfig, result: &mut SimResult) {
         result.tree_bytes = self.shared.cells.peak_bytes();
-        result.tree_rebuilds = if lifecycle::persistent_tree(cfg) {
+        result.tree_rebuilds = if cfg.tree_policy.reuses_tree() {
             self.generation.load(Ordering::Relaxed)
         } else {
             cfg.steps as u64
@@ -155,11 +155,10 @@ fn run_step(ctx: &Ctx, shared: &BhShared, st: &mut RankState, cfg: &SimConfig, s
     ctx.barrier();
     st.timer.end(ctx, Phase::Advance.key());
 
-    // Step cleanup: under the per-step rebuild protocol (and the subspace
-    // build, which re-plans the tree shape every step) the tree is torn
-    // down; persistent policies keep it for the next step's lifecycle
+    // Step cleanup: under the per-step rebuild protocol the tree is torn
+    // down; the reuse policy keeps it for the next step's lifecycle
     // decision.
-    if !lifecycle::persistent_tree(cfg) {
+    if !cfg.tree_policy.reuses_tree() {
         st.my_cells.clear();
         if ctx.rank() == 0 {
             shared.cells.clear(ctx);
@@ -241,7 +240,7 @@ fn run_step_classic(
 
     // A fresh build under a persistent policy captures every owned body's
     // leaf site and bumps the tree generation (tree-building work).
-    if rebuilt && lifecycle::persistent_tree(cfg) {
+    if rebuilt && cfg.tree_policy.reuses_tree() {
         st.timer.begin(ctx, Phase::TreeBuild.key());
         lifecycle::after_rebuild(ctx, shared, st, cfg, step, center, rsize);
         st.timer.end(ctx, Phase::TreeBuild.key());

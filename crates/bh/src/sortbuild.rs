@@ -42,7 +42,7 @@
 //! this module's tests and the `sorted_equivalence` proptest).
 
 use crate::cellnode::{CellNode, NodeKind};
-use crate::config::SimConfig;
+use crate::config::{SimConfig, MAX_DEPTH};
 use crate::shared::{read_body, BhShared, RankState};
 use nbody::Vec3;
 use pgas::{Ctx, GlobalPtr};
@@ -253,7 +253,7 @@ pub fn sorted_build(
             end += 1;
         }
         let (bc, bh) = bucket_geometry(center, root_half, bucket);
-        let (ptr, _) = build_range(ctx, shared, st, cfg, &local[start..end], BUCKET_DEPTH, bc, bh);
+        let (ptr, _) = build_range(ctx, shared, st, &local[start..end], BUCKET_DEPTH, bc, bh);
         reports.push((bucket as u32, ptr));
         start = end;
     }
@@ -289,7 +289,6 @@ fn build_range(
     ctx: &Ctx,
     shared: &BhShared,
     st: &mut RankState,
-    cfg: &SimConfig,
     bodies: &[SortedBody],
     depth: usize,
     center: Vec3,
@@ -301,7 +300,7 @@ fn build_range(
         let leaf = CellNode::new_body(b.id, b.pos, b.mass, b.cost);
         return (shared.cells.alloc(ctx, leaf), leaf);
     }
-    if depth > cfg.max_depth + 16 {
+    if depth > MAX_DEPTH + 16 {
         // Pathologically coincident bodies: keep the lowest id, drop the
         // rest — the same give-up as the insertion builders (their depth
         // guard orphans the excess leaves), which never triggers on the
@@ -326,8 +325,7 @@ fn build_range(
                 end += 1;
             }
             let (cc, ch) = child_geometry(center, half, oct);
-            let (ptr, node) =
-                build_range(ctx, shared, st, cfg, &bodies[start..end], depth + 1, cc, ch);
+            let (ptr, node) = build_range(ctx, shared, st, &bodies[start..end], depth + 1, cc, ch);
             cell.children[oct] = ptr;
             kids[oct] = Some(node);
             start = end;
@@ -344,7 +342,7 @@ fn build_range(
                 continue;
             }
             let (cc, ch) = child_geometry(center, half, oct);
-            let (ptr, node) = build_range(ctx, shared, st, cfg, group, depth + 1, cc, ch);
+            let (ptr, node) = build_range(ctx, shared, st, group, depth + 1, cc, ch);
             cell.children[oct] = ptr;
             kids[oct] = Some(node);
         }

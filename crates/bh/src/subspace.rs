@@ -18,7 +18,7 @@
 //! 5. thread 0 finishes the centres of mass of the (small) top tree.
 
 use crate::cellnode::CellNode;
-use crate::config::SimConfig;
+use crate::config::{SimConfig, LEAF_CAPACITY, MAX_DEPTH, SUBSPACE_ALPHA};
 use crate::mergetree::upload_subtree;
 use crate::shared::{read_body, BhShared, RankState};
 use nbody::{Body, Vec3};
@@ -153,7 +153,7 @@ pub fn subspace_partition(
 
         if depth == 0 {
             let total = global_costs[0];
-            tau = cfg.alpha * total / ranks as f64;
+            tau = SUBSPACE_ALPHA * total / ranks as f64;
         }
 
         let mut next: Vec<Candidate> = Vec::new();
@@ -162,7 +162,7 @@ pub fn subspace_partition(
                 // Empty everywhere: the parent keeps an Empty slot.
                 continue;
             }
-            let split = cost > tau && depth < cfg.max_depth;
+            let split = cost > tau && depth < MAX_DEPTH;
             if !split {
                 let leaf_idx = leaves.len();
                 if let Some((parent, octant)) = candidate.parent {
@@ -384,7 +384,7 @@ pub fn subspace_treebuild(
         let ids: Vec<u32> = members.iter().map(|&(id, _)| id).collect();
         let bodies: Vec<Body> = members.iter().map(|&(_, b)| b).collect();
         let leaf = &plan.leaves[leaf_idx];
-        let params = TreeParams { leaf_capacity: cfg.leaf_capacity, max_depth: cfg.max_depth };
+        let params = TreeParams { leaf_capacity: LEAF_CAPACITY, max_depth: MAX_DEPTH };
         let mut tree = Octree::build_in(&bodies, leaf.center, 2.0 * leaf.half, params);
         let visits = tree.compute_mass(&bodies);
         ctx.charge_tree_ops(tree.build_ops + visits);

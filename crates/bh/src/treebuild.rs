@@ -9,7 +9,7 @@
 //! phase taking hundreds of seconds.
 
 use crate::cellnode::{CellNode, NodeKind};
-use crate::config::SimConfig;
+use crate::config::{SimConfig, MAX_DEPTH};
 use crate::shared::{read_body, read_root_geometry, BhShared, RankState};
 use nbody::{Body, Vec3};
 use pgas::{Ctx, GlobalPtr};
@@ -154,7 +154,7 @@ pub fn insert_body(
     let mut depth = 0usize;
     loop {
         depth += 1;
-        if depth > cfg.max_depth + 16 {
+        if depth > MAX_DEPTH + 16 {
             // Pathologically coincident bodies: fold the mass into the
             // existing leaf rather than looping forever.  This never occurs
             // with Plummer initial conditions but keeps the builder total.

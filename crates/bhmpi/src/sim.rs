@@ -18,6 +18,7 @@
 use crate::domain::{exchange_bodies, plan};
 use crate::letree::{exchange_let, DomainBox, LetItem};
 use crate::MpiBackend;
+use engine::config::{LEAF_CAPACITY, MAX_DEPTH};
 use engine::drive::{self, Solver};
 use engine::report::{Phase, RankOutcome, SimResult};
 use engine::{Backend, SimConfig};
@@ -35,7 +36,7 @@ pub const PSEUDO_ID_BASE: u32 = u32::MAX - (1 << 24);
 /// the paper's Plummer initial conditions ([`MpiBackend`] runs any
 /// workload's).
 ///
-/// `cfg.opt`, `cfg.n1`–`n3`, `cfg.alpha` and `cfg.vector_reduction` are
+/// `cfg.opt`, `cfg.n1`–`n3` and `cfg.vector_reduction` are
 /// ignored: they parameterise the UPC optimization ladder, which has no
 /// counterpart here.  Everything else (bodies, seed, θ, ε, dt, step counts,
 /// machine) is honoured, so a run with the same `SimConfig` is directly
@@ -123,7 +124,7 @@ fn run_step(ctx: &Ctx, st: &mut MpiRankState, cfg: &SimConfig) {
     // Tree building: the local octree over owned bodies.
     st.timer.begin(ctx, Phase::TreeBuild.key());
     let local_start = ctx.now();
-    let params = TreeParams { leaf_capacity: cfg.leaf_capacity, max_depth: cfg.max_depth };
+    let params = TreeParams { leaf_capacity: LEAF_CAPACITY, max_depth: MAX_DEPTH };
     let mut tree = Octree::build_in(&st.owned, global.center, global.rsize, params);
     ctx.charge_tree_ops(tree.build_ops);
     st.tree_local_time += ctx.now() - local_start;

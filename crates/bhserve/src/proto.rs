@@ -184,9 +184,6 @@ pub fn decode_job(
         as usize;
     let nodes = u64_of(v, "nodes")?.unwrap_or(2) as usize;
     let tpn = u64_of(v, "threads_per_node")?.unwrap_or(1) as usize;
-    if nodes == 0 || tpn == 0 {
-        return Err(Reject::new(E_PROTO, "\"nodes\" and \"threads_per_node\" must be positive"));
-    }
 
     let opt = match str_of(v, "opt")? {
         Some(name) => engine::OptLevel::from_name(&name).ok_or_else(|| {

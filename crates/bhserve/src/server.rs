@@ -875,16 +875,19 @@ mod tests {
         // The machine-readable code travels as its own field, exactly as
         // SimConfig::validate reports it locally.
         assert_eq!(reply.get("code").unwrap().as_str(), Some("E_MEASURED_WINDOW"));
-        // Capability-table rejections keep their wire codes.  (The wire has
-        // no `build` field; the capability matrix test pins sorted builds.)
+        // Capability-table rejections keep their wire codes, and a machine
+        // without ranks is refused by the same check on both ops.  (The wire
+        // has no `build` field; the capability matrix test pins sorted
+        // builds.)
         for (op, field, value, code) in [
-            ("run", "backend", "mpi", proto::E_UNSUPPORTED),
-            ("run", "opt", "baseline", proto::E_UNSUPPORTED),
-            ("open", "policy", "reuse", proto::E_SESSION_POLICY),
+            ("run", "backend", r#""mpi""#, proto::E_UNSUPPORTED),
+            ("run", "opt", r#""baseline""#, proto::E_UNSUPPORTED),
+            ("open", "policy", r#""reuse""#, proto::E_SESSION_POLICY),
+            ("run", "nodes", "0", engine::ConfigError::E_MACHINE),
+            ("open", "nodes", "0", engine::ConfigError::E_MACHINE),
         ] {
-            let text = format!(
-                r#"{{"op":"{op}","tenant":"t","n":32,"walk":"group","{field}":"{value}"}}"#
-            );
+            let text =
+                format!(r#"{{"op":"{op}","tenant":"t","n":32,"walk":"group","{field}":{value}}}"#);
             let reply = client.call(&serde_json::from_str(&text).unwrap()).unwrap();
             assert_eq!(reply.get("code").unwrap().as_str(), Some(code), "{text}: {reply:?}");
         }

@@ -14,20 +14,15 @@ pub enum Rungs {
     /// On the `--opt` rungs `lo..=hi`.
     Span(OptLevel, OptLevel),
     /// The backend has no such axis: every value runs and changes nothing
-    /// ([`Rungs::admit`] treats it as [`Rungs::ALL`]; only the `--list`
-    /// label differs).
+    /// (only the `--list` label tells it from a span over every rung).
     Ignored,
 }
 
 impl Rungs {
-    /// Every rung of the ladder.
-    pub const ALL: Rungs = Rungs::Span(OptLevel::Baseline, OptLevel::Subspace);
-
     fn render(self) -> String {
         match self {
             Rungs::Never => "no".to_string(),
             Rungs::Ignored => "ignored".to_string(),
-            Rungs::ALL => "every --opt".to_string(),
             Rungs::Span(lo, hi) => format!("--opt {}..{}", lo.name(), hi.name()),
         }
     }
@@ -57,7 +52,7 @@ pub struct Caps {
     pub sorted_build: Rungs,
     /// The most ranks `--build sorted` runs on (`None`: no cap).
     pub sorted_max_ranks: Option<usize>,
-    /// Where the tree-reusing policies (`reuse`, `adaptive`) run.
+    /// Where the tree-reusing policy (`reuse`) runs.
     pub tree_reuse: Rungs,
     /// Runs need fewer bodies than this (`None`: no cap).
     pub max_bodies: Option<usize>,
@@ -167,7 +162,7 @@ pub fn render(registry: &BackendRegistry) -> String {
         let rows = [
             ("--walk group", caps.group_walk.render()),
             ("--build sorted", sorted),
-            ("--tree-policy reuse|adaptive", caps.tree_reuse.render()),
+            ("--tree-policy reuse", caps.tree_reuse.render()),
             ("--n", caps.max_bodies.map_or("any".to_string(), |max| format!("below {max}"))),
             ("bhserve sessions", "--tree-policy rebuild".to_string()),
         ];

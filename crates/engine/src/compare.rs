@@ -3,9 +3,9 @@
 //! The paper's §9 leaves "directly compare the performance of this code to
 //! the performance of a similar code expressed in MPI" as future work; this
 //! module is that experiment's single implementation.  The `bhsim`
-//! `--compare` mode, the `mpi_vs_upc` example and the `mpi_vs_upc` bench all
-//! call [`run_backends`] and render with [`comparison_table`], so the driver
-//! logic exists in exactly one place.
+//! `--compare` mode and the `mpi_vs_upc` example both call [`run_backends`]
+//! and render with [`comparison_table`], so the driver logic exists in
+//! exactly one place.
 
 use crate::backend::BackendRegistry;
 use crate::config::SimConfig;

@@ -121,8 +121,8 @@ impl OptLevel {
 /// ([`OptLevel::Baseline`] through [`OptLevel::CacheLocalTree`]), where a
 /// per-step rebuild descends the shared tree under locks for every body;
 /// the merged (§5.4/§5.5) and subspace (§6) builds rebuild cheaply from
-/// local trees every step and keep doing so regardless of policy.  Which
-/// backends accept which policy is their [`crate::caps`] row.
+/// local trees every step, so the upc row refuses a reusing policy there.
+/// Which backends accept which policy is their [`crate::caps`] row.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum TreePolicy {
     /// Rebuild the global tree from scratch every step (the paper's
@@ -145,10 +145,6 @@ pub enum TreePolicy {
         /// identical to [`TreePolicy::Rebuild`].
         drift_threshold: f64,
     },
-    /// Keep the tree across steps with the cadence chosen by the solver
-    /// (rebuild on [`TreePolicy::ADAPTIVE_DRIFT`] drift,
-    /// [`TreePolicy::ADAPTIVE_REBUILD_EVERY`] steps at the latest).
-    Adaptive,
 }
 
 impl TreePolicy {
@@ -156,16 +152,6 @@ impl TreePolicy {
     pub const DEFAULT_REBUILD_EVERY: usize = 8;
     /// Default drift threshold of `--tree-policy reuse`.
     pub const DEFAULT_DRIFT_THRESHOLD: f64 = 0.25;
-    /// Drift fraction at which [`TreePolicy::Adaptive`] rebuilds.  A Plummer
-    /// sphere at the paper's `dt` drifts ~10-15 % of its leaves per step
-    /// under the cell-cube bound, so the threshold sits well above the
-    /// steady-state drift (probing and then rebuilding anyway would make
-    /// the policy strictly worse than per-step rebuild) while still
-    /// catching violent reconfigurations (mergers, collapse).
-    pub const ADAPTIVE_DRIFT: f64 = 0.35;
-    /// Step cadence at which [`TreePolicy::Adaptive`] rebuilds at the
-    /// latest, bounding the structural degradation of the reused tree.
-    pub const ADAPTIVE_REBUILD_EVERY: usize = 8;
 
     /// Short name used by reports and the bench harness (the reuse
     /// parameters are part of the measurement protocol, not the name).
@@ -173,14 +159,13 @@ impl TreePolicy {
         match self {
             TreePolicy::Rebuild => "rebuild",
             TreePolicy::Reuse { .. } => "reuse",
-            TreePolicy::Adaptive => "adaptive",
         }
     }
 
     /// Every policy [`TreePolicy::name`], in `bhsim --list` order (the
     /// counterpart of `OptLevel::ALL` for an enum whose variants carry
     /// parameters).
-    pub const NAMES: [&'static str; 3] = ["rebuild", "reuse", "adaptive"];
+    pub const NAMES: [&'static str; 2] = ["rebuild", "reuse"];
 
     /// One-line description of the policy called `name`, for `bhsim --list`.
     pub fn description(name: &str) -> Option<String> {
@@ -189,13 +174,9 @@ impl TreePolicy {
                 "rebuild the octree from scratch every step (the paper's protocol)".to_string()
             }
             TreePolicy::Reuse { rebuild_every, drift_threshold } => format!(
-                "persistent tree; full rebuild every --rebuild-every steps (default \
-                 {rebuild_every}) or at --drift-threshold drift (default {drift_threshold})"
-            ),
-            TreePolicy::Adaptive => format!(
-                "persistent tree, solver-chosen cadence (drift {}, every {} steps at most)",
-                TreePolicy::ADAPTIVE_DRIFT,
-                TreePolicy::ADAPTIVE_REBUILD_EVERY
+                "persistent tree on the global-insertion rungs; full rebuild every \
+                 --rebuild-every steps (default {rebuild_every}) or at --drift-threshold drift \
+                 (default {drift_threshold})"
             ),
         })
     }
@@ -209,7 +190,6 @@ impl TreePolicy {
                 rebuild_every: TreePolicy::DEFAULT_REBUILD_EVERY,
                 drift_threshold: TreePolicy::DEFAULT_DRIFT_THRESHOLD,
             }),
-            "adaptive" => Some(TreePolicy::Adaptive),
             _ => None,
         }
     }
@@ -229,11 +209,6 @@ impl TreePolicy {
             TreePolicy::Reuse { rebuild_every, drift_threshold } => {
                 format!("reuse[e{rebuild_every},d{drift_threshold}]")
             }
-            TreePolicy::Adaptive => format!(
-                "adaptive[e{},d{}]",
-                TreePolicy::ADAPTIVE_REBUILD_EVERY,
-                TreePolicy::ADAPTIVE_DRIFT
-            ),
         }
     }
 }
@@ -358,6 +333,17 @@ impl TreeBuild {
 /// by every driver that doesn't override `--seed`).
 pub const DEFAULT_SEED: u64 = 1_234_567;
 
+/// §6 subspace threshold factor α: a cell whose cost exceeds
+/// α·Cost/THREADS is split (the paper's 2/3).
+pub const SUBSPACE_ALPHA: f64 = 2.0 / 3.0;
+
+/// Octree leaf capacity (SPLASH-2: one body per leaf).
+pub const LEAF_CAPACITY: usize = 1;
+
+/// Maximum octree depth; the shared-tree builders give up on coincident
+/// bodies a fixed margin beyond it.
+pub const MAX_DEPTH: usize = 48;
+
 /// A configuration-validation failure.
 ///
 /// Besides the human-readable message, every failure carries a **stable,
@@ -391,6 +377,8 @@ impl ConfigError {
     pub const E_REUSE_EVERY: &'static str = "E_REUSE_EVERY";
     /// Reuse policy: `drift_threshold` is negative or non-finite.
     pub const E_REUSE_DRIFT: &'static str = "E_REUSE_DRIFT";
+    /// The machine has zero nodes or zero threads per node.
+    pub const E_MACHINE: &'static str = "E_MACHINE";
     /// The backend's capability row ([`crate::caps::Caps`]) rejects this
     /// combination of axes.
     pub const E_UNSUPPORTED: &'static str = "E_UNSUPPORTED";
@@ -458,9 +446,6 @@ pub struct SimConfig {
     pub n2: usize,
     /// See [`SimConfig::n1`].
     pub n3: usize,
-    /// §6 subspace threshold factor α (cells with cost > α·Cost/THREADS are
-    /// split).  Paper uses 2/3.
-    pub alpha: f64,
     /// §6: use one vector reduction per level (Figure 11) instead of one
     /// scalar reduction per subspace (Figure 10).
     pub vector_reduction: bool,
@@ -468,14 +453,11 @@ pub struct SimConfig {
     /// literal translation reads a remote body or cell field-by-field
     /// (before the bulk-transfer/caching optimizations kick in).
     pub fine_grained_fields: u32,
-    /// Octree leaf capacity (SPLASH-2: 1).
-    pub leaf_capacity: usize,
-    /// Maximum octree depth.
-    pub max_depth: usize,
     /// Use the §5.3.2 merged-local-tree cache (shadow pointers, remote cells
     /// only) instead of the §5.3.1 separate local tree during the cached
     /// force phase.  The paper found "little performance improvement" from
-    /// this variant; the `cache_variants` bench quantifies the difference.
+    /// this variant; the `tables cache_variants` experiment quantifies the
+    /// difference.
     ///
     /// Covers the blocking cached force phase only (`cache-local-tree` and
     /// `merged-tree-build`, both walk modes).  From `async-aggregation` up
@@ -516,11 +498,8 @@ impl SimConfig {
             n1: 4,
             n2: 4,
             n3: 4,
-            alpha: 2.0 / 3.0,
             vector_reduction: true,
             fine_grained_fields: 3,
-            leaf_capacity: 1,
-            max_depth: 48,
             shadow_cache: false,
             software_scalar_cache: false,
             faults: crate::fault::FaultPlan::default(),
@@ -549,8 +528,8 @@ impl SimConfig {
     /// `measured_steps > steps` makes [`crate::report::measurement_begins`]
     /// never fire (the phase tables silently report the warm-up window that
     /// was never reset), a non-positive or non-finite `dt`/`theta`/`eps`
-    /// turns positions into NaNs, and zero bodies or steps produce
-    /// meaningless reports.
+    /// turns positions into NaNs, zero bodies or steps produce meaningless
+    /// reports, and a machine without ranks has nowhere to put the bodies.
     ///
     /// Failures carry a stable machine-readable code ([`ConfigError::code`])
     /// alongside the message.
@@ -560,6 +539,16 @@ impl SimConfig {
         }
         if self.steps < 1 {
             return Err(ConfigError::new(ConfigError::E_STEPS, "steps must be at least 1"));
+        }
+        if self.machine.nodes < 1 || self.machine.threads_per_node < 1 {
+            return Err(ConfigError::new(
+                ConfigError::E_MACHINE,
+                format!(
+                    "the machine needs at least one node and one thread per node: got {} \
+                     node(s) x {} thread(s)",
+                    self.machine.nodes, self.machine.threads_per_node
+                ),
+            ));
         }
         if self.measured_steps < 1 || self.measured_steps > self.steps {
             return Err(ConfigError::new(
@@ -645,7 +634,6 @@ mod tests {
         assert_eq!(TreePolicy::description("nope"), None);
         assert_eq!(TreePolicy::from_name("nope"), None);
         assert!(!TreePolicy::Rebuild.reuses_tree());
-        assert!(TreePolicy::Adaptive.reuses_tree());
         assert!(TreePolicy::from_name("reuse").unwrap().reuses_tree());
     }
 
@@ -683,7 +671,6 @@ mod tests {
         let a = TreePolicy::Reuse { rebuild_every: 4, drift_threshold: 0.25 }.spec_label();
         let b = TreePolicy::Reuse { rebuild_every: 8, drift_threshold: 0.25 }.spec_label();
         assert_ne!(a, b, "a cadence change must change the sweep-point identity");
-        assert!(TreePolicy::Adaptive.spec_label().starts_with("adaptive["));
     }
 
     #[test]
@@ -713,6 +700,13 @@ mod tests {
         let mut cfg = good.clone();
         cfg.nbodies = 0;
         assert!(cfg.validate().is_err());
+
+        for (nodes, threads_per_node) in [(0, 1), (2, 0)] {
+            let mut cfg = good.clone();
+            cfg.machine = Machine::power5(nodes, threads_per_node, false);
+            let err = cfg.validate().unwrap_err();
+            assert_eq!(err.code, ConfigError::E_MACHINE, "{nodes} x {threads_per_node}: {err}");
+        }
 
         for (field, value, code) in [
             ("dt", 0.0, ConfigError::E_DT),
@@ -752,6 +746,7 @@ mod tests {
         assert_eq!(ConfigError::E_EPS, "E_EPS");
         assert_eq!(ConfigError::E_REUSE_EVERY, "E_REUSE_EVERY");
         assert_eq!(ConfigError::E_REUSE_DRIFT, "E_REUSE_DRIFT");
+        assert_eq!(ConfigError::E_MACHINE, "E_MACHINE");
         assert_eq!(ConfigError::E_UNSUPPORTED, "E_UNSUPPORTED");
         assert_eq!(ConfigError::E_SESSION_POLICY, "E_SESSION_POLICY");
         let mut cfg = SimConfig::test(64, 1, OptLevel::Baseline);
@@ -772,7 +767,8 @@ mod tests {
         assert_eq!(cfg.n1, 4);
         assert_eq!(cfg.n2, 4);
         assert_eq!(cfg.n3, 4);
-        assert!((cfg.alpha - 2.0 / 3.0).abs() < 1e-12);
+        assert!((SUBSPACE_ALPHA - 2.0 / 3.0).abs() < 1e-12);
+        assert_eq!((LEAF_CAPACITY, MAX_DEPTH), (1, 48));
         assert_eq!(cfg.ranks(), 2);
     }
 }

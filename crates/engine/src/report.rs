@@ -208,8 +208,8 @@ pub struct SimResult {
     /// comparator).
     pub tree_bytes: u64,
     /// Full builds of the shared tree performed by this invocation: the
-    /// final tree generation under a persistent policy (`reuse`,
-    /// `adaptive`), the step count when the tree is rebuilt every step.  A
+    /// final tree generation under the persistent policy (`reuse`), the
+    /// step count when the tree is rebuilt every step.  A
     /// resumed run starts from a fresh build and counts its own steps only,
     /// not those before the checkpoint.  A `reuse` run whose count equals
     /// its step count reused nothing.  `0` when the backend keeps no shared

@@ -3,9 +3,9 @@
 //! SPLASH-2's `advance()` phase — the "Body-adv." row of every table in the
 //! paper — is a leapfrog step: velocities are advanced half a step, positions
 //! a full step, and then velocities the remaining half step once new
-//! accelerations are available.  The distributed variants in the `bh` crate
-//! call [`kick_drift`] / [`kick`] per body; the sequential helpers here are
-//! used by the examples and the accuracy tests.
+//! accelerations are available.  The helpers here are used by the examples
+//! and the accuracy tests; no backend calls them (each backend's advance
+//! phase applies `vel += acc·dt; pos += vel·dt` to its owned bodies inline).
 
 use crate::body::Body;
 

@@ -5,7 +5,8 @@
 //! the sorted list into equal-cost segments yields partitions with good
 //! spatial locality.  The workspace uses Morton codes for
 //!
-//! * the costzones-style partitioner (`octree::costzones`),
+//! * the costzones partitioner (`bh::partition`, and the MPI comparator's
+//!   domain splitters),
 //! * ordering subspace leaves in the §6 scalable tree-building algorithm, and
 //! * locality-preserving body orderings in the examples.
 //!

@@ -13,18 +13,17 @@
 //!   computation;
 //! * [`walk`] — the force-computation tree walk with the `l/d < θ` multipole
 //!   acceptance criterion and Plummer softening (identical arithmetic to
-//!   `nbody::direct`, so the two converge as θ → 0);
-//! * [`costzones`] — the SPLASH-2-style cost-based space partitioning
-//!   (Morton-ordered, equal-cost segments) used to assign bodies to threads.
+//!   `nbody::direct`, so the two converge as θ → 0).
+//!
+//! Assigning bodies to threads is not done here: the SPLASH-2 costzones
+//! partitioner every distributed solver runs is `bh::partition`.
 //!
 //! The distributed variants in the `bh` crate re-express tree *construction*
 //! against the PGAS emulator; they reuse this crate's geometry helpers and
 //! its tree walk for correctness checks.
 
-pub mod costzones;
 pub mod tree;
 pub mod walk;
 
-pub use costzones::{partition_by_cost, Partition};
 pub use tree::{Node, Octree, TreeParams};
 pub use walk::{accel_on, accel_on_body, compute_forces, WalkResult};

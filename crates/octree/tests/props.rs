@@ -1,8 +1,7 @@
 //! Property-based tests for the octree substrate.
 
-use nbody::body::{root_cell, Body};
+use nbody::body::Body;
 use nbody::vec3::Vec3;
-use octree::costzones::partition_by_cost;
 use octree::tree::{Octree, TreeParams};
 use octree::walk::accel_on;
 use proptest::prelude::*;
@@ -73,35 +72,5 @@ proptest! {
             let exact = nbody::direct::acceleration_at(&bodies, b.pos, Some(b.id), 0.05);
             prop_assert!((walk.acc - exact).norm() <= 1e-9 * exact.norm().max(1e-9));
         }
-    }
-
-    #[test]
-    fn costzones_partition_is_a_disjoint_cover(bodies in arb_bodies(150), parts in 1usize..12) {
-        let (center, rsize) = root_cell(&bodies);
-        let partition = partition_by_cost(&bodies, center, rsize, parts);
-        prop_assert_eq!(partition.len(), parts);
-        prop_assert_eq!(partition.total_bodies(), bodies.len());
-        let mut seen = vec![false; bodies.len()];
-        for zone in &partition.zones {
-            for &i in zone {
-                prop_assert!(!seen[i]);
-                seen[i] = true;
-            }
-        }
-        prop_assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn costzones_imbalance_is_bounded_by_largest_body(bodies in arb_bodies(200), parts in 2usize..8) {
-        prop_assume!(bodies.len() >= parts * 2);
-        let (center, rsize) = root_cell(&bodies);
-        let partition = partition_by_cost(&bodies, center, rsize, parts);
-        let costs = partition.zone_costs(&bodies);
-        let total: u64 = costs.iter().sum();
-        let ideal = total as f64 / parts as f64;
-        let max_single = bodies.iter().map(|b| b.cost.max(1) as u64).max().unwrap() as f64;
-        let max_zone = *costs.iter().max().unwrap() as f64;
-        // Greedy prefix cutting can overshoot the target by at most one body.
-        prop_assert!(max_zone <= ideal + max_single + 1.0);
     }
 }

@@ -75,6 +75,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use engine::config::{LEAF_CAPACITY, MAX_DEPTH, SUBSPACE_ALPHA};
 use engine::snap::{bodies_bits_equal, parse_hex_u32, push_hex_u32, push_hex_u64};
 use engine::{FaultPlan, OptLevel, SimConfig, TreeBuild, TreePolicy, WalkMode};
 use nbody::{Body, Vec3};
@@ -900,7 +901,6 @@ fn encode_config(cfg: &SimConfig) -> Value {
             ("rebuild_every", Value::UInt(rebuild_every as u64)),
             ("drift_threshold", str_val(&hex_f64(drift_threshold))),
         ]),
-        TreePolicy::Adaptive => obj(vec![("name", str_val("adaptive"))]),
     };
     obj(vec![
         ("nbodies", Value::UInt(cfg.nbodies as u64)),
@@ -925,11 +925,11 @@ fn encode_config(cfg: &SimConfig) -> Value {
         ("n1", Value::UInt(cfg.n1 as u64)),
         ("n2", Value::UInt(cfg.n2 as u64)),
         ("n3", Value::UInt(cfg.n3 as u64)),
-        ("alpha", str_val(&hex_f64(cfg.alpha))),
+        ("alpha", str_val(&hex_f64(SUBSPACE_ALPHA))),
         ("vector_reduction", Value::Bool(cfg.vector_reduction)),
         ("fine_grained_fields", Value::UInt(cfg.fine_grained_fields as u64)),
-        ("leaf_capacity", Value::UInt(cfg.leaf_capacity as u64)),
-        ("max_depth", Value::UInt(cfg.max_depth as u64)),
+        ("leaf_capacity", Value::UInt(LEAF_CAPACITY as u64)),
+        ("max_depth", Value::UInt(MAX_DEPTH as u64)),
         ("shadow_cache", Value::Bool(cfg.shadow_cache)),
         ("software_scalar_cache", Value::Bool(cfg.software_scalar_cache)),
     ])
@@ -993,6 +993,20 @@ fn req_hex_f64(v: &Value, key: &str, path: &Path) -> Result<f64, SnapError> {
         .ok_or_else(|| schema(path, format!("field {key:?} is not a 16-digit hex float")))
 }
 
+/// A field the format keeps for one of the paper's fixed constants: it
+/// must hold exactly the value every manifest writes.
+fn pinned<T: PartialEq + fmt::Display>(
+    found: T,
+    want: T,
+    key: &str,
+    path: &Path,
+) -> Result<(), SnapError> {
+    if found != want {
+        return Err(schema(path, format!("field {key:?} must be {want}, got {found}")));
+    }
+    Ok(())
+}
+
 fn req_hashes(v: &Value, key: &str, path: &Path) -> Result<Vec<String>, SnapError> {
     let items = req(v, key, path)?
         .as_array()
@@ -1046,7 +1060,6 @@ fn decode_config(v: &Value, path: &Path) -> Result<SimConfig, SnapError> {
     let policy_name = req_str(policy_v, "name", path)?;
     cfg.tree_policy = match policy_name {
         "rebuild" => TreePolicy::Rebuild,
-        "adaptive" => TreePolicy::Adaptive,
         "reuse" => TreePolicy::Reuse {
             rebuild_every: req_usize(policy_v, "rebuild_every", path)?,
             drift_threshold: req_hex_f64(policy_v, "drift_threshold", path)?,
@@ -1064,11 +1077,11 @@ fn decode_config(v: &Value, path: &Path) -> Result<SimConfig, SnapError> {
     cfg.n1 = req_usize(v, "n1", path)?;
     cfg.n2 = req_usize(v, "n2", path)?;
     cfg.n3 = req_usize(v, "n3", path)?;
-    cfg.alpha = req_hex_f64(v, "alpha", path)?;
+    pinned(req_hex_f64(v, "alpha", path)?, SUBSPACE_ALPHA, "alpha", path)?;
     cfg.vector_reduction = req_bool(v, "vector_reduction", path)?;
     cfg.fine_grained_fields = req_u64(v, "fine_grained_fields", path)? as u32;
-    cfg.leaf_capacity = req_usize(v, "leaf_capacity", path)?;
-    cfg.max_depth = req_usize(v, "max_depth", path)?;
+    pinned(req_usize(v, "leaf_capacity", path)?, LEAF_CAPACITY, "leaf_capacity", path)?;
+    pinned(req_usize(v, "max_depth", path)?, MAX_DEPTH, "max_depth", path)?;
     cfg.shadow_cache = req_bool(v, "shadow_cache", path)?;
     cfg.software_scalar_cache = req_bool(v, "software_scalar_cache", path)?;
     Ok(cfg)
@@ -1301,6 +1314,26 @@ mod tests {
                 assert!(detail.contains("sideways"), "{detail}")
             }
             other => panic!("expected SnapError::Schema, got {other:?}"),
+        }
+
+        // A retired policy, and the paper's constants at any other value:
+        // each refusal names its field.
+        let good = fs::read_to_string(&saved.manifest_path).expect("read");
+        let alpha = format!("\"alpha\": \"{}\"", hex_f64(SUBSPACE_ALPHA));
+        for (from, to, named) in [
+            ("\"name\": \"reuse\"", "\"name\": \"adaptive\"", "adaptive"),
+            (alpha.as_str(), "\"alpha\": \"3fe0000000000000\"", "alpha"),
+            ("\"leaf_capacity\": 1", "\"leaf_capacity\": 8", "leaf_capacity"),
+            ("\"max_depth\": 48", "\"max_depth\": 6", "max_depth"),
+        ] {
+            assert!(good.contains(from), "{from} not in the manifest");
+            fs::write(&path, good.replace(from, to)).expect("write");
+            match store.load("bad") {
+                Err(SnapError::Schema { detail, .. }) => {
+                    assert!(detail.contains(named), "{named}: {detail}")
+                }
+                other => panic!("{named}: expected SnapError::Schema, got {other:?}"),
+            }
         }
         let _ = fs::remove_dir_all(&dir);
     }

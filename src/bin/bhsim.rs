@@ -111,7 +111,8 @@ fn usage() -> ! {
            --steps N            time steps to run         (default 4)\n\
            --measured N         trailing steps measured   (default 2)\n\
            --tree-policy P      tree lifecycle across steps (default rebuild)\n\
-                                policies: rebuild, reuse, adaptive\n\
+                                policies: rebuild, reuse (where reuse runs:\n\
+                                --list)\n\
            --rebuild-every N    reuse policy: full rebuild cadence (default {})\n\
            --drift-threshold F  reuse policy: drifted-leaf fraction forcing a\n\
                                 rebuild                   (default {})\n\
@@ -194,16 +195,6 @@ const FLAGS: &[&str] = &[
     "--opt",
 ];
 
-/// Parses a physics parameter that must be finite and positive (a zero `dt`
-/// freezes the integrator, a negative θ or ε turns positions into NaNs).
-fn positive(args: &mut Args, flag: &str) -> f64 {
-    let v: f64 = args.number(flag);
-    if !v.is_finite() || v <= 0.0 {
-        args.reject(&format!("invalid value for {flag}: {v} (must be positive and finite)"))
-    }
-    v
-}
-
 /// Parses the value of `flag` as a name on one of the engine's string-keyed
 /// axes, rejecting an unknown one with the registered names.
 fn named<T>(
@@ -277,26 +268,11 @@ fn parse_args() -> Options {
                 opts.faults = engine::FaultPlan::parse(&spec)
                     .unwrap_or_else(|e| args.reject(&format!("invalid --faults spec: {e}")));
             }
-            "--rebuild-every" => {
-                let every: usize = args.number("--rebuild-every");
-                if every == 0 {
-                    args.reject("invalid value for --rebuild-every: must be at least 1")
-                }
-                opts.rebuild_every = Some(every);
-            }
-            "--drift-threshold" => {
-                let drift: f64 = args.number("--drift-threshold");
-                if !drift.is_finite() || drift < 0.0 {
-                    args.reject(&format!(
-                        "invalid value for --drift-threshold: {drift} (must be finite and \
-                         non-negative)"
-                    ))
-                }
-                opts.drift_threshold = Some(drift);
-            }
-            "--theta" => opts.theta = Some(positive(&mut args, "--theta")),
-            "--eps" => opts.eps = Some(positive(&mut args, "--eps")),
-            "--dt" => opts.dt = Some(positive(&mut args, "--dt")),
+            "--rebuild-every" => opts.rebuild_every = Some(args.number("--rebuild-every")),
+            "--drift-threshold" => opts.drift_threshold = Some(args.number("--drift-threshold")),
+            "--theta" => opts.theta = Some(args.number("--theta")),
+            "--eps" => opts.eps = Some(args.number("--eps")),
+            "--dt" => opts.dt = Some(args.number("--dt")),
             "--opt" => {
                 let known = OptLevel::ALL.map(|l| l.name());
                 opts.opt =
@@ -304,14 +280,6 @@ fn parse_args() -> Options {
             }
             other => args.unknown(other),
         }
-    }
-    if opts.nodes == 0 || opts.threads_per_node == 0 {
-        eprintln!("--nodes and --threads-per-node must be positive");
-        usage()
-    }
-    if opts.measured == 0 || opts.measured > opts.steps {
-        eprintln!("--measured must lie in 1..=steps");
-        usage()
     }
     // Fold the cadence/drift overrides into the policy; without
     // --tree-policy reuse they have nothing to configure and are rejected.
@@ -625,17 +593,6 @@ fn main() {
             eprintln!("bhsim: backend {name} cannot run this config: {e}");
             std::process::exit(2)
         }
-    }
-    if cfg.tree_policy.reuses_tree()
-        && (cfg.opt.merged_tree_build() || cfg.opt.subspace_tree_build())
-    {
-        eprintln!(
-            "bhsim: note: --tree-policy {} has no effect at --opt {} — the merged/subspace \
-             builds rebuild cheaply from local trees every step (persistent-tree stepping \
-             applies to baseline..cache-local-tree)",
-            cfg.tree_policy.name(),
-            cfg.opt.name(),
-        );
     }
 
     eprintln!(

@@ -9,8 +9,8 @@
 //!   non-blocking aggregated gathers).
 //! * [`nbody`] — the physics substrate (bodies, Plummer model, Morton codes,
 //!   direct summation, leapfrog, energy diagnostics).
-//! * [`octree`] — the sequential Barnes-Hut octree, tree walk and costzones
-//!   partitioning.
+//! * [`octree`] — the sequential Barnes-Hut octree and tree walk (the
+//!   costzones partitioner is [`bh::partition`]).
 //! * [`engine`] — the solver-neutral engine layer: [`SimConfig`], the
 //!   per-phase [`SimResult`] vocabulary, the [`Backend`] trait with its
 //!   string-keyed registry, the direct-summation reference backend and the

@@ -25,7 +25,8 @@ fn expected(backend: &str, cfg: &SimConfig, mode: &str) -> Option<&'static str> 
     let (group, sorted) = (cfg.walk == WalkMode::Group, cfg.build == TreeBuild::Sorted);
     let rejected = match backend {
         "upc" => {
-            (group && cfg.opt < OptLevel::CacheLocalTree)
+            (reuses && cfg.opt > OptLevel::CacheLocalTree)
+                || (group && cfg.opt < OptLevel::CacheLocalTree)
                 || (sorted
                     && !(OptLevel::Redistribute..=OptLevel::AsyncAggregation).contains(&cfg.opt))
                 || (sorted && cfg.ranks() > 255)
@@ -75,7 +76,8 @@ fn points() -> Vec<Point> {
 fn every_point_gets_its_verdict_and_every_accepted_point_runs() {
     let backends = backend_registry();
     let points = points();
-    assert_eq!(points.len(), 3 * 7 * 2 * 2 * 3 * 4 * 3 * 2);
+    assert_eq!(points.len(), 3 * 7 * 2 * 2 * 2 * 4 * 3 * 2);
+    assert_eq!(points.len(), 4032);
     let bodies = generate(&PlummerConfig::new(48, points[0].1.seed));
     let mut runs = 0;
     for (name, cfg) in &points {
@@ -107,9 +109,10 @@ fn every_point_gets_its_verdict_and_every_accepted_point_runs() {
             (want, ran) => panic!("{label}: expected {want:?}, got {:?}", ran.err()),
         }
     }
-    // upc: 18 accepted (opt, walk, build) triples × 3 policies; mpi: 7
-    // opts; direct: everything — each on 1 and 2 ranks.
-    assert_eq!(runs, (18 * 3 + 7 + 7 * 2 * 2 * 3) * 2);
+    // upc: 18 accepted (opt, walk, build) triples under rebuild, the 8 of
+    // them on baseline..cache-local-tree under reuse; mpi: 7 opts; direct:
+    // everything — each on 1 and 2 ranks.
+    assert_eq!(runs, (18 + 8 + 7 + 7 * 2 * 2 * 2) * 2);
 }
 
 /// The integer counters of a run's [`RankStats`], summed over ranks.

@@ -1,7 +1,9 @@
 //! Process-level checks of `bhsim` through the binary most scripts call:
 //! its refusals — the shared command-line cursor (`engine::cli`) and the
-//! capability table (`engine::caps`) — and the step-fault supervisor.
+//! capability table (`engine::caps`, which runs `SimConfig::validate` first)
+//! — and the step-fault supervisor.
 
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 #[test]
@@ -17,20 +19,78 @@ fn bhsim_rejects_a_misspelt_flag_with_exit_2_and_a_suggestion() {
     assert!(stderr.contains("usage: bhsim"), "{stderr}");
 }
 
+/// Copies the directory tree `from` to `to`.
+fn copy_tree(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).expect("create copy");
+    for entry in std::fs::read_dir(from).expect("read fixture").flatten() {
+        let target = to.join(entry.file_name());
+        if entry.file_type().expect("file type").is_dir() {
+            copy_tree(&entry.path(), &target);
+        } else {
+            std::fs::copy(entry.path(), target).expect("copy file");
+        }
+    }
+}
+
+/// Every file under `dir`, sorted.
+fn files_under(dir: &Path) -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir).expect("read dir").flatten() {
+        if entry.file_type().expect("file type").is_dir() {
+            files.extend(files_under(&entry.path()));
+        } else {
+            files.push(entry.path());
+        }
+    }
+    files.sort();
+    files
+}
+
 #[test]
 fn bhsim_rejects_an_unsupported_combination_before_any_work() {
-    let dir = std::env::temp_dir().join(format!("bhsim-unsupported-{}", std::process::id()));
-    let out = Command::new(env!("CARGO_BIN_EXE_bhsim"))
-        .args(["--opt", "subspace", "--build", "sorted", "--n", "64", "--nodes", "2"])
-        .args(["--steps", "2", "--measured", "1"])
-        .args(["--checkpoint-every", "1", "--checkpoint-dir", dir.to_str().unwrap()])
-        .output()
-        .expect("spawn bhsim");
-    assert_eq!(out.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("[E_UNSUPPORTED]"), "{stderr}");
-    assert!(out.stdout.is_empty() && !stderr.contains("workload:"), "it did work: {stderr}");
-    assert!(!dir.exists(), "the checkpoint directory was created before the refusal");
+    let tmp = std::env::temp_dir().join(format!("bhsim-unsupported-{}", std::process::id()));
+    let dir = tmp.join("ck");
+    // Copies of the v1 fixture store whose manifest describes a machine
+    // without ranks: the resume path judges them like a fresh run.
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/store-v1");
+    let manifest = std::fs::read_to_string(fixture.join("step-0002.json")).expect("fixture");
+    let mut stores = Vec::new();
+    for (name, from, to) in [
+        ("nodes-0", "\"nodes\": 2", "\"nodes\": 0"),
+        ("threads-0", "\"threads_per_node\": 1", "\"threads_per_node\": 0"),
+    ] {
+        assert!(manifest.contains(from), "{from} not in the fixture manifest");
+        let store = tmp.join(name);
+        copy_tree(&fixture, &store);
+        std::fs::write(store.join("step-0002.json"), manifest.replace(from, to)).expect("write");
+        stores.push(store);
+    }
+    let resumes: Vec<String> =
+        stores.iter().map(|s| s.join("step-0002.json").display().to_string()).collect();
+    let cases: [(&[&str], &str); 5] = [
+        (&["--opt", "subspace", "--build", "sorted", "--nodes", "2"], "[E_UNSUPPORTED]"),
+        (&["--opt", "subspace", "--tree-policy", "reuse", "--nodes", "2"], "[E_UNSUPPORTED]"),
+        (&["--nodes", "0"], "[E_MACHINE]"),
+        (&["--resume", &resumes[0]], "[E_MACHINE]"),
+        (&["--resume", &resumes[1]], "[E_MACHINE]"),
+    ];
+    let before: Vec<_> = stores.iter().map(|s| files_under(s)).collect();
+    for (args, code) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_bhsim"))
+            .args(args)
+            .args(["--n", "64", "--steps", "2", "--measured", "1"])
+            .args(["--checkpoint-every", "1", "--checkpoint-dir", dir.to_str().unwrap()])
+            .output()
+            .expect("spawn bhsim");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(code), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty() && !stderr.contains("workload:"), "it did work: {stderr}");
+        assert!(!dir.exists(), "{args:?}: the checkpoint directory was created before the refusal");
+    }
+    let after: Vec<_> = stores.iter().map(|s| files_under(s)).collect();
+    assert_eq!(before, after, "a refused resume wrote into its store");
+    let _ = std::fs::remove_dir_all(&tmp);
 }
 
 /// Runs `bhsim` with `args` and returns its `--json` report's `state_digest`

@@ -248,8 +248,8 @@ fn mpi_backend_guards_validation_and_tree_policy() {
     assert_eq!(err.code, barnes_hut_upc::engine::ConfigError::E_MEASURED_WINDOW, "{err}");
     assert!(err.message.contains("measured_steps"), "{err}");
 
-    let mut reuse = SimConfig::test(64, 2, OptLevel::Subspace);
-    reuse.tree_policy = TreePolicy::Adaptive;
+    let mut reuse = SimConfig::test(64, 2, OptLevel::CacheLocalTree);
+    reuse.tree_policy = TreePolicy::from_name("reuse").unwrap();
     let err = mpi.supports(&reuse).unwrap_err();
     assert_eq!(err.code, barnes_hut_upc::engine::ConfigError::E_UNSUPPORTED, "{err}");
     assert!(err.message.contains("not supported"), "{err}");
