@@ -140,7 +140,7 @@ fn main() {
     }
     for cell in &report.cells {
         eprintln!(
-            "bhload: {:<20} reqs {:>4}  p50 {:>8.2}ms  p99 {:>8.2}ms  {:>7.1} req/s",
+            "bhload: {:<24} reqs {:>4}  p50 {:>8.2}ms  p99 {:>8.2}ms  {:>7.1} req/s",
             cell.label, cell.requests, cell.p50_ms, cell.p99_ms, cell.req_per_s
         );
     }

@@ -2,8 +2,9 @@
 //! live server, summarised per cell as request count, p50/p99 latency and
 //! throughput.
 //!
-//! The mix is a small grid of *cells* — (scenario, backend, size) shapes —
-//! and every simulated client is pinned to one cell round-robin.  All
+//! The mix is a small grid of *cells* — (scenario, backend, size) shapes,
+//! one of them on the lock-free fast path — and every simulated client is
+//! pinned to one cell round-robin.  All
 //! clients of a cell submit the *identical* job (same seed, same config),
 //! which makes the serving rows deterministic in the engine's counters.
 //!
@@ -20,7 +21,8 @@
 //!
 //! Every measured `run` reply must be `ok` and carry the simulated makespan,
 //! the migration fraction, every phase and the traffic counters, with a
-//! non-zero interaction count; anything less fails the run.
+//! non-zero interaction count, and the fast-path cell's must show no lock
+//! taken; anything less fails the run.
 //!
 //! Latency is measured at the client: request write to response read,
 //! framing and queueing included.  Wall-clock numbers (latency percentiles,
@@ -47,12 +49,15 @@ pub struct Cell {
     pub backend: &'static str,
     /// Number of bodies.
     pub nbodies: usize,
+    /// Runs the post-paper fast path: the §5.3 cache, the sorted build and
+    /// the group walk, in `-pthreads` mode.
+    pub sorted: bool,
 }
 
 /// Which grid of cells to drive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mix {
-    /// The three small cells — seconds of runtime, used by the CI smoke job.
+    /// The four small cells — seconds of runtime, used by the CI smoke jobs.
     Quick,
     /// The quick cells plus the same shapes at larger sizes.
     Full,
@@ -61,18 +66,20 @@ pub enum Mix {
 /// The serving-mix shapes.
 pub fn cells(mix: Mix) -> Vec<Cell> {
     let quick = vec![
-        Cell { scenario: "plummer", backend: "upc", nbodies: 48 },
-        Cell { scenario: "plummer", backend: "direct", nbodies: 96 },
-        Cell { scenario: "king", backend: "mpi", nbodies: 192 },
+        Cell { scenario: "plummer", backend: "upc", nbodies: 48, sorted: false },
+        Cell { scenario: "plummer", backend: "direct", nbodies: 96, sorted: false },
+        Cell { scenario: "king", backend: "mpi", nbodies: 192, sorted: false },
+        Cell { scenario: "plummer", backend: "upc", nbodies: 128, sorted: true },
     ];
     match mix {
         Mix::Quick => quick,
         Mix::Full => {
             let mut all = quick;
             all.extend([
-                Cell { scenario: "plummer", backend: "upc", nbodies: 384 },
-                Cell { scenario: "plummer", backend: "direct", nbodies: 768 },
-                Cell { scenario: "king", backend: "mpi", nbodies: 1536 },
+                Cell { scenario: "plummer", backend: "upc", nbodies: 384, sorted: false },
+                Cell { scenario: "plummer", backend: "direct", nbodies: 768, sorted: false },
+                Cell { scenario: "king", backend: "mpi", nbodies: 1536, sorted: false },
+                Cell { scenario: "plummer", backend: "upc", nbodies: 1024, sorted: true },
             ]);
             all
         }
@@ -91,14 +98,36 @@ impl Cell {
     /// The request fields of this cell's job (shared by every client of the
     /// cell; the `op` and `tenant` are added per request).
     fn job_fields(&self) -> Vec<(String, Value)> {
-        vec![
+        let mut fields = vec![
             ("scenario".to_string(), Value::String(self.scenario.to_string())),
             ("backend".to_string(), Value::String(self.backend.to_string())),
             ("n".to_string(), Value::UInt(self.nbodies as u64)),
             ("steps".to_string(), Value::UInt(JOB_STEPS as u64)),
             ("measured".to_string(), Value::UInt(JOB_MEASURED as u64)),
             ("nodes".to_string(), Value::UInt(JOB_NODES as u64)),
-        ]
+        ];
+        if self.sorted {
+            let name = |s: &str| Value::String(s.to_string());
+            fields.extend([
+                ("opt".to_string(), name("cache-local-tree")),
+                ("build".to_string(), name("sorted")),
+                ("walk".to_string(), name("group")),
+                ("pthreads".to_string(), Value::Bool(true)),
+            ]);
+        }
+        fields
+    }
+
+    /// Checks a measured `run` reply of this cell: a whole report, and on
+    /// the fast path no lock taken (the sorted build really ran).
+    fn check_reply(&self, reply: &Value) -> Result<(), String> {
+        check_run_reply(reply)?;
+        match reply.get("lock_acquires").and_then(Value::as_u64) {
+            Some(locks) if self.sorted && locks > 0 => {
+                Err(format!("the sorted build took {locks} lock(s)"))
+            }
+            _ => Ok(()),
+        }
     }
 }
 
@@ -146,7 +175,7 @@ impl Default for LoadOptions {
 /// What the fleet saw on one cell of the mix.
 #[derive(Debug, Clone)]
 pub struct CellSummary {
-    /// `scenario/backend/nN`.
+    /// `scenario/backend/nN`, with `/sorted` on the fast path.
     pub label: String,
     /// Measured requests answered.
     pub requests: usize,
@@ -166,7 +195,13 @@ impl CellSummary {
             latencies_ms[rank.clamp(1, latencies_ms.len()) - 1]
         };
         CellSummary {
-            label: format!("{}/{}/n{}", cell.scenario, cell.backend, cell.nbodies),
+            label: format!(
+                "{}/{}/n{}{}",
+                cell.scenario,
+                cell.backend,
+                cell.nbodies,
+                if cell.sorted { "/sorted" } else { "" }
+            ),
             requests: latencies_ms.len(),
             p50_ms: at(0.50),
             p99_ms: at(0.99),
@@ -436,7 +471,7 @@ fn one_shot(client: &mut Client, cell: &Cell, tenant: &str) -> Result<f64, Strin
     let sent = Instant::now();
     let reply = call_checked(client, &req, "run")?;
     let latency_ms = sent.elapsed().as_secs_f64() * 1e3;
-    check_run_reply(&reply)?;
+    cell.check_reply(&reply)?;
     Ok(latency_ms)
 }
 
@@ -460,7 +495,7 @@ fn one_shot_chaos(
     match client.call(&req) {
         Ok(reply) if reply.get("ok").and_then(|v| v.as_bool()) == Some(true) => {
             let latency_ms = sent.elapsed().as_secs_f64() * 1e3;
-            check_run_reply(&reply)?;
+            cell.check_reply(&reply)?;
             return Ok((latency_ms, false));
         }
         Ok(reply) => {
@@ -481,7 +516,7 @@ fn one_shot_chaos(
         return Err(format!("run: rejected after retries [{code}]: {error}"));
     }
     let latency_ms = sent.elapsed().as_secs_f64() * 1e3;
-    check_run_reply(&reply)?;
+    cell.check_reply(&reply)?;
     Ok((latency_ms, true))
 }
 

@@ -18,8 +18,8 @@
 //! ([`hex_f64`]), never as a JSON float, so a snapshot round-trips with no
 //! precision loss and session-equivalence can be pinned bit-for-bit.
 
-use engine::{BackendRegistry, ConfigError, SimConfig, TreePolicy, WalkMode};
-use pgas::Machine;
+use engine::knobs::{self, Front};
+use engine::{BackendRegistry, ConfigError, SimConfig};
 use scenarios::Registry as ScenarioRegistry;
 use serde::Value;
 
@@ -135,34 +135,34 @@ pub(crate) fn u64_of(v: &Value, key: &str) -> Result<Option<u64>, Reject> {
     }
 }
 
-pub(crate) fn f64_of(v: &Value, key: &str) -> Result<Option<f64>, Reject> {
-    match v.get(key) {
-        None | Some(Value::Null) => Ok(None),
-        Some(val) => val
-            .as_f64()
-            .map(Some)
-            .ok_or_else(|| Reject::new(E_PROTO, format!("field {key:?} must be a number"))),
-    }
-}
-
 /// The required string field every accounted request carries.
 pub fn tenant_of(v: &Value) -> Result<String, Reject> {
     str_of(v, "tenant")?.ok_or_else(|| Reject::new(E_PROTO, "field \"tenant\" is required"))
 }
 
+/// The keys a `run` or `open` request may carry besides the knob table's.
+const JOB_KEYS: [&str; 4] = ["op", "tenant", "scenario", "backend"];
+
 /// Decodes the job description shared by the `run` and `open` operations.
 ///
-/// Required: `n` (bodies).  Everything else defaults: scenario `plummer`,
-/// backend `upc`, the scenario's recommended θ/ε/dt tuning, the paper's
-/// 4-steps/2-measured protocol, opt level `subspace`, per-step rebuild,
-/// per-body walk, a 2-node × 1-thread emulated machine.  Unknown scenario
-/// and backend keys fail with the shared did-you-mean error
+/// Scenario (default `plummer`) and backend (default `upc`) name registry
+/// entries; every other key is a row of [`engine::knobs`], read and
+/// defaulted exactly as `bhsim` reads its flags (`n` is required).  A key
+/// that is neither fails with `E_PROTO`, unknown scenario and backend keys
+/// with their own codes, each with the shared did-you-mean
 /// ([`engine::suggest::unknown_key`]).
 pub fn decode_job(
     v: &Value,
     scenarios: &ScenarioRegistry,
     backends: &BackendRegistry,
 ) -> Result<Job, Reject> {
+    for (key, _) in v.as_object().unwrap_or_default() {
+        if !JOB_KEYS.contains(&key.as_str()) && knobs::find(Front::Wire, key).is_none() {
+            let known: Vec<&str> =
+                JOB_KEYS.into_iter().chain(knobs::names_on(Front::Wire)).collect();
+            return Err(Reject::new(E_PROTO, engine::suggest::unknown_key("job key", key, &known)));
+        }
+    }
     let scenario_name = str_of(v, "scenario")?.unwrap_or_else(|| "plummer".to_string());
     let backend_name = str_of(v, "backend")?.unwrap_or_else(|| "upc".to_string());
 
@@ -179,93 +179,33 @@ pub fn decode_job(
         ));
     }
 
-    let nbodies = u64_of(v, "n")?
-        .ok_or_else(|| Reject::new(E_PROTO, "field \"n\" (number of bodies) is required"))?
-        as usize;
-    let nodes = u64_of(v, "nodes")?.unwrap_or(2) as usize;
-    let tpn = u64_of(v, "threads_per_node")?.unwrap_or(1) as usize;
-
-    let opt = match str_of(v, "opt")? {
-        Some(name) => engine::OptLevel::from_name(&name).ok_or_else(|| {
-            let names: Vec<&str> = engine::OptLevel::ALL.iter().map(|l| l.name()).collect();
-            Reject::new(E_PROTO, engine::suggest::unknown_key("opt level", &name, &names))
-        })?,
-        None => engine::OptLevel::Subspace,
-    };
-
-    let policy = match str_of(v, "policy")? {
-        Some(name) => {
-            let mut policy = TreePolicy::from_name(&name).ok_or_else(|| {
-                Reject::new(
-                    E_PROTO,
-                    engine::suggest::unknown_key("tree policy", &name, &TreePolicy::NAMES),
-                )
-            })?;
-            if let TreePolicy::Reuse { mut rebuild_every, mut drift_threshold } = policy {
-                if let Some(every) = u64_of(v, "rebuild_every")? {
-                    rebuild_every = every as usize;
-                }
-                if let Some(drift) = f64_of(v, "drift_threshold")? {
-                    drift_threshold = drift;
-                }
-                policy = TreePolicy::Reuse { rebuild_every, drift_threshold };
-            }
-            policy
-        }
-        None => TreePolicy::Rebuild,
-    };
-
-    let walk = match str_of(v, "walk")? {
-        Some(name) => WalkMode::from_name(&name).ok_or_else(|| {
-            Reject::new(
-                E_PROTO,
-                engine::suggest::unknown_key("walk mode", &name, &["per-body", "group"]),
-            )
-        })?,
-        None => WalkMode::PerBody,
-    };
-
-    let tuning = scenario.recommended_config();
-    let machine = Machine::power5(nodes, tpn, false);
-    let mut cfg = SimConfig::new(nbodies, machine, opt);
-    cfg.seed = u64_of(v, "seed")?.unwrap_or(engine::config::DEFAULT_SEED);
-    cfg.steps = u64_of(v, "steps")?.unwrap_or(4) as usize;
-    cfg.measured_steps = u64_of(v, "measured")?.unwrap_or_else(|| 2.min(cfg.steps as u64)) as usize;
-    cfg.tree_policy = policy;
-    cfg.walk = walk;
-    cfg.theta = f64_of(v, "theta")?.unwrap_or(tuning.theta);
-    cfg.eps = f64_of(v, "eps")?.unwrap_or(tuning.eps);
-    cfg.dt = f64_of(v, "dt")?.unwrap_or(tuning.dt);
-
+    let cfg = knobs::config(Front::Wire, v, &scenario.recommended_config())
+        .map_err(|e| Reject::new(E_PROTO, e))?;
     Ok(Job { scenario: scenario_name, backend: backend_name, cfg })
 }
 
 /// Renders the measured outcome of one engine run (or one session step
-/// chunk) as the response fields every dispatch path shares.
+/// chunk) as the response fields every dispatch path shares.  The counters
+/// are `RankStats` summed over ranks, serialized as the `stats` object of
+/// `bhsim --json` is, but spread into the top level.
 pub fn run_fields(result: &engine::SimResult, wall_ms: f64) -> Vec<(String, Value)> {
-    let stats = result.total_stats();
     let phases = Value::Object(
         engine::Phase::ALL
             .iter()
             .map(|&p| (p.key().to_string(), Value::Float(result.phases.get(p))))
             .collect(),
     );
-    vec![
+    let mut fields = vec![
         ("wall_ms".to_string(), Value::Float(wall_ms)),
         ("phases".to_string(), phases),
         ("total_sim".to_string(), Value::Float(result.total)),
         ("migration_fraction".to_string(), Value::Float(result.migration_fraction)),
         ("tree_bytes".to_string(), Value::UInt(result.tree_bytes)),
-        ("interactions".to_string(), Value::UInt(stats.interactions)),
-        ("macs".to_string(), Value::UInt(stats.macs)),
-        ("tree_ops".to_string(), Value::UInt(stats.tree_ops)),
-        ("remote_gets".to_string(), Value::UInt(stats.remote_gets)),
-        ("remote_puts".to_string(), Value::UInt(stats.remote_puts)),
-        ("messages".to_string(), Value::UInt(stats.messages)),
-        ("bytes_in".to_string(), Value::UInt(stats.bytes_in)),
-        ("bytes_out".to_string(), Value::UInt(stats.bytes_out)),
-        ("lock_acquires".to_string(), Value::UInt(stats.lock_acquires)),
-    ]
+    ];
+    if let Value::Object(stats) = serde::Serialize::to_value(&result.total_stats()) {
+        fields.extend(stats);
+    }
+    fields
 }
 
 /// Renders a body list as the bit-exact snapshot encoding.

@@ -845,6 +845,14 @@ mod tests {
         assert_eq!(reply.get("ok").unwrap().as_bool(), Some(true), "{reply:?}");
         let interactions = field_u64(&reply, "interactions");
         assert!(interactions > 0);
+        // The counters are the `stats` object of `bhsim --json`, key for key.
+        let keys = |v: &Value| -> Vec<String> {
+            v.as_object().unwrap().iter().map(|(key, _)| key.clone()).collect()
+        };
+        let stats = serde::Serialize::to_value(&pgas::RankStats::default());
+        let reply_keys = keys(&reply);
+        let after = reply_keys.iter().position(|key| key == "tree_bytes").unwrap() + 1;
+        assert_eq!(reply_keys[after..], keys(&stats));
         let usage = client
             .call(&request(
                 "usage",

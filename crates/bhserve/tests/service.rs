@@ -177,7 +177,10 @@ fn tenant_ledger_equals_sum_of_standalone_runs() {
 /// measured latencies and throughput.
 fn assert_cell_summaries(report: &load::LoadReport) {
     let labels: Vec<&str> = report.cells.iter().map(|c| c.label.as_str()).collect();
-    assert_eq!(labels, ["plummer/upc/n48", "plummer/direct/n96", "king/mpi/n192"]);
+    assert_eq!(
+        labels,
+        ["plummer/upc/n48", "plummer/direct/n96", "king/mpi/n192", "plummer/upc/n128/sorted"]
+    );
     for cell in &report.cells {
         assert!(cell.requests > 0, "{}: no measured requests", cell.label);
         assert!(cell.p50_ms > 0.0, "{}: latency must be measured", cell.label);

@@ -1,8 +1,9 @@
 //! The run-report vocabulary `bhsim --json` writes.
 //!
-//! * [`RunSpec`] — the identity of one measured configuration (scenario ×
-//!   backend × opt level × tree policy × walk × build × machine shape ×
-//!   size).
+//! * [`RunSpec`] — the identity of one measured configuration: the scenario,
+//!   the backend and every knob `bhsim` has a flag for ([`crate::knobs`]).
+//!   The knobs without a flag (`n1..n3`, the §6 and cache variants) and the
+//!   fault plan are not part of it.
 //! * [`Sample`] — one run's measurements: host wall time plus the
 //!   emulator's outputs (simulated per-phase seconds, traffic counters).
 //!   `bhsim --json` prints one per backend.
@@ -17,7 +18,8 @@ use crate::report::PhaseTimes;
 use pgas::RankStats;
 use serde::Serialize;
 
-/// The identity of one measured configuration.
+/// The identity of one measured configuration: a flag that changes the
+/// run changes its spec.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RunSpec {
     /// Workload family (scenario registry key).
@@ -51,6 +53,14 @@ pub struct RunSpec {
     pub steps: usize,
     /// Trailing measured steps.
     pub measured_steps: usize,
+    /// Whether the `-pthreads` runtime is emulated.
+    pub pthreads: bool,
+    /// Opening criterion θ.
+    pub theta: f64,
+    /// Softening ε.
+    pub eps: f64,
+    /// Time step.
+    pub dt: f64,
 }
 
 impl RunSpec {
@@ -69,6 +79,10 @@ impl RunSpec {
             seed: cfg.seed,
             steps: cfg.steps,
             measured_steps: cfg.measured_steps,
+            pthreads: cfg.machine.pthreads,
+            theta: cfg.theta,
+            eps: cfg.eps,
+            dt: cfg.dt,
         }
     }
 }

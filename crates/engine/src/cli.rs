@@ -1,7 +1,8 @@
 //! The one command-line cursor every binary of the workspace parses with.
 //!
-//! A binary declares its flags once (`const FLAGS: &[&str]`) and hands them
-//! to [`Args`] with its name and its `usage` function.  [`Args::next`] then
+//! A binary declares its flags once (`const FLAGS: &[&str]`; `bhsim` adds
+//! the [`crate::knobs`] table's) and hands them to [`Args`] with its name
+//! and its `usage` function.  [`Args::next`] then
 //! yields the arguments to `match` on, and anything that looks like a flag
 //! but is not in the list is rejected *here* — with a did-you-mean from
 //! [`crate::suggest`] — so the list that words the suggestion is the list
@@ -14,25 +15,25 @@ use std::str::FromStr;
 /// Cursor over a binary's arguments.
 pub struct Args {
     prog: &'static str,
-    flags: &'static [&'static str],
+    flags: Vec<&'static str>,
     usage: fn() -> !,
     rest: std::vec::IntoIter<String>,
 }
 
 impl Args {
     /// Cursor over the process's own arguments (program name skipped).
-    pub fn from_env(prog: &'static str, flags: &'static [&'static str], usage: fn() -> !) -> Args {
+    pub fn from_env(prog: &'static str, flags: &[&'static str], usage: fn() -> !) -> Args {
         Args::new(prog, flags, usage, std::env::args().skip(1).collect())
     }
 
     /// Cursor over an explicit argument list.
     pub fn new(
         prog: &'static str,
-        flags: &'static [&'static str],
+        flags: &[&'static str],
         usage: fn() -> !,
         args: Vec<String>,
     ) -> Args {
-        Args { prog, flags, usage, rest: args.into_iter() }
+        Args { prog, flags: flags.to_vec(), usage, rest: args.into_iter() }
     }
 
     /// The next argument: a declared flag, or a positional word.  A
@@ -74,7 +75,7 @@ impl Args {
     /// [`Args::next`] calls it for undeclared flags; a binary that takes no
     /// positional words calls it from its `match`'s fall-through arm.
     pub fn unknown(&self, arg: &str) -> ! {
-        self.reject(&unknown_flag(arg, self.flags))
+        self.reject(&unknown_flag(arg, &self.flags))
     }
 
     /// Prints `prog: message` and the usage, then exits 2.

@@ -23,10 +23,14 @@
 //!   scenario's bodies can be pushed through any backend.
 //! * [`caps`] — the capability table: one [`Caps`] row per backend and the
 //!   one evaluator of "which configurations are valid" every surface reads.
-//! * [`bench`] — the run-report vocabulary: [`bench::RunSpec`] (every axis
-//!   that changes what a run measures, and nothing that never varies) and
+//! * [`bench`] — the run-report vocabulary: [`bench::RunSpec`] (the
+//!   scenario, the backend and every knob `bhsim` has a flag for) and
 //!   [`bench::Sample`] (what `bhsim --json` prints per backend).  Written,
 //!   never read back: performance is judged by `benchmark/`.
+//! * [`knobs`] — the knob table: one row per [`SimConfig`] knob with its
+//!   default, `bhsim` flag, `bhserve` job key and `bhsnap/v1` manifest key.
+//!   bhsim's flags, bhserve's jobs and snapstore's manifests are loops over
+//!   it, so every front end builds the same `SimConfig` from the same values.
 //! * [`cli`] — the one command-line cursor every binary parses with:
 //!   value-of-flag, parsed number, and the unknown-flag did-you-mean from a
 //!   flag list each binary declares once.
@@ -57,6 +61,7 @@ pub mod config;
 pub mod direct;
 pub mod drive;
 pub mod fault;
+pub mod knobs;
 pub mod report;
 pub mod snap;
 pub mod suggest;

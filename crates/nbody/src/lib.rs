@@ -55,3 +55,25 @@ pub const DEFAULT_EPS: f64 = 0.05;
 
 /// Default time step (SPLASH-2 default, §4.1 of the paper: 0.025 s).
 pub const DEFAULT_DT: f64 = 0.025;
+
+/// Solver parameters a scenario recommends for itself.
+///
+/// The defaults are the paper's (θ = 1.0, ε = 0.05, dt = 0.025); scenarios
+/// with sharper density contrasts or faster internal dynamics tighten them.
+/// Every front end applies these unless the run overrides them
+/// (`engine::knobs`).
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+pub struct Tuning {
+    /// Opening criterion θ.
+    pub theta: f64,
+    /// Softening ε.
+    pub eps: f64,
+    /// Time step.
+    pub dt: f64,
+}
+
+impl Default for Tuning {
+    fn default() -> Self {
+        Tuning { theta: DEFAULT_THETA, eps: DEFAULT_EPS, dt: DEFAULT_DT }
+    }
+}

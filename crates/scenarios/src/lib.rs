@@ -53,32 +53,12 @@ pub use disk::ExpDisk;
 pub use hernquist::Hernquist;
 pub use king::King;
 pub use merger::Merger;
+pub use nbody::Tuning;
 pub use plummer::Plummer;
 
 use nbody::{energy, stats, Body, Vec3};
 use octree::{Octree, TreeParams};
 use serde::{Deserialize, Serialize};
-
-/// Solver parameters a scenario recommends for itself.
-///
-/// The defaults are the paper's (θ = 1.0, ε = 0.05, dt = 0.025); scenarios
-/// with sharper density contrasts or faster internal dynamics tighten them.
-/// The `bhsim` CLI applies these unless overridden on the command line.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Tuning {
-    /// Opening criterion θ.
-    pub theta: f64,
-    /// Softening ε.
-    pub eps: f64,
-    /// Time step.
-    pub dt: f64,
-}
-
-impl Default for Tuning {
-    fn default() -> Self {
-        Tuning { theta: nbody::DEFAULT_THETA, eps: nbody::DEFAULT_EPS, dt: nbody::DEFAULT_DT }
-    }
-}
 
 /// Structural summary of a generated body set.
 ///

@@ -75,15 +75,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use engine::config::{LEAF_CAPACITY, MAX_DEPTH, SUBSPACE_ALPHA};
+use engine::knobs::{self, Front};
 use engine::snap::{bodies_bits_equal, parse_hex_u32, push_hex_u32, push_hex_u64};
-use engine::{FaultPlan, OptLevel, SimConfig, TreeBuild, TreePolicy, WalkMode};
-use nbody::{Body, Vec3};
-use pgas::Machine;
+use engine::{FaultPlan, SimConfig};
+use nbody::{Body, Tuning, Vec3};
 use serde::Value;
 
 use crate::sha256;
-use crate::state::{digest_bodies_timed, hex_f64, unhex_f64, unhex_u32, CpuTime, SimState};
+use crate::state::{digest_bodies_timed, unhex_f64, unhex_u32, CpuTime, SimState};
 
 /// Manifest format tag; bumped on any incompatible schema change.
 pub const FORMAT: &str = "bhsnap/v1";
@@ -893,48 +892,6 @@ fn encode_columns(cols: &ColumnHashes) -> Value {
     obj(cols.named().into_iter().map(|(name, hashes)| (name, hashes_val(hashes))).collect())
 }
 
-fn encode_config(cfg: &SimConfig) -> Value {
-    let tree_policy = match cfg.tree_policy {
-        TreePolicy::Rebuild => obj(vec![("name", str_val("rebuild"))]),
-        TreePolicy::Reuse { rebuild_every, drift_threshold } => obj(vec![
-            ("name", str_val("reuse")),
-            ("rebuild_every", Value::UInt(rebuild_every as u64)),
-            ("drift_threshold", str_val(&hex_f64(drift_threshold))),
-        ]),
-    };
-    obj(vec![
-        ("nbodies", Value::UInt(cfg.nbodies as u64)),
-        ("seed", Value::UInt(cfg.seed)),
-        ("theta", str_val(&hex_f64(cfg.theta))),
-        ("eps", str_val(&hex_f64(cfg.eps))),
-        ("dt", str_val(&hex_f64(cfg.dt))),
-        ("steps", Value::UInt(cfg.steps as u64)),
-        ("measured_steps", Value::UInt(cfg.measured_steps as u64)),
-        ("tree_policy", tree_policy),
-        ("walk", str_val(cfg.walk.name())),
-        ("build", str_val(cfg.build.name())),
-        ("opt", str_val(cfg.opt.name())),
-        (
-            "machine",
-            obj(vec![
-                ("nodes", Value::UInt(cfg.machine.nodes as u64)),
-                ("threads_per_node", Value::UInt(cfg.machine.threads_per_node as u64)),
-                ("pthreads", Value::Bool(cfg.machine.pthreads)),
-            ]),
-        ),
-        ("n1", Value::UInt(cfg.n1 as u64)),
-        ("n2", Value::UInt(cfg.n2 as u64)),
-        ("n3", Value::UInt(cfg.n3 as u64)),
-        ("alpha", str_val(&hex_f64(SUBSPACE_ALPHA))),
-        ("vector_reduction", Value::Bool(cfg.vector_reduction)),
-        ("fine_grained_fields", Value::UInt(cfg.fine_grained_fields as u64)),
-        ("leaf_capacity", Value::UInt(LEAF_CAPACITY as u64)),
-        ("max_depth", Value::UInt(MAX_DEPTH as u64)),
-        ("shadow_cache", Value::Bool(cfg.shadow_cache)),
-        ("software_scalar_cache", Value::Bool(cfg.software_scalar_cache)),
-    ])
-}
-
 fn encode_manifest(m: &Manifest) -> Value {
     obj(vec![
         ("format", str_val(FORMAT)),
@@ -945,7 +902,7 @@ fn encode_manifest(m: &Manifest) -> Value {
         ("tree_generation", Value::UInt(m.tree_generation)),
         ("bodies_digest", str_val(&m.bodies_digest)),
         ("anchor_digest", str_val(&m.anchor_digest)),
-        ("config", encode_config(&m.cfg)),
+        ("config", knobs::encode(&m.cfg)),
         ("bodies", encode_columns(&m.bodies)),
         ("anchor", encode_columns(&m.anchor)),
     ])
@@ -981,32 +938,6 @@ fn req_str<'a>(v: &'a Value, key: &str, path: &Path) -> Result<&'a str, SnapErro
         .ok_or_else(|| schema(path, format!("field {key:?} is not a string")))
 }
 
-fn req_bool(v: &Value, key: &str, path: &Path) -> Result<bool, SnapError> {
-    req(v, key, path)?
-        .as_bool()
-        .ok_or_else(|| schema(path, format!("field {key:?} is not a boolean")))
-}
-
-fn req_hex_f64(v: &Value, key: &str, path: &Path) -> Result<f64, SnapError> {
-    let text = req_str(v, key, path)?;
-    unhex_f64(text)
-        .ok_or_else(|| schema(path, format!("field {key:?} is not a 16-digit hex float")))
-}
-
-/// A field the format keeps for one of the paper's fixed constants: it
-/// must hold exactly the value every manifest writes.
-fn pinned<T: PartialEq + fmt::Display>(
-    found: T,
-    want: T,
-    key: &str,
-    path: &Path,
-) -> Result<(), SnapError> {
-    if found != want {
-        return Err(schema(path, format!("field {key:?} must be {want}, got {found}")));
-    }
-    Ok(())
-}
-
 fn req_hashes(v: &Value, key: &str, path: &Path) -> Result<Vec<String>, SnapError> {
     let items = req(v, key, path)?
         .as_array()
@@ -1037,54 +968,10 @@ fn decode_columns(v: &Value, path: &Path) -> Result<ColumnHashes, SnapError> {
     })
 }
 
+/// A manifest's `config` object, read by the knob table: every knob that
+/// applies must be present and fit its field.
 fn decode_config(v: &Value, path: &Path) -> Result<SimConfig, SnapError> {
-    let machine_v = req(v, "machine", path)?;
-    let machine = Machine::power5(
-        req_usize(machine_v, "nodes", path)?,
-        req_usize(machine_v, "threads_per_node", path)?,
-        req_bool(machine_v, "pthreads", path)?,
-    );
-    let opt_name = req_str(v, "opt", path)?;
-    let opt = OptLevel::from_name(opt_name)
-        .ok_or_else(|| schema(path, format!("unknown opt level {opt_name:?}")))?;
-
-    let mut cfg = SimConfig::new(req_usize(v, "nbodies", path)?, machine, opt);
-    cfg.seed = req_u64(v, "seed", path)?;
-    cfg.theta = req_hex_f64(v, "theta", path)?;
-    cfg.eps = req_hex_f64(v, "eps", path)?;
-    cfg.dt = req_hex_f64(v, "dt", path)?;
-    cfg.steps = req_usize(v, "steps", path)?;
-    cfg.measured_steps = req_usize(v, "measured_steps", path)?;
-
-    let policy_v = req(v, "tree_policy", path)?;
-    let policy_name = req_str(policy_v, "name", path)?;
-    cfg.tree_policy = match policy_name {
-        "rebuild" => TreePolicy::Rebuild,
-        "reuse" => TreePolicy::Reuse {
-            rebuild_every: req_usize(policy_v, "rebuild_every", path)?,
-            drift_threshold: req_hex_f64(policy_v, "drift_threshold", path)?,
-        },
-        other => return Err(schema(path, format!("unknown tree policy {other:?}"))),
-    };
-
-    let walk_name = req_str(v, "walk", path)?;
-    cfg.walk = WalkMode::from_name(walk_name)
-        .ok_or_else(|| schema(path, format!("unknown walk mode {walk_name:?}")))?;
-    let build_name = req_str(v, "build", path)?;
-    cfg.build = TreeBuild::from_name(build_name)
-        .ok_or_else(|| schema(path, format!("unknown tree build {build_name:?}")))?;
-
-    cfg.n1 = req_usize(v, "n1", path)?;
-    cfg.n2 = req_usize(v, "n2", path)?;
-    cfg.n3 = req_usize(v, "n3", path)?;
-    pinned(req_hex_f64(v, "alpha", path)?, SUBSPACE_ALPHA, "alpha", path)?;
-    cfg.vector_reduction = req_bool(v, "vector_reduction", path)?;
-    cfg.fine_grained_fields = req_u64(v, "fine_grained_fields", path)? as u32;
-    pinned(req_usize(v, "leaf_capacity", path)?, LEAF_CAPACITY, "leaf_capacity", path)?;
-    pinned(req_usize(v, "max_depth", path)?, MAX_DEPTH, "max_depth", path)?;
-    cfg.shadow_cache = req_bool(v, "shadow_cache", path)?;
-    cfg.software_scalar_cache = req_bool(v, "software_scalar_cache", path)?;
-    Ok(cfg)
+    knobs::config(Front::Manifest, v, &Tuning::default()).map_err(|detail| schema(path, detail))
 }
 
 fn decode_manifest(v: &Value, path: &Path) -> Result<Manifest, SnapError> {
@@ -1115,7 +1002,10 @@ fn decode_manifest(v: &Value, path: &Path) -> Result<Manifest, SnapError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::hex_f64;
+    use engine::config::SUBSPACE_ALPHA;
     use engine::snap::bodies_bits_equal;
+    use engine::{OptLevel, TreePolicy, WalkMode};
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("snapstore-test-{tag}-{}", std::process::id()));
@@ -1316,8 +1206,8 @@ mod tests {
             other => panic!("expected SnapError::Schema, got {other:?}"),
         }
 
-        // A retired policy, and the paper's constants at any other value:
-        // each refusal names its field.
+        // A retired policy, the paper's constants at any other value and an
+        // integer its field cannot hold: each refusal names its field.
         let good = fs::read_to_string(&saved.manifest_path).expect("read");
         let alpha = format!("\"alpha\": \"{}\"", hex_f64(SUBSPACE_ALPHA));
         for (from, to, named) in [
@@ -1325,6 +1215,12 @@ mod tests {
             (alpha.as_str(), "\"alpha\": \"3fe0000000000000\"", "alpha"),
             ("\"leaf_capacity\": 1", "\"leaf_capacity\": 8", "leaf_capacity"),
             ("\"max_depth\": 48", "\"max_depth\": 6", "max_depth"),
+            // 2^32 + 3 fits a u64 but not the u32 field: never resumed as 3.
+            (
+                "\"fine_grained_fields\": 3",
+                "\"fine_grained_fields\": 4294967299",
+                "fine_grained_fields",
+            ),
         ] {
             assert!(good.contains(from), "{from} not in the manifest");
             fs::write(&path, good.replace(from, to)).expect("write");

@@ -31,28 +31,14 @@ use barnes_hut_upc::engine;
 use barnes_hut_upc::prelude::*;
 use engine::bench::RunSpec;
 use engine::cli::Args;
+use engine::knobs;
 use snapstore::{Saved, SimState, Store};
 
 struct Options {
     scenario: String,
     backend: String,
     compare: Option<Vec<String>>,
-    nbodies: usize,
-    opt: OptLevel,
-    nodes: usize,
-    threads_per_node: usize,
-    pthreads: bool,
-    seed: u64,
-    steps: usize,
-    measured: usize,
-    tree_policy: TreePolicy,
-    walk: WalkMode,
-    build: TreeBuild,
-    rebuild_every: Option<usize>,
-    drift_threshold: Option<f64>,
-    theta: Option<f64>,
-    eps: Option<f64>,
-    dt: Option<f64>,
+    knobs: Vec<(String, serde::Value)>,
     checkpoint_every: Option<usize>,
     checkpoint_dir: Option<String>,
     resume: Option<String>,
@@ -67,22 +53,7 @@ impl Default for Options {
             scenario: "plummer".to_string(),
             backend: "upc".to_string(),
             compare: None,
-            nbodies: 16_384,
-            opt: OptLevel::Subspace,
-            nodes: 4,
-            threads_per_node: 1,
-            pthreads: false,
-            seed: 1_234_567,
-            steps: 4,
-            measured: 2,
-            tree_policy: TreePolicy::Rebuild,
-            walk: WalkMode::PerBody,
-            build: TreeBuild::Insertion,
-            rebuild_every: None,
-            drift_threshold: None,
-            theta: None,
-            eps: None,
-            dt: None,
+            knobs: Vec::new(),
             checkpoint_every: None,
             checkpoint_dir: None,
             resume: None,
@@ -94,41 +65,31 @@ impl Default for Options {
 }
 
 fn usage() -> ! {
+    let mut configuration = String::new();
+    for knob in &knobs::ROWS {
+        let Some((flag, help)) = knob.flag else { continue };
+        let choices = match knob.kind {
+            knobs::Kind::Name { all, .. } => {
+                let names: Vec<&str> = all().into_iter().filter_map(knobs::Val::name).collect();
+                format!(": {}", names.join(", "))
+            }
+            _ => String::new(),
+        };
+        let default = knob.default_text(Some(knobs::Front::Flag));
+        let head = format!("{flag} {}", knob.metavar());
+        configuration += &format!("{head:<20} {help}{choices} (default {default})\n");
+    }
     eprintln!(
         "usage: bhsim [options]\n\
          \n\
-         workload:\n\
+         workload and solver:\n\
            --scenario NAME      workload family (default plummer); see --list\n\
-           --n N                number of bodies          (default 16384)\n\
-           --seed S             workload RNG seed         (default 1234567)\n\
-         \n\
-         solver:\n\
            --backend NAME       solver backend            (default upc); see --list\n\
            --compare B1,B2,...  run several backends on the same workload and\n\
                                 print one side-by-side comparison table\n\
-           --opt LEVEL          upc optimization level    (default subspace)\n\
-                                levels: {}\n\
-           --steps N            time steps to run         (default 4)\n\
-           --measured N         trailing steps measured   (default 2)\n\
-           --tree-policy P      tree lifecycle across steps (default rebuild)\n\
-                                policies: rebuild, reuse (where reuse runs:\n\
-                                --list)\n\
-           --rebuild-every N    reuse policy: full rebuild cadence (default {})\n\
-           --drift-threshold F  reuse policy: drifted-leaf fraction forcing a\n\
-                                rebuild                   (default {})\n\
-           --walk MODE          force-walk traversal mode (default per-body)\n\
-                                modes: per-body, group (where each runs: --list)\n\
-           --build ALGO         tree-construction algorithm (default insertion)\n\
-                                algorithms: insertion, sorted (where each runs:\n\
-                                --list)\n\
-           --theta T            opening criterion         (default: scenario's)\n\
-           --eps E              softening                 (default: scenario's)\n\
-           --dt DT              time step                 (default: scenario's)\n\
          \n\
-         machine:\n\
-           --nodes N            emulated nodes            (default 4)\n\
-           --threads-per-node T UPC threads per node      (default 1)\n\
-           --pthreads           emulate the -pthreads runtime\n\
+         configuration (where each value runs: --list):\n\
+         {configuration}\
          \n\
          checkpointing (content-addressed snapstore):\n\
            --checkpoint-every N save a resumable snapshot every N completed steps\n\
@@ -155,68 +116,38 @@ fn usage() -> ! {
          output:\n\
            --list               list scenarios, backends, every axis and the valid\n\
                                 combinations, then exit\n\
-           --json               print the report as JSON instead of a table\n",
-        OptLevel::ALL.map(|l| l.name()).join(", "),
-        TreePolicy::DEFAULT_REBUILD_EVERY,
-        TreePolicy::DEFAULT_DRIFT_THRESHOLD,
+           --json               print the report as JSON instead of a table\n"
     );
     std::process::exit(2)
 }
 
-/// Every flag `bhsim` accepts: what [`engine::cli::Args`] admits and what an
-/// unknown flag is matched against for its did-you-mean.
+/// The flags `bhsim` accepts besides the knob table's: with those, what
+/// [`engine::cli::Args`] admits and what an unknown flag is matched against
+/// for its did-you-mean.
 const FLAGS: &[&str] = &[
     "--help",
     "-h",
     "--list",
     "--json",
-    "--pthreads",
     "--scenario",
     "--backend",
     "--compare",
-    "--n",
-    "--seed",
-    "--nodes",
-    "--threads-per-node",
-    "--steps",
-    "--measured",
-    "--tree-policy",
-    "--walk",
-    "--build",
     "--checkpoint-every",
     "--checkpoint-dir",
     "--resume",
     "--faults",
-    "--rebuild-every",
-    "--drift-threshold",
-    "--theta",
-    "--eps",
-    "--dt",
-    "--opt",
 ];
-
-/// Parses the value of `flag` as a name on one of the engine's string-keyed
-/// axes, rejecting an unknown one with the registered names.
-fn named<T>(
-    args: &mut Args,
-    flag: &str,
-    kind: &str,
-    known: &[&str],
-    of: fn(&str) -> Option<T>,
-) -> T {
-    let name = args.value(flag);
-    of(&name).unwrap_or_else(|| args.reject(&engine::suggest::unknown_key(kind, &name, known)))
-}
 
 fn parse_args() -> Options {
     let mut opts = Options::default();
-    let mut args = Args::from_env("bhsim", FLAGS, usage);
+    let flags: Vec<&str> =
+        FLAGS.iter().copied().chain(knobs::names_on(knobs::Front::Flag)).collect();
+    let mut args = Args::from_env("bhsim", &flags, usage);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--help" | "-h" => usage(),
             "--list" => opts.list = true,
             "--json" => opts.json = true,
-            "--pthreads" => opts.pthreads = true,
             "--scenario" => opts.scenario = args.value("--scenario"),
             "--backend" => opts.backend = args.value("--backend"),
             "--compare" => {
@@ -230,29 +161,6 @@ fn parse_args() -> Options {
                     args.reject("--compare needs a comma-separated list of backends")
                 }
                 opts.compare = Some(names);
-            }
-            "--n" => opts.nbodies = args.number("--n"),
-            "--seed" => opts.seed = args.number("--seed"),
-            "--nodes" => opts.nodes = args.number("--nodes"),
-            "--threads-per-node" => opts.threads_per_node = args.number("--threads-per-node"),
-            "--steps" => opts.steps = args.number("--steps"),
-            "--measured" => opts.measured = args.number("--measured"),
-            "--tree-policy" => {
-                opts.tree_policy = named(
-                    &mut args,
-                    "--tree-policy",
-                    "tree policy",
-                    &TreePolicy::NAMES,
-                    TreePolicy::from_name,
-                )
-            }
-            "--walk" => {
-                let known = WalkMode::ALL.map(|m| m.name());
-                opts.walk = named(&mut args, "--walk", "walk mode", &known, WalkMode::from_name)
-            }
-            "--build" => {
-                let known = TreeBuild::ALL.map(|b| b.name());
-                opts.build = named(&mut args, "--build", "tree build", &known, TreeBuild::from_name)
             }
             "--checkpoint-every" => {
                 let every: usize = args.number("--checkpoint-every");
@@ -268,32 +176,12 @@ fn parse_args() -> Options {
                 opts.faults = engine::FaultPlan::parse(&spec)
                     .unwrap_or_else(|e| args.reject(&format!("invalid --faults spec: {e}")));
             }
-            "--rebuild-every" => opts.rebuild_every = Some(args.number("--rebuild-every")),
-            "--drift-threshold" => opts.drift_threshold = Some(args.number("--drift-threshold")),
-            "--theta" => opts.theta = Some(args.number("--theta")),
-            "--eps" => opts.eps = Some(args.number("--eps")),
-            "--dt" => opts.dt = Some(args.number("--dt")),
-            "--opt" => {
-                let known = OptLevel::ALL.map(|l| l.name());
-                opts.opt =
-                    named(&mut args, "--opt", "optimization level", &known, OptLevel::from_name)
+            other => {
+                if !knobs::take_flag(&mut args, other, &mut opts.knobs) {
+                    args.unknown(other)
+                }
             }
-            other => args.unknown(other),
         }
-    }
-    // Fold the cadence/drift overrides into the policy; without
-    // --tree-policy reuse they have nothing to configure and are rejected.
-    if let TreePolicy::Reuse { mut rebuild_every, mut drift_threshold } = opts.tree_policy {
-        if let Some(every) = opts.rebuild_every {
-            rebuild_every = every;
-        }
-        if let Some(drift) = opts.drift_threshold {
-            drift_threshold = drift;
-        }
-        opts.tree_policy = TreePolicy::Reuse { rebuild_every, drift_threshold };
-    } else if opts.rebuild_every.is_some() || opts.drift_threshold.is_some() {
-        eprintln!("bhsim: --rebuild-every / --drift-threshold require --tree-policy reuse");
-        usage()
     }
     if opts.checkpoint_every.is_some() != opts.checkpoint_dir.is_some() {
         eprintln!("bhsim: --checkpoint-every and --checkpoint-dir must be given together");
@@ -512,27 +400,17 @@ fn list_registries() {
     for backend in backend_registry().iter() {
         println!("  {:<10} {}", backend.name(), backend.description());
     }
-    // The remaining sweepable axes are enums, not registries, but a sweep
-    // script should be able to discover every axis from one command.
-    println!();
-    println!("optimization levels (--opt, upc backend):");
-    for opt in OptLevel::ALL {
-        println!("  {}", opt.name());
-    }
-    println!();
-    println!("tree-stepping policies (--tree-policy):");
-    for name in TreePolicy::NAMES {
-        println!("  {:<10} {}", name, TreePolicy::description(name).expect("listed name"));
-    }
-    println!();
-    println!("force-walk modes (--walk):");
-    for walk in WalkMode::ALL {
-        println!("  {:<10} {}", walk.name(), walk.description());
-    }
-    println!();
-    println!("tree-construction algorithms (--build, upc backend):");
-    for build in TreeBuild::ALL {
-        println!("  {:<10} {}", build.name(), build.description());
+    // The named knobs are enums, not registries, but a sweep script should
+    // be able to discover every axis from one command.
+    for knob in &knobs::ROWS {
+        let (knobs::Kind::Name { what, all }, Some((flag, _))) = (knob.kind, knob.flag) else {
+            continue;
+        };
+        println!();
+        println!("{what} names ({flag}):");
+        for value in all() {
+            println!("{}", format!("  {value:<10} {}", value.description()).trim_end());
+        }
     }
     println!();
     print!("{}", engine::caps::render(&backend_registry()));
@@ -558,26 +436,13 @@ fn main() {
         std::process::exit(2)
     });
 
-    // Machine shape.
-    let machine = if opts.pthreads {
-        Machine::pthreads_per_node(opts.nodes, opts.threads_per_node)
-    } else {
-        Machine::power5(opts.nodes, opts.threads_per_node, false)
-    };
-
-    // Solver configuration: the scenario's recommended tuning, then any
-    // explicit command-line overrides.
+    // Every knob not given takes its table default; θ/ε/dt the scenario's.
     let tuning = scenario.recommended_config();
-    let mut cfg = SimConfig::new(opts.nbodies, machine, opts.opt);
-    cfg.seed = opts.seed;
-    cfg.steps = opts.steps;
-    cfg.measured_steps = opts.measured;
-    cfg.tree_policy = opts.tree_policy;
-    cfg.walk = opts.walk;
-    cfg.build = opts.build;
-    cfg.theta = opts.theta.unwrap_or(tuning.theta);
-    cfg.eps = opts.eps.unwrap_or(tuning.eps);
-    cfg.dt = opts.dt.unwrap_or(tuning.dt);
+    let given = serde::Value::Object(opts.knobs.clone());
+    let mut cfg = knobs::config(knobs::Front::Flag, &given, &tuning).unwrap_or_else(|e| {
+        eprintln!("bhsim: {e}");
+        usage()
+    });
     cfg.faults = opts.faults.clone();
 
     // Every backend's capability row judges the run before any work: no
@@ -595,23 +460,20 @@ fn main() {
         }
     }
 
+    let knob_values: Vec<String> = knobs::ROWS
+        .iter()
+        .filter_map(|knob| {
+            Some(format!("{} {}", knob.flag?.0.trim_start_matches("--"), knob.value(&cfg)?))
+        })
+        .collect();
     eprintln!(
-        "bhsim: scenario {} | n {} | backend(s) {} | opt {} | {} node(s) x {} thread(s){} | {} step(s), {} measured | tree {} | walk {} | build {}",
+        "bhsim: scenario {} | backend(s) {} | {}",
         scenario.name(),
-        opts.nbodies,
         backend_names.join(","),
-        opts.opt.name(),
-        opts.nodes,
-        opts.threads_per_node,
-        if opts.pthreads { " (pthreads)" } else { "" },
-        opts.steps,
-        opts.measured,
-        opts.tree_policy.name(),
-        opts.walk.name(),
-        opts.build.name(),
+        knob_values.join(" | ")
     );
 
-    let (bodies, generate_ms) = timed(|| scenario.generate(opts.nbodies, opts.seed));
+    let (bodies, generate_ms) = timed(|| scenario.generate(cfg.nbodies, cfg.seed));
     let (diag, diagnostics_ms) = timed(|| scenario.diagnostics(&bodies));
     let tail = Tail { generate_ms, diagnostics_ms };
     eprintln!(

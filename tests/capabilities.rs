@@ -5,7 +5,8 @@
 //! completion.  Every backend runs tracked, through the one step driver,
 //! with the same result as untracked, and refuses bad bodies with an error.
 //! README's "Valid configurations" block is pinned to the `bhsim --list`
-//! section rendered from the same rows.
+//! section rendered from the same rows, and its "Knobs" block to the knob
+//! table.
 
 use barnes_hut_upc::bh_mpi::PSEUDO_ID_BASE;
 use barnes_hut_upc::engine::{self, ConfigError, SimConfig, TreeBuild, TreePolicy, WalkMode};
@@ -240,9 +241,15 @@ fn observer_time_is_billed_to_no_phase() {
 
 #[test]
 fn readme_carries_the_rendered_table_verbatim() {
+    let readme = include_str!("../README.md");
     let rendered = engine::caps::render(&backend_registry());
     assert!(
-        include_str!("../README.md").contains(&rendered),
+        readme.contains(&rendered),
         "README's \"Valid configurations\" block drifted from `bhsim --list`; paste:\n{rendered}"
+    );
+    let knobs = engine::knobs::render();
+    assert!(
+        readme.contains(&knobs),
+        "README's \"Knobs\" block drifted from `engine::knobs::render`; paste:\n{knobs}"
     );
 }

@@ -159,7 +159,7 @@ fn bhsim_json_rows_carry_exactly_the_pinned_keys() {
         "tail_ms",
         "tree_rebuilds",
     ];
-    const SPEC: [&str; 12] = [
+    const SPEC: [&str; 16] = [
         "scenario",
         "backend",
         "opt",
@@ -172,6 +172,10 @@ fn bhsim_json_rows_carry_exactly_the_pinned_keys() {
         "seed",
         "steps",
         "measured_steps",
+        "pthreads",
+        "theta",
+        "eps",
+        "dt",
     ];
     let small = ["--n", "64", "--nodes", "2", "--steps", "2", "--measured", "1", "--json"];
     let single = bhsim_json(&[&["--backend", "upc"], &small[..]].concat());
