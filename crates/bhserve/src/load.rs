@@ -520,22 +520,19 @@ fn one_shot_chaos(
     Ok((latency_ms, true))
 }
 
-/// The counters every `run` reply carries (`RankStats` summed over ranks).
-const RUN_COUNTERS: [&str; 9] = [
-    "interactions",
-    "macs",
-    "tree_ops",
-    "remote_gets",
-    "remote_puts",
-    "messages",
-    "bytes_in",
-    "bytes_out",
-    "lock_acquires",
-];
+/// Every counter a `run` reply carries, zeroed: `RankStats` summed over
+/// ranks, as the `stats` object of `bhsim --json` has them.
+fn run_counters() -> Vec<(String, Value)> {
+    match serde::Serialize::to_value(&pgas::RankStats::default()) {
+        Value::Object(counters) => counters,
+        _ => Vec::new(),
+    }
+}
 
 /// Checks that an `ok` `run` reply carries a whole report: the simulated
 /// makespan, the migration fraction, every phase and every counter in
-/// [`RUN_COUNTERS`], with at least one interaction.
+/// [`run_counters`] (a count, or a number for the simulated seconds), with
+/// at least one interaction.
 fn check_run_reply(reply: &Value) -> Result<(), String> {
     for key in ["total_sim", "migration_fraction"] {
         reply
@@ -550,14 +547,17 @@ fn check_run_reply(reply: &Value) -> Result<(), String> {
             .and_then(|v| v.as_f64())
             .ok_or_else(|| format!("response phases missing {:?}", phase.key()))?;
     }
-    for key in RUN_COUNTERS {
-        let count = reply
-            .get(key)
-            .and_then(|v| v.as_u64())
-            .ok_or_else(|| format!("response missing counter field {key:?}"))?;
-        if key == "interactions" && count == 0 {
-            return Err("response reports zero interactions".to_string());
+    for (key, zero) in run_counters() {
+        let present = reply.get(&key).is_some_and(|value| match zero {
+            Value::Float(_) => value.as_f64().is_some(),
+            _ => value.as_u64().is_some(),
+        });
+        if !present {
+            return Err(format!("response missing counter field {key:?}"));
         }
+    }
+    if reply.get("interactions").and_then(Value::as_u64) == Some(0) {
+        return Err("response reports zero interactions".to_string());
     }
     Ok(())
 }
@@ -794,9 +794,10 @@ mod tests {
             ("total_sim".to_string(), Value::Float(1.0)),
             ("migration_fraction".to_string(), Value::Float(0.0)),
         ];
-        fields.extend(RUN_COUNTERS.map(|key| {
-            let count = if key == "interactions" { interactions } else { 1 };
-            (key.to_string(), Value::UInt(count))
+        fields.extend(run_counters().into_iter().map(|(key, zero)| match zero {
+            Value::Float(_) => (key, Value::Float(0.5)),
+            _ if key == "interactions" => (key, Value::UInt(interactions)),
+            _ => (key, Value::UInt(1)),
         }));
         fields.retain(|(key, _)| key != drop);
         Value::Object(fields)
@@ -805,8 +806,11 @@ mod tests {
     #[test]
     fn run_replies_must_carry_a_whole_report() {
         assert_eq!(check_run_reply(&run_reply(7, "")), Ok(()));
-        let required = ["phases", "total_sim", "migration_fraction"];
-        for key in required.into_iter().chain(RUN_COUNTERS) {
+        // Two of the counters named: they must be checked, not just listed.
+        let required =
+            ["phases", "total_sim", "migration_fraction", "vlist_requests", "comm_seconds"];
+        let counters = run_counters();
+        for key in required.into_iter().chain(counters.iter().map(|(key, _)| key.as_str())) {
             let err = check_run_reply(&run_reply(7, key)).unwrap_err();
             assert!(err.contains(key), "{key}: {err}");
         }

@@ -277,7 +277,8 @@ mod tests {
         let job = decode_job(&full, &scenarios, &registry).unwrap();
         assert_eq!(job.scenario, "king");
         assert_eq!(job.cfg.opt, engine::OptLevel::CacheLocalTree);
-        assert_eq!(job.cfg.tree_policy.spec_label(), "reuse[e4,d0.5]");
+        let reuse = engine::TreePolicy::Reuse { rebuild_every: 4, drift_threshold: 0.5 };
+        assert_eq!(job.cfg.tree_policy, reuse);
         assert_eq!(job.cfg.walk, engine::WalkMode::Group);
         assert_eq!(job.cfg.seed, 9);
         assert_eq!(job.cfg.machine.nodes, 4);

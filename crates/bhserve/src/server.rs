@@ -32,6 +32,7 @@ use crate::proto::{
 };
 use crate::quota::QuotaBook;
 use crate::session::{Session, SessionTable};
+use engine::fault::backoff_ms;
 use engine::{Backend, BackendRegistry, FaultPlan, SimConfig, SimResult};
 use nbody::Body;
 use scenarios::Registry as ScenarioRegistry;
@@ -749,26 +750,17 @@ pub fn call_with_retry(
                     io::ErrorKind::WouldBlock,
                     "server shed the request with E_OVERLOADED",
                 ));
-                std::thread::sleep(Duration::from_millis(floor.max(backoff_ms(seed, attempt))));
+                std::thread::sleep(Duration::from_millis(floor.max(backoff_ms(5, seed, attempt))));
             }
             Err(e) => {
                 last_err = Some(e);
                 if attempt < max_attempts {
-                    std::thread::sleep(Duration::from_millis(backoff_ms(seed, attempt)));
+                    std::thread::sleep(Duration::from_millis(backoff_ms(5, seed, attempt)));
                 }
             }
         }
     }
     Err(last_err.unwrap_or_else(|| io::Error::other("call_with_retry: no attempts made")))
-}
-
-/// Deterministic jittered exponential backoff: 5·2^(k−1) ms base, plus a
-/// seeded splitmix-style jitter of at most half the base — small enough to
-/// keep chaos tests fast, spread enough to avoid synchronized stampedes.
-fn backoff_ms(seed: u64, attempt: usize) -> u64 {
-    let base = 5u64 << (attempt.min(6) - 1).min(63);
-    let mixed = (seed ^ attempt as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    base + (mixed >> 56) % (base / 2 + 1)
 }
 
 /// Builds a request object from `(key, value)` pairs plus the `op`.

@@ -126,7 +126,7 @@ impl Caps {
     /// run only when no tree state crosses a chunk boundary.
     pub fn check_session(&self, cfg: &SimConfig) -> Result<(), ConfigError> {
         if cfg.tree_policy.reuses_tree() {
-            let policy = cfg.tree_policy.spec_label();
+            let policy = cfg.tree_policy.name();
             return Err(ConfigError::new(
                 ConfigError::E_SESSION_POLICY,
                 format!(

@@ -198,19 +198,6 @@ impl TreePolicy {
     pub fn reuses_tree(self) -> bool {
         !matches!(self, TreePolicy::Rebuild)
     }
-
-    /// Full encoding of the policy *including its parameters*, used as the
-    /// `policy` component of a run's identity (`engine::bench::RunSpec`).
-    /// Changing a reuse cadence or drift threshold changes the measurement
-    /// protocol, so the label must change with it.
-    pub fn spec_label(self) -> String {
-        match self {
-            TreePolicy::Rebuild => "rebuild".to_string(),
-            TreePolicy::Reuse { rebuild_every, drift_threshold } => {
-                format!("reuse[e{rebuild_every},d{drift_threshold}]")
-            }
-        }
-    }
 }
 
 /// How the force phase traverses the octree.
@@ -466,8 +453,8 @@ pub struct SimConfig {
     pub shadow_cache: bool,
     /// Deterministic fault-injection plan (the faultline plane; see
     /// [`crate::fault`]).  Default: empty, guaranteed inert.  Excluded from
-    /// every persisted run identity — snapshot manifests, bench specs and
-    /// batch keys never encode it — because faults describe how a run is
+    /// every persisted run identity — snapshot manifests and `bhsim --json`
+    /// specs never encode it — because faults describe how a run is
     /// exercised, not what it computes.
     pub faults: crate::fault::FaultPlan,
     /// Route the baseline's shared-scalar reads (`tol`, `eps`, `rsize`)
@@ -659,18 +646,6 @@ mod tests {
         let cfg = SimConfig::test(64, 2, OptLevel::Redistribute);
         assert_eq!(cfg.build, TreeBuild::Insertion, "the paper's build must stay the default");
         assert!(cfg.validate().is_ok());
-    }
-
-    #[test]
-    fn spec_labels_encode_the_reuse_parameters() {
-        assert_eq!(TreePolicy::Rebuild.spec_label(), "rebuild");
-        assert_eq!(
-            TreePolicy::Reuse { rebuild_every: 8, drift_threshold: 0.25 }.spec_label(),
-            "reuse[e8,d0.25]"
-        );
-        let a = TreePolicy::Reuse { rebuild_every: 4, drift_threshold: 0.25 }.spec_label();
-        let b = TreePolicy::Reuse { rebuild_every: 8, drift_threshold: 0.25 }.spec_label();
-        assert_ne!(a, b, "a cadence change must change the sweep-point identity");
     }
 
     #[test]

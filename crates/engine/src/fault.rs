@@ -312,6 +312,15 @@ fn chance(seed: u64, site: &str, occurrence: u64) -> f64 {
     (x >> 11) as f64 / (1u64 << 53) as f64
 }
 
+/// The delay before retry `attempt` (1-based) of a recovering caller:
+/// `base_ms` doubled per attempt up to the sixth, plus a jitter of at most
+/// half that drawn from `seed`, so a chaos run's waits replay exactly.
+pub fn backoff_ms(base_ms: u64, seed: u64, attempt: usize) -> u64 {
+    let base = base_ms << (attempt.min(6) - 1);
+    let mixed = (seed ^ attempt as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    base + (mixed >> 56) % (base / 2 + 1)
+}
+
 /// splitmix64 — the standard 64-bit mixer (Steele et al.), one step.
 fn splitmix64(state: u64) -> u64 {
     let mut z = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -332,8 +341,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 
 // The vendored serde derives serialization only (`to_value`); deserialization
 // is hand-walked wherever a plan crosses a boundary, and a plan is *excluded*
-// from every persisted identity (snapshot manifests, bench RunSpecs) by
-// construction — faults describe how a run is exercised, not what it
+// from every persisted identity (snapshot manifests, `bhsim --json` specs)
+// by construction — faults describe how a run is exercised, not what it
 // computes.
 impl Serialize for FaultPlan {
     fn to_value(&self) -> Value {
@@ -361,6 +370,15 @@ mod tests {
         assert!(!plan.step_fault_pending("engine.step", 0));
         assert!(!plan.targets("engine.step"));
         plan.consume_step("engine.step", 0); // must not panic
+    }
+
+    #[test]
+    fn backoff_delays_are_pinned_for_both_callers() {
+        // bhsim's step-fault supervisor waits from 10 ms, bhserve's
+        // retrying client from 5 ms.
+        let delays = |base| (1..=6).map(|attempt| backoff_ms(base, 7, attempt)).collect::<Vec<_>>();
+        assert_eq!(delays(10), [11, 21, 55, 93, 220, 478]);
+        assert_eq!(delays(5), [6, 15, 30, 48, 99, 237]);
     }
 
     #[test]

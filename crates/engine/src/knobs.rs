@@ -1,20 +1,24 @@
 //! The knob table: the one place a [`SimConfig`] knob is named.
 //!
 //! [`ROWS`] holds one row per knob, in `bhsnap/v1` manifest order: its kind,
-//! its default, `bhsim`'s flag and help line, `bhserve`'s job key and the
-//! manifest key.  Every front end is a loop over it: `bhsim` collects its
-//! flags with [`take_flag`], and [`config`] builds the run from those, from
-//! a `bhserve` job or from a manifest, so one set of values is one
-//! `SimConfig` whichever front end spelled it.  [`encode`] writes a
-//! manifest's `config` object and [`render`] is the table README prints.
+//! where its default comes from, `bhsim`'s flag and help line, `bhserve`'s
+//! job key and the manifest key.  Every front end is a loop over it: `bhsim`
+//! collects its flags with [`take_flag`], and [`config`] builds the run from
+//! those, from a `bhserve` job or from a manifest, so one set of values is
+//! one `SimConfig` whichever front end spelled it.  [`encode`] goes the other
+//! way: a manifest's `config` object, or the `bhserve` job keys that rerun
+//! the run (`bhsim --json`'s `spec`).  [`render`] is the table README prints.
+//!
+//! A row reads and writes a knob's value as the wire spells it: a count, a
+//! JSON number, a boolean or a name.  Defaults are not restated here: an
+//! engine default is read from [`SimConfig::new`].
 
 use nbody::Tuning;
 use serde::Value;
 
 use crate::cli::Args;
 use crate::config::{
-    OptLevel, SimConfig, TreeBuild, TreePolicy, WalkMode, DEFAULT_SEED, LEAF_CAPACITY, MAX_DEPTH,
-    SUBSPACE_ALPHA,
+    OptLevel, SimConfig, TreeBuild, TreePolicy, WalkMode, LEAF_CAPACITY, MAX_DEPTH, SUBSPACE_ALPHA,
 };
 
 /// A front end: who spells a knob, and how.
@@ -26,59 +30,6 @@ pub enum Front {
     Wire,
     /// A key of a `bhsnap/v1` manifest's `config` object.
     Manifest,
-}
-
-/// One knob's value.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Val {
-    /// A count or a seed.
-    Int(u64),
-    /// A real number.
-    Real(f64),
-    /// An on/off switch.
-    Switch(bool),
-    /// An optimization level.
-    Opt(OptLevel),
-    /// A force-walk mode.
-    Walk(WalkMode),
-    /// A tree-construction algorithm.
-    Build(TreeBuild),
-    /// A tree policy, with its reuse parameters.
-    Policy(TreePolicy),
-}
-
-impl Val {
-    /// A name knob's value's name.
-    pub fn name(self) -> Option<&'static str> {
-        match self {
-            Val::Opt(v) => Some(v.name()),
-            Val::Walk(v) => Some(v.name()),
-            Val::Build(v) => Some(v.name()),
-            Val::Policy(v) => Some(v.name()),
-            Val::Int(_) | Val::Real(_) | Val::Switch(_) => None,
-        }
-    }
-
-    /// What `bhsim --list` says of a name knob's value.
-    pub fn description(self) -> String {
-        match self {
-            Val::Walk(v) => v.description().to_string(),
-            Val::Build(v) => v.description().to_string(),
-            Val::Policy(v) => TreePolicy::description(v.name()).unwrap_or_default(),
-            _ => String::new(),
-        }
-    }
-}
-
-impl std::fmt::Display for Val {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Val::Int(n) => write!(f, "{n}"),
-            Val::Real(x) => write!(f, "{x}"),
-            Val::Switch(on) => write!(f, "{on}"),
-            named => f.pad(named.name().unwrap_or_default()),
-        }
-    }
 }
 
 /// The values a knob takes.
@@ -97,26 +48,29 @@ pub enum Kind {
     Name {
         /// What a name is called in an error.
         what: &'static str,
-        /// Every value, in the enum's `ALL` order.
-        all: fn() -> Vec<Val>,
+        /// Every name, in the enum's order, with what `bhsim --list` says
+        /// of it.
+        choices: fn() -> Vec<(&'static str, String)>,
     },
 }
 
 /// Where a knob's value comes from when a front end is not given one.
 #[derive(Clone, Copy)]
 pub enum Source {
-    /// The engine's default: what [`SimConfig::new`] sets, or for a reuse
-    /// parameter what `--tree-policy reuse` sets.
-    Engine(Val),
+    /// What [`SimConfig::new`] sets.
+    Engine,
+    /// What `--tree-policy reuse` sets: a reuse parameter, which applies
+    /// under the reuse policy only.
+    Reuse,
     /// This many trailing steps, or every step of a shorter run.
     Window(u64),
     /// The scenario's recommended [`Tuning`].
     Scenario(fn(&Tuning) -> f64),
     /// `bhsim`'s default, and the wire's (`None`: the key is required).
-    FrontEnd(Val, Option<Val>),
+    FrontEnd(u64, Option<u64>),
     /// One of the paper's fixed constants: no front end sets it, and every
     /// manifest must hold exactly it.
-    Pinned(Val),
+    Pinned,
 }
 
 /// One knob.
@@ -131,75 +85,48 @@ pub struct Knob {
     pub flag: Option<(&'static str, &'static str)>,
     /// `bhserve`'s job key.
     pub wire: Option<&'static str>,
-    get: fn(&SimConfig) -> Option<Val>,
-    set: fn(&mut SimConfig, Val),
+    get: fn(&SimConfig) -> Option<Value>,
+    /// `None`: a name that names nothing.
+    set: fn(&mut SimConfig, &Value) -> Option<()>,
 }
 
-/// A [`SimConfig`] field type, as a knob value.
-trait Field: Sized {
-    fn val(&self) -> Val;
-    fn of(val: Val) -> Self;
-}
-
-macro_rules! fields {
-    ($($ty:ty: $variant:ident($x:ident) => $to:expr, $from:expr;)*) => {$(
-        impl Field for $ty {
-            fn val(&self) -> Val {
-                let $x = *self;
-                Val::$variant($to)
-            }
-            fn of(val: Val) -> $ty {
-                match val {
-                    Val::$variant($x) => $from,
-                    other => unreachable!("{other:?} read for a {} field", stringify!($ty)),
-                }
-            }
-        }
-    )*};
-}
-
-fields! {
-    usize: Int(n) => n as u64, n as usize;
-    u64: Int(n) => n, n;
-    u32: Int(n) => n as u64, n as u32;
-    f64: Real(x) => x, x;
-    bool: Switch(on) => on, on;
-    OptLevel: Opt(v) => v, v;
-    WalkMode: Walk(v) => v, v;
-    TreeBuild: Build(v) => v, v;
-    TreePolicy: Policy(v) => v, v;
-}
-
-/// The accessors of the `SimConfig` field at `path`.
+/// The accessors of the `SimConfig` field at `path`: a number or a switch
+/// the wire spells as `Variant`, read with `as_x`; or an enum `Ty`, spelled
+/// by its `name`.
 macro_rules! field {
-    ($($path:ident).+) => {
-        (|c| Some(Field::val(&c.$($path).+)), |c, v| c.$($path).+ = Field::of(v))
+    ($($path:ident).+: $variant:ident, $as:ident) => {
+        (|c| Some(Value::$variant(c.$($path).+ as _)), |c, v| {
+            c.$($path).+ = v.$as()? as _;
+            Some(())
+        })
+    };
+    ($($path:ident).+: $ty:ident) => {
+        (|c| Some(Value::String(c.$($path).+.name().to_string())), |c, v| {
+            c.$($path).+ = $ty::from_name(v.as_str()?)?;
+            Some(())
+        })
     };
 }
 
-/// The accessors of one reuse parameter: it applies under the reuse
-/// policy only.
+/// The accessors of one reuse parameter, as [`field!`]'s.
 macro_rules! reuse {
-    ($param:ident) => {
+    ($param:ident: $variant:ident, $as:ident) => {
         (
             |c| match c.tree_policy {
-                TreePolicy::Reuse { $param, .. } => Some(Field::val(&$param)),
+                TreePolicy::Reuse { $param, .. } => Some(Value::$variant($param as _)),
                 TreePolicy::Rebuild => None,
             },
             |c, v| {
                 if let TreePolicy::Reuse { $param, .. } = &mut c.tree_policy {
-                    *$param = Field::of(v);
+                    *$param = v.$as()? as _;
                 }
+                Some(())
             },
         )
     };
 }
 
-type Accessors = (fn(&SimConfig) -> Option<Val>, fn(&mut SimConfig, Val));
-
-/// A pinned constant's accessors: [`Knob::value`] reads the constant, and
-/// nothing is written.
-const PINNED: Accessors = (|_| None, |_, _| {});
+type Accessors = (fn(&SimConfig) -> Option<Value>, fn(&mut SimConfig, &Value) -> Option<()>);
 
 const fn row(key: &'static str, kind: Kind, source: Source, (get, set): Accessors) -> Knob {
     Knob { key, kind, source, flag: None, wire: None, get, set }
@@ -212,13 +139,10 @@ impl Knob {
         self
     }
 
-    /// This knob's value in `cfg`; `None` where it does not apply (a reuse
-    /// parameter under the rebuild policy).
-    pub fn value(&self, cfg: &SimConfig) -> Option<Val> {
-        match self.source {
-            Source::Pinned(constant) => Some(constant),
-            _ => (self.get)(cfg),
-        }
+    /// This knob's value in `cfg`, as the wire spells it; `None` where it
+    /// does not apply (a reuse parameter under the rebuild policy).
+    pub fn value(&self, cfg: &SimConfig) -> Option<Value> {
+        (self.get)(cfg)
     }
 
     /// The name `front` knows this knob by.
@@ -250,51 +174,74 @@ impl Knob {
 
     /// The default `front` applies (`None`: every front end's).
     pub fn default_text(&self, front: Option<Front>) -> String {
+        let mut cfg = engine_default();
+        if let Source::Reuse = self.source {
+            cfg.tree_policy = TreePolicy::from_name("reuse").expect("a listed name");
+        }
+        let engine = || text(&self.value(&cfg).expect("the knob applies"));
         match self.source {
-            Source::Engine(v) if self.value(&engine_default()).is_none() => {
-                format!("{v} under reuse")
-            }
-            Source::Engine(v) => v.to_string(),
+            Source::Engine => engine(),
+            Source::Reuse => format!("{} under reuse", engine()),
             Source::Window(n) => format!("{n}, at most steps"),
             Source::Scenario(_) => "the scenario's".to_string(),
             Source::FrontEnd(flag, _) if front == Some(Front::Flag) => flag.to_string(),
             Source::FrontEnd(flag, Some(wire)) => format!("bhsim {flag}, wire {wire}"),
             Source::FrontEnd(flag, None) => format!("bhsim {flag}, wire required"),
-            Source::Pinned(v) => format!("{v} (pinned)"),
+            Source::Pinned => format!("{} (pinned)", engine()),
         }
     }
 
-    /// Reads one value of this knob as `front` spells it (a flag's value
-    /// arrives as the JSON value its text parsed to).
-    pub fn read(&self, front: Front, v: &Value) -> Result<Val, String> {
+    /// Sets this knob in `cfg` to `v` as `front` spells it (a flag's value
+    /// arrives as the JSON value its text parsed to); a pinned knob is only
+    /// checked.
+    fn put(&self, front: Front, cfg: &mut SimConfig, v: &Value) -> Result<(), String> {
         let wrong = |expected: &str| format!("{} must be {expected}", self.spelled(front));
-        match self.kind {
+        let value = match self.kind {
             Kind::Count { max } => {
                 match v.as_u64().ok_or_else(|| wrong("a non-negative integer"))? {
-                    n if n > max => Err(wrong(&format!("at most {max}, got {n}"))),
-                    n => Ok(Val::Int(n)),
+                    n if n > max => return Err(wrong(&format!("at most {max}, got {n}"))),
+                    n => Value::UInt(n),
                 }
             }
             Kind::Real if front == Front::Manifest => v
                 .as_str()
                 .and_then(|text| crate::snap::parse_hex_u64(text.as_bytes()))
-                .map(|bits| Val::Real(f64::from_bits(bits)))
-                .ok_or_else(|| wrong("a 16-digit hex float")),
-            Kind::Real => v.as_f64().map(Val::Real).ok_or_else(|| wrong("a number")),
-            Kind::Switch => v.as_bool().map(Val::Switch).ok_or_else(|| wrong("a boolean")),
-            Kind::Name { what: kind, all } => {
+                .map(|bits| Value::Float(f64::from_bits(bits)))
+                .ok_or_else(|| wrong("a 16-digit hex float"))?,
+            Kind::Real => Value::Float(v.as_f64().ok_or_else(|| wrong("a number"))?),
+            Kind::Switch => Value::Bool(v.as_bool().ok_or_else(|| wrong("a boolean"))?),
+            Kind::Name { what, choices } => {
                 let name = v.as_str().ok_or_else(|| wrong("a string"))?;
-                let all = all();
-                all.iter().copied().find(|known| known.name() == Some(name)).ok_or_else(|| {
-                    let names: Vec<&str> = all.iter().filter_map(|known| known.name()).collect();
-                    crate::suggest::unknown_key(kind, name, &names)
-                })
+                return (self.set)(cfg, v).ok_or_else(|| {
+                    let names: Vec<&str> = choices().into_iter().map(|(name, _)| name).collect();
+                    crate::suggest::unknown_key(what, name, &names)
+                });
+            }
+        };
+        if let Source::Pinned = self.source {
+            let want = self.value(cfg).expect("a constant");
+            if value != want {
+                let (want, value) = (text(&want), text(&value));
+                return Err(format!("{} must be {want}, got {value}", self.spelled(front)));
             }
         }
+        (self.set)(cfg, &value).expect("a value of its kind");
+        Ok(())
     }
 }
 
-/// The configuration every knob's default is set on.
+/// How `--help`, the banner and an error print a knob's value.
+pub fn text(value: &Value) -> String {
+    match value {
+        Value::UInt(n) => n.to_string(),
+        Value::Float(x) => x.to_string(),
+        Value::Bool(on) => on.to_string(),
+        Value::String(name) => name.clone(),
+        other => format!("{other:?}"),
+    }
+}
+
+/// The configuration every engine default is read from.
 fn engine_default() -> SimConfig {
     SimConfig::new(0, pgas::Machine::default(), OptLevel::Subspace)
 }
@@ -305,53 +252,53 @@ const COUNT: Kind = Kind::Count { max: usize::MAX as u64 };
 /// Every knob, in `bhsnap/v1` manifest order.
 #[rustfmt::skip]
 pub static ROWS: [Knob; 26] = [
-    row("nbodies", COUNT, Source::FrontEnd(Val::Int(16_384), None), field!(nbodies))
+    row("nbodies", COUNT, Source::FrontEnd(16_384, None), field!(nbodies: UInt, as_u64))
         .flag("--n", "number of bodies", "n"),
-    row("seed", Kind::Count { max: u64::MAX }, Source::Engine(Val::Int(DEFAULT_SEED)), field!(seed))
+    row("seed", Kind::Count { max: u64::MAX }, Source::Engine, field!(seed: UInt, as_u64))
         .flag("--seed", "workload RNG seed", "seed"),
-    row("theta", Kind::Real, Source::Scenario(|t| t.theta), field!(theta))
+    row("theta", Kind::Real, Source::Scenario(|t| t.theta), field!(theta: Float, as_f64))
         .flag("--theta", "opening criterion", "theta"),
-    row("eps", Kind::Real, Source::Scenario(|t| t.eps), field!(eps))
+    row("eps", Kind::Real, Source::Scenario(|t| t.eps), field!(eps: Float, as_f64))
         .flag("--eps", "softening", "eps"),
-    row("dt", Kind::Real, Source::Scenario(|t| t.dt), field!(dt))
+    row("dt", Kind::Real, Source::Scenario(|t| t.dt), field!(dt: Float, as_f64))
         .flag("--dt", "time step", "dt"),
-    row("steps", COUNT, Source::Engine(Val::Int(4)), field!(steps))
+    row("steps", COUNT, Source::Engine, field!(steps: UInt, as_u64))
         .flag("--steps", "time steps to run", "steps"),
-    row("measured_steps", COUNT, Source::Window(2), field!(measured_steps))
+    row("measured_steps", COUNT, Source::Window(2), field!(measured_steps: UInt, as_u64))
         .flag("--measured", "trailing steps measured", "measured"),
-    row("tree_policy.name", Kind::Name { what: "tree policy", all: || {
-        TreePolicy::NAMES.map(|n| Val::Policy(TreePolicy::from_name(n).expect("a listed name"))).to_vec()
-    } }, Source::Engine(Val::Policy(TreePolicy::Rebuild)), field!(tree_policy))
+    row("tree_policy.name", Kind::Name { what: "tree policy", choices: || {
+        TreePolicy::NAMES.map(|n| (n, TreePolicy::description(n).unwrap_or_default())).to_vec()
+    } }, Source::Engine, field!(tree_policy: TreePolicy))
         .flag("--tree-policy", "tree lifecycle across steps", "policy"),
-    row("tree_policy.rebuild_every", COUNT, Source::Engine(Val::Int(TreePolicy::DEFAULT_REBUILD_EVERY as u64)), reuse!(rebuild_every))
+    row("tree_policy.rebuild_every", COUNT, Source::Reuse, reuse!(rebuild_every: UInt, as_u64))
         .flag("--rebuild-every", "full rebuild cadence", "rebuild_every"),
-    row("tree_policy.drift_threshold", Kind::Real, Source::Engine(Val::Real(TreePolicy::DEFAULT_DRIFT_THRESHOLD)), reuse!(drift_threshold))
+    row("tree_policy.drift_threshold", Kind::Real, Source::Reuse, reuse!(drift_threshold: Float, as_f64))
         .flag("--drift-threshold", "drifted-leaf fraction forcing a rebuild", "drift_threshold"),
-    row("walk", Kind::Name { what: "walk mode", all: || WalkMode::ALL.map(Val::Walk).to_vec() },
-        Source::Engine(Val::Walk(WalkMode::PerBody)), field!(walk))
+    row("walk", Kind::Name { what: "walk mode", choices: || WalkMode::ALL.map(|w| (w.name(), w.description().into())).to_vec() },
+        Source::Engine, field!(walk: WalkMode))
         .flag("--walk", "force-walk traversal mode", "walk"),
-    row("build", Kind::Name { what: "tree build", all: || TreeBuild::ALL.map(Val::Build).to_vec() },
-        Source::Engine(Val::Build(TreeBuild::Insertion)), field!(build))
+    row("build", Kind::Name { what: "tree build", choices: || TreeBuild::ALL.map(|b| (b.name(), b.description().into())).to_vec() },
+        Source::Engine, field!(build: TreeBuild))
         .flag("--build", "tree-construction algorithm", "build"),
-    row("opt", Kind::Name { what: "optimization level", all: || OptLevel::ALL.map(Val::Opt).to_vec() },
-        Source::Engine(Val::Opt(OptLevel::Subspace)), field!(opt))
+    row("opt", Kind::Name { what: "optimization level", choices: || OptLevel::ALL.map(|l| (l.name(), String::new())).to_vec() },
+        Source::Engine, field!(opt: OptLevel))
         .flag("--opt", "upc optimization level", "opt"),
-    row("machine.nodes", COUNT, Source::FrontEnd(Val::Int(4), Some(Val::Int(2))), field!(machine.nodes))
+    row("machine.nodes", COUNT, Source::FrontEnd(4, Some(2)), field!(machine.nodes: UInt, as_u64))
         .flag("--nodes", "emulated nodes", "nodes"),
-    row("machine.threads_per_node", COUNT, Source::Engine(Val::Int(1)), field!(machine.threads_per_node))
+    row("machine.threads_per_node", COUNT, Source::Engine, field!(machine.threads_per_node: UInt, as_u64))
         .flag("--threads-per-node", "UPC threads per node", "threads_per_node"),
-    row("machine.pthreads", Kind::Switch, Source::Engine(Val::Switch(false)), field!(machine.pthreads))
+    row("machine.pthreads", Kind::Switch, Source::Engine, field!(machine.pthreads: Bool, as_bool))
         .flag("--pthreads", "emulate the -pthreads runtime", "pthreads"),
-    row("n1", COUNT, Source::Engine(Val::Int(4)), field!(n1)),
-    row("n2", COUNT, Source::Engine(Val::Int(4)), field!(n2)),
-    row("n3", COUNT, Source::Engine(Val::Int(4)), field!(n3)),
-    row("alpha", Kind::Real, Source::Pinned(Val::Real(SUBSPACE_ALPHA)), PINNED),
-    row("vector_reduction", Kind::Switch, Source::Engine(Val::Switch(true)), field!(vector_reduction)),
-    row("fine_grained_fields", Kind::Count { max: u32::MAX as u64 }, Source::Engine(Val::Int(3)), field!(fine_grained_fields)),
-    row("leaf_capacity", COUNT, Source::Pinned(Val::Int(LEAF_CAPACITY as u64)), PINNED),
-    row("max_depth", COUNT, Source::Pinned(Val::Int(MAX_DEPTH as u64)), PINNED),
-    row("shadow_cache", Kind::Switch, Source::Engine(Val::Switch(false)), field!(shadow_cache)),
-    row("software_scalar_cache", Kind::Switch, Source::Engine(Val::Switch(false)), field!(software_scalar_cache)),
+    row("n1", COUNT, Source::Engine, field!(n1: UInt, as_u64)),
+    row("n2", COUNT, Source::Engine, field!(n2: UInt, as_u64)),
+    row("n3", COUNT, Source::Engine, field!(n3: UInt, as_u64)),
+    row("alpha", Kind::Real, Source::Pinned, (|_| Some(Value::Float(SUBSPACE_ALPHA)), |_, _| Some(()))),
+    row("vector_reduction", Kind::Switch, Source::Engine, field!(vector_reduction: Bool, as_bool)),
+    row("fine_grained_fields", Kind::Count { max: u32::MAX as u64 }, Source::Engine, field!(fine_grained_fields: UInt, as_u64)),
+    row("leaf_capacity", COUNT, Source::Pinned, (|_| Some(Value::UInt(LEAF_CAPACITY as u64)), |_, _| Some(()))),
+    row("max_depth", COUNT, Source::Pinned, (|_| Some(Value::UInt(MAX_DEPTH as u64)), |_, _| Some(()))),
+    row("shadow_cache", Kind::Switch, Source::Engine, field!(shadow_cache: Bool, as_bool)),
+    row("software_scalar_cache", Kind::Switch, Source::Engine, field!(software_scalar_cache: Bool, as_bool)),
 ];
 
 /// The row `front` knows as `name`.
@@ -402,7 +349,8 @@ pub fn config(front: Front, v: &Value, tuning: &Tuning) -> Result<SimConfig, Str
             None => None,
         };
         let given = given.filter(|given| !matches!(given, Value::Null));
-        if knob.value(&cfg).is_none() {
+        // The policy row comes first, so `cfg` already holds the policy.
+        if matches!(knob.source, Source::Reuse) && !cfg.tree_policy.reuses_tree() {
             if given.is_some() {
                 let policy = find(Front::Manifest, "tree_policy.name").expect("the policy row");
                 let policy = policy.spelled(front);
@@ -411,43 +359,45 @@ pub fn config(front: Front, v: &Value, tuning: &Tuning) -> Result<SimConfig, Str
             continue;
         }
         let value = match (given, knob.source) {
-            (Some(given), _) => knob.read(front, given)?,
+            (Some(given), _) => {
+                knob.put(front, &mut cfg, given)?;
+                continue;
+            }
             (None, _) if front == Front::Manifest => {
                 return Err(format!("missing {}", knob.spelled(front)))
             }
             // The engine's default is what `cfg` already holds.
-            (None, Source::Engine(_) | Source::Pinned(_)) => continue,
-            (None, Source::Window(n)) => Val::Int(n.min(cfg.steps as u64)),
-            (None, Source::Scenario(pick)) => Val::Real(pick(tuning)),
-            (None, Source::FrontEnd(flag, _)) if front == Front::Flag => flag,
+            (None, Source::Engine | Source::Reuse | Source::Pinned) => continue,
+            (None, Source::Window(n)) => Value::UInt(n.min(cfg.steps as u64)),
+            (None, Source::Scenario(pick)) => Value::Float(pick(tuning)),
+            (None, Source::FrontEnd(flag, _)) if front == Front::Flag => Value::UInt(flag),
             (None, Source::FrontEnd(_, wire)) => {
-                wire.ok_or_else(|| format!("{} is required", knob.spelled(front)))?
+                Value::UInt(wire.ok_or_else(|| format!("{} is required", knob.spelled(front)))?)
             }
         };
-        if let Source::Pinned(want) = knob.source {
-            if value != want {
-                return Err(format!("{} must be {want}, got {value}", knob.spelled(front)));
-            }
-        }
-        (knob.set)(&mut cfg, value);
+        knob.put(front, &mut cfg, &value)?;
     }
     Ok(cfg)
 }
 
-/// `cfg` as a manifest's `config` object: every knob that applies, in row
-/// order, reals as bit-exact hex.
-pub fn encode(cfg: &SimConfig) -> Value {
+/// `cfg` as `front` spells it: every knob that applies and that `front`
+/// names, in row order.  On [`Front::Manifest`] it is a manifest's `config`
+/// object, reals as bit-exact hex; on [`Front::Wire`] the job keys of the
+/// `bhserve` `run` that reruns `cfg` (with `op`, `tenant`, `scenario` and
+/// `backend`), reals as JSON numbers; on [`Front::Flag`] each flag's value,
+/// which `bhsim`'s banner prints.
+pub fn encode(front: Front, cfg: &SimConfig) -> Value {
     let mut entries: Vec<(String, Value)> = Vec::new();
     for knob in &ROWS {
-        let Some(value) = knob.value(cfg) else { continue };
+        let (Some(name), Some(value)) = (knob.name(front), knob.value(cfg)) else { continue };
         let value = match value {
-            Val::Int(n) => Value::UInt(n),
-            Val::Real(x) => Value::String(crate::snap::hex_string(&x.to_bits().to_be_bytes())),
-            Val::Switch(on) => Value::Bool(on),
-            named => Value::String(named.to_string()),
+            Value::Float(x) if front == Front::Manifest => {
+                Value::String(crate::snap::hex_string(&x.to_bits().to_be_bytes()))
+            }
+            value => value,
         };
-        let Some((outer, inner)) = knob.key.split_once('.') else {
-            entries.push((knob.key.to_string(), value));
+        let Some((outer, inner)) = name.split_once('.') else {
+            entries.push((name.to_string(), value));
             continue;
         };
         if entries.last().is_none_or(|(key, _)| key != outer) {

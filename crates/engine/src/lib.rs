@@ -23,14 +23,14 @@
 //!   scenario's bodies can be pushed through any backend.
 //! * [`caps`] — the capability table: one [`Caps`] row per backend and the
 //!   one evaluator of "which configurations are valid" every surface reads.
-//! * [`bench`] — the run-report vocabulary: [`bench::RunSpec`] (the
-//!   scenario, the backend and every knob `bhsim` has a flag for) and
-//!   [`bench::Sample`] (what `bhsim --json` prints per backend).  Written,
-//!   never read back: performance is judged by `benchmark/`.
+//! * [`bench`] — the run-report vocabulary: [`bench::Sample`] (what
+//!   `bhsim --json` prints per backend).  Written, never read back:
+//!   performance is judged by `benchmark/`.
 //! * [`knobs`] — the knob table: one row per [`SimConfig`] knob with its
 //!   default, `bhsim` flag, `bhserve` job key and `bhsnap/v1` manifest key.
 //!   bhsim's flags, bhserve's jobs and snapstore's manifests are loops over
-//!   it, so every front end builds the same `SimConfig` from the same values.
+//!   it, so every front end builds the same `SimConfig` from the same values;
+//!   a row's `spec` in `bhsim --json` is the `bhserve` job that reruns it.
 //! * [`cli`] — the one command-line cursor every binary parses with:
 //!   value-of-flag, parsed number, and the unknown-flag did-you-mean from a
 //!   flag list each binary declares once.

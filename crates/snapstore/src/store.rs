@@ -902,7 +902,7 @@ fn encode_manifest(m: &Manifest) -> Value {
         ("tree_generation", Value::UInt(m.tree_generation)),
         ("bodies_digest", str_val(&m.bodies_digest)),
         ("anchor_digest", str_val(&m.anchor_digest)),
-        ("config", knobs::encode(&m.cfg)),
+        ("config", knobs::encode(Front::Manifest, &m.cfg)),
         ("bodies", encode_columns(&m.bodies)),
         ("anchor", encode_columns(&m.anchor)),
     ])

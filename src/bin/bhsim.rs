@@ -29,7 +29,6 @@ use std::path::Path;
 
 use barnes_hut_upc::engine;
 use barnes_hut_upc::prelude::*;
-use engine::bench::RunSpec;
 use engine::cli::Args;
 use engine::knobs;
 use snapstore::{Saved, SimState, Store};
@@ -69,8 +68,8 @@ fn usage() -> ! {
     for knob in &knobs::ROWS {
         let Some((flag, help)) = knob.flag else { continue };
         let choices = match knob.kind {
-            knobs::Kind::Name { all, .. } => {
-                let names: Vec<&str> = all().into_iter().filter_map(knobs::Val::name).collect();
+            knobs::Kind::Name { choices, .. } => {
+                let names: Vec<&str> = choices().into_iter().map(|(name, _)| name).collect();
                 format!(": {}", names.join(", "))
             }
             _ => String::new(),
@@ -215,14 +214,6 @@ fn latest_checkpoint(dir: &str) -> Option<std::path::PathBuf> {
         }
     }
     best.map(|(_, path)| path)
-}
-
-/// Deterministic jittered backoff for supervisor retries: exponential base
-/// with a seed-derived jitter, so chaos runs are reproducible end to end.
-fn backoff_ms(seed: u64, attempt: usize) -> u64 {
-    let base = 10u64 << (attempt.min(6) - 1);
-    let mixed = (seed ^ attempt as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    base + (mixed >> 56) % (base / 2 + 1)
 }
 
 /// The run's checkpointing: the store, the cadence, the first save error,
@@ -403,13 +394,13 @@ fn list_registries() {
     // The named knobs are enums, not registries, but a sweep script should
     // be able to discover every axis from one command.
     for knob in &knobs::ROWS {
-        let (knobs::Kind::Name { what, all }, Some((flag, _))) = (knob.kind, knob.flag) else {
+        let (knobs::Kind::Name { what, choices }, Some((flag, _))) = (knob.kind, knob.flag) else {
             continue;
         };
         println!();
         println!("{what} names ({flag}):");
-        for value in all() {
-            println!("{}", format!("  {value:<10} {}", value.description()).trim_end());
+        for (name, description) in choices() {
+            println!("{}", format!("  {name:<10} {description}").trim_end());
         }
     }
     println!();
@@ -460,11 +451,9 @@ fn main() {
         }
     }
 
-    let knob_values: Vec<String> = knobs::ROWS
-        .iter()
-        .filter_map(|knob| {
-            Some(format!("{} {}", knob.flag?.0.trim_start_matches("--"), knob.value(&cfg)?))
-        })
+    let flags = knobs::encode(knobs::Front::Flag, &cfg);
+    let knob_values: Vec<String> = (flags.as_object().unwrap_or_default().iter())
+        .map(|(flag, value)| format!("{} {}", flag.trim_start_matches("--"), knobs::text(value)))
         .collect();
     eprintln!(
         "bhsim: scenario {} | backend(s) {} | {}",
@@ -538,7 +527,7 @@ fn main() {
                 Ok(result) => break result,
                 Err(e) if e.contains(engine::fault::STEP_FAULT) && attempt < MAX_STEP_RETRIES => {
                     attempt += 1;
-                    let delay = backoff_ms(cfg.faults.seed, attempt);
+                    let delay = engine::fault::backoff_ms(10, cfg.faults.seed, attempt);
                     eprintln!("bhsim: {e}; retry {attempt}/{MAX_STEP_RETRIES} in {delay} ms");
                     std::thread::sleep(std::time::Duration::from_millis(delay));
                 }
@@ -678,7 +667,9 @@ fn summary_value(
     let mut entries = vec![
         ("scenario".to_string(), serde::Value::String(scenario.to_string())),
         ("backend".to_string(), serde::Value::String(run.name.clone())),
-        ("spec".to_string(), serde::Serialize::to_value(&RunSpec::new(scenario, &run.name, cfg))),
+        // The `bhserve` job keys that, with `op`, `tenant`, `scenario` and
+        // `backend`, rerun this row.
+        ("spec".to_string(), knobs::encode(knobs::Front::Wire, cfg)),
         ("workload".to_string(), serde::Serialize::to_value(diag)),
         // Canonical digest of the final body states (bit-exact, sorted by
         // id) — two runs produced the same trajectory iff these match,
@@ -738,11 +729,5 @@ fn print_json(
         }
         summary
     };
-    struct Raw(serde::Value);
-    impl serde::Serialize for Raw {
-        fn to_value(&self) -> serde::Value {
-            self.0.clone()
-        }
-    }
-    println!("{}", serde_json::to_string_pretty(&Raw(value)).expect("serialize report"));
+    println!("{}", serde_json::to_string_pretty(&value).expect("serialize report"));
 }

@@ -159,23 +159,22 @@ fn bhsim_json_rows_carry_exactly_the_pinned_keys() {
         "tail_ms",
         "tree_rebuilds",
     ];
-    const SPEC: [&str; 16] = [
-        "scenario",
-        "backend",
-        "opt",
-        "policy",
-        "walk",
-        "build",
-        "nbodies",
-        "nodes",
-        "threads_per_node",
+    // The `bhserve` job keys that rerun the row, in knob-table order.
+    const SPEC: [&str; 14] = [
+        "n",
         "seed",
-        "steps",
-        "measured_steps",
-        "pthreads",
         "theta",
         "eps",
         "dt",
+        "steps",
+        "measured",
+        "policy",
+        "walk",
+        "build",
+        "opt",
+        "nodes",
+        "threads_per_node",
+        "pthreads",
     ];
     let small = ["--n", "64", "--nodes", "2", "--steps", "2", "--measured", "1", "--json"];
     let single = bhsim_json(&[&["--backend", "upc"], &small[..]].concat());
@@ -186,4 +185,10 @@ fn bhsim_json_rows_carry_exactly_the_pinned_keys() {
         assert_eq!(keys(row), ROW);
         assert_eq!(keys(row.get("spec").expect("spec")), SPEC);
     }
+    // The reuse parameters apply under the reuse policy only.
+    let reuse = ["--opt", "cache-local-tree", "--tree-policy", "reuse"];
+    let reused = bhsim_json(&[&reuse[..], &small[..]].concat());
+    let mut spec = SPEC.to_vec();
+    spec.splice(8..8, ["rebuild_every", "drift_threshold"]);
+    assert_eq!(keys(reused.get("spec").expect("spec")), spec);
 }

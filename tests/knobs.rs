@@ -1,14 +1,14 @@
 //! The knob table, row by row: a non-default value set as a `bhsim` flag,
 //! as a `bhserve` job key and as a `bhsnap/v1` manifest field builds one
-//! `SimConfig`; every default is the one the row states; every flag changes
-//! the run's `spec`; and a served job runs what `bhsim` runs.  One loop over
-//! `engine::knobs::ROWS`, so a fuzzer over the table can start from it.
+//! `SimConfig`; every default is the one the row states; the run's `spec`
+//! names every flag's value and reruns as the same run; and a served job
+//! runs what `bhsim` runs.  One loop over `engine::knobs::ROWS`, so a fuzzer
+//! over the table can start from it.
 
 use std::process::Command;
 
-use barnes_hut_upc::engine::bench::RunSpec;
 use barnes_hut_upc::engine::cli::Args;
-use barnes_hut_upc::engine::knobs::{self, Front, Kind, Knob, Source, Val, ROWS};
+use barnes_hut_upc::engine::knobs::{self, Front, Kind, Knob, Source, ROWS};
 use barnes_hut_upc::prelude::*;
 use bhserve::proto::{decode_job, E_PROTO};
 use serde::Value;
@@ -56,27 +56,18 @@ fn put(manifest: &mut Value, key: &str, value: Value) {
     } = value;
 }
 
-/// `value` as `front` writes it.
-fn json(front: Front, value: Val) -> Value {
-    match value {
-        Val::Int(n) => Value::UInt(n),
-        Val::Real(x) if front == Front::Manifest => Value::String(snapstore::hex_f64(x)),
-        Val::Real(x) => Value::Float(x),
-        Val::Switch(on) => Value::Bool(on),
-        named => Value::String(named.to_string()),
-    }
-}
-
 /// A value of `knob` other than the one `cfg` holds.
-fn other(knob: &Knob, cfg: &SimConfig) -> Val {
+fn other(knob: &Knob, cfg: &SimConfig) -> Value {
     match (knob.kind, knob.value(cfg).expect("the knob applies")) {
-        (Kind::Name { all, .. }, now) => {
-            all().into_iter().find(|v| v.name() != now.name()).unwrap()
+        (Kind::Name { choices, .. }, now) => {
+            let name =
+                choices().into_iter().map(|(name, _)| name).find(|&n| now.as_str() != Some(n));
+            Value::String(name.unwrap().to_string())
         }
-        (_, Val::Int(n)) => Val::Int(if n > 1 { n - 1 } else { n + 1 }),
-        (_, Val::Real(x)) => Val::Real(x / 2.0),
-        (_, Val::Switch(on)) => Val::Switch(!on),
-        (_, now) => unreachable!("{}: only a name knob holds {now}", knob.key),
+        (_, Value::UInt(n)) => Value::UInt(if n > 1 { n - 1 } else { n + 1 }),
+        (_, Value::Float(x)) => Value::Float(x / 2.0),
+        (_, Value::Bool(on)) => Value::Bool(!on),
+        (_, now) => unreachable!("{}: only a name knob holds {now:?}", knob.key),
     }
 }
 
@@ -84,36 +75,41 @@ type Spelled = (Vec<String>, Vec<(&'static str, Value)>, Value);
 
 /// `values` over bhsim's defaults as flags, as wire fields and as a
 /// manifest.
-fn spell(values: &[(&Knob, Val)], default: &SimConfig) -> Spelled {
+fn spell(values: &[(&Knob, Value)], default: &SimConfig) -> Spelled {
     let mut flags = Vec::new();
     // The wire has no default for `n` and another for `nodes`: give bhsim's.
     let nodes = Value::UInt(default.machine.nodes as u64);
     let mut wire = vec![("n", Value::UInt(default.nbodies as u64)), ("nodes", nodes)];
-    let mut manifest = knobs::encode(default);
-    for &(knob, value) in values {
+    // A manifest has no defaults: under reuse, the reuse parameters are
+    // written out.
+    let mut base = default.clone();
+    if values.iter().any(|(_, value)| value.as_str() == Some("reuse")) {
+        base.tree_policy = reuse();
+    }
+    let mut manifest = knobs::encode(Front::Manifest, &base);
+    for (knob, value) in values {
         if let Some((flag, _)) = knob.flag {
             flags.push(flag.to_string());
-            if !matches!(value, Val::Switch(_)) {
-                flags.push(value.to_string());
+            if !matches!(value, Value::Bool(_)) {
+                flags.push(knobs::text(value));
             }
         }
         if let Some(key) = knob.wire {
             wire.retain(|(k, _)| *k != key);
-            wire.push((key, json(Front::Wire, value)));
+            wire.push((key, value.clone()));
         }
-        put(&mut manifest, knob.key, json(Front::Manifest, value));
-        if value.name() == Some("reuse") {
-            // A manifest has no defaults: the reuse parameters are written out.
-            for param in ROWS.iter().filter(|row| row.value(default).is_none()) {
-                if let (Source::Engine(v), false) =
-                    (param.source, values.iter().any(|(k, _)| k.key == param.key))
-                {
-                    put(&mut manifest, param.key, json(Front::Manifest, v));
-                }
-            }
-        }
+        let written = match value {
+            Value::Float(x) => Value::String(snapstore::hex_f64(*x)),
+            other => other.clone(),
+        };
+        put(&mut manifest, knob.key, written);
     }
     (flags, wire, manifest)
+}
+
+/// The reuse policy with its default parameters.
+fn reuse() -> TreePolicy {
+    TreePolicy::from_name("reuse").unwrap()
 }
 
 #[test]
@@ -121,42 +117,46 @@ fn every_row_reads_alike_on_every_front_end() {
     let tuning = Tuning::default();
     let default = from_flags(&[], &tuning).unwrap();
     let policy = knobs::find(Front::Manifest, "tree_policy.name").unwrap();
-    let reuse = Val::Policy(TreePolicy::from_name("reuse").unwrap());
     for knob in &ROWS {
         // A reuse parameter is set under the reuse policy.
-        let under: Vec<(&Knob, Val)> = match knob.value(&default) {
-            Some(_) => Vec::new(),
-            None => vec![(policy, reuse)],
+        let under: Vec<(&Knob, Value)> = match knob.source {
+            Source::Reuse => vec![(policy, Value::String("reuse".to_string()))],
+            _ => Vec::new(),
         };
         let base = from_flags(&spell(&under, &default).0, &tuning).unwrap();
         let value = other(knob, &base);
         let (flags, wire, manifest) =
-            spell(&[under.clone(), vec![(knob, value)]].concat(), &default);
+            spell(&[under.clone(), vec![(knob, value.clone())]].concat(), &default);
         let read = from_manifest(&manifest);
-        if let Source::Pinned(_) = knob.source {
+        if let Source::Pinned = knob.source {
             let err = read.expect_err("a pinned constant at another value");
             assert!(err.contains(knob.key), "{}: {err}", knob.key);
             continue;
         }
         let read = read.unwrap_or_else(|e| panic!("{}: {e}", knob.key));
-        assert_eq!(knob.value(&read), Some(value), "{}", knob.key);
+        assert_eq!(knob.value(&read), Some(value.clone()), "{}", knob.key);
         if knob.flag.is_none() {
-            assert_eq!(knobs::encode(&read), manifest, "{}: only a manifest spells it", knob.key);
+            let encoded = knobs::encode(Front::Manifest, &read);
+            assert_eq!(encoded, manifest, "{}: only a manifest spells it", knob.key);
             continue;
         }
         let flagged = from_flags(&flags, &tuning).unwrap();
         let served = from_wire(wire).unwrap_or_else(|e| panic!("{}: {}", knob.key, e.error));
         assert_eq!(format!("{flagged:?}"), format!("{read:?}"), "{}: flag vs manifest", knob.key);
         assert_eq!(format!("{served:?}"), format!("{read:?}"), "{}: wire vs manifest", knob.key);
-        let spec = |cfg: &SimConfig| RunSpec::new("plummer", "upc", cfg);
-        assert_ne!(spec(&flagged), spec(&base), "{}: a flag must change the spec", knob.key);
+        // The spec of `bhsim --json` names the value, and the wire reads it
+        // back as the same run.
+        let spec = knobs::encode(Front::Wire, &flagged);
+        assert_eq!(spec.get(knob.wire.unwrap()), Some(&value), "{}: spec", knob.key);
+        let job: Vec<(&str, Value)> =
+            spec.as_object().unwrap().iter().map(|(k, v)| (k.as_str(), v.clone())).collect();
+        let rerun = from_wire(job).unwrap_or_else(|e| panic!("{}: {}", knob.key, e.error));
+        assert_eq!(format!("{rerun:?}"), format!("{flagged:?}"), "{}: spec rerun", knob.key);
         // Every name of a name knob reads back as itself.
-        if let Kind::Name { all, .. } = knob.kind {
-            for value in all() {
-                let cfg = from_flags(&[flags[0].clone(), value.to_string()], &tuning).unwrap();
-                assert_eq!(knob.value(&cfg), Some(value));
-                // `--list` aligns the names by their printed width.
-                assert_eq!(format!("{value:<24}"), format!("{:<24}", value.to_string()));
+        if let Kind::Name { choices, .. } = knob.kind {
+            for (name, _) in choices() {
+                let cfg = from_flags(&[flags[0].clone(), name.to_string()], &tuning).unwrap();
+                assert_eq!(knob.value(&cfg), Some(Value::String(name.to_string())));
             }
         }
         // Without the reuse policy every front end refuses a reuse parameter.
@@ -173,16 +173,23 @@ fn every_row_reads_alike_on_every_front_end() {
 #[test]
 fn every_default_is_the_one_its_row_states() {
     let n = Value::UInt;
-    let flagged = from_flags(&[], &Tuning::default()).unwrap();
-    let served = from_wire(vec![("n", n(8))]).unwrap();
     for knob in &ROWS {
         let mut engine = SimConfig::new(1, Machine::default(), OptLevel::Subspace);
-        if knob.value(&engine).is_none() {
-            engine.tree_policy = TreePolicy::from_name("reuse").unwrap();
+        let (mut flags, mut job) = (Vec::new(), vec![("n", n(8))]);
+        if let Source::Reuse = knob.source {
+            engine.tree_policy = reuse();
+            flags = vec!["--tree-policy".to_string(), "reuse".to_string()];
+            job.push(("policy", Value::String("reuse".to_string())));
         }
+        let flagged = from_flags(&flags, &Tuning::default()).unwrap();
+        let served = from_wire(job).unwrap();
         match knob.source {
-            Source::Engine(v) | Source::Pinned(v) => {
-                assert_eq!(knob.value(&engine), Some(v), "{}", knob.key)
+            // No front end moves an engine default.
+            Source::Engine | Source::Reuse | Source::Pinned => {
+                let want = knob.value(&engine);
+                assert!(want.is_some(), "{}", knob.key);
+                assert_eq!(knob.value(&flagged), want, "{}", knob.key);
+                assert_eq!(knob.value(&served), want, "{}", knob.key);
             }
             Source::Window(window) => {
                 assert_eq!(engine.measured_steps as u64, window);
@@ -195,7 +202,7 @@ fn every_default_is_the_one_its_row_states() {
             Source::Scenario(pick) => {
                 for scenario in scenario_registry().iter() {
                     let tuning = scenario.recommended_config();
-                    let want = Some(Val::Real(pick(&tuning)));
+                    let want = Some(Value::Float(pick(&tuning)));
                     assert_eq!(knob.value(&from_flags(&[], &tuning).unwrap()), want);
                     let name = Value::String(scenario.name().to_string());
                     let served = from_wire(vec![("n", n(8)), ("scenario", name)]).unwrap();
@@ -203,9 +210,9 @@ fn every_default_is_the_one_its_row_states() {
                 }
             }
             Source::FrontEnd(flag, wire) => {
-                assert_eq!(knob.value(&flagged), Some(flag), "{}", knob.key);
+                assert_eq!(knob.value(&flagged), Some(n(flag)), "{}", knob.key);
                 match wire {
-                    Some(wire) => assert_eq!(knob.value(&served), Some(wire), "{}", knob.key),
+                    Some(wire) => assert_eq!(knob.value(&served), Some(n(wire)), "{}", knob.key),
                     None => assert!(from_wire(vec![]).unwrap_err().error.contains("is required")),
                 }
             }
@@ -237,9 +244,14 @@ fn a_served_job_runs_what_bhsim_runs() {
     let (scenarios, backends) = (scenario_registry(), backend_registry());
     let server = bhserve::Server::start(Default::default(), scenarios, backends).unwrap();
     let mut client = bhserve::Client::connect(&server.addr()).unwrap();
-    let job = r#"{"op": "run", "tenant": "t", "opt": "cache-local-tree", "build": "sorted",
-                  "walk": "group", "pthreads": true, "n": 512, "nodes": 2}"#;
-    let reply = client.call(&serde_json::from_str(job).unwrap()).unwrap();
+    // The row's `spec` is the job: add the op, a tenant and the registry keys.
+    let mut job = report.get("spec").and_then(Value::as_object).expect("spec").to_vec();
+    job.push(("op".to_string(), Value::String("run".to_string())));
+    job.push(("tenant".to_string(), Value::String("t".to_string())));
+    for key in ["scenario", "backend"] {
+        job.push((key.to_string(), report.get(key).cloned().expect(key)));
+    }
+    let reply = client.call(&Value::Object(job)).unwrap();
     assert_eq!(reply.get("ok").and_then(Value::as_bool), Some(true), "{reply:?}");
     assert_eq!(reply.get("total_sim"), report.get("total_sim"));
     for (key, value) in report.get("stats").and_then(Value::as_object).expect("stats") {
