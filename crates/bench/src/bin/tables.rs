@@ -24,8 +24,8 @@ struct Options {
     quiet: bool,
 }
 
-fn usage() -> ! {
-    eprintln!(
+fn usage() -> String {
+    format!(
         "usage: tables [options] (--all | <experiment>...)\n\
          \n\
          experiments: {}\n\
@@ -41,17 +41,15 @@ fn usage() -> ! {
            --paper-scale      use the paper's full workload sizes (very slow)\n\
            --smoke            tiny workload, for checking the harness\n\
            --json DIR         also write each result as JSON into DIR\n\
-           --quiet            suppress progress output\n",
+           --quiet            suppress progress output\n\
+           --help             print this help and exit\n",
         Experiment::ALL.iter().map(|e| e.name()).collect::<Vec<_>>().join(", ")
-    );
-    std::process::exit(2)
+    )
 }
 
 /// Every flag `tables` accepts (see [`engine::cli::Args`]); any other word
 /// names an experiment.
 const FLAGS: &[&str] = &[
-    "--help",
-    "-h",
     "--all",
     "--quiet",
     "--paper-scale",
@@ -85,7 +83,6 @@ fn parse_args(mut args: Args) -> Options {
     }
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--help" | "-h" => usage(),
             "--all" => all = true,
             "--quiet" => quiet = true,
             "--paper-scale" => scale = Scale::paper(),
@@ -129,7 +126,7 @@ fn parse_args(mut args: Args) -> Options {
         }
     }
     if !all && experiments.is_empty() {
-        usage();
+        args.reject("name an experiment or pass --all");
     }
     for apply in overrides {
         apply(&mut scale);

@@ -5,6 +5,11 @@
 //! * [`force_phase_uncached`] — the literal translation: the walk
 //!   dereferences pointers-to-shared for every cell it touches and re-reads
 //!   `tol`/`eps` according to the level's scalar discipline (Tables 2–4).
+//!   Nothing writes the tree or the scalars while forces are computed, so
+//!   the emulator only *bills* those reads: the walk reads the epoch's
+//!   frozen copy of the cell arena ([`pgas::Frozen`]) and θ/ε fetched once
+//!   per phase, and pays for every field read and every scalar use exactly
+//!   as a fetch through the pointer-to-shared would.
 //! * [`force_phase_cached`] — the §5.3 demand-driven cache
 //!   ([`crate::cache::CacheTree`]) with blocking misses (Tables 5–6).
 //! * the §5.5 non-blocking aggregated engine lives in [`crate::frontier`]
@@ -14,13 +19,13 @@
 //! update, with the same access discipline as every other body access.
 
 use crate::cache::CacheTree;
-use crate::cellnode::NodeKind;
-use crate::config::SimConfig;
+use crate::cellnode::{CellNode, NodeKind};
+use crate::config::{OptLevel, SimConfig};
 use crate::shared::{read_body, read_eps, read_theta, write_body, BhShared, RankState};
 use nbody::direct::pairwise_acceleration;
 use nbody::{Body, Vec3};
 use octree::walk::cell_is_far;
-use pgas::{Ctx, GlobalPtr};
+use pgas::{Ctx, Frozen, GlobalPtr};
 
 /// Per-body force result used by all engines before write-back.
 #[derive(Debug, Clone, Copy)]
@@ -86,6 +91,10 @@ pub fn write_back(
 
 /// The force phase of the literal translation (no caching): every visited
 /// cell is re-read through its pointer-to-shared for every body.
+///
+/// The reads are billed, not fetched: the walk reads the epoch's frozen copy
+/// of the cell arena, which the ranks share, and bills each visit's
+/// `fine_grained_fields` field reads in one charge.
 pub fn force_phase_uncached(
     ctx: &Ctx,
     shared: &BhShared,
@@ -93,25 +102,72 @@ pub fn force_phase_uncached(
     cfg: &SimConfig,
 ) -> Vec<BodyForce> {
     let root = shared.root.read(ctx);
+    let cells = shared.cells.frozen(ctx);
+    let scalars = WalkScalars::new(shared, st, cfg.opt);
+    let fields = cfg.fine_grained_fields.max(1);
     let mut out = Vec::with_capacity(st.my_ids.len());
     // One traversal stack for the rank: every walk drains it.
     let mut stack = Vec::new();
     for &id in &st.my_ids {
         let body = read_body(ctx, shared, st, cfg, id);
         stack.push(root);
-        let force = walk_shared(ctx, shared, st, cfg, &mut stack, id, &body);
+        let force = walk_shared(ctx, &cells, &scalars, fields, &mut stack, id, &body);
         out.push(force);
     }
     out
+}
+
+/// θ and ε as the uncached walk uses them.  Where the level re-reads the
+/// shared scalar at every use (the baseline without the software cache),
+/// the values are fetched once per phase — nobody writes them — and every
+/// use is billed through [`pgas::shared::SharedScalar::charge_read`]; the
+/// replicated copies and the software cache keep their own discipline
+/// ([`read_theta`], [`read_eps`]).
+struct WalkScalars<'a> {
+    shared: &'a BhShared,
+    st: &'a RankState,
+    opt: OptLevel,
+    /// `(θ, ε)` when each use is a billed read of the shared scalar.
+    held: Option<(f64, f64)>,
+}
+
+impl<'a> WalkScalars<'a> {
+    fn new(shared: &'a BhShared, st: &'a RankState, opt: OptLevel) -> Self {
+        let rereads = !opt.replicates_scalars() && st.scalar_caches.is_none();
+        let held = rereads.then(|| (shared.tol.read_raw(), shared.eps.read_raw()));
+        WalkScalars { shared, st, opt, held }
+    }
+
+    #[inline]
+    fn theta(&self, ctx: &Ctx) -> f64 {
+        match self.held {
+            Some((theta, _)) => {
+                self.shared.tol.charge_read(ctx);
+                theta
+            }
+            None => read_theta(ctx, self.shared, self.st, self.opt),
+        }
+    }
+
+    #[inline]
+    fn eps(&self, ctx: &Ctx) -> f64 {
+        match self.held {
+            Some((_, eps)) => {
+                self.shared.eps.charge_read(ctx);
+                eps
+            }
+            None => read_eps(ctx, self.shared, self.st, self.opt),
+        }
+    }
 }
 
 /// Walks the shared tree for one body without caching, from the cells on
 /// `stack` (the root) until it is empty again.
 fn walk_shared(
     ctx: &Ctx,
-    shared: &BhShared,
-    st: &RankState,
-    cfg: &SimConfig,
+    cells: &Frozen<CellNode>,
+    scalars: &WalkScalars,
+    fields: u32,
     stack: &mut Vec<GlobalPtr>,
     id: u32,
     body: &Body,
@@ -120,19 +176,18 @@ fn walk_shared(
     let mut phi = 0.0;
     let mut interactions = 0u32;
     let mut macs = 0u64;
-    let fields = cfg.fine_grained_fields.max(1);
 
     while let Some(ptr) = stack.pop() {
         // The literal translation reads the cell's fields one by one through
         // the pointer-to-shared (mass, centre of mass, child pointers), so
         // each visit is several fine-grained accesses.
-        let node = shared.cells.read_fields(ctx, ptr, fields);
+        let node = cells.read_fields(ctx, ptr, fields);
         match node.kind {
             NodeKind::Body => {
                 if node.body_id == id {
                     continue;
                 }
-                let eps = read_eps(ctx, shared, st, cfg.opt);
+                let eps = scalars.eps(ctx);
                 let (a, p) = pairwise_acceleration(body.pos, node.cofm, node.mass, eps);
                 acc += a;
                 phi += p;
@@ -143,16 +198,16 @@ fn walk_shared(
                     continue;
                 }
                 macs += 1;
-                let theta = read_theta(ctx, shared, st, cfg.opt);
+                let theta = scalars.theta(ctx);
                 let dist_sq = body.pos.dist_sq(node.cofm);
                 if cell_is_far(node.side(), dist_sq, theta) {
-                    let eps = read_eps(ctx, shared, st, cfg.opt);
+                    let eps = scalars.eps(ctx);
                     let (a, p) = pairwise_acceleration(body.pos, node.cofm, node.mass, eps);
                     acc += a;
                     phi += p;
                     interactions += 1;
                 } else {
-                    for c in node.children {
+                    for &c in &node.children {
                         if !c.is_null() {
                             stack.push(c);
                         }

@@ -7,9 +7,8 @@
 use bhserve::load::{self, LoadOptions, Mix};
 use engine::cli::Args;
 
-fn usage() -> ! {
-    eprintln!(
-        "bhload — stress harness for the bhserve simulation service
+fn usage() -> String {
+    "bhload — stress harness for the bhserve simulation service
 
 USAGE:
     bhload --addr HOST:PORT [OPTIONS]
@@ -29,9 +28,9 @@ OPTIONS:
                          and digest as one JSON line and exit (chaos CI)
     --resume-token TOK   resume TOK, print the digest as one JSON line and
                          exit; it must equal the one --suspend-one printed
-    --help               show this help"
-    );
-    std::process::exit(2)
+    --help               show this help
+"
+    .to_string()
 }
 
 /// Every flag `bhload` accepts (see [`engine::cli::Args`]).
@@ -45,8 +44,6 @@ const FLAGS: &[&str] = &[
     "--chaos",
     "--suspend-one",
     "--resume-token",
-    "--help",
-    "-h",
 ];
 
 struct Options {
@@ -76,7 +73,6 @@ fn parse_args() -> Options {
             "--chaos" => opts.load.chaos = true,
             "--suspend-one" => opts.suspend_one = true,
             "--resume-token" => opts.resume_token = Some(args.value("--resume-token")),
-            "--help" | "-h" => usage(),
             other => args.unknown(other),
         }
     }

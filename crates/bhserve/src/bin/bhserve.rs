@@ -7,9 +7,8 @@
 use bhserve::{Server, ServerOptions};
 use engine::cli::Args;
 
-fn usage() -> ! {
-    eprintln!(
-        "bhserve — multi-tenant Barnes-Hut simulation service
+fn usage() -> String {
+    "bhserve — multi-tenant Barnes-Hut simulation service
 
 USAGE:
     bhserve [OPTIONS]
@@ -35,9 +34,9 @@ OPTIONS:
     --faults SPEC             deterministic fault-injection plan, e.g.
                               seed=7,frame.read.short@p0.01,snap.chunk.torn@n2
                               (see the faultline docs for the site vocabulary)
-    --help                    show this help"
-    );
-    std::process::exit(2)
+    --help                    show this help
+"
+    .to_string()
 }
 
 /// Every flag `bhserve` accepts (see [`engine::cli::Args`]).
@@ -53,8 +52,6 @@ const FLAGS: &[&str] = &[
     "--idle-session-secs",
     "--max-inflight",
     "--faults",
-    "--help",
-    "-h",
 ];
 
 fn parse_args() -> ServerOptions {
@@ -92,7 +89,6 @@ fn parse_args() -> ServerOptions {
                 let spec = args.value("--faults");
                 opts.faults = engine::FaultPlan::parse(&spec).unwrap_or_else(|e| args.reject(&e));
             }
-            "--help" | "-h" => usage(),
             other => args.unknown(other),
         }
     }

@@ -2,13 +2,16 @@
 //!
 //! A binary declares its flags once (`const FLAGS: &[&str]`; `bhsim` adds
 //! the [`crate::knobs`] table's) and hands them to [`Args`] with its name
-//! and its `usage` function.  [`Args::next`] then
+//! and its `usage` text.  [`Args::next`] then
 //! yields the arguments to `match` on, and anything that looks like a flag
 //! but is not in the list is rejected *here* — with a did-you-mean from
 //! [`crate::suggest`] — so the list that words the suggestion is the list
 //! that decides what is accepted.  [`Args::value`] and [`Args::number`]
-//! fetch a flag's value.  Every rejection prints one `prog: …` line, then
-//! the binary's usage, and exits 2.
+//! fetch a flag's value.
+//!
+//! `--help` and `-h` belong to every binary and are answered here: the
+//! usage goes to stdout and the process exits 0.  Every rejection prints one
+//! `prog: …` line, then the usage, to stderr and exits 2 ([`reject`]).
 
 use std::str::FromStr;
 
@@ -16,13 +19,16 @@ use std::str::FromStr;
 pub struct Args {
     prog: &'static str,
     flags: Vec<&'static str>,
-    usage: fn() -> !,
+    usage: fn() -> String,
     rest: std::vec::IntoIter<String>,
 }
 
+/// The flags every binary answers without declaring them.
+const HELP: [&str; 2] = ["--help", "-h"];
+
 impl Args {
     /// Cursor over the process's own arguments (program name skipped).
-    pub fn from_env(prog: &'static str, flags: &[&'static str], usage: fn() -> !) -> Args {
+    pub fn from_env(prog: &'static str, flags: &[&'static str], usage: fn() -> String) -> Args {
         Args::new(prog, flags, usage, std::env::args().skip(1).collect())
     }
 
@@ -30,18 +36,23 @@ impl Args {
     pub fn new(
         prog: &'static str,
         flags: &[&'static str],
-        usage: fn() -> !,
+        usage: fn() -> String,
         args: Vec<String>,
     ) -> Args {
-        Args { prog, flags: flags.to_vec(), usage, rest: args.into_iter() }
+        let flags = flags.iter().copied().chain(HELP).collect();
+        Args { prog, flags, usage, rest: args.into_iter() }
     }
 
-    /// The next argument: a declared flag, or a positional word.  A
-    /// flag-shaped argument that was not declared exits through
-    /// [`Args::unknown`].
+    /// The next argument: a declared flag, or a positional word.  `--help`
+    /// and `-h` print the usage to stdout and exit 0; a flag-shaped argument
+    /// that was not declared exits through [`Args::unknown`].
     #[allow(clippy::should_implement_trait)] // exits the process, so not an Iterator
     pub fn next(&mut self) -> Option<String> {
         let arg = self.rest.next()?;
+        if HELP.contains(&arg.as_str()) {
+            print!("{}", (self.usage)());
+            std::process::exit(0)
+        }
         if arg.starts_with('-') && !self.flags.contains(&arg.as_str()) {
             self.unknown(&arg)
         }
@@ -78,11 +89,18 @@ impl Args {
         self.reject(&unknown_flag(arg, &self.flags))
     }
 
-    /// Prints `prog: message` and the usage, then exits 2.
+    /// Prints `prog: message` and the usage to stderr, then exits 2.
     pub fn reject(&self, message: &str) -> ! {
-        eprintln!("{}: {message}", self.prog);
-        (self.usage)()
+        reject(self.prog, self.usage, message)
     }
+}
+
+/// Prints `prog: message` and the usage to stderr, then exits 2: the one
+/// way a binary refuses its command line, inside [`Args`] or after it.
+pub fn reject(prog: &str, usage: fn() -> String, message: &str) -> ! {
+    eprintln!("{prog}: {message}");
+    eprint!("{}", usage());
+    std::process::exit(2)
 }
 
 fn unknown_flag(arg: &str, flags: &[&str]) -> String {
@@ -100,9 +118,9 @@ fn parse_number<T: FromStr>(flag: &str, text: &str) -> Result<T, String> {
 mod tests {
     use super::*;
 
-    const FLAGS: &[&str] = &["--steps", "--seed", "--json", "-h"];
+    const FLAGS: &[&str] = &["--steps", "--seed", "--json"];
 
-    fn unreachable_usage() -> ! {
+    fn unreachable_usage() -> String {
         panic!("a well-formed command line must not reach usage")
     }
 
@@ -131,6 +149,11 @@ mod tests {
             "unknown option: --stpes (did you mean --steps?)"
         );
         assert_eq!(unknown_flag("--frobnicate", FLAGS), "unknown option: --frobnicate");
+        let args = Args::new("test", FLAGS, unreachable_usage, Vec::new());
+        assert_eq!(
+            unknown_flag("--hlep", &args.flags),
+            "unknown option: --hlep (did you mean --help?)"
+        );
     }
 
     #[test]

@@ -12,7 +12,15 @@
 //! lock — no lock on the region, whoever else is allocating into it.  The
 //! literal translation's field-by-field accesses go through
 //! [`SharedArena::read_fields`] / [`SharedArena::write_fields`], which bill
-//! every field and move the element once.
+//! every field in one batched charge and move the element once.
+//!
+//! A phase that only reads the arena — the fine-grained force walk — reads
+//! a [`Frozen`] view instead ([`SharedArena::frozen`]): one immutable copy
+//! of each region per barrier epoch, made by the first rank that asks and
+//! shared by the others, through which a read is *billed* exactly as
+//! [`SharedArena::read_fields`] bills it but *fetched* as a plain reference,
+//! without the slot lock or the copy.  An alloc, write or clear of a region
+//! frozen for the writer's epoch panics, so a view is never silently stale.
 //!
 //! The arena also carries the non-blocking aggregated gather
 //! (`bupc_memget_vlist_async`, §5.5) because the paper uses it to fetch cells.
@@ -29,8 +37,8 @@ use crate::ctx::{Ctx, Handle};
 use crate::gptr::GlobalPtr;
 use crate::sync_cell::SyncSlot;
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Slots in a region's first chunk; chunk `c` holds `FIRST_CHUNK << c`.
 const FIRST_CHUNK: usize = 64;
@@ -62,7 +70,18 @@ struct Region<T> {
     /// it always names an allocated chunk and an initialized slot.
     len: AtomicUsize,
     grow: Mutex<()>,
+    /// The region's immutable copy and the epoch it was made in (see
+    /// [`SharedArena::frozen`]); the next epoch's first request replaces it.
+    frozen: Mutex<Option<(u64, Arc<[T]>)>>,
+    /// The epoch of `frozen`'s copy, [`NOT_FROZEN`] when there is none:
+    /// what a write checks, without taking the mutex.  `Relaxed`: it
+    /// publishes no data (the copy itself is handed over under `frozen`'s
+    /// mutex) and only guards against a write in the copy's epoch.
+    frozen_at: AtomicU64,
 }
+
+/// [`Region::frozen_at`] of a region without a copy.
+const NOT_FROZEN: u64 = u64::MAX;
 
 impl<T: Copy> Region<T> {
     fn new() -> Self {
@@ -70,6 +89,8 @@ impl<T: Copy> Region<T> {
             chunks: std::array::from_fn(|_| OnceLock::new()),
             len: AtomicUsize::new(0),
             grow: Mutex::new(()),
+            frozen: Mutex::new(None),
+            frozen_at: AtomicU64::new(NOT_FROZEN),
         }
     }
 
@@ -106,6 +127,58 @@ impl<T: Copy> Region<T> {
     fn clear(&self) {
         let _growing = self.grow.lock();
         self.len.store(0, Ordering::Release);
+        // Whatever copy is left belongs to an earlier epoch: drop it with the
+        // tree it copied.
+        *self.frozen.lock() = None;
+        self.frozen_at.store(NOT_FROZEN, Ordering::Relaxed);
+    }
+
+    /// The region's copy for `epoch`, made from the slots on the first
+    /// request of the epoch and shared by every later one.
+    fn frozen(&self, epoch: u64) -> Arc<[T]> {
+        let mut copy = self.frozen.lock();
+        if let Some((at, data)) = &*copy {
+            if *at == epoch {
+                return Arc::clone(data);
+            }
+        }
+        let data: Arc<[T]> = (0..self.len()).map(|i| self.slot(i).get()).collect();
+        *copy = Some((epoch, Arc::clone(&data)));
+        self.frozen_at.store(epoch, Ordering::Relaxed);
+        data
+    }
+}
+
+/// A read-only view of a [`SharedArena`] for one barrier epoch: every
+/// region's immutable copy ([`SharedArena::frozen`]).
+pub struct Frozen<T> {
+    regions: Vec<Arc<[T]>>,
+    record_bytes: usize,
+    epoch: u64,
+}
+
+impl<T> Frozen<T> {
+    /// Reads an element field by field through its pointer-to-shared:
+    /// bills exactly what [`SharedArena::read_fields`] bills, in one
+    /// batched charge, and returns a reference into the epoch's copy — no
+    /// lock, no copy.
+    ///
+    /// # Panics
+    /// Panics if `fields` is zero, the pointer is null or it addresses no
+    /// element of the copy; in debug builds, if the view is read in an
+    /// epoch other than the one it was taken in.
+    #[inline]
+    pub fn read_fields(&self, ctx: &Ctx, ptr: GlobalPtr, fields: u32) -> &T {
+        assert!(!ptr.is_null(), "dereference of a null pointer-to-shared");
+        assert!(fields > 0, "a read of zero fields has no value to return");
+        debug_assert_eq!(ctx.epoch(), self.epoch, "a frozen view read outside its epoch");
+        let owner = ptr.threadof();
+        ctx.charge_shared_reads(owner, self.record_bytes, fields);
+        let region = &self.regions[owner];
+        let index = ptr.indexof();
+        region.get(index).unwrap_or_else(|| {
+            panic!("pointer-to-shared index {index} out of a region of {} elements", region.len())
+        })
     }
 }
 
@@ -159,9 +232,40 @@ impl<T: Copy + Send + Sync> SharedArena<T> {
         self.regions.iter().map(|r| r.len()).sum()
     }
 
+    /// Panics if `region` is frozen for the caller's epoch: a write there
+    /// would leave the epoch's [`Frozen`] copy stale.
+    #[inline]
+    fn assert_unfrozen(&self, ctx: &Ctx, region: usize, what: &str) {
+        let epoch = ctx.epoch();
+        assert!(
+            self.regions[region].frozen_at.load(Ordering::Relaxed) != epoch,
+            "{what} in region {region}, which is frozen for epoch {epoch}"
+        );
+    }
+
+    /// The arena as one immutable copy for the caller's barrier epoch
+    /// ([`Ctx::epoch`]): the first rank that asks copies each region, every
+    /// other rank in the epoch shares that copy, so a step holds one copy
+    /// of the arena in total.  Takes no barrier and bills nothing; reads
+    /// through the view bill what [`SharedArena::read_fields`] bills.
+    ///
+    /// Every rank must be done writing the arena for the epoch — an alloc,
+    /// write or clear of a frozen region in the same epoch panics.
+    pub fn frozen(&self, ctx: &Ctx) -> Frozen<T> {
+        let epoch = ctx.epoch();
+        let ranks = self.ranks();
+        // Start at the caller's own region, so ranks that ask at once copy
+        // different regions side by side; then rotate back into rank order.
+        let mut regions: Vec<Arc<[T]>> =
+            (0..ranks).map(|i| self.regions[(ctx.rank() + i) % ranks].frozen(epoch)).collect();
+        regions.rotate_right(ctx.rank());
+        Frozen { regions, record_bytes: self.record_bytes, epoch }
+    }
+
     /// Allocates `value` in the calling rank's region (UPC `upc_alloc`) and
     /// returns a pointer-to-shared to it.
     pub fn alloc(&self, ctx: &Ctx, value: T) -> GlobalPtr {
+        self.assert_unfrozen(ctx, ctx.rank(), "alloc");
         ctx.charge_local_accesses(1);
         let index = self.regions[ctx.rank()].push(value);
         GlobalPtr::new(ctx.rank(), index)
@@ -185,11 +289,9 @@ impl<T: Copy + Send + Sync> SharedArena<T> {
         assert!(!ptr.is_null(), "dereference of a null pointer-to-shared");
         assert!(fields > 0, "a read of zero fields has no value to return");
         let owner = ptr.threadof();
-        for _ in 0..fields {
-            // A local target still goes through the pointer-to-shared and
-            // pays the dereference surcharge the paper's casting removes.
-            ctx.charge_shared_read(owner, self.record_bytes);
-        }
+        // A local target still goes through the pointer-to-shared and pays
+        // the dereference surcharge the paper's casting removes.
+        ctx.charge_shared_reads(owner, self.record_bytes, fields);
         self.regions[owner].slot(ptr.indexof()).get()
     }
 
@@ -216,15 +318,15 @@ impl<T: Copy + Send + Sync> SharedArena<T> {
         assert!(!ptr.is_null(), "write through a null pointer-to-shared");
         assert!(fields > 0, "a write of zero fields would store without being billed");
         let owner = ptr.threadof();
-        for _ in 0..fields {
-            ctx.charge_shared_write(owner, self.record_bytes);
-        }
+        self.assert_unfrozen(ctx, owner, "write");
+        ctx.charge_shared_writes(owner, self.record_bytes, fields);
         self.regions[owner].slot(ptr.indexof()).set(value);
     }
 
     /// Local-pointer write counterpart of [`SharedArena::read_local`].
     pub fn write_local(&self, ctx: &Ctx, ptr: GlobalPtr, value: T) {
         debug_assert!(ptr.is_local_to(ctx.rank()), "write_local through a remote pointer");
+        self.assert_unfrozen(ctx, ptr.threadof(), "write");
         ctx.charge_local_accesses(1);
         self.regions[ptr.threadof()].slot(ptr.indexof()).set(value);
     }
@@ -235,6 +337,7 @@ impl<T: Copy + Send + Sync> SharedArena<T> {
     pub fn update<R>(&self, ctx: &Ctx, ptr: GlobalPtr, f: impl FnOnce(&mut T) -> R) -> R {
         assert!(!ptr.is_null(), "update through a null pointer-to-shared");
         let owner = ptr.threadof();
+        self.assert_unfrozen(ctx, owner, "update");
         // A remote atomic update costs a round trip (get + put).
         ctx.charge_rmw(owner, self.record_bytes);
         self.regions[owner].slot(ptr.indexof()).update(f)
@@ -294,6 +397,9 @@ impl<T: Copy + Send + Sync> SharedArena<T> {
     /// time steps (with barriers around it), mirroring how the paper's code
     /// resets its cell arrays each step.
     pub fn clear(&self, ctx: &Ctx) {
+        for region in 0..self.ranks() {
+            self.assert_unfrozen(ctx, region, "clear");
+        }
         ctx.charge_local_accesses(1);
         self.peak_len.fetch_max(self.total_len(), Ordering::Relaxed);
         for region in &self.regions {
@@ -533,6 +639,88 @@ mod tests {
                 assert_eq!(at_once[0].2, [7; 5], "the neighbour's element holds rank 0's write");
             }
         }
+    }
+
+    #[test]
+    fn a_frozen_read_returns_the_element_and_bills_what_read_fields_bills() {
+        for record in [std::mem::size_of::<[u64; 5]>(), RECORD] {
+            for fields in [1, 3, 5] {
+                let through_slots = local_then_remote(record, |ctx, arena, ptr| {
+                    arena.read_fields(ctx, ptr, fields);
+                });
+                let through_view = local_then_remote(record, |ctx, arena, ptr| {
+                    let view = arena.frozen(ctx);
+                    assert_eq!(*view.read_fields(ctx, ptr, fields), arena.read_raw(ptr));
+                });
+                assert_eq!(through_slots, through_view, "{record} B record, {fields} field(s)");
+            }
+        }
+    }
+
+    #[test]
+    fn ranks_in_one_epoch_share_one_copy_and_the_next_epoch_sees_new_writes() {
+        let rt = Runtime::new(Machine::test_cluster(3));
+        let arena: SharedArena<u64> = SharedArena::new(3);
+        let report = rt.run(|ctx| {
+            let mine = arena.alloc(ctx, ctx.rank() as u64);
+            let all = ctx.allgather(mine);
+            let first = arena.frozen(ctx);
+            let again = arena.frozen(ctx);
+            assert!(first.regions.iter().zip(&again.regions).all(|(a, b)| Arc::ptr_eq(a, b)));
+            ctx.barrier();
+            // A new epoch may write again, and its view holds the write.
+            arena.write_local(ctx, mine, 10 + ctx.rank() as u64);
+            ctx.barrier();
+            let next = arena.frozen(ctx);
+            let seen: Vec<u64> = all.iter().map(|&p| *next.read_fields(ctx, p, 1)).collect();
+            assert_eq!(seen, [10, 11, 12]);
+            (first.regions, next.regions)
+        });
+        let (first, next) = &report.ranks[0].result;
+        for other in &report.ranks[1..] {
+            for (region, copy) in first.iter().enumerate() {
+                assert!(Arc::ptr_eq(copy, &other.result.0[region]), "region {region}");
+                assert!(Arc::ptr_eq(&next[region], &other.result.1[region]), "region {region}");
+            }
+        }
+        assert!(!Arc::ptr_eq(&first[0], &next[0]), "each epoch makes its own copy");
+        assert_eq!(*first[1], [1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "write in region 0, which is frozen for epoch 1")]
+    fn a_write_into_a_frozen_region_panics() {
+        let rt = Runtime::new(Machine::test_cluster(1));
+        let arena: SharedArena<u8> = SharedArena::new(1);
+        rt.run(|ctx| {
+            let p = arena.alloc(ctx, 1);
+            ctx.barrier();
+            let _view = arena.frozen(ctx);
+            arena.write(ctx, p, 2);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "alloc in region 0, which is frozen for epoch 0")]
+    fn an_alloc_into_a_frozen_region_panics() {
+        let rt = Runtime::new(Machine::test_cluster(1));
+        let arena: SharedArena<u8> = SharedArena::new(1);
+        rt.run(|ctx| {
+            drop(arena.frozen(ctx));
+            arena.alloc(ctx, 1);
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "clear in region 0, which is frozen for epoch 0")]
+    fn a_clear_of_a_frozen_arena_panics() {
+        let rt = Runtime::new(Machine::test_cluster(1));
+        let arena: SharedArena<u8> = SharedArena::new(1);
+        rt.run(|ctx| {
+            arena.alloc(ctx, 1);
+            drop(arena.frozen(ctx));
+            arena.clear(ctx);
+        });
     }
 
     #[test]

@@ -216,34 +216,55 @@ impl<'w> Ctx<'w> {
 
     /// Charges a fine-grained read of `bytes` bytes owned by `owner`.
     pub(crate) fn bill_get(&self, owner: usize, bytes: usize) {
-        let cost = self.transfer_cost(owner, bytes);
-        self.advance(cost);
-        self.with_stats(|s| {
-            s.comm_seconds += cost;
-            if owner == self.rank {
-                s.local_accesses += 1;
-            } else {
-                s.remote_gets += 1;
-                s.messages += 1;
-                s.bytes_in += bytes as u64;
-            }
-        });
+        self.bill_gets(owner, bytes, 1);
     }
 
     /// Charges a fine-grained write of `bytes` bytes owned by `owner`.
     pub(crate) fn bill_put(&self, owner: usize, bytes: usize) {
+        self.bill_puts(owner, bytes, 1);
+    }
+
+    /// Charges `k` successive fine-grained reads of `bytes` bytes owned by
+    /// `owner`, one f64 addition of the transfer cost per read on the clock
+    /// and on the communication seconds, under one borrow of the statistics
+    /// with the clock kept in a local.
+    pub(crate) fn bill_gets(&self, owner: usize, bytes: usize, k: u32) {
         let cost = self.transfer_cost(owner, bytes);
-        self.advance(cost);
-        self.with_stats(|s| {
-            s.comm_seconds += cost;
-            if owner == self.rank {
-                s.local_accesses += 1;
-            } else {
-                s.remote_puts += 1;
-                s.messages += 1;
-                s.bytes_out += bytes as u64;
-            }
-        });
+        let mut clock = self.clock.get();
+        let mut stats = self.stats.borrow_mut();
+        for _ in 0..k {
+            clock += cost;
+            stats.comm_seconds += cost;
+        }
+        self.clock.set(clock);
+        let k = u64::from(k);
+        if owner == self.rank {
+            stats.local_accesses += k;
+        } else {
+            stats.remote_gets += k;
+            stats.messages += k;
+            stats.bytes_in += k * bytes as u64;
+        }
+    }
+
+    /// Write counterpart of [`Ctx::bill_gets`].
+    pub(crate) fn bill_puts(&self, owner: usize, bytes: usize, k: u32) {
+        let cost = self.transfer_cost(owner, bytes);
+        let mut clock = self.clock.get();
+        let mut stats = self.stats.borrow_mut();
+        for _ in 0..k {
+            clock += cost;
+            stats.comm_seconds += cost;
+        }
+        self.clock.set(clock);
+        let k = u64::from(k);
+        if owner == self.rank {
+            stats.local_accesses += k;
+        } else {
+            stats.remote_puts += k;
+            stats.messages += k;
+            stats.bytes_out += k * bytes as u64;
+        }
     }
 
     /// Charges a bulk get of `bytes` bytes from `owner` in a single message
@@ -325,7 +346,9 @@ impl<'w> Ctx<'w> {
     /// Bills one shared-object read of `bytes` bytes owned by `owner`, as a
     /// [`crate::SharedArena::read`] of a record that size: a local target
     /// pays the pointer-to-shared dereference surcharge plus one local
-    /// access, a remote target pays a fine-grained get.
+    /// access, a remote target pays a fine-grained get.  The unbatched
+    /// reference [`Ctx::charge_shared_reads`] is pinned to.
+    #[cfg(test)]
     pub(crate) fn charge_shared_read(&self, owner: usize, bytes: usize) {
         if owner == self.rank {
             self.advance(self.machine().global_ptr_overhead);
@@ -335,8 +358,50 @@ impl<'w> Ctx<'w> {
         }
     }
 
+    /// Bills `k` successive shared-object reads of `bytes` bytes owned by
+    /// `owner` — a struct read field by field through a pointer-to-shared.
+    /// Bit for bit what `k` [`Ctx::charge_shared_read`]s bill: the same f64
+    /// additions, in the same order, on the clock and on every counter, but
+    /// under one borrow of the statistics with the clock kept in a local.
+    pub(crate) fn charge_shared_reads(&self, owner: usize, bytes: usize, k: u32) {
+        if owner == self.rank {
+            self.charge_local_derefs(k);
+        } else {
+            self.bill_gets(owner, bytes, k);
+        }
+    }
+
+    /// Write counterpart of [`Ctx::charge_shared_reads`]: what `k`
+    /// [`Ctx::charge_shared_write`]s bill.
+    pub(crate) fn charge_shared_writes(&self, owner: usize, bytes: usize, k: u32) {
+        if owner == self.rank {
+            self.charge_local_derefs(k);
+        } else {
+            self.bill_puts(owner, bytes, k);
+        }
+    }
+
+    /// `k` dereferences of a local pointer-to-shared, each the surcharge
+    /// plus one local access, replayed in [`Ctx::charge_shared_read`]'s
+    /// order: clock += surcharge, clock += access, compute += access.
+    fn charge_local_derefs(&self, k: u32) {
+        let m = self.machine();
+        let access = m.local_access_cost * m.compute_factor();
+        let mut clock = self.clock.get();
+        let mut stats = self.stats.borrow_mut();
+        for _ in 0..k {
+            clock += m.global_ptr_overhead;
+            clock += access;
+            stats.compute_seconds += access;
+        }
+        self.clock.set(clock);
+        stats.local_accesses += u64::from(k);
+    }
+
     /// Write counterpart of [`Ctx::charge_shared_read`] (the billing of a
-    /// [`crate::SharedArena::write`]).
+    /// [`crate::SharedArena::write`]), the reference
+    /// [`Ctx::charge_shared_writes`] is pinned to.
+    #[cfg(test)]
     pub(crate) fn charge_shared_write(&self, owner: usize, bytes: usize) {
         if owner == self.rank {
             self.advance(self.machine().global_ptr_overhead);
@@ -521,6 +586,57 @@ mod tests {
             ctx.stats_snapshot().lock_acquires
         });
         assert!(report.ranks.iter().all(|r| r.result == 2));
+    }
+
+    /// The clock bits and counters of rank 0 of a two-node machine after
+    /// `bill` ran once against its own rank and once against rank 3, for
+    /// each of several starting clocks (so that an addition regrouped in
+    /// the replay would round differently at one of them).
+    fn billed(bill: impl Fn(&Ctx, usize) + Sync) -> Vec<(u64, RankStats)> {
+        [1e-7, 0.1, 1.0 / 3.0, 12.345, 987.654_321]
+            .into_iter()
+            .map(|start| {
+                let rt = Runtime::new(Machine::power5(2, 2, true));
+                let report = rt.run(|ctx| {
+                    if ctx.rank() == 0 {
+                        ctx.charge_compute(start);
+                        bill(ctx, 0);
+                        bill(ctx, 3);
+                    }
+                    (ctx.now().to_bits(), ctx.stats_snapshot())
+                });
+                report.ranks.into_iter().next().unwrap().result
+            })
+            .collect()
+    }
+
+    #[test]
+    fn batched_billing_replays_successive_single_charges_bit_for_bit() {
+        for k in [1, 3, 5] {
+            for bytes in [8, 120, 152] {
+                let label = format!("{k} x {bytes} B");
+                let reads = billed(|ctx, owner| {
+                    for _ in 0..k {
+                        ctx.charge_shared_read(owner, bytes);
+                    }
+                });
+                let batched = billed(|ctx, owner| ctx.charge_shared_reads(owner, bytes, k));
+                assert_eq!(reads, batched, "{label}");
+                let stats = &reads[0].1;
+                assert_eq!(stats.local_accesses, u64::from(k), "{label}");
+                assert_eq!(stats.remote_gets, u64::from(k), "{label}");
+                assert_eq!(stats.bytes_in, u64::from(k) * bytes as u64, "{label}");
+
+                let writes = billed(|ctx, owner| {
+                    for _ in 0..k {
+                        ctx.charge_shared_write(owner, bytes);
+                    }
+                });
+                let batched = billed(|ctx, owner| ctx.charge_shared_writes(owner, bytes, k));
+                assert_eq!(writes, batched, "{label}");
+                assert_eq!(writes[0].1.remote_puts, u64::from(k), "{label}");
+            }
+        }
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! | shared arrays (block-distributed)       | [`SharedVec`] |
 //! | `upc_alloc` (per-thread shared heap)    | [`SharedArena`] (billing one record size per element: `size_of::<T>()`, or [`SharedArena::with_record_bytes`]) |
 //! | pointer-to-shared                       | [`GlobalPtr`] |
-//! | `p->f1; p->f2; …` (a struct read field by field through a pointer-to-shared) | [`SharedArena::read_fields`], [`SharedVec::read_fields`] (and `write_fields`) |
+//! | `p->f1; p->f2; …` (a struct read field by field through a pointer-to-shared) | [`SharedArena::read_fields`], [`SharedVec::read_fields`] (and `write_fields`), each billed in one batched charge; [`Frozen::read_fields`] in a read-only phase |
 //! | `upc_memget` / `upc_memput`             | [`SharedVec::get_block`] / [`SharedVec::put_block`] |
 //! | `upc_memget_ilist`                      | [`SharedVec::get_ilist`] |
 //! | `bupc_memget_vlist_async` + `waitsync`  | [`SharedArena::get_vlist_async`], [`Handle`] |
@@ -47,7 +47,10 @@
 //! safe callers: the crate contains no `unsafe`, and every element sits
 //! behind its own reader-writer lock (`sync_cell`).
 //!
-//! That slot lock is the only lock on the fine-grained access path.  A
+//! That slot lock is the only lock on the fine-grained access path, and a
+//! phase that only reads the cell arena skips it: [`SharedArena::frozen`]
+//! hands every rank the same immutable copy for the barrier epoch, whose
+//! reads are billed exactly like fetches ([`Frozen::read_fields`]).  A
 //! [`SharedVec`] is a fixed array of slots; a [`SharedArena`] region is an
 //! append-only table of power-of-two chunks (`OnceLock` each, never moved or
 //! freed) whose length is published with `Release` after a new element is
@@ -73,7 +76,7 @@ pub mod stats;
 pub mod swcache;
 mod sync_cell;
 
-pub use arena::SharedArena;
+pub use arena::{Frozen, SharedArena};
 pub use ctx::{Ctx, Handle};
 pub use gptr::GlobalPtr;
 pub use lock::GlobalLock;

@@ -41,22 +41,6 @@ impl GlobalLock {
         ctx.bill_lock(self.home);
         LockGuard { _guard: guard }
     }
-
-    /// Attempts to acquire the lock without blocking.  Charges the
-    /// acquisition cost only on success (a failed attempt charges one
-    /// latency to the lock's home).
-    pub fn try_lock<'a>(&'a self, ctx: &Ctx) -> Option<LockGuard<'a>> {
-        match self.mutex.try_lock() {
-            Some(guard) => {
-                ctx.bill_lock(self.home);
-                Some(LockGuard { _guard: guard })
-            }
-            None => {
-                ctx.charge_issue_overhead(1);
-                None
-            }
-        }
-    }
 }
 
 /// A table of global locks, as SPLASH-2 allocates (one lock per cell hashed
@@ -128,18 +112,6 @@ mod tests {
         assert_eq!(acq0, 1);
         assert_eq!(acq1, 1);
         assert!(cost_rank1 > cost_rank0, "remote lock must cost more than a local one");
-    }
-
-    #[test]
-    fn try_lock_fails_when_held() {
-        let rt = Runtime::new(Machine::test_cluster(1));
-        let lock = GlobalLock::new(0);
-        rt.run(|ctx| {
-            let g = lock.lock(ctx);
-            assert!(lock.try_lock(ctx).is_none());
-            drop(g);
-            assert!(lock.try_lock(ctx).is_some());
-        });
     }
 
     #[test]

@@ -83,10 +83,7 @@ impl<T: Copy + Send + Sync> SharedVec<T> {
     /// Panics if `fields` is zero.
     pub fn read_fields(&self, ctx: &Ctx, i: usize, fields: u32) -> T {
         assert!(fields > 0, "a read of zero fields has no value to return");
-        let owner = self.owner_of(i);
-        for _ in 0..fields {
-            ctx.bill_get(owner, std::mem::size_of::<T>());
-        }
+        ctx.bill_gets(self.owner_of(i), std::mem::size_of::<T>(), fields);
         self.slots[i].get()
     }
 
@@ -99,10 +96,7 @@ impl<T: Copy + Send + Sync> SharedVec<T> {
     /// successive [`SharedVec::write`]s and stores the element once.
     pub fn write_fields(&self, ctx: &Ctx, i: usize, value: T, fields: u32) {
         assert!(fields > 0, "a write of zero fields would store without being billed");
-        let owner = self.owner_of(i);
-        for _ in 0..fields {
-            ctx.bill_put(owner, std::mem::size_of::<T>());
-        }
+        ctx.bill_puts(self.owner_of(i), std::mem::size_of::<T>(), fields);
         self.slots[i].set(value);
     }
 
@@ -218,8 +212,15 @@ impl<T: Copy + Send + Sync> SharedScalar<T> {
     /// Reads the scalar; every rank other than 0 pays a remote access
     /// (this is exactly the cost that §5.1 removes by replication).
     pub fn read(&self, ctx: &Ctx) -> T {
-        ctx.bill_get(0, std::mem::size_of::<T>());
+        self.charge_read(ctx);
         self.slot.get()
+    }
+
+    /// Bills exactly what [`SharedScalar::read`] bills and fetches nothing:
+    /// for a caller that already holds the value of a scalar nobody writes
+    /// in the phase, and must still pay for each use the model reads it.
+    pub fn charge_read(&self, ctx: &Ctx) {
+        ctx.bill_get(0, std::mem::size_of::<T>());
     }
 
     /// Writes the scalar (remote for every rank other than 0).
@@ -412,6 +413,28 @@ mod tests {
         });
         assert_eq!(report.ranks[0].result, (1.25, 0));
         assert_eq!(report.ranks[1].result, (1.25, 1));
+    }
+
+    #[test]
+    fn charge_read_bills_what_read_bills() {
+        let s = SharedScalar::new(0.5f64);
+        let billed = |uses: &(dyn Fn(&Ctx) + Sync)| {
+            let report = Runtime::new(Machine::power5(2, 2, true)).run(|ctx| uses(ctx));
+            report.ranks.iter().map(|r| (r.clock.to_bits(), r.stats.clone())).collect::<Vec<_>>()
+        };
+        let read = billed(&|ctx| {
+            for _ in 0..3 {
+                assert_eq!(s.read(ctx), 0.5);
+            }
+        });
+        let charged = billed(&|ctx| {
+            for _ in 0..3 {
+                s.charge_read(ctx);
+            }
+        });
+        assert_eq!(read, charged);
+        assert_eq!(read[0].1.local_accesses, 3, "rank 0 owns the scalar");
+        assert_eq!(read[3].1.remote_gets, 3);
     }
 
     #[test]

@@ -7,14 +7,16 @@
 //! relaxed model) degrades into a well-defined last-writer-wins outcome
 //! instead of undefined behaviour.
 //!
-//! The slot lock is the only lock a fine-grained shared access takes: the
-//! containers above it find the slot without one (`SharedVec` indexes a
-//! fixed array, `SharedArena` an append-only chunk table, see
-//! [`crate::arena`]).  It stays because dropping it means handing out
-//! `&T`/`*mut T` into memory another rank thread may be writing, which safe
-//! Rust cannot express; uncontended it is two atomic operations around the
-//! copy, and `read_fields`/`write_fields` take it once per element however
-//! many field accesses they bill.
+//! The slot lock is the lock a fine-grained access takes when it fetches
+//! through a container: the containers above it find the slot without one
+//! (`SharedVec` indexes a fixed array, `SharedArena` an append-only chunk
+//! table, see [`crate::arena`]), and `read_fields`/`write_fields` take it
+//! once per element however many field accesses they bill.  It stays
+//! because dropping it means handing out `&T`/`*mut T` into memory another
+//! rank thread may be writing, which safe Rust cannot express.  A phase in
+//! which nobody writes does not take it at all: it reads the epoch's
+//! immutable copy of the arena ([`crate::arena::Frozen`]), which is billed
+//! like a fetch but needs neither the lock nor the copy out of the slot.
 //!
 //! The lock is an implementation detail: it is *not* part of the simulated
 //! cost model (real lock overhead is a few tens of nanoseconds and does not

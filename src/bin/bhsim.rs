@@ -63,7 +63,7 @@ impl Default for Options {
     }
 }
 
-fn usage() -> ! {
+fn usage() -> String {
     let mut configuration = String::new();
     for knob in &knobs::ROWS {
         let Some((flag, help)) = knob.flag else { continue };
@@ -78,7 +78,7 @@ fn usage() -> ! {
         let head = format!("{flag} {}", knob.metavar());
         configuration += &format!("{head:<20} {help}{choices} (default {default})\n");
     }
-    eprintln!(
+    format!(
         "usage: bhsim [options]\n\
          \n\
          workload and solver:\n\
@@ -115,17 +115,15 @@ fn usage() -> ! {
          output:\n\
            --list               list scenarios, backends, every axis and the valid\n\
                                 combinations, then exit\n\
-           --json               print the report as JSON instead of a table\n"
-    );
-    std::process::exit(2)
+           --json               print the report as JSON instead of a table\n\
+           --help               print this help and exit\n"
+    )
 }
 
 /// The flags `bhsim` accepts besides the knob table's: with those, what
 /// [`engine::cli::Args`] admits and what an unknown flag is matched against
 /// for its did-you-mean.
 const FLAGS: &[&str] = &[
-    "--help",
-    "-h",
     "--list",
     "--json",
     "--scenario",
@@ -144,7 +142,6 @@ fn parse_args() -> Options {
     let mut args = Args::from_env("bhsim", &flags, usage);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--help" | "-h" => usage(),
             "--list" => opts.list = true,
             "--json" => opts.json = true,
             "--scenario" => opts.scenario = args.value("--scenario"),
@@ -183,19 +180,16 @@ fn parse_args() -> Options {
         }
     }
     if opts.checkpoint_every.is_some() != opts.checkpoint_dir.is_some() {
-        eprintln!("bhsim: --checkpoint-every and --checkpoint-dir must be given together");
-        usage()
+        args.reject("--checkpoint-every and --checkpoint-dir must be given together")
     }
     if (opts.checkpoint_every.is_some() || opts.resume.is_some()) && opts.compare.is_some() {
-        eprintln!("bhsim: checkpointing and --resume drive a single backend, not --compare");
-        usage()
+        args.reject("checkpointing and --resume drive a single backend, not --compare")
     }
     if opts.faults.targets("engine.step") && opts.checkpoint_every.is_none() {
-        eprintln!(
-            "bhsim: --faults engine.step needs --checkpoint-every/--checkpoint-dir — the \
-             step-fault supervisor recovers by restoring the latest checkpoint"
-        );
-        usage()
+        args.reject(
+            "--faults engine.step needs --checkpoint-every/--checkpoint-dir — the \
+             step-fault supervisor recovers by restoring the latest checkpoint",
+        )
     }
     opts
 }
@@ -430,10 +424,8 @@ fn main() {
     // Every knob not given takes its table default; θ/ε/dt the scenario's.
     let tuning = scenario.recommended_config();
     let given = serde::Value::Object(opts.knobs.clone());
-    let mut cfg = knobs::config(knobs::Front::Flag, &given, &tuning).unwrap_or_else(|e| {
-        eprintln!("bhsim: {e}");
-        usage()
-    });
+    let mut cfg = knobs::config(knobs::Front::Flag, &given, &tuning)
+        .unwrap_or_else(|e| engine::cli::reject("bhsim", usage, &e.to_string()));
     cfg.faults = opts.faults.clone();
 
     // Every backend's capability row judges the run before any work: no

@@ -27,9 +27,8 @@ struct Options {
     json: bool,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: snapdiff [--bodies] [--json] MANIFEST_A MANIFEST_B\n\
+fn usage() -> String {
+    "usage: snapdiff [--bodies] [--json] MANIFEST_A MANIFEST_B\n\
          \n\
          Compares two snapstore checkpoint manifests:\n\
            default    chunk-level diff (which columns moved, shared storage)\n\
@@ -37,19 +36,17 @@ fn usage() -> ! {
                       per-field counts and the largest displacement\n\
            --json     machine-readable output\n\
          \n\
-         exit status: 0 identical, 1 different, 2 error"
-    );
-    std::process::exit(2)
+         exit status: 0 identical, 1 different, 2 error\n"
+        .to_string()
 }
 
 fn parse_args() -> Options {
     let mut positional: Vec<String> = Vec::new();
     let mut bodies = false;
     let mut json = false;
-    let mut args = Args::from_env("snapdiff", &["--help", "-h", "--bodies", "--json"], usage);
+    let mut args = Args::from_env("snapdiff", &["--bodies", "--json"], usage);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--help" | "-h" => usage(),
             "--bodies" => bodies = true,
             "--json" => json = true,
             _ => positional.push(arg),

@@ -1,5 +1,6 @@
 //! Process-level checks of `bhsim` through the binary most scripts call:
-//! its refusals — the shared command-line cursor (`engine::cli`) and the
+//! its answer to `--help`, its refusals — the shared command-line cursor
+//! (`engine::cli`, which `snapdiff` parses with too) and the
 //! capability table (`engine::caps`, which runs `SimConfig::validate` first)
 //! — and the step-fault supervisor.
 
@@ -17,6 +18,33 @@ fn bhsim_rejects_a_misspelt_flag_with_exit_2_and_a_suggestion() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("bhsim: unknown option: --stpes (did you mean --steps?)"), "{stderr}");
     assert!(stderr.contains("usage: bhsim"), "{stderr}");
+}
+
+/// What `bin` does with `args`: exit code, stdout, stderr.
+fn status_of(bin: &str, args: &[&str]) -> (Option<i32>, String, String) {
+    let out = Command::new(bin).args(args).output().expect("spawn");
+    let text = |bytes: Vec<u8>| String::from_utf8(bytes).expect("utf-8 output");
+    (out.status.code(), text(out.stdout), text(out.stderr))
+}
+
+#[test]
+fn help_is_an_answer_not_an_error() {
+    for (bin, head) in [
+        (env!("CARGO_BIN_EXE_bhsim"), "usage: bhsim"),
+        (env!("CARGO_BIN_EXE_snapdiff"), "usage: snapdiff"),
+    ] {
+        for flag in ["--help", "-h"] {
+            let (code, stdout, stderr) = status_of(bin, &[flag]);
+            assert_eq!(code, Some(0), "{bin} {flag}: {stderr}");
+            assert!(stdout.starts_with(head), "{bin} {flag} prints its usage on stdout");
+            assert!(stderr.is_empty(), "{bin} {flag} is no error: {stderr}");
+        }
+        // A rejected command line still exits 2 with the usage on stderr.
+        let (code, stdout, stderr) = status_of(bin, &["--hlep"]);
+        assert_eq!(code, Some(2));
+        assert!(stdout.is_empty());
+        assert!(stderr.contains("did you mean --help?") && stderr.contains(head), "{stderr}");
+    }
 }
 
 /// Copies the directory tree `from` to `to`.

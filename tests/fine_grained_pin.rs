@@ -1,15 +1,17 @@
-//! A deterministic pin for the paper's fine-grained rungs (Tables 2–4).
+//! Deterministic pins for the paper's fine-grained rungs (Tables 2–4).
 //!
 //! The uncached force walk reads every visited cell field by field through
-//! its pointer-to-shared; the emulator bills each field read and performs
-//! the copy once.  On the sorted build (no locks, deterministic affinity) a
-//! run repeats exactly, so these tests fail if a change bills a field read
-//! it no longer performs, or performs one it no longer bills.
+//! its pointer-to-shared; the emulator bills each field read and hands the
+//! walk the cell from the epoch's frozen copy of the arena.  Every run
+//! below is lock-free or single-rank, so it repeats exactly, and the
+//! golden fingerprints were recorded from the slot-reading walk this one
+//! replaced: they fail if a change bills a field read it no longer
+//! performs, performs one it no longer bills, or moves any simulated bit.
 
 use barnes_hut_upc::bh::cellnode::COMPACT_NODE_BYTES;
 use barnes_hut_upc::prelude::*;
 
-fn run(fine_grained_fields: u32) -> SimResult {
+fn run_fields(fine_grained_fields: u32) -> SimResult {
     let mut cfg = SimConfig::new(1024, Machine::process_per_node(2), OptLevel::Redistribute);
     cfg.build = TreeBuild::Sorted;
     cfg.steps = 2;
@@ -20,7 +22,7 @@ fn run(fine_grained_fields: u32) -> SimResult {
 
 #[test]
 fn redistribute_on_the_sorted_build_repeats_exactly() {
-    let (a, b) = (run(3), run(3));
+    let (a, b) = (run_fields(3), run_fields(3));
     assert_eq!(a.total.to_bits(), b.total.to_bits(), "{} vs {}", a.total, b.total);
     let (sa, sb) = (a.total_stats(), b.total_stats());
     assert_eq!(sa.lock_acquires, 0, "the sorted build takes no locks");
@@ -34,7 +36,7 @@ fn redistribute_on_the_sorted_build_repeats_exactly() {
 
 #[test]
 fn field_count_scales_the_billed_reads_and_nothing_else() {
-    let [one, three, five] = [1, 3, 5].map(run);
+    let [one, three, five] = [1, 3, 5].map(run_fields);
     for other in [&three, &five] {
         assert!(
             engine::snap::bodies_bits_equal(&one.bodies, &other.bodies),
@@ -65,3 +67,131 @@ fn field_count_scales_the_billed_reads_and_nothing_else() {
     }
     assert!(one.total < three.total && three.total < five.total);
 }
+
+/// Everything a run of the uncached walk bills and computes, as text: the
+/// simulated total and every phase's time as f64 bits, every rank's
+/// counters (its seconds as bits), and the state digest of the final
+/// bodies.
+fn fingerprint(result: &SimResult) -> Vec<String> {
+    let bits = |x: f64| format!("{:016x}", x.to_bits());
+    let p = &result.phases;
+    let mut lines = vec![
+        format!("total {}", bits(result.total)),
+        format!(
+            "phases tree {} cofm {} partition {} redistribute {} force {} advance {}",
+            bits(p.tree),
+            bits(p.cofm),
+            bits(p.partition),
+            bits(p.redistribute),
+            bits(p.force),
+            bits(p.advance)
+        ),
+    ];
+    for (rank, r) in result.ranks.iter().enumerate() {
+        let s = &r.stats;
+        lines.push(format!(
+            "rank {rank} gets {} puts {} local {} messages {} in {} out {} locks {} vlists {} \
+             single {} interactions {} tree_ops {} macs {} compute {} comm {} sync {}",
+            s.remote_gets,
+            s.remote_puts,
+            s.local_accesses,
+            s.messages,
+            s.bytes_in,
+            s.bytes_out,
+            s.lock_acquires,
+            s.vlist_requests,
+            s.vlist_single_source,
+            s.interactions,
+            s.tree_ops,
+            s.macs,
+            bits(s.compute_seconds),
+            bits(s.comm_seconds),
+            bits(s.sync_seconds)
+        ));
+    }
+    lines.push(format!("digest {}", snapstore::digest_bodies(&result.bodies)));
+    lines
+}
+
+/// A 512-body Plummer run of `opt` on `nodes` single-rank nodes, 2 steps
+/// with the second measured.
+fn run(opt: OptLevel, nodes: usize, build: TreeBuild, scalar_cache: bool) -> SimResult {
+    let mut cfg = SimConfig::new(512, Machine::process_per_node(nodes), opt);
+    cfg.build = build;
+    cfg.steps = 2;
+    cfg.measured_steps = 1;
+    cfg.software_scalar_cache = scalar_cache;
+    bh::run_simulation(&cfg)
+}
+
+/// Asserts that a run's fingerprint is the recorded one.
+fn assert_pinned(name: &str, result: &SimResult, pinned: &[&str]) {
+    assert_eq!(fingerprint(result), pinned, "{name} moved off its recorded fingerprint");
+}
+
+#[test]
+fn the_three_uncached_rungs_at_one_rank_are_pinned_bit_for_bit() {
+    use OptLevel::*;
+    let insertion = TreeBuild::Insertion;
+    assert_pinned("baseline", &run(Baseline, 1, insertion, false), BASELINE_1);
+    assert_pinned(
+        "baseline + software scalar cache",
+        &run(Baseline, 1, insertion, true),
+        BASELINE_SCALAR_CACHE_1,
+    );
+    assert_pinned(
+        "replicate-scalars",
+        &run(ReplicateScalars, 1, insertion, false),
+        REPLICATE_SCALARS_1,
+    );
+    assert_pinned("redistribute", &run(Redistribute, 1, insertion, false), REDISTRIBUTE_1);
+}
+
+#[test]
+fn redistribute_on_the_sorted_build_is_pinned_bit_for_bit_at_two_and_four_ranks() {
+    let sorted = TreeBuild::Sorted;
+    assert_pinned("2 ranks", &run(OptLevel::Redistribute, 2, sorted, false), REDISTRIBUTE_SORTED_2);
+    assert_pinned("4 ranks", &run(OptLevel::Redistribute, 4, sorted, false), REDISTRIBUTE_SORTED_4);
+}
+
+// Recorded from the walk that fetched every visited cell through its slot.
+const BASELINE_1: &[&str] = &[
+    "total 3fa486ae85637d8e",
+    "phases tree 3f724deb1a6a7cb8 cofm 3f33410b9f2a5080 partition 3f3475a5400c3500 redistribute 3ef50c0956489000 force 3fa1ace67d777b46 advance 3f3efde0dabe4a00",
+    "rank 0 gets 0 puts 0 local 760948 messages 8 in 0 out 0 locks 1580 vlists 0 single 0 interactions 115334 tree_ops 9594 macs 110562 compute 3f9708b382cf4fbf comm 3fa7267a6825b904 sync 3f1d5c31593e5fb9",
+    "digest b876b542ae9a0292370fc1d306bc761fd850337fcc123f9273d2239cb98a577d",
+];
+const BASELINE_SCALAR_CACHE_1: &[&str] = &[
+    "total 3f9805e9b51f760c",
+    "phases tree 3f71b1754fdb0368 cofm 3f33410b9f2cda00 partition 3f3475a5400db680 redistribute 3ef50c0956489800 force 3f92797717eb579e advance 3f3efde0dab84b00",
+    "rank 0 gets 0 puts 0 local 760948 messages 8 in 0 out 0 locks 1580 vlists 0 single 0 interactions 115334 tree_ops 9594 macs 110562 compute 3f97f7b59d75e8f0 comm 3f86944bd1e5a570 sync 3f1d5c31593e5fb9",
+    "digest b876b542ae9a0292370fc1d306bc761fd850337fcc123f9273d2239cb98a577d",
+];
+const REPLICATE_SCALARS_1: &[&str] = &[
+    "total 3f978e294e015578",
+    "phases tree 3f71ac8ae2f2d000 cofm 3f33410b9f2cda00 partition 3f34709cc290b300 redistribute 3ef50c0956489800 force 3f9203056dfd37f2 advance 3f3efde0dab84b00",
+    "rank 0 gets 0 puts 0 local 532996 messages 8 in 0 out 0 locks 1580 vlists 0 single 0 interactions 115334 tree_ops 9594 macs 110562 compute 3f9708b382cf4fbf comm 3f869309b2866495 sync 3f1d5c31593e5fb9",
+    "digest b876b542ae9a0292370fc1d306bc761fd850337fcc123f9273d2239cb98a577d",
+];
+const REDISTRIBUTE_1: &[&str] = &[
+    "total 3f957369509dea1e",
+    "phases tree 3f6f9b4eae172000 cofm 3f1127bcffcb6800 partition 3f15e6018d5acc00 redistribute 3ef50c0956489800 force 3f914f7019873498 advance 3ef0fa81c464b000",
+    "rank 0 gets 0 puts 0 local 514564 messages 8 in 0 out 0 locks 1580 vlists 0 single 0 interactions 115334 tree_ops 9594 macs 110562 compute 3f97125d6981e6b6 comm 3f7c296bdf213732 sync 3f1d5c31593e5fb9",
+    "digest b876b542ae9a0292370fc1d306bc761fd850337fcc123f9273d2239cb98a577d",
+];
+const REDISTRIBUTE_SORTED_2: &[&str] = &[
+    "total 3fe28fb76d0bc1b2",
+    "phases tree 3f43d260c6a48800 cofm 3ee0c6f7a0b60000 partition 3f16628f63aca000 redistribute 3f048d55be788000 force 3fe289936612c9d3 advance 3ee95dfd96c00000",
+    "rank 0 gets 87512 puts 0 local 161053 messages 87403 in 10514960 out 8256 locks 0 vlists 0 single 0 interactions 57667 tree_ops 16688 macs 55281 compute 3f87be9dd762f7b6 comm 3fec4e5664bb9d59 sync 3fd0dfcf5114f03b",
+    "rank 1 gets 113611 puts 0 local 134888 messages 113506 in 13638280 out 16616 locks 0 vlists 0 single 0 interactions 57667 tree_ops 15622 macs 55281 compute 3f876637a89ebc72 comm 3ff2612c52995986 sync 3f35061054249d2c",
+    "digest b876b542ae9a0292370fc1d306bc761fd850337fcc123f9273d2239cb98a577d",
+];
+const REDISTRIBUTE_SORTED_4: &[&str] = &[
+    "total 3fdfe034a59b6df4",
+    "phases tree 3f407dcd467fd000 cofm 3ef0c6f7a0b60000 partition 3f198e4f16460000 redistribute 3f1999b7aa2e8000 force 3fdfd433f786d794 advance 3ef30ac9b3160000",
+    "rank 0 gets 57773 puts 0 local 65755 messages 57698 in 6954104 out 5440 locks 0 vlists 0 single 0 interactions 28261 tree_ops 9889 macs 27214 compute 3f7781fa5a68549a comm 3fe2b113836a87a0 sync 3fdb9ef7681276cc",
+    "rank 1 gets 100463 puts 0 local 26129 messages 100398 in 12056848 out 13816 locks 0 vlists 0 single 0 interactions 29475 tree_ops 6662 macs 28170 compute 3f76df4cbd5917ae comm 3ff042767a2fcaed sync 3f43b09d277ec62b",
+    "rank 2 gets 80819 puts 0 local 45974 messages 80750 in 9703688 out 10640 locks 0 vlists 0 single 0 interactions 29533 tree_ops 8127 macs 28156 compute 3f7794d3bfb8b257 comm 3fea280eef538832 sync 3fc97161aebe6433",
+    "rank 3 gets 83820 puts 0 local 38543 messages 83745 in 10061648 out 11880 locks 0 vlists 0 single 0 interactions 28065 tree_ops 7276 macs 27022 compute 3f7647beb07f565d comm 3feb2059ef2c1b44 sync 3fc5a0b4bc9c22d8",
+    "digest b876b542ae9a0292370fc1d306bc761fd850337fcc123f9273d2239cb98a577d",
+];

@@ -13,7 +13,7 @@ use barnes_hut_upc::prelude::*;
 use bhserve::proto::{decode_job, E_PROTO};
 use serde::Value;
 
-fn no_usage() -> ! {
+fn no_usage() -> String {
     panic!("a well-formed command line must not reach usage")
 }
 
