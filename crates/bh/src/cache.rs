@@ -26,7 +26,7 @@ use crate::shared::{BhShared, RankState};
 use nbody::direct::pairwise_acceleration;
 use nbody::{SoaBodies, Vec3};
 use octree::walk::cell_is_far;
-use pgas::{Ctx, GlobalPtr};
+use pgas::{Ctx, GlobalPtr, Price};
 
 /// Sentinel for "no local child".
 const NO_LOCAL: i32 = -1;
@@ -364,7 +364,7 @@ impl CacheTree {
         if self.nodes[parent].localized {
             return;
         }
-        ctx.charge_tree_ops(1);
+        ctx.bill(Price::TreeOp, 1);
         for octant in 0..8 {
             let child_ptr = self.nodes[parent].node.children[octant];
             if child_ptr.is_null() {
@@ -385,7 +385,7 @@ impl CacheTree {
         if self.nodes[parent].localized {
             return;
         }
-        ctx.charge_tree_ops(1);
+        ctx.bill(Price::TreeOp, 1);
         let octants: Vec<usize> =
             (0..8).filter(|&o| !self.nodes[parent].node.children[o].is_null()).collect();
         assert_eq!(octants.len(), children.len(), "gathered child count mismatch");
@@ -515,8 +515,8 @@ impl CacheTree {
                 }
             }
         }
-        ctx.charge_macs(macs);
-        ctx.charge_interactions(result.interactions as u64);
+        ctx.bill(Price::Mac, macs);
+        ctx.bill(Price::Interaction, result.interactions as u64);
         result
     }
 
@@ -595,8 +595,8 @@ impl CacheTree {
                 }
             }
         }
-        ctx.charge_macs(macs);
-        ctx.charge_interactions(result.interactions as u64);
+        ctx.bill(Price::Mac, macs);
+        ctx.bill(Price::Interaction, result.interactions as u64);
         result
     }
 }

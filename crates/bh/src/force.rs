@@ -25,7 +25,7 @@ use crate::shared::{read_body, read_eps, read_theta, write_body, BhShared, RankS
 use nbody::direct::pairwise_acceleration;
 use nbody::{Body, Vec3};
 use octree::walk::cell_is_far;
-use pgas::{Ctx, Frozen, GlobalPtr};
+use pgas::{Ctx, Frozen, GlobalPtr, Price};
 
 /// Per-body force result used by all engines before write-back.
 #[derive(Debug, Clone, Copy)]
@@ -64,7 +64,7 @@ pub fn write_back(
             "owner-computes: only the owner may write a body"
         );
         // Read pass: all owned bodies, one batched charge.
-        ctx.charge_local_accesses(forces.len() as u64);
+        ctx.bill(Price::LocalAccess, forces.len() as u64);
         let mut bodies: Vec<Body> =
             forces.iter().map(|f| shared.bodytab.read_raw(f.id as usize)).collect();
         for (body, f) in bodies.iter_mut().zip(forces) {
@@ -74,7 +74,7 @@ pub fn write_back(
         }
         // Write pass: the updated bodies back into the table, one batched
         // charge.
-        ctx.charge_local_accesses(forces.len() as u64);
+        ctx.bill(Price::LocalAccess, forces.len() as u64);
         for (body, f) in bodies.iter().zip(forces) {
             shared.bodytab.write_raw(f.id as usize, *body);
         }
@@ -120,7 +120,7 @@ pub fn force_phase_uncached(
 /// θ and ε as the uncached walk uses them.  Where the level re-reads the
 /// shared scalar at every use (the baseline without the software cache),
 /// the values are fetched once per phase — nobody writes them — and every
-/// use is billed through [`pgas::shared::SharedScalar::charge_read`]; the
+/// use is billed through [`pgas::shared::SharedScalar::pay_for_read`]; the
 /// replicated copies and the software cache keep their own discipline
 /// ([`read_theta`], [`read_eps`]).
 struct WalkScalars<'a> {
@@ -142,7 +142,7 @@ impl<'a> WalkScalars<'a> {
     fn theta(&self, ctx: &Ctx) -> f64 {
         match self.held {
             Some((theta, _)) => {
-                self.shared.tol.charge_read(ctx);
+                self.shared.tol.pay_for_read(ctx);
                 theta
             }
             None => read_theta(ctx, self.shared, self.st, self.opt),
@@ -153,7 +153,7 @@ impl<'a> WalkScalars<'a> {
     fn eps(&self, ctx: &Ctx) -> f64 {
         match self.held {
             Some((_, eps)) => {
-                self.shared.eps.charge_read(ctx);
+                self.shared.eps.pay_for_read(ctx);
                 eps
             }
             None => read_eps(ctx, self.shared, self.st, self.opt),
@@ -216,8 +216,9 @@ fn walk_shared(
             }
         }
     }
-    ctx.charge_macs(macs);
-    ctx.charge_interactions_shared_ptr(interactions as u64);
+    ctx.bill(Price::Mac, macs);
+    ctx.bill(Price::Interaction, interactions as u64);
+    ctx.bill(Price::PtrSurcharge, interactions as u64);
     BodyForce { id, acc, phi, cost: interactions }
 }
 
@@ -275,7 +276,7 @@ pub fn advance_phase(ctx: &Ctx, shared: &BhShared, st: &RankState, cfg: &SimConf
         body.pos += body.vel * cfg.dt;
         write_body(ctx, shared, st, cfg, id, body);
     }
-    ctx.charge_local_accesses(2 * st.my_ids.len() as u64);
+    ctx.bill(Price::LocalAccess, 2 * st.my_ids.len() as u64);
 }
 
 #[cfg(test)]

@@ -27,7 +27,7 @@ use crate::shared::{read_body, read_eps, read_theta, BhShared, RankState};
 use nbody::direct::pairwise_acceleration;
 use nbody::Vec3;
 use octree::walk::cell_is_far;
-use pgas::{Ctx, Handle};
+use pgas::{Ctx, Handle, Price};
 use std::collections::VecDeque;
 
 /// One in-flight aggregated gather: the handle plus, for each parent cell
@@ -269,10 +269,10 @@ impl UnitKind for PerBody {
         let (macs, interactions) =
             (std::mem::take(&mut self.round_macs), std::mem::take(&mut self.round_interactions));
         if macs > 0 {
-            ctx.charge_macs(macs);
+            ctx.bill(Price::Mac, macs);
         }
         if interactions > 0 {
-            ctx.charge_interactions(interactions);
+            ctx.bill(Price::Interaction, interactions);
         }
         out.extend(finished.map(|w| BodyForce {
             id: w.id,
@@ -350,7 +350,7 @@ impl UnitKind for PerGroup {
                 interactions += n as u64;
                 out.push(BodyForce { id, acc, phi, cost: n });
             }
-            ctx.charge_interactions(interactions);
+            ctx.bill(Price::Interaction, interactions);
         }
     }
 }

@@ -61,7 +61,7 @@ use crate::shared::{read_body, read_eps, read_theta, BhShared, RankState};
 use nbody::direct::pairwise_acceleration;
 use nbody::{morton, Vec3};
 use octree::walk::cell_is_far;
-use pgas::{Ctx, GlobalPtr};
+use pgas::{Ctx, GlobalPtr, Price};
 use std::collections::{HashMap, HashSet};
 
 /// Target number of bodies per walk group.  Eight matches one octree level
@@ -275,7 +275,7 @@ pub(crate) fn build_list(
     let mut list = Vec::new();
     let mut macs = 0u64;
     build_node(ctx, shared, cache, 0, lo, hi, members, theta, &mut list, &mut macs);
-    ctx.charge_macs(macs);
+    ctx.bill(Price::Mac, macs);
     list
 }
 
@@ -599,7 +599,7 @@ fn group_forces(
             out.push(BodyForce { id, acc, phi, cost: interactions });
         }
     }
-    ctx.charge_interactions(total_interactions);
+    ctx.bill(Price::Interaction, total_interactions);
 
     let generation = st.lifecycle.generation;
     (out, GroupLists { generation, groups })

@@ -46,7 +46,7 @@ use crate::config::{SimConfig, TreePolicy, MAX_DEPTH};
 use crate::mergetree::swap_child_slot;
 use crate::shared::{read_body, BhShared, RankState};
 use nbody::{Body, Vec3};
-use pgas::{Ctx, GlobalPtr};
+use pgas::{Ctx, GlobalPtr, Price};
 use std::collections::HashMap;
 
 /// Where a body's leaf lives in the persistent tree: recorded at every full
@@ -239,7 +239,7 @@ pub fn decide(
         }
         probes.push(Probe { id, body, site, clean });
     }
-    ctx.charge_tree_ops(st.my_ids.len() as u64);
+    ctx.bill(Price::TreeOp, st.my_ids.len() as u64);
 
     // The new bounding box (stashed by the bounding-box phase) must still
     // fit inside the persistent root cell, or insertions would walk off the
@@ -350,7 +350,7 @@ fn locate_leaf(
         if node.kind != NodeKind::Cell {
             return LeafSite::INVALID;
         }
-        ctx.charge_tree_ops(1);
+        ctx.bill(Price::TreeOp, 1);
         let octant = node.octant_of(pos);
         let mut next = GlobalPtr::NULL;
         let child = node.children[octant];
@@ -434,7 +434,7 @@ pub fn incremental_update(
         let fresh = CellNode::new_body(p.id, p.body.pos, p.body.mass, p.body.cost);
         if p.clean {
             shared.cells.write(ctx, p.site.leaf, fresh);
-            ctx.charge_tree_ops(1);
+            ctx.bill(Price::TreeOp, 1);
         } else if detach_leaf(ctx, shared, &p.site) {
             dirty.push(p);
         } else {
@@ -442,7 +442,7 @@ pub fn incremental_update(
             // refresh it where it is — summaries stay exact, only the
             // spatial partition degrades — and rebuild next step.
             shared.cells.write(ctx, p.site.leaf, fresh);
-            ctx.charge_tree_ops(1);
+            ctx.bill(Price::TreeOp, 1);
             st.lifecycle.degraded = true;
         }
     }
@@ -505,7 +505,7 @@ fn detach_leaf(ctx: &Ctx, shared: &BhShared, site: &LeafSite) -> bool {
         if node.kind != NodeKind::Cell {
             return false;
         }
-        ctx.charge_tree_ops(1);
+        ctx.bill(Price::TreeOp, 1);
         if let Some(o) = (0..8).find(|&o| node.children[o] == site.leaf) {
             if swap_child_slot(ctx, shared, cur, o, site.leaf, GlobalPtr::NULL) {
                 return true;
@@ -550,7 +550,7 @@ fn reinsert_leaf(
         }
         let node = shared.cells.read(ctx, cur);
         debug_assert_eq!(node.kind, NodeKind::Cell, "re-insert descent must stay on cells");
-        ctx.charge_tree_ops(1);
+        ctx.bill(Price::TreeOp, 1);
         let octant = node.octant_of(leaf.cofm);
         let child = node.children[octant];
 
@@ -640,7 +640,7 @@ fn try_refold_cell(ctx: &Ctx, shared: &BhShared, ptr: GlobalPtr) -> bool {
     if node.done {
         return true;
     }
-    ctx.charge_tree_ops(1);
+    ctx.bill(Price::TreeOp, 1);
     let mut mass = 0.0;
     let mut moment = Vec3::ZERO;
     let mut cost = 0u64;
@@ -700,7 +700,7 @@ pub(crate) fn read_site(
     id: u32,
 ) -> LeafSite {
     if cfg.opt.redistributes_bodies() && st.owns(id) {
-        ctx.charge_local_accesses(1);
+        ctx.bill(Price::LocalAccess, 1);
         shared.sites.read_raw(id as usize)
     } else {
         shared.sites.read(ctx, id as usize)
@@ -717,7 +717,7 @@ fn write_site(
     site: LeafSite,
 ) {
     if cfg.opt.redistributes_bodies() && st.owns(id) {
-        ctx.charge_local_accesses(1);
+        ctx.bill(Price::LocalAccess, 1);
         shared.sites.write_raw(id as usize, site);
     } else {
         shared.sites.write(ctx, id as usize, site);

@@ -18,7 +18,7 @@ use crate::config::{SimConfig, LEAF_CAPACITY, MAX_DEPTH};
 use crate::shared::{read_body, BhShared, RankState};
 use nbody::{Body, Vec3};
 use octree::tree::{Octree, TreeParams, NO_CHILD};
-use pgas::{Ctx, GlobalPtr};
+use pgas::{Ctx, GlobalPtr, Price};
 
 /// Builds this rank's local octree over its owned bodies and uploads it into
 /// the shared cell arena (local allocations), returning the pointer to its
@@ -41,7 +41,7 @@ pub fn build_local_tree(
     let params = TreeParams { leaf_capacity: LEAF_CAPACITY, max_depth: MAX_DEPTH };
     let mut tree = Octree::build_in(&bodies, st.center, st.rsize, params);
     let mass_visits = tree.compute_mass(&bodies);
-    ctx.charge_tree_ops(tree.build_ops + mass_visits);
+    ctx.bill(Price::TreeOp, tree.build_ops + mass_visits);
 
     let ids = st.my_ids.clone();
     upload_subtree(ctx, shared, st, &tree, 0, &bodies, &ids)
@@ -171,7 +171,7 @@ fn merge_cells(
     shared.cells.update(ctx, g, |cell| {
         cell.merge_summary(lnode.mass, lnode.cofm, lnode.cost, lnode.nbodies);
     });
-    ctx.charge_tree_ops(1);
+    ctx.bill(Price::TreeOp, 1);
     for octant in 0..8 {
         let lchild = lnode.children[octant];
         if !lchild.is_null() {
@@ -297,7 +297,7 @@ fn insert_leaf_into_global(
         shared.cells.update(ctx, cur, |cell| {
             cell.merge_summary(leaf.mass, leaf.cofm, leaf.cost, 1);
         });
-        ctx.charge_tree_ops(1);
+        ctx.bill(Price::TreeOp, 1);
         if depth > MAX_DEPTH + 16 {
             // Coincident bodies: fold into the cell summary only (the body is
             // then represented by the aggregate, an approximation that never

@@ -18,7 +18,7 @@
 use crate::config::SimConfig;
 use crate::shared::{read_body, read_root_geometry, BhShared, RankState};
 use nbody::morton;
-use pgas::Ctx;
+use pgas::{Ctx, Price};
 
 /// Outcome of the partitioning phase: Morton splitters defining the zones.
 #[derive(Debug, Clone)]
@@ -60,7 +60,7 @@ pub fn partition_phase(
         keyed.push((id, key));
         contributions.push((key, body.cost.max(1)));
     }
-    ctx.charge_tree_ops(st.my_ids.len() as u64);
+    ctx.bill(Price::TreeOp, st.my_ids.len() as u64);
 
     // 2. Gather (key, cost) pairs on rank 0.
     let mut outgoing: Vec<Vec<(u64, u32)>> = vec![Vec::new(); ranks];
@@ -71,7 +71,7 @@ pub fn partition_phase(
     let splitters = if ctx.rank() == 0 {
         let mut all: Vec<(u64, u32)> = gathered.into_iter().flatten().collect();
         all.sort_unstable_by_key(|&(k, _)| k);
-        ctx.charge_tree_ops(all.len() as u64);
+        ctx.bill(Price::TreeOp, all.len() as u64);
         compute_splitters(&all, ranks)
     } else {
         Vec::new()
@@ -169,7 +169,7 @@ pub fn redistribute_phase(
     let outcome =
         RedistributeOutcome { migrated_in: migrated.len() as u64, owned: new_ids.len() as u64 };
     st.set_owned(new_ids);
-    ctx.charge_local_accesses(st.my_ids.len() as u64);
+    ctx.bill(Price::LocalAccess, st.my_ids.len() as u64);
     outcome
 }
 

@@ -11,7 +11,7 @@ use nbody::plummer::{generate, PlummerConfig};
 use nbody::{Body, Vec3};
 use pgas::shared::SharedScalar;
 use pgas::swcache::CachedScalar;
-use pgas::{Ctx, GlobalPtr, PhaseTimer, SharedArena, SharedVec};
+use pgas::{Ctx, GlobalPtr, PhaseTimer, Price, SharedArena, SharedVec};
 
 /// Number of locks in the global lock table protecting cell modifications
 /// (SPLASH-2 hashes cells onto a fixed pool of locks).
@@ -273,7 +273,7 @@ pub fn read_body(ctx: &Ctx, shared: &BhShared, st: &RankState, cfg: &SimConfig, 
     let idx = id as usize;
     if cfg.opt.redistributes_bodies() {
         if st.owns(id) {
-            ctx.charge_local_accesses(1);
+            ctx.bill(Price::LocalAccess, 1);
             shared.bodytab.read_raw(idx)
         } else {
             shared.bodytab.read(ctx, idx)
@@ -295,7 +295,7 @@ pub fn write_body(
     let idx = id as usize;
     if cfg.opt.redistributes_bodies() {
         debug_assert!(st.owns(id), "owner-computes: only the owner may write a body");
-        ctx.charge_local_accesses(1);
+        ctx.bill(Price::LocalAccess, 1);
         shared.bodytab.write_raw(idx, body);
     } else {
         shared.bodytab.write_fields(ctx, idx, body, cfg.fine_grained_fields.max(1));

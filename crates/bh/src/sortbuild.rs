@@ -45,7 +45,7 @@ use crate::cellnode::{CellNode, NodeKind};
 use crate::config::{SimConfig, MAX_DEPTH};
 use crate::shared::{read_body, BhShared, RankState};
 use nbody::Vec3;
-use pgas::{Ctx, GlobalPtr};
+use pgas::{Ctx, GlobalPtr, Price};
 
 /// Depth of the key encoding: 21 octant digits fill 63 of a `u64`'s bits.
 pub const KEY_LEVELS: usize = 21;
@@ -209,7 +209,7 @@ pub fn sorted_build(
         histogram[bucket_of(key)] += 1;
         mine.push(SortedBody { key, pos: b.pos, mass: b.mass, id, cost: b.cost });
     }
-    ctx.charge_tree_ops(st.my_ids.len() as u64 * KEY_LEVELS as u64);
+    ctx.bill(Price::TreeOp, st.my_ids.len() as u64 * KEY_LEVELS as u64);
 
     // Phase 2: global bucket histogram.  A fixed-size array, so the
     // collective bills its real 2 KiB payload.
@@ -220,7 +220,7 @@ pub fn sorted_build(
             *c += *n as u64;
         }
     }
-    ctx.charge_local_accesses(BUCKETS as u64);
+    ctx.bill(Price::LocalAccess, BUCKETS as u64);
 
     // Phase 3: every rank computes the same bucket → rank assignment.
     let owner_of = assign_buckets(&counts, ctx.ranks());
@@ -238,7 +238,7 @@ pub fn sorted_build(
     local.sort_unstable_by_key(|sb| (sb.key, sb.id));
     let m = local.len() as u64;
     if m > 1 {
-        ctx.charge_tree_ops(m * (64 - (m - 1).leading_zeros()) as u64);
+        ctx.bill(Price::TreeOp, m * (64 - (m - 1).leading_zeros()) as u64);
     }
 
     // Phase 6: build each assigned bucket's subtree from its sorted run.
@@ -311,7 +311,7 @@ fn build_range(
     }
 
     let mut cell = CellNode::new_cell(center, half);
-    ctx.charge_tree_ops(1);
+    ctx.bill(Price::TreeOp, 1);
     let mut kids: [Option<CellNode>; 8] = [None; 8];
     if depth < KEY_LEVELS {
         // The run is key-sorted, so each child octant is a contiguous
@@ -382,7 +382,7 @@ fn build_spine(
     }
     let span = 1usize << (3 * (BUCKET_DEPTH - depth - 1));
     let mut cell = CellNode::new_cell(center, half);
-    ctx.charge_tree_ops(1);
+    ctx.bill(Price::TreeOp, 1);
     let mut kids: [Option<CellNode>; 8] = [None; 8];
     let mut total = 0u64;
     for (oct, kid) in kids.iter_mut().enumerate() {

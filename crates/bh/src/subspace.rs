@@ -23,7 +23,7 @@ use crate::mergetree::upload_subtree;
 use crate::shared::{read_body, BhShared, RankState};
 use nbody::{Body, Vec3};
 use octree::tree::{Octree, TreeParams};
-use pgas::{Ctx, GlobalPtr};
+use pgas::{Ctx, GlobalPtr, Price};
 
 /// Reference from an internal subspace cell to one of its children.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,7 +114,7 @@ pub fn subspace_partition(
             (id, b.pos, b.cost.max(1) as f64)
         })
         .collect();
-    ctx.charge_local_accesses(owned.len() as u64);
+    ctx.bill(Price::LocalAccess, owned.len() as u64);
 
     let mut internals: Vec<InternalCell> = Vec::new();
     let mut leaves: Vec<LeafCell> = Vec::new();
@@ -149,7 +149,7 @@ pub fn subspace_partition(
                 })
                 .collect()
         };
-        ctx.charge_tree_ops(level.len() as u64);
+        ctx.bill(Price::TreeOp, level.len() as u64);
 
         if depth == 0 {
             let total = global_costs[0];
@@ -251,7 +251,7 @@ pub fn subspace_partition(
         leaves[leaf_idx].owner = zone;
         zone_cost += leaves[leaf_idx].cost;
     }
-    ctx.charge_tree_ops(leaves.len() as u64);
+    ctx.bill(Price::TreeOp, leaves.len() as u64);
 
     let plan = SubspacePlan { internals, leaves, tau, reductions };
     (plan, pre_assignment)
@@ -335,7 +335,7 @@ pub fn subspace_treebuild(
             }
             shared.root.write(ctx, ptrs[0]);
         }
-        ctx.charge_tree_ops(plan.internals.len() as u64);
+        ctx.bill(Price::TreeOp, plan.internals.len() as u64);
         ptrs
     } else {
         Vec::new()
@@ -387,7 +387,7 @@ pub fn subspace_treebuild(
         let params = TreeParams { leaf_capacity: LEAF_CAPACITY, max_depth: MAX_DEPTH };
         let mut tree = Octree::build_in(&bodies, leaf.center, 2.0 * leaf.half, params);
         let visits = tree.compute_mass(&bodies);
-        ctx.charge_tree_ops(tree.build_ops + visits);
+        ctx.bill(Price::TreeOp, tree.build_ops + visits);
         let subtree = upload_subtree(ctx, shared, st, &tree, 0, &bodies, &ids);
 
         // Hook: a single conflict-free slot update on the shared top tree.
@@ -427,7 +427,7 @@ pub fn subspace_treebuild(
             node.nbodies = nbodies;
             node.done = true;
             shared.cells.write_local(ctx, top_ptrs[i], node);
-            ctx.charge_tree_ops(1);
+            ctx.bill(Price::TreeOp, 1);
         }
     }
     ctx.barrier();

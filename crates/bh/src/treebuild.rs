@@ -12,7 +12,7 @@ use crate::cellnode::{CellNode, NodeKind};
 use crate::config::{SimConfig, MAX_DEPTH};
 use crate::shared::{read_body, read_root_geometry, BhShared, RankState};
 use nbody::{Body, Vec3};
-use pgas::{Ctx, GlobalPtr};
+use pgas::{Ctx, GlobalPtr, Price};
 
 /// Computes the root-cell geometry for this step: every rank reduces the
 /// bounding box of its owned bodies, and the result is either written to the
@@ -36,7 +36,7 @@ pub fn bounding_box_phase(
         lo = Vec3::ZERO;
         hi = Vec3::ZERO;
     }
-    ctx.charge_local_accesses(st.my_ids.len() as u64);
+    ctx.bill(Price::LocalAccess, st.my_ids.len() as u64);
 
     // Global reduction of the box.
     let boxes = ctx.allgather((lo, hi));
@@ -162,7 +162,7 @@ pub fn insert_body(
         }
         let node = shared.cells.read(ctx, cur);
         debug_assert_eq!(node.kind, NodeKind::Cell, "descent must stay on cells");
-        ctx.charge_tree_ops(1);
+        ctx.bill(Price::TreeOp, 1);
         let octant = node.octant_of(body.pos);
         let child = node.children[octant];
 
@@ -278,7 +278,7 @@ fn try_summarize_cell(
     if node.done {
         return true;
     }
-    ctx.charge_tree_ops(1);
+    ctx.bill(Price::TreeOp, 1);
     let mut mass = 0.0;
     let mut moment = Vec3::ZERO;
     let mut cost = 0u64;

@@ -25,7 +25,7 @@
 use nbody::body::Body;
 use nbody::morton;
 use nbody::vec3::Vec3;
-use pgas::Ctx;
+use pgas::{Ctx, Price};
 
 /// Number of splitter samples each rank contributes per decomposition round.
 pub const SAMPLES_PER_RANK: usize = 32;
@@ -59,7 +59,7 @@ pub struct Decomposition {
 /// Every rank contributes its local bounding box; the result is identical on
 /// all ranks.  Ranks with no bodies contribute a degenerate, ignored box.
 pub fn global_box(ctx: &Ctx, owned: &[Body]) -> GlobalBox {
-    ctx.charge_local_accesses(owned.len() as u64);
+    ctx.bill(Price::LocalAccess, owned.len() as u64);
     let (lo, hi) = if owned.is_empty() {
         (Vec3::splat(f64::INFINITY), Vec3::splat(f64::NEG_INFINITY))
     } else {
@@ -171,7 +171,7 @@ pub fn owner_of(key: u64, splitters: &[u64]) -> usize {
 pub fn plan(ctx: &Ctx, owned: &[Body]) -> (GlobalBox, Vec<u64>) {
     let global = global_box(ctx, owned);
     let samples = local_samples(owned, &global);
-    ctx.charge_local_accesses(owned.len() as u64);
+    ctx.bill(Price::LocalAccess, owned.len() as u64);
     let all_samples: Vec<(u64, f64)> = ctx.allgather(samples).into_iter().flatten().collect();
     let splitters = splitters_from_samples(all_samples, ctx.ranks());
     (global, splitters)
@@ -200,7 +200,7 @@ pub fn exchange_bodies(
     let migrated_in = (owned.len() - kept) as u64;
     // Keep bodies Morton-sorted so later tree builds and walks have locality.
     owned.sort_unstable_by_key(|b| key_of(b.pos, global));
-    ctx.charge_local_accesses(owned.len() as u64);
+    ctx.bill(Price::LocalAccess, owned.len() as u64);
     (owned, migrated_in)
 }
 

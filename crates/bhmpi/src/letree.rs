@@ -22,7 +22,7 @@ use nbody::body::Body;
 use nbody::vec3::Vec3;
 use octree::tree::{Octree, NO_CHILD};
 use octree::walk::cell_is_far;
-use pgas::Ctx;
+use pgas::{Ctx, Price};
 use serde::{Deserialize, Serialize};
 
 /// Message tag used by the LET exchange.
@@ -143,7 +143,7 @@ pub fn exchange_let(
             continue;
         }
         let (items, visited) = export_for(tree, owned, domain, theta);
-        ctx.charge_tree_ops(visited);
+        ctx.bill(Price::TreeOp, visited);
         ctx.send(dest, LET_TAG, items);
     }
     // Import pass: one receive per peer.
@@ -154,7 +154,7 @@ pub fn exchange_let(
         }
         imported.extend(ctx.recv::<LetItem>(source, LET_TAG));
     }
-    ctx.charge_local_accesses(imported.len() as u64);
+    ctx.bill(Price::LocalAccess, imported.len() as u64);
     imported
 }
 

@@ -26,7 +26,7 @@ use nbody::plummer::{generate, PlummerConfig};
 use nbody::Body;
 use octree::tree::{Octree, TreeParams};
 use octree::walk::accel_on;
-use pgas::{Ctx, PhaseTimer};
+use pgas::{Ctx, PhaseTimer, Price};
 
 /// Base id given to imported pseudo-bodies so they never collide with real
 /// body ids (the body cap of [`crate::backend::CAPS`] keeps the headroom).
@@ -126,14 +126,14 @@ fn run_step(ctx: &Ctx, st: &mut MpiRankState, cfg: &SimConfig) {
     let local_start = ctx.now();
     let params = TreeParams { leaf_capacity: LEAF_CAPACITY, max_depth: MAX_DEPTH };
     let mut tree = Octree::build_in(&st.owned, global.center, global.rsize, params);
-    ctx.charge_tree_ops(tree.build_ops);
+    ctx.bill(Price::TreeOp, tree.build_ops);
     st.tree_local_time += ctx.now() - local_start;
     st.timer.end(ctx, Phase::TreeBuild.key());
 
     // Centre-of-mass computation over the local tree.
     st.timer.begin(ctx, Phase::CenterOfMass.key());
     let visits = tree.compute_mass(&st.owned);
-    ctx.charge_tree_ops(visits);
+    ctx.bill(Price::TreeOp, visits);
     ctx.barrier();
     st.timer.end(ctx, Phase::CenterOfMass.key());
 
@@ -162,8 +162,8 @@ fn run_step(ctx: &Ctx, st: &mut MpiRankState, cfg: &SimConfig) {
         interactions += r.interactions as u64;
         macs += r.macs as u64;
     }
-    ctx.charge_macs(macs);
-    ctx.charge_interactions(interactions);
+    ctx.bill(Price::Mac, macs);
+    ctx.bill(Price::Interaction, interactions);
     ctx.barrier();
     st.timer.end(ctx, Phase::Force.key());
 
@@ -173,7 +173,7 @@ fn run_step(ctx: &Ctx, st: &mut MpiRankState, cfg: &SimConfig) {
         b.vel += b.acc * cfg.dt;
         b.pos += b.vel * cfg.dt;
     }
-    ctx.charge_local_accesses(2 * st.owned.len() as u64);
+    ctx.bill(Price::LocalAccess, 2 * st.owned.len() as u64);
     ctx.barrier();
     st.timer.end(ctx, Phase::Advance.key());
 }
@@ -202,9 +202,9 @@ fn graft_imports(ctx: &Ctx, tree: &mut Octree, owned: &[Body], imported: &[LetIt
     for i in owned.len()..walk_bodies.len() {
         tree.insert(&walk_bodies, i, walk_bodies[i].pos);
     }
-    ctx.charge_tree_ops(tree.build_ops - ops_before);
+    ctx.bill(Price::TreeOp, tree.build_ops - ops_before);
     let visits = tree.compute_mass(&walk_bodies);
-    ctx.charge_tree_ops(visits);
+    ctx.bill(Price::TreeOp, visits);
     walk_bodies
 }
 

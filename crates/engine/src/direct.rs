@@ -19,7 +19,7 @@ use crate::drive::{self, Observer, Solver};
 use crate::report::{RankOutcome, SimResult};
 use crate::Phase;
 use nbody::{Body, SoaBodies};
-use pgas::{Ctx, PhaseTimer};
+use pgas::{Ctx, PhaseTimer, Price};
 
 /// The exact O(n²) solver as an engine backend (registry key `direct`).  It
 /// honours ε, dt, the step counts and the machine; θ, `cfg.opt` and the
@@ -132,7 +132,7 @@ fn run_step(ctx: &Ctx, owned: &mut [Body], timer: &mut PhaseTimer, cfg: &SimConf
         body.phi = phi;
         body.cost = (n.saturating_sub(1)) as u32;
     }
-    ctx.charge_interactions(owned.len() as u64 * n.saturating_sub(1) as u64);
+    ctx.bill(Price::Interaction, owned.len() as u64 * n.saturating_sub(1) as u64);
     ctx.barrier();
     timer.end(ctx, Phase::Force.key());
 
@@ -142,7 +142,7 @@ fn run_step(ctx: &Ctx, owned: &mut [Body], timer: &mut PhaseTimer, cfg: &SimConf
         b.vel += b.acc * cfg.dt;
         b.pos += b.vel * cfg.dt;
     }
-    ctx.charge_local_accesses(2 * owned.len() as u64);
+    ctx.bill(Price::LocalAccess, 2 * owned.len() as u64);
     ctx.barrier();
     timer.end(ctx, Phase::Advance.key());
 }

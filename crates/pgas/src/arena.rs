@@ -12,7 +12,7 @@
 //! lock — no lock on the region, whoever else is allocating into it.  The
 //! literal translation's field-by-field accesses go through
 //! [`SharedArena::read_fields`] / [`SharedArena::write_fields`], which bill
-//! every field in one batched charge and move the element once.
+//! every field in one bill and move the element once.
 //!
 //! A phase that only reads the arena — the fine-grained force walk — reads
 //! a [`Frozen`] view instead ([`SharedArena::frozen`]): one immutable copy
@@ -33,8 +33,9 @@
 //! once — sampled at each [`SharedArena::clear`], since regions only grow
 //! between clears, so allocation itself touches no shared counter.
 
-use crate::ctx::{Ctx, Handle};
+use crate::ctx::{Ctx, Dir, Handle};
 use crate::gptr::GlobalPtr;
+use crate::machine::Price;
 use crate::sync_cell::SyncSlot;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -159,9 +160,8 @@ pub struct Frozen<T> {
 
 impl<T> Frozen<T> {
     /// Reads an element field by field through its pointer-to-shared:
-    /// bills exactly what [`SharedArena::read_fields`] bills, in one
-    /// batched charge, and returns a reference into the epoch's copy — no
-    /// lock, no copy.
+    /// bills exactly what [`SharedArena::read_fields`] bills and returns a
+    /// reference into the epoch's copy — no lock, no copy.
     ///
     /// # Panics
     /// Panics if `fields` is zero, the pointer is null or it addresses no
@@ -173,7 +173,7 @@ impl<T> Frozen<T> {
         assert!(fields > 0, "a read of zero fields has no value to return");
         debug_assert_eq!(ctx.epoch(), self.epoch, "a frozen view read outside its epoch");
         let owner = ptr.threadof();
-        ctx.charge_shared_reads(owner, self.record_bytes, fields);
+        ctx.access(Dir::Get, owner, self.record_bytes, u64::from(fields));
         let region = &self.regions[owner];
         let index = ptr.indexof();
         region.get(index).unwrap_or_else(|| {
@@ -266,7 +266,7 @@ impl<T: Copy + Send + Sync> SharedArena<T> {
     /// returns a pointer-to-shared to it.
     pub fn alloc(&self, ctx: &Ctx, value: T) -> GlobalPtr {
         self.assert_unfrozen(ctx, ctx.rank(), "alloc");
-        ctx.charge_local_accesses(1);
+        ctx.bill(Price::LocalAccess, 1);
         let index = self.regions[ctx.rank()].push(value);
         GlobalPtr::new(ctx.rank(), index)
     }
@@ -280,8 +280,8 @@ impl<T: Copy + Send + Sync> SharedArena<T> {
 
     /// Reads an element the way the literal translation does, one field at
     /// a time through the pointer-to-shared: bills exactly what `fields`
-    /// successive [`SharedArena::read`]s bill, in the same order, and copies
-    /// the element out once.
+    /// successive [`SharedArena::read`]s bill and copies the element out
+    /// once.
     ///
     /// # Panics
     /// Panics if `fields` is zero or the pointer is null.
@@ -291,7 +291,7 @@ impl<T: Copy + Send + Sync> SharedArena<T> {
         let owner = ptr.threadof();
         // A local target still goes through the pointer-to-shared and pays
         // the dereference surcharge the paper's casting removes.
-        ctx.charge_shared_reads(owner, self.record_bytes, fields);
+        ctx.access(Dir::Get, owner, self.record_bytes, u64::from(fields));
         self.regions[owner].slot(ptr.indexof()).get()
     }
 
@@ -303,7 +303,7 @@ impl<T: Copy + Send + Sync> SharedArena<T> {
     /// Panics in debug builds if the pointer is not local to the caller.
     pub fn read_local(&self, ctx: &Ctx, ptr: GlobalPtr) -> T {
         debug_assert!(ptr.is_local_to(ctx.rank()), "read_local through a remote pointer");
-        ctx.charge_local_accesses(1);
+        ctx.bill(Price::LocalAccess, 1);
         self.regions[ptr.threadof()].slot(ptr.indexof()).get()
     }
 
@@ -319,7 +319,7 @@ impl<T: Copy + Send + Sync> SharedArena<T> {
         assert!(fields > 0, "a write of zero fields would store without being billed");
         let owner = ptr.threadof();
         self.assert_unfrozen(ctx, owner, "write");
-        ctx.charge_shared_writes(owner, self.record_bytes, fields);
+        ctx.access(Dir::Put, owner, self.record_bytes, u64::from(fields));
         self.regions[owner].slot(ptr.indexof()).set(value);
     }
 
@@ -327,7 +327,7 @@ impl<T: Copy + Send + Sync> SharedArena<T> {
     pub fn write_local(&self, ctx: &Ctx, ptr: GlobalPtr, value: T) {
         debug_assert!(ptr.is_local_to(ctx.rank()), "write_local through a remote pointer");
         self.assert_unfrozen(ctx, ptr.threadof(), "write");
-        ctx.charge_local_accesses(1);
+        ctx.bill(Price::LocalAccess, 1);
         self.regions[ptr.threadof()].slot(ptr.indexof()).set(value);
     }
 
@@ -338,8 +338,11 @@ impl<T: Copy + Send + Sync> SharedArena<T> {
         assert!(!ptr.is_null(), "update through a null pointer-to-shared");
         let owner = ptr.threadof();
         self.assert_unfrozen(ctx, owner, "update");
-        // A remote atomic update costs a round trip (get + put).
-        ctx.charge_rmw(owner, self.record_bytes);
+        // An atomic update is a round trip on the link (get + put), the
+        // caller's own memory included.
+        let bytes = self.record_bytes as u64;
+        ctx.transfer(Dir::Get, owner, 1, bytes, 1);
+        ctx.transfer(Dir::Put, owner, 1, bytes, 1);
         self.regions[owner].slot(ptr.indexof()).update(f)
     }
 
@@ -379,7 +382,7 @@ impl<T: Copy + Send + Sync> SharedArena<T> {
         }
 
         // CPU-side issue cost now; network completion later.
-        ctx.charge_issue_overhead(sources.len().max(1));
+        ctx.bill(Price::SwOverhead, sources.len().max(1) as u64);
         // The §5.5 source statistic counts the *remote* threads a gather
         // touches; purely local gathers generate no communication and are
         // not counted as requests.
@@ -400,7 +403,7 @@ impl<T: Copy + Send + Sync> SharedArena<T> {
         for region in 0..self.ranks() {
             self.assert_unfrozen(ctx, region, "clear");
         }
-        ctx.charge_local_accesses(1);
+        ctx.bill(Price::LocalAccess, 1);
         self.peak_len.fetch_max(self.total_len(), Ordering::Relaxed);
         for region in &self.regions {
             region.clear();
@@ -517,7 +520,7 @@ mod tests {
             let handle = arena.get_vlist_async(ctx, &remote);
             let issue_cost = ctx.now() - t0;
             // Overlap: do some compute while the gather is in flight.
-            ctx.charge_interactions(1000);
+            ctx.bill(Price::Interaction, 1000);
             let values = ctx.wait_sync(handle);
             let snapshot = ctx.stats_snapshot();
             (values, issue_cost, snapshot.vlist_requests, snapshot.vlist_single_source)

@@ -35,7 +35,8 @@
 //! move between its deposit and its read, so the maximum is the number the
 //! separate clock exchange used to produce.
 
-use crate::ctx::Ctx;
+use crate::ctx::{Ctx, Dir};
+use crate::machine::{Ledger, Price};
 
 /// One allgather's entry on the collective board.
 struct Gather<T> {
@@ -93,16 +94,12 @@ impl<'w> Ctx<'w> {
         };
 
         // Simulated cost: the wait for the latest arrival, then a
-        // tree-based gather of the payload.
-        let waited = self.advance_to(max);
-        let bytes = std::mem::size_of::<T>();
-        let cost = self.machine().collective_cost(bytes * ranks);
-        self.advance(cost);
-        self.with_stats(|s| {
-            s.sync_seconds += waited;
-            s.comm_seconds += cost;
-            s.messages += 1;
-        });
+        // tree-based gather of the payload, every hop moving all of it.
+        self.advance_to(max, Ledger::Sync);
+        let hops = self.machine().hops();
+        self.bill(Price::Collective, hops);
+        self.bill(Price::RemoteByte, hops * (std::mem::size_of::<T>() * ranks) as u64);
+        self.with_stats(|s| s.messages += 1);
         gathered
     }
 
@@ -167,25 +164,13 @@ impl<'w> Ctx<'w> {
         );
         let elem_bytes = std::mem::size_of::<T>();
 
-        // Charge the send side before the gather.
-        let mut send_cost = 0.0;
-        let mut sent_bytes = 0u64;
-        let mut sent_msgs = 0u64;
+        // Charge the send side before the gather: one message per
+        // non-empty remote bucket.
         for (dest, bucket) in outgoing.iter().enumerate() {
-            if dest == self.rank() || bucket.is_empty() {
-                continue;
+            if dest != self.rank() && !bucket.is_empty() {
+                self.transfer(Dir::Put, dest, 1, (bucket.len() * elem_bytes) as u64, 0);
             }
-            let bytes = bucket.len() * elem_bytes;
-            send_cost += self.machine().transfer_cost(self.rank(), dest, bytes);
-            sent_bytes += bytes as u64;
-            sent_msgs += 1;
         }
-        self.advance(send_cost);
-        self.with_stats(|s| {
-            s.comm_seconds += send_cost;
-            s.bytes_out += sent_bytes;
-            s.messages += sent_msgs;
-        });
 
         let all: Vec<Vec<Vec<T>>> = self.allgather(outgoing);
 
@@ -200,12 +185,8 @@ impl<'w> Ctx<'w> {
             }
             received.push(bucket);
         }
-        let recv_cost = recv_bytes as f64 * self.machine().remote_byte_cost;
-        self.advance(recv_cost);
-        self.with_stats(|s| {
-            s.comm_seconds += recv_cost;
-            s.bytes_in += recv_bytes;
-        });
+        self.bill(Price::RemoteByte, recv_bytes);
+        self.with_stats(|s| s.bytes_in += recv_bytes);
         received
     }
 }

@@ -1,5 +1,5 @@
-//! The per-rank execution context: simulated clock, cost charging, barriers
-//! and non-blocking communication handles.
+//! The per-rank execution context: simulated clock, the ledger every price
+//! is billed through, barriers and non-blocking communication handles.
 //!
 //! A [`Ctx`] is the emulated equivalent of "being a UPC thread": it knows its
 //! rank (`MYTHREAD`), the total number of ranks (`THREADS`), and it owns the
@@ -7,7 +7,7 @@
 //! `&Ctx` on every operation so that the operation can be billed to the right
 //! rank.
 
-use crate::machine::Machine;
+use crate::machine::{Ledger, Machine, Price};
 use crate::runtime::World;
 use crate::stats::RankStats;
 use std::cell::{Cell, RefCell};
@@ -44,18 +44,51 @@ impl<T> Handle<T> {
     }
 }
 
+/// Adds `t` seconds to `ledger`: the one writer of the seconds ledgers.
+fn book(stats: &mut RankStats, ledger: Ledger, t: f64) {
+    match ledger {
+        Ledger::Compute => stats.compute_seconds += t,
+        Ledger::Comm => stats.comm_seconds += t,
+        Ledger::Sync => stats.sync_seconds += t,
+    }
+}
+
 /// Per-rank execution context (the emulated UPC thread).
+///
+/// # The ledger
+///
+/// Every priced event is billed through [`Ctx::bill`] as a count at one
+/// [`Price`], and the counts are turned into time in one place: before
+/// anything reads this rank's time or ledgers (`now`, `stats_snapshot`, a
+/// barrier, a collective, a message, a handle's issue or wait), each
+/// pending count `c` at price `p` adds `p·c` (× the compute factor for a
+/// compute price) to the clock and to the price's [`Ledger`], in
+/// [`Price::ALL`] order.  Between two reads the clock therefore depends
+/// only on the counts: `k` bills of one event and one bill of `k` are the
+/// same clock, bit for bit.  The only other writes of the clock are the
+/// jumps to another rank's time (a barrier, a collective, a receive, a
+/// handle's completion), booked as waits.
 pub struct Ctx<'w> {
     rank: usize,
     world: &'w World,
-    /// `(latency, byte_cost)` of a one-sided operation from this rank to
-    /// each rank, looked up once here so that billing an access is a table
-    /// index instead of two `Machine::node_of` divisions.
-    links: Vec<(f64, f64)>,
+    /// The [`Machine::link`] prices from this rank to each rank, looked up
+    /// once here so that billing an access is a table index.
+    links: Vec<(Price, Option<Price>)>,
+    /// Events billed since the last flush, per [`Price`].
+    pending: [Cell<u64>; Price::ALL.len()],
     clock: Cell<f64>,
     stats: RefCell<RankStats>,
     coll_seq: Cell<u64>,
     epoch: Cell<u64>,
+}
+
+/// Which way a one-sided access moves data.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Dir {
+    /// A read (get) of the target's memory.
+    Get,
+    /// A write (put) into the target's memory.
+    Put,
 }
 
 impl<'w> Ctx<'w> {
@@ -64,9 +97,8 @@ impl<'w> Ctx<'w> {
         Ctx {
             rank,
             world,
-            links: (0..world.ranks)
-                .map(|to| (machine.latency(rank, to), machine.byte_cost(rank, to)))
-                .collect(),
+            links: (0..world.ranks).map(|to| machine.link(rank, to)).collect(),
+            pending: Default::default(),
             clock: Cell::new(0.0),
             stats: RefCell::new(RankStats::default()),
             coll_seq: Cell::new(0),
@@ -80,6 +112,7 @@ impl<'w> Ctx<'w> {
 
     /// Consumes the context, returning the final clock and statistics.
     pub(crate) fn into_summary(self) -> (f64, RankStats) {
+        self.flush();
         (self.clock.get(), self.stats.into_inner())
     }
 
@@ -104,199 +137,128 @@ impl<'w> Ctx<'w> {
     /// Current simulated time of this rank, in seconds.
     #[inline]
     pub fn now(&self) -> f64 {
+        self.flush();
         self.clock.get()
     }
 
-    /// Runs a closure with mutable access to this rank's statistics.
+    /// Runs a closure with mutable access to this rank's event counters
+    /// (the seconds ledgers are the flush's alone).
     pub(crate) fn with_stats<R>(&self, f: impl FnOnce(&mut RankStats) -> R) -> R {
         f(&mut self.stats.borrow_mut())
     }
 
     /// A snapshot of this rank's statistics so far.
     pub fn stats_snapshot(&self) -> RankStats {
+        self.flush();
         self.stats.borrow().clone()
     }
 
-    /// Advances the clock unconditionally (used internally).
+    // ----------------------------------------------------------------------
+    // The ledger
+    // ----------------------------------------------------------------------
+
+    /// Bills `n` events at `price`.  The work counter of a compute price
+    /// (interactions, MACs, tree ops, local accesses) counts the events;
+    /// their time reaches the clock at the next read of it.
     #[inline]
-    pub(crate) fn advance(&self, dt: f64) {
-        debug_assert!(dt >= 0.0, "cannot advance the clock backwards");
-        self.clock.set(self.clock.get() + dt);
+    pub fn bill(&self, price: Price, n: u64) {
+        let count = &self.pending[price as usize];
+        count.set(count.get() + n);
     }
 
-    /// Sets the clock to at least `t` (used when waiting on async handles and
-    /// at barriers).
-    #[inline]
-    pub(crate) fn advance_to(&self, t: f64) -> f64 {
-        let waited = (t - self.clock.get()).max(0.0);
+    /// Turns the pending counts into time: `p·c` per price, in
+    /// [`Price::ALL`] order, on the clock and on the price's ledger.
+    fn flush(&self) {
+        let machine = self.machine();
+        let mut clock = self.clock.get();
+        let mut stats = self.stats.borrow_mut();
+        for price in Price::ALL {
+            let count = self.pending[price as usize].replace(0);
+            if count == 0 {
+                continue;
+            }
+            let mut t = count as f64 * machine.price(price);
+            if price.ledger() == Ledger::Compute {
+                t *= machine.compute_factor();
+            }
+            book(&mut stats, price.ledger(), t);
+            clock += t;
+            match price {
+                Price::Interaction => stats.interactions += count,
+                Price::TreeOp => stats.tree_ops += count,
+                Price::Mac => stats.macs += count,
+                Price::LocalAccess => stats.local_accesses += count,
+                _ => {}
+            }
+        }
+        self.clock.set(clock);
+    }
+
+    /// Moves the clock forward to `t` if it is behind — a wait for another
+    /// rank's time — and books the wait on `ledger`.
+    pub(crate) fn advance_to(&self, t: f64, ledger: Ledger) {
+        self.flush();
+        let waited = t - self.clock.get();
         if waited > 0.0 {
             self.clock.set(t);
+            book(&mut self.stats.borrow_mut(), ledger, waited);
         }
-        waited
     }
-
-    // ----------------------------------------------------------------------
-    // Compute charging
-    // ----------------------------------------------------------------------
 
     /// Charges `seconds` of raw compute time (scaled by the pthreads runtime
-    /// overhead factor of the machine).
-    pub fn charge_compute(&self, seconds: f64) {
-        let t = seconds * self.machine().compute_factor();
-        self.advance(t);
-        self.with_stats(|s| s.compute_seconds += t);
+    /// overhead factor of the machine): a test's way to put a rank ahead by
+    /// an amount no price describes.
+    #[cfg(test)]
+    pub(crate) fn charge_compute(&self, seconds: f64) {
+        self.advance_to(self.now() + seconds * self.machine().compute_factor(), Ledger::Compute);
     }
 
-    /// Charges `n` body–cell interactions computed through *local* pointers.
-    pub fn charge_interactions(&self, n: u64) {
-        let t = n as f64 * self.machine().interaction_cost * self.machine().compute_factor();
-        self.advance(t);
-        self.with_stats(|s| {
-            s.interactions += n;
-            s.compute_seconds += t;
-        });
-    }
-
-    /// Charges `n` body–cell interactions computed through pointers-to-shared
-    /// (the un-cast baseline of §4; each interaction pays the dereference
-    /// surcharge).
-    pub fn charge_interactions_shared_ptr(&self, n: u64) {
-        let m = self.machine();
-        let t = n as f64 * (m.interaction_cost + m.global_ptr_overhead) * m.compute_factor();
-        self.advance(t);
-        self.with_stats(|s| {
-            s.interactions += n;
-            s.compute_seconds += t;
-        });
-    }
-
-    /// Charges `n` multipole-acceptance tests (the `l/d < θ` opening
-    /// decisions a force walk evaluates, one per visited cell).
-    pub fn charge_macs(&self, n: u64) {
-        let t = n as f64 * self.machine().mac_cost * self.machine().compute_factor();
-        self.advance(t);
-        self.with_stats(|s| {
-            s.macs += n;
-            s.compute_seconds += t;
-        });
-    }
-
-    /// Charges `n` elementary tree operations (insertion descents, merge
-    /// steps, subspace splits, …).
-    pub fn charge_tree_ops(&self, n: u64) {
-        let t = n as f64 * self.machine().treeop_cost * self.machine().compute_factor();
-        self.advance(t);
-        self.with_stats(|s| {
-            s.tree_ops += n;
-            s.compute_seconds += t;
-        });
-    }
-
-    /// Charges `n` plain local memory accesses.
-    pub fn charge_local_accesses(&self, n: u64) {
-        let t = n as f64 * self.machine().local_access_cost * self.machine().compute_factor();
-        self.advance(t);
-        self.with_stats(|s| {
-            s.local_accesses += n;
-            s.compute_seconds += t;
-        });
-    }
-
-    // ----------------------------------------------------------------------
-    // Communication charging (used by the shared containers)
-    // ----------------------------------------------------------------------
-
-    /// [`Machine::transfer_cost`] from this rank to `owner`, from the link
-    /// table: the same expression on the same operands, so bit-identical.
-    #[inline]
-    fn transfer_cost(&self, owner: usize, bytes: usize) -> f64 {
-        let (latency, byte_cost) = self.links[owner];
-        latency + byte_cost * bytes as f64
-    }
-
-    /// Charges a fine-grained read of `bytes` bytes owned by `owner`.
-    pub(crate) fn bill_get(&self, owner: usize, bytes: usize) {
-        self.bill_gets(owner, bytes, 1);
-    }
-
-    /// Charges a fine-grained write of `bytes` bytes owned by `owner`.
-    pub(crate) fn bill_put(&self, owner: usize, bytes: usize) {
-        self.bill_puts(owner, bytes, 1);
-    }
-
-    /// Charges `k` successive fine-grained reads of `bytes` bytes owned by
-    /// `owner`, one f64 addition of the transfer cost per read on the clock
-    /// and on the communication seconds, under one borrow of the statistics
-    /// with the clock kept in a local.
-    pub(crate) fn bill_gets(&self, owner: usize, bytes: usize, k: u32) {
-        let cost = self.transfer_cost(owner, bytes);
-        let mut clock = self.clock.get();
-        let mut stats = self.stats.borrow_mut();
-        for _ in 0..k {
-            clock += cost;
-            stats.comm_seconds += cost;
-        }
-        self.clock.set(clock);
-        let k = u64::from(k);
+    /// Bills `k` fine-grained accesses of a `bytes`-byte element owned by
+    /// `owner` through a pointer-to-shared.  A local element costs the
+    /// dereference surcharge plus one local access (compute), whatever the
+    /// container; a remote one costs a transfer on the link per access.
+    pub(crate) fn access(&self, dir: Dir, owner: usize, bytes: usize, k: u64) {
         if owner == self.rank {
-            stats.local_accesses += k;
+            self.bill(Price::PtrSurcharge, k);
+            self.bill(Price::LocalAccess, k);
         } else {
-            stats.remote_gets += k;
-            stats.messages += k;
-            stats.bytes_in += k * bytes as u64;
+            self.transfer(dir, owner, k, k * bytes as u64, k);
         }
     }
 
-    /// Write counterpart of [`Ctx::bill_gets`].
-    pub(crate) fn bill_puts(&self, owner: usize, bytes: usize, k: u32) {
-        let cost = self.transfer_cost(owner, bytes);
-        let mut clock = self.clock.get();
-        let mut stats = self.stats.borrow_mut();
-        for _ in 0..k {
-            clock += cost;
-            stats.comm_seconds += cost;
+    /// Bills `messages` one-sided messages to or from `owner`, carrying
+    /// `bytes` and `elements` in total: each message pays the link's
+    /// latency, each byte its byte price.  A transfer to the rank itself
+    /// pays the software overhead per message, moves no bytes and counts
+    /// its elements as local accesses.
+    pub(crate) fn transfer(
+        &self,
+        dir: Dir,
+        owner: usize,
+        messages: u64,
+        bytes: u64,
+        elements: u64,
+    ) {
+        let (latency, byte) = self.links[owner];
+        self.bill(latency, messages);
+        if let Some(byte) = byte {
+            self.bill(byte, bytes);
         }
-        self.clock.set(clock);
-        let k = u64::from(k);
-        if owner == self.rank {
-            stats.local_accesses += k;
-        } else {
-            stats.remote_puts += k;
-            stats.messages += k;
-            stats.bytes_out += k * bytes as u64;
-        }
-    }
-
-    /// Charges a bulk get of `bytes` bytes from `owner` in a single message
-    /// and returns its cost.
-    pub(crate) fn bill_bulk_get(&self, owner: usize, bytes: usize, elements: u64) -> f64 {
-        let cost = self.transfer_cost(owner, bytes);
-        self.advance(cost);
         self.with_stats(|s| {
-            s.comm_seconds += cost;
             if owner == self.rank {
                 s.local_accesses += elements;
-            } else {
-                s.messages += 1;
-                s.remote_gets += elements;
-                s.bytes_in += bytes as u64;
+                return;
             }
-        });
-        cost
-    }
-
-    /// Charges a bulk put of `bytes` bytes to `owner` in a single message.
-    pub(crate) fn bill_bulk_put(&self, owner: usize, bytes: usize, elements: u64) {
-        let cost = self.transfer_cost(owner, bytes);
-        self.advance(cost);
-        self.with_stats(|s| {
-            s.comm_seconds += cost;
-            if owner == self.rank {
-                s.local_accesses += elements;
-            } else {
-                s.messages += 1;
-                s.remote_puts += elements;
-                s.bytes_out += bytes as u64;
+            s.messages += messages;
+            match dir {
+                Dir::Get => {
+                    s.remote_gets += elements;
+                    s.bytes_in += bytes;
+                }
+                Dir::Put => {
+                    s.remote_puts += elements;
+                    s.bytes_out += bytes;
+                }
             }
         });
     }
@@ -305,7 +267,11 @@ impl<'w> Ctx<'w> {
     /// `bytes_per_source` from the given sources, assuming the messages
     /// overlap on the network.  Used by the non-blocking gather.
     pub(crate) fn gather_cost(&self, sources: &[(usize, usize)]) -> f64 {
-        sources.iter().map(|&(owner, bytes)| self.transfer_cost(owner, bytes)).fold(0.0, f64::max)
+        let m = self.machine();
+        sources
+            .iter()
+            .map(|&(owner, bytes)| m.transfer_cost(self.rank, owner, bytes))
+            .fold(0.0, f64::max)
     }
 
     /// Records the bookkeeping for an aggregated (vlist) request.
@@ -321,104 +287,6 @@ impl<'w> Ctx<'w> {
         });
     }
 
-    /// Charges the CPU-side cost of issuing `messages` one-sided operations.
-    pub(crate) fn charge_issue_overhead(&self, messages: usize) {
-        let t = messages as f64 * self.machine().sw_overhead;
-        self.advance(t);
-        self.with_stats(|s| s.comm_seconds += t);
-    }
-
-    /// Charges a global lock acquisition on a lock owned by `owner`.
-    pub(crate) fn bill_lock(&self, owner: usize) {
-        // Acquire + release round trips to the lock's home plus the runtime
-        // overhead of the lock implementation.
-        let cost = 2.0 * self.links[owner].0 + self.machine().lock_overhead;
-        self.advance(cost);
-        self.with_stats(|s| {
-            s.comm_seconds += cost;
-            s.lock_acquires += 1;
-            if owner != self.rank {
-                s.messages += 2;
-            }
-        });
-    }
-
-    /// Bills one shared-object read of `bytes` bytes owned by `owner`, as a
-    /// [`crate::SharedArena::read`] of a record that size: a local target
-    /// pays the pointer-to-shared dereference surcharge plus one local
-    /// access, a remote target pays a fine-grained get.  The unbatched
-    /// reference [`Ctx::charge_shared_reads`] is pinned to.
-    #[cfg(test)]
-    pub(crate) fn charge_shared_read(&self, owner: usize, bytes: usize) {
-        if owner == self.rank {
-            self.advance(self.machine().global_ptr_overhead);
-            self.charge_local_accesses(1);
-        } else {
-            self.bill_get(owner, bytes);
-        }
-    }
-
-    /// Bills `k` successive shared-object reads of `bytes` bytes owned by
-    /// `owner` — a struct read field by field through a pointer-to-shared.
-    /// Bit for bit what `k` [`Ctx::charge_shared_read`]s bill: the same f64
-    /// additions, in the same order, on the clock and on every counter, but
-    /// under one borrow of the statistics with the clock kept in a local.
-    pub(crate) fn charge_shared_reads(&self, owner: usize, bytes: usize, k: u32) {
-        if owner == self.rank {
-            self.charge_local_derefs(k);
-        } else {
-            self.bill_gets(owner, bytes, k);
-        }
-    }
-
-    /// Write counterpart of [`Ctx::charge_shared_reads`]: what `k`
-    /// [`Ctx::charge_shared_write`]s bill.
-    pub(crate) fn charge_shared_writes(&self, owner: usize, bytes: usize, k: u32) {
-        if owner == self.rank {
-            self.charge_local_derefs(k);
-        } else {
-            self.bill_puts(owner, bytes, k);
-        }
-    }
-
-    /// `k` dereferences of a local pointer-to-shared, each the surcharge
-    /// plus one local access, replayed in [`Ctx::charge_shared_read`]'s
-    /// order: clock += surcharge, clock += access, compute += access.
-    fn charge_local_derefs(&self, k: u32) {
-        let m = self.machine();
-        let access = m.local_access_cost * m.compute_factor();
-        let mut clock = self.clock.get();
-        let mut stats = self.stats.borrow_mut();
-        for _ in 0..k {
-            clock += m.global_ptr_overhead;
-            clock += access;
-            stats.compute_seconds += access;
-        }
-        self.clock.set(clock);
-        stats.local_accesses += u64::from(k);
-    }
-
-    /// Write counterpart of [`Ctx::charge_shared_read`] (the billing of a
-    /// [`crate::SharedArena::write`]), the reference
-    /// [`Ctx::charge_shared_writes`] is pinned to.
-    #[cfg(test)]
-    pub(crate) fn charge_shared_write(&self, owner: usize, bytes: usize) {
-        if owner == self.rank {
-            self.advance(self.machine().global_ptr_overhead);
-            self.charge_local_accesses(1);
-        } else {
-            self.bill_put(owner, bytes);
-        }
-    }
-
-    /// Bills an atomic read-modify-write of a `bytes`-byte shared object
-    /// owned by `owner` — a round trip (get + put), local or not, as
-    /// [`crate::SharedArena::update`].
-    pub(crate) fn charge_rmw(&self, owner: usize, bytes: usize) {
-        self.bill_get(owner, bytes);
-        self.bill_put(owner, bytes);
-    }
-
     // ----------------------------------------------------------------------
     // Synchronization
     // ----------------------------------------------------------------------
@@ -432,12 +300,10 @@ impl<'w> Ctx<'w> {
     pub fn barrier(&self) {
         // The epoch counts this rank's barriers: it is the call number.
         let epoch = self.epoch.get();
-        let max = self.world.align_clocks(self.rank, self.clock.get(), epoch);
-        let waited = self.advance_to(max);
-        let cost = self.machine().barrier_cost();
-        self.advance(cost);
+        let max = self.world.align_clocks(self.rank, self.now(), epoch);
+        self.advance_to(max, Ledger::Sync);
+        self.bill(Price::Barrier, self.machine().hops());
         self.epoch.set(epoch + 1);
-        self.with_stats(|s| s.sync_seconds += waited + cost);
     }
 
     /// Host-only rendezvous: blocks until every rank arrives and charges
@@ -459,8 +325,7 @@ impl<'w> Ctx<'w> {
     /// Waits for a non-blocking transfer to complete
     /// (the emulated `bupc_waitsync`), returning its payload.
     pub fn wait_sync<T>(&self, handle: Handle<T>) -> Vec<T> {
-        let waited = self.advance_to(handle.complete_at);
-        self.with_stats(|s| s.comm_seconds += waited);
+        self.advance_to(handle.complete_at, Ledger::Comm);
         handle.data
     }
 
@@ -468,7 +333,7 @@ impl<'w> Ctx<'w> {
     /// the payload if the transfer already completed, otherwise hands the
     /// handle back after charging a small polling cost.
     pub fn try_sync<T>(&self, handle: Handle<T>) -> Result<Vec<T>, Handle<T>> {
-        self.charge_issue_overhead(1);
+        self.bill(Price::SwOverhead, 1);
         if handle.complete_at <= self.now() {
             Ok(handle.data)
         } else {
@@ -488,6 +353,7 @@ impl<'w> Ctx<'w> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lock::GlobalLock;
     use crate::machine::Machine;
     use crate::runtime::Runtime;
 
@@ -495,12 +361,12 @@ mod tests {
     fn compute_charges_scale_with_pthreads_overhead() {
         let process = Runtime::new(Machine::power5(2, 1, false));
         let t_process = process.run(|ctx| {
-            ctx.charge_interactions(1_000_000);
+            ctx.bill(Price::Interaction, 1_000_000);
             ctx.now()
         });
         let pthread = Runtime::new(Machine::power5(2, 1, true));
         let t_pthread = pthread.run(|ctx| {
-            ctx.charge_interactions(1_000_000);
+            ctx.bill(Price::Interaction, 1_000_000);
             ctx.now()
         });
         assert!(t_pthread.ranks[0].result > 1.5 * t_process.ranks[0].result);
@@ -510,13 +376,15 @@ mod tests {
     fn shared_ptr_interactions_cost_more() {
         let rt = Runtime::new(Machine::test_cluster(1));
         let report = rt.run(|ctx| {
-            ctx.charge_interactions(1000);
+            ctx.bill(Price::Interaction, 1000);
             let local = ctx.now();
-            ctx.charge_interactions_shared_ptr(1000);
+            ctx.bill(Price::Interaction, 1000);
+            ctx.bill(Price::PtrSurcharge, 1000);
             (local, ctx.now() - local)
         });
         let (local, shared) = report.ranks[0].result;
         assert!(shared > local);
+        assert_eq!(report.ranks[0].stats.interactions, 2000);
     }
 
     #[test]
@@ -554,9 +422,14 @@ mod tests {
                 let from = ctx.rank();
                 for to in 0..ctx.ranks() {
                     for bytes in [0, 8, 120, 152, 65_536] {
+                        let before = ctx.now();
+                        ctx.transfer(Dir::Get, to, 1, bytes as u64, 1);
                         assert_eq!(
-                            ctx.transfer_cost(to, bytes).to_bits(),
-                            machine.transfer_cost(from, to, bytes).to_bits(),
+                            ctx.now().to_bits(),
+                            (before
+                                + machine.latency(from, to)
+                                + machine.byte_cost(from, to) * bytes as f64)
+                                .to_bits(),
                             "transfer {from} -> {to}, {bytes} B, pthreads {pthreads}"
                         );
                         assert_eq!(
@@ -564,12 +437,14 @@ mod tests {
                             machine.transfer_cost(from, to, bytes).to_bits()
                         );
                     }
+                    // A lock is an acquire and a release round trip on the
+                    // link to its home, then the lock runtime's overhead.
                     let before = ctx.now();
-                    ctx.bill_lock(to);
-                    let lock_cost = 2.0 * machine.latency(from, to) + machine.lock_overhead;
+                    drop(GlobalLock::new(to).lock(ctx));
+                    let after_trips = before + 2.0 * machine.latency(from, to);
                     assert_eq!(
                         ctx.now().to_bits(),
-                        (before + lock_cost).to_bits(),
+                        (after_trips + machine.lock_overhead).to_bits(),
                         "lock {from} -> {to}, pthreads {pthreads}"
                     );
                 }
@@ -580,9 +455,10 @@ mod tests {
     #[test]
     fn lock_billing_counts_acquisitions() {
         let rt = Runtime::new(Machine::test_cluster(2));
+        let (home0, home1) = (GlobalLock::new(0), GlobalLock::new(1));
         let report = rt.run(|ctx| {
-            ctx.bill_lock(0);
-            ctx.bill_lock(1);
+            drop(home0.lock(ctx));
+            drop(home1.lock(ctx));
             ctx.stats_snapshot().lock_acquires
         });
         assert!(report.ranks.iter().all(|r| r.result == 2));
@@ -590,8 +466,8 @@ mod tests {
 
     /// The clock bits and counters of rank 0 of a two-node machine after
     /// `bill` ran once against its own rank and once against rank 3, for
-    /// each of several starting clocks (so that an addition regrouped in
-    /// the replay would round differently at one of them).
+    /// each of several starting clocks (so that an addition regrouped by
+    /// the batch would round differently at one of them).
     fn billed(bill: impl Fn(&Ctx, usize) + Sync) -> Vec<(u64, RankStats)> {
         [1e-7, 0.1, 1.0 / 3.0, 12.345, 987.654_321]
             .into_iter()
@@ -615,37 +491,64 @@ mod tests {
         for k in [1, 3, 5] {
             for bytes in [8, 120, 152] {
                 let label = format!("{k} x {bytes} B");
-                let reads = billed(|ctx, owner| {
-                    for _ in 0..k {
-                        ctx.charge_shared_read(owner, bytes);
-                    }
-                });
-                let batched = billed(|ctx, owner| ctx.charge_shared_reads(owner, bytes, k));
-                assert_eq!(reads, batched, "{label}");
-                let stats = &reads[0].1;
-                assert_eq!(stats.local_accesses, u64::from(k), "{label}");
-                assert_eq!(stats.remote_gets, u64::from(k), "{label}");
-                assert_eq!(stats.bytes_in, u64::from(k) * bytes as u64, "{label}");
-
-                let writes = billed(|ctx, owner| {
-                    for _ in 0..k {
-                        ctx.charge_shared_write(owner, bytes);
-                    }
-                });
-                let batched = billed(|ctx, owner| ctx.charge_shared_writes(owner, bytes, k));
-                assert_eq!(writes, batched, "{label}");
-                assert_eq!(writes[0].1.remote_puts, u64::from(k), "{label}");
+                for dir in [Dir::Get, Dir::Put] {
+                    let singles = billed(|ctx, owner| {
+                        for _ in 0..k {
+                            ctx.access(dir, owner, bytes, 1);
+                        }
+                    });
+                    let batched = billed(|ctx, owner| ctx.access(dir, owner, bytes, k));
+                    assert_eq!(singles, batched, "{label} {dir:?}");
+                    let stats = &singles[0].1;
+                    assert_eq!(stats.local_accesses, k, "{label}");
+                    let remote = if dir == Dir::Get {
+                        (stats.remote_gets, stats.bytes_in)
+                    } else {
+                        (stats.remote_puts, stats.bytes_out)
+                    };
+                    assert_eq!(remote, (k, k * bytes as u64), "{label} {dir:?}");
+                }
             }
         }
+    }
+
+    #[test]
+    fn every_price_reaches_the_clock_and_its_ledger_once() {
+        let machine = Machine::power5(2, 2, true);
+        let report = Runtime::new(machine.clone()).run(|ctx| {
+            if ctx.rank() == 0 {
+                for (i, price) in Price::ALL.into_iter().enumerate() {
+                    ctx.bill(price, i as u64 + 1);
+                }
+            }
+        });
+        let stats = &report.ranks[0].stats;
+        let mut ledgers = [0.0; 3];
+        let mut clock = 0.0;
+        for (i, price) in Price::ALL.into_iter().enumerate() {
+            let mut t = (i + 1) as f64 * machine.price(price);
+            if price.ledger() == Ledger::Compute {
+                t *= machine.compute_factor();
+            }
+            ledgers[price.ledger() as usize] += t;
+            clock += t;
+        }
+        assert_eq!(report.ranks[0].clock.to_bits(), clock.to_bits());
+        let booked = [stats.compute_seconds, stats.comm_seconds, stats.sync_seconds];
+        assert_eq!(booked.map(f64::to_bits), ledgers.map(f64::to_bits));
+        assert_eq!(
+            (stats.interactions, stats.tree_ops, stats.macs, stats.local_accesses),
+            (1, 3, 4, 5)
+        );
     }
 
     #[test]
     fn remote_get_is_billed_more_than_local() {
         let rt = Runtime::new(Machine::test_cluster(2));
         let report = rt.run(|ctx| {
-            ctx.bill_get(ctx.rank(), 64);
+            ctx.access(Dir::Get, ctx.rank(), 64, 1);
             let local = ctx.now();
-            ctx.bill_get((ctx.rank() + 1) % 2, 64);
+            ctx.access(Dir::Get, (ctx.rank() + 1) % 2, 64, 1);
             (local, ctx.now() - local)
         });
         for r in &report.ranks {

@@ -24,7 +24,7 @@
 //! | shared arrays (block-distributed)       | [`SharedVec`] |
 //! | `upc_alloc` (per-thread shared heap)    | [`SharedArena`] (billing one record size per element: `size_of::<T>()`, or [`SharedArena::with_record_bytes`]) |
 //! | pointer-to-shared                       | [`GlobalPtr`] |
-//! | `p->f1; p->f2; …` (a struct read field by field through a pointer-to-shared) | [`SharedArena::read_fields`], [`SharedVec::read_fields`] (and `write_fields`), each billed in one batched charge; [`Frozen::read_fields`] in a read-only phase |
+//! | `p->f1; p->f2; …` (a struct read field by field through a pointer-to-shared) | [`SharedArena::read_fields`], [`SharedVec::read_fields`] (and `write_fields`), each one bill of `fields` accesses; [`Frozen::read_fields`] in a read-only phase |
 //! | `upc_memget` / `upc_memput`             | [`SharedVec::get_block`] / [`SharedVec::put_block`] |
 //! | `upc_memget_ilist`                      | [`SharedVec::get_ilist`] |
 //! | `bupc_memget_vlist_async` + `waitsync`  | [`SharedArena::get_vlist_async`], [`Handle`] |
@@ -58,9 +58,23 @@
 //! the allocating rank never meet on a lock; growth and `clear` serialize on
 //! a small mutex, and `clear` resets the length and keeps the chunks.  A
 //! pointer at or beyond the published length — one that outlived a `clear`
-//! — panics.  The cost of a billed access is a lookup in a per-rank
-//! `(latency, byte cost)` table built once in `Ctx::new`, evaluating the
-//! same expression as [`Machine::transfer_cost`].
+//! — panics.
+//!
+//! ## The ledger
+//!
+//! Every priced event is a count at one [`Price`] — one per [`Machine`]
+//! constant but the compute factor — billed through [`Ctx::bill`]; a
+//! transfer is a latency of its link plus `bytes` of the link's byte price,
+//! looked up in a per-rank table of [`Machine::link`]s built once in
+//! `Ctx::new`.  A rank's pending counts become time in one place, at every
+//! read of its clock or ledgers: `price × count` per price, in
+//! [`Price::ALL`] order, on the clock and on the price's [`Ledger`].  So a
+//! rank's clock is always the sum of its compute, communication and
+//! synchronization seconds, `k` bills of one event equal one bill of `k`
+//! bit for bit, and doubling every price doubles every simulated second.
+//! A local element read or written through a pointer-to-shared has one
+//! price in every container: the dereference surcharge plus one local
+//! access.
 
 pub mod arena;
 pub mod collectives;
@@ -80,7 +94,7 @@ pub use arena::{Frozen, SharedArena};
 pub use ctx::{Ctx, Handle};
 pub use gptr::GlobalPtr;
 pub use lock::GlobalLock;
-pub use machine::Machine;
+pub use machine::{Ledger, Machine, Price};
 pub use phase::PhaseTimer;
 pub use runtime::{RankReport, RunReport, Runtime};
 pub use shared::SharedVec;

@@ -7,7 +7,8 @@
 //! exclusion across rank threads, plus a simulated acquisition cost that
 //! depends on the lock's home rank.
 
-use crate::ctx::Ctx;
+use crate::ctx::{Ctx, Dir};
+use crate::machine::Price;
 use parking_lot::{Mutex, MutexGuard};
 
 /// A UPC-style global lock with affinity to a home rank.
@@ -38,7 +39,11 @@ impl GlobalLock {
     /// simulated acquire/release cost.
     pub fn lock<'a>(&'a self, ctx: &Ctx) -> LockGuard<'a> {
         let guard = self.mutex.lock();
-        ctx.bill_lock(self.home);
+        // An acquire and a release round trip to the home (two bodiless
+        // messages on the link), then the lock runtime's overhead.
+        ctx.transfer(Dir::Get, self.home, 2, 0, 0);
+        ctx.bill(Price::Lock, 1);
+        ctx.with_stats(|s| s.lock_acquires += 1);
         LockGuard { _guard: guard }
     }
 }

@@ -19,7 +19,16 @@
 //!   operation, with a dereference surcharge when the application walks
 //!   shared pointers instead of casting them to local pointers (§5.3's 25 %
 //!   single-thread improvement), and a multiplicative runtime overhead in
-//!   pthreads mode (the Table 8 vs Table 9 gap).
+//!   pthreads mode (the Table 8 vs Table 9 gap);
+//! * a fine-grained access to the caller's own shared data through a
+//!   pointer-to-shared is that surcharge plus one local access, compute
+//!   like the rest, in every shared container.
+//!
+//! Each priced constant is one [`Price`]: a rank's clock moves by counts of
+//! events at those prices (see [`crate::Ctx::bill`]), and each price's
+//! seconds are booked in one [`Ledger`] — the five compute prices as
+//! compute, [`Price::Barrier`] as synchronization, every other price as
+//! communication.
 //!
 //! The default constants are calibrated so that the single-thread 2M-body
 //! run lands in the same order of magnitude as the paper's Table 2 and the
@@ -46,7 +55,8 @@ pub struct Machine {
     pub interaction_cost: f64,
     /// Additional seconds per interaction when the cell is reached by
     /// dereferencing a pointer-to-shared that happens to point locally
-    /// (the overhead removed by the §5.2/§5.3 pointer casting).
+    /// (the overhead removed by the §5.2/§5.3 pointer casting), and per
+    /// fine-grained access of a local element through a pointer-to-shared.
     pub global_ptr_overhead: f64,
     /// Seconds per elementary tree operation (descending one level during
     /// insertion, examining one child during a merge, …).
@@ -84,9 +94,104 @@ pub struct Machine {
     /// Multiplicative factor applied to all compute when `pthreads` is true
     /// (GASNet polling / thread-safety overhead; Table 8 vs Table 9).
     pub cpu_overhead: f64,
-    /// Fixed per-call software overhead of issuing any one-sided operation
-    /// (argument marshalling, conduit entry), charged even for local targets.
+    /// Fixed per-call software overhead of issuing a one-sided operation
+    /// (argument marshalling, conduit entry): the latency of a bulk transfer
+    /// or an atomic update whose target is the caller's own memory, the
+    /// issue cost of a non-blocking gather or a poll, and the receive
+    /// overhead of a message.  A fine-grained
+    /// dereference of a local element does not pay it; it pays
+    /// [`Machine::global_ptr_overhead`] plus one
+    /// [`Machine::local_access_cost`].
     pub sw_overhead: f64,
+}
+
+/// One price of the cost model: a variant per priced [`Machine`] constant
+/// (every one but [`Machine::cpu_overhead`], the compute factor).
+///
+/// Every movement of a rank's simulated clock other than a wait is a count
+/// of events at one of these prices ([`crate::Ctx::bill`]); a transfer is
+/// two events, one latency and `bytes` of the byte price of its link.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Price {
+    /// [`Machine::interaction_cost`].
+    Interaction,
+    /// [`Machine::global_ptr_overhead`], the dereference surcharge of a
+    /// pointer-to-shared.
+    PtrSurcharge,
+    /// [`Machine::treeop_cost`].
+    TreeOp,
+    /// [`Machine::mac_cost`].
+    Mac,
+    /// [`Machine::local_access_cost`].
+    LocalAccess,
+    /// [`Machine::sw_overhead`]: issuing a one-sided operation, and the
+    /// latency of a transfer between a rank and itself.
+    SwOverhead,
+    /// [`Machine::intranode_latency`].
+    IntranodeLatency,
+    /// [`Machine::intranode_byte_cost`].
+    IntranodeByte,
+    /// [`Machine::loopback_latency`].
+    LoopbackLatency,
+    /// [`Machine::loopback_byte_cost`].
+    LoopbackByte,
+    /// [`Machine::remote_latency`].
+    RemoteLatency,
+    /// [`Machine::remote_byte_cost`].
+    RemoteByte,
+    /// [`Machine::lock_overhead`].
+    Lock,
+    /// [`Machine::collective_latency`], per hop.
+    Collective,
+    /// [`Machine::barrier_latency`], per hop.
+    Barrier,
+}
+
+/// The three seconds ledgers of [`crate::RankStats`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Ledger {
+    /// `compute_seconds`.
+    Compute,
+    /// `comm_seconds`.
+    Comm,
+    /// `sync_seconds`.
+    Sync,
+}
+
+impl Price {
+    /// Every price, in the fixed order a rank's pending counts are turned
+    /// into time.
+    pub const ALL: [Price; 15] = [
+        Price::Interaction,
+        Price::PtrSurcharge,
+        Price::TreeOp,
+        Price::Mac,
+        Price::LocalAccess,
+        Price::SwOverhead,
+        Price::IntranodeLatency,
+        Price::IntranodeByte,
+        Price::LoopbackLatency,
+        Price::LoopbackByte,
+        Price::RemoteLatency,
+        Price::RemoteByte,
+        Price::Lock,
+        Price::Collective,
+        Price::Barrier,
+    ];
+
+    /// The ledger this price's seconds are booked in.  The five compute
+    /// prices are the ones the pthreads compute factor scales.
+    pub fn ledger(self) -> Ledger {
+        match self {
+            Price::Interaction
+            | Price::PtrSurcharge
+            | Price::TreeOp
+            | Price::Mac
+            | Price::LocalAccess => Ledger::Compute,
+            Price::Barrier => Ledger::Sync,
+            _ => Ledger::Comm,
+        }
+    }
 }
 
 impl Machine {
@@ -118,38 +223,56 @@ impl Machine {
         }
     }
 
-    /// Latency of a one-sided operation from `from` to `to`.
-    ///
-    /// Local (same-rank) operations only pay the software overhead.
+    /// Seconds per event at `price`, before the compute factor.
     #[inline]
-    pub fn latency(&self, from: usize, to: usize) -> f64 {
-        if from == to {
-            self.sw_overhead
-        } else if self.same_node(from, to) {
-            if self.pthreads {
-                self.intranode_latency
-            } else {
-                self.loopback_latency
-            }
-        } else {
-            self.remote_latency
+    pub fn price(&self, price: Price) -> f64 {
+        match price {
+            Price::Interaction => self.interaction_cost,
+            Price::PtrSurcharge => self.global_ptr_overhead,
+            Price::TreeOp => self.treeop_cost,
+            Price::Mac => self.mac_cost,
+            Price::LocalAccess => self.local_access_cost,
+            Price::SwOverhead => self.sw_overhead,
+            Price::IntranodeLatency => self.intranode_latency,
+            Price::IntranodeByte => self.intranode_byte_cost,
+            Price::LoopbackLatency => self.loopback_latency,
+            Price::LoopbackByte => self.loopback_byte_cost,
+            Price::RemoteLatency => self.remote_latency,
+            Price::RemoteByte => self.remote_byte_cost,
+            Price::Lock => self.lock_overhead,
+            Price::Collective => self.collective_latency,
+            Price::Barrier => self.barrier_latency,
         }
     }
 
-    /// Per-byte cost of a transfer from `from` to `to`.
+    /// The latency and byte prices of the link from `from` to `to`: remote
+    /// between nodes; within a node, shared memory in pthreads mode and the
+    /// network stack in process mode.  A rank's link to itself pays the
+    /// software overhead of issuing the operation and moves no bytes.
+    #[inline]
+    pub fn link(&self, from: usize, to: usize) -> (Price, Option<Price>) {
+        if from == to {
+            (Price::SwOverhead, None)
+        } else if !self.same_node(from, to) {
+            (Price::RemoteLatency, Some(Price::RemoteByte))
+        } else if self.pthreads {
+            (Price::IntranodeLatency, Some(Price::IntranodeByte))
+        } else {
+            (Price::LoopbackLatency, Some(Price::LoopbackByte))
+        }
+    }
+
+    /// Latency of a one-sided operation from `from` to `to`
+    /// (the latency price of their [`Machine::link`]).
+    #[inline]
+    pub fn latency(&self, from: usize, to: usize) -> f64 {
+        self.price(self.link(from, to).0)
+    }
+
+    /// Per-byte cost of a transfer from `from` to `to` (zero to itself).
     #[inline]
     pub fn byte_cost(&self, from: usize, to: usize) -> f64 {
-        if from == to {
-            0.0
-        } else if self.same_node(from, to) {
-            if self.pthreads {
-                self.intranode_byte_cost
-            } else {
-                self.loopback_byte_cost
-            }
-        } else {
-            self.remote_byte_cost
-        }
+        self.link(from, to).1.map_or(0.0, |byte| self.price(byte))
     }
 
     /// Cost of transferring `bytes` bytes in a single message.
@@ -158,18 +281,11 @@ impl Machine {
         self.latency(from, to) + self.byte_cost(from, to) * bytes as f64
     }
 
-    /// Cost of one barrier across all ranks.
+    /// Hops of a tree-based barrier or collective: `ceil(log2(ranks))`,
+    /// at least one.
     #[inline]
-    pub fn barrier_cost(&self) -> f64 {
-        self.barrier_latency * (self.ranks().max(2) as f64).log2().ceil()
-    }
-
-    /// Cost of a tree-based collective (reduce / broadcast) moving `bytes`
-    /// per hop.
-    #[inline]
-    pub fn collective_cost(&self, bytes: usize) -> f64 {
-        let hops = (self.ranks().max(2) as f64).log2().ceil();
-        hops * (self.collective_latency + self.remote_byte_cost * bytes as f64)
+    pub fn hops(&self) -> u64 {
+        self.ranks().max(2).next_power_of_two().trailing_zeros() as u64
     }
 
     /// A Power5/LAPI-like preset calibrated against the paper's Table 2 and
@@ -293,8 +409,46 @@ mod tests {
     fn collective_and_barrier_grow_logarithmically() {
         let small = Machine::power5(4, 1, false);
         let large = Machine::power5(256, 1, false);
-        assert!(large.barrier_cost() < 8.0 * small.barrier_cost());
-        assert!(large.collective_cost(8) > small.collective_cost(8));
+        assert!(large.hops() < 8 * small.hops());
+        assert!(large.hops() > small.hops());
+        for (ranks, hops) in [(1, 1), (2, 1), (3, 2), (4, 2), (5, 3), (112, 7), (256, 8)] {
+            let m = Machine::power5(ranks, 1, false);
+            assert_eq!(m.hops(), (ranks.max(2) as f64).log2().ceil() as u64, "{ranks} ranks");
+            assert_eq!(m.hops(), hops, "{ranks} ranks");
+        }
+    }
+
+    #[test]
+    fn every_price_names_its_own_constant() {
+        let m = Machine {
+            interaction_cost: 1.0,
+            global_ptr_overhead: 2.0,
+            treeop_cost: 3.0,
+            mac_cost: 4.0,
+            local_access_cost: 5.0,
+            sw_overhead: 6.0,
+            intranode_latency: 7.0,
+            intranode_byte_cost: 8.0,
+            loopback_latency: 9.0,
+            loopback_byte_cost: 10.0,
+            remote_latency: 11.0,
+            remote_byte_cost: 12.0,
+            lock_overhead: 13.0,
+            collective_latency: 14.0,
+            barrier_latency: 15.0,
+            ..Machine::power5(2, 2, true)
+        };
+        let prices: Vec<f64> = Price::ALL.iter().map(|&p| m.price(p)).collect();
+        assert_eq!(prices, (1..=15).map(f64::from).collect::<Vec<_>>());
+        let compute: Vec<Price> =
+            Price::ALL.into_iter().filter(|p| p.ledger() == Ledger::Compute).collect();
+        assert_eq!(compute, Price::ALL[..5]);
+        assert_eq!(Price::Barrier.ledger(), Ledger::Sync);
+        assert_eq!(m.link(1, 1), (Price::SwOverhead, None));
+        assert_eq!(m.link(0, 1), (Price::IntranodeLatency, Some(Price::IntranodeByte)));
+        assert_eq!(m.link(0, 2), (Price::RemoteLatency, Some(Price::RemoteByte)));
+        let process = Machine { pthreads: false, ..m };
+        assert_eq!(process.link(0, 1), (Price::LoopbackLatency, Some(Price::LoopbackByte)));
     }
 
     #[test]

@@ -26,7 +26,8 @@
 //! keeps the UPC-vs-MPI comparison about the *point-to-point and caching
 //! structure* of the algorithms, not about collective implementations.
 
-use crate::ctx::Ctx;
+use crate::ctx::{Ctx, Dir};
+use crate::machine::{Ledger, Price};
 use parking_lot::{Condvar, Mutex};
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
@@ -91,16 +92,11 @@ impl<'w> Ctx<'w> {
     {
         assert!(dest < self.ranks(), "send destination {dest} out of range");
         let bytes = std::mem::size_of::<T>() * data.len();
-        let m = self.machine();
-        let cost = m.transfer_cost(self.rank(), dest, bytes);
-        self.advance(cost);
-        self.with_stats(|s| {
-            s.comm_seconds += cost;
-            s.messages += 1;
-            if dest != self.rank() {
-                s.bytes_out += bytes as u64;
-            }
-        });
+        self.transfer(Dir::Put, dest, 1, bytes as u64, 0);
+        if dest == self.rank() {
+            // A message to oneself is still a message.
+            self.with_stats(|s| s.messages += 1);
+        }
         let envelope = Envelope { payload: Box::new(data), arrival: self.now(), bytes };
         self.world().msgs.deposit(dest, self.rank(), tag, envelope);
     }
@@ -133,7 +129,7 @@ impl<'w> Ctx<'w> {
         T: Send + 'static,
     {
         assert!(source < self.ranks(), "recv source {source} out of range");
-        self.charge_issue_overhead(1);
+        self.bill(Price::SwOverhead, 1);
         let envelope = self.world().msgs.try_collect(self.rank(), source, tag)?;
         Some(self.finish_recv(source, envelope))
     }
@@ -157,15 +153,11 @@ impl<'w> Ctx<'w> {
     where
         T: Send + 'static,
     {
-        let waited = self.advance_to(envelope.arrival);
-        self.advance(self.machine().sw_overhead);
-        self.with_stats(|s| {
-            s.sync_seconds += waited;
-            s.comm_seconds += self.machine().sw_overhead;
-            if source != self.rank() {
-                s.bytes_in += envelope.bytes as u64;
-            }
-        });
+        self.advance_to(envelope.arrival, Ledger::Sync);
+        self.bill(Price::SwOverhead, 1);
+        if source != self.rank() {
+            self.with_stats(|s| s.bytes_in += envelope.bytes as u64);
+        }
         *envelope.payload.downcast::<Vec<T>>().unwrap_or_else(|_| {
             panic!("message from rank {source} received with the wrong element type")
         })

@@ -244,7 +244,7 @@ mod tests {
     fn total_stats_aggregates() {
         let rt = Runtime::new(Machine::test_cluster(3));
         let report = rt.run(|ctx| {
-            ctx.charge_interactions(10);
+            ctx.bill(crate::machine::Price::Interaction, 10);
         });
         assert_eq!(report.total_stats().interactions, 30);
     }

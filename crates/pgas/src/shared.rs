@@ -7,7 +7,8 @@
 //! [`SharedScalar`] models a UPC shared scalar, which the language pins to
 //! thread 0 (§5.1 of the paper is entirely about the cost of that choice).
 
-use crate::ctx::Ctx;
+use crate::ctx::{Ctx, Dir};
+use crate::machine::Price;
 use crate::sync_cell::SyncSlot;
 use std::ops::Range;
 
@@ -69,21 +70,21 @@ impl<T: Copy + Send + Sync> SharedVec<T> {
         start..end
     }
 
-    /// Fine-grained read of element `i` (billed local or remote according to
-    /// affinity).
+    /// Fine-grained read of element `i` through a pointer-to-shared: a
+    /// remote get, or the local dereference price if the caller owns it.
     pub fn read(&self, ctx: &Ctx, i: usize) -> T {
         self.read_fields(ctx, i, 1)
     }
 
     /// Reads element `i` the way the literal translation does, one field at
     /// a time: bills exactly what `fields` successive [`SharedVec::read`]s
-    /// bill, in the same order, and copies the element out once.
+    /// bill and copies the element out once.
     ///
     /// # Panics
     /// Panics if `fields` is zero.
     pub fn read_fields(&self, ctx: &Ctx, i: usize, fields: u32) -> T {
         assert!(fields > 0, "a read of zero fields has no value to return");
-        ctx.bill_gets(self.owner_of(i), std::mem::size_of::<T>(), fields);
+        ctx.access(Dir::Get, self.owner_of(i), std::mem::size_of::<T>(), u64::from(fields));
         self.slots[i].get()
     }
 
@@ -96,7 +97,7 @@ impl<T: Copy + Send + Sync> SharedVec<T> {
     /// successive [`SharedVec::write`]s and stores the element once.
     pub fn write_fields(&self, ctx: &Ctx, i: usize, value: T, fields: u32) {
         assert!(fields > 0, "a write of zero fields would store without being billed");
-        ctx.bill_puts(self.owner_of(i), std::mem::size_of::<T>(), fields);
+        ctx.access(Dir::Put, self.owner_of(i), std::mem::size_of::<T>(), u64::from(fields));
         self.slots[i].set(value);
     }
 
@@ -107,23 +108,23 @@ impl<T: Copy + Send + Sync> SharedVec<T> {
     /// Panics in debug builds if the element is not local to the caller.
     pub fn read_local(&self, ctx: &Ctx, i: usize) -> T {
         debug_assert_eq!(self.owner_of(i), ctx.rank(), "read_local on a remote element");
-        ctx.charge_local_accesses(1);
+        ctx.bill(Price::LocalAccess, 1);
         self.slots[i].get()
     }
 
     /// Local write counterpart of [`SharedVec::read_local`].
     pub fn write_local(&self, ctx: &Ctx, i: usize, value: T) {
         debug_assert_eq!(self.owner_of(i), ctx.rank(), "write_local on a remote element");
-        ctx.charge_local_accesses(1);
+        ctx.bill(Price::LocalAccess, 1);
         self.slots[i].set(value);
     }
 
     /// Read-modify-write of element `i` under the element lock.
     pub fn update<R>(&self, ctx: &Ctx, i: usize, f: impl FnOnce(&mut T) -> R) -> R {
-        // A remote read-modify-write costs a get plus a put.
-        let owner = self.owner_of(i);
-        ctx.bill_get(owner, std::mem::size_of::<T>());
-        ctx.bill_put(owner, std::mem::size_of::<T>());
+        // A read-modify-write is a round trip on the link, a get plus a put.
+        let (owner, bytes) = (self.owner_of(i), std::mem::size_of::<T>() as u64);
+        ctx.transfer(Dir::Get, owner, 1, bytes, 1);
+        ctx.transfer(Dir::Put, owner, 1, bytes, 1);
         self.slots[i].update(f)
     }
 
@@ -137,7 +138,7 @@ impl<T: Copy + Send + Sync> SharedVec<T> {
             let owner = self.owner_of(i);
             let owner_end = self.local_range(owner).end.min(range.end);
             let count = owner_end - i;
-            ctx.bill_bulk_get(owner, count * elem, count as u64);
+            ctx.transfer(Dir::Get, owner, 1, (count * elem) as u64, count as u64);
             for slot in &self.slots[i..owner_end] {
                 out.push(slot.get());
             }
@@ -155,7 +156,7 @@ impl<T: Copy + Send + Sync> SharedVec<T> {
             let owner = self.owner_of(idx);
             let owner_end = (self.local_range(owner).end - start).min(values.len());
             let count = owner_end - i;
-            ctx.bill_bulk_put(owner, count * elem, count as u64);
+            ctx.transfer(Dir::Put, owner, 1, (count * elem) as u64, count as u64);
             for (j, value) in values.iter().enumerate().take(owner_end).skip(i) {
                 self.slots[start + j].set(*value);
             }
@@ -177,7 +178,7 @@ impl<T: Copy + Send + Sync> SharedVec<T> {
             }
         }
         for &(owner, count) in &per_owner {
-            ctx.bill_bulk_get(owner, count * elem, count as u64);
+            ctx.transfer(Dir::Get, owner, 1, (count * elem) as u64, count as u64);
         }
         indices.iter().map(|&i| self.slots[i].get()).collect()
     }
@@ -210,22 +211,23 @@ impl<T: Copy + Send + Sync> SharedScalar<T> {
     }
 
     /// Reads the scalar; every rank other than 0 pays a remote access
-    /// (this is exactly the cost that §5.1 removes by replication).
+    /// (this is exactly the cost that §5.1 removes by replication), rank 0
+    /// the local dereference price.
     pub fn read(&self, ctx: &Ctx) -> T {
-        self.charge_read(ctx);
+        self.pay_for_read(ctx);
         self.slot.get()
     }
 
     /// Bills exactly what [`SharedScalar::read`] bills and fetches nothing:
     /// for a caller that already holds the value of a scalar nobody writes
     /// in the phase, and must still pay for each use the model reads it.
-    pub fn charge_read(&self, ctx: &Ctx) {
-        ctx.bill_get(0, std::mem::size_of::<T>());
+    pub fn pay_for_read(&self, ctx: &Ctx) {
+        ctx.access(Dir::Get, 0, std::mem::size_of::<T>(), 1);
     }
 
     /// Writes the scalar (remote for every rank other than 0).
     pub fn write(&self, ctx: &Ctx, value: T) {
-        ctx.bill_put(0, std::mem::size_of::<T>());
+        ctx.access(Dir::Put, 0, std::mem::size_of::<T>(), 1);
         self.slot.set(value);
     }
 
@@ -416,7 +418,7 @@ mod tests {
     }
 
     #[test]
-    fn charge_read_bills_what_read_bills() {
+    fn pay_for_read_bills_what_read_bills() {
         let s = SharedScalar::new(0.5f64);
         let billed = |uses: &(dyn Fn(&Ctx) + Sync)| {
             let report = Runtime::new(Machine::power5(2, 2, true)).run(|ctx| uses(ctx));
@@ -429,7 +431,7 @@ mod tests {
         });
         let charged = billed(&|ctx| {
             for _ in 0..3 {
-                s.charge_read(ctx);
+                s.pay_for_read(ctx);
             }
         });
         assert_eq!(read, charged);

@@ -20,6 +20,7 @@
 //! replication.
 
 use crate::ctx::Ctx;
+use crate::machine::Price;
 use crate::shared::SharedScalar;
 use std::cell::Cell;
 
@@ -52,7 +53,7 @@ impl<T: Copy> CachedScalar<T> {
         let epoch = ctx.epoch();
         if let Some((cached_epoch, value)) = self.slot.get() {
             if cached_epoch == epoch {
-                ctx.charge_local_accesses(1);
+                ctx.bill(Price::LocalAccess, 1);
                 self.hits.set(self.hits.get() + 1);
                 return value;
             }

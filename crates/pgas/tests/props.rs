@@ -1,6 +1,6 @@
 //! Property-based tests for the PGAS emulator.
 
-use pgas::{GlobalPtr, Machine, Runtime, SharedArena, SharedVec};
+use pgas::{GlobalPtr, Machine, Price, Runtime, SharedArena, SharedVec};
 use proptest::prelude::*;
 
 proptest! {
@@ -103,12 +103,12 @@ proptest! {
     }
 
     #[test]
-    fn barrier_aligns_arbitrary_charges(ranks in 1usize..8, charges in prop::collection::vec(0.0f64..5.0, 1..8)) {
+    fn barrier_aligns_arbitrary_charges(ranks in 1usize..8, charges in prop::collection::vec(0u64..50_000_000, 1..8)) {
         let runtime = Runtime::new(Machine::test_cluster(ranks));
         let charges_ref = &charges;
         let report = runtime.run(|ctx| {
             let c = charges_ref[ctx.rank() % charges_ref.len()];
-            ctx.charge_compute(c);
+            ctx.bill(Price::Interaction, c);
             ctx.barrier();
             ctx.now()
         });

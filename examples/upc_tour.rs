@@ -8,7 +8,7 @@
 //! ```
 
 use barnes_hut_upc::prelude::*;
-use pgas::{GlobalLock, Machine};
+use pgas::{GlobalLock, Machine, Price};
 
 fn main() {
     let ranks: usize = std::env::args().nth(1).and_then(|a| a.parse().ok()).unwrap_or(4);
@@ -53,7 +53,9 @@ fn main() {
         //    compute overlapping the transfer.
         let t2 = ctx.now();
         let handle = arena.get_vlist_async(ctx, &everyone);
-        ctx.charge_compute(2.0 * fine_cost.max(1e-6)); // pretend to work
+        // Pretend to work: twice as long as the fine-grained reads took.
+        let work = 2.0 * fine_cost.max(1e-6) / ctx.machine().interaction_cost;
+        ctx.bill(Price::Interaction, work.ceil() as u64);
         let values = ctx.wait_sync(handle);
         let async_cost = ctx.now() - t2;
 

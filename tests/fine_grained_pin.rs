@@ -4,8 +4,7 @@
 //! its pointer-to-shared; the emulator bills each field read and hands the
 //! walk the cell from the epoch's frozen copy of the arena.  Every run
 //! below is lock-free or single-rank, so it repeats exactly, and the
-//! golden fingerprints were recorded from the slot-reading walk this one
-//! replaced: they fail if a change bills a field read it no longer
+//! golden fingerprints fail if a change bills a field read it no longer
 //! performs, performs one it no longer bills, or moves any simulated bit.
 
 use barnes_hut_upc::bh::cellnode::COMPACT_NODE_BYTES;
@@ -154,44 +153,48 @@ fn redistribute_on_the_sorted_build_is_pinned_bit_for_bit_at_two_and_four_ranks(
     assert_pinned("4 ranks", &run(OptLevel::Redistribute, 4, sorted, false), REDISTRIBUTE_SORTED_4);
 }
 
-// Recorded from the walk that fetched every visited cell through its slot.
+// Recorded from the one-ledger clock: every priced event is a count, turned
+// into time as count × price, and a local element read through a
+// pointer-to-shared costs the dereference surcharge plus one local access
+// in every container.  Against the walk that fetched every visited cell
+// through its slot, every integer counter and the digest are unchanged.
 const BASELINE_1: &[&str] = &[
-    "total 3fa486ae85637d8e",
-    "phases tree 3f724deb1a6a7cb8 cofm 3f33410b9f2a5080 partition 3f3475a5400c3500 redistribute 3ef50c0956489000 force 3fa1ace67d777b46 advance 3f3efde0dabe4a00",
-    "rank 0 gets 0 puts 0 local 760948 messages 8 in 0 out 0 locks 1580 vlists 0 single 0 interactions 115334 tree_ops 9594 macs 110562 compute 3f9708b382cf4fbf comm 3fa7267a6825b904 sync 3f1d5c31593e5fb9",
+    "total 3f993986338b47cb",
+    "phases tree 3f7045b8460217e4 cofm 3f1c4379f4b00d00 partition 3f2086e0da4ae500 redistribute 3ef50c0956489800 force 3f94cafd8c29bbdd advance 3f1a8657e22df800",
+    "rank 0 gets 0 puts 0 local 760948 messages 8 in 0 out 0 locks 1580 vlists 0 single 0 interactions 115334 tree_ops 9594 macs 110562 compute 3fa5b5399964fc96 comm 3f7c2829bfc1f75b sync 3f1d5c31593e5fb9",
     "digest b876b542ae9a0292370fc1d306bc761fd850337fcc123f9273d2239cb98a577d",
 ];
 const BASELINE_SCALAR_CACHE_1: &[&str] = &[
-    "total 3f9805e9b51f760c",
-    "phases tree 3f71b1754fdb0368 cofm 3f33410b9f2cda00 partition 3f3475a5400db680 redistribute 3ef50c0956489800 force 3f92797717eb579e advance 3f3efde0dab84b00",
-    "rank 0 gets 0 puts 0 local 760948 messages 8 in 0 out 0 locks 1580 vlists 0 single 0 interactions 115334 tree_ops 9594 macs 110562 compute 3f97f7b59d75e8f0 comm 3f86944bd1e5a570 sync 3f1d5c31593e5fb9",
+    "total 3f964f0b000e42bd",
+    "phases tree 3f702aedbf60a890 cofm 3f1c4379f4b00d00 partition 3f2086e0da4ae500 redistribute 3ef50c0956489800 force 3f91e734fa5512a4 advance 3f1a8657e22df800",
+    "rank 0 gets 0 puts 0 local 760948 messages 8 in 0 out 0 locks 1580 vlists 0 single 0 interactions 115334 tree_ops 9594 macs 110562 compute 3fa2ca53061d8c94 comm 3f7c2829bfc1f75b sync 3f1d5c31593e5fb9",
     "digest b876b542ae9a0292370fc1d306bc761fd850337fcc123f9273d2239cb98a577d",
 ];
 const REPLICATE_SCALARS_1: &[&str] = &[
-    "total 3f978e294e015578",
-    "phases tree 3f71ac8ae2f2d000 cofm 3f33410b9f2cda00 partition 3f34709cc290b300 redistribute 3ef50c0956489800 force 3f9203056dfd37f2 advance 3f3efde0dab84b00",
-    "rank 0 gets 0 puts 0 local 532996 messages 8 in 0 out 0 locks 1580 vlists 0 single 0 interactions 115334 tree_ops 9594 macs 110562 compute 3f9708b382cf4fbf comm 3f869309b2866495 sync 3f1d5c31593e5fb9",
+    "total 3f95d78b8f0c445a",
+    "phases tree 3f7026853eb2871c cofm 3f1c4379f4b00d00 partition 3f2084eea2f19900 redistribute 3ef50c0956489800 force 3f9170d38ded4f36 advance 3f1a8657e22df800",
+    "rank 0 gets 0 puts 0 local 532996 messages 8 in 0 out 0 locks 1580 vlists 0 single 0 interactions 115334 tree_ops 9594 macs 110562 compute 3fa252c2670fa609 comm 3f7c2829bfc1f75b sync 3f1d5c31593e5fb9",
     "digest b876b542ae9a0292370fc1d306bc761fd850337fcc123f9273d2239cb98a577d",
 ];
 const REDISTRIBUTE_1: &[&str] = &[
-    "total 3f957369509dea1e",
-    "phases tree 3f6f9b4eae172000 cofm 3f1127bcffcb6800 partition 3f15e6018d5acc00 redistribute 3ef50c0956489800 force 3f914f7019873498 advance 3ef0fa81c464b000",
-    "rank 0 gets 0 puts 0 local 514564 messages 8 in 0 out 0 locks 1580 vlists 0 single 0 interactions 115334 tree_ops 9594 macs 110562 compute 3f97125d6981e6b6 comm 3f7c296bdf213732 sync 3f1d5c31593e5fb9",
+    "total 3f957348d58f71b0",
+    "phases tree 3f6f9accc1dc7b40 cofm 3f111f9e3c26de00 partition 3f15e6018d5a0300 redistribute 3ef50c0956489800 force 3f914f67fac3b3a9 advance 3ef0fa81c46e6000",
+    "rank 0 gets 0 puts 0 local 514564 messages 8 in 0 out 0 locks 1580 vlists 0 single 0 interactions 115334 tree_ops 9594 macs 110562 compute 3fa1ee7fad92d360 comm 3f7c2829bfc1f75b sync 3f1d5c31593e5fb9",
     "digest b876b542ae9a0292370fc1d306bc761fd850337fcc123f9273d2239cb98a577d",
 ];
 const REDISTRIBUTE_SORTED_2: &[&str] = &[
-    "total 3fe28fb76d0bc1b2",
-    "phases tree 3f43d260c6a48800 cofm 3ee0c6f7a0b60000 partition 3f16628f63aca000 redistribute 3f048d55be788000 force 3fe289936612c9d3 advance 3ee95dfd96c00000",
-    "rank 0 gets 87512 puts 0 local 161053 messages 87403 in 10514960 out 8256 locks 0 vlists 0 single 0 interactions 57667 tree_ops 16688 macs 55281 compute 3f87be9dd762f7b6 comm 3fec4e5664bb9d59 sync 3fd0dfcf5114f03b",
-    "rank 1 gets 113611 puts 0 local 134888 messages 113506 in 13638280 out 16616 locks 0 vlists 0 single 0 interactions 57667 tree_ops 15622 macs 55281 compute 3f876637a89ebc72 comm 3ff2612c52995986 sync 3f35061054249d2c",
+    "total 3fe28fb72c157674",
+    "phases tree 3f43d15cee315800 cofm 3ee0c6f7a0b60000 partition 3f16628f63ad0000 redistribute 3f048d55be784000 force 3fe2899366129d55 advance 3ee95dfd94ca0000",
+    "rank 0 gets 87512 puts 0 local 161053 messages 87403 in 10514960 out 8256 locks 0 vlists 0 single 0 interactions 57667 tree_ops 16688 macs 55281 compute 3f8f950274e924e0 comm 3fec4e55229c372f sync 3fd0dfd054ec966c",
+    "rank 1 gets 113611 puts 0 local 134888 messages 113506 in 13638280 out 16616 locks 0 vlists 0 single 0 interactions 57667 tree_ops 15622 macs 55281 compute 3f8de61c654c9c20 comm 3ff2612c529954f8 sync 3f350200f25496be",
     "digest b876b542ae9a0292370fc1d306bc761fd850337fcc123f9273d2239cb98a577d",
 ];
 const REDISTRIBUTE_SORTED_4: &[&str] = &[
-    "total 3fdfe034a59b6df4",
-    "phases tree 3f407dcd467fd000 cofm 3ef0c6f7a0b60000 partition 3f198e4f16460000 redistribute 3f1999b7aa2e8000 force 3fdfd433f786d794 advance 3ef30ac9b3160000",
-    "rank 0 gets 57773 puts 0 local 65755 messages 57698 in 6954104 out 5440 locks 0 vlists 0 single 0 interactions 28261 tree_ops 9889 macs 27214 compute 3f7781fa5a68549a comm 3fe2b113836a87a0 sync 3fdb9ef7681276cc",
-    "rank 1 gets 100463 puts 0 local 26129 messages 100398 in 12056848 out 13816 locks 0 vlists 0 single 0 interactions 29475 tree_ops 6662 macs 28170 compute 3f76df4cbd5917ae comm 3ff042767a2fcaed sync 3f43b09d277ec62b",
-    "rank 2 gets 80819 puts 0 local 45974 messages 80750 in 9703688 out 10640 locks 0 vlists 0 single 0 interactions 29533 tree_ops 8127 macs 28156 compute 3f7794d3bfb8b257 comm 3fea280eef538832 sync 3fc97161aebe6433",
-    "rank 3 gets 83820 puts 0 local 38543 messages 83745 in 10061648 out 11880 locks 0 vlists 0 single 0 interactions 28065 tree_ops 7276 macs 27022 compute 3f7647beb07f565d comm 3feb2059ef2c1b44 sync 3fc5a0b4bc9c22d8",
+    "total 3fdfe03423af42e0",
+    "phases tree 3f407cc96e0c6c00 cofm 3ef0c6f7a0b60000 partition 3f198e4f16464000 redistribute 3f1999b7aa2e6000 force 3fdfd433f786e844 advance 3ef30ac9b2910000",
+    "rank 0 gets 57773 puts 0 local 65755 messages 57698 in 6954104 out 5440 locks 0 vlists 0 single 0 interactions 28261 tree_ops 9889 macs 27214 compute 3f7dc10c01f47f76 comm 3fe2b112414b23ed sync 3fdb9ef86bea9262",
+    "rank 1 gets 100463 puts 0 local 26129 messages 100398 in 12056848 out 13816 locks 0 vlists 0 single 0 interactions 29475 tree_ops 6662 macs 28170 compute 3f791bfac3914afe comm 3ff042767a2fc6ee sync 3f43ae957696aebf",
+    "rank 2 gets 80819 puts 0 local 45974 messages 80750 in 9703688 out 10640 locks 0 vlists 0 single 0 interactions 29533 tree_ops 8127 macs 28156 compute 3f7bd4db16c51c06 comm 3fea280eef5381d7 sync 3fc9715fa70d283d",
+    "rank 3 gets 83820 puts 0 local 38543 messages 83745 in 10061648 out 11880 locks 0 vlists 0 single 0 interactions 28065 tree_ops 7276 macs 27022 compute 3f79c4f96ec153c6 comm 3feb2059ef2c14aa sync 3fc5a0b2b4eafb33",
     "digest b876b542ae9a0292370fc1d306bc761fd850337fcc123f9273d2239cb98a577d",
 ];
