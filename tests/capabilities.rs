@@ -2,15 +2,21 @@
 //! bodies, measurement window, mode) point gets exactly the verdict the
 //! rules below spell out — written here independently of `engine::caps` —
 //! and every accepted point small enough for a test machine runs to
-//! completion.  Every backend runs tracked, through the one step driver,
-//! with the same result as untracked, and refuses bad bodies with an error.
-//! README's "Valid configurations" block is pinned to the `bhsim --list`
-//! section rendered from the same rows, and its "Knobs" block to the knob
-//! table.
+//! completion.  Every such run that repeats is pinned bit for bit: its
+//! fingerprint is one line of `tests/fixtures/fingerprints.txt`, the test
+//! files' only record of what a run computed.  Every backend runs tracked,
+//! through the one step driver, with the same fingerprint as untracked, and
+//! refuses bad bodies with an error.  README's "Valid configurations" block
+//! is pinned to the `bhsim --list` section rendered from the same rows, and
+//! its "Knobs" block to the knob table.
+
+use std::collections::BTreeMap;
 
 use barnes_hut_upc::bh_mpi::PSEUDO_ID_BASE;
 use barnes_hut_upc::engine::{self, ConfigError, SimConfig, TreeBuild, TreePolicy, WalkMode};
 use barnes_hut_upc::prelude::*;
+use pgas::RankStats;
+use snapstore::sha256::hex_digest;
 
 const MODES: [&str; 2] = ["run", "session"];
 
@@ -67,23 +73,131 @@ fn points() -> Vec<Point> {
         c.tree_policy = TreePolicy::from_name(name).unwrap()
     });
     let points =
-        expand(points, &[1, 2, 255, 256], |c, ranks| c.machine = Machine::test_cluster(ranks));
+        expand(points, &[1, 2, 4, 255, 256], |c, ranks| c.machine = Machine::test_cluster(ranks));
     let cap = PSEUDO_ID_BASE as usize;
     let points = expand(points, &[48, cap - 1, cap], |c, n| c.nbodies = n);
-    expand(points, &[1, 3], |c, measured| c.measured_steps = measured)
+    let mut points = expand(points, &[1, 3], |c, measured| c.measured_steps = measured);
+    // One named extra point: the baseline's shared scalars through the
+    // software cache, the only rung where the cache changes what is billed.
+    let mut cached = base;
+    cached.software_scalar_cache = true;
+    points.push(("upc", cached));
+    points
+}
+
+/// A point's axes, as its fingerprint row and its failure messages name it.
+fn axes(backend: &str, cfg: &SimConfig) -> String {
+    format!(
+        "{backend} {} {} {} {} ranks={} n={} measured={}{}",
+        cfg.opt.name(),
+        cfg.walk.name(),
+        cfg.build.name(),
+        cfg.tree_policy.name(),
+        cfg.ranks(),
+        cfg.nbodies,
+        cfg.measured_steps,
+        if cfg.software_scalar_cache { " scalar-cache" } else { "" }
+    )
+}
+
+/// What a run computed, as `name=value` fields: the simulated total and the
+/// six phase times as f64 bits, the integer counters and the three ledgers
+/// summed over ranks, a SHA-256 of every rank's own counters, and the state
+/// digest of the final bodies.
+fn fingerprint(result: &SimResult) -> String {
+    let bits = |x: f64| format!("{:016x}", x.to_bits());
+    let counters = |s: &RankStats| {
+        format!(
+            "gets={} puts={} local={} messages={} in={} out={} locks={} vlists={} single={} \
+             interactions={} tree_ops={} macs={} compute={} comm={} sync={}",
+            s.remote_gets,
+            s.remote_puts,
+            s.local_accesses,
+            s.messages,
+            s.bytes_in,
+            s.bytes_out,
+            s.lock_acquires,
+            s.vlist_requests,
+            s.vlist_single_source,
+            s.interactions,
+            s.tree_ops,
+            s.macs,
+            bits(s.compute_seconds),
+            bits(s.comm_seconds),
+            bits(s.sync_seconds)
+        )
+    };
+    let per_rank: String = result.ranks.iter().map(|r| counters(&r.stats) + "\n").collect();
+    let p = &result.phases;
+    format!(
+        "total={} tree={} cofm={} partition={} redistribute={} force={} advance={} {} \
+         per_rank={} digest={}",
+        bits(result.total),
+        bits(p.tree),
+        bits(p.cofm),
+        bits(p.partition),
+        bits(p.redistribute),
+        bits(p.force),
+        bits(p.advance),
+        counters(&result.total_stats()),
+        &hex_digest(per_rank.as_bytes())[..16],
+        snapstore::digest_bodies(&result.bodies)
+    )
+}
+
+/// Whether `backend`'s run repeats bit for bit.  Two host races reach the
+/// simulated clock: the insertion build's cell locks decide cell affinity,
+/// and the re-fold of a persistent tree's cell summaries (upc's alone)
+/// re-reads and re-bills a cell on every host-side retry.  One rank has
+/// neither.
+fn repeats(backend: &str, cfg: &SimConfig, result: &SimResult) -> bool {
+    let refolds = backend == "upc" && cfg.tree_policy.reuses_tree();
+    cfg.ranks() == 1 || (result.total_stats().lock_acquires == 0 && !refolds)
+}
+
+/// `text`'s rows, `axes | fields` each, keyed by their axes.
+fn rows(text: &str) -> BTreeMap<&str, Vec<(&str, &str)>> {
+    text.lines()
+        .filter_map(|line| line.split_once(" | "))
+        .map(|(axes, fields)| {
+            (axes, fields.split(' ').filter_map(|field| field.split_once('=')).collect())
+        })
+        .collect()
+}
+
+/// Every row of `new` that differs from `old`'s, field by field.
+fn diff(old: &str, new: &str) -> Vec<String> {
+    let (old, new) = (rows(old), rows(new));
+    let keys: std::collections::BTreeSet<&str> = old.keys().chain(new.keys()).copied().collect();
+    keys.into_iter()
+        .filter_map(|key| match (old.get(key), new.get(key)) {
+            (Some(_), None) => Some(format!("{key}: row vanished")),
+            (None, Some(_)) => Some(format!("{key}: new row")),
+            (Some(old), Some(new)) if old != new => {
+                let moved: Vec<String> = old
+                    .iter()
+                    .zip(new)
+                    .filter(|(a, b)| a != b)
+                    .map(|((name, a), (_, b))| format!("{name} {a} -> {b}"))
+                    .collect();
+                Some(format!("{key}: {}", moved.join(", ")))
+            }
+            _ => None,
+        })
+        .collect()
 }
 
 #[test]
 fn every_point_gets_its_verdict_and_every_accepted_point_runs() {
     let backends = backend_registry();
     let points = points();
-    assert_eq!(points.len(), 3 * 7 * 2 * 2 * 2 * 4 * 3 * 2);
-    assert_eq!(points.len(), 4032);
+    assert_eq!(points.len(), 3 * 7 * 2 * 2 * 2 * 5 * 3 * 2 + 1);
+    assert_eq!(points.len(), 5041);
     let bodies = generate(&PlummerConfig::new(48, points[0].1.seed));
+    let mut pinned = vec![format!("input | digest={}", snapstore::digest_bodies(&bodies))];
     let mut runs = 0;
     for (name, cfg) in &points {
-        let axes = (cfg.opt, cfg.walk, cfg.build, cfg.tree_policy.name(), cfg.ranks());
-        let label = format!("{name} {axes:?} n {} measured {}", cfg.nbodies, cfg.measured_steps);
+        let label = axes(name, cfg);
         let backend = backends.get(name).expect("builtin backend");
         for mode in MODES {
             let verdict = match mode {
@@ -93,7 +207,7 @@ fn every_point_gets_its_verdict_and_every_accepted_point_runs() {
             let got = verdict.as_ref().err().map(|e| e.code);
             assert_eq!(got, expected(name, cfg, mode), "{label} {mode}: {verdict:?}");
         }
-        if cfg.nbodies != 48 || cfg.ranks() > 2 {
+        if cfg.nbodies != 48 || cfg.ranks() > 4 {
             continue;
         }
         // Small enough to run: accepted points complete, rejected ones fail
@@ -101,9 +215,13 @@ fn every_point_gets_its_verdict_and_every_accepted_point_runs() {
         let ran = engine::run_backends(&backends, &[name.to_string()], cfg, &bodies);
         match (expected(name, cfg, "run"), ran) {
             (None, Ok(ran)) => {
-                let (bodies, total) = (&ran[0].result.bodies, ran[0].result.phases.total());
+                let result = &ran[0].result;
+                let (bodies, total) = (&result.bodies, result.phases.total());
                 assert!(bodies.len() == 48 && total > 0.0, "{label}");
                 assert!(bodies.iter().all(|b| b.pos.is_finite() && b.vel.is_finite()), "{label}");
+                if repeats(name, cfg, result) {
+                    pinned.push(format!("{label} | {}", fingerprint(result)));
+                }
                 runs += 1;
             }
             (Some(code), Err(e)) => assert!(e.contains(code), "{label}: {e}"),
@@ -112,32 +230,32 @@ fn every_point_gets_its_verdict_and_every_accepted_point_runs() {
     }
     // upc: 18 accepted (opt, walk, build) triples under rebuild, the 8 of
     // them on baseline..cache-local-tree under reuse; mpi: 7 opts; direct:
-    // everything — each on 1 and 2 ranks.
-    assert_eq!(runs, (18 + 8 + 7 + 7 * 2 * 2 * 2) * 2);
-}
+    // everything — each on 1, 2 and 4 ranks; and the scalar-cache point.
+    assert_eq!(runs, (18 + 8 + 7 + 7 * 2 * 2 * 2) * 3 + 1);
 
-/// The integer counters of a run's [`RankStats`], summed over ranks.
-fn counters(result: &SimResult) -> [u64; 12] {
-    let s = result.total_stats();
-    [
-        s.remote_gets,
-        s.remote_puts,
-        s.local_accesses,
-        s.messages,
-        s.bytes_in,
-        s.bytes_out,
-        s.lock_acquires,
-        s.vlist_requests,
-        s.vlist_single_source,
-        s.interactions,
-        s.tree_ops,
-        s.macs,
-    ]
+    // The pins: every repeating run's line, and no other, is the fixture's.
+    pinned[1..].sort();
+    let text = pinned.join("\n") + "\n";
+    let fixture = include_str!("fixtures/fingerprints.txt");
+    if text != fixture {
+        let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("fingerprints.txt");
+        std::fs::write(&path, &text).expect("the regenerated fixture is written");
+        let moved = diff(fixture, &text);
+        panic!(
+            "{} of {} pinned rows moved off tests/fixtures/fingerprints.txt (the first 20; \
+             `input` is the generated bodies):\n{}\nthe regenerated fixture is {}; copy it \
+             over tests/fixtures/fingerprints.txt if the change is meant",
+            moved.len(),
+            pinned.len() - 1,
+            moved[..moved.len().min(20)].join("\n"),
+            path.display()
+        );
+    }
 }
 
 #[test]
 fn every_backend_runs_tracked_exactly_as_untracked() {
-    // `subspace` is lock-free, so every counter of the upc run repeats.
+    // `subspace` is lock-free, so the upc run repeats bit for bit.
     let cfg = SimConfig::test(48, 2, OptLevel::Subspace);
     let bodies = generate(&PlummerConfig::new(48, cfg.seed));
     for backend in backend_registry().iter() {
@@ -151,9 +269,7 @@ fn every_backend_runs_tracked_exactly_as_untracked() {
             .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(steps, (0..cfg.steps).collect::<Vec<_>>(), "{name}: one record per step");
         let plain = backend.run(&cfg, bodies.clone());
-        assert!(engine::snap::bodies_bits_equal(&tracked.bodies, &plain.bodies), "{name}");
-        assert_eq!(tracked.total.to_bits(), plain.total.to_bits(), "{name}: total_sim");
-        assert_eq!(counters(&tracked), counters(&plain), "{name}: counters");
+        assert_eq!(fingerprint(&tracked), fingerprint(&plain), "{name}");
     }
 
     // A persistent tree is the one case whose records anchor behind the
