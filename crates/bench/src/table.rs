@@ -1,7 +1,7 @@
 //! Output containers: phase-breakdown tables (the paper's Tables 2–9) and
 //! generic named series (the figures).
 
-use bh::report::{Phase, PhaseTimes};
+use engine::report::{Phase, PhaseTimes};
 use serde::{Deserialize, Serialize};
 
 /// One column of a phase table: the result of one run.

@@ -1,8 +1,8 @@
 //! The UPC-emulated solver as an [`engine`] backend.
 
 use crate::cellnode::COMPACT_MAX_RANKS;
-use crate::config::{OptLevel, SimConfig};
 use crate::sim::Upc;
+use engine::config::{OptLevel, SimConfig};
 use engine::drive::{self, Observer};
 use engine::{Backend, Caps, Reasons, Rungs, SimResult};
 use nbody::Body;

@@ -21,8 +21,8 @@
 //! identical, only the local copying cost differs.
 
 use crate::cellnode::{CellNode, NodeKind};
-use crate::config::SimConfig;
 use crate::shared::{BhShared, RankState};
+use engine::config::SimConfig;
 use nbody::direct::pairwise_acceleration;
 use nbody::{SoaBodies, Vec3};
 use octree::walk::cell_is_far;
@@ -604,10 +604,10 @@ impl CacheTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::OptLevel;
     use crate::treebuild::{
         allocate_root, bounding_box_phase, center_of_mass_phase, insert_owned_bodies,
     };
+    use engine::config::OptLevel;
     use nbody::direct;
     use pgas::Runtime;
 

@@ -20,8 +20,8 @@
 
 use crate::cache::CacheTree;
 use crate::cellnode::{CellNode, NodeKind};
-use crate::config::{OptLevel, SimConfig};
 use crate::shared::{read_body, read_eps, read_theta, write_body, BhShared, RankState};
+use engine::config::{OptLevel, SimConfig, FINE_GRAINED_FIELDS};
 use nbody::direct::pairwise_acceleration;
 use nbody::{Body, Vec3};
 use octree::walk::cell_is_far;
@@ -94,7 +94,7 @@ pub fn write_back(
 ///
 /// The reads are billed, not fetched: the walk reads the epoch's frozen copy
 /// of the cell arena, which the ranks share, and bills each visit's
-/// `fine_grained_fields` field reads in one charge.
+/// [`FINE_GRAINED_FIELDS`] field reads in one charge.
 pub fn force_phase_uncached(
     ctx: &Ctx,
     shared: &BhShared,
@@ -104,14 +104,13 @@ pub fn force_phase_uncached(
     let root = shared.root.read(ctx);
     let cells = shared.cells.frozen(ctx);
     let scalars = WalkScalars::new(shared, st, cfg.opt);
-    let fields = cfg.fine_grained_fields.max(1);
     let mut out = Vec::with_capacity(st.my_ids.len());
     // One traversal stack for the rank: every walk drains it.
     let mut stack = Vec::new();
     for &id in &st.my_ids {
         let body = read_body(ctx, shared, st, cfg, id);
         stack.push(root);
-        let force = walk_shared(ctx, &cells, &scalars, fields, &mut stack, id, &body);
+        let force = walk_shared(ctx, &cells, &scalars, &mut stack, id, &body);
         out.push(force);
     }
     out
@@ -167,7 +166,6 @@ fn walk_shared(
     ctx: &Ctx,
     cells: &Frozen<CellNode>,
     scalars: &WalkScalars,
-    fields: u32,
     stack: &mut Vec<GlobalPtr>,
     id: u32,
     body: &Body,
@@ -181,7 +179,7 @@ fn walk_shared(
         // The literal translation reads the cell's fields one by one through
         // the pointer-to-shared (mass, centre of mass, child pointers), so
         // each visit is several fine-grained accesses.
-        let node = cells.read_fields(ctx, ptr, fields);
+        let node = cells.read_fields(ctx, ptr, FINE_GRAINED_FIELDS);
         match node.kind {
             NodeKind::Body => {
                 if node.body_id == id {
@@ -231,13 +229,13 @@ fn walk_shared(
 /// remote traffic.
 ///
 /// Under per-step rebuild the cache lives for exactly one step, as the paper
-/// describes.  Under a persistent [`crate::config::TreePolicy`] the cache is
+/// describes.  Under a persistent [`engine::config::TreePolicy`] the cache is
 /// carried in [`RankState`] across steps (`CacheTree::for_step`): while
 /// the tree generation is unchanged it is refreshed in place (payload
 /// re-reads, arenas re-coalesced, allocations kept); a full rebuild bumps
 /// the generation and invalidates it.
 ///
-/// Under [`crate::config::WalkMode::Group`] the per-group engine
+/// Under [`engine::config::WalkMode::Group`] the per-group engine
 /// ([`crate::groupwalk::force_phase_group`]) replaces the per-body loop
 /// below: one traversal per body group, the resulting interaction list
 /// applied to every member with the same SoA leaf-coalesced kernel.  The
@@ -249,7 +247,7 @@ pub fn force_phase_cached(
     st: &mut RankState,
     cfg: &SimConfig,
 ) -> Vec<BodyForce> {
-    if cfg.walk == crate::config::WalkMode::Group {
+    if cfg.walk == engine::config::WalkMode::Group {
         return crate::groupwalk::force_phase_group(ctx, shared, st, cfg);
     }
     let theta = read_theta(ctx, shared, st, cfg.opt);
@@ -282,11 +280,11 @@ pub fn advance_phase(ctx: &Ctx, shared: &BhShared, st: &RankState, cfg: &SimConf
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::OptLevel;
     use crate::shared::RankState;
     use crate::treebuild::{
         allocate_root, bounding_box_phase, center_of_mass_phase, insert_owned_bodies,
     };
+    use engine::config::OptLevel;
     use nbody::direct;
     use pgas::Runtime;
 

@@ -3,7 +3,7 @@
 //!
 //! Each rank processes `n1` *working units* concurrently — bodies under the
 //! paper's per-body walk, body groups under
-//! [`crate::config::WalkMode::Group`].  Every working unit keeps a
+//! [`engine::config::WalkMode::Group`].  Every working unit keeps a
 //! *frontier* of cache-tree nodes still to be examined.  When a node must be
 //! opened but its children are not cached yet, the node is parked on the
 //! unit's *stalled* list and added (once) to a request list.  Once at least
@@ -20,10 +20,10 @@
 
 use crate::cache::CacheTree;
 use crate::cellnode::{CellNode, NodeKind};
-use crate::config::SimConfig;
 use crate::force::BodyForce;
 use crate::groupwalk::{apply_list, build_list, group_descends, partition_groups, Group};
 use crate::shared::{read_body, read_eps, read_theta, BhShared, RankState};
+use engine::config::SimConfig;
 use nbody::direct::pairwise_acceleration;
 use nbody::Vec3;
 use octree::walk::cell_is_far;
@@ -85,7 +85,7 @@ trait UnitKind {
 
 /// The §5.5 schedule over `pending` working units of one kind.  The cache
 /// tree lives for one step: this engine only runs at
-/// [`crate::config::OptLevel::AsyncAggregation`] and above, where the upc
+/// [`engine::config::OptLevel::AsyncAggregation`] and above, where the upc
 /// capability row admits only the per-step rebuild policy
 /// ([`crate::backend::CAPS`]), so there is never a surviving generation to
 /// refresh against.
@@ -306,7 +306,7 @@ pub fn force_phase_async(
     schedule(ctx, shared, cfg, cache, kind, pending, st.my_ids.len())
 }
 
-/// The [`crate::config::WalkMode::Group`] unit kind: working units are body
+/// The [`engine::config::WalkMode::Group`] unit kind: working units are body
 /// groups instead of bodies, so one traversal (and one set of cache misses)
 /// serves every member of a group.  `n1` bounds the number of concurrently
 /// processed *groups*; `n2`/`n3` keep their meaning.
@@ -355,7 +355,7 @@ impl UnitKind for PerGroup {
     }
 }
 
-/// The §5.5 engine under [`crate::config::WalkMode::Group`] (see
+/// The §5.5 engine under [`engine::config::WalkMode::Group`] (see
 /// `PerGroup`).  All members are read up front: the Morton partition
 /// needs every position before the first group exists.
 pub fn force_phase_async_group(
@@ -442,12 +442,12 @@ fn revive<S>(working: &mut [Unit<S>], cache: &CacheTree) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{OptLevel, SimConfig};
     use crate::force::{force_phase_cached, write_back};
     use crate::shared::RankState;
     use crate::treebuild::{
         allocate_root, bounding_box_phase, center_of_mass_phase, insert_owned_bodies,
     };
+    use engine::config::{OptLevel, SimConfig};
     use nbody::Body;
     use pgas::Runtime;
 

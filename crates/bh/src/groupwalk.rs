@@ -1,5 +1,5 @@
 //! Group tree-walks: one traversal per body *group*, evaluated through
-//! per-group interaction lists ([`crate::config::WalkMode::Group`]).
+//! per-group interaction lists ([`engine::config::WalkMode::Group`]).
 //!
 //! The per-body force walk — even with the §5.3 cache hiding the *second*
 //! touch of every cell — still pays one full traversal per body, so the
@@ -40,7 +40,7 @@
 //!   occupancy — and a list reused across steps applies with no
 //!   acceptance tests at all.
 //!
-//! Under a reuse-capable [`TreePolicy`](crate::config::TreePolicy), the
+//! Under a reuse-capable [`TreePolicy`](engine::config::TreePolicy), the
 //! lists are carried across steps in [`crate::shared::RankState`] while the
 //! tree generation is unchanged: payloads are epoch-refreshed lazily (the
 //! same discipline as the cache itself), and a group's list is rebuilt when
@@ -54,10 +54,10 @@
 
 use crate::cache::CacheTree;
 use crate::cellnode::NodeKind;
-use crate::config::{SimConfig, TreePolicy};
 use crate::force::BodyForce;
 use crate::lifecycle;
 use crate::shared::{read_body, read_eps, read_theta, BhShared, RankState};
+use engine::config::{SimConfig, TreePolicy};
 use nbody::direct::pairwise_acceleration;
 use nbody::{morton, Vec3};
 use octree::walk::cell_is_far;
@@ -429,7 +429,7 @@ pub(crate) fn apply_list(
     (acc, phi, interactions)
 }
 
-/// The group-walk force phase ([`crate::config::WalkMode::Group`] at the
+/// The group-walk force phase ([`engine::config::WalkMode::Group`] at the
 /// caching levels): the counterpart of
 /// [`crate::force::force_phase_cached`], carrying both the force cache and
 /// the group lists across steps under a persistent tree policy.
@@ -608,10 +608,10 @@ fn group_forces(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::OptLevel;
     use crate::treebuild::{
         allocate_root, bounding_box_phase, center_of_mass_phase, insert_owned_bodies,
     };
+    use engine::config::OptLevel;
     use pgas::Runtime;
     use proptest::prelude::*;
 

@@ -44,14 +44,12 @@
 pub mod backend;
 pub mod cache;
 pub mod cellnode;
-pub mod config;
 pub mod force;
 pub mod frontier;
 pub mod groupwalk;
 pub mod lifecycle;
 pub mod mergetree;
 pub mod partition;
-pub mod report;
 pub mod shared;
 pub mod sim;
 pub mod sortbuild;
@@ -60,7 +58,7 @@ pub mod treebuild;
 
 pub use backend::UpcBackend;
 pub use cellnode::{CellNode, NodeKind};
-pub use config::{OptLevel, SimConfig, TreeBuild, TreePolicy, WalkMode};
-pub use report::{Phase, PhaseTimes, RankOutcome, SimResult};
+pub use engine::config::{OptLevel, SimConfig, TreeBuild, TreePolicy, WalkMode};
+pub use engine::report::{Phase, PhaseTimes, RankOutcome, SimResult};
 pub use shared::{BhShared, RankState};
 pub use sim::{run_simulation, run_simulation_on};

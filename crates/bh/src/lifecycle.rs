@@ -42,9 +42,9 @@
 //! solver.
 
 use crate::cellnode::{CellNode, NodeKind};
-use crate::config::{SimConfig, TreePolicy, MAX_DEPTH};
 use crate::mergetree::swap_child_slot;
 use crate::shared::{read_body, BhShared, RankState};
+use engine::config::{SimConfig, TreePolicy, MAX_DEPTH};
 use nbody::{Body, Vec3};
 use pgas::{Ctx, GlobalPtr, Price};
 use std::collections::HashMap;
@@ -727,10 +727,10 @@ fn write_site(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::OptLevel;
     use crate::treebuild::{
         allocate_root, bounding_box_phase, center_of_mass_phase, insert_owned_bodies,
     };
+    use engine::config::OptLevel;
     use pgas::Runtime;
 
     fn reuse_cfg(nbodies: usize, ranks: usize) -> SimConfig {

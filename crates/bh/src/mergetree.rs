@@ -14,8 +14,8 @@
 //! motivation for the §6 subspace algorithm.
 
 use crate::cellnode::{CellNode, NodeKind};
-use crate::config::{SimConfig, LEAF_CAPACITY, MAX_DEPTH};
 use crate::shared::{read_body, BhShared, RankState};
+use engine::config::{SimConfig, LEAF_CAPACITY, MAX_DEPTH};
 use nbody::{Body, Vec3};
 use octree::tree::{Octree, TreeParams, NO_CHILD};
 use pgas::{Ctx, GlobalPtr, Price};
@@ -342,9 +342,9 @@ fn insert_leaf_into_global(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{OptLevel, SimConfig};
     use crate::shared::RankState;
     use crate::treebuild::bounding_box_phase;
+    use engine::config::{OptLevel, SimConfig};
     use nbody::body::center_of_mass;
     use pgas::Runtime;
 

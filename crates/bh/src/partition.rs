@@ -15,8 +15,8 @@
 //! and, from [`OptLevel::Redistribute`] up, charges the indexed bulk gather
 //! (`upc_memget_ilist`) that the paper uses to move them.
 
-use crate::config::SimConfig;
 use crate::shared::{read_body, read_root_geometry, BhShared, RankState};
+use engine::config::SimConfig;
 use nbody::morton;
 use pgas::{Ctx, Price};
 
@@ -129,7 +129,7 @@ pub struct RedistributeOutcome {
 /// The body-redistribution phase (§5.2; the "Redistribution" row).
 ///
 /// All levels run the ownership exchange (SPLASH-2 also re-partitions the
-/// *pointers* each step); from [`crate::config::OptLevel::Redistribute`] up,
+/// *pointers* each step); from [`engine::config::OptLevel::Redistribute`] up,
 /// the migrated bodies' data is additionally fetched with an indexed bulk
 /// gather so that later accesses are local.
 pub fn redistribute_phase(
@@ -176,8 +176,8 @@ pub fn redistribute_phase(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{OptLevel, SimConfig};
     use crate::shared::{BhShared, RankState};
+    use engine::config::{OptLevel, SimConfig};
     use pgas::{Machine, Runtime};
 
     #[test]

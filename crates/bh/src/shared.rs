@@ -4,9 +4,9 @@
 
 use crate::cache::CacheTree;
 use crate::cellnode::{CellNode, COMPACT_NODE_BYTES};
-use crate::config::{OptLevel, SimConfig, TreeBuild};
 use crate::groupwalk::GroupLists;
 use crate::lifecycle::{LeafSite, TreeLifecycle};
+use engine::config::{OptLevel, SimConfig, TreeBuild, FINE_GRAINED_FIELDS};
 use nbody::plummer::{generate, PlummerConfig};
 use nbody::{Body, Vec3};
 use pgas::shared::SharedScalar;
@@ -45,7 +45,7 @@ pub struct BhShared {
     pub locks: pgas::lock::LockTable,
     /// Per-body leaf sites of the persistent tree (the tree-lifecycle
     /// subsystem's side table, indexed by body id like `bodytab`).  Only
-    /// populated under a reuse-capable [`crate::config::TreePolicy`].
+    /// populated under a reuse-capable [`engine::config::TreePolicy`].
     pub sites: pgas::SharedVec<LeafSite>,
 }
 
@@ -264,7 +264,7 @@ pub fn read_root_geometry(
 ///
 /// * Baseline / replicate-scalars: the body lives wherever the block
 ///   distribution put it; the literal translation reads it field by field,
-///   so `fine_grained_fields` separate accesses are charged.
+///   so [`FINE_GRAINED_FIELDS`] separate accesses are charged.
 /// * Redistribute and above: bodies this rank owns were moved to local
 ///   shared memory by the redistribution phase and their pointers cast to
 ///   local (§5.2), so owned bodies cost a local access; foreign bodies are
@@ -279,7 +279,7 @@ pub fn read_body(ctx: &Ctx, shared: &BhShared, st: &RankState, cfg: &SimConfig, 
             shared.bodytab.read(ctx, idx)
         }
     } else {
-        shared.bodytab.read_fields(ctx, idx, cfg.fine_grained_fields.max(1))
+        shared.bodytab.read_fields(ctx, idx, FINE_GRAINED_FIELDS)
     }
 }
 
@@ -298,7 +298,7 @@ pub fn write_body(
         ctx.bill(Price::LocalAccess, 1);
         shared.bodytab.write_raw(idx, body);
     } else {
-        shared.bodytab.write_fields(ctx, idx, body, cfg.fine_grained_fields.max(1));
+        shared.bodytab.write_fields(ctx, idx, body, FINE_GRAINED_FIELDS);
     }
 }
 
@@ -378,13 +378,12 @@ mod tests {
             }
             ctx.stats_snapshot().remote_gets
         });
-        assert_eq!(report.ranks[1].result, cfg.fine_grained_fields as u64);
+        assert_eq!(report.ranks[1].result, FINE_GRAINED_FIELDS as u64);
     }
 
     #[test]
     fn redistributed_owned_body_access_is_local() {
-        let mut cfg = cfg(2, OptLevel::Redistribute);
-        cfg.fine_grained_fields = 3;
+        let cfg = cfg(2, OptLevel::Redistribute);
         let shared = BhShared::new(&cfg);
         let rt = Runtime::new(Machine::test_cluster(2));
         let report = rt.run(|ctx| {

@@ -3,7 +3,7 @@
 //! driver runs for every backend.
 //!
 //! Each step's tree-building phase is governed by the configured
-//! [`crate::config::TreePolicy`]: the default per-step rebuild reproduces
+//! [`engine::config::TreePolicy`]: the default per-step rebuild reproduces
 //! the paper's protocol exactly, while the reuse policy routes through the
 //! tree-lifecycle subsystem ([`crate::lifecycle`]) — a persistent global
 //! tree, incrementally updated, with drift-triggered rebuilds.  A resume
@@ -12,13 +12,11 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::config::{SimConfig, TreeBuild, WalkMode};
 use crate::force::{advance_phase, force_phase_cached, force_phase_uncached, write_back};
 use crate::frontier::{force_phase_async, force_phase_async_group};
 use crate::lifecycle;
 use crate::mergetree::{allocate_merge_root, build_local_tree, merge_into_global};
 use crate::partition::{partition_phase, redistribute_phase};
-use crate::report::{Phase, RankOutcome, SimResult};
 use crate::shared::{BhShared, RankState};
 use crate::sortbuild::sorted_build;
 use crate::subspace::{subspace_partition, subspace_redistribute, subspace_treebuild};
@@ -27,7 +25,9 @@ use crate::treebuild::{
     publish_root_cube,
 };
 use crate::UpcBackend;
+use engine::config::{SimConfig, TreeBuild, WalkMode};
 use engine::drive::Solver;
+use engine::report::{Phase, RankOutcome, SimResult};
 use engine::Backend;
 use nbody::plummer::{generate, PlummerConfig};
 use nbody::Body;
@@ -288,7 +288,7 @@ fn run_step_subspace(ctx: &Ctx, shared: &BhShared, st: &mut RankState, cfg: &Sim
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::OptLevel;
+    use engine::config::OptLevel;
     use scenarios::builtin;
 
     #[test]

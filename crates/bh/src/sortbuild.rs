@@ -1,4 +1,4 @@
-//! Lock-free sort-based tree construction ([`crate::config::TreeBuild::Sorted`]).
+//! Lock-free sort-based tree construction ([`engine::config::TreeBuild::Sorted`]).
 //!
 //! The global-insertion builders ([`crate::treebuild`], [`crate::mergetree`])
 //! share one structural bottleneck: bodies descend a *shared* tree and claim
@@ -31,7 +31,7 @@
 //!    the depth 0–2 spine cells above them with the same post-order fold
 //!    and publishes the root ([`build_spine`]).
 //!
-//! **Bit-for-bit equivalence.**  Under [`crate::config::TreePolicy::Rebuild`]
+//! **Bit-for-bit equivalence.**  Under [`engine::config::TreePolicy::Rebuild`]
 //! the resulting tree is *identical* to the global-insertion tree: a cell
 //! exists at a (depth, prefix) region exactly when ≥ 2 bodies share that
 //! region (plus the always-present root) under both algorithms, geometry is
@@ -42,8 +42,8 @@
 //! this module's tests and the `sorted_equivalence` proptest).
 
 use crate::cellnode::{CellNode, NodeKind};
-use crate::config::{SimConfig, MAX_DEPTH};
 use crate::shared::{read_body, BhShared, RankState};
+use engine::config::{SimConfig, MAX_DEPTH};
 use nbody::Vec3;
 use pgas::{Ctx, GlobalPtr, Price};
 
@@ -417,10 +417,10 @@ fn build_spine(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{OptLevel, SimConfig, TreeBuild};
     use crate::treebuild::{
         allocate_root, bounding_box_phase, center_of_mass_phase, insert_owned_bodies,
     };
+    use engine::config::{OptLevel, SimConfig, TreeBuild};
     use pgas::Runtime;
 
     fn build_with(

@@ -18,9 +18,9 @@
 //! 5. thread 0 finishes the centres of mass of the (small) top tree.
 
 use crate::cellnode::CellNode;
-use crate::config::{SimConfig, LEAF_CAPACITY, MAX_DEPTH, SUBSPACE_ALPHA};
 use crate::mergetree::upload_subtree;
 use crate::shared::{read_body, BhShared, RankState};
+use engine::config::{SimConfig, LEAF_CAPACITY, MAX_DEPTH, SUBSPACE_ALPHA};
 use nbody::{Body, Vec3};
 use octree::tree::{Octree, TreeParams};
 use pgas::{Ctx, GlobalPtr, Price};
@@ -440,8 +440,8 @@ pub fn subspace_treebuild(
 mod tests {
     use super::*;
     use crate::cellnode::NodeKind;
-    use crate::config::OptLevel;
     use crate::treebuild::bounding_box_phase;
+    use engine::config::OptLevel;
     use nbody::body::center_of_mass;
     use pgas::Runtime;
 

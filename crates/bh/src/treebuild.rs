@@ -9,8 +9,8 @@
 //! phase taking hundreds of seconds.
 
 use crate::cellnode::{CellNode, NodeKind};
-use crate::config::{SimConfig, MAX_DEPTH};
 use crate::shared::{read_body, read_root_geometry, BhShared, RankState};
+use engine::config::{SimConfig, MAX_DEPTH};
 use nbody::{Body, Vec3};
 use pgas::{Ctx, GlobalPtr, Price};
 
@@ -125,7 +125,7 @@ pub fn allocate_root(ctx: &Ctx, shared: &BhShared, center: Vec3, rsize: f64) {
 
 /// Global-insertion tree build: every rank inserts its owned bodies into the
 /// shared tree under per-cell locks (the baseline algorithm, used up to and
-/// including [`crate::config::OptLevel::CacheLocalTree`]).
+/// including [`engine::config::OptLevel::CacheLocalTree`]).
 pub fn insert_owned_bodies(ctx: &Ctx, shared: &BhShared, st: &mut RankState, cfg: &SimConfig) {
     let root = shared.root.read(ctx);
     for i in 0..st.my_ids.len() {
@@ -323,7 +323,7 @@ fn try_summarize_cell(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{OptLevel, SimConfig};
+    use engine::config::{OptLevel, SimConfig};
     use nbody::body::center_of_mass;
     use pgas::{Machine, Runtime};
 

@@ -331,6 +331,11 @@ pub const LEAF_CAPACITY: usize = 1;
 /// bodies a fixed margin beyond it.
 pub const MAX_DEPTH: usize = 48;
 
+/// Separate field accesses the literal translation bills when it reads a
+/// body or a cell through its pointer-to-shared, field by field (before the
+/// bulk-transfer and caching rungs).
+pub const FINE_GRAINED_FIELDS: u32 = 3;
+
 /// A configuration-validation failure.
 ///
 /// Besides the human-readable message, every failure carries a **stable,
@@ -436,10 +441,6 @@ pub struct SimConfig {
     /// §6: use one vector reduction per level (Figure 11) instead of one
     /// scalar reduction per subspace (Figure 10).
     pub vector_reduction: bool,
-    /// Number of separate fine-grained field accesses charged when the
-    /// literal translation reads a remote body or cell field-by-field
-    /// (before the bulk-transfer/caching optimizations kick in).
-    pub fine_grained_fields: u32,
     /// Use the §5.3.2 merged-local-tree cache (shadow pointers, remote cells
     /// only) instead of the §5.3.1 separate local tree during the cached
     /// force phase.  The paper found "little performance improvement" from
@@ -486,7 +487,6 @@ impl SimConfig {
             n2: 4,
             n3: 4,
             vector_reduction: true,
-            fine_grained_fields: 3,
             shadow_cache: false,
             software_scalar_cache: false,
             faults: crate::fault::FaultPlan::default(),
@@ -743,7 +743,7 @@ mod tests {
         assert_eq!(cfg.n2, 4);
         assert_eq!(cfg.n3, 4);
         assert!((SUBSPACE_ALPHA - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!((LEAF_CAPACITY, MAX_DEPTH), (1, 48));
+        assert_eq!((LEAF_CAPACITY, MAX_DEPTH, FINE_GRAINED_FIELDS), (1, 48, 3));
         assert_eq!(cfg.ranks(), 2);
     }
 }

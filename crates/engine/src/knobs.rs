@@ -18,7 +18,8 @@ use serde::Value;
 
 use crate::cli::Args;
 use crate::config::{
-    OptLevel, SimConfig, TreeBuild, TreePolicy, WalkMode, LEAF_CAPACITY, MAX_DEPTH, SUBSPACE_ALPHA,
+    OptLevel, SimConfig, TreeBuild, TreePolicy, WalkMode, FINE_GRAINED_FIELDS, LEAF_CAPACITY,
+    MAX_DEPTH, SUBSPACE_ALPHA,
 };
 
 /// A front end: who spells a knob, and how.
@@ -294,7 +295,7 @@ pub static ROWS: [Knob; 26] = [
     row("n3", COUNT, Source::Engine, field!(n3: UInt, as_u64)),
     row("alpha", Kind::Real, Source::Pinned, (|_| Some(Value::Float(SUBSPACE_ALPHA)), |_, _| Some(()))),
     row("vector_reduction", Kind::Switch, Source::Engine, field!(vector_reduction: Bool, as_bool)),
-    row("fine_grained_fields", Kind::Count { max: u32::MAX as u64 }, Source::Engine, field!(fine_grained_fields: UInt, as_u64)),
+    row("fine_grained_fields", COUNT, Source::Pinned, (|_| Some(Value::UInt(FINE_GRAINED_FIELDS as u64)), |_, _| Some(()))),
     row("leaf_capacity", COUNT, Source::Pinned, (|_| Some(Value::UInt(LEAF_CAPACITY as u64)), |_, _| Some(()))),
     row("max_depth", COUNT, Source::Pinned, (|_| Some(Value::UInt(MAX_DEPTH as u64)), |_, _| Some(()))),
     row("shadow_cache", Kind::Switch, Source::Engine, field!(shadow_cache: Bool, as_bool)),

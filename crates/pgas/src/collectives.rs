@@ -152,7 +152,8 @@ impl<'w> Ctx<'w> {
     /// data that rank `s` sent to this rank.
     ///
     /// Cost model: every rank pays latency per non-empty destination plus the
-    /// byte cost of everything it sends and receives (the §6 body exchange).
+    /// byte cost of everything it sends and receives, each bucket at its
+    /// link's byte price (the §6 body exchange).
     pub fn exchange<T>(&self, outgoing: Vec<Vec<T>>) -> Vec<Vec<T>>
     where
         T: Clone + Send + 'static,
@@ -175,18 +176,18 @@ impl<'w> Ctx<'w> {
         let all: Vec<Vec<Vec<T>>> = self.allgather(outgoing);
 
         // Collect the column addressed to this rank and charge the receive
-        // side (bytes only; the latency was paid by the senders).
+        // side (bytes only, at the source's link; the latency was paid by
+        // the senders).
         let mut received = Vec::with_capacity(self.ranks());
-        let mut recv_bytes = 0u64;
         for (source, buckets) in all.into_iter().enumerate() {
             let bucket = buckets.into_iter().nth(self.rank()).expect("exchange bucket missing");
-            if source != self.rank() {
-                recv_bytes += (bucket.len() * elem_bytes) as u64;
+            if let (_, Some(byte)) = self.machine().link(source, self.rank()) {
+                let bytes = (bucket.len() * elem_bytes) as u64;
+                self.bill(byte, bytes);
+                self.with_stats(|s| s.bytes_in += bytes);
             }
             received.push(bucket);
         }
-        self.bill(Price::RemoteByte, recv_bytes);
-        self.with_stats(|s| s.bytes_in += recv_bytes);
         received
     }
 }
@@ -294,6 +295,27 @@ mod tests {
             assert_eq!(r.result.bytes_out, 8000);
             assert_eq!(r.result.bytes_in, 8000);
         }
+    }
+
+    #[test]
+    fn exchange_bills_each_source_at_its_link() {
+        // On 2 nodes x 2 pthreads rank 1 shares rank 0's node: the bytes
+        // rank 0 receives from it cost the intranode byte price.
+        let machine = Machine::pthreads_per_node(2, 2);
+        let comm = |words: usize| {
+            let report = Runtime::new(machine.clone()).run(|ctx| {
+                let mut outgoing: Vec<Vec<u64>> = vec![Vec::new(); ctx.ranks()];
+                if ctx.rank() == 1 {
+                    outgoing[0] = vec![0; words];
+                }
+                ctx.exchange(outgoing);
+                ctx.stats_snapshot().comm_seconds
+            });
+            report.ranks[0].result
+        };
+        let billed = comm(1000) - comm(0);
+        let want = machine.intranode_byte_cost * 8000.0;
+        assert!((billed - want).abs() <= 1e-9 * want, "billed {billed}, want {want}");
     }
 
     /// The one-barrier protocol's slot-reuse argument, pinned: back-to-back

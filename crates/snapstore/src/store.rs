@@ -1215,7 +1215,7 @@ mod tests {
             (alpha.as_str(), "\"alpha\": \"3fe0000000000000\"", "alpha"),
             ("\"leaf_capacity\": 1", "\"leaf_capacity\": 8", "leaf_capacity"),
             ("\"max_depth\": 48", "\"max_depth\": 6", "max_depth"),
-            // 2^32 + 3 fits a u64 but not the u32 field: never resumed as 3.
+            // 2^32 + 3 is 3 once truncated to 32 bits: never resumed as 3.
             (
                 "\"fine_grained_fields\": 3",
                 "\"fine_grained_fields\": 4294967299",

@@ -4,7 +4,7 @@
 
 use bh::cellnode::CellNode;
 use bh::partition::{compute_splitters, PartitionPlan};
-use bh::report::{Phase, PhaseTimes};
+use engine::report::{Phase, PhaseTimes};
 use nbody::Vec3;
 use proptest::prelude::*;
 
