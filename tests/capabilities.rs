@@ -10,7 +10,7 @@
 //! is pinned to the `bhsim --list` section rendered from the same rows, and
 //! its "Knobs" block to the knob table.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use barnes_hut_upc::bh_mpi::PSEUDO_ID_BASE;
 use barnes_hut_upc::engine::{self, ConfigError, SimConfig, TreeBuild, TreePolicy, WalkMode};
@@ -102,8 +102,8 @@ fn axes(backend: &str, cfg: &SimConfig) -> String {
 
 /// What a run computed, as `name=value` fields: the simulated total and the
 /// six phase times as f64 bits, the integer counters and the three ledgers
-/// summed over ranks, a SHA-256 of every rank's own counters, and the state
-/// digest of the final bodies.
+/// summed over ranks, the first 16 hex digits of a SHA-256 of every rank's
+/// own counters, and the state digest of the final bodies.
 fn fingerprint(result: &SimResult) -> String {
     let bits = |x: f64| format!("{:016x}", x.to_bits());
     let counters = |s: &RankStats| {
@@ -168,7 +168,7 @@ fn rows(text: &str) -> BTreeMap<&str, Vec<(&str, &str)>> {
 /// Every row of `new` that differs from `old`'s, field by field.
 fn diff(old: &str, new: &str) -> Vec<String> {
     let (old, new) = (rows(old), rows(new));
-    let keys: std::collections::BTreeSet<&str> = old.keys().chain(new.keys()).copied().collect();
+    let keys: BTreeSet<&str> = old.keys().chain(new.keys()).copied().collect();
     keys.into_iter()
         .filter_map(|key| match (old.get(key), new.get(key)) {
             (Some(_), None) => Some(format!("{key}: row vanished")),

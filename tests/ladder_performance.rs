@@ -106,7 +106,7 @@ fn redistribution_eliminates_cofm_and_advance_costs() {
     // ranged 0.15–4.5 ms on one configuration).  So its claim is asserted on
     // the mechanism: before redistribution a body lives wherever the block
     // distribution put it, and the c-of-m, write-back and advance phases
-    // reach it with `fine_grained_fields` remote gets per read and puts per
+    // reach it with `FINE_GRAINED_FIELDS` (3) remote gets per read and puts per
     // write; after it every one of those is local.  The puts show it (the
     // gets carry the retries' reads): what is left of them is the c-of-m
     // phase's remote cell summaries, one per cell however often it was
