@@ -9,18 +9,15 @@
 //!
 //! All times are *simulated* seconds produced by the PGAS cost model.
 
-use bh_bench::experiments::{
-    fig5_from_sweep, fig6_from_sweep, ladder_sweep, run_experiment, Experiment, ExperimentOutput,
-};
-use bh_bench::Scale;
-use engine::cli::Args;
+use bh_bench::claims::CLAIMS;
+use bh_bench::{experiments, Experiment, Scale, EXPERIMENTS};
+use engine::cli::{reject, Args};
 use std::path::PathBuf;
 
 struct Options {
     scale: Scale,
     json_dir: Option<PathBuf>,
-    experiments: Vec<Experiment>,
-    all: bool,
+    experiments: Vec<&'static Experiment>,
     quiet: bool,
 }
 
@@ -42,8 +39,12 @@ fn usage() -> String {
            --smoke            tiny workload, for checking the harness\n\
            --json DIR         also write each result as JSON into DIR\n\
            --quiet            suppress progress output\n\
-           --help             print this help and exit\n",
-        Experiment::ALL.iter().map(|e| e.name()).collect::<Vec<_>>().join(", ")
+           --help             print this help and exit\n\
+         \n\
+         Each distinct run is made once and shared by every experiment that reads it.\n\
+         Under each experiment, one line per claim of the paper that reads it:\n\
+         claim <id> | <section> | paper: ... | here: ... | holds / does not hold / reported\n",
+        EXPERIMENTS.iter().map(|e| e.name).collect::<Vec<_>>().join(", ")
     )
 }
 
@@ -115,11 +116,17 @@ fn parse_args(mut args: Args) -> Options {
                 let threads = list(&mut args, "--weak-threads");
                 overrides.push(Box::new(move |s| s.weak_threads = threads));
             }
-            "--json" => json_dir = Some(PathBuf::from(args.value("--json"))),
-            name => match Experiment::from_name(name) {
+            "--json" => {
+                let dir = PathBuf::from(args.value("--json"));
+                if let Err(e) = std::fs::create_dir_all(&dir) {
+                    args.reject(&format!("--json {}: {e}", dir.display()))
+                }
+                json_dir = Some(dir);
+            }
+            name => match Experiment::named(name) {
                 Some(e) => experiments.push(e),
                 None => {
-                    let known = Experiment::ALL.map(|e| e.name());
+                    let known: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
                     args.reject(&engine::suggest::unknown_key("experiment", name, &known))
                 }
             },
@@ -131,78 +138,44 @@ fn parse_args(mut args: Args) -> Options {
     for apply in overrides {
         apply(&mut scale);
     }
-    Options { scale, json_dir, experiments, all, quiet }
-}
-
-fn emit(name: &str, output: &ExperimentOutput, json_dir: &Option<PathBuf>) {
-    println!("================================================================");
-    println!("{}", output.render());
-    if let Some(dir) = json_dir {
-        std::fs::create_dir_all(dir).expect("create json output directory");
-        let path = dir.join(format!("{name}.json"));
-        let json = serde_json::to_string_pretty(output).expect("serialize experiment output");
-        std::fs::write(&path, json).expect("write json output");
-        eprintln!("  wrote {}", path.display());
+    if all {
+        experiments = EXPERIMENTS.iter().collect();
     }
+    Options { scale, json_dir, experiments, quiet }
 }
 
 fn main() {
     let opts = parse_args(Args::from_env("tables", FLAGS, usage));
-    let progress = !opts.quiet;
+    let scale = &opts.scale;
     eprintln!(
         "workload: {} bodies strong / {} bodies-per-thread weak; threads {:?}; {} steps ({} measured)",
-        opts.scale.bodies,
-        opts.scale.weak_bodies_per_thread,
-        opts.scale.strong_threads,
-        opts.scale.steps,
-        opts.scale.measured_steps
+        scale.bodies,
+        scale.weak_bodies_per_thread,
+        scale.strong_threads,
+        scale.steps,
+        scale.measured_steps
     );
+    let points =
+        experiments::plan(&opts.experiments, scale).unwrap_or_else(|e| reject("tables", usage, &e));
+    eprintln!("running {} distinct points ...", points.len());
+    let runs = experiments::run(points, !opts.quiet);
 
-    if opts.all {
-        // The ladder sweep feeds Tables 2–7 and Figures 5/6 in one pass.
-        eprintln!("running the cumulative-ladder sweep (tables 2-7, figures 5-6) ...");
-        let sweep = ladder_sweep(&opts.scale, progress);
-        let table_names = ["table2", "table3", "table4", "table5", "table6", "table7"];
-        for (i, name) in table_names.iter().enumerate() {
-            emit(name, &ExperimentOutput::Table(sweep[i].1.clone()), &opts.json_dir);
+    let names: Vec<&str> = opts.experiments.iter().map(|e| e.name).collect();
+    for exp in &opts.experiments {
+        let output = exp.render(scale, &runs);
+        println!("================================================================");
+        println!("{}", output.render());
+        for claim in CLAIMS.iter().filter(|c| c.prints_under(exp.name, &names)) {
+            println!("{}", claim.line(scale, &runs));
         }
-        emit(
-            "fig5",
-            &ExperimentOutput::Series(fig5_from_sweep(&sweep, &opts.scale)),
-            &opts.json_dir,
-        );
-        emit(
-            "fig6",
-            &ExperimentOutput::Series(fig6_from_sweep(&sweep, &opts.scale)),
-            &opts.json_dir,
-        );
-        for exp in [
-            Experiment::Fig7,
-            Experiment::Fig8,
-            Experiment::Fig10,
-            Experiment::Fig11,
-            Experiment::Fig12,
-            Experiment::Fig13,
-            Experiment::Table8,
-            Experiment::Table9,
-            Experiment::Intranode,
-            Experiment::Migration,
-            Experiment::VlistSources,
-            Experiment::MpiCompare,
-            Experiment::SwCache,
-            Experiment::CacheVariants,
-        ] {
-            eprintln!("running {} ...", exp.name());
-            let output = run_experiment(exp, &opts.scale, progress);
-            emit(exp.name(), &output, &opts.json_dir);
+        if let Some(dir) = &opts.json_dir {
+            let path = dir.join(format!("{}.json", exp.name));
+            let json = serde_json::to_string_pretty(&output).expect("serialize experiment output");
+            if let Err(e) = std::fs::write(&path, json) {
+                reject("tables", usage, &format!("cannot write {}: {e}", path.display()))
+            }
+            eprintln!("  wrote {}", path.display());
         }
-        return;
-    }
-
-    for exp in opts.experiments {
-        eprintln!("running {} ...", exp.name());
-        let output = run_experiment(exp, &opts.scale, progress);
-        emit(exp.name(), &output, &opts.json_dir);
     }
 }
 

@@ -1,139 +1,262 @@
-//! Experiment definitions: one entry per table and figure of the paper.
+//! The paper's evaluation as one table: each experiment is a row naming the
+//! points (backend + configuration) it runs at a [`Scale`] and how it renders
+//! their results.  [`plan`] collects and checks the points of any set of
+//! experiments, [`run`] runs each distinct point once, and every experiment
+//! renders from the shared [`Runs`].
 
 use crate::scale::Scale;
 use crate::table::{PhaseTable, Series};
-use bh::{run_simulation, OptLevel, SimConfig};
+use bh::{OptLevel, OptLevel::*, SimConfig, SimResult, TreeBuild};
+use engine::Backend;
+use nbody::plummer::{generate, PlummerConfig};
 use pgas::Machine;
 use serde::{Deserialize, Serialize};
+use std::collections::{HashMap, HashSet};
 
-/// Every table and figure of the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Experiment {
-    /// Table 2: baseline UPC Barnes-Hut, strong scaling.
-    Table2,
-    /// Table 3: + replicated shared scalars (§5.1).
-    Table3,
-    /// Table 4: + body redistribution (§5.2).
-    Table4,
-    /// Table 5: + caching remote cells in a separate local tree (§5.3).
-    Table5,
-    /// Table 6: + merged-local-tree octree building (§5.4).
-    Table6,
-    /// Table 7: + non-blocking communication and aggregation (§5.5).
-    Table7,
-    /// Table 8: strong scaling of the final code, one process per node.
-    Table8,
-    /// Table 9: strong scaling of the final code, one (pthreads) thread per node.
-    Table9,
-    /// Figure 5: speed-up of the cumulative optimizations (log scale).
-    Fig5,
-    /// Figure 6: time per phase at the largest thread count, per optimization.
-    Fig6,
-    /// Figure 7: weak scaling before the §6 tree-building change.
-    Fig7,
-    /// Figure 8: per-rank tree-building time split (local build vs merge).
-    Fig8,
-    /// Figure 10: weak scaling of the subspace build *without* vector reduction.
-    Fig10,
-    /// Figure 11: weak scaling of the subspace build *with* vector reduction.
-    Fig11,
-    /// Figure 12: weak scaling while varying threads per node.
-    Fig12,
-    /// Figure 13: strong-scaling speed-up curve of the final code.
-    Fig13,
-    /// §4.1 prose: 16 processes vs 16 pthreads on a single node.
-    Intranode,
-    /// §5.2 prose: fraction of bodies migrating per step.
-    Migration,
-    /// §5.5 prose: fraction of aggregated requests with a single source.
-    VlistSources,
-    /// Extension (§9 future work): optimized UPC vs the message-passing
-    /// comparator on identical workloads.
-    MpiCompare,
-    /// Extension (§8 related work): transparent software caching of shared
-    /// scalars vs the manual §5.1 replication.
-    SwCache,
-    /// Extension (§5.3.2): separate local tree vs merged local tree with
-    /// shadow pointers.
-    CacheVariants,
+/// One run an experiment reads: a backend and the configuration it runs
+/// over the paper's Plummer sphere.
+#[derive(Clone)]
+pub struct Point {
+    /// The solver.
+    pub backend: &'static dyn Backend,
+    /// What it runs.
+    pub cfg: SimConfig,
 }
 
+impl Point {
+    /// Equal keys are equal runs.
+    fn key(&self) -> String {
+        format!("{} {:?}", self.backend.name(), self.cfg)
+    }
+}
+
+/// The upc run of `bodies` bodies on `threads` UPC threads, `per_node` of
+/// them to a node, at the scale's steps and seed.
+fn upc(
+    opt: OptLevel,
+    bodies: usize,
+    threads: usize,
+    per_node: usize,
+    pthreads: bool,
+    scale: &Scale,
+) -> Point {
+    let per_node = per_node.min(threads).max(1);
+    let machine = Machine::power5(threads.div_ceil(per_node), per_node, pthreads);
+    let mut cfg = SimConfig::new(bodies, machine, opt);
+    (cfg.steps, cfg.measured_steps, cfg.seed) = (scale.steps, scale.measured_steps, scale.seed);
+    Point { backend: &bh::UpcBackend, cfg }
+}
+
+/// A strong-scaling point: the scale's bodies on `threads` nodes of one
+/// process (or, with `pthreads`, one pthread) each.
+pub fn strong(opt: OptLevel, threads: usize, pthreads: bool, scale: &Scale) -> Point {
+    upc(opt, scale.bodies, threads, 1, pthreads, scale)
+}
+
+/// A weak-scaling point: the scale's bodies per thread on `threads`
+/// threads, `per_node` to a node.
+fn weak(opt: OptLevel, threads: usize, per_node: usize, pthreads: bool, scale: &Scale) -> Point {
+    upc(opt, scale.weak_bodies_per_thread * threads, threads, per_node, pthreads, scale)
+}
+
+/// A point of Figs. 7, 10 and 11: the paper's pthreads nodes of
+/// `threads_per_node` threads each.
+pub fn weak_series(opt: OptLevel, vector_reduction: bool, threads: usize, scale: &Scale) -> Point {
+    let mut point = weak(opt, threads, scale.threads_per_node, true, scale);
+    point.cfg.vector_reduction = vector_reduction;
+    point
+}
+
+/// §4.1's point: 16 UPC threads on one node, as pthreads or as processes.
+pub fn intranode(pthreads: bool, scale: &Scale) -> Point {
+    upc(Baseline, scale.bodies.min(32_768), 16, 16, pthreads, scale)
+}
+
+/// §5.2's point: cached cells on 8 ranks, at least 4 steps.
+pub fn migration(scale: &Scale) -> Point {
+    let mut point = strong(CacheLocalTree, 8, false, scale);
+    point.cfg.steps = scale.steps.max(4);
+    point.cfg.measured_steps = scale.measured_steps.min(point.cfg.steps - 1).max(1);
+    point
+}
+
+/// §5.5's sensitivity point: `async-aggregation` on the lock-free sorted
+/// build, with n1 = n2 = n3 = `degree`.
+pub fn aggregation_degree(ranks: usize, degree: usize, scale: &Scale) -> Point {
+    let mut point = strong(AsyncAggregation, ranks, false, scale);
+    point.cfg.build = TreeBuild::Sorted;
+    (point.cfg.n1, point.cfg.n2, point.cfg.n3) = (degree, degree, degree);
+    point
+}
+
+/// The results of a set of points, each run once.
+#[derive(Default)]
+pub struct Runs(HashMap<String, SimResult>);
+
+impl Runs {
+    /// The result of `point`, if it was run.
+    pub fn get(&self, point: &Point) -> Option<&SimResult> {
+        self.0.get(&point.key())
+    }
+}
+
+/// The distinct points of `experiments` at `scale`, in the order they are
+/// first listed.  Every point is checked by its backend's
+/// [`Backend::supports`] before anything runs; the first refusal names its
+/// experiment and carries the error code.
+pub fn plan(experiments: &[&Experiment], scale: &Scale) -> Result<Vec<Point>, String> {
+    let mut seen = HashSet::new();
+    let mut points = Vec::new();
+    for exp in experiments {
+        for point in exp.points(scale) {
+            point.backend.supports(&point.cfg).map_err(|e| format!("{}: {e}", exp.name))?;
+            if seen.insert(point.key()) {
+                points.push(point);
+            }
+        }
+    }
+    Ok(points)
+}
+
+/// Runs every point of a [`plan`], keeping each result without its final
+/// bodies (the strong points of `--paper-scale` would not fit with them).
+pub fn run(points: Vec<Point>, progress: bool) -> Runs {
+    let mut runs = Runs::default();
+    let count = points.len();
+    for (i, point) in points.into_iter().enumerate() {
+        let cfg = &point.cfg;
+        if progress {
+            let (backend, opt, ranks, n) =
+                (point.backend.name(), cfg.opt.name(), cfg.ranks(), cfg.nbodies);
+            eprintln!("  [{}/{count}] {backend} {opt}, {ranks} threads, {n} bodies ...", i + 1);
+        }
+        let mut result =
+            point.backend.run(cfg, generate(&PlummerConfig::new(cfg.nbodies, cfg.seed)));
+        result.bodies = Vec::new();
+        runs.0.insert(point.key(), result);
+    }
+    runs
+}
+
+/// One table or figure of the paper's evaluation.
+pub struct Experiment {
+    /// Command-line name.
+    pub name: &'static str,
+    /// Caption; a rendering may add the scale's sizes to it.
+    pub title: &'static str,
+    plan: Plan,
+}
+
+/// What an experiment runs and how it renders.
+enum Plan {
+    /// A phase table: one rung (with pthreads?) over the strong-scaling
+    /// thread counts.
+    Strong(OptLevel, bool),
+    /// A phase series: one rung (with vector reduction?) over the
+    /// weak-scaling thread counts ([`weak_series`]).
+    Weak(OptLevel, bool),
+    /// Any other shape: its points, and its rendering from the caption, the
+    /// scale and the results of those points in their order.
+    Custom(fn(&Scale) -> Vec<Point>, fn(&str, &Scale, &[&SimResult]) -> ExperimentOutput),
+}
+
+use Plan::{Custom, Strong, Weak};
+
+const fn exp(name: &'static str, title: &'static str, plan: Plan) -> Experiment {
+    Experiment { name, title, plan }
+}
+
+/// Every experiment, in report order: name, caption, plan.
+#[rustfmt::skip]
+pub static EXPERIMENTS: &[Experiment] = &[
+    exp("table2", "Table 2: baseline UPC Barnes-Hut (strong scaling)", Strong(Baseline, false)),
+    exp("table3", "Table 3: + replicated shared scalars (§5.1)", Strong(ReplicateScalars, false)),
+    exp("table4", "Table 4: + body redistribution (§5.2)", Strong(Redistribute, false)),
+    exp("table5", "Table 5: + cached remote cells (§5.3)", Strong(CacheLocalTree, false)),
+    exp("table6", "Table 6: + merged-local-tree build (§5.4)", Strong(MergedTreeBuild, false)),
+    exp("table7", "Table 7: + non-blocking aggregation (§5.5)", Strong(AsyncAggregation, false)),
+    exp("fig5", "Figure 5: speed-up of cumulative optimizations (relative to the same code on 1 thread)",
+        Custom(ladder_points, fig5)),
+    exp("fig6", "Figure 6: time per phase", Custom(ladder_points, fig6)),
+    exp("fig7", "Figure 7: weak scaling before the §6 tree-building change (merged trees + aggregation)",
+        Weak(AsyncAggregation, true)),
+    exp("fig8", "Figure 8: per-rank tree-building time split", Custom(|s| vec![fig8_point(s)], fig8)),
+    exp("fig10", "Figure 10: weak scaling, subspace build WITHOUT vector reduction", Weak(Subspace, false)),
+    exp("fig11", "Figure 11: weak scaling, subspace build WITH vector reduction", Weak(Subspace, true)),
+    exp("fig12", "Figure 12: weak scaling", Custom(fig12_points, fig12)),
+    exp("fig13", "Figure 13: strong-scaling speed-up", Custom(fig13_points, fig13)),
+    exp("table8", "Table 8: final code, strong scaling, 1 process/node", Strong(Subspace, false)),
+    exp("table9", "Table 9: final code, strong scaling, 1 thread/node (pthreads runtime)", Strong(Subspace, true)),
+    exp("intranode", "§4.1 single-node experiment",
+        Custom(|s| vec![intranode(true, s), intranode(false, s)], intranode_text)),
+    exp("migration", "§5.2 body-migration statistic", Custom(|s| vec![migration(s)], migration_text)),
+    exp("vlist_sources", "§5.5 aggregated-gather source statistic (fully optimized code)",
+        Custom(|s| VLIST_THREADS.map(|t| strong(Subspace, t, false, s)).into(), vlist_text)),
+    exp("aggregation_degree", "§5.5 aggregation degree: async-aggregation on the sorted build",
+        Custom(degree_points, degree_text)),
+    exp("mpi_compare", "Extension (§9): optimized UPC vs MPI-style comparator", Custom(mpi_points, mpi_compare)),
+    exp("swcache", "Extension (§8): transparent scalar caching vs manual replication",
+        Custom(swcache_points, swcache)),
+    exp("cache_variants", "Extension (§5.3.2): separate local tree vs shadow-pointer merged tree",
+        Custom(cache_variant_points, cache_variants)),
+];
+
 impl Experiment {
-    /// All experiments in report order.
-    pub const ALL: [Experiment; 22] = [
-        Experiment::Table2,
-        Experiment::Table3,
-        Experiment::Table4,
-        Experiment::Table5,
-        Experiment::Table6,
-        Experiment::Table7,
-        Experiment::Fig5,
-        Experiment::Fig6,
-        Experiment::Fig7,
-        Experiment::Fig8,
-        Experiment::Fig10,
-        Experiment::Fig11,
-        Experiment::Fig12,
-        Experiment::Fig13,
-        Experiment::Table8,
-        Experiment::Table9,
-        Experiment::Intranode,
-        Experiment::Migration,
-        Experiment::VlistSources,
-        Experiment::MpiCompare,
-        Experiment::SwCache,
-        Experiment::CacheVariants,
-    ];
+    /// The experiment called `name`.
+    pub fn named(name: &str) -> Option<&'static Experiment> {
+        EXPERIMENTS.iter().find(|e| e.name == name)
+    }
 
-    /// Command-line name of the experiment.
-    pub fn name(self) -> &'static str {
-        match self {
-            Experiment::Table2 => "table2",
-            Experiment::Table3 => "table3",
-            Experiment::Table4 => "table4",
-            Experiment::Table5 => "table5",
-            Experiment::Table6 => "table6",
-            Experiment::Table7 => "table7",
-            Experiment::Table8 => "table8",
-            Experiment::Table9 => "table9",
-            Experiment::Fig5 => "fig5",
-            Experiment::Fig6 => "fig6",
-            Experiment::Fig7 => "fig7",
-            Experiment::Fig8 => "fig8",
-            Experiment::Fig10 => "fig10",
-            Experiment::Fig11 => "fig11",
-            Experiment::Fig12 => "fig12",
-            Experiment::Fig13 => "fig13",
-            Experiment::Intranode => "intranode",
-            Experiment::Migration => "migration",
-            Experiment::VlistSources => "vlist_sources",
-            Experiment::MpiCompare => "mpi_compare",
-            Experiment::SwCache => "swcache",
-            Experiment::CacheVariants => "cache_variants",
+    /// The points this experiment reads at `scale`.
+    pub fn points(&self, scale: &Scale) -> Vec<Point> {
+        match self.plan {
+            Strong(opt, pthreads) => {
+                scale.strong_threads.iter().map(|&t| strong(opt, t, pthreads, scale)).collect()
+            }
+            Weak(opt, vector) => {
+                scale.weak_threads.iter().map(|&t| weak_series(opt, vector, t, scale)).collect()
+            }
+            Custom(points, _) => points(scale),
         }
     }
 
-    /// Parses an experiment from its command-line name.
-    pub fn from_name(name: &str) -> Option<Experiment> {
-        Experiment::ALL.iter().copied().find(|e| e.name() == name)
-    }
-
-    /// The optimization level of the strong-scaling tables (None for the
-    /// figure-style experiments).
-    pub fn table_opt(self) -> Option<(OptLevel, bool)> {
-        // (level, pthreads-runtime?)
-        match self {
-            Experiment::Table2 => Some((OptLevel::Baseline, false)),
-            Experiment::Table3 => Some((OptLevel::ReplicateScalars, false)),
-            Experiment::Table4 => Some((OptLevel::Redistribute, false)),
-            Experiment::Table5 => Some((OptLevel::CacheLocalTree, false)),
-            Experiment::Table6 => Some((OptLevel::MergedTreeBuild, false)),
-            Experiment::Table7 => Some((OptLevel::AsyncAggregation, false)),
-            Experiment::Table8 => Some((OptLevel::Subspace, false)),
-            Experiment::Table9 => Some((OptLevel::Subspace, true)),
-            _ => None,
+    /// The table or figure, from runs that hold every point of
+    /// [`Experiment::points`].
+    pub fn render(&self, scale: &Scale, runs: &Runs) -> ExperimentOutput {
+        let points = self.points(scale);
+        let results: Vec<&SimResult> = points
+            .iter()
+            .map(|p| runs.get(p).expect("every point of an experiment has run"))
+            .collect();
+        match self.plan {
+            Strong(..) => {
+                let mut table = PhaseTable::new(self.title);
+                for (&threads, r) in scale.strong_threads.iter().zip(results) {
+                    table.push(threads, r.phases);
+                }
+                ExperimentOutput::Table(table)
+            }
+            Weak(..) => {
+                let mut series = Series::new(self.title, &phase_headers("threads"));
+                for (&threads, r) in scale.weak_threads.iter().zip(results) {
+                    series.push(phase_row(threads, r));
+                }
+                ExperimentOutput::Series(series)
+            }
+            Custom(_, render) => render(self.title, scale, &results),
         }
     }
+}
+
+/// The headers of a per-phase series whose first column is `x`.
+fn phase_headers(x: &str) -> [&str; 8] {
+    [x, "tree", "cofm", "partition", "redistribute", "force", "advance", "total"]
+}
+
+/// `x`, then every phase of `result` and its total.
+fn phase_row(x: usize, result: &SimResult) -> Vec<f64> {
+    let p = &result.phases;
+    vec![x as f64, p.tree, p.cofm, p.partition, p.redistribute, p.force, p.advance, result.total]
 }
 
 /// The result of one experiment.
@@ -163,457 +286,284 @@ impl ExperimentOutput {
     }
 }
 
-/// Builds the simulation configuration for a strong-scaling run.
-fn strong_config(opt: OptLevel, threads: usize, pthreads: bool, scale: &Scale) -> SimConfig {
-    let machine = if pthreads {
-        Machine::power5(threads, 1, true)
-    } else {
-        Machine::process_per_node(threads)
-    };
-    let mut cfg = SimConfig::new(scale.bodies, machine, opt);
-    cfg.steps = scale.steps;
-    cfg.measured_steps = scale.measured_steps;
-    cfg.seed = scale.seed;
-    cfg
-}
-
-/// Builds the simulation configuration for a weak-scaling run with the
-/// paper's 16-threads-per-node pthreads setup.
-fn weak_config(opt: OptLevel, threads: usize, threads_per_node: usize, scale: &Scale) -> SimConfig {
-    let tpn = threads_per_node.min(threads).max(1);
-    let nodes = threads.div_ceil(tpn);
-    let machine = Machine::power5(nodes, tpn, true);
-    let mut cfg = SimConfig::new(scale.weak_bodies_per_thread * threads, machine, opt);
-    cfg.steps = scale.steps;
-    cfg.measured_steps = scale.measured_steps;
-    cfg.seed = scale.seed;
-    cfg
-}
-
-/// Runs one strong-scaling table (one optimization level across the thread
-/// counts of the scale).
-pub fn strong_table(
-    title: &str,
-    opt: OptLevel,
-    pthreads: bool,
-    scale: &Scale,
-    progress: bool,
-) -> PhaseTable {
-    let mut table = PhaseTable::new(title);
-    for &threads in &scale.strong_threads {
-        if progress {
-            eprintln!("  [{}] {} threads ...", opt.name(), threads);
-        }
-        let cfg = strong_config(opt, threads, pthreads, scale);
-        let result = run_simulation(&cfg);
-        table.push(threads, result.phases);
-    }
-    table
-}
-
-/// Runs the whole cumulative ladder over the strong-scaling thread counts
-/// and returns one table per level, in ladder order
-/// (Tables 2–7 plus Table 8's level).
-pub fn ladder_sweep(scale: &Scale, progress: bool) -> Vec<(OptLevel, PhaseTable)> {
+/// The whole cumulative ladder, rung by rung, over the strong-scaling
+/// thread counts.
+fn ladder_points(scale: &Scale) -> Vec<Point> {
+    let threads = &scale.strong_threads;
     OptLevel::ALL
-        .into_iter()
-        .map(|opt| {
-            let title = format!("Cumulative ladder — {}", opt.name());
-            (opt, strong_table(&title, opt, false, scale, progress))
-        })
+        .iter()
+        .flat_map(|&opt| threads.iter().map(move |&t| strong(opt, t, false, scale)))
         .collect()
 }
 
-/// Figure 5 from an existing ladder sweep: parallel speed-up
-/// (1-thread time / P-thread time) of every cumulative level.
-pub fn fig5_from_sweep(sweep: &[(OptLevel, PhaseTable)], scale: &Scale) -> Series {
-    let mut headers: Vec<String> = vec!["threads".to_string()];
-    headers.extend(sweep.iter().map(|(opt, _)| opt.name().to_string()));
-    let header_refs: Vec<&str> = headers.iter().map(|s| s.as_str()).collect();
-    let mut series = Series::new(
-        "Figure 5: speed-up of cumulative optimizations (relative to the same code on 1 thread)",
-        &header_refs,
-    );
-    for &threads in &scale.strong_threads {
-        let mut row = vec![threads as f64];
-        for (_, table) in sweep {
-            let one = table.column(1).map(|c| c.total).unwrap_or(f64::NAN);
-            let this = table.column(threads).map(|c| c.total).unwrap_or(f64::NAN);
-            row.push(one / this);
+/// Figure 5: parallel speed-up (1-thread time / P-thread time) of every
+/// cumulative level.
+fn fig5(title: &str, scale: &Scale, results: &[&SimResult]) -> ExperimentOutput {
+    let mut headers = vec!["threads"];
+    headers.extend(OptLevel::ALL.map(|opt| opt.name()));
+    let mut series = Series::new(title, &headers);
+    let threads = &scale.strong_threads;
+    let one = threads.iter().position(|&t| t == 1);
+    for (i, &t) in threads.iter().enumerate() {
+        let mut row = vec![t as f64];
+        for rung in results.chunks(threads.len()) {
+            row.push(one.map_or(f64::NAN, |one| rung[one].total) / rung[i].total);
         }
         series.push(row);
     }
-    series
+    ExperimentOutput::Series(series)
 }
 
-/// Figure 6 from an existing ladder sweep: per-phase time at the largest
-/// thread count for every cumulative level.
-pub fn fig6_from_sweep(sweep: &[(OptLevel, PhaseTable)], scale: &Scale) -> Series {
+/// Figure 6: per-phase time at the largest thread count for every
+/// cumulative level.
+fn fig6(title: &str, scale: &Scale, results: &[&SimResult]) -> ExperimentOutput {
     let threads = *scale.strong_threads.last().expect("at least one thread count");
     let mut series = Series::new(
-        format!("Figure 6: time per phase at {threads} threads, per cumulative optimization (level index = ladder position)"),
-        &["level", "tree", "cofm", "partition", "redistribute", "force", "advance", "total"],
+        format!("{title} at {threads} threads, per cumulative optimization (level index = ladder position)"),
+        &phase_headers("level"),
     );
-    for (i, (_, table)) in sweep.iter().enumerate() {
-        if let Some(col) = table.column(threads) {
-            series.push(vec![
-                i as f64,
-                col.phases.tree,
-                col.phases.cofm,
-                col.phases.partition,
-                col.phases.redistribute,
-                col.phases.force,
-                col.phases.advance,
-                col.total,
-            ]);
-        }
+    for (i, rung) in results.chunks(scale.strong_threads.len()).enumerate() {
+        series.push(phase_row(i, rung[rung.len() - 1]));
     }
-    series
+    ExperimentOutput::Series(series)
 }
 
-/// A weak-scaling series of per-phase times for one configuration.
-fn weak_series(
-    title: &str,
-    opt: OptLevel,
-    scale: &Scale,
-    vector_reduction: bool,
-    progress: bool,
-) -> Series {
-    let mut series = Series::new(
-        title,
-        &["threads", "tree", "cofm", "partition", "redistribute", "force", "advance", "total"],
-    );
-    for &threads in &scale.weak_threads {
-        if progress {
-            eprintln!("  [weak {}] {} threads ...", opt.name(), threads);
-        }
-        let mut cfg = weak_config(opt, threads, scale.threads_per_node, scale);
-        cfg.vector_reduction = vector_reduction;
-        let result = run_simulation(&cfg);
-        series.push(vec![
-            threads as f64,
-            result.phases.tree,
-            result.phases.cofm,
-            result.phases.partition,
-            result.phases.redistribute,
-            result.phases.force,
-            result.phases.advance,
-            result.total,
-        ]);
-    }
-    series
+/// Figure 8's thread count: the largest weak-scaling count up to 128 (the
+/// paper uses 16x8 = 128 threads).
+fn fig8_threads(scale: &Scale) -> usize {
+    scale.weak_threads.iter().copied().filter(|&t| t <= 128).max().unwrap_or(16)
 }
 
-fn fig8(scale: &Scale, progress: bool) -> Series {
-    // Per-rank tree-building split with the §5.4 merged build, at the
-    // largest weak-scaling thread count below/equal 128 (the paper uses
-    // 16x8 = 128 threads).
-    let threads = scale.weak_threads.iter().copied().filter(|&t| t <= 128).max().unwrap_or(16);
-    if progress {
-        eprintln!("  [fig8] {threads} threads ...");
-    }
-    let cfg = weak_config(OptLevel::MergedTreeBuild, threads, scale.threads_per_node, scale);
-    let result = run_simulation(&cfg);
+fn fig8_point(scale: &Scale) -> Point {
+    weak(MergedTreeBuild, fig8_threads(scale), scale.threads_per_node, true, scale)
+}
+
+/// Figure 8: per-rank tree-building split with the §5.4 merged build.
+fn fig8(title: &str, scale: &Scale, results: &[&SimResult]) -> ExperimentOutput {
     let mut series = Series::new(
-        format!(
-            "Figure 8: per-rank tree-building time split at {threads} threads (merged local trees)"
-        ),
+        format!("{title} at {} threads (merged local trees)", fig8_threads(scale)),
         &["rank", "local_build", "merge", "tree_total"],
     );
-    for (rank, outcome) in result.ranks.iter().enumerate() {
+    for (rank, outcome) in results[0].ranks.iter().enumerate() {
         series.push(vec![rank as f64, outcome.tree_local, outcome.tree_merge, outcome.phases.tree]);
     }
-    series
+    ExperimentOutput::Series(series)
 }
 
-fn fig12(scale: &Scale, progress: bool) -> ExperimentOutput {
-    // Weak scaling while varying threads per node: 1, 4, 8, 16 pthreads per
-    // node plus one process per node.
+/// Figure 12's machines: 1, 4, 8 and 16 pthreads per node, then one
+/// process per node.
+const FIG12: [(&str, usize, bool); 5] = [
+    ("1 thread/node", 1, true),
+    ("4 threads/node", 4, true),
+    ("8 threads/node", 8, true),
+    ("16 threads/node", 16, true),
+    ("1 process/node", 1, false),
+];
+
+fn fig12_points(scale: &Scale) -> Vec<Point> {
+    let machine = |(_, per_node, pthreads): (&str, usize, bool)| {
+        scale.weak_threads.iter().map(move |&t| weak(Subspace, t, per_node, pthreads, scale))
+    };
+    FIG12.into_iter().flat_map(machine).collect()
+}
+
+/// Figure 12: weak scaling while varying threads per node.
+fn fig12(title: &str, scale: &Scale, results: &[&SimResult]) -> ExperimentOutput {
+    let threads = &scale.weak_threads;
     let mut outputs = Vec::new();
-    let configs: [(&str, usize, bool); 5] = [
-        ("1 thread/node", 1, true),
-        ("4 threads/node", 4, true),
-        ("8 threads/node", 8, true),
-        ("16 threads/node", 16, true),
-        ("1 process/node", 1, false),
-    ];
-    for (label, tpn, pthreads) in configs {
-        let mut series =
-            Series::new(format!("Figure 12: weak scaling, {label}"), &["threads", "total"]);
-        for &threads in &scale.weak_threads {
-            if progress {
-                eprintln!("  [fig12 {label}] {threads} threads ...");
-            }
-            let tpn_eff = tpn.min(threads);
-            let nodes = threads.div_ceil(tpn_eff);
-            let machine = Machine::power5(nodes, tpn_eff, pthreads);
-            let mut cfg =
-                SimConfig::new(scale.weak_bodies_per_thread * threads, machine, OptLevel::Subspace);
-            cfg.steps = scale.steps;
-            cfg.measured_steps = scale.measured_steps;
-            cfg.seed = scale.seed;
-            let result = run_simulation(&cfg);
-            series.push(vec![threads as f64, result.total]);
+    for ((label, ..), machine) in FIG12.iter().zip(results.chunks(threads.len())) {
+        let mut series = Series::new(format!("{title}, {label}"), &["threads", "total"]);
+        for (&t, r) in threads.iter().zip(machine) {
+            series.push(vec![t as f64, r.total]);
         }
         outputs.push(ExperimentOutput::Series(series));
     }
     ExperimentOutput::Multi(outputs)
 }
 
-fn fig13(scale: &Scale, progress: bool) -> Series {
-    // Strong-scaling speed-up of the final code.  The paper runs 1
-    // thread/node up to 112 and 16 threads/node from 16 to 512; the emulated
-    // sweep follows the strong thread list and extends it with the weak
-    // thread counts (16 threads/node) beyond its maximum.
+/// Figure 13's thread counts.  The paper runs 1 thread/node up to 112 and
+/// 16 threads/node from 16 to 512; the emulated sweep follows the strong
+/// thread list and extends it with the weak thread counts (pthreads nodes)
+/// beyond its last entry.
+fn fig13_threads(scale: &Scale) -> Vec<(usize, bool)> {
+    let last = *scale.strong_threads.last().unwrap_or(&1);
+    let beyond = scale.weak_threads.iter().filter(|&&t| t > last).map(|&t| (t, true));
+    scale.strong_threads.iter().map(|&t| (t, false)).chain(beyond).collect()
+}
+
+fn fig13_points(scale: &Scale) -> Vec<Point> {
+    let point = |(t, beyond)| match beyond {
+        false => strong(Subspace, t, false, scale),
+        true => upc(Subspace, scale.bodies, t, scale.threads_per_node, true, scale),
+    };
+    fig13_threads(scale).into_iter().map(point).collect()
+}
+
+/// Figure 13: strong-scaling speed-up of the final code.
+fn fig13(title: &str, scale: &Scale, results: &[&SimResult]) -> ExperimentOutput {
     let mut series = Series::new(
-        format!(
-            "Figure 13: strong-scaling speed-up, {} bodies, fully optimized code",
-            scale.bodies
-        ),
+        format!("{title}, {} bodies, fully optimized code", scale.bodies),
         &["threads", "total", "speedup", "bodies_per_thread"],
     );
-    let mut one_thread_total = None;
-    let max_strong = *scale.strong_threads.last().unwrap_or(&1);
-    let mut points: Vec<(usize, bool)> = scale.strong_threads.iter().map(|&t| (t, false)).collect();
-    points.extend(scale.weak_threads.iter().filter(|&&t| t > max_strong).map(|&t| (t, true)));
-    for (threads, pthreads16) in points {
-        if progress {
-            eprintln!("  [fig13] {threads} threads ...");
-        }
-        let cfg = if pthreads16 {
-            let tpn = scale.threads_per_node.min(threads);
-            let machine = Machine::power5(threads.div_ceil(tpn), tpn, true);
-            let mut cfg = SimConfig::new(scale.bodies, machine, OptLevel::Subspace);
-            cfg.steps = scale.steps;
-            cfg.measured_steps = scale.measured_steps;
-            cfg.seed = scale.seed;
-            cfg
-        } else {
-            strong_config(OptLevel::Subspace, threads, false, scale)
-        };
-        let result = run_simulation(&cfg);
-        let one = *one_thread_total.get_or_insert(result.total);
-        series.push(vec![
-            threads as f64,
-            result.total,
-            one / result.total,
-            scale.bodies as f64 / threads as f64,
-        ]);
+    for ((t, _), r) in fig13_threads(scale).into_iter().zip(results) {
+        let (t, total) = (t as f64, r.total);
+        series.push(vec![t, total, results[0].total / total, scale.bodies as f64 / t]);
     }
-    series
+    ExperimentOutput::Series(series)
 }
 
-fn intranode(scale: &Scale, progress: bool) -> String {
-    // §4.1: 16 UPC threads on one node, pthreads vs processes, baseline code.
-    let threads = 16usize;
-    let run = |pthreads: bool| {
-        if progress {
-            eprintln!("  [intranode] pthreads={pthreads} ...");
-        }
-        let machine = Machine::power5(1, threads, pthreads);
-        let mut cfg = SimConfig::new(scale.bodies.min(32_768), machine, OptLevel::Baseline);
-        cfg.steps = scale.steps;
-        cfg.measured_steps = scale.measured_steps;
-        cfg.seed = scale.seed;
-        run_simulation(&cfg).total
-    };
-    let with_pthreads = run(true);
-    let with_processes = run(false);
-    format!(
-        "§4.1 single-node experiment ({} bodies, 16 UPC threads on one node, baseline code)\n\
-         -pthreads enabled  (16 pthreads/node): {:.3} simulated s\n\
-         -pthreads disabled (16 processes/node): {:.3} simulated s\n\
-         slowdown of process mode: {:.0}x  (the paper reports 26 s vs >36000 s, i.e. ~1400x)\n",
+/// §4.1: 16 UPC threads on one node, pthreads vs processes, baseline code.
+fn intranode_text(title: &str, scale: &Scale, results: &[&SimResult]) -> ExperimentOutput {
+    let (with_pthreads, with_processes) = (results[0].total, results[1].total);
+    ExperimentOutput::Text(format!(
+        "{title} ({} bodies, 16 UPC threads on one node, baseline code)\n\
+         -pthreads enabled  (16 pthreads/node): {with_pthreads:.3} simulated s\n\
+         -pthreads disabled (16 processes/node): {with_processes:.3} simulated s\n\
+         slowdown of process mode: {:.0}x\n",
         scale.bodies.min(32_768),
-        with_pthreads,
-        with_processes,
         with_processes / with_pthreads
-    )
+    ))
 }
 
-fn migration(scale: &Scale) -> String {
-    let cfg = {
-        let mut cfg = strong_config(OptLevel::CacheLocalTree, 8, false, scale);
-        cfg.steps = scale.steps.max(4);
-        cfg.measured_steps = scale.measured_steps.min(cfg.steps - 1).max(1);
-        cfg
-    };
-    let result = run_simulation(&cfg);
-    format!(
-        "§5.2 body-migration statistic ({} bodies, 8 threads, measured over the last {} steps)\n\
-         fraction of bodies migrating between owners per step: {:.2} %\n\
-         (the paper reports about 2 % on 2M bodies; the fraction shrinks as bodies/thread grow)\n",
+/// §5.2: the fraction of bodies changing owner per step.
+fn migration_text(title: &str, scale: &Scale, results: &[&SimResult]) -> ExperimentOutput {
+    let cfg = migration(scale).cfg;
+    ExperimentOutput::Text(format!(
+        "{title} ({} bodies, 8 threads, measured over the last {} steps)\n\
+         fraction of bodies migrating between owners per step: {:.2} %\n",
         cfg.nbodies,
         cfg.measured_steps,
-        100.0 * result.migration_fraction
-    )
+        100.0 * results[0].migration_fraction
+    ))
 }
 
-/// Extension experiment: the §9 future-work comparison of the fully
-/// optimized UPC code against the message-passing comparator, over the
-/// strong-scaling thread counts.
-fn mpi_compare(scale: &Scale, progress: bool) -> Series {
-    let mut series = Series::new(
-        format!(
-            "Extension (§9): optimized UPC vs MPI-style comparator, {} bodies (simulated seconds)",
-            scale.bodies
-        ),
-        &["threads", "upc_total", "upc_force", "mpi_total", "mpi_force", "mpi_over_upc"],
-    );
-    for &threads in &scale.strong_threads {
-        if progress {
-            eprintln!("  [mpi_compare] {threads} threads ...");
-        }
-        let cfg = strong_config(OptLevel::Subspace, threads, false, scale);
-        let upc = run_simulation(&cfg);
-        let mpi = bh_mpi::run_simulation(&cfg);
-        series.push(vec![
-            threads as f64,
-            upc.total,
-            upc.phases.force,
-            mpi.total,
-            mpi.phases.force,
-            mpi.total / upc.total.max(1e-12),
-        ]);
-    }
-    series
-}
+/// The thread counts of the §5.5 single-source statistic.
+const VLIST_THREADS: [usize; 3] = [8, 16, 32];
 
-/// Extension experiment: transparent (MuPC-style) software caching of shared
-/// scalars vs the manual §5.1 replication, on the otherwise-unoptimized
-/// baseline.
-fn swcache(scale: &Scale, progress: bool) -> Series {
-    let mut series = Series::new(
-        format!(
-            "Extension (§8): transparent scalar caching vs manual replication, {} bodies (total simulated seconds)",
-            scale.bodies.min(8_192)
-        ),
-        &["threads", "baseline", "software_cache", "manual_repl"],
-    );
-    for &threads in &scale.strong_threads {
-        if threads > 32 {
-            // The baseline is extremely slow at large thread counts and the
-            // point is made well before 32 threads.
-            continue;
-        }
-        if progress {
-            eprintln!("  [swcache] {threads} threads ...");
-        }
-        let mut base_cfg = strong_config(OptLevel::Baseline, threads, false, scale);
-        base_cfg.nbodies = base_cfg.nbodies.min(8_192);
-        let baseline = run_simulation(&base_cfg).total;
-
-        let mut cached_cfg = base_cfg.clone();
-        cached_cfg.software_scalar_cache = true;
-        let cached = run_simulation(&cached_cfg).total;
-
-        let mut repl_cfg = base_cfg.clone();
-        repl_cfg.opt = OptLevel::ReplicateScalars;
-        let replicated = run_simulation(&repl_cfg).total;
-
-        series.push(vec![threads as f64, baseline, cached, replicated]);
-    }
-    series
-}
-
-/// Extension experiment: the §5.3.1 separate local tree vs the §5.3.2 merged
-/// local tree with shadow pointers.
-fn cache_variants(scale: &Scale, progress: bool) -> Series {
-    let mut series = Series::new(
-        format!(
-            "Extension (§5.3.2): separate local tree vs shadow-pointer merged tree, {} bodies (force-phase simulated seconds)",
-            scale.bodies
-        ),
-        &["threads", "separate_tree", "shadow_ptrs"],
-    );
-    for &threads in &scale.strong_threads {
-        if progress {
-            eprintln!("  [cache_variants] {threads} threads ...");
-        }
-        let cfg = strong_config(OptLevel::MergedTreeBuild, threads, false, scale);
-        let separate = run_simulation(&cfg);
-        let mut shadow_cfg = cfg.clone();
-        shadow_cfg.shadow_cache = true;
-        let shadow = run_simulation(&shadow_cfg);
-        series.push(vec![threads as f64, separate.phases.force, shadow.phases.force]);
-    }
-    series
-}
-
-fn vlist_sources(scale: &Scale) -> String {
-    let mut out = String::from("§5.5 aggregated-gather source statistic (fully optimized code)\n");
-    for &threads in &[8usize, 16, 32] {
-        let cfg = strong_config(OptLevel::Subspace, threads, false, scale);
-        let result = run_simulation(&cfg);
-        let frac = result.vlist_single_source_fraction().unwrap_or(0.0);
+/// §5.5: the share of aggregated requests served by a single source thread.
+fn vlist_text(title: &str, _: &Scale, results: &[&SimResult]) -> ExperimentOutput {
+    let mut out = format!("{title}\n");
+    for (threads, r) in VLIST_THREADS.iter().zip(results) {
+        let frac = r.vlist_single_source_fraction().unwrap_or(0.0);
         out.push_str(&format!(
             "  {threads:>3} threads: {:.1} % of aggregated requests had a single source thread\n",
             100.0 * frac
         ));
     }
-    out.push_str("(the paper reports >95 % at 32 threads and >93 % at 64 threads on 2M bodies)\n");
-    out
+    ExperimentOutput::Text(out)
 }
 
-/// Runs one experiment at the given scale.
-pub fn run_experiment(exp: Experiment, scale: &Scale, progress: bool) -> ExperimentOutput {
-    if let Some((opt, pthreads)) = exp.table_opt() {
-        let title = match exp {
-            Experiment::Table2 => "Table 2: baseline UPC Barnes-Hut (strong scaling)".to_string(),
-            Experiment::Table3 => "Table 3: + replicated shared scalars (§5.1)".to_string(),
-            Experiment::Table4 => "Table 4: + body redistribution (§5.2)".to_string(),
-            Experiment::Table5 => "Table 5: + cached remote cells (§5.3)".to_string(),
-            Experiment::Table6 => "Table 6: + merged-local-tree build (§5.4)".to_string(),
-            Experiment::Table7 => "Table 7: + non-blocking aggregation (§5.5)".to_string(),
-            Experiment::Table8 => "Table 8: final code, strong scaling, 1 process/node".to_string(),
-            Experiment::Table9 => {
-                "Table 9: final code, strong scaling, 1 thread/node (pthreads runtime)".to_string()
-            }
-            _ => unreachable!(),
-        };
-        return ExperimentOutput::Table(strong_table(&title, opt, pthreads, scale, progress));
+/// The rank counts and the degrees n1 = n2 = n3 of the §5.5 sensitivity run.
+const DEGREE_RANKS: [usize; 2] = [4, 16];
+const DEGREES: [usize; 3] = [1, 4, 16];
+
+fn degree_points(scale: &Scale) -> Vec<Point> {
+    let ranks = |r| DEGREES.map(|d| aggregation_degree(r, d, scale));
+    DEGREE_RANKS.into_iter().flat_map(ranks).collect()
+}
+
+/// §5.5: the force phase against n1 = n2 = n3, and each degree against 16.
+fn degree_text(title: &str, scale: &Scale, results: &[&SimResult]) -> ExperimentOutput {
+    let mut out = format!(
+        "{title}, {} bodies, n1 = n2 = n3 (force phase, simulated s)\n\
+         ranks      n = 1      n = 4     n = 16   4 vs 16   1 vs 16\n",
+        scale.bodies
+    );
+    for (ranks, row) in DEGREE_RANKS.iter().zip(results.chunks(DEGREES.len())) {
+        let [one, four, sixteen] = [0, 1, 2].map(|i| row[i].phases.force);
+        let (four_vs, one_vs) = (100.0 * (four / sixteen - 1.0), 100.0 * (one / sixteen - 1.0));
+        out.push_str(&format!(
+            "{ranks:>5} {one:>10.6} {four:>10.6} {sixteen:>10.6} {four_vs:>+7.1} % {one_vs:>+7.1} %\n"
+        ));
     }
-    match exp {
-        Experiment::Fig5 => {
-            let sweep = ladder_sweep(scale, progress);
-            ExperimentOutput::Series(fig5_from_sweep(&sweep, scale))
-        }
-        Experiment::Fig6 => {
-            let sweep = ladder_sweep(scale, progress);
-            ExperimentOutput::Series(fig6_from_sweep(&sweep, scale))
-        }
-        Experiment::Fig7 => ExperimentOutput::Series(weak_series(
-            "Figure 7: weak scaling before the §6 tree-building change (merged trees + aggregation)",
-            OptLevel::AsyncAggregation,
-            scale,
-            true,
-            progress,
-        )),
-        Experiment::Fig8 => ExperimentOutput::Series(fig8(scale, progress)),
-        Experiment::Fig10 => ExperimentOutput::Series(weak_series(
-            "Figure 10: weak scaling, subspace build WITHOUT vector reduction",
-            OptLevel::Subspace,
-            scale,
-            false,
-            progress,
-        )),
-        Experiment::Fig11 => ExperimentOutput::Series(weak_series(
-            "Figure 11: weak scaling, subspace build WITH vector reduction",
-            OptLevel::Subspace,
-            scale,
-            true,
-            progress,
-        )),
-        Experiment::Fig12 => fig12(scale, progress),
-        Experiment::Fig13 => ExperimentOutput::Series(fig13(scale, progress)),
-        Experiment::Intranode => ExperimentOutput::Text(intranode(scale, progress)),
-        Experiment::Migration => ExperimentOutput::Text(migration(scale)),
-        Experiment::VlistSources => ExperimentOutput::Text(vlist_sources(scale)),
-        Experiment::MpiCompare => ExperimentOutput::Series(mpi_compare(scale, progress)),
-        Experiment::SwCache => ExperimentOutput::Series(swcache(scale, progress)),
-        Experiment::CacheVariants => ExperimentOutput::Series(cache_variants(scale, progress)),
-        _ => unreachable!("table experiments handled above"),
+    ExperimentOutput::Text(out)
+}
+
+/// The final code on upc, then on the message-passing comparator, at every
+/// strong thread count.
+fn mpi_points(scale: &Scale) -> Vec<Point> {
+    let pair = |t| {
+        let upc = strong(Subspace, t, false, scale);
+        let mpi = Point { backend: &bh_mpi::MpiBackend, cfg: upc.cfg.clone() };
+        [upc, mpi]
+    };
+    scale.strong_threads.iter().flat_map(|&t| pair(t)).collect()
+}
+
+/// Extension: the §9 future-work comparison of the fully optimized UPC code
+/// against the message-passing comparator.
+fn mpi_compare(title: &str, scale: &Scale, results: &[&SimResult]) -> ExperimentOutput {
+    let mut series = Series::new(
+        format!("{title}, {} bodies (simulated seconds)", scale.bodies),
+        &["threads", "upc_total", "upc_force", "mpi_total", "mpi_force", "mpi_over_upc"],
+    );
+    for (&t, pair) in scale.strong_threads.iter().zip(results.chunks(2)) {
+        let (upc, mpi) = (pair[0], pair[1]);
+        let ratio = mpi.total / upc.total.max(1e-12);
+        series.push(vec![
+            t as f64,
+            upc.total,
+            upc.phases.force,
+            mpi.total,
+            mpi.phases.force,
+            ratio,
+        ]);
     }
+    ExperimentOutput::Series(series)
+}
+
+/// The baseline, the baseline through the software scalar cache and the
+/// manual replication, on at most 8192 bodies and 32 threads (the baseline
+/// is extremely slow beyond, and the point is made well before).
+fn swcache_points(scale: &Scale) -> Vec<Point> {
+    let triple = |t| {
+        let base = upc(Baseline, scale.bodies.min(8_192), t, 1, false, scale);
+        let mut cached = base.clone();
+        cached.cfg.software_scalar_cache = true;
+        let mut replicated = base.clone();
+        replicated.cfg.opt = ReplicateScalars;
+        [base, cached, replicated]
+    };
+    scale.strong_threads.iter().filter(|&&t| t <= 32).flat_map(|&t| triple(t)).collect()
+}
+
+/// Extension: transparent (MuPC-style) software caching of shared scalars
+/// vs the manual §5.1 replication, on the otherwise-unoptimized baseline.
+fn swcache(title: &str, scale: &Scale, results: &[&SimResult]) -> ExperimentOutput {
+    let mut series = Series::new(
+        format!("{title}, {} bodies (total simulated seconds)", scale.bodies.min(8_192)),
+        &["threads", "baseline", "software_cache", "manual_repl"],
+    );
+    for triple in results.chunks(3) {
+        let threads = triple[0].ranks.len() as f64;
+        series.push(vec![threads, triple[0].total, triple[1].total, triple[2].total]);
+    }
+    ExperimentOutput::Series(series)
+}
+
+/// The merged-tree rung with the §5.3.1 separate local tree, then with the
+/// §5.3.2 shadow pointers, at every strong thread count.
+fn cache_variant_points(scale: &Scale) -> Vec<Point> {
+    let pair = |t| {
+        let separate = strong(MergedTreeBuild, t, false, scale);
+        let mut shadow = separate.clone();
+        shadow.cfg.shadow_cache = true;
+        [separate, shadow]
+    };
+    scale.strong_threads.iter().flat_map(|&t| pair(t)).collect()
+}
+
+/// Extension: the §5.3.1 separate local tree vs the §5.3.2 merged local
+/// tree with shadow pointers (force-phase times).
+fn cache_variants(title: &str, scale: &Scale, results: &[&SimResult]) -> ExperimentOutput {
+    let mut series = Series::new(
+        format!("{title}, {} bodies (force-phase simulated seconds)", scale.bodies),
+        &["threads", "separate_tree", "shadow_ptrs"],
+    );
+    for (&t, pair) in scale.strong_threads.iter().zip(results.chunks(2)) {
+        series.push(vec![t as f64, pair[0].phases.force, pair[1].phases.force]);
+    }
+    ExperimentOutput::Series(series)
 }
 
 #[cfg(test)]
@@ -621,76 +571,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn experiment_names_roundtrip() {
-        for e in Experiment::ALL {
-            assert_eq!(Experiment::from_name(e.name()), Some(e));
-        }
-        assert_eq!(Experiment::from_name("table99"), None);
-    }
-
-    #[test]
-    fn strong_table_smoke() {
+    fn names_are_unique_and_equal_points_run_once() {
+        let names: HashSet<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+        assert_eq!(names.len(), EXPERIMENTS.len());
         let scale = Scale::smoke();
-        let out = run_experiment(Experiment::Table5, &scale, false);
-        match out {
-            ExperimentOutput::Table(t) => {
-                assert_eq!(t.columns.len(), scale.strong_threads.len());
-                assert!(t.columns.iter().all(|c| c.total > 0.0));
-                assert!(t.render().contains("Force Comp."));
-            }
-            _ => panic!("expected a table"),
-        }
-    }
-
-    #[test]
-    fn fig5_and_fig6_derive_from_one_sweep() {
-        let scale = Scale::smoke();
-        let sweep = ladder_sweep(&scale, false);
-        assert_eq!(sweep.len(), OptLevel::ALL.len());
-        let fig5 = fig5_from_sweep(&sweep, &scale);
-        assert_eq!(fig5.rows.len(), scale.strong_threads.len());
-        assert_eq!(fig5.headers.len(), 1 + OptLevel::ALL.len());
-        let fig6 = fig6_from_sweep(&sweep, &scale);
-        assert_eq!(fig6.rows.len(), OptLevel::ALL.len());
-    }
-
-    #[test]
-    fn weak_scaling_series_smoke() {
-        let scale = Scale::smoke();
-        let out = run_experiment(Experiment::Fig11, &scale, false);
-        match out {
-            ExperimentOutput::Series(s) => {
-                assert_eq!(s.rows.len(), scale.weak_threads.len());
-                assert!(s.rows.iter().all(|r| r.last().copied().unwrap_or(0.0) > 0.0));
-            }
-            _ => panic!("expected a series"),
-        }
-    }
-
-    #[test]
-    fn prose_statistics_render_text() {
-        let scale = Scale::smoke();
-        for exp in [Experiment::Migration, Experiment::VlistSources] {
-            let out = run_experiment(exp, &scale, false);
-            match out {
-                ExperimentOutput::Text(t) => assert!(!t.is_empty()),
-                _ => panic!("expected text"),
-            }
-        }
-    }
-
-    #[test]
-    fn extension_experiments_produce_series() {
-        let scale = Scale::smoke();
-        for exp in [Experiment::MpiCompare, Experiment::SwCache, Experiment::CacheVariants] {
-            let out = run_experiment(exp, &scale, false);
-            match out {
-                ExperimentOutput::Series(s) => {
-                    assert!(!s.rows.is_empty(), "{} produced no rows", exp.name());
-                    assert!(s.rows.iter().all(|r| r.iter().all(|v| v.is_finite())));
-                }
-                _ => panic!("expected a series for {}", exp.name()),
-            }
-        }
+        let both = [Experiment::named("table8").unwrap(), Experiment::named("fig13").unwrap()];
+        assert_eq!(plan(&both, &scale).unwrap().len(), 3, "Fig. 13's strong half is Table 8");
     }
 }

@@ -3,9 +3,11 @@
 //! One entry point: `tables`
 //! (`cargo run -p bh-bench --release --bin tables -- --help`) regenerates
 //! every table and figure of the paper's evaluation from the emulated
-//! implementation.  This library holds the experiment definitions so that
-//! they are also usable from tests.  (Performance of the code itself is
-//! measured by `benchmark/`, not here.)
+//! implementation, and prints under each the paper's claims that read it.
+//! This library holds the one table of experiments ([`experiments`]) and
+//! the one table of claims ([`claims`]), so that tests check the claims on
+//! the runs `tables` makes.  (Performance of the code itself is measured by
+//! `benchmark/`, not here.)
 //!
 //! The paper's runs use 2M bodies (strong scaling) and 250K bodies/thread
 //! (weak scaling) on up to 1024 threads of a Power5 cluster.  Those sizes are
@@ -16,10 +18,11 @@
 //! shape (who wins, where the crossovers are), which is what the
 //! reproduction targets.
 
+pub mod claims;
 pub mod experiments;
 pub mod scale;
 pub mod table;
 
-pub use experiments::{run_experiment, Experiment, ExperimentOutput};
+pub use experiments::{Experiment, ExperimentOutput, EXPERIMENTS};
 pub use scale::Scale;
 pub use table::{PhaseTable, Series};

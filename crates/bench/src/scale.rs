@@ -72,12 +72,6 @@ impl Scale {
     }
 }
 
-impl Default for Scale {
-    fn default() -> Self {
-        Scale::default_scale()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

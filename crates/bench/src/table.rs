@@ -37,11 +37,6 @@ impl PhaseTable {
         self.columns.push(PhaseColumn { threads, total: phases.total(), phases });
     }
 
-    /// The column for a given thread count, if present.
-    pub fn column(&self, threads: usize) -> Option<&PhaseColumn> {
-        self.columns.iter().find(|c| c.threads == threads)
-    }
-
     /// Renders the table in the paper's layout.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -141,8 +136,7 @@ mod tests {
         assert!(text.contains("Tree-building"));
         assert!(!text.contains("Redistribution"), "all-zero rows are omitted");
         assert!(text.contains("Total"));
-        assert_eq!(t.column(4).unwrap().total, 0.75);
-        assert!(t.column(2).is_none());
+        assert_eq!(t.columns[1].total, 0.75);
     }
 
     #[test]
