@@ -10,7 +10,8 @@
 //! All times are *simulated* seconds produced by the PGAS cost model.
 
 use bh_bench::claims::CLAIMS;
-use bh_bench::{experiments, Experiment, Scale, EXPERIMENTS};
+use bh_bench::experiments::{self, Runs};
+use bh_bench::{Experiment, Scale, EXPERIMENTS};
 use engine::cli::{reject, Args};
 use std::path::PathBuf;
 
@@ -158,14 +159,18 @@ fn main() {
     let points =
         experiments::plan(&opts.experiments, scale).unwrap_or_else(|e| reject("tables", usage, &e));
     eprintln!("running {} distinct points ...", points.len());
-    let runs = experiments::run(points, !opts.quiet);
+    let progress = (!opts.quiet).then_some(points.len());
 
-    let names: Vec<&str> = opts.experiments.iter().map(|e| e.name).collect();
+    // Each experiment prints as soon as its own points have run.
+    let mut runs = Runs::default();
+    let mut printed = Vec::new();
     for exp in &opts.experiments {
+        runs.add(&exp.points(scale), progress);
         let output = exp.render(scale, &runs);
         println!("================================================================");
         println!("{}", output.render());
-        for claim in CLAIMS.iter().filter(|c| c.prints_under(exp.name, &names)) {
+        printed.push(exp.name);
+        for claim in CLAIMS.iter().filter(|c| c.prints_after(&printed)) {
             println!("{}", claim.line(scale, &runs));
         }
         if let Some(dir) = &opts.json_dir {

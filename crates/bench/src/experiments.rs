@@ -1,8 +1,8 @@
 //! The paper's evaluation as one table: each experiment is a row naming the
 //! points (backend + configuration) it runs at a [`Scale`] and how it renders
 //! their results.  [`plan`] collects and checks the points of any set of
-//! experiments, [`run`] runs each distinct point once, and every experiment
-//! renders from the shared [`Runs`].
+//! experiments, [`Runs::add`] runs each distinct point once, and every
+//! experiment renders from the shared [`Runs`].
 
 use crate::scale::Scale;
 use crate::table::{PhaseTable, Series};
@@ -21,6 +21,8 @@ pub struct Point {
     pub backend: &'static dyn Backend,
     /// What it runs.
     pub cfg: SimConfig,
+    /// The thread count the experiment labels and sizes this run by.
+    pub threads: usize,
 }
 
 impl Point {
@@ -44,7 +46,7 @@ fn upc(
     let machine = Machine::power5(threads.div_ceil(per_node), per_node, pthreads);
     let mut cfg = SimConfig::new(bodies, machine, opt);
     (cfg.steps, cfg.measured_steps, cfg.seed) = (scale.steps, scale.measured_steps, scale.seed);
-    Point { backend: &bh::UpcBackend, cfg }
+    Point { backend: &bh::UpcBackend, cfg, threads }
 }
 
 /// A strong-scaling point: the scale's bodies on `threads` nodes of one
@@ -98,44 +100,55 @@ impl Runs {
     pub fn get(&self, point: &Point) -> Option<&SimResult> {
         self.0.get(&point.key())
     }
+
+    /// Runs every point of `points` not run yet, keeping each result without
+    /// its final bodies (the strong points of `--paper-scale` would not fit
+    /// with them).  With `of`, the size of the [`plan`], each run prints a
+    /// progress line `[i/of]`.
+    pub fn add(&mut self, points: &[Point], of: Option<usize>) {
+        for point in points {
+            let (key, cfg) = (point.key(), &point.cfg);
+            if self.0.contains_key(&key) {
+                continue;
+            }
+            if let Some(of) = of {
+                let (backend, opt, n) = (point.backend.name(), cfg.opt.name(), cfg.nbodies);
+                let (i, ranks) = (self.0.len() + 1, cfg.ranks());
+                eprintln!("  [{i}/{of}] {backend} {opt}, {ranks} threads, {n} bodies ...");
+            }
+            let mut result =
+                point.backend.run(cfg, generate(&PlummerConfig::new(cfg.nbodies, cfg.seed)));
+            result.bodies = Vec::new();
+            self.0.insert(key, result);
+        }
+    }
 }
 
 /// The distinct points of `experiments` at `scale`, in the order they are
 /// first listed.  Every point is checked by its backend's
-/// [`Backend::supports`] before anything runs; the first refusal names its
-/// experiment and carries the error code.
+/// [`Backend::supports`] before anything runs, and so is the thread count
+/// its row is labelled by: a weak count that does not fill whole nodes
+/// would run more ranks than the row says.  The first refusal names its
+/// experiment.
 pub fn plan(experiments: &[&Experiment], scale: &Scale) -> Result<Vec<Point>, String> {
     let mut seen = HashSet::new();
     let mut points = Vec::new();
     for exp in experiments {
         for point in exp.points(scale) {
-            point.backend.supports(&point.cfg).map_err(|e| format!("{}: {e}", exp.name))?;
+            let refuse = |e: &dyn std::fmt::Display| format!("{}: {e}", exp.name);
+            point.backend.supports(&point.cfg).map_err(|e| refuse(&e))?;
+            let (threads, ranks) = (point.threads, point.cfg.ranks());
+            if ranks != threads {
+                let per_node = point.cfg.machine.threads_per_node;
+                let nodes = format!("whole nodes of {per_node} (the run would have {ranks})");
+                return Err(refuse(&format!("{threads} threads do not fill {nodes}")));
+            }
             if seen.insert(point.key()) {
                 points.push(point);
             }
         }
     }
     Ok(points)
-}
-
-/// Runs every point of a [`plan`], keeping each result without its final
-/// bodies (the strong points of `--paper-scale` would not fit with them).
-pub fn run(points: Vec<Point>, progress: bool) -> Runs {
-    let mut runs = Runs::default();
-    let count = points.len();
-    for (i, point) in points.into_iter().enumerate() {
-        let cfg = &point.cfg;
-        if progress {
-            let (backend, opt, ranks, n) =
-                (point.backend.name(), cfg.opt.name(), cfg.ranks(), cfg.nbodies);
-            eprintln!("  [{}/{count}] {backend} {opt}, {ranks} threads, {n} bodies ...", i + 1);
-        }
-        let mut result =
-            point.backend.run(cfg, generate(&PlummerConfig::new(cfg.nbodies, cfg.seed)));
-        result.bodies = Vec::new();
-        runs.0.insert(point.key(), result);
-    }
-    runs
 }
 
 /// One table or figure of the paper's evaluation.
@@ -162,43 +175,59 @@ enum Plan {
 
 use Plan::{Custom, Strong, Weak};
 
-const fn exp(name: &'static str, title: &'static str, plan: Plan) -> Experiment {
-    Experiment { name, title, plan }
-}
-
-/// Every experiment, in report order: name, caption, plan.
+/// Every experiment, in report order.
 #[rustfmt::skip]
 pub static EXPERIMENTS: &[Experiment] = &[
-    exp("table2", "Table 2: baseline UPC Barnes-Hut (strong scaling)", Strong(Baseline, false)),
-    exp("table3", "Table 3: + replicated shared scalars (§5.1)", Strong(ReplicateScalars, false)),
-    exp("table4", "Table 4: + body redistribution (§5.2)", Strong(Redistribute, false)),
-    exp("table5", "Table 5: + cached remote cells (§5.3)", Strong(CacheLocalTree, false)),
-    exp("table6", "Table 6: + merged-local-tree build (§5.4)", Strong(MergedTreeBuild, false)),
-    exp("table7", "Table 7: + non-blocking aggregation (§5.5)", Strong(AsyncAggregation, false)),
-    exp("fig5", "Figure 5: speed-up of cumulative optimizations (relative to the same code on 1 thread)",
-        Custom(ladder_points, fig5)),
-    exp("fig6", "Figure 6: time per phase", Custom(ladder_points, fig6)),
-    exp("fig7", "Figure 7: weak scaling before the §6 tree-building change (merged trees + aggregation)",
-        Weak(AsyncAggregation, true)),
-    exp("fig8", "Figure 8: per-rank tree-building time split", Custom(|s| vec![fig8_point(s)], fig8)),
-    exp("fig10", "Figure 10: weak scaling, subspace build WITHOUT vector reduction", Weak(Subspace, false)),
-    exp("fig11", "Figure 11: weak scaling, subspace build WITH vector reduction", Weak(Subspace, true)),
-    exp("fig12", "Figure 12: weak scaling", Custom(fig12_points, fig12)),
-    exp("fig13", "Figure 13: strong-scaling speed-up", Custom(fig13_points, fig13)),
-    exp("table8", "Table 8: final code, strong scaling, 1 process/node", Strong(Subspace, false)),
-    exp("table9", "Table 9: final code, strong scaling, 1 thread/node (pthreads runtime)", Strong(Subspace, true)),
-    exp("intranode", "§4.1 single-node experiment",
-        Custom(|s| vec![intranode(true, s), intranode(false, s)], intranode_text)),
-    exp("migration", "§5.2 body-migration statistic", Custom(|s| vec![migration(s)], migration_text)),
-    exp("vlist_sources", "§5.5 aggregated-gather source statistic (fully optimized code)",
-        Custom(|s| VLIST_THREADS.map(|t| strong(Subspace, t, false, s)).into(), vlist_text)),
-    exp("aggregation_degree", "§5.5 aggregation degree: async-aggregation on the sorted build",
-        Custom(degree_points, degree_text)),
-    exp("mpi_compare", "Extension (§9): optimized UPC vs MPI-style comparator", Custom(mpi_points, mpi_compare)),
-    exp("swcache", "Extension (§8): transparent scalar caching vs manual replication",
-        Custom(swcache_points, swcache)),
-    exp("cache_variants", "Extension (§5.3.2): separate local tree vs shadow-pointer merged tree",
-        Custom(cache_variant_points, cache_variants)),
+    Experiment { name: "table2", title: "Table 2: baseline UPC Barnes-Hut (strong scaling)",
+        plan: Strong(Baseline, false) },
+    Experiment { name: "table3", title: "Table 3: + replicated shared scalars (§5.1)",
+        plan: Strong(ReplicateScalars, false) },
+    Experiment { name: "table4", title: "Table 4: + body redistribution (§5.2)",
+        plan: Strong(Redistribute, false) },
+    Experiment { name: "table5", title: "Table 5: + cached remote cells (§5.3)",
+        plan: Strong(CacheLocalTree, false) },
+    Experiment { name: "table6", title: "Table 6: + merged-local-tree build (§5.4)",
+        plan: Strong(MergedTreeBuild, false) },
+    Experiment { name: "table7", title: "Table 7: + non-blocking aggregation (§5.5)",
+        plan: Strong(AsyncAggregation, false) },
+    Experiment { name: "fig5",
+        title: "Figure 5: speed-up of cumulative optimizations (relative to the same code on 1 thread)",
+        plan: Custom(ladder_points, fig5) },
+    Experiment { name: "fig6", title: "Figure 6: time per phase", plan: Custom(ladder_points, fig6) },
+    Experiment { name: "fig7",
+        title: "Figure 7: weak scaling before the §6 tree-building change (merged trees + aggregation)",
+        plan: Weak(AsyncAggregation, true) },
+    Experiment { name: "fig8", title: "Figure 8: per-rank tree-building time split",
+        plan: Custom(|s| vec![fig8_point(s)], fig8) },
+    Experiment { name: "fig10", title: "Figure 10: weak scaling, subspace build WITHOUT vector reduction",
+        plan: Weak(Subspace, false) },
+    Experiment { name: "fig11", title: "Figure 11: weak scaling, subspace build WITH vector reduction",
+        plan: Weak(Subspace, true) },
+    Experiment { name: "fig12", title: "Figure 12: weak scaling", plan: Custom(fig12_points, fig12) },
+    Experiment { name: "fig13", title: "Figure 13: strong-scaling speed-up",
+        plan: Custom(fig13_points, fig13) },
+    Experiment { name: "table8", title: "Table 8: final code, strong scaling, 1 process/node",
+        plan: Strong(Subspace, false) },
+    Experiment { name: "table9",
+        title: "Table 9: final code, strong scaling, 1 thread/node (pthreads runtime)",
+        plan: Strong(Subspace, true) },
+    Experiment { name: "intranode", title: "§4.1 single-node experiment",
+        plan: Custom(|s| vec![intranode(true, s), intranode(false, s)], intranode_text) },
+    Experiment { name: "migration", title: "§5.2 body-migration statistic",
+        plan: Custom(|s| vec![migration(s)], migration_text) },
+    Experiment { name: "vlist_sources",
+        title: "§5.5 aggregated-gather source statistic (fully optimized code)",
+        plan: Custom(|s| VLIST_THREADS.map(|t| strong(Subspace, t, false, s)).into(), vlist_text) },
+    Experiment { name: "aggregation_degree",
+        title: "§5.5 aggregation degree: async-aggregation on the sorted build",
+        plan: Custom(degree_points, degree_text) },
+    Experiment { name: "mpi_compare", title: "Extension (§9): optimized UPC vs MPI-style comparator",
+        plan: Custom(mpi_points, mpi_compare) },
+    Experiment { name: "swcache", title: "Extension (§8): transparent scalar caching vs manual replication",
+        plan: Custom(swcache_points, swcache) },
+    Experiment { name: "cache_variants",
+        title: "Extension (§5.3.2): separate local tree vs shadow-pointer merged tree",
+        plan: Custom(cache_variant_points, cache_variants) },
 ];
 
 impl Experiment {
@@ -484,7 +513,7 @@ fn degree_text(title: &str, scale: &Scale, results: &[&SimResult]) -> Experiment
 fn mpi_points(scale: &Scale) -> Vec<Point> {
     let pair = |t| {
         let upc = strong(Subspace, t, false, scale);
-        let mpi = Point { backend: &bh_mpi::MpiBackend, cfg: upc.cfg.clone() };
+        let mpi = Point { backend: &bh_mpi::MpiBackend, ..upc.clone() };
         [upc, mpi]
     };
     scale.strong_threads.iter().flat_map(|&t| pair(t)).collect()
@@ -577,5 +606,58 @@ mod tests {
         let scale = Scale::smoke();
         let both = [Experiment::named("table8").unwrap(), Experiment::named("fig13").unwrap()];
         assert_eq!(plan(&both, &scale).unwrap().len(), 3, "Fig. 13's strong half is Table 8");
+    }
+
+    /// Every experiment renders, from one run of all of them at the smoke
+    /// scale, in its shape: a table has one column per strong thread count
+    /// and positive totals, a figure one row per point of its axis with
+    /// every value finite, a text is not empty.
+    #[test]
+    fn every_experiment_renders_its_shape_from_the_shared_runs() {
+        let scale = Scale::smoke();
+        let mut runs = Runs::default();
+        runs.add(&plan(&EXPERIMENTS.iter().collect::<Vec<_>>(), &scale).unwrap(), None);
+        let (strong, weak) = (scale.strong_threads.len(), scale.weak_threads.len());
+        for exp in EXPERIMENTS {
+            let (name, output) = (exp.name, exp.render(&scale, &runs));
+            let rows = match (name, &exp.plan) {
+                ("fig5" | "mpi_compare" | "swcache" | "cache_variants", _) => strong,
+                ("fig6", _) => OptLevel::ALL.len(),
+                ("fig8", _) => fig8_threads(&scale),
+                ("fig12", _) | (_, Weak(..)) => weak,
+                ("fig13", _) => fig13_threads(&scale).len(),
+                _ => 0,
+            };
+            let series = match &output {
+                ExperimentOutput::Table(t) => {
+                    assert!(matches!(exp.plan, Strong(..)), "{name} is no phase table");
+                    assert_eq!(t.columns.len(), strong, "{name}");
+                    assert!(t.columns.iter().all(|c| c.total > 0.0), "{name}");
+                    assert!(t.render().contains("Force Comp."), "{name}");
+                    continue;
+                }
+                ExperimentOutput::Text(text) => {
+                    assert!(rows == 0 && !text.trim().is_empty(), "{name}");
+                    continue;
+                }
+                ExperimentOutput::Series(s) => vec![s],
+                ExperimentOutput::Multi(parts) => parts
+                    .iter()
+                    .map(|p| match p {
+                        ExperimentOutput::Series(s) => s,
+                        _ => panic!("{name}: a figure of series"),
+                    })
+                    .collect(),
+            };
+            assert_eq!(series.len(), if name == "fig12" { FIG12.len() } else { 1 }, "{name}");
+            for s in series {
+                assert_eq!(s.rows.len(), rows, "{name}: {}", s.title);
+                let finite = s.rows.iter().flatten().all(|v| v.is_finite());
+                assert!(finite && s.rows.iter().all(|r| r[r.len() - 1] > 0.0), "{name}: {s:?}");
+            }
+        }
+        let fig5 = Experiment::named("fig5").unwrap().render(&scale, &runs);
+        let ExperimentOutput::Series(fig5) = fig5 else { panic!("Figure 5 is one series") };
+        assert_eq!(fig5.headers.len(), 1 + OptLevel::ALL.len());
     }
 }

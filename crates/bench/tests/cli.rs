@@ -43,6 +43,17 @@ fn an_invalid_scale_is_refused_before_anything_runs() {
     }
 }
 
+/// A weak-scaling count that does not fill whole nodes would run more ranks
+/// than its row is labelled and sized by.
+#[test]
+fn a_thread_count_that_does_not_fill_whole_nodes_is_refused() {
+    let out = tables(&["--smoke", "--weak-threads", "3", "fig11"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("tables: fig11: 3 threads do not fill whole nodes of 2"), "{stderr}");
+    assert!(!stderr.contains("[1/") && out.stdout.is_empty(), "{stderr}");
+}
+
 #[test]
 fn an_unusable_json_dir_is_refused_at_start_up() {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml/out");

@@ -35,8 +35,8 @@ fn runs() -> &'static (Scale, Runs) {
         let read =
             |e: &&Experiment| CLAIMS.iter().any(|c| c.asserted() && c.reads.contains(&e.name));
         let read: Vec<&Experiment> = EXPERIMENTS.iter().filter(read).collect();
-        let points = experiments::plan(&read, &scale).expect("the toy scale is valid");
-        let runs = experiments::run(points, false);
+        let mut runs = Runs::default();
+        runs.add(&experiments::plan(&read, &scale).expect("the toy scale is valid"), None);
         (scale, runs)
     })
 }
