@@ -15,7 +15,7 @@ use nbody::Body;
 /// point.  Which other axes run on which rung is its [`CAPS`] row.
 pub struct UpcBackend;
 
-/// The upc capability row.  The group walk builds its lists over the §5.3
+/// The upc capability row.  The group walk streams cells out of the §5.3
 /// cell cache; the sorted build routes bodies over the §5.2 redistribution
 /// machinery, replaces a build phase the §6 subspace algorithm does not
 /// have, and the compact record it bills addresses children through 32-bit
@@ -29,7 +29,7 @@ pub const CAPS: Caps = Caps {
     tree_reuse: Rungs::Span(OptLevel::Baseline, OptLevel::CacheLocalTree),
     max_bodies: None,
     why: Reasons {
-        group_walk: "the per-group interaction lists are built over the §5.3 cell cache",
+        group_walk: "each group's traversal streams cells out of the §5.3 cell cache",
         sorted_build: "the sorted build distributes bodies over the §5.2 redistribution, and \
                        the §6 subspace algorithm is itself a replacement build",
         sorted_max_ranks: "the compact cell record's 32-bit child handles carry the owning \

@@ -231,22 +231,21 @@ impl CacheTree {
     /// The force cache for this step: the one carried in
     /// [`RankState::cache_slot`] when a persistent tree policy kept the tree
     /// generation it was built against ([`CacheTree::refresh`]ed in place),
-    /// a fresh one otherwise.  Returns the cache and whether it was carried;
-    /// the caller puts it back in the slot after the walk when the tree
-    /// persists.
+    /// a fresh one otherwise.  The caller puts it back in the slot after the
+    /// walk when the tree persists.
     pub(crate) fn for_step(
         ctx: &Ctx,
         shared: &BhShared,
         st: &mut RankState,
         cfg: &SimConfig,
-    ) -> (CacheTree, bool) {
+    ) -> CacheTree {
         let generation = st.lifecycle.generation;
         match st.cache_slot.take() {
             Some(mut c) if cfg.tree_policy.reuses_tree() && c.generation == generation => {
                 c.refresh();
-                (c, true)
+                c
             }
-            _ => (CacheTree::new_for(ctx, shared, cfg.shadow_cache, generation), false),
+            _ => CacheTree::new_for(ctx, shared, cfg.shadow_cache, generation),
         }
     }
 
@@ -414,9 +413,9 @@ impl CacheTree {
 
     /// Ensures node `idx`'s payload was read in the current epoch and
     /// returns it.
-    pub(crate) fn payload(&mut self, ctx: &Ctx, shared: &BhShared, idx: usize) -> CellNode {
+    pub(crate) fn payload(&mut self, ctx: &Ctx, shared: &BhShared, idx: usize) -> &CellNode {
         self.ensure_fresh(ctx, shared, idx);
-        self.nodes[idx].node
+        &self.nodes[idx].node
     }
 
     /// Localizes node `idx`'s children (blocking loads) or, when already

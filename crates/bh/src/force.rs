@@ -8,8 +8,9 @@
 //!   Nothing writes the tree or the scalars while forces are computed, so
 //!   the emulator only *bills* those reads: the walk reads the epoch's
 //!   frozen copy of the cell arena ([`pgas::Frozen`]) and θ/ε fetched once
-//!   per phase, and pays for every field read and every scalar use exactly
-//!   as a fetch through the pointer-to-shared would.
+//!   per phase, counts every field read and every scalar use, and pays for
+//!   them at the walk's end exactly as fetches through the
+//!   pointer-to-shared would.
 //! * [`force_phase_cached`] — the §5.3 demand-driven cache
 //!   ([`crate::cache::CacheTree`]) with blocking misses (Tables 5–6).
 //! * the §5.5 non-blocking aggregated engine lives in [`crate::frontier`]
@@ -93,8 +94,9 @@ pub fn write_back(
 /// cell is re-read through its pointer-to-shared for every body.
 ///
 /// The reads are billed, not fetched: the walk reads the epoch's frozen copy
-/// of the cell arena, which the ranks share, and bills each visit's
-/// [`FINE_GRAINED_FIELDS`] field reads in one charge.
+/// of the cell arena, which the ranks share, counts each visit's
+/// [`FINE_GRAINED_FIELDS`] field reads per owner and pays for a whole walk
+/// in one charge per owner.
 pub fn force_phase_uncached(
     ctx: &Ctx,
     shared: &BhShared,
@@ -102,46 +104,51 @@ pub fn force_phase_uncached(
     cfg: &SimConfig,
 ) -> Vec<BodyForce> {
     let root = shared.root.read(ctx);
-    let cells = shared.cells.frozen(ctx);
-    let scalars = WalkScalars::new(shared, st, cfg.opt);
+    let mut walk = SharedWalk {
+        cells: shared.cells.frozen(ctx),
+        scalars: WalkScalars::new(shared, st, cfg.opt),
+        stack: Vec::new(),
+        visits: vec![0; ctx.ranks()],
+    };
     let mut out = Vec::with_capacity(st.my_ids.len());
-    // One traversal stack for the rank: every walk drains it.
-    let mut stack = Vec::new();
     for &id in &st.my_ids {
         let body = read_body(ctx, shared, st, cfg, id);
-        stack.push(root);
-        let force = walk_shared(ctx, &cells, &scalars, &mut stack, id, &body);
-        out.push(force);
+        walk.stack.push(root);
+        out.push(walk.run(ctx, id, &body));
     }
     out
 }
 
 /// θ and ε as the uncached walk uses them.  Where the level re-reads the
 /// shared scalar at every use (the baseline without the software cache),
-/// the values are fetched once per phase — nobody writes them — and every
-/// use is billed through [`pgas::shared::SharedScalar::pay_for_read`]; the
-/// replicated copies and the software cache keep their own discipline
-/// ([`read_theta`], [`read_eps`]).
+/// the values are fetched once per phase — nobody writes them — and the
+/// walk counts its uses, paid for at its end through
+/// [`pgas::shared::SharedScalar::pay_for_reads`]; the replicated copies and
+/// the software cache keep their own discipline ([`read_theta`],
+/// [`read_eps`]).
 struct WalkScalars<'a> {
     shared: &'a BhShared,
     st: &'a RankState,
     opt: OptLevel,
     /// `(θ, ε)` when each use is a billed read of the shared scalar.
     held: Option<(f64, f64)>,
+    /// Uses of the held θ and ε not paid for yet.
+    theta_uses: u64,
+    eps_uses: u64,
 }
 
 impl<'a> WalkScalars<'a> {
     fn new(shared: &'a BhShared, st: &'a RankState, opt: OptLevel) -> Self {
         let rereads = !opt.replicates_scalars() && st.scalar_caches.is_none();
         let held = rereads.then(|| (shared.tol.read_raw(), shared.eps.read_raw()));
-        WalkScalars { shared, st, opt, held }
+        WalkScalars { shared, st, opt, held, theta_uses: 0, eps_uses: 0 }
     }
 
     #[inline]
-    fn theta(&self, ctx: &Ctx) -> f64 {
+    fn theta(&mut self, ctx: &Ctx) -> f64 {
         match self.held {
             Some((theta, _)) => {
-                self.shared.tol.pay_for_read(ctx);
+                self.theta_uses += 1;
                 theta
             }
             None => read_theta(ctx, self.shared, self.st, self.opt),
@@ -149,75 +156,92 @@ impl<'a> WalkScalars<'a> {
     }
 
     #[inline]
-    fn eps(&self, ctx: &Ctx) -> f64 {
+    fn eps(&mut self, ctx: &Ctx) -> f64 {
         match self.held {
             Some((_, eps)) => {
-                self.shared.eps.pay_for_read(ctx);
+                self.eps_uses += 1;
                 eps
             }
             None => read_eps(ctx, self.shared, self.st, self.opt),
         }
     }
+
+    /// Pays for the held scalars' uses counted so far.
+    fn pay(&mut self, ctx: &Ctx) {
+        self.shared.tol.pay_for_reads(ctx, std::mem::take(&mut self.theta_uses));
+        self.shared.eps.pay_for_reads(ctx, std::mem::take(&mut self.eps_uses));
+    }
 }
 
-/// Walks the shared tree for one body without caching, from the cells on
-/// `stack` (the root) until it is empty again.
-fn walk_shared(
-    ctx: &Ctx,
-    cells: &Frozen<CellNode>,
-    scalars: &WalkScalars,
-    stack: &mut Vec<GlobalPtr>,
-    id: u32,
-    body: &Body,
-) -> BodyForce {
-    let mut acc = Vec3::ZERO;
-    let mut phi = 0.0;
-    let mut interactions = 0u32;
-    let mut macs = 0u64;
+/// The uncached walk's per-phase state: the frozen cells, the scalars, one
+/// traversal stack every walk drains and the visits per owner rank the
+/// current walk has not paid for yet.
+struct SharedWalk<'a> {
+    cells: Frozen<CellNode>,
+    scalars: WalkScalars<'a>,
+    stack: Vec<GlobalPtr>,
+    visits: Vec<u64>,
+}
 
-    while let Some(ptr) = stack.pop() {
-        // The literal translation reads the cell's fields one by one through
-        // the pointer-to-shared (mass, centre of mass, child pointers), so
-        // each visit is several fine-grained accesses.
-        let node = cells.read_fields(ctx, ptr, FINE_GRAINED_FIELDS);
-        match node.kind {
-            NodeKind::Body => {
-                if node.body_id == id {
-                    continue;
-                }
-                let eps = scalars.eps(ctx);
-                let (a, p) = pairwise_acceleration(body.pos, node.cofm, node.mass, eps);
-                acc += a;
-                phi += p;
-                interactions += 1;
-            }
-            NodeKind::Cell => {
-                if node.nbodies == 0 {
-                    continue;
-                }
-                macs += 1;
-                let theta = scalars.theta(ctx);
-                let dist_sq = body.pos.dist_sq(node.cofm);
-                if cell_is_far(node.side(), dist_sq, theta) {
-                    let eps = scalars.eps(ctx);
+impl SharedWalk<'_> {
+    /// Walks the shared tree for one body without caching, from the cells
+    /// on the stack (the root) until it is empty again.  Nothing reads the
+    /// clock inside a walk, so paying for every visit and scalar use at its
+    /// end bills exactly what paying for each one as it happens would.
+    fn run(&mut self, ctx: &Ctx, id: u32, body: &Body) -> BodyForce {
+        let mut acc = Vec3::ZERO;
+        let mut phi = 0.0;
+        let mut interactions = 0u32;
+        let mut macs = 0u64;
+
+        while let Some(ptr) = self.stack.pop() {
+            // The literal translation reads the cell's fields one by one
+            // through the pointer-to-shared (mass, centre of mass, child
+            // pointers), so each visit is several fine-grained accesses.
+            let node = self.cells.get(ctx, ptr);
+            self.visits[ptr.threadof()] += 1;
+            match node.kind {
+                NodeKind::Body => {
+                    if node.body_id == id {
+                        continue;
+                    }
+                    let eps = self.scalars.eps(ctx);
                     let (a, p) = pairwise_acceleration(body.pos, node.cofm, node.mass, eps);
                     acc += a;
                     phi += p;
                     interactions += 1;
-                } else {
-                    for &c in &node.children {
-                        if !c.is_null() {
-                            stack.push(c);
+                }
+                NodeKind::Cell => {
+                    if node.nbodies == 0 {
+                        continue;
+                    }
+                    macs += 1;
+                    let theta = self.scalars.theta(ctx);
+                    let dist_sq = body.pos.dist_sq(node.cofm);
+                    if cell_is_far(node.side(), dist_sq, theta) {
+                        let eps = self.scalars.eps(ctx);
+                        let (a, p) = pairwise_acceleration(body.pos, node.cofm, node.mass, eps);
+                        acc += a;
+                        phi += p;
+                        interactions += 1;
+                    } else {
+                        for &c in &node.children {
+                            if !c.is_null() {
+                                self.stack.push(c);
+                            }
                         }
                     }
                 }
             }
         }
+        self.cells.pay_for_reads(ctx, &self.visits, FINE_GRAINED_FIELDS);
+        self.visits.fill(0);
+        self.scalars.pay(ctx);
+        ctx.bill(Price::Mac, macs);
+        ctx.bill(Price::Interaction, interactions as u64);
+        ctx.bill(Price::PtrSurcharge, interactions as u64);
+        BodyForce { id, acc, phi, cost: interactions }
     }
-    ctx.bill(Price::Mac, macs);
-    ctx.bill(Price::Interaction, interactions as u64);
-    ctx.bill(Price::PtrSurcharge, interactions as u64);
-    BodyForce { id, acc, phi, cost: interactions }
 }
 
 /// The §5.3 cached force phase: one cache tree per rank, blocking
@@ -237,10 +261,10 @@ fn walk_shared(
 ///
 /// Under [`engine::config::WalkMode::Group`] the per-group engine
 /// ([`crate::groupwalk::force_phase_group`]) replaces the per-body loop
-/// below: one traversal per body group, the resulting interaction list
-/// applied to every member with the same SoA leaf-coalesced kernel.  The
-/// per-body path here stays bit-for-bit what it was before the walk-mode
-/// knob existed.
+/// below: one traversal per body group over the same cache, streaming each
+/// accepted cell and opened leaf batch to the members that reach it with
+/// the same SoA leaf-coalesced kernel.  The per-body path here stays
+/// bit-for-bit what it was before the walk-mode knob existed.
 pub fn force_phase_cached(
     ctx: &Ctx,
     shared: &BhShared,
@@ -252,7 +276,7 @@ pub fn force_phase_cached(
     }
     let theta = read_theta(ctx, shared, st, cfg.opt);
     let eps = read_eps(ctx, shared, st, cfg.opt);
-    let (mut cache, _) = CacheTree::for_step(ctx, shared, st, cfg);
+    let mut cache = CacheTree::for_step(ctx, shared, st, cfg);
     let mut out = Vec::with_capacity(st.my_ids.len());
     for &id in &st.my_ids {
         let body = read_body(ctx, shared, st, cfg, id);

@@ -21,7 +21,7 @@
 use crate::cache::CacheTree;
 use crate::cellnode::{CellNode, NodeKind};
 use crate::force::BodyForce;
-use crate::groupwalk::{apply_list, build_list, group_descends, partition_groups, Group};
+use crate::groupwalk::{group_descends, partition_groups, walk_group, Group};
 use crate::shared::{read_body, read_eps, read_theta, BhShared, RankState};
 use engine::config::SimConfig;
 use nbody::direct::pairwise_acceleration;
@@ -312,11 +312,11 @@ pub fn force_phase_async(
 /// processed *groups*; `n2`/`n3` keep their meaning.
 ///
 /// The frontier pass is pure *discovery*: it repeats the group acceptance
-/// decisions the final [`build_list`] makes, driving the non-blocking
-/// localization of every cell the group's interaction list will need, but
-/// only the latter is billed — the group's MAC work happens once per group,
-/// which is the point of the mode; the frontier pass exists to overlap the
-/// cache misses with other groups' work, exactly like the per-body kind.
+/// decisions of the group's final [`walk_group`], driving the non-blocking
+/// localization of every cell that walk will open, but only the latter is
+/// billed — the group's MAC work happens once per group, which is the point
+/// of the mode; the frontier pass exists to overlap the cache misses with
+/// other groups' work, exactly like the per-body kind.
 struct PerGroup {
     theta: f64,
     eps: f64,
@@ -328,12 +328,12 @@ impl UnitKind for PerGroup {
     fn visit(&mut self, g: &mut Group, node: &CellNode) -> bool {
         node.kind == NodeKind::Cell
             && node.nbodies != 0
-            && group_descends(node.side(), g.lo, g.hi, node.cofm, &g.positions, self.theta)
+            && group_descends(node.side(), g.lo, g.hi, node.cofm, g.positions(), self.theta)
     }
 
-    /// Every cell a finished group's list opens is localized now, so the
-    /// list build is one local (billed) pass, and applying it to the
-    /// members is pure compute.
+    /// Every cell a finished group's walk opens is localized now, so the
+    /// walk is one local (billed) pass that streams every cell it meets to
+    /// the members.
     fn retire(
         &mut self,
         ctx: &Ctx,
@@ -343,13 +343,7 @@ impl UnitKind for PerGroup {
         out: &mut Vec<BodyForce>,
     ) {
         for g in finished {
-            let list = build_list(ctx, shared, cache, g.lo, g.hi, &g.positions, self.theta);
-            let mut interactions = 0u64;
-            for (k, &id) in g.ids.iter().enumerate() {
-                let (acc, phi, n) = apply_list(cache, &list, k, g.positions[k], id, self.eps);
-                interactions += n as u64;
-                out.push(BodyForce { id, acc, phi, cost: n });
-            }
+            let interactions = walk_group(ctx, shared, cache, &g, self.theta, self.eps, out);
             ctx.bill(Price::Interaction, interactions);
         }
     }
@@ -374,10 +368,7 @@ pub fn force_phase_async_group(
         let body = read_body(ctx, shared, st, cfg, id);
         members.push((id, body.pos));
     }
-    let center = (st.bbox_lo + st.bbox_hi) * 0.5;
-    let extent = st.bbox_hi - st.bbox_lo;
-    let rsize = extent.x.max(extent.y).max(extent.z);
-    let pending = partition_groups(&members, center, rsize).into_iter();
+    let pending = partition_groups(&members, st.bbox_lo, st.bbox_hi).into_iter();
     schedule(ctx, shared, cfg, cache, kind, pending, st.my_ids.len())
 }
 

@@ -690,15 +690,8 @@ fn try_refold_cell(ctx: &Ctx, shared: &BhShared, ptr: GlobalPtr) -> bool {
 /// Reads body `id`'s site under the body-table access discipline: the
 /// record migrates with ownership (it rides the same redistribution
 /// transfers as the body), so owned sites cost a local access; foreign
-/// sites are one remote get.  Also used by the group walk
-/// ([`crate::groupwalk`]) to detect relocated member leaves.
-pub(crate) fn read_site(
-    ctx: &Ctx,
-    shared: &BhShared,
-    st: &RankState,
-    cfg: &SimConfig,
-    id: u32,
-) -> LeafSite {
+/// sites are one remote get.  Only the drift probe reads sites.
+fn read_site(ctx: &Ctx, shared: &BhShared, st: &RankState, cfg: &SimConfig, id: u32) -> LeafSite {
     if cfg.opt.redistributes_bodies() && st.owns(id) {
         ctx.bill(Price::LocalAccess, 1);
         shared.sites.read_raw(id as usize)

@@ -4,7 +4,6 @@
 
 use crate::cache::CacheTree;
 use crate::cellnode::{CellNode, COMPACT_NODE_BYTES};
-use crate::groupwalk::GroupLists;
 use crate::lifecycle::{LeafSite, TreeLifecycle};
 use engine::config::{OptLevel, SimConfig, TreeBuild, FINE_GRAINED_FIELDS};
 use nbody::plummer::{generate, PlummerConfig};
@@ -150,11 +149,8 @@ pub struct RankState {
     pub lifecycle: TreeLifecycle,
     /// The force-phase cache carried across steps while the tree generation
     /// is unchanged (reuse policies only; `None` under per-step rebuild).
+    /// Both walks use it; nothing else of the force phase crosses a step.
     pub cache_slot: Option<CacheTree>,
-    /// Group-walk interaction lists carried across steps alongside the
-    /// force cache (see [`crate::groupwalk`]; `None` under per-step rebuild,
-    /// per-body walks, or the strict `drift_threshold: 0` reuse mode).
-    pub group_slot: Option<GroupLists>,
 }
 
 impl RankState {
@@ -190,7 +186,6 @@ impl RankState {
             bbox_kept_cube: false,
             lifecycle: TreeLifecycle::default(),
             cache_slot: None,
-            group_slot: None,
         }
     }
 

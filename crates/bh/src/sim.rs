@@ -130,8 +130,8 @@ fn run_step(ctx: &Ctx, shared: &BhShared, st: &mut RankState, cfg: &SimConfig, s
 
     // Force computation.  The walk mode selects between one traversal per
     // body (the paper's walk) and one per body group ([`crate::groupwalk`]);
-    // the group walk requires a cell cache to build its lists over, which
-    // the upc capability row enforces.
+    // the group walk streams cells out of a cell cache, which the upc
+    // capability row requires.
     st.timer.begin(ctx, Phase::Force.key());
     let forces = if cfg.opt.async_aggregation() {
         if cfg.walk == WalkMode::Group {

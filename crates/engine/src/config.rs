@@ -207,28 +207,24 @@ impl TreePolicy {
 /// cache, the number of remote cell touches) scales with `n · depth`.  The
 /// group walk (Barnes' "modified tree code" refinement) walks the tree
 /// **once per body group** instead: spatially adjacent owned bodies are
-/// grouped, each group's traversal produces an *interaction list* (accepted
-/// cells plus opened cells' leaf batches) under a conservative opening
-/// criterion — a cell is opened if **any** point of the group's bounding box
-/// could open it under θ — and the list is then applied to every member with
-/// the SoA leaf-coalesced kernel.  Because the group criterion only ever
-/// opens *more* cells than any member's own criterion would, per-body
-/// accuracy is never worse; the traversal volume (the `macs` counter) drops
-/// by the mean group occupancy.
+/// grouped, and each group's single traversal applies every accepted cell
+/// and every opened cell's leaf batch to the members that reach it, with
+/// the SoA leaf-coalesced kernel.  A cell is accepted for the whole group
+/// only when no point of the group's bounding box could open it under θ; in
+/// the borderline shell each member's own test decides, so every member
+/// gets bit for bit the force of its own per-body walk while the traversal
+/// volume (the `macs` counter) drops by about the mean group occupancy.
 ///
-/// The group walk builds its lists over the §5.3 force cache; where it runs
-/// is each backend's [`crate::caps`] row.  Under a reuse-capable
-/// [`TreePolicy`], interaction lists are carried across steps while the
-/// tree generation is unchanged and re-validated per group (payloads
-/// epoch-refreshed; a relocated member leaf or a subdivided list cell
-/// rebuilds that group's list).
+/// The group walk runs over the §5.3 force cache; where it runs is each
+/// backend's [`crate::caps`] row.  It carries nothing across steps but
+/// what the per-body walk carries, so the two agree under every
+/// [`TreePolicy`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum WalkMode {
     /// One tree traversal per body (the paper's walk, bit-for-bit the
     /// pre-group-walk force phase).
     PerBody,
-    /// One tree traversal per body group, evaluated through per-group
-    /// interaction lists.
+    /// One tree traversal per body group, streamed to its members.
     Group,
 }
 
@@ -248,9 +244,7 @@ impl WalkMode {
     pub fn description(self) -> &'static str {
         match self {
             WalkMode::PerBody => "one tree traversal per body (the paper's walk)",
-            WalkMode::Group => {
-                "one traversal per body group; conservative opening, lists applied via SoA kernel"
-            }
+            WalkMode::Group => "one traversal per body group, streamed to its members",
         }
     }
 

@@ -164,21 +164,43 @@ impl<T> Frozen<T> {
     /// reference into the epoch's copy — no lock, no copy.
     ///
     /// # Panics
-    /// Panics if `fields` is zero, the pointer is null or it addresses no
-    /// element of the copy; in debug builds, if the view is read in an
-    /// epoch other than the one it was taken in.
+    /// As [`Frozen::get`], and if `fields` is zero.
     #[inline]
     pub fn read_fields(&self, ctx: &Ctx, ptr: GlobalPtr, fields: u32) -> &T {
-        assert!(!ptr.is_null(), "dereference of a null pointer-to-shared");
         assert!(fields > 0, "a read of zero fields has no value to return");
+        let element = self.get(ctx, ptr);
+        ctx.access(Dir::Get, ptr.threadof(), self.record_bytes, u64::from(fields));
+        element
+    }
+
+    /// The element `ptr` addresses in the epoch's copy, unbilled: for a
+    /// walk that counts its reads per owner and pays for them in one
+    /// [`Frozen::pay_for_reads`].
+    ///
+    /// # Panics
+    /// Panics if the pointer is null or addresses no element of the copy;
+    /// in debug builds, if the view is read in an epoch other than the one
+    /// it was taken in.
+    #[inline]
+    pub fn get(&self, ctx: &Ctx, ptr: GlobalPtr) -> &T {
+        assert!(!ptr.is_null(), "dereference of a null pointer-to-shared");
         debug_assert_eq!(ctx.epoch(), self.epoch, "a frozen view read outside its epoch");
-        let owner = ptr.threadof();
-        ctx.access(Dir::Get, owner, self.record_bytes, u64::from(fields));
-        let region = &self.regions[owner];
+        let region = &self.regions[ptr.threadof()];
         let index = ptr.indexof();
         region.get(index).unwrap_or_else(|| {
             panic!("pointer-to-shared index {index} out of a region of {} elements", region.len())
         })
+    }
+
+    /// Bills `reads[owner]` reads of `fields` fields each of elements owned
+    /// by every `owner`: exactly what that many [`Frozen::read_fields`]
+    /// calls bill, since a bill only counts until the clock is next read.
+    pub fn pay_for_reads(&self, ctx: &Ctx, reads: &[u64], fields: u32) {
+        for (owner, &n) in reads.iter().enumerate() {
+            if n > 0 {
+                ctx.access(Dir::Get, owner, self.record_bytes, n * u64::from(fields));
+            }
+        }
     }
 }
 
@@ -656,6 +678,30 @@ mod tests {
                     assert_eq!(*view.read_fields(ctx, ptr, fields), arena.read_raw(ptr));
                 });
                 assert_eq!(through_slots, through_view, "{record} B record, {fields} field(s)");
+            }
+        }
+    }
+
+    #[test]
+    fn frozen_reads_paid_in_one_batch_bill_what_each_read_bills() {
+        for record in [std::mem::size_of::<[u64; 5]>(), RECORD] {
+            for fields in [1, 3, 5] {
+                let each = local_then_remote(record, |ctx, arena, ptr| {
+                    let view = arena.frozen(ctx);
+                    for _ in 0..4 {
+                        view.read_fields(ctx, ptr, fields);
+                    }
+                });
+                let batched = local_then_remote(record, |ctx, arena, ptr| {
+                    let view = arena.frozen(ctx);
+                    let mut reads = vec![0u64; ctx.ranks()];
+                    for _ in 0..4 {
+                        assert_eq!(*view.get(ctx, ptr), arena.read_raw(ptr));
+                        reads[ptr.threadof()] += 1;
+                    }
+                    view.pay_for_reads(ctx, &reads, fields);
+                });
+                assert_eq!(each, batched, "{record} B record, {fields} field(s)");
             }
         }
     }

@@ -214,15 +214,18 @@ impl<T: Copy + Send + Sync> SharedScalar<T> {
     /// (this is exactly the cost that §5.1 removes by replication), rank 0
     /// the local dereference price.
     pub fn read(&self, ctx: &Ctx) -> T {
-        self.pay_for_read(ctx);
+        self.pay_for_reads(ctx, 1);
         self.slot.get()
     }
 
-    /// Bills exactly what [`SharedScalar::read`] bills and fetches nothing:
-    /// for a caller that already holds the value of a scalar nobody writes
-    /// in the phase, and must still pay for each use the model reads it.
-    pub fn pay_for_read(&self, ctx: &Ctx) {
-        ctx.access(Dir::Get, 0, std::mem::size_of::<T>(), 1);
+    /// Bills exactly what `n` [`SharedScalar::read`]s bill and fetches
+    /// nothing: for a caller that already holds the value of a scalar
+    /// nobody writes in the phase, and must still pay for each use the
+    /// model reads it.
+    pub fn pay_for_reads(&self, ctx: &Ctx, n: u64) {
+        if n > 0 {
+            ctx.access(Dir::Get, 0, std::mem::size_of::<T>(), n);
+        }
     }
 
     /// Writes the scalar (remote for every rank other than 0).
@@ -418,7 +421,7 @@ mod tests {
     }
 
     #[test]
-    fn pay_for_read_bills_what_read_bills() {
+    fn pay_for_reads_bills_what_reads_bill() {
         let s = SharedScalar::new(0.5f64);
         let billed = |uses: &(dyn Fn(&Ctx) + Sync)| {
             let report = Runtime::new(Machine::power5(2, 2, true)).run(|ctx| uses(ctx));
@@ -429,11 +432,7 @@ mod tests {
                 assert_eq!(s.read(ctx), 0.5);
             }
         });
-        let charged = billed(&|ctx| {
-            for _ in 0..3 {
-                s.pay_for_read(ctx);
-            }
-        });
+        let charged = billed(&|ctx| s.pay_for_reads(ctx, 3));
         assert_eq!(read, charged);
         assert_eq!(read[0].1.local_accesses, 3, "rank 0 owns the scalar");
         assert_eq!(read[3].1.remote_gets, 3);
