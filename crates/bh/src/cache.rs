@@ -2,12 +2,13 @@
 //! (§5.3, Listings 1 and 2 of the paper): one cache, two load disciplines.
 //!
 //! Every rank starts the force phase by copying the global root into a
-//! private arena of `LocalNode`s.  Whenever the walk needs to open a cell
-//! whose children have not been localized yet, it fetches all eight children
-//! with pointer-to-shared reads, stores local copies, swizzles the child
-//! pointers to local indices and sets the `localized` flag — after which any
-//! later visit (for this or any other body) costs only local pointer
-//! dereferences.  This is the optimization responsible for the 99 % force
+//! private arena of `LocalNode`s, under every tree policy: the cache lives
+//! for one force phase, as the paper's does.  Whenever the walk needs to
+//! open a cell whose children have not been localized yet, it fetches all
+//! eight children with pointer-to-shared reads, stores local copies,
+//! swizzles the child pointers to local indices and sets the `localized`
+//! flag — after which any later visit (for this or any other body) costs
+//! only local pointer dereferences.  This is the optimization responsible for the 99 % force
 //! time reduction between Table 4 and Table 5.
 //!
 //! The §5.3.1 separate local tree and the §5.3.2 merged tree with shadow
@@ -21,8 +22,7 @@
 //! identical, only the local copying cost differs.
 
 use crate::cellnode::{CellNode, NodeKind};
-use crate::shared::{BhShared, RankState};
-use engine::config::SimConfig;
+use crate::shared::BhShared;
 use nbody::direct::pairwise_acceleration;
 use nbody::{SoaBodies, Vec3};
 use octree::walk::cell_is_far;
@@ -107,13 +107,6 @@ impl LeafArena {
     pub(crate) fn kids(&self, r: ChildRanges) -> &[u32] {
         &self.cell_kids[r.kids_start as usize..(r.kids_start + r.kids_len) as usize]
     }
-
-    /// Empties the arena while keeping its allocations (the tree-lifecycle
-    /// refresh re-coalesces every localized cell in place).
-    pub(crate) fn clear(&mut self) {
-        self.leaves.clear();
-        self.cell_kids.clear();
-    }
 }
 
 /// A locally cached copy of a shared tree node.
@@ -121,9 +114,6 @@ impl LeafArena {
 pub struct LocalNode {
     /// Copied payload of the shared node.
     pub node: CellNode,
-    /// The pointer-to-shared the payload was copied from (the refresh path
-    /// re-reads through it when the tree survives into the next step).
-    pub gptr: GlobalPtr,
     /// Local indices of the children once localized.
     pub children_local: [i32; 8],
     /// `true` once all children of this node have local copies
@@ -132,32 +122,24 @@ pub struct LocalNode {
     /// `true` once a gather for this node's children has been issued but not
     /// yet completed (used by the §5.5 non-blocking framework).
     pub requested: bool,
-    /// Cache epoch the payload was last read in (see [`CacheTree::refresh`];
-    /// a stale payload is re-read through `gptr` on first touch).
-    epoch: u32,
-    /// Cache epoch `ranges` was coalesced in (the arena is emptied at every
-    /// refresh, so stale ranges must not be dereferenced).
-    ranges_epoch: u32,
     /// This cell's slice of the cache's [`LeafArena`].
     ranges: ChildRanges,
 }
 
 impl LocalNode {
-    fn new(node: CellNode, gptr: GlobalPtr, epoch: u32) -> LocalNode {
+    fn new(node: CellNode) -> LocalNode {
         LocalNode {
             node,
-            gptr,
             children_local: [NO_LOCAL; 8],
             localized: false,
             requested: false,
-            epoch,
-            ranges_epoch: epoch,
             ranges: ChildRanges::default(),
         }
     }
 }
 
-/// A per-rank cache tree.
+/// A per-rank cache tree.  It lives for one force phase, under every tree
+/// policy: the next phase starts again from the root copy.
 ///
 /// Besides the per-node copies, the cache keeps a [`LeafArena`] built as
 /// cells are localized, so the batched [`CacheTree::walk`] streams each
@@ -169,13 +151,6 @@ pub struct CacheTree {
     /// All localized nodes; index 0 is the local copy of the global root
     /// (`L_root` in the paper).
     pub nodes: Vec<LocalNode>,
-    /// The tree generation this cache was built against (see
-    /// [`crate::lifecycle`]).  While the generation is unchanged the cache
-    /// is [`CacheTree::refresh`]ed across steps instead of rebuilt.
-    pub generation: u64,
-    /// Current refresh epoch: nodes whose [`LocalNode::epoch`] lags are
-    /// stale and re-read on first touch.
-    epoch: u32,
     /// The load discipline: `false` copies every cell (§5.3.1), `true`
     /// pointer-casts the cells local to this rank (§5.3.2).  See
     /// [`CacheTree::load`].
@@ -202,51 +177,22 @@ pub struct CachedWalkResult {
 }
 
 impl CacheTree {
-    /// Creates a copy-discipline (§5.3.1) cache by copying the global root
-    /// cell.
-    pub fn new(ctx: &Ctx, shared: &BhShared) -> Self {
-        CacheTree::new_for(ctx, shared, false, 0)
-    }
-
-    /// Creates the cache from the global root cell under the given load
-    /// discipline (`cast_local`: [`SimConfig::shadow_cache`]), tagged with
-    /// the tree generation it was built against.
-    pub fn new_for(ctx: &Ctx, shared: &BhShared, cast_local: bool, generation: u64) -> Self {
+    /// Creates the cache by copying the global root cell, under the given
+    /// load discipline (`cast_local`: [`engine::config::SimConfig::shadow_cache`];
+    /// the §5.5 engines always copy).
+    pub fn new(ctx: &Ctx, shared: &BhShared, cast_local: bool) -> Self {
         let root_ptr = shared.root.read(ctx);
         assert!(!root_ptr.is_null(), "force phase requires a built tree");
         let mut cache = CacheTree {
             nodes: Vec::new(),
-            generation,
-            epoch: 0,
             cast_local,
             remote_copies: 0,
             local_reuses: 0,
             arena: LeafArena::default(),
         };
         let root = cache.load(ctx, shared, root_ptr);
-        cache.nodes.push(LocalNode::new(root, root_ptr, 0));
+        cache.nodes.push(LocalNode::new(root));
         cache
-    }
-
-    /// The force cache for this step: the one carried in
-    /// [`RankState::cache_slot`] when a persistent tree policy kept the tree
-    /// generation it was built against ([`CacheTree::refresh`]ed in place),
-    /// a fresh one otherwise.  The caller puts it back in the slot after the
-    /// walk when the tree persists.
-    pub(crate) fn for_step(
-        ctx: &Ctx,
-        shared: &BhShared,
-        st: &mut RankState,
-        cfg: &SimConfig,
-    ) -> CacheTree {
-        let generation = st.lifecycle.generation;
-        match st.cache_slot.take() {
-            Some(mut c) if cfg.tree_policy.reuses_tree() && c.generation == generation => {
-                c.refresh();
-                c
-            }
-            _ => CacheTree::new_for(ctx, shared, cfg.shadow_cache, generation),
-        }
     }
 
     /// Reads a cell into the cache — the only place the two disciplines
@@ -264,65 +210,6 @@ impl CacheTree {
         }
     }
 
-    /// Carries the cache into the next step of the *same* tree generation:
-    /// bumps the refresh epoch (marking every cached payload stale) and
-    /// empties the leaf arena, all without touching the network.  Payloads
-    /// are then re-read lazily, on first touch by the walk — so a step's
-    /// remote traffic matches what a fresh cache would have paid for the
-    /// cells it actually visits (under the cache's own load discipline),
-    /// while the node allocations, the localized structure and the arena
-    /// capacity all survive.  Localizations whose child-pointer set changed
-    /// underneath (incremental re-inserts subdivide slots) are dropped at
-    /// re-read time.
-    pub fn refresh(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
-        self.arena.clear();
-    }
-
-    /// Ensures node `idx`'s payload was read in the current epoch.  This
-    /// check runs once per visited node in every walk, so it must stay small
-    /// enough to inline; the re-read is out of line for that reason (with it
-    /// folded in here the blocking cached rungs measured ~5 % slower on the
-    /// host clock).
-    #[inline]
-    fn ensure_fresh(&mut self, ctx: &Ctx, shared: &BhShared, idx: usize) {
-        if self.nodes[idx].epoch != self.epoch {
-            self.reload(ctx, shared, idx);
-        }
-    }
-
-    /// Re-reads stale node `idx` under the cache's load discipline, dropping
-    /// its localization when the child-pointer set changed underneath.
-    #[inline(never)]
-    fn reload(&mut self, ctx: &Ctx, shared: &BhShared, idx: usize) {
-        let fresh = self.load(ctx, shared, self.nodes[idx].gptr);
-        let stale_children =
-            self.nodes[idx].localized && fresh.children != self.nodes[idx].node.children;
-        self.nodes[idx].node = fresh;
-        self.nodes[idx].requested = false;
-        self.nodes[idx].epoch = self.epoch;
-        if stale_children {
-            self.nodes[idx].children_local = [NO_LOCAL; 8];
-            self.nodes[idx].localized = false;
-            self.nodes[idx].ranges = ChildRanges::default();
-        }
-    }
-
-    /// Brings a localized cell's children into the current epoch and
-    /// re-coalesces its leaf batch (the arena was emptied by the refresh).
-    fn ensure_children_current(&mut self, ctx: &Ctx, shared: &BhShared, parent: usize) {
-        if self.nodes[parent].ranges_epoch == self.epoch {
-            return;
-        }
-        for octant in 0..8 {
-            let c = self.nodes[parent].children_local[octant];
-            if c != NO_LOCAL {
-                self.ensure_fresh(ctx, shared, c as usize);
-            }
-        }
-        self.coalesce_children(parent);
-    }
-
     /// Number of cached nodes.
     pub fn len(&self) -> usize {
         self.nodes.len()
@@ -334,13 +221,9 @@ impl CacheTree {
     }
 
     /// Installs an already-fetched child under `parent`.
-    fn install_child(&mut self, parent: usize, octant: usize, node: CellNode) -> usize {
-        let gptr = self.nodes[parent].node.children[octant];
-        let idx = self.nodes.len();
-        let epoch = self.epoch;
-        self.nodes.push(LocalNode::new(node, gptr, epoch));
-        self.nodes[parent].children_local[octant] = idx as i32;
-        idx
+    fn install_child(&mut self, parent: usize, octant: usize, node: CellNode) {
+        self.nodes[parent].children_local[octant] = self.nodes.len() as i32;
+        self.nodes.push(LocalNode::new(node));
     }
 
     /// Coalesces the freshly localized children of `parent` into the arena.
@@ -354,7 +237,6 @@ impl CacheTree {
                 .map(|&c| (c as u32, &nodes[c as usize].node)),
         );
         self.nodes[parent].ranges = ranges;
-        self.nodes[parent].ranges_epoch = self.epoch;
     }
 
     /// Localizes the children of `parent` with blocking loads (Listing 1,
@@ -411,24 +293,6 @@ impl CacheTree {
             .collect()
     }
 
-    /// Ensures node `idx`'s payload was read in the current epoch and
-    /// returns it.
-    pub(crate) fn payload(&mut self, ctx: &Ctx, shared: &BhShared, idx: usize) -> &CellNode {
-        self.ensure_fresh(ctx, shared, idx);
-        &self.nodes[idx].node
-    }
-
-    /// Localizes node `idx`'s children (blocking loads) or, when already
-    /// localized, brings them into the current epoch and re-coalesces the
-    /// leaf batch.
-    pub(crate) fn open(&mut self, ctx: &Ctx, shared: &BhShared, idx: usize) {
-        if !self.nodes[idx].localized {
-            self.localize_children(ctx, shared, idx);
-        } else {
-            self.ensure_children_current(ctx, shared, idx);
-        }
-    }
-
     /// Cell-kind children of an opened node, in octant order.
     pub(crate) fn kids(&self, idx: usize) -> &[u32] {
         self.arena.kids(self.nodes[idx].ranges)
@@ -472,7 +336,6 @@ impl CacheTree {
         let mut macs = 0u64;
         let mut stack = vec![0usize];
         while let Some(idx) = stack.pop() {
-            self.ensure_fresh(ctx, shared, idx);
             let node = self.nodes[idx].node;
             match node.kind {
                 NodeKind::Body => {
@@ -497,7 +360,7 @@ impl CacheTree {
                         result.phi += p;
                         result.interactions += 1;
                     } else {
-                        self.open(ctx, shared, idx);
+                        self.localize_children(ctx, shared, idx);
                         let ranges = self.nodes[idx].ranges;
                         result.interactions += self.arena.accumulate(
                             ranges,
@@ -545,7 +408,6 @@ impl CacheTree {
         let mut macs = 0u64;
         let mut stack = vec![0usize];
         while let Some(idx) = stack.pop() {
-            self.ensure_fresh(ctx, shared, idx);
             let node = self.nodes[idx].node;
             match node.kind {
                 NodeKind::Body => {
@@ -569,7 +431,7 @@ impl CacheTree {
                         result.phi += p;
                         result.interactions += 1;
                     } else {
-                        self.open(ctx, shared, idx);
+                        self.localize_children(ctx, shared, idx);
                         let children = self.nodes[idx].children_local;
                         for c in children {
                             if c == NO_LOCAL {
@@ -603,10 +465,11 @@ impl CacheTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shared::RankState;
     use crate::treebuild::{
         allocate_root, bounding_box_phase, center_of_mass_phase, insert_owned_bodies,
     };
-    use engine::config::OptLevel;
+    use engine::config::{OptLevel, SimConfig};
     use nbody::direct;
     use pgas::Runtime;
 
@@ -654,7 +517,7 @@ mod tests {
     fn cached_walk_matches_direct_summation_closely() {
         let cfg = SimConfig::test(150, 2, OptLevel::CacheLocalTree);
         let (shared, results) = with_built_tree(&cfg, |ctx, shared, st| {
-            let mut cache = CacheTree::new(ctx, shared);
+            let mut cache = CacheTree::new(ctx, shared, false);
             st.my_ids
                 .iter()
                 .map(|&id| {
@@ -680,7 +543,7 @@ mod tests {
         for cast_local in [false, true] {
             let (_, results) = with_built_tree(&cfg, |ctx, shared, st| {
                 let before = ctx.stats_snapshot();
-                let mut cache = CacheTree::new_for(ctx, shared, cast_local, 0);
+                let mut cache = CacheTree::new(ctx, shared, cast_local);
                 walk_owned(ctx, shared, st, &cfg, &mut cache);
                 let first_pass = ctx.stats_snapshot().delta(&before).remote_gets;
                 // A second pass over the same bodies must not fetch anything new.
@@ -700,72 +563,17 @@ mod tests {
     }
 
     #[test]
-    fn refreshed_cache_matches_a_fresh_cache_bit_for_bit() {
-        // Walk once, mutate the tree's payloads (as a reuse step's in-place
-        // refresh + re-fold would), refresh the cache and walk again: the
-        // refreshed walk must agree bit-for-bit with a cache built from
-        // scratch, while re-using the node/arena allocations — under either
-        // load discipline.
-        let cfg = SimConfig::test(200, 2, OptLevel::CacheLocalTree);
-        for cast_local in [false, true] {
-            with_built_tree(&cfg, |ctx, shared, st| {
-                let mut cache = CacheTree::new_for(ctx, shared, cast_local, 0);
-                walk_owned(ctx, shared, st, &cfg, &mut cache);
-                let nodes_before = cache.len();
-
-                // Nudge every leaf payload (same structure, new positions), as
-                // the incremental update would.
-                ctx.barrier();
-                if ctx.rank() == 0 {
-                    for rank in 0..ctx.ranks() {
-                        for i in 0..shared.cells.len_of(rank) {
-                            let ptr = pgas::GlobalPtr::new(rank, i);
-                            let mut node = shared.cells.read_raw(ptr);
-                            if node.is_body() {
-                                node.cofm.x += 1e-6;
-                                shared.cells.write(ctx, ptr, node);
-                            }
-                        }
-                    }
-                }
-                ctx.barrier();
-
-                // The refresh itself must not touch the network; payload
-                // re-reads happen lazily, on first touch.
-                let before = ctx.stats_snapshot();
-                cache.refresh();
-                assert_eq!(ctx.stats_snapshot().delta(&before).remote_gets, 0);
-
-                let mut fresh = CacheTree::new_for(ctx, shared, cast_local, 0);
-                for &id in &st.my_ids {
-                    let b = shared.bodytab.read_raw(id as usize);
-                    let a = cache.walk(ctx, shared, b.pos, id, cfg.theta, cfg.eps);
-                    let f = fresh.walk(ctx, shared, b.pos, id, cfg.theta, cfg.eps);
-                    assert_eq!(a.acc.x.to_bits(), f.acc.x.to_bits());
-                    assert_eq!(a.acc.y.to_bits(), f.acc.y.to_bits());
-                    assert_eq!(a.acc.z.to_bits(), f.acc.z.to_bits());
-                    assert_eq!(a.phi.to_bits(), f.phi.to_bits());
-                    assert_eq!(a.interactions, f.interactions);
-                }
-                // Same structure: no node was re-allocated by the refresh.
-                assert_eq!(cache.len(), nodes_before);
-                ctx.barrier();
-            });
-        }
-    }
-
-    #[test]
     fn children_ptrs_and_install_children_mirror_localize() {
         let cfg = SimConfig::test(200, 2, OptLevel::AsyncAggregation);
         let (_, results) = with_built_tree(&cfg, |ctx, shared, _st| {
             // Localize the root's children through the aggregated-install
             // path and check it matches a blocking localize.
-            let mut a = CacheTree::new(ctx, shared);
+            let mut a = CacheTree::new(ctx, shared, false);
             let ptrs = a.children_ptrs(0);
             let nodes: Vec<CellNode> = ptrs.iter().map(|&p| shared.cells.read_raw(p)).collect();
             a.install_children(ctx, 0, nodes);
 
-            let mut b = CacheTree::new(ctx, shared);
+            let mut b = CacheTree::new(ctx, shared, false);
             b.localize_children(ctx, shared, 0);
 
             assert_eq!(a.len(), b.len());
@@ -782,8 +590,8 @@ mod tests {
     fn shadow_walk_matches_separate_local_tree_exactly() {
         let cfg = SimConfig::test(250, 3, OptLevel::CacheLocalTree);
         let (_, results) = with_built_tree(&cfg, |ctx, shared, st| {
-            let mut shadow = CacheTree::new_for(ctx, shared, true, 0);
-            let mut separate = CacheTree::new(ctx, shared);
+            let mut shadow = CacheTree::new(ctx, shared, true);
+            let mut separate = CacheTree::new(ctx, shared, false);
             st.my_ids
                 .iter()
                 .map(|&id| {
@@ -811,7 +619,7 @@ mod tests {
     fn shadow_cache_does_not_copy_local_cells() {
         let cfg = SimConfig::test(400, 4, OptLevel::CacheLocalTree);
         let (_, results) = with_built_tree(&cfg, |ctx, shared, st| {
-            let mut cache = CacheTree::new_for(ctx, shared, true, 0);
+            let mut cache = CacheTree::new(ctx, shared, true);
             walk_owned(ctx, shared, st, &cfg, &mut cache);
             (cache.remote_copies, cache.local_reuses)
         });
@@ -830,12 +638,12 @@ mod tests {
         let cfg = SimConfig::test(300, 4, OptLevel::CacheLocalTree);
         let (_, results) = with_built_tree(&cfg, |ctx, shared, st| {
             let before_shadow = ctx.stats_snapshot();
-            let mut shadow = CacheTree::new_for(ctx, shared, true, 0);
+            let mut shadow = CacheTree::new(ctx, shared, true);
             walk_owned(ctx, shared, st, &cfg, &mut shadow);
             let shadow_remote = ctx.stats_snapshot().delta(&before_shadow).remote_gets;
 
             let before_separate = ctx.stats_snapshot();
-            let mut separate = CacheTree::new(ctx, shared);
+            let mut separate = CacheTree::new(ctx, shared, false);
             walk_owned(ctx, shared, st, &cfg, &mut separate);
             let separate_remote = ctx.stats_snapshot().delta(&before_separate).remote_gets;
             (shadow_remote, separate_remote)
@@ -849,7 +657,7 @@ mod tests {
     fn second_pass_is_fully_cached() {
         let cfg = SimConfig::test(200, 2, OptLevel::CacheLocalTree);
         let (_, results) = with_built_tree(&cfg, |ctx, shared, st| {
-            let mut cache = CacheTree::new_for(ctx, shared, true, 0);
+            let mut cache = CacheTree::new(ctx, shared, true);
             walk_owned(ctx, shared, st, &cfg, &mut cache);
             let before = ctx.stats_snapshot();
             walk_owned(ctx, shared, st, &cfg, &mut cache);
@@ -865,7 +673,7 @@ mod tests {
         // improvement.
         let cfg = SimConfig::test(150, 1, OptLevel::CacheLocalTree);
         let (_, results) = with_built_tree(&cfg, |ctx, shared, st| {
-            let mut cache = CacheTree::new_for(ctx, shared, true, 0);
+            let mut cache = CacheTree::new(ctx, shared, true);
             walk_owned(ctx, shared, st, &cfg, &mut cache);
             (cache.remote_copies, cache.local_reuses)
         });

@@ -252,12 +252,9 @@ impl SharedWalk<'_> {
 /// rank (see [`crate::cache`]); both produce identical forces and identical
 /// remote traffic.
 ///
-/// Under per-step rebuild the cache lives for exactly one step, as the paper
-/// describes.  Under a persistent [`engine::config::TreePolicy`] the cache is
-/// carried in [`RankState`] across steps (`CacheTree::for_step`): while
-/// the tree generation is unchanged it is refreshed in place (payload
-/// re-reads, arenas re-coalesced, allocations kept); a full rebuild bumps
-/// the generation and invalidates it.
+/// The cache lives for exactly one force phase, as the paper describes,
+/// under every [`engine::config::TreePolicy`]: a persistent tree outlives
+/// the step, its cache does not.
 ///
 /// Under [`engine::config::WalkMode::Group`] the per-group engine
 /// ([`crate::groupwalk::force_phase_group`]) replaces the per-body loop
@@ -268,7 +265,7 @@ impl SharedWalk<'_> {
 pub fn force_phase_cached(
     ctx: &Ctx,
     shared: &BhShared,
-    st: &mut RankState,
+    st: &RankState,
     cfg: &SimConfig,
 ) -> Vec<BodyForce> {
     if cfg.walk == engine::config::WalkMode::Group {
@@ -276,15 +273,12 @@ pub fn force_phase_cached(
     }
     let theta = read_theta(ctx, shared, st, cfg.opt);
     let eps = read_eps(ctx, shared, st, cfg.opt);
-    let mut cache = CacheTree::for_step(ctx, shared, st, cfg);
+    let mut cache = CacheTree::new(ctx, shared, cfg.shadow_cache);
     let mut out = Vec::with_capacity(st.my_ids.len());
     for &id in &st.my_ids {
         let body = read_body(ctx, shared, st, cfg, id);
         let r = cache.walk(ctx, shared, body.pos, id, theta, eps);
         out.push(BodyForce { id, acc: r.acc, phi: r.phi, cost: r.interactions });
-    }
-    if cfg.tree_policy.reuses_tree() {
-        st.cache_slot = Some(cache);
     }
     out
 }
@@ -314,7 +308,7 @@ mod tests {
 
     fn forces_with(
         cfg: &SimConfig,
-        engine: impl Fn(&Ctx, &BhShared, &mut RankState, &SimConfig) -> Vec<BodyForce> + Sync,
+        engine: impl Fn(&Ctx, &BhShared, &RankState, &SimConfig) -> Vec<BodyForce> + Sync,
     ) -> (Vec<Body>, Vec<Body>, u64) {
         let shared = BhShared::new(cfg);
         let initial = shared.bodytab.snapshot();
@@ -328,7 +322,7 @@ mod tests {
             ctx.barrier();
             center_of_mass_phase(ctx, &shared, &mut st, cfg);
             ctx.barrier();
-            let forces = engine(ctx, &shared, &mut st, cfg);
+            let forces = engine(ctx, &shared, &st, cfg);
             write_back(ctx, &shared, &st, cfg, &forces);
             ctx.barrier();
         });
@@ -346,8 +340,7 @@ mod tests {
     #[test]
     fn uncached_forces_agree_with_sequential_tree_code() {
         let cfg = SimConfig::test(200, 3, OptLevel::ReplicateScalars);
-        let (initial, after, _) =
-            forces_with(&cfg, |c, s, st, f| force_phase_uncached(c, s, st, f));
+        let (initial, after, _) = forces_with(&cfg, force_phase_uncached);
         let reference = octree::walk::compute_forces(&initial, cfg.theta, cfg.eps);
         // Both are Barnes-Hut with theta=1; trees may differ slightly in
         // construction order (and hence grouping), so allow a loose bound
@@ -369,8 +362,7 @@ mod tests {
         // exactly the same accelerations as the uncached walk.
         let cfg_a = SimConfig::test(250, 4, OptLevel::Redistribute);
         let cfg_b = SimConfig::test(250, 4, OptLevel::CacheLocalTree);
-        let (_, after_uncached, remote_uncached) =
-            forces_with(&cfg_a, |c, s, st, f| force_phase_uncached(c, s, st, f));
+        let (_, after_uncached, remote_uncached) = forces_with(&cfg_a, force_phase_uncached);
         let (_, after_cached, remote_cached) = forces_with(&cfg_b, force_phase_cached);
         let err = max_relative_error(&after_cached, &after_uncached);
         assert!(err < 1e-9, "cached vs uncached force mismatch: {err}");
@@ -429,10 +421,8 @@ mod tests {
     fn baseline_force_reads_scalars_remotely_replicated_does_not() {
         let base = SimConfig::test(80, 2, OptLevel::Baseline);
         let repl = SimConfig::test(80, 2, OptLevel::ReplicateScalars);
-        let (_, _, base_remote) =
-            forces_with(&base, |c, s, st, f| force_phase_uncached(c, s, st, f));
-        let (_, _, repl_remote) =
-            forces_with(&repl, |c, s, st, f| force_phase_uncached(c, s, st, f));
+        let (_, _, base_remote) = forces_with(&base, force_phase_uncached);
+        let (_, _, repl_remote) = forces_with(&repl, force_phase_uncached);
         assert!(
             base_remote > repl_remote,
             "baseline must perform more remote reads ({base_remote}) than replicated scalars ({repl_remote})"

@@ -84,11 +84,14 @@ trait UnitKind {
 }
 
 /// The §5.5 schedule over `pending` working units of one kind.  The cache
-/// tree lives for one step: this engine only runs at
-/// [`engine::config::OptLevel::AsyncAggregation`] and above, where the upc
-/// capability row admits only the per-step rebuild policy
-/// ([`crate::backend::CAPS`]), so there is never a surviving generation to
-/// refresh against.
+/// tree lives for one force phase, as under every cached engine, and loads
+/// under the copy discipline.
+///
+/// The per-body kind sums each body's terms in the order its frontier
+/// reaches them, not in the blocking walk's depth-first order, so it agrees
+/// with [`crate::cache::CacheTree::walk`] to rounding, not bit for bit; the
+/// per-group kind finishes with [`walk_group`] and is bit-identical to the
+/// blocking walks.
 ///
 /// `pending` is pulled lazily, one unit per free working slot, so a unit
 /// kind that reads its inputs while building a unit pays for them at fill
@@ -298,7 +301,7 @@ pub fn force_phase_async(
         round_macs: 0,
         round_interactions: 0,
     };
-    let cache = CacheTree::new(ctx, shared);
+    let cache = CacheTree::new(ctx, shared, false);
     let pending = st.my_ids.iter().map(|&id| {
         let pos = read_body(ctx, shared, st, cfg, id).pos;
         Work { id, pos, acc: Vec3::ZERO, phi: 0.0, interactions: 0 }
@@ -362,7 +365,7 @@ pub fn force_phase_async_group(
         theta: read_theta(ctx, shared, st, cfg.opt),
         eps: read_eps(ctx, shared, st, cfg.opt),
     };
-    let cache = CacheTree::new(ctx, shared);
+    let cache = CacheTree::new(ctx, shared, false);
     let mut members: Vec<(u32, Vec3)> = Vec::with_capacity(st.my_ids.len());
     for &id in &st.my_ids {
         let body = read_body(ctx, shared, st, cfg, id);
@@ -444,7 +447,7 @@ mod tests {
 
     fn run_force(
         cfg: &SimConfig,
-        engine: impl Fn(&Ctx, &BhShared, &mut RankState, &SimConfig) -> Vec<BodyForce> + Sync,
+        engine: impl Fn(&Ctx, &BhShared, &RankState, &SimConfig) -> Vec<BodyForce> + Sync,
     ) -> (Vec<Body>, f64, Option<f64>) {
         let shared = BhShared::new(cfg);
         let rt = Runtime::new(cfg.machine.clone());
@@ -458,7 +461,7 @@ mod tests {
             center_of_mass_phase(ctx, &shared, &mut st, cfg);
             ctx.barrier();
             let start = ctx.now();
-            let forces = engine(ctx, &shared, &mut st, cfg);
+            let forces = engine(ctx, &shared, &st, cfg);
             let force_time = ctx.now() - start;
             write_back(ctx, &shared, &st, cfg, &forces);
             ctx.barrier();
@@ -473,8 +476,7 @@ mod tests {
     fn async_forces_match_blocking_cached_forces() {
         let cfg_async = SimConfig::test(300, 4, OptLevel::AsyncAggregation);
         let cfg_cached = SimConfig::test(300, 4, OptLevel::CacheLocalTree);
-        let (async_bodies, _, _) =
-            run_force(&cfg_async, |c, s, st, f| force_phase_async(c, s, st, f));
+        let (async_bodies, _, _) = run_force(&cfg_async, force_phase_async);
         let (cached_bodies, _, _) = run_force(&cfg_cached, force_phase_cached);
         for (a, b) in async_bodies.iter().zip(&cached_bodies) {
             let err = (a.acc - b.acc).norm() / b.acc.norm().max(1e-12);
@@ -492,7 +494,7 @@ mod tests {
         let mut cfg_cached = SimConfig::test(400, 8, OptLevel::CacheLocalTree);
         cfg_async.measured_steps = 1;
         cfg_cached.measured_steps = 1;
-        let (_, t_async, _) = run_force(&cfg_async, |c, s, st, f| force_phase_async(c, s, st, f));
+        let (_, t_async, _) = run_force(&cfg_async, force_phase_async);
         let (_, t_cached, _) = run_force(&cfg_cached, force_phase_cached);
         assert!(
             t_async < t_cached,
@@ -508,7 +510,7 @@ mod tests {
         // whole-simulation integration tests); here, with the initial block
         // distribution, we only require the statistic to be well-formed.
         let cfg = SimConfig::test(600, 4, OptLevel::AsyncAggregation);
-        let (_, _, single) = run_force(&cfg, |c, s, st, f| force_phase_async(c, s, st, f));
+        let (_, _, single) = run_force(&cfg, force_phase_async);
         let fraction = single.expect("async engine must issue aggregated requests");
         assert!(fraction > 0.0 && fraction <= 1.0, "ill-formed single-source fraction {fraction}");
     }
@@ -520,7 +522,7 @@ mod tests {
         cfg.n2 = 1;
         cfg.n3 = 1;
         let cfg_ref = SimConfig::test(150, 2, OptLevel::CacheLocalTree);
-        let (a, _, _) = run_force(&cfg, |c, s, st, f| force_phase_async(c, s, st, f));
+        let (a, _, _) = run_force(&cfg, force_phase_async);
         let (b, _, _) = run_force(&cfg_ref, force_phase_cached);
         for (x, y) in a.iter().zip(&b) {
             assert!((x.acc - y.acc).norm() / y.acc.norm().max(1e-12) < 1e-9);

@@ -33,8 +33,8 @@
 //! instead of once per body) drops by roughly the group occupancy.
 //!
 //! Nothing is carried across steps but what the per-body walk carries (the
-//! tree and the force cache under a persistent
-//! [`TreePolicy`](engine::config::TreePolicy)), so the group walk is the
+//! tree under a persistent [`TreePolicy`](engine::config::TreePolicy); the
+//! force cache is built fresh every step), so the group walk is the
 //! per-body walk under every tree policy.
 
 use crate::cache::CacheTree;
@@ -226,7 +226,7 @@ impl GroupWalk<'_> {
         idx: u32,
         active: u32,
     ) {
-        let node = cache.payload(ctx, shared, idx as usize);
+        let node = cache.nodes[idx as usize].node;
         let (cofm, mass, side) = (node.cofm, node.mass, node.side());
         if node.kind == NodeKind::Body {
             // Only reachable when the root itself is a body leaf.
@@ -264,7 +264,7 @@ impl GroupWalk<'_> {
             self.take(cofm, mass, None, active & accept);
             descend &= !accept;
         }
-        cache.open(ctx, shared, idx as usize);
+        cache.localize_children(ctx, shared, idx as usize);
         for i in members(descend) {
             self.interactions[i] += cache.accumulate(
                 idx as usize,
@@ -327,12 +327,12 @@ pub(crate) fn walk_group(
 pub fn force_phase_group(
     ctx: &Ctx,
     shared: &BhShared,
-    st: &mut RankState,
+    st: &RankState,
     cfg: &SimConfig,
 ) -> Vec<BodyForce> {
     let theta = read_theta(ctx, shared, st, cfg.opt);
     let eps = read_eps(ctx, shared, st, cfg.opt);
-    let mut cache = CacheTree::for_step(ctx, shared, st, cfg);
+    let mut cache = CacheTree::new(ctx, shared, cfg.shadow_cache);
     // Read every owned body once, under the same access discipline as the
     // per-body engine.
     let members: Vec<(u32, Vec3)> =
@@ -343,9 +343,6 @@ pub fn force_phase_group(
         interactions += walk_group(ctx, shared, &mut cache, &g, theta, eps, &mut out);
     }
     ctx.bill(Price::Interaction, interactions);
-    if cfg.tree_policy.reuses_tree() {
-        st.cache_slot = Some(cache);
-    }
     out
 }
 
@@ -382,8 +379,8 @@ mod tests {
                 .iter()
                 .map(|&id| (id, shared.bodytab.read_raw(id as usize).pos))
                 .collect();
-            let mut streamed = CacheTree::new(ctx, &shared);
-            let mut own = CacheTree::new(ctx, &shared);
+            let mut streamed = CacheTree::new(ctx, &shared, false);
+            let mut own = CacheTree::new(ctx, &shared, false);
             for g in partition_groups(&members, st.bbox_lo, st.bbox_hi) {
                 let mut out = Vec::new();
                 let total =

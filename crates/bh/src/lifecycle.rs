@@ -26,11 +26,12 @@
 //!   path, so the re-fold runs over each rank's created cells with the same
 //!   done-flag protocol as the centre-of-mass phase, but through cast-local
 //!   pointers (the cells were allocated by this rank, §5.2 discipline);
-//! * a *tree generation* counter increments on every full build.  The force
-//!   cache ([`crate::cache::CacheTree`]) carries the generation it was built
-//!   against: while it is unchanged it is refreshed in place (payload
-//!   re-reads, leaf arenas re-coalesced, localizations kept unless a slot
-//!   was subdivided) instead of being reallocated from scratch.
+//! * a *tree generation* counter increments on every full build; snapshots
+//!   record it beside their anchor.
+//!
+//! Only the tree persists.  The force cache ([`crate::cache::CacheTree`])
+//! is built fresh every force phase under every policy, as the paper's is:
+//! a reuse step localizes the cells it opens again, one `TreeOp` each.
 //!
 //! The persistent tree targets the global-insertion family (§4–§5.3),
 //! where per-step rebuild means every body descending the shared tree
@@ -118,8 +119,7 @@ impl LeafSite {
 #[derive(Debug, Clone)]
 pub struct TreeLifecycle {
     /// Generation of the persistent tree; increments on every full build.
-    /// Force caches built against an older generation are discarded instead
-    /// of refreshed.
+    /// Snapshots record it ([`engine::drive::Solver::anchor`]).
     pub generation: u64,
     /// `true` while a persistent tree from an earlier step is alive.
     pub valid: bool,
@@ -133,10 +133,10 @@ pub struct TreeLifecycle {
     /// Root-cell half side length of the persistent tree.
     pub root_half: f64,
     /// Total cell-arena population right after the last full build.  Reuse
-    /// steps only ever grow the arena (detached structure and dropped cache
-    /// localizations are never reclaimed mid-generation), so the decision
-    /// forces a rebuild once the arena doubles — bounding tree garbage and
-    /// cache growth even under an unbounded rebuild cadence.
+    /// steps only ever grow the arena (detached structure is never
+    /// reclaimed mid-generation), so the decision forces a rebuild once the
+    /// arena doubles — bounding tree garbage even under an unbounded
+    /// rebuild cadence.
     pub cells_at_build: usize,
 }
 

@@ -2,7 +2,6 @@
 //! per-rank private state, together with the body-access helpers that encode
 //! each optimization level's access/billing discipline.
 
-use crate::cache::CacheTree;
 use crate::cellnode::{CellNode, COMPACT_NODE_BYTES};
 use crate::lifecycle::{LeafSite, TreeLifecycle};
 use engine::config::{OptLevel, SimConfig, TreeBuild, FINE_GRAINED_FIELDS};
@@ -43,8 +42,9 @@ pub struct BhShared {
     /// insertion tree build.
     pub locks: pgas::lock::LockTable,
     /// Per-body leaf sites of the persistent tree (the tree-lifecycle
-    /// subsystem's side table, indexed by body id like `bodytab`).  Only
-    /// populated under a reuse-capable [`engine::config::TreePolicy`].
+    /// subsystem's side table, indexed by body id like `bodytab`).  One
+    /// slot per body under a reuse-capable [`engine::config::TreePolicy`],
+    /// none under per-step rebuild, which never reads it.
     pub sites: pgas::SharedVec<LeafSite>,
 }
 
@@ -70,9 +70,10 @@ impl BhShared {
             TreeBuild::Insertion => std::mem::size_of::<CellNode>(),
             TreeBuild::Sorted => COMPACT_NODE_BYTES,
         };
+        let site_slots = if cfg.tree_policy.reuses_tree() { nbodies } else { 0 };
         BhShared {
             bodytab: SharedVec::from_vec(ranks, bodies),
-            sites: SharedVec::new(ranks, nbodies, LeafSite::INVALID),
+            sites: SharedVec::new(ranks, site_slots, LeafSite::INVALID),
             cells: SharedArena::with_record_bytes(ranks, node_bytes),
             root: SharedScalar::new(GlobalPtr::NULL),
             rsize: SharedScalar::new(0.0),
@@ -147,10 +148,6 @@ pub struct RankState {
     pub bbox_kept_cube: bool,
     /// Persistent-tree bookkeeping (see [`crate::lifecycle`]).
     pub lifecycle: TreeLifecycle,
-    /// The force-phase cache carried across steps while the tree generation
-    /// is unchanged (reuse policies only; `None` under per-step rebuild).
-    /// Both walks use it; nothing else of the force phase crosses a step.
-    pub cache_slot: Option<CacheTree>,
 }
 
 impl RankState {
@@ -185,7 +182,6 @@ impl RankState {
             bbox_hi: Vec3::ZERO,
             bbox_kept_cube: false,
             lifecycle: TreeLifecycle::default(),
-            cache_slot: None,
         }
     }
 
@@ -314,6 +310,15 @@ mod tests {
         assert_eq!(shared.cells.ranks(), 4);
         assert_eq!(shared.tol.read_raw(), cfg.theta);
         assert_eq!(shared.eps.read_raw(), cfg.eps);
+    }
+
+    #[test]
+    fn leaf_sites_are_allocated_only_under_reuse() {
+        let rebuild = cfg(2, OptLevel::CacheLocalTree);
+        assert_eq!(BhShared::new(&rebuild).sites.len(), 0);
+        let mut reuse = rebuild.clone();
+        reuse.tree_policy = engine::config::TreePolicy::from_name("reuse").unwrap();
+        assert_eq!(BhShared::new(&reuse).sites.len(), 64);
     }
 
     #[test]

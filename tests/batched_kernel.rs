@@ -36,9 +36,9 @@ fn walk_both(
         ctx.barrier();
         center_of_mass_phase(ctx, shared_ref, &mut st, cfg);
         ctx.barrier();
-        let mut batched = CacheTree::new(ctx, shared_ref);
-        let mut per_body = CacheTree::new(ctx, shared_ref);
-        let mut shadow = CacheTree::new_for(ctx, shared_ref, true, 0);
+        let mut batched = CacheTree::new(ctx, shared_ref, false);
+        let mut per_body = CacheTree::new(ctx, shared_ref, false);
+        let mut shadow = CacheTree::new(ctx, shared_ref, true);
         st.my_ids
             .iter()
             .map(|&id| {
